@@ -107,10 +107,37 @@ impl KoalaBear {
         mont_reduce(self.0 as u64)
     }
 
-    /// The raw Montgomery residue (test-support; not the canonical value).
+    /// The raw Montgomery residue `x·2^32 mod p` (not the canonical value).
+    ///
+    /// Together with [`Self::from_montgomery`] and [`Self::reduce_u64`] this
+    /// is the raw-residue surface delayed-reduction kernels use: residues
+    /// are summed unreduced in a `u64` (Montgomery form is linear, so a sum
+    /// of residues is a residue of the sum) and reduced once at the end.
     #[inline]
     pub const fn to_montgomery(self) -> u32 {
         self.0
+    }
+
+    /// Rebuilds an element from its raw Montgomery residue — the inverse of
+    /// [`Self::to_montgomery`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residue >= P`. After [`Self::reduce_u64`] the compiler
+    /// proves the check away.
+    #[inline]
+    pub const fn from_montgomery(residue: u32) -> Self {
+        assert!(residue < P, "residue out of range for KoalaBear");
+        Self(residue)
+    }
+
+    /// Reduces any `u64` — typically an unreduced sum of Montgomery
+    /// residues — to the residue in `[0, p)` it is congruent to.
+    // The remainder is < p < 2^31, so the cast cannot truncate.
+    #[allow(clippy::cast_possible_truncation)]
+    #[inline]
+    pub const fn reduce_u64(x: u64) -> u32 {
+        (x % P64) as u32
     }
 
     /// Whether the element is a square in the field, by Euler's criterion.
@@ -361,6 +388,30 @@ mod tests {
         assert_eq!(KoalaBear::from_u64(P64).as_u64(), 0);
         assert_eq!(KoalaBear::from_u64(P64 + 5).as_u64(), 5);
         assert_eq!(KoalaBear::from_u64(u64::MAX).as_u64(), u64::MAX % P64);
+    }
+
+    #[test]
+    fn raw_residue_surface_roundtrips_and_reduces() {
+        let mut rng = SplitMix64::seed_from_u64(0x4b42_2027);
+        for v in edge_values().into_iter().chain((0..256).map(|_| rng.next_u64())) {
+            let x = KoalaBear::from_u64(v);
+            assert_eq!(KoalaBear::from_montgomery(x.to_montgomery()), x, "v={v}");
+        }
+        // 81·p is the largest value the Poseidon2 external layer plus a round
+        // constant can reach; the reduce is total over u64 regardless.
+        for x in [0, P64 - 1, P64, 81 * P64, 81 * P64 - 1, u64::MAX] {
+            assert_eq!(u64::from(KoalaBear::reduce_u64(x)), x % P64, "x={x}");
+        }
+        // A sum of residues reduces to the residue of the sum.
+        let (a, b) = (KoalaBear::from_u64(P64 - 1), KoalaBear::from_u64(P64 - 2));
+        let wide = u64::from(a.to_montgomery()) + u64::from(b.to_montgomery());
+        assert_eq!(KoalaBear::from_montgomery(KoalaBear::reduce_u64(wide)), a + b);
+    }
+
+    #[test]
+    #[should_panic(expected = "residue out of range")]
+    fn from_montgomery_rejects_unreduced_residue() {
+        let _ = KoalaBear::from_montgomery(P);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::proof::{FriFoldOpening, FriInitialOpening, FriProof, FriQueryRound};
 pub enum WireError {
     /// Ran out of bytes mid-structure.
     Truncated,
-    /// A length prefix exceeded sane bounds.
+    /// A length prefix claimed more elements than the remaining bytes hold.
     LengthOutOfRange(u64),
 }
 
@@ -120,16 +120,24 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// Reads a length prefix.
-    pub fn len_prefix(&mut self) -> Result<usize, WireError> {
+    /// Reads the length prefix of a sequence whose elements each occupy at
+    /// least `min_elem_bytes` of the encoding.
+    ///
+    /// The length is attacker-controlled and callers allocate for it, so it
+    /// is bounded by what the rest of the buffer could actually hold: a
+    /// prefix the remaining bytes cannot back is rejected here, before any
+    /// allocation, and a decode never reserves more than a small multiple
+    /// of its input.
+    pub fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let end = self.pos.checked_add(4).ok_or(WireError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        let n = u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as u64;
-        if n > (1 << 30) {
-            return Err(WireError::LengthOutOfRange(n));
+        let n = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        let remaining = self.buf.len() - self.pos;
+        match usize::try_from(n) {
+            Ok(len) if len <= remaining / min_elem_bytes.max(1) => Ok(len),
+            _ => Err(WireError::LengthOutOfRange(u64::from(n))),
         }
-        Ok(usize::try_from(n).expect("bounded length fits usize"))
     }
 
     /// Reads a field element (`F::BYTES` bytes, zero-extended).
@@ -170,7 +178,7 @@ fn write_merkle_proof<F: PrimeField64>(w: &mut Writer, p: &MerkleProof<F>) {
 }
 
 fn read_merkle_proof<F: PrimeField64>(r: &mut Reader<'_>) -> Result<MerkleProof<F>, WireError> {
-    let n = r.len_prefix()?;
+    let n = r.len_prefix(Digest::<F>::BYTES)?;
     let mut siblings = Vec::with_capacity(n);
     for _ in 0..n {
         siblings.push(r.digest()?);
@@ -229,14 +237,18 @@ impl<F: ProtocolField> FriProof<F> {
     ///
     /// Returns [`WireError`] on truncation or corrupt length prefixes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        // Minimum encoded size of each element kind; a nested sequence
+        // costs at least its own 4-byte prefix.
+        const PREFIX: usize = 4;
+        let ext_bytes = <F::Ext as ExtensionOf<F>>::DEGREE * F::BYTES;
         let mut r = Reader::new(bytes);
-        let num_points = r.len_prefix()?;
+        let num_points = r.len_prefix(PREFIX)?;
         let mut openings = Vec::with_capacity(num_points);
         for _ in 0..num_points {
-            let num_batches = r.len_prefix()?;
+            let num_batches = r.len_prefix(PREFIX)?;
             let mut per_point = Vec::with_capacity(num_batches);
             for _ in 0..num_batches {
-                let num_polys = r.len_prefix()?;
+                let num_polys = r.len_prefix(ext_bytes)?;
                 let mut per_batch = Vec::with_capacity(num_polys);
                 for _ in 0..num_polys {
                     per_batch.push(r.ext::<F>()?);
@@ -245,24 +257,24 @@ impl<F: ProtocolField> FriProof<F> {
             }
             openings.push(per_point);
         }
-        let num_roots = r.len_prefix()?;
+        let num_roots = r.len_prefix(Digest::<F>::BYTES)?;
         let mut commit_roots = Vec::with_capacity(num_roots);
         for _ in 0..num_roots {
             commit_roots.push(r.digest()?);
         }
-        let final_len = r.len_prefix()?;
+        let final_len = r.len_prefix(ext_bytes)?;
         let mut final_poly = Vec::with_capacity(final_len);
         for _ in 0..final_len {
             final_poly.push(r.ext::<F>()?);
         }
         let pow_witness = r.field()?;
-        let num_queries = r.len_prefix()?;
+        let num_queries = r.len_prefix(2 * PREFIX)?;
         let mut queries = Vec::with_capacity(num_queries);
         for _ in 0..num_queries {
-            let num_initial = r.len_prefix()?;
+            let num_initial = r.len_prefix(2 * PREFIX)?;
             let mut initial = Vec::with_capacity(num_initial);
             for _ in 0..num_initial {
-                let leaf_len = r.len_prefix()?;
+                let leaf_len = r.len_prefix(F::BYTES)?;
                 let mut leaf = Vec::with_capacity(leaf_len);
                 for _ in 0..leaf_len {
                     leaf.push(r.field()?);
@@ -270,7 +282,7 @@ impl<F: ProtocolField> FriProof<F> {
                 let proof = read_merkle_proof(&mut r)?;
                 initial.push(FriInitialOpening { leaf, proof });
             }
-            let num_folds = r.len_prefix()?;
+            let num_folds = r.len_prefix(2 * ext_bytes + PREFIX)?;
             let mut folds = Vec::with_capacity(num_folds);
             for _ in 0..num_folds {
                 let pair = [r.ext::<F>()?, r.ext::<F>()?];

@@ -38,7 +38,6 @@ pub mod digest;
 pub mod merkle;
 pub mod packed;
 pub mod poseidon;
-pub mod poseidon2;
 pub mod poseidon2_kb;
 pub mod sponge;
 pub mod workspace;
@@ -52,8 +51,9 @@ pub use packed::{
 pub use poseidon::{
     poseidon_permute, NoncePermutation, PoseidonCost, SPONGE_CAPACITY, SPONGE_RATE, WIDTH,
 };
-pub use poseidon2::{poseidon2_permute, Poseidon2Constants, Poseidon2Sponge};
-pub use poseidon2_kb::{poseidon2_kb_permute, Poseidon2KbConstants, Poseidon2KbSponge};
+pub use poseidon2_kb::{
+    poseidon2_kb_permute, Poseidon2KbConstants, Poseidon2KbCost, Poseidon2KbSponge,
+};
 pub use sponge::{
     compress_level, compress_level_with, hash_many, hash_many_with, hash_no_pad, hash_no_pad_with,
     two_to_one, two_to_one_with, Challenger, GenericChallenger, GenericSpeculativeChallenger,

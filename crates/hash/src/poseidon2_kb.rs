@@ -4,12 +4,11 @@
 //! Small-field STARK stacks (Plonky3-style) pair a 31-bit base field with a
 //! wider sponge: 16 lanes × 31 bits keeps the capacity (8 lanes ≈ 248
 //! bits) comfortably above the security target even though each lane
-//! carries a quarter of Goldilocks' entropy. The structure mirrors
-//! [`crate::poseidon2`]:
+//! carries a quarter of Goldilocks' entropy.
 //!
 //! * **External (full) rounds** multiply by the block-circulant matrix
-//!   `M_E = circ(2·M4, M4, M4, M4)` built from the same fixed 4×4 `M4`,
-//!   with an extra `M_E` applied to the input before the first round.
+//!   `M_E = circ(2·M4, M4, M4, M4)` built from a fixed 4×4 `M4`, with an
+//!   extra `M_E` applied to the input before the first round.
 //! * **Internal (partial) rounds** use the `J + diag(d)` layer: one shared
 //!   16-term sum plus a diagonal multiply per element.
 //!
@@ -18,6 +17,24 @@
 //! checked by a unit test. Round counts are 4 + 4 external and 20
 //! internal, in the neighbourhood of the Poseidon2 reference
 //! instantiations for 31-bit fields.
+//!
+//! # How the linear layers are evaluated
+//!
+//! Every entry of `M_E` is at most 14, so [`external_layer`] never
+//! multiplies: it runs the Poseidon2 reference add-chain for `M4` on each
+//! 4-lane block and adds the four column sums, all on raw Montgomery
+//! residues widened to `u64`. Montgomery form is linear, so the residue of
+//! a sum is the sum of residues; the largest sum is `81·p < 2^38`, and one
+//! reduction per lane — which also absorbs the next round's constant add —
+//! brings it back into the field. [`internal_layer`] likewise sums its 16
+//! lanes unreduced and reduces once. What is left to multiply is the
+//! S-boxes and the internal diagonal: 616 Montgomery multiplications per
+//! permutation ([`Poseidon2KbCost`]) where the dense 16×16 product took
+//! 2 920. The dense matrix survives in [`Poseidon2KbConstants`] only as
+//! the oracle the tests compare against.
+//!
+//! The scalar permutation, the batch path and both speculative grind
+//! kernels are one walk of the round schedule over a slice of states.
 //!
 //! **Substitution note (see DESIGN.md):** round constants and the internal
 //! diagonal are generated deterministically from a seed, like every other
@@ -63,6 +80,8 @@ pub struct Poseidon2KbConstants {
     /// Per-round constants (added to element 0) for the 20 internal rounds.
     pub internal_constants: [KoalaBear; KB_PARTIAL_ROUNDS],
     /// Dense external matrix `M_E = circ(2·M4, M4, M4, M4)` (row-major).
+    /// The permutation never reads it ([`external_layer`] is an add-chain);
+    /// it is published as the oracle the differential tests multiply by.
     pub external_mat: [[KoalaBear; KB_WIDTH]; KB_WIDTH],
     /// Internal-layer diagonal `d`: the internal matrix is `J + diag(d)`
     /// with `J` the all-ones matrix (entries in `1..=96`).
@@ -113,42 +132,130 @@ pub fn constants_kb() -> &'static Poseidon2KbConstants {
     CONSTANTS.get_or_init(Poseidon2KbConstants::generate)
 }
 
+/// One sponge state: 16 KoalaBear lanes.
+type State = [KoalaBear; KB_WIDTH];
+
+/// The all-zero addend: an external layer that no round constants follow.
+const NO_CONSTANTS: State = [KoalaBear::ZERO; KB_WIDTH];
+
+/// States a batch walks the round schedule with at a time. A partial round
+/// is one serial dependency chain per state; interleaving a few states gives
+/// the core independent work to overlap (8 % on the Merkle-bound
+/// workload, see EXPERIMENTS.md).
+const LOCKSTEP_BLOCK: usize = 8;
+
+/// Reduces an unreduced sum of Montgomery residues to a field element.
+#[inline(always)]
+fn reduce(wide: u64) -> KoalaBear {
+    KoalaBear::from_montgomery(KoalaBear::reduce_u64(wide))
+}
+
 /// The `x^3` S-box (a permutation since `gcd(3, p - 1) = 1`).
 #[inline]
 fn sbox(x: KoalaBear) -> KoalaBear {
     x.square() * x
 }
 
-fn external_matvec(cs: &Poseidon2KbConstants, state: &[KoalaBear; KB_WIDTH]) -> [KoalaBear; KB_WIDTH] {
-    let mut out = [KoalaBear::ZERO; KB_WIDTH];
-    for (o, row) in out.iter_mut().zip(cs.external_mat.iter()) {
-        let mut acc = KoalaBear::ZERO;
-        for (c, &x) in row.iter().zip(state.iter()) {
-            acc += *c * x;
+/// `M4 · x` on unreduced residues by the Poseidon2 reference add-chain:
+/// eight additions, the doublings are shifts. Inputs `< p` give outputs
+/// `< 16·p` (the largest row of `M4` sums to 16).
+#[inline(always)]
+fn m4(x: [u64; 4]) -> [u64; 4] {
+    let t0 = x[0] + x[1];
+    let t1 = x[2] + x[3];
+    let t2 = (x[1] << 1) + t1;
+    let t3 = (x[3] << 1) + t0;
+    let t4 = (t1 << 2) + t3;
+    let t5 = (t0 << 2) + t2;
+    [t3 + t5, t5, t2 + t4, t4]
+}
+
+/// The external linear layer with the following constant add folded in:
+/// `state ← M_E · state + add`, where `M_E = circ(2·M4, M4, M4, M4)`.
+///
+/// No multiplications: each 4-lane block goes through the `M4` add-chain
+/// and output lane `4j + k` is block `j`'s lane `k` plus the sum of lane `k`
+/// over all four blocks. Everything is accumulated on raw Montgomery
+/// residues in `u64` — every sum is `< 5·16·p + p = 81·p < 2^38` — and
+/// reduced once per lane.
+#[inline]
+pub fn external_layer(state: &mut State, add: &State) {
+    let mut blocks = [[0u64; 4]; 4];
+    for (block, x) in blocks.iter_mut().zip(state.chunks_exact(4)) {
+        *block = m4(core::array::from_fn(|k| u64::from(x[k].to_montgomery())));
+    }
+    let columns: [u64; 4] = core::array::from_fn(|k| blocks.iter().map(|b| b[k]).sum());
+    for (j, (out, c)) in state.chunks_exact_mut(4).zip(add.chunks_exact(4)).enumerate() {
+        for k in 0..4 {
+            let wide = blocks[j][k] + columns[k] + u64::from(c[k].to_montgomery());
+            out[k] = reduce(wide);
         }
-        *o = acc;
     }
-    out
 }
 
-fn external_round(cs: &Poseidon2KbConstants, state: &mut [KoalaBear; KB_WIDTH], r: usize) {
-    for (x, c) in state.iter_mut().zip(cs.external_constants[r].iter()) {
-        *x = sbox(*x + *c);
-    }
-    *state = external_matvec(cs, state);
-}
-
-/// One internal round: S-box on element 0, then the `J + diag(d)` layer —
-/// the 16-term sum is shared across rows, so a partial round costs one sum
-/// and one multiply per element.
-fn internal_round(cs: &Poseidon2KbConstants, state: &mut [KoalaBear; KB_WIDTH], r: usize) {
-    state[0] = sbox(state[0] + cs.internal_constants[r]);
-    let mut sum = KoalaBear::ZERO;
-    for &x in state.iter() {
-        sum += x;
-    }
-    for (x, d) in state.iter_mut().zip(cs.internal_diag.iter()) {
+/// The internal linear layer `state ← (J + diag(d)) · state`: the 16-term
+/// sum shared by every row is taken unreduced (`< 16·p`) and reduced once,
+/// then each lane costs one multiplication and one addition.
+#[inline]
+pub fn internal_layer(state: &mut State) {
+    let wide: u64 = state.iter().map(|x| u64::from(x.to_montgomery())).sum();
+    let sum = reduce(wide);
+    for (x, d) in state.iter_mut().zip(constants_kb().internal_diag.iter()) {
         *x = sum + *d * *x;
+    }
+}
+
+/// One external round on a state that already carries the round's
+/// constants: S-box every lane, then the external layer, which folds in
+/// the constants of the round after it.
+#[inline]
+fn external_round(state: &mut State, next: &State) {
+    for x in state.iter_mut() {
+        *x = sbox(*x);
+    }
+    external_layer(state, next);
+}
+
+/// One internal round: constant add and S-box on lane 0, then the
+/// internal layer.
+#[inline]
+fn internal_round(state: &mut State, c: KoalaBear) {
+    state[0] = sbox(state[0] + c);
+    internal_layer(state);
+}
+
+/// Walks the round schedule once for every state in `states`, round-major.
+///
+/// The constants of external round `r` are added by the reduction of the
+/// external layer *before* it, so the schedule reads: pre-mix (+ round 0's
+/// constants), four external rounds, the internal run, round 4's constants
+/// (no external layer precedes them), four external rounds.
+#[inline]
+fn permute_lockstep(states: &mut [State]) {
+    let cs = constants_kb();
+    let (head, tail) = cs.external_constants.split_at(KB_FULL_ROUNDS / 2);
+    for state in states.iter_mut() {
+        external_layer(state, &head[0]);
+    }
+    for r in 1..=head.len() {
+        for state in states.iter_mut() {
+            external_round(state, head.get(r).unwrap_or(&NO_CONSTANTS));
+        }
+    }
+    for &c in &cs.internal_constants {
+        for state in states.iter_mut() {
+            internal_round(state, c);
+        }
+    }
+    for state in states.iter_mut() {
+        for (x, c) in state.iter_mut().zip(tail[0].iter()) {
+            *x += *c;
+        }
+    }
+    for r in 1..=tail.len() {
+        for state in states.iter_mut() {
+            external_round(state, tail.get(r).unwrap_or(&NO_CONSTANTS));
+        }
     }
 }
 
@@ -165,50 +272,12 @@ fn internal_round(cs: &Poseidon2KbConstants, state: &mut [KoalaBear; KB_WIDTH], 
 /// assert_ne!(state[0], KoalaBear::ZERO);
 /// ```
 pub fn poseidon2_kb_permute(state: &mut [KoalaBear; KB_WIDTH]) {
-    let cs = constants_kb();
-    // Poseidon2 pre-mixes the input with the external matrix.
-    *state = external_matvec(cs, state);
-    for r in 0..KB_FULL_ROUNDS / 2 {
-        external_round(cs, state, r);
-    }
-    for r in 0..KB_PARTIAL_ROUNDS {
-        internal_round(cs, state, r);
-    }
-    for r in KB_FULL_ROUNDS / 2..KB_FULL_ROUNDS {
-        external_round(cs, state, r);
-    }
-}
-
-/// Permutes a block of states in lockstep: one walk of the round schedule
-/// serves every state in the block, so constant and matrix-row fetches are
-/// amortized across lanes — the KoalaBear analogue of the packed Poseidon
-/// engine. Bit-identical to the scalar permutation per state.
-fn permute_lockstep(states: &mut [[KoalaBear; KB_WIDTH]]) {
-    let cs = constants_kb();
-    for state in states.iter_mut() {
-        *state = external_matvec(cs, state);
-    }
-    for r in 0..KB_FULL_ROUNDS / 2 {
-        for state in states.iter_mut() {
-            external_round(cs, state, r);
-        }
-    }
-    for r in 0..KB_PARTIAL_ROUNDS {
-        for state in states.iter_mut() {
-            internal_round(cs, state, r);
-        }
-    }
-    for r in KB_FULL_ROUNDS / 2..KB_FULL_ROUNDS {
-        for state in states.iter_mut() {
-            external_round(cs, state, r);
-        }
-    }
+    permute_lockstep(core::slice::from_mut(state));
 }
 
 /// The KoalaBear Poseidon2 sponge backend — the default hasher of the
-/// 31-bit proof path (`StarkConfig<KoalaBear>`). Batches run the lockstep
-/// engine in blocks of [`crate::packed::hash_lanes`] states, honouring the
-/// same lane-width knob as the Goldilocks packed engine.
+/// 31-bit proof path (`StarkConfig<KoalaBear>`). Batches walk the round
+/// schedule eight states at a time.
 #[derive(Clone, Copy, Debug)]
 pub struct Poseidon2KbSponge;
 
@@ -229,8 +298,7 @@ impl SpongeBackend for Poseidon2KbSponge {
     }
 
     fn permute_batch(states: &mut [Self::State]) {
-        let lanes = crate::packed::hash_lanes().max(1);
-        for block in states.chunks_mut(lanes) {
+        for block in states.chunks_mut(LOCKSTEP_BLOCK) {
             permute_lockstep(block);
         }
     }
@@ -263,6 +331,47 @@ impl SpongeBackend for Poseidon2KbSponge {
             *o = s[KB_RATE - 1];
         }
         out
+    }
+}
+
+/// Static operation counts of one KoalaBear Poseidon2 permutation as
+/// [`poseidon2_kb_permute`] evaluates it — the 31-bit counterpart of
+/// [`crate::PoseidonCost`], and the basis of the µop floor in
+/// EXPERIMENTS.md.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Poseidon2KbCost {
+    /// Montgomery multiplications (S-boxes and the internal diagonal).
+    pub muls: usize,
+    /// Additions: plain `u64` adds inside the linear layers plus the few
+    /// modular adds outside them.
+    pub adds: usize,
+    /// Reductions of an unreduced `u64` sum back into the field.
+    pub reductions: usize,
+}
+
+impl Poseidon2KbCost {
+    /// Derives the counts from the round structure.
+    pub const fn of_permutation() -> Self {
+        // External layer: the M4 add-chain (8 adds) on each of the 4 blocks,
+        // 4 column sums of 4 terms, then per lane block + column + constant,
+        // and one reduction per lane. There is one layer per external round
+        // plus the pre-mix.
+        let layer_adds = 4 * 8 + 4 * 3 + 2 * KB_WIDTH;
+        let layers = KB_FULL_ROUNDS + 1;
+        // External round: WIDTH cubes at 2 muls each (its constants ride in
+        // the preceding layer's reduction).
+        let external_muls = 2 * KB_WIDTH;
+        // Internal round: constant add and cube on lane 0, the 16-term sum
+        // with its one reduction, then a mul and an add per lane.
+        let internal_muls = 2 + KB_WIDTH;
+        let internal_adds = 1 + (KB_WIDTH - 1) + KB_WIDTH;
+        Self {
+            muls: KB_FULL_ROUNDS * external_muls + KB_PARTIAL_ROUNDS * internal_muls,
+            // The trailing WIDTH: the second external half's first constants
+            // follow the internal run, so no layer reduction absorbs them.
+            adds: layers * layer_adds + KB_PARTIAL_ROUNDS * internal_adds + KB_WIDTH,
+            reductions: layers * KB_WIDTH + KB_PARTIAL_ROUNDS,
+        }
     }
 }
 
@@ -342,6 +451,16 @@ mod tests {
             let v = d.as_canonical_u32();
             assert!((1..=96).contains(&v));
         }
+    }
+
+    #[test]
+    fn cost_counts_follow_the_round_structure() {
+        let cost = Poseidon2KbCost::of_permutation();
+        // 8·16 + 20 cubes at 2 muls, 20·16 diagonal products; the dense
+        // 16×16 external product this replaced added 9·256 = 2 304 more.
+        assert_eq!(cost.muls, 616);
+        assert_eq!(cost.adds, 9 * 76 + 20 * 32 + 16);
+        assert_eq!(cost.reductions, 9 * 16 + 20);
     }
 
     #[test]

@@ -24,11 +24,11 @@ use crate::workspace::Workspace;
 /// A cryptographic permutation a sponge can be built over, together with
 /// the base field it permutes.
 ///
-/// The default proof path always runs [`PoseidonSponge`]; the trait exists
-/// so alternative permutations ([`crate::poseidon2::Poseidon2Sponge`],
-/// the KoalaBear-field [`crate::poseidon2_kb::Poseidon2KbSponge`]) plug
-/// into the same absorb/compress dispatchers — including the batched,
-/// lane-packed ones — without touching the protocol code. Implementations
+/// The Goldilocks proof path runs [`PoseidonSponge`]; the trait exists so
+/// the KoalaBear-field [`crate::poseidon2_kb::Poseidon2KbSponge`] — a
+/// different field, width and round structure — plugs into the same
+/// absorb/compress dispatchers, including the batched ones, without
+/// touching the protocol code. Implementations
 /// must keep [`SpongeBackend::permute_batch`] bit-identical to a loop of
 /// [`SpongeBackend::permute`]; the conformance suite checks this for every
 /// shipped backend.
@@ -53,18 +53,12 @@ pub trait SpongeBackend {
     /// Applies the permutation to one sponge state in place.
     fn permute(state: &mut Self::State);
 
-    /// Applies the permutation to a batch of independent sponge states.
-    ///
-    /// The default runs the scalar permutation per state; backends with a
-    /// packed engine override this with a lane-parallel dispatch. Either
-    /// way the results must be bit-identical to the scalar loop, and trace
+    /// Applies the permutation to a batch of independent sponge states,
+    /// however the backend likes to walk them. The results must be
+    /// bit-identical to a loop of [`SpongeBackend::permute`], and trace
     /// counters are the caller's responsibility (batched dispatchers
     /// account logical permutations once, not per strategy).
-    fn permute_batch(states: &mut [Self::State]) {
-        for s in states.iter_mut() {
-            Self::permute(s);
-        }
-    }
+    fn permute_batch(states: &mut [Self::State]);
 
     /// A frozen "state + pending-lane" snapshot for speculative squeezes —
     /// the per-candidate kernel of the proof-of-work grind. Backends with
@@ -83,19 +77,12 @@ pub trait SpongeBackend {
     fn speculative_one(spec: &Self::Speculative, x: Self::F) -> Self::F;
 
     /// [`SpongeBackend::speculative_one`] over `LANES` candidates in
-    /// lockstep. The default loops the scalar kernel; lane-packed backends
-    /// override it. Lane `l` must equal `speculative_one(spec, xs[l])`
+    /// lockstep. Lane `l` must equal `speculative_one(spec, xs[l])`
     /// bit-for-bit.
     fn speculative_rows<const LANES: usize>(
         spec: &Self::Speculative,
         xs: &[Self::F; LANES],
-    ) -> [Self::F; LANES] {
-        let mut out = [Self::F::ZERO; LANES];
-        for (o, &x) in out.iter_mut().zip(xs.iter()) {
-            *o = Self::speculative_one(spec, x);
-        }
-        out
-    }
+    ) -> [Self::F; LANES];
 }
 
 /// A base field wired into the hashing layer: knows its default sponge

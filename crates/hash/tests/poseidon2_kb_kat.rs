@@ -1,8 +1,7 @@
 //! Known-answer tests for the width-16 Poseidon2 permutation over
-//! KoalaBear (4 + 4 external rounds, 20 internal rounds) — the 31-bit
-//! mirror of `poseidon2_kat.rs`.
+//! KoalaBear (4 + 4 external rounds, 20 internal rounds).
 //!
-//! Two independent anchors pin the permutation:
+//! Three independent anchors pin the permutation:
 //!
 //! 1. **Committed golden vectors** — outputs recorded from this
 //!    repository's implementation, so any future edit to the round
@@ -15,10 +14,17 @@
 //!    The optimized kernel and the transparent one must agree on random
 //!    states, which checks the Montgomery arithmetic end to end, not just
 //!    frozen bytes.
+//! 3. **A layer-by-layer differential** — the multiplication-free
+//!    external layer against the dense `external_mat` product and the
+//!    delayed-reduction internal layer against `J + diag(d)`, on random
+//!    states and on the states that fill the `u64` overflow budget.
 
 use unizk_field::{Field, KoalaBear, PrimeField64};
-use unizk_hash::poseidon2_kb::{constants_kb, KB_FULL_ROUNDS, KB_PARTIAL_ROUNDS, KB_WIDTH};
+use unizk_hash::poseidon2_kb::{
+    constants_kb, external_layer, internal_layer, KB_FULL_ROUNDS, KB_PARTIAL_ROUNDS, KB_WIDTH,
+};
 use unizk_hash::poseidon2_kb_permute;
+use unizk_testkit::prop::prelude::*;
 use unizk_testkit::rng::SplitMix64;
 
 /// (input description, input state, expected permutation output).
@@ -120,6 +126,12 @@ fn naive_external_matvec(cs: &NaiveConstants, state: &[u64; KB_WIDTH]) -> [u64; 
     })
 }
 
+/// `J + diag(d)`: every output is the full sum plus `d_i·x_i`.
+fn naive_internal_layer(cs: &NaiveConstants, state: &[u64; KB_WIDTH]) -> [u64; KB_WIDTH] {
+    let sum = state.iter().fold(0, |a, &b| add(a, b));
+    core::array::from_fn(|i| add(sum, mul(cs.internal_diag[i], state[i])))
+}
+
 fn naive_permute(state: &mut [u64; KB_WIDTH]) {
     let cs = naive_constants();
     *state = naive_external_matvec(&cs, state);
@@ -129,9 +141,7 @@ fn naive_permute(state: &mut [u64; KB_WIDTH]) {
             // The internal run sits between the two external halves.
             for ir in 0..KB_PARTIAL_ROUNDS {
                 state[0] = cube(add(state[0], cs.internal_constants[ir]));
-                let sum = state.iter().fold(0, |a, &b| add(a, b));
-                // J + diag(d): every output is the full sum plus d_i·x_i.
-                *state = core::array::from_fn(|i| add(sum, mul(cs.internal_diag[i], state[i])));
+                *state = naive_internal_layer(&cs, state);
             }
         }
         for (x, c) in state.iter_mut().zip(cs.external_constants[r].iter()) {
@@ -174,6 +184,65 @@ fn outputs_are_canonical() {
         poseidon2_kb_permute(&mut state);
         for (i, x) in state.iter().enumerate() {
             assert!(x.as_u64() < P, "{what}: lane {i} not canonical");
+        }
+    }
+}
+
+// ---- layer-by-layer differential: fast linear layers vs the naive ones ----
+
+fn to_field(state: &[u64; KB_WIDTH]) -> [KoalaBear; KB_WIDTH] {
+    core::array::from_fn(|i| KoalaBear::from_u64(state[i]))
+}
+
+fn to_canonical(state: &[KoalaBear; KB_WIDTH]) -> [u64; KB_WIDTH] {
+    core::array::from_fn(|i| state[i].as_u64())
+}
+
+/// Both fast layers against their naive forms on one state; `constants`
+/// is what the external layer folds into its reduction.
+fn linear_layers_match_naive(state: &[u64; KB_WIDTH], constants: &[u64; KB_WIDTH]) -> bool {
+    let cs = naive_constants();
+
+    let mut fast = to_field(state);
+    external_layer(&mut fast, &to_field(constants));
+    let dense = naive_external_matvec(&cs, state);
+    let external_ok = to_canonical(&fast) == core::array::from_fn(|i| add(dense[i], constants[i]));
+
+    let mut fast = to_field(state);
+    internal_layer(&mut fast);
+    external_ok && to_canonical(&fast) == naive_internal_layer(&cs, state)
+}
+
+fn arb_state() -> impl Strategy<Value = [u64; KB_WIDTH]> {
+    prop::collection::vec(0..P, KB_WIDTH).prop_map(|v| core::array::from_fn(|i| v[i]))
+}
+
+prop! {
+    #![cases(128)]
+
+    fn linear_layers_match_naive_on_random_states(state in arb_state(), constants in arb_state()) {
+        prop_assert!(linear_layers_match_naive(&state, &constants));
+    }
+}
+
+#[test]
+fn linear_layers_match_naive_on_overflow_extremes() {
+    // All lanes p - 1 with constants p - 1 is the largest sum either layer
+    // can form (81·(p - 1) external, 16·(p - 1) internal); all-zero and
+    // one-hot states are the other end, where a reduction must not invent
+    // a multiple of p.
+    let top = [P - 1; KB_WIDTH];
+    let zero = [0; KB_WIDTH];
+    assert!(linear_layers_match_naive(&top, &top));
+    assert!(linear_layers_match_naive(&top, &zero));
+    assert!(linear_layers_match_naive(&zero, &zero));
+    assert!(linear_layers_match_naive(&zero, &top));
+    for lane in 0..KB_WIDTH {
+        for value in [1, P - 1] {
+            let mut one_hot = zero;
+            one_hot[lane] = value;
+            assert!(linear_layers_match_naive(&one_hot, &zero), "lane {lane} value {value}");
+            assert!(linear_layers_match_naive(&one_hot, &top), "lane {lane} value {value}");
         }
     }
 }

@@ -51,7 +51,7 @@ impl Proof {
     /// Returns [`unizk_fri::WireError`] on truncation or corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, unizk_fri::WireError> {
         let mut r = unizk_fri::Reader::new(bytes);
-        let n = r.len_prefix()?;
+        let n = r.len_prefix(8)?;
         let mut public_inputs = Vec::with_capacity(n);
         for _ in 0..n {
             public_inputs.push(r.field()?);

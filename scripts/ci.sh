@@ -146,4 +146,11 @@ UNIZK_HASH_LANES=1 ./target/release/baseline --out-dir "$BENCH_TMP/lanes" \
     BENCH_PROVER.json "$BENCH_TMP/lanes/BENCH_PROVER.json" \
     || { echo "FAIL: scalar-lane proof drifted from committed BENCH_PROVER.json"; exit 1; }
 
+echo "==> repository benchmark gate (benchmark/check.sh --quick)"
+# Lints and unit tests of the benchmark package, [profile.release] parity
+# with the root manifest, and the smoke set: every workload and every
+# layer metric at tiny sizes, with the output checks on. Timing claims
+# are made with benchmark/run.sh, not here.
+benchmark/check.sh --quick
+
 echo "==> OK: tier-1 gate passed"
