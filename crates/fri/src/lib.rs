@@ -55,5 +55,5 @@ pub use config::FriConfig;
 pub use proof::{FriProof, FriQueryRound};
 pub use prover::{fri_prove, fri_prove_in, grind, pow_ok};
 pub use serialization::{Reader, WireError, Writer};
-pub use timing::{kernel_totals, kernel_totals_from, reset_kernel_timers, time_kernel, KernelClass};
+pub use timing::{kernel_totals_from, time_kernel, KernelClass};
 pub use verifier::{fri_verify, FriError};

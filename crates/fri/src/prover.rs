@@ -379,11 +379,16 @@ fn interpolate_final<F: ProtocolField>(
     out
 }
 
-/// Nonces scanned per grind block. A multiple of every supported lane
-/// width ([`unizk_hash::MAX_LANES`] divides it), so blocks decompose into
-/// whole lane groups; it is also the unit of the deterministic parallel
-/// search — see [`scan_block`].
+/// Nonces scanned per grind block: a whole number of lane groups, and the
+/// unit of the deterministic parallel search — see [`scan_block`].
 const GRIND_BLOCK: u64 = 512;
+
+/// Candidate nonces per speculative dispatch, for every backend. Widths 4
+/// and 8 tie within 2 % on the grind and both beat narrower ones
+/// (EXPERIMENTS.md, "Lane-packed Poseidon"), so one width is in use.
+const GRIND_LANES: usize = 8;
+
+const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 
 /// Searches for a grinding witness: the **smallest** nonce whose
 /// speculative challenge passes [`pow_ok`].
@@ -392,19 +397,18 @@ const GRIND_BLOCK: u64 = 512;
 /// bit-deterministic:
 ///
 /// * **Lanes** — within a block, candidate nonces run through the
-///   backend's lane-packed engine ([`unizk_hash::hash_lanes`] nonces per
-///   dispatch), evaluating only the challenge row of the output state.
+///   backend's lockstep engine (`GRIND_LANES` = 8 nonces per dispatch),
+///   evaluating only the challenge row of the output state.
 /// * **Threads** — blocks of `GRIND_BLOCK` (512) nonces are searched with
 ///   [`parallel_first_block`], which returns the lowest-indexed successful
 ///   block under every `set_parallelism` setting.
 ///
 /// Both axes overshoot: lanes past the winner within a group, blocks past
 /// the winning block within a wave. Nothing is counted per attempt;
-/// instead the *logical* attempt count — `winner + 1`, exactly what the
-/// serial one-bump-per-attempt scan totalled — lands on the backend's
+/// instead the *logical* attempt count — `winner + 1`, exactly what a
+/// serial one-bump-per-attempt scan totals — lands on the backend's
 /// permutation counter once at the end, keeping the counter byte-identical
-/// for every lane width, block size, and thread count (count-once
-/// discipline, as for the NTT routing knobs).
+/// for every block size and thread count.
 pub fn grind<B: SpongeBackend>(challenger: &GenericChallenger<B>, bits: usize) -> B::F {
     // Rule P04 upstream: a `BITS`-bit challenge cannot show `BITS` leading
     // zeros, so the scan below would walk the whole nonce space and never
@@ -415,41 +419,22 @@ pub fn grind<B: SpongeBackend>(challenger: &GenericChallenger<B>, bits: usize) -
         B::F::BITS
     );
     let speculative = challenger.speculative_challenger();
-    let lanes = unizk_hash::hash_lanes();
-    let winner = parallel_first_block(|k| scan_block(&speculative, k as u64 * GRIND_BLOCK, bits, lanes));
+    let winner = parallel_first_block(|k| scan_block(&speculative, k as u64 * GRIND_BLOCK, bits));
     trace::counter(B::COUNTER, winner + 1);
     B::F::from_u64(winner)
 }
 
 /// Scans the block of nonces `[start, start + GRIND_BLOCK)` and returns the
-/// lowest qualifying nonce in it, if any. Dispatches on the configured lane
-/// width; every width returns the identical result (the packed kernels are
-/// bit-identical to scalar and groups are checked in nonce order).
+/// lowest qualifying nonce in it, if any: [`GRIND_LANES`] consecutive
+/// nonces per lockstep dispatch, groups walked in ascending order.
 fn scan_block<B: SpongeBackend>(
     speculative: &GenericSpeculativeChallenger<B>,
     start: u64,
     bits: usize,
-    lanes: usize,
 ) -> Option<u64> {
-    match lanes {
-        2 => scan_lanes::<B, 2>(speculative, start, bits),
-        4 => scan_lanes::<B, 4>(speculative, start, bits),
-        8 => scan_lanes::<B, 8>(speculative, start, bits),
-        _ => scan_lanes::<B, 1>(speculative, start, bits),
-    }
-}
-
-/// Lane-width-monomorphised block scan: `LANES` consecutive nonces per
-/// packed dispatch, groups walked in ascending order, lowest hit wins.
-fn scan_lanes<B: SpongeBackend, const LANES: usize>(
-    speculative: &GenericSpeculativeChallenger<B>,
-    start: u64,
-    bits: usize,
-) -> Option<u64> {
-    debug_assert_eq!(GRIND_BLOCK % LANES as u64, 0);
     let mut nonce = start;
     while nonce < start + GRIND_BLOCK {
-        let mut xs = [B::F::ZERO; LANES];
+        let mut xs = [B::F::ZERO; GRIND_LANES];
         for (l, x) in xs.iter_mut().enumerate() {
             *x = B::F::from_u64(nonce + l as u64);
         }
@@ -459,7 +444,7 @@ fn scan_lanes<B: SpongeBackend, const LANES: usize>(
                 return Some(nonce + l as u64);
             }
         }
-        nonce += LANES as u64;
+        nonce += GRIND_LANES as u64;
     }
     None
 }

@@ -10,8 +10,8 @@
 //! another one on a `parallel_map` worker (both the outer region and each
 //! worker's inner region charged the globals). It is now a façade over the
 //! testkit's span tracing: `time_kernel(class, f)` opens a span named
-//! `kernel:<class>`, and [`kernel_totals`] sums, for each class, only the
-//! **outermost** `kernel:*` spans — a kernel span nested under another
+//! `kernel:<class>`, and [`kernel_totals_from`] sums, for each class, only
+//! the **outermost** `kernel:*` spans — a kernel span nested under another
 //! kernel span (e.g. per-worker NTTs inside a committed batch's
 //! `Polynomial` region) is already included in its ancestor's total and is
 //! not counted again.
@@ -74,25 +74,11 @@ impl KernelClass {
     }
 }
 
-/// Starts a fresh kernel measurement. Call before a measured proving run.
-///
-/// This resets the **whole** trace layer (it forwards to
-/// [`trace::reset`]), so phase spans recorded by the same run are cleared
-/// too.
-pub fn reset_kernel_timers() {
-    trace::reset();
-}
-
-/// A snapshot of accumulated time per kernel class, in Table 1 order.
+/// Accumulated time per kernel class in `report`, in Table 1 order.
 ///
 /// Sums only *outermost* `kernel:*` spans: a kernel region nested inside
 /// another kernel region (however deep, and across `parallel_map` worker
 /// threads) is part of its ancestor's wall time and is not double-counted.
-pub fn kernel_totals() -> [(KernelClass, Duration); 5] {
-    kernel_totals_from(&trace::snapshot())
-}
-
-/// [`kernel_totals`] computed from an already-taken snapshot.
 pub fn kernel_totals_from(report: &trace::TraceReport) -> [(KernelClass, Duration); 5] {
     let mut ns = [0u64; 5];
     report.walk(&mut |path, node| {
@@ -165,7 +151,7 @@ mod tests {
         });
         let totals = subtree_totals("test.timing_acc");
         assert!(get(&totals, KernelClass::Ntt) >= Duration::from_millis(4));
-        reset_kernel_timers();
+        trace::reset();
         // Nothing else in this binary uses this span name, so after reset
         // it must be gone from the global store.
         assert!(trace::snapshot().node(&["test.timing_acc"]).is_none());

@@ -8,27 +8,26 @@
 //! serial scan for transcripts whose winning nonce lands at the very
 //! first candidate, inside the first lane group, deep inside one block,
 //! and across block boundaries (several parallel waves), under every
-//! lane-width × thread-count combination.
+//! thread count.
 //!
-//! Like `tests/thread_invariance.rs`, everything here mutates
-//! process-global knobs and therefore serializes on one lock, restoring
-//! defaults before releasing it.
+//! Like `tests/thread_invariance.rs`, everything here sets the
+//! process-global parallelism override and therefore serializes on one
+//! lock, restoring the default before releasing it.
 
 use std::sync::{Mutex, PoisonError};
 
 use unizk_field::{set_parallelism, Field, Goldilocks};
 use unizk_fri::{grind, pow_ok};
-use unizk_hash::{set_hash_lanes, Challenger};
+use unizk_hash::Challenger;
 use unizk_testkit::trace;
 
-static KNOBS: Mutex<()> = Mutex::new(());
+static PARALLELISM: Mutex<()> = Mutex::new(());
 
 struct Restore;
 
 impl Drop for Restore {
     fn drop(&mut self) {
         set_parallelism(0);
-        set_hash_lanes(0);
     }
 }
 
@@ -52,10 +51,10 @@ fn seeded_challenger(seed: u64) -> Challenger {
 
 /// For each difficulty, find transcripts whose reference winner falls in
 /// the wanted region, then require `grind` to reproduce both the winner
-/// and the counter under every knob combination.
+/// and the counter under every thread count.
 #[test]
 fn grind_matches_serial_scan_under_every_knob() {
-    let _lock = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
+    let _lock = PARALLELISM.lock().unwrap_or_else(PoisonError::into_inner);
     let _restore = Restore;
 
     // (difficulty bits, predicate the reference winner must satisfy,
@@ -81,23 +80,16 @@ fn grind_matches_serial_scan_under_every_knob() {
             })
             .unwrap_or_else(|| panic!("no transcript found with a winner {desc}"));
 
-        for lanes in [1usize, 2, 4, 8] {
-            for threads in [1usize, 2, 3, 0] {
-                set_hash_lanes(lanes);
-                set_parallelism(threads);
-                trace::reset();
-                let witness = grind(&seeded_challenger(seed), bits);
-                assert_eq!(
-                    witness.as_u64(),
-                    want,
-                    "witness drift ({desc}) at lanes={lanes} threads={threads}"
-                );
-                assert_eq!(
-                    trace::snapshot().counters,
-                    vec![("poseidon.permutations".to_string(), want + 1)],
-                    "counter drift ({desc}) at lanes={lanes} threads={threads}"
-                );
-            }
+        for threads in [1usize, 2, 3, 0] {
+            set_parallelism(threads);
+            trace::reset();
+            let witness = grind(&seeded_challenger(seed), bits);
+            assert_eq!(witness.as_u64(), want, "witness drift ({desc}) at threads={threads}");
+            assert_eq!(
+                trace::snapshot().counters,
+                vec![("poseidon.permutations".to_string(), want + 1)],
+                "counter drift ({desc}) at threads={threads}"
+            );
         }
     }
 }
@@ -106,7 +98,7 @@ fn grind_matches_serial_scan_under_every_knob() {
 /// mined for — and difficulty 0 must accept nonce zero immediately.
 #[test]
 fn grind_witness_is_valid() {
-    let _lock = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
+    let _lock = PARALLELISM.lock().unwrap_or_else(PoisonError::into_inner);
     let _restore = Restore;
     set_parallelism(1);
 

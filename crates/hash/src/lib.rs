@@ -44,10 +44,7 @@ pub mod workspace;
 
 pub use digest::Digest;
 pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree};
-pub use packed::{
-    hash_lanes, packed_min_batch, set_hash_lanes, set_packed_min_batch, PackedPermutation,
-    MAX_LANES,
-};
+pub use packed::PackedPermutation;
 pub use poseidon::{
     poseidon_permute, NoncePermutation, PoseidonCost, SPONGE_CAPACITY, SPONGE_RATE, WIDTH,
 };

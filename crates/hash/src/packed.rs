@@ -14,16 +14,14 @@
 //! outputs are bit-identical to `LANES` scalar permutations (pinned by the
 //! `packed_equivalence` differential wall).
 //!
-//! # Routing knobs
+//! # Lane width
 //!
-//! [`set_hash_lanes`] selects the lane width (1 = scalar, 2/4/8 = packed)
-//! and [`set_packed_min_batch`] the minimum batch size at which batched
-//! dispatches engage packing — both process-global throughput knobs in the
-//! style of the NTT thresholds: no setting changes any digest, proof byte,
-//! or deterministic trace counter.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+//! The kernels are const-generic over the lane count so the differential
+//! wall can instantiate any width, but the prover runs exactly one:
+//! batched dispatches ([`permute_batch`]) permute 8 sponges per schedule
+//! walk (`BATCH_LANES`). Widths 4 and 8 measure within 2 % of each other
+//! and both ahead of 2 and scalar (EXPERIMENTS.md, "Lane-packed
+//! Poseidon"), so there is nothing for a setting to choose between.
 
 use unizk_field::{Field, Goldilocks};
 
@@ -32,80 +30,9 @@ use crate::poseidon::{
     PARTIAL_ROUNDS, WIDTH,
 };
 
-/// Widest supported lane count.
-pub const MAX_LANES: usize = 8;
-
-/// Lane width used when no override is set and `UNIZK_HASH_LANES` is unset.
-/// 8 lanes measured fastest on the reference host (deepest independent
-/// multiply chains per reduction-latency bubble); see EXPERIMENTS.md.
-const DEFAULT_HASH_LANES: usize = 8;
-
-/// Default minimum batch size for packed batched dispatches.
-const DEFAULT_PACKED_MIN_BATCH: usize = 2;
-
-static HASH_LANES: AtomicUsize = AtomicUsize::new(0);
-static PACKED_MIN_BATCH: AtomicUsize = AtomicUsize::new(0);
-
-/// The compiled-in / environment default lane width, read once per process.
-fn default_hash_lanes() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("UNIZK_HASH_LANES") {
-        Ok(s) => {
-            let n: usize = s
-                .parse()
-                .unwrap_or_else(|_| panic!("UNIZK_HASH_LANES must be a number, got {s:?}"));
-            assert!(
-                matches!(n, 1 | 2 | 4 | 8),
-                "UNIZK_HASH_LANES must be 1, 2, 4, or 8, got {n}"
-            );
-            n
-        }
-        Err(_) => DEFAULT_HASH_LANES,
-    })
-}
-
-/// Sets the process-global Poseidon lane width: `1` forces the scalar
-/// permutation everywhere, `2`/`4`/`8` select a packed width, and `0`
-/// restores the default (the `UNIZK_HASH_LANES` environment variable if
-/// set, otherwise 8).
-///
-/// Like the NTT routing thresholds, this is a throughput knob with
-/// count-once counter semantics: every lane width produces bit-identical
-/// digests, proofs, and deterministic trace counters.
-///
-/// # Panics
-///
-/// Panics if `n` is not one of `0, 1, 2, 4, 8`.
-pub fn set_hash_lanes(n: usize) {
-    assert!(
-        matches!(n, 0 | 1 | 2 | 4 | 8),
-        "hash lane width must be 0 (default), 1, 2, 4, or 8, got {n}"
-    );
-    HASH_LANES.store(n, Ordering::SeqCst);
-}
-
-/// The currently effective Poseidon lane width (always one of 1, 2, 4, 8).
-pub fn hash_lanes() -> usize {
-    match HASH_LANES.load(Ordering::SeqCst) {
-        0 => default_hash_lanes(),
-        n => n,
-    }
-}
-
-/// Sets the minimum number of sponges a batched dispatch must contain
-/// before the packed path engages (`0` restores the default of
-/// 2). Smaller batches run the scalar permutation per state.
-pub fn set_packed_min_batch(n: usize) {
-    PACKED_MIN_BATCH.store(n, Ordering::SeqCst);
-}
-
-/// The current minimum batch size for packed dispatch.
-pub fn packed_min_batch() -> usize {
-    match PACKED_MIN_BATCH.load(Ordering::SeqCst) {
-        0 => DEFAULT_PACKED_MIN_BATCH,
-        n => n,
-    }
-}
+/// Sponges per packed group in [`permute_batch`] (see the module docs for
+/// the measurement behind the width).
+const BATCH_LANES: usize = 8;
 
 // ----------------------------------------------------------- SoA kernels
 //
@@ -274,6 +201,11 @@ fn partial_round_lanes<const LANES: usize>(
 }
 
 /// Runs the full round schedule on a struct-of-arrays residue state.
+///
+/// Kept out of line, like [`permute_batch`]: inlined into the sponge
+/// dispatchers the 8-lane kernel measured 5 % slower per permutation
+/// (`hash.poseidon_batch_ns_per_perm`, both Merkle rows of the benchmark).
+#[inline(never)]
 pub(crate) fn permute_soa<const LANES: usize>(state: &mut [[u64; LANES]; WIDTH]) {
     let cs = constants();
     for r in 0..FULL_ROUNDS / 2 {
@@ -336,46 +268,22 @@ impl<const LANES: usize> PackedPermutation<LANES> {
     }
 }
 
-/// Permutes a batch of sponge states, routing groups of [`hash_lanes`]
-/// states through the packed kernels and any remainder (or a batch below
-/// [`packed_min_batch`]) through the scalar permutation.
+/// Permutes a batch of sponge states: whole groups of 8 (`BATCH_LANES`)
+/// states go through the packed kernels, the remainder through the scalar
+/// permutation.
 ///
-/// Bit-identical to permuting each state with
-/// [`poseidon_permute`] for every knob
-/// setting. Does not touch trace counters — batched sponge dispatchers
-/// account their own logical permutation counts.
+/// Bit-identical to permuting each state with [`poseidon_permute`]. Does
+/// not touch trace counters — batched sponge dispatchers account their own
+/// logical permutation counts.
+#[inline(never)]
 pub fn permute_batch(states: &mut [[Goldilocks; WIDTH]]) {
-    let lanes = hash_lanes();
-    if lanes <= 1 || states.len() < packed_min_batch().max(2) {
-        for s in states.iter_mut() {
-            poseidon_permute(s);
-        }
-        return;
+    let mut groups = states.chunks_exact_mut(BATCH_LANES);
+    for group in &mut groups {
+        let group: &mut [[Goldilocks; WIDTH]; BATCH_LANES] =
+            group.try_into().expect("chunks_exact_mut yields whole groups");
+        PackedPermutation::permute(group);
     }
-    match lanes {
-        2 => permute_batch_lanes::<2>(states),
-        8 => permute_batch_lanes::<8>(states),
-        _ => permute_batch_lanes::<4>(states),
-    }
-}
-
-fn permute_batch_lanes<const LANES: usize>(states: &mut [[Goldilocks; WIDTH]]) {
-    let mut chunks = states.chunks_exact_mut(LANES);
-    for chunk in &mut chunks {
-        let mut soa = [[0u64; LANES]; WIDTH];
-        for (l, st) in chunk.iter().enumerate() {
-            for (row, x) in soa.iter_mut().zip(st.iter()) {
-                row[l] = x.as_canonical_u64();
-            }
-        }
-        permute_soa(&mut soa);
-        for (l, st) in chunk.iter_mut().enumerate() {
-            for (row, x) in soa.iter().zip(st.iter_mut()) {
-                *x = Goldilocks::from_residue(row[l]);
-            }
-        }
-    }
-    for s in chunks.into_remainder() {
+    for s in groups.into_remainder() {
         poseidon_permute(s);
     }
 }
@@ -479,9 +387,6 @@ mod tests {
     use unizk_field::PrimeField64;
     use unizk_testkit::rng::SplitMix64;
 
-    /// Serializes tests that mutate the process-global lane knobs.
-    static KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn random_state(rng: &mut SplitMix64) -> [Goldilocks; WIDTH] {
         let mut st = [Goldilocks::ZERO; WIDTH];
         for x in st.iter_mut() {
@@ -517,17 +422,14 @@ mod tests {
 
     #[test]
     fn permute_batch_matches_scalar_with_remainder() {
-        let _lock = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = SplitMix64::seed_from_u64(0xBA7C);
-        // 11 states: with 4 lanes that's two packed groups + a 3-state tail.
-        let mut states: Vec<[Goldilocks; WIDTH]> = (0..11).map(|_| random_state(&mut rng)).collect();
+        // 19 states: two packed groups of 8 plus a 3-state scalar tail.
+        let mut states: Vec<[Goldilocks; WIDTH]> = (0..19).map(|_| random_state(&mut rng)).collect();
         let mut expected = states.clone();
         for st in expected.iter_mut() {
             poseidon_permute(st);
         }
-        set_hash_lanes(4);
         permute_batch(&mut states);
-        set_hash_lanes(0);
         assert_eq!(states, expected);
     }
 
@@ -553,26 +455,5 @@ mod tests {
     fn permute_many_row_rejects_bad_row() {
         let hoisted = NoncePermutation::new(&[Goldilocks::ZERO; WIDTH], 0);
         let _ = hoisted.permute_many_row(&[Goldilocks::ZERO; 2], WIDTH);
-    }
-
-    #[test]
-    fn lane_knob_validates_and_round_trips() {
-        let _lock = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-        set_hash_lanes(8);
-        assert_eq!(hash_lanes(), 8);
-        set_hash_lanes(1);
-        assert_eq!(hash_lanes(), 1);
-        set_hash_lanes(0);
-        assert!(matches!(hash_lanes(), 1 | 2 | 4 | 8));
-        set_packed_min_batch(16);
-        assert_eq!(packed_min_batch(), 16);
-        set_packed_min_batch(0);
-        assert_eq!(packed_min_batch(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "hash lane width")]
-    fn lane_knob_rejects_unsupported_width() {
-        set_hash_lanes(3);
     }
 }

@@ -294,7 +294,7 @@ pub fn two_to_one(left: Digest, right: Digest) -> Digest {
 
 /// Hashes many inputs with backend `B` in one batched dispatch: runs of
 /// equal-length inputs absorb in lockstep through
-/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 4–8
+/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 8
 /// sponges per schedule walk instead of one.
 ///
 /// Digest-for-digest identical to mapping [`hash_no_pad_with`] over
@@ -579,9 +579,9 @@ impl<B: SpongeBackend> GenericSpeculativeChallenger<B> {
     /// Lane `l` equals [`Self::challenge`]`(xs[l])` bit-for-bit, but **no
     /// trace counter is bumped**: grind-style callers scan past the winning
     /// nonce in blocks, so they account the *logical* attempt count
-    /// (`winner + 1`) once at the end — the count-once discipline the NTT
-    /// routing knobs established — keeping `B::COUNTER` byte-identical to
-    /// the serial scan for every lane width, block size, and thread count.
+    /// (`winner + 1`) once at the end — the count-once discipline of the
+    /// `ntt.*` counters — keeping `B::COUNTER` byte-identical to the serial
+    /// scan for every lane width, block size, and thread count.
     pub fn challenge_batch_uncounted<const LANES: usize>(
         &self,
         xs: &[B::F; LANES],

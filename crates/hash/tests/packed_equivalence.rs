@@ -2,51 +2,21 @@
 //! permutation.
 //!
 //! The packed engine is an *execution strategy*, not a different hash:
-//! every lane width (1, 2, 4, 8), every batch-size threshold, partial
-//! final lane groups, and every absorb length 0..=24 must produce results
-//! bit-identical to the scalar `poseidon_permute` path, and the
-//! deterministic `poseidon.permutations` counter must not depend on the
-//! routing. These properties are what let the prover flip
-//! [`set_hash_lanes`] freely without invalidating committed proof bytes.
-//!
-//! The lane/batch knobs are process-global, so every test here holds one
-//! lock and restores the defaults before releasing it (same discipline as
-//! `tests/thread_invariance.rs`).
-
-use std::sync::{Mutex, PoisonError};
+//! every lane width (1, 2, 4, 8), partial final lane groups, and every
+//! absorb length 0..=24 must produce results bit-identical to the scalar
+//! `poseidon_permute` path. The prover runs one width; the kernels stay
+//! const-generic so this suite can instantiate the others directly, with
+//! no process-global state to guard.
 
 use unizk_testkit::prop::prelude::*;
-use unizk_testkit::trace;
 
 use unizk_field::{Field, Goldilocks};
 use unizk_hash::packed::permute_batch;
-use unizk_hash::sponge::{compress_level, hash_many, hash_no_pad};
+use unizk_hash::sponge::{compress_level, hash_many, hash_no_pad, two_to_one};
 use unizk_hash::{
-    poseidon_permute, set_hash_lanes, set_packed_min_batch, Challenger, Digest, NoncePermutation,
-    PackedPermutation, SPONGE_RATE, WIDTH,
+    poseidon_permute, Challenger, Digest, NoncePermutation, PackedPermutation, PoseidonSponge,
+    SpongeBackend, SPONGE_RATE, WIDTH,
 };
-
-/// Lane widths the dispatchers accept.
-const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-static KNOBS: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the hash knobs set, restoring the defaults afterwards
-/// (also on panic, so one failing case cannot poison later tests).
-fn with_knobs<T>(lanes: usize, min_batch: usize, f: impl FnOnce() -> T) -> T {
-    let _lock = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_hash_lanes(0);
-            set_packed_min_batch(0);
-        }
-    }
-    let _restore = Restore;
-    set_hash_lanes(lanes);
-    set_packed_min_batch(min_batch);
-    f()
-}
 
 fn arb_elem() -> impl Strategy<Value = Goldilocks> {
     any::<u64>().prop_map(Goldilocks::from_u64)
@@ -75,6 +45,21 @@ fn check_packed_width<const L: usize>(pool: &[[Goldilocks; WIDTH]]) {
     }
 }
 
+/// Full-state, single-row and backend-trait editions of the hoisted nonce
+/// permutation at width `L`, against the scalar per-nonce path.
+fn check_nonce_width<const L: usize>(hoisted: &NoncePermutation, nonces: &[Goldilocks]) {
+    let xs: [Goldilocks; L] = std::array::from_fn(|i| nonces[i]);
+    let full = hoisted.permute_many::<L>(&xs);
+    let rows = hoisted.permute_many_row::<L>(&xs, SPONGE_RATE - 1);
+    let spec = PoseidonSponge::speculative_rows::<L>(hoisted, &xs);
+    for (l, &x) in xs.iter().enumerate() {
+        let want = hoisted.permute_with(x);
+        assert_eq!(full[l], want, "full-state lane {l} of {L}");
+        assert_eq!(rows[l], want[SPONGE_RATE - 1], "row lane {l} of {L}");
+        assert_eq!(spec[l], PoseidonSponge::speculative_one(hoisted, x), "spec lane {l} of {L}");
+    }
+}
+
 prop! {
     #![cases(16)]
 
@@ -83,48 +68,34 @@ prop! {
     fn packed_permutation_matches_scalar(
         pool in prop::collection::vec(arb_state(), 8),
     ) {
+        check_packed_width::<1>(&pool);
         check_packed_width::<2>(&pool);
         check_packed_width::<4>(&pool);
         check_packed_width::<8>(&pool);
     }
 
     /// The batched dispatcher is bit-identical to the scalar loop for
-    /// every lane knob, threshold, and batch length — including lengths
-    /// that leave partial final lane groups behind the chunked dispatch.
+    /// every batch length — including lengths below one lane group and
+    /// lengths that leave a partial final group behind the packed ones.
     fn permute_batch_matches_scalar_for_every_knob(
         states in prop::collection::vec(arb_state(), 0..20),
     ) {
-        let want = scalar_batch(&states);
-        for lanes in LANE_WIDTHS {
-            for min_batch in [1usize, 2, 4, 1000] {
-                let got = with_knobs(lanes, min_batch, || {
-                    let mut batch = states.clone();
-                    permute_batch(&mut batch);
-                    batch
-                });
-                assert_eq!(
-                    got, want,
-                    "lanes={lanes} min_batch={min_batch} len={}",
-                    states.len()
-                );
-            }
-        }
+        let mut got = states.clone();
+        permute_batch(&mut got);
+        assert_eq!(got, scalar_batch(&states), "len={}", states.len());
     }
 
-    /// Leaf hashing through the grouped dispatcher matches per-leaf
-    /// absorbs for every lane knob and leaf length.
+    /// Leaf hashing through the grouped dispatcher matches per-leaf scalar
+    /// absorbs for every mix of leaf lengths.
     fn hash_many_matches_scalar_for_every_knob(
         leaves in prop::collection::vec(prop::collection::vec(arb_elem(), 0..25), 1..13),
     ) {
         let refs: Vec<&[Goldilocks]> = leaves.iter().map(Vec::as_slice).collect();
-        let want = with_knobs(1, 2, || hash_many(&refs));
-        for lanes in LANE_WIDTHS {
-            let got = with_knobs(lanes, 2, || hash_many(&refs));
-            assert_eq!(got, want, "lanes={lanes}");
-        }
+        let want: Vec<Digest> = refs.iter().map(|leaf| hash_no_pad(leaf)).collect();
+        assert_eq!(hash_many(&refs), want);
     }
 
-    /// Interior-level compression matches for every lane knob.
+    /// Interior-level compression matches pairwise scalar compression.
     fn compress_level_matches_scalar_for_every_knob(
         pool in prop::collection::vec(arb_state(), 2..14),
     ) {
@@ -133,49 +104,38 @@ prop! {
             .map(|st| Digest([st[0], st[1], st[2], st[3]]))
             .collect();
         let even = &digests[..digests.len() & !1];
-        let want = with_knobs(1, 2, || compress_level(even));
-        for lanes in LANE_WIDTHS {
-            let got = with_knobs(lanes, 2, || compress_level(even));
-            assert_eq!(got, want, "lanes={lanes}");
-        }
+        let want: Vec<Digest> = even.chunks_exact(2).map(|p| two_to_one(p[0], p[1])).collect();
+        assert_eq!(compress_level(even), want);
     }
 
     /// The hoisted nonce permutation (grind kernel) matches the scalar
-    /// per-nonce path on every lane, for both the full-state and the
-    /// single-output-row variants.
+    /// per-nonce path on every lane of every width, for the full-state,
+    /// single-output-row and `SpongeBackend::speculative_rows` variants.
     fn nonce_permutation_matches_scalar(
         base in arb_state(),
         nonces in prop::collection::vec(arb_elem(), 8),
         lane_idx in 0usize..SPONGE_RATE,
     ) {
         let hoisted = NoncePermutation::new(&base, lane_idx);
-        let xs: [Goldilocks; 8] = std::array::from_fn(|i| nonces[i]);
-
-        let full = hoisted.permute_many::<8>(&xs);
-        let pair = hoisted.permute_many::<2>(&[xs[0], xs[1]]);
-        let rows = hoisted.permute_many_row::<8>(&xs, SPONGE_RATE - 1);
-        for (l, &x) in xs.iter().enumerate() {
-            let want = hoisted.permute_with(x);
-            assert_eq!(full[l], want, "full-state lane {l}");
-            assert_eq!(rows[l], want[SPONGE_RATE - 1], "row lane {l}");
-            if l < 2 {
-                assert_eq!(pair[l], want, "pair lane {l}");
-            }
-        }
+        check_nonce_width::<1>(&hoisted, &nonces);
+        check_nonce_width::<2>(&hoisted, &nonces);
+        check_nonce_width::<4>(&hoisted, &nonces);
+        check_nonce_width::<8>(&hoisted, &nonces);
     }
 }
 
 /// Absorb lengths 0..=24 cover zero, sub-rate, exact-rate, and multi-chunk
-/// inputs; the digest must not depend on the lane knob for any of them.
+/// inputs; eleven equal-length leaves per length put a full packed group
+/// and a scalar tail through the lockstep absorb.
 #[test]
 fn absorb_lengths_zero_to_24_knob_invariant() {
     for len in 0..=24usize {
-        let input: Vec<Goldilocks> = (0..len as u64).map(Goldilocks::from_u64).collect();
-        let want = with_knobs(1, 2, || hash_no_pad(&input));
-        for lanes in LANE_WIDTHS {
-            let got = with_knobs(lanes, 2, || hash_no_pad(&input));
-            assert_eq!(got, want, "lanes={lanes} absorb length {len}");
-        }
+        let leaves: Vec<Vec<Goldilocks>> = (0..11u64)
+            .map(|leaf| (0..len as u64).map(|i| Goldilocks::from_u64(leaf << 32 | i)).collect())
+            .collect();
+        let refs: Vec<&[Goldilocks]> = leaves.iter().map(Vec::as_slice).collect();
+        let want: Vec<Digest> = refs.iter().map(|leaf| hash_no_pad(leaf)).collect();
+        assert_eq!(hash_many(&refs), want, "absorb length {len}");
     }
 }
 
@@ -192,36 +152,5 @@ fn speculative_challenge_batch_matches_scalar() {
     let batch = speculative.challenge_batch_uncounted::<4>(&xs);
     for (l, &x) in xs.iter().enumerate() {
         assert_eq!(batch[l], speculative.challenge(x), "lane {l}");
-    }
-}
-
-/// The deterministic permutation counter is a *logical* count: identical
-/// for every lane width and batch threshold (count-once semantics, like
-/// the NTT routing knobs).
-#[test]
-fn permutation_counter_identical_across_knobs() {
-    let leaves: Vec<Vec<Goldilocks>> = (0..9u64)
-        .map(|i| (0..(3 + 5 * i) % 25).map(Goldilocks::from_u64).collect())
-        .collect();
-    let refs: Vec<&[Goldilocks]> = leaves.iter().map(Vec::as_slice).collect();
-
-    let mut reference: Option<Vec<(String, u64)>> = None;
-    for lanes in LANE_WIDTHS {
-        for min_batch in [1usize, 2, 1000] {
-            let counts = with_knobs(lanes, min_batch, || {
-                trace::reset();
-                let digests = hash_many(&refs);
-                let even = &digests[..8];
-                let _ = compress_level(even);
-                trace::snapshot().counters
-            });
-            match &reference {
-                None => reference = Some(counts),
-                Some(want) => assert_eq!(
-                    &counts, want,
-                    "counter drift at lanes={lanes} min_batch={min_batch}"
-                ),
-            }
-        }
     }
 }

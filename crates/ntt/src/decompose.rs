@@ -13,7 +13,6 @@
 use unizk_field::{log2_strict, reverse_index_bits, PrimeField64};
 
 use crate::radix2::{count_transform, ntt_nn_uncounted};
-use crate::transpose::transpose;
 
 /// Computes a natural-order NTT via the multi-dimensional decomposition
 /// `len = dims[0] · dims[1] · …`.
@@ -96,80 +95,6 @@ fn decompose_recursive<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
             values[k1 + n1 * k2] = snapshot[k1 * n2 + k2];
         }
     }
-}
-
-/// The parallel execution of [`decomposed_ntt_nn`]: identical arithmetic
-/// and identical (count-once) trace accounting, but each round distributes
-/// whole rows or columns across the configured worker threads. This is the
-/// route [`crate::ntt_nn`] / [`crate::ntt_nr`] take for transforms at or
-/// above [`crate::decompose_parallel_threshold`].
-///
-/// The work items are the same size-`n_i` sub-transforms the serial model
-/// runs, in the same per-element operation order, so the output is
-/// bit-identical for every thread count (the fallback inside the `par`
-/// helpers makes `set_parallelism(1)` literally the serial loop).
-///
-/// # Panics
-///
-/// Panics if the product of `dims` does not equal `values.len()`, or any
-/// dimension is not a power of two.
-pub fn parallel_decomposed_ntt_nn<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
-    let n: usize = dims.iter().product();
-    assert_eq!(n, values.len(), "dims product must equal input length");
-    if n <= 1 {
-        return;
-    }
-    count_transform(n);
-    parallel_recursive(values, dims);
-}
-
-fn parallel_recursive<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
-    if dims.len() <= 1 {
-        ntt_nn_uncounted(values);
-        return;
-    }
-    let n = values.len();
-    let n1 = dims[0];
-    let n2 = n / n1;
-    let log_n = log2_strict(n);
-    let omega = F::primitive_root_of_unity(log_n);
-
-    // Round 1: size-n1 NTTs along the strided first dimension. Transposing
-    // to n2×n1 makes each column contiguous (the software stand-in for the
-    // hardware transpose buffer), so one column is one work item.
-    let cols = transpose(values, n1, n2);
-    values.copy_from_slice(&cols);
-    unizk_field::parallel_chunks_mut(values, n1, |_, column| ntt_nn_uncounted(column));
-    let rows = transpose(values, n2, n1);
-    values.copy_from_slice(&rows);
-
-    // Inter-dimension twiddles: values[k1·n2 + c] *= ω_N^{k1·c}, one row
-    // per work item (each row is an independent geometric series).
-    unizk_field::parallel_chunks_mut(values, n2, |offset, row| {
-        let k1 = offset / n2;
-        let step = omega.exp_u64(k1 as u64);
-        let mut tw = F::ONE;
-        for v in row.iter_mut() {
-            *v *= tw;
-            tw *= step;
-        }
-    });
-
-    // Remaining rounds: each contiguous row is independent. At the last
-    // level the rows themselves are the parallel work items; deeper plans
-    // recurse so their inner rounds distribute the same way.
-    if dims.len() == 2 {
-        unizk_field::parallel_chunks_mut(values, n2, |_, row| ntt_nn_uncounted(row));
-    } else {
-        for k1 in 0..n1 {
-            parallel_recursive(&mut values[k1 * n2..(k1 + 1) * n2], &dims[1..]);
-        }
-    }
-
-    // Dimension gather: out[k1 + n1·k2] = values[k1·n2 + k2] — exactly the
-    // transpose of the n1×n2 row-major view.
-    let gathered = transpose(values, n1, n2);
-    values.copy_from_slice(&gathered);
 }
 
 /// A plan for decomposing a size-`N` NTT onto hardware pipelines of fixed
@@ -300,43 +225,6 @@ mod tests {
     fn wrong_dims_rejected() {
         let mut v = vec![Goldilocks::from_u64(1); 16];
         decomposed_ntt_nn(&mut v, &[8, 4]);
-    }
-
-    #[test]
-    fn parallel_path_matches_monolithic() {
-        let mut rng = StdRng::seed_from_u64(305);
-        for (n, dims) in [
-            (64usize, vec![8usize, 8]),
-            (256, vec![16, 16]),
-            (256, vec![4, 64]),
-            (512, vec![8, 8, 8]),
-            (1024, vec![32, 32]),
-        ] {
-            let v = random_vec(&mut rng, n);
-            let mut mono = v.clone();
-            ntt_nn(&mut mono);
-            let mut par = v;
-            parallel_decomposed_ntt_nn(&mut par, &dims);
-            assert_eq!(par, mono, "n={n} dims={dims:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_model() {
-        let mut rng = StdRng::seed_from_u64(306);
-        let v = random_vec(&mut rng, 128);
-        let mut serial = v.clone();
-        decomposed_ntt_nn(&mut serial, &[16, 8]);
-        let mut par = v;
-        parallel_decomposed_ntt_nn(&mut par, &[16, 8]);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    #[should_panic(expected = "dims product")]
-    fn parallel_wrong_dims_rejected() {
-        let mut v = vec![Goldilocks::from_u64(1); 16];
-        parallel_decomposed_ntt_nn(&mut v, &[4, 8]);
     }
 
     #[test]

@@ -9,72 +9,35 @@
 //! # Twiddles and parallelism
 //!
 //! Twiddle tables come from the process-global [`crate::twiddle`] cache, so
-//! repeated transforms of one size pay the table build exactly once. Large
-//! transforms additionally split their butterfly work across the worker
-//! threads configured by [`unizk_field::set_parallelism`]:
+//! repeated transforms of one size pay the table build exactly once.
+//! Transforms of at least `2^STAGE_SPLIT_MIN_LOG2` elements additionally
+//! split their butterfly work across the worker threads configured by
+//! [`unizk_field::set_parallelism`]: the in-place kernels run their
+//! straddling early/late stages as parallel half-block windows and the
+//! remaining stages as independent per-segment serial transforms. Smaller
+//! transforms always run serially — below that size two workers lose to
+//! one whenever the second core was idle just before (EXPERIMENTS.md,
+//! "NTT routing").
 //!
-//! * at or above [`stage_parallel_threshold`] (log₂ size), the in-place
-//!   kernels run their straddling early/late stages as parallel half-block
-//!   windows and the remaining stages as independent per-segment serial
-//!   transforms;
-//! * at or above [`decompose_parallel_threshold`], the forward natural-order
-//!   entry points route through the multi-dimensional split in
-//!   [`crate::decompose`], which runs whole rows/columns per work item.
-//!
-//! Both thresholds are throughput knobs, not correctness parameters: every
-//! path performs the identical field operations in the identical order per
+//! The split is an execution strategy, not a correctness parameter: both
+//! paths perform the identical field operations in the identical order per
 //! element, so results — and the `ntt.*` trace counters, which are bumped
-//! once per logical transform before any path choice — are bit-identical
+//! once per logical transform before the path choice — are bit-identical
 //! for every thread count. The determinism suite pins this down.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use unizk_field::{log2_strict, reverse_index_bits, PrimeField64};
 
 use crate::twiddle;
 
-/// Default log₂ size at which in-place kernels split stages across workers.
-const DEFAULT_STAGE_PARALLEL_LOG2: usize = 12;
-/// Default log₂ size at which forward transforms use the k-dimensional
-/// decomposition instead of stage splitting.
-const DEFAULT_DECOMPOSE_PARALLEL_LOG2: usize = 16;
-
-static STAGE_PARALLEL_MIN_LOG2: AtomicUsize = AtomicUsize::new(DEFAULT_STAGE_PARALLEL_LOG2);
-static DECOMPOSE_PARALLEL_MIN_LOG2: AtomicUsize =
-    AtomicUsize::new(DEFAULT_DECOMPOSE_PARALLEL_LOG2);
-
-/// Sets the minimum log₂ transform size for intra-transform stage
-/// parallelism (`usize::MAX` disables it). Process-global; latched at the
-/// entry of each transform.
-pub fn set_stage_parallel_threshold(log_n: usize) {
-    STAGE_PARALLEL_MIN_LOG2.store(log_n, Ordering::SeqCst);
-}
-
-/// The current stage-parallelism threshold (log₂ size).
-pub fn stage_parallel_threshold() -> usize {
-    STAGE_PARALLEL_MIN_LOG2.load(Ordering::SeqCst)
-}
-
-/// Sets the minimum log₂ transform size at which forward natural-order
-/// transforms route through the k-dimensional decomposition
-/// (`usize::MAX` disables the route). Process-global.
-pub fn set_decompose_parallel_threshold(log_n: usize) {
-    DECOMPOSE_PARALLEL_MIN_LOG2.store(log_n, Ordering::SeqCst);
-}
-
-/// The current decomposition-routing threshold (log₂ size).
-pub fn decompose_parallel_threshold() -> usize {
-    DECOMPOSE_PARALLEL_MIN_LOG2.load(Ordering::SeqCst)
-}
+/// log₂ of the smallest transform whose stages are split across workers:
+/// the smallest size at which two threads beat one on both fields on the
+/// 2-core reference host whether or not its second core was busy just
+/// before (EXPERIMENTS.md, "NTT routing").
+const STAGE_SPLIT_MIN_LOG2: usize = 16;
 
 /// True when a size-`n` transform should split work across workers at all.
 fn wants_stage_parallel(n: usize, threads: usize) -> bool {
-    threads > 1 && log2_strict(n) >= stage_parallel_threshold()
-}
-
-/// True when a forward size-`n` transform should take the decomposed route.
-fn wants_decompose(n: usize, threads: usize) -> bool {
-    threads > 1 && log2_strict(n) >= decompose_parallel_threshold()
+    threads > 1 && log2_strict(n) >= STAGE_SPLIT_MIN_LOG2
 }
 
 /// Records one transform in the trace layer: total count, element volume,
@@ -229,9 +192,10 @@ fn dit_in_place<F: PrimeField64>(values: &mut [F], inverse: bool) {
     }
 }
 
-/// Serial `NTT^NN` kernel with no counter bump and no routing — the worker
-/// primitive the decomposed paths build their small row/column transforms
-/// out of (the enclosing decomposition accounts the whole transform once).
+/// Serial `NTT^NN` kernel with no counter bump and no routing — the
+/// primitive the decomposed golden model builds its small row/column
+/// transforms out of (the enclosing decomposition accounts the whole
+/// transform once).
 pub(crate) fn ntt_nn_uncounted<F: PrimeField64>(values: &mut [F]) {
     let n = values.len();
     if n <= 1 {
@@ -260,12 +224,6 @@ fn scale_by_n_inv<F: PrimeField64>(values: &mut [F]) {
 /// two-adic subgroup order `2^TWO_ADICITY` (`2^32` for Goldilocks, `2^24`
 /// for KoalaBear).
 pub fn ntt_nr<F: PrimeField64>(values: &mut [F]) {
-    let n = values.len();
-    if n > 1 && wants_decompose(n, unizk_field::current_parallelism()) {
-        crate::decompose::parallel_decomposed_ntt_nn(values, &balanced_dims(n));
-        reverse_index_bits(values);
-        return;
-    }
     dif_in_place(values, false);
 }
 
@@ -276,23 +234,8 @@ pub fn ntt_rn<F: PrimeField64>(values: &mut [F]) {
 
 /// Forward NTT, natural input and output (`NTT^NN`).
 pub fn ntt_nn<F: PrimeField64>(values: &mut [F]) {
-    let n = values.len();
-    if n > 1 && wants_decompose(n, unizk_field::current_parallelism()) {
-        crate::decompose::parallel_decomposed_ntt_nn(values, &balanced_dims(n));
-        return;
-    }
     dif_in_place(values, false);
     reverse_index_bits(values);
-}
-
-/// The balanced two-dimensional split `n = n1 · n2` with `n1 ≤ n2`, the
-/// shape that maximizes both the column-round work grain and the row sizes
-/// when the decomposed route is taken for parallelism (rather than to model
-/// a fixed hardware pipeline width).
-fn balanced_dims(n: usize) -> [usize; 2] {
-    let log_n = log2_strict(n);
-    let log_n1 = log_n / 2;
-    [1 << log_n1, 1 << (log_n - log_n1)]
 }
 
 /// Inverse NTT, natural input and output (`iNTT^NN`).
@@ -591,17 +534,5 @@ mod tests {
         let mut b = input;
         ntt_nn_uncounted(&mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn threshold_knobs_round_trip() {
-        let stage = stage_parallel_threshold();
-        let dec = decompose_parallel_threshold();
-        set_stage_parallel_threshold(20);
-        set_decompose_parallel_threshold(25);
-        assert_eq!(stage_parallel_threshold(), 20);
-        assert_eq!(decompose_parallel_threshold(), 25);
-        set_stage_parallel_threshold(stage);
-        set_decompose_parallel_threshold(dec);
     }
 }

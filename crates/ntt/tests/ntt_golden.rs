@@ -96,7 +96,7 @@ fn golden_input_is_reproducible() {
 // Size-2^12 golden vectors, derived from the quadratic-time reference in
 // `naive.rs` (NOT from the fast kernel, so a twiddle-schedule bug in the
 // radix-2 path cannot re-certify itself). They lock the cached-twiddle
-// serial kernel and the decomposed parallel path to the same schedule.
+// serial kernel and the decomposed golden model to the same schedule.
 
 const LOG_N_12: usize = 12;
 const N_12: usize = 1 << LOG_N_12;
@@ -140,11 +140,11 @@ fn forward_ntt_2_12_matches_naive_derived_golden() {
 }
 
 #[test]
-fn decomposed_parallel_2_12_matches_naive_derived_golden() {
+fn decomposed_2_12_matches_naive_derived_golden() {
     for dims in [[64usize, 64], [16, 256], [256, 16]] {
         let mut v = golden_input_12();
-        unizk_ntt::parallel_decomposed_ntt_nn(&mut v, &dims);
-        check_against_golden_12(&v, "decomposed parallel path");
+        unizk_ntt::decomposed_ntt_nn(&mut v, &dims);
+        check_against_golden_12(&v, "decomposed golden model");
     }
 }
 

@@ -1,27 +1,23 @@
 //! Cross-field kernel-equivalence wall for the accelerated NTT paths.
 //!
-//! The cached-twiddle serial kernel, the decomposed parallel route, and
+//! The cached-twiddle radix-2 kernel, the decomposed golden model, and
 //! the order/coset/direction variants must all compute the same transform
 //! — over **both** supported base fields. Every property draws one vector
 //! of `u64` seeds and runs the identical check over 64-bit Goldilocks and
 //! 31-bit KoalaBear, so a kernel bug that only manifests in one field's
 //! reduction or twiddle table fails the same case.
 //!
-//! Sizes sweep `2^1..=2^14` over Goldilocks (the full range the prover
-//! uses, crossing both routing thresholds) and `2^1..=2^12` over KoalaBear;
-//! comparisons against the quadratic-time reference are capped at `2^10`
-//! to keep the suite fast, with the larger sizes covered by cross-kernel
-//! equality and exact roundtrips.
-//!
-//! Nothing here mutates process-global knobs: the decomposed path is
-//! exercised through its explicit entry point
-//! ([`unizk_ntt::parallel_decomposed_ntt_nn`]), so this binary can share a
-//! process with any other test.
+//! Sizes sweep `2^1..=2^14` over Goldilocks and `2^1..=2^12` over
+//! KoalaBear — all below the size at which transforms split across worker
+//! threads, which `tests/thread_invariance.rs` crosses; comparisons against
+//! the quadratic-time reference are capped at `2^10` to keep the suite
+//! fast, with the larger sizes covered by cross-kernel equality and exact
+//! roundtrips.
 
 use unizk_field::{bit_reverse, reverse_index_bits, Goldilocks, KoalaBear, PrimeField64};
 use unizk_ntt::{
     coset_intt_nn, coset_ntt_nn, coset_ntt_nr, decomposed_ntt_nn, intt_nn, intt_rn, naive_dft,
-    naive_idft, ntt_nn, ntt_nr, ntt_rn, parallel_decomposed_ntt_nn,
+    naive_idft, ntt_nn, ntt_nr, ntt_rn,
 };
 use unizk_testkit::prop::prelude::*;
 use unizk_testkit::prop::CaseResult;
@@ -142,29 +138,13 @@ fn check_coset_nr_is_bit_reversed_coset_nn<F: PrimeField64>(seeds: &[u64]) -> Ca
     Ok(())
 }
 
-fn check_parallel_matches_serial_kernel<F: PrimeField64>(
-    seeds: &[u64],
-    dims: &[usize],
-) -> CaseResult {
+fn check_decomposed_matches_kernel<F: PrimeField64>(seeds: &[u64], dims: &[usize]) -> CaseResult {
     let v = to_field::<F>(seeds);
     let mut mono = v.clone();
     ntt_nn(&mut mono);
-    let mut par = v;
-    parallel_decomposed_ntt_nn(&mut par, dims);
-    prop_assert_eq!(par, mono);
-    Ok(())
-}
-
-fn check_parallel_matches_serial_model<F: PrimeField64>(
-    seeds: &[u64],
-    dims: &[usize],
-) -> CaseResult {
-    let v = to_field::<F>(seeds);
-    let mut serial = v.clone();
-    decomposed_ntt_nn(&mut serial, dims);
-    let mut par = v;
-    parallel_decomposed_ntt_nn(&mut par, dims);
-    prop_assert_eq!(par, serial);
+    let mut dec = v;
+    decomposed_ntt_nn(&mut dec, dims);
+    prop_assert_eq!(dec, mono);
     Ok(())
 }
 
@@ -228,27 +208,15 @@ prop! {
         check_coset_nr_is_bit_reversed_coset_nn::<KoalaBear>(&seeds[..1 << log_n])?;
     }
 
-    // ---- decomposed paths (serial model and parallel route) ----
+    // ---- the decomposed golden model, every two-dimensional split ----
 
-    fn decomposed_parallel_matches_serial_kernel(
-        log_n in 1usize..=14,
-        split in 0usize..15,
-        seeds in arb_seeds(1 << 14),
-    ) {
-        check_parallel_matches_serial_kernel::<Goldilocks>(
-            &seeds[..1 << log_n], &dims_for(log_n, split))?;
-        let kb_log = log_n.min(KB_MAX_LOG);
-        check_parallel_matches_serial_kernel::<KoalaBear>(
-            &seeds[..1 << kb_log], &dims_for(kb_log, split))?;
-    }
-
-    fn decomposed_parallel_matches_serial_model(
+    fn decomposed_model_matches_kernel(
         log_n in 1usize..=12,
         split in 0usize..13,
         seeds in arb_seeds(1 << 12),
     ) {
         let dims = dims_for(log_n, split);
-        check_parallel_matches_serial_model::<Goldilocks>(&seeds[..1 << log_n], &dims)?;
-        check_parallel_matches_serial_model::<KoalaBear>(&seeds[..1 << log_n], &dims)?;
+        check_decomposed_matches_kernel::<Goldilocks>(&seeds[..1 << log_n], &dims)?;
+        check_decomposed_matches_kernel::<KoalaBear>(&seeds[..1 << log_n], &dims)?;
     }
 }

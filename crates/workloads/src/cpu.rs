@@ -8,8 +8,9 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use unizk_fri::{kernel_totals, reset_kernel_timers, KernelClass};
+use unizk_fri::{kernel_totals_from, KernelClass};
 use unizk_plonk::Proof;
+use unizk_testkit::trace;
 
 use crate::apps::{App, Scale};
 
@@ -18,6 +19,9 @@ use crate::apps::{App, Scale};
 /// (a real hazard under `cargo test`'s default parallelism). Every
 /// [`run_circuit`] serializes on this lock.
 static MEASUREMENT: Mutex<()> = Mutex::new(());
+
+/// Root span of the measured `prove` call in [`run_circuit`].
+const PROVE_SPAN: &str = "cpu.prove";
 
 /// Takes the process-wide measurement lock (recovering from a poisoned
 /// lock — a panicked run leaves no state worth protecting).
@@ -79,16 +83,25 @@ pub fn run_circuit(
 ) -> CpuRun {
     let _measurement = measurement_lock();
     unizk_field::set_parallelism(threads);
-    reset_kernel_timers();
+    trace::reset();
     let start = Instant::now();
-    let proof: Proof = circuit.prove(inputs).expect("workload circuit must prove");
+    let proof: Proof = trace::with_span(PROVE_SPAN, || circuit.prove(inputs))
+        .expect("workload circuit must prove");
     let total = start.elapsed();
     unizk_field::set_parallelism(0);
 
     circuit.verify(&proof).expect("workload proof must verify");
+    // Only this run's own subtree: code elsewhere in the process may prove
+    // without the measurement lock, and its kernel spans merge into the
+    // same trace store.
+    let report = trace::snapshot();
+    let measured = report.node(&[PROVE_SPAN]).expect("the prove span was just closed");
     CpuRun {
         total,
-        breakdown: kernel_totals(),
+        breakdown: kernel_totals_from(&trace::TraceReport {
+            roots: measured.children.clone(),
+            counters: Vec::new(),
+        }),
         proof_bytes: proof.size_bytes(),
         rows: circuit.rows,
     }

@@ -1,42 +1,35 @@
 //! Thread-count invariance for the prover hot paths.
 //!
-//! The parallel NTT stages, the decomposed parallel route, and the chunked
-//! Merkle hashing are all *execution strategies*: they must produce
+//! The parallel NTT stage split, the chunked Merkle hashing and the
+//! block-parallel grind are all *execution strategies*: they must produce
 //! bit-identical proofs and identical deterministic trace counters under
 //! every [`unizk_field::set_parallelism`] setting. This suite pins the
-//! invariant end-to-end (STARK prove → verify) and on the 2^14 coset LDE
-//! in isolation, with the routing thresholds lowered so the parallel code
-//! actually runs at test sizes instead of silently falling back to the
-//! serial kernels.
+//! invariant end-to-end (STARK prove → verify) and on a 2^16 coset LDE in
+//! isolation — a size at which multi-threaded transforms take the
+//! stage-split path, so the sweep compares it against the serial kernel
+//! through the public API.
 //!
-//! These tests mutate process-global knobs (the parallelism override, the
-//! NTT routing thresholds, the trace store), so everything that touches
-//! them serializes on one lock and restores the defaults before releasing
-//! it. They live in their own integration-test binary for the same reason.
+//! These tests set the process-global parallelism override and reset the
+//! trace store, so everything that touches them serializes on one lock and
+//! restores the default before releasing it. They live in their own
+//! integration-test binary for the same reason.
 
 use std::sync::Mutex;
 
 use unizk_field::{set_parallelism, Goldilocks, KoalaBear, PrimeField64};
-use unizk_hash::{set_hash_lanes, set_packed_min_batch};
-use unizk_ntt::{
-    lde_of_values, set_decompose_parallel_threshold, set_stage_parallel_threshold,
-};
+use unizk_ntt::lde_of_values;
 use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig};
 use unizk_testkit::rng::SplitMix64;
 use unizk_testkit::trace;
 
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
-/// Restores every knob this suite touches, even on assertion failure.
+/// Restores the parallelism override, even on assertion failure.
 struct KnobGuard;
 
 impl Drop for KnobGuard {
     fn drop(&mut self) {
         set_parallelism(0);
-        set_stage_parallel_threshold(12);
-        set_decompose_parallel_threshold(16);
-        set_hash_lanes(0);
-        set_packed_min_batch(0);
     }
 }
 
@@ -51,10 +44,6 @@ type Observed<T> = Option<(T, Vec<(String, u64)>)>;
 fn stark_proof_identical_under_every_thread_count() {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    // Engage the parallel stage split and the decomposed route at the small
-    // transform sizes a 256-row STARK produces.
-    set_stage_parallel_threshold(4);
-    set_decompose_parallel_threshold(8);
 
     let air = FibonacciAir::new(256);
     let config = StarkConfig::for_testing();
@@ -76,68 +65,13 @@ fn stark_proof_identical_under_every_thread_count() {
     }
 }
 
-/// Hash-lane-packing invariance, end to end: the full STARK prove →
-/// verify loop must emit bit-identical proofs and counters at every
-/// Poseidon lane width and packed-batch threshold, stacked on top of the
-/// thread sweep (the grind distributes lane groups across worker threads,
-/// so the two knobs compose in the hot path).
-#[test]
-fn stark_proof_identical_under_every_hash_lane_setting() {
-    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = KnobGuard;
-
-    let air = FibonacciAir::new(256);
-    let config = StarkConfig::for_testing();
-
-    let mut reference: Observed<Vec<u8>> = None;
-    for (lanes, min_batch, threads) in [
-        // Scalar everywhere (the packed engine fully disengaged).
-        (1usize, 2usize, 1usize),
-        // Every packed width, single-threaded.
-        (2, 2, 1),
-        (4, 2, 1),
-        (8, 2, 1),
-        // A threshold so high batches always fall back to scalar.
-        (8, 1_000_000, 1),
-        // Packing and multi-threading composed.
-        (4, 2, 2),
-        (8, 2, 3),
-        (8, 1, 0),
-    ] {
-        set_hash_lanes(lanes);
-        set_packed_min_batch(min_batch);
-        set_parallelism(threads);
-        trace::reset();
-        let proof = prove(&air, &config).expect("trace satisfies the AIR");
-        verify(&air, &proof, &config).expect("honest proof verifies");
-        let got = (proof.to_bytes(), counters());
-        match &reference {
-            None => reference = Some(got),
-            Some((bytes, counts)) => {
-                assert_eq!(
-                    &got.0, bytes,
-                    "proof bytes differ at lanes={lanes} min_batch={min_batch} threads={threads}"
-                );
-                assert_eq!(
-                    &got.1, counts,
-                    "counters differ at lanes={lanes} min_batch={min_batch} threads={threads}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn coset_lde_identical_under_every_thread_count() {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    // The 2^14 output size crosses the default stage threshold already;
-    // lower the decomposed route too so all three kernels (serial,
-    // stage-split, decomposed) are exercised by the thread sweep.
-    set_decompose_parallel_threshold(13);
 
     let mut rng = SplitMix64::seed_from_u64(0x1DE);
-    let values: Vec<Goldilocks> = (0..1 << 12).map(|_| Goldilocks::random(&mut rng)).collect();
+    let values: Vec<Goldilocks> = (0..1 << 14).map(|_| Goldilocks::random(&mut rng)).collect();
     let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
 
     let mut reference: Observed<Vec<Goldilocks>> = None;
@@ -145,7 +79,7 @@ fn coset_lde_identical_under_every_thread_count() {
         set_parallelism(threads);
         trace::reset();
         let extended = lde_of_values(&values, 2, shift);
-        assert_eq!(extended.len(), 1 << 14);
+        assert_eq!(extended.len(), 1 << 16);
         let got = (extended, counters());
         match &reference {
             None => reference = Some(got),
@@ -158,14 +92,11 @@ fn coset_lde_identical_under_every_thread_count() {
 }
 
 /// The 31-bit stack obeys the same invariant: `(KoalaBear, Poseidon2)`
-/// proofs are bit-identical under every thread count, with the same
-/// lowered routing thresholds engaging the parallel NTT paths.
+/// proofs are bit-identical under every thread count.
 #[test]
 fn koalabear_stark_proof_identical_under_every_thread_count() {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    set_stage_parallel_threshold(4);
-    set_decompose_parallel_threshold(8);
 
     let air = FibonacciAir::new(256);
     let config = KbStarkConfig::for_testing_over();
@@ -193,10 +124,9 @@ fn koalabear_stark_proof_identical_under_every_thread_count() {
 fn koalabear_coset_lde_identical_under_every_thread_count() {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    set_decompose_parallel_threshold(13);
 
     let mut rng = SplitMix64::seed_from_u64(0x1DE);
-    let values: Vec<KoalaBear> = (0..1 << 12).map(|_| KoalaBear::random(&mut rng)).collect();
+    let values: Vec<KoalaBear> = (0..1 << 14).map(|_| KoalaBear::random(&mut rng)).collect();
     let shift = KoalaBear::MULTIPLICATIVE_GENERATOR;
 
     let mut reference: Observed<Vec<KoalaBear>> = None;
@@ -204,7 +134,7 @@ fn koalabear_coset_lde_identical_under_every_thread_count() {
         set_parallelism(threads);
         trace::reset();
         let extended = lde_of_values(&values, 2, shift);
-        assert_eq!(extended.len(), 1 << 14);
+        assert_eq!(extended.len(), 1 << 16);
         let got = (extended, counters());
         match &reference {
             None => reference = Some(got),
