@@ -205,8 +205,10 @@ fn bench_sim() -> Json {
     let plonky2 = compile_plonky2(&Plonky2Instance::new(1 << LOG_ROWS, 135));
     let workloads = [("starky_fib_4096", &starky), ("plonky2_4096x135", &plonky2)];
 
-    // One simulator for the measured pass: DRAM probe patterns memoize, so
-    // each pattern's efficiency counter records exactly one measurement.
+    // The measured pass must hold this process's first simulation: the
+    // DRAM model probes each (HBM config, pattern) pair once per process
+    // and publishes its `dram.*` counters then, so a simulation before the
+    // reset would leave `trace_counters` without them.
     trace::reset();
     let sim = Simulator::new(chip.clone());
     let reports: Vec<SimReport> = workloads.iter().map(|(_, g)| sim.run(g)).collect();

@@ -519,13 +519,7 @@ impl CostEnvelope {
 /// model probe beyond the memory model's own deterministic efficiency
 /// measurement (identical to what the simulator uses).
 pub fn cost_envelope(graph: &Graph, chip: &ChipConfig) -> CostEnvelope {
-    cost_envelope_with(graph, chip, &MemoryModel::new(chip.hbm.clone()))
-}
-
-/// [`cost_envelope`] against a caller-provided memory model, so the
-/// simulator can reuse its own (memoized efficiencies and all) and the
-/// bounds brackets exactly the arithmetic the simulation performs.
-pub fn cost_envelope_with(graph: &Graph, chip: &ChipConfig, memory: &MemoryModel) -> CostEnvelope {
+    let memory = MemoryModel::new(chip.hbm.clone());
     let nodes = graph.nodes();
     let len = nodes.len();
 
@@ -886,7 +880,7 @@ pub fn check(graph: &Graph, chip: &ChipConfig) -> Vec<Diagnostic> {
     }
 
     // ---- graph-level cost rules (C02–C04) -------------------------------
-    let env = cost_envelope_with(graph, chip, &memory);
+    let env = cost_envelope(graph, chip);
     let mut push_graph = |rule: Rule, message: String| {
         diags.push(Diagnostic { rule, severity: rule.severity(), node: None, message });
     };
@@ -1551,14 +1545,6 @@ mod tests {
         assert!(env.peak_live_bytes > 0);
         let nodes: usize = env.classes.iter().map(|c| c.nodes).sum();
         assert_eq!(nodes, g.len());
-    }
-
-    #[test]
-    fn envelope_matches_between_fresh_and_shared_memory_models() {
-        let g = compile_starky(&StarkyInstance::new(1 << 12, 16, 8));
-        let chip = chip();
-        let memory = MemoryModel::new(chip.hbm.clone());
-        assert_eq!(cost_envelope(&g, &chip), cost_envelope_with(&g, &chip, &memory));
     }
 
     fn traffic_poly_op(bytes: u64) -> Kernel {

@@ -190,12 +190,21 @@ impl Simulator {
     /// schedule dedicates the chip to one kernel at a time, with memory
     /// overlapped by double buffering.
     pub fn run(&self, graph: &Graph) -> SimReport {
-        self.run_with_trace(graph).0
+        self.schedule(graph, None)
     }
 
     /// Like [`Simulator::run`] but also returns the per-node schedule —
     /// the compiler backend's "detailed schedules" (paper §5.5).
     pub fn run_with_trace(&self, graph: &Graph) -> (SimReport, Vec<NodeTrace>) {
+        let mut trace = Vec::with_capacity(graph.len());
+        let report = self.schedule(graph, Some(&mut trace));
+        (report, trace)
+    }
+
+    /// The one scheduling walk behind both entry points; the per-node
+    /// records (a label clone each) are built only for a caller that
+    /// keeps them.
+    fn schedule(&self, graph: &Graph, mut trace: Option<&mut Vec<NodeTrace>>) -> SimReport {
         // Debug builds verify every schedule before simulating it, so the
         // whole test suite exercises the static analyzer for free. Release
         // builds skip the pass; run the `lint` binary (unizk-analyze) to
@@ -211,7 +220,6 @@ impl Simulator {
             peak_bytes_per_cycle: self.chip.hbm.peak_bytes_per_cycle(),
             ..SimReport::default()
         };
-        let mut trace = Vec::with_capacity(graph.len());
 
         for node in graph.nodes() {
             let cost = map_kernel(&node.kernel, &self.chip);
@@ -227,16 +235,18 @@ impl Simulator {
             entry.bytes += cost.total_bytes();
             entry.nodes += 1;
 
-            trace.push(NodeTrace {
-                label: node.label.clone(),
-                class,
-                start_cycle: report.total_cycles,
-                end_cycle: report.total_cycles + node_cycles,
-                compute_cycles: cost.compute_cycles,
-                memory_cycles: mem_cycles,
-                bytes: cost.total_bytes(),
-                vsas_used: cost.vsas_used,
-            });
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.push(NodeTrace {
+                    label: node.label.clone(),
+                    class,
+                    start_cycle: report.total_cycles,
+                    end_cycle: report.total_cycles + node_cycles,
+                    compute_cycles: cost.compute_cycles,
+                    memory_cycles: mem_cycles,
+                    bytes: cost.total_bytes(),
+                    vsas_used: cost.vsas_used,
+                });
+            }
 
             report.total_cycles += node_cycles;
             report.read_requests += cost.read_bytes.div_ceil(64);
@@ -246,26 +256,12 @@ impl Simulator {
         // Publish the run's headline stats to the trace layer so bench
         // artifacts capture simulator activity alongside prover timing.
         unizk_testkit::trace::counter("sim.cycles", report.total_cycles);
-        for tag in [
-            KernelClassTag::Ntt,
-            KernelClassTag::Hash,
-            KernelClassTag::Poly,
-            KernelClassTag::Transpose,
-        ] {
+        for (tag, [cycles, vsa_busy_cycles, bytes]) in CLASS_COUNTERS {
             let class = report.class(tag);
             if class.nodes > 0 {
-                unizk_testkit::trace::counter_string(
-                    format!("sim.class.{}.cycles", tag.name()),
-                    class.cycles,
-                );
-                unizk_testkit::trace::counter_string(
-                    format!("sim.class.{}.vsa_busy_cycles", tag.name()),
-                    class.vsa_busy_cycles,
-                );
-                unizk_testkit::trace::counter_string(
-                    format!("sim.class.{}.bytes", tag.name()),
-                    class.bytes,
-                );
+                unizk_testkit::trace::counter(cycles, class.cycles);
+                unizk_testkit::trace::counter(vsa_busy_cycles, class.vsa_busy_cycles);
+                unizk_testkit::trace::counter(bytes, class.bytes);
             }
         }
 
@@ -275,7 +271,7 @@ impl Simulator {
         // invariant through `lint --check-bounds`.
         #[cfg(debug_assertions)]
         {
-            let env = crate::analyze::cost_envelope_with(graph, &self.chip, &self.memory);
+            let env = crate::analyze::cost_envelope(graph, &self.chip);
             for tag in crate::analyze::CLASS_ORDER {
                 let class = report.class(tag);
                 let bounds = env.class(tag);
@@ -304,9 +300,31 @@ impl Simulator {
             );
         }
 
-        (report, trace)
+        report
     }
 }
+
+/// Per class, the counters one run publishes, spelled out so that a run
+/// formats no names; `$name` is the class's [`KernelClassTag::name`]
+/// (`class_counter_names_follow_the_tags` holds the two together).
+macro_rules! class_counters {
+    ($tag:ident, $name:literal) => {
+        (
+            KernelClassTag::$tag,
+            [
+                concat!("sim.class.", $name, ".cycles"),
+                concat!("sim.class.", $name, ".vsa_busy_cycles"),
+                concat!("sim.class.", $name, ".bytes"),
+            ],
+        )
+    };
+}
+const CLASS_COUNTERS: [(KernelClassTag, [&str; 3]); 4] = [
+    class_counters!(Ntt, "NTT"),
+    class_counters!(Hash, "Hash"),
+    class_counters!(Poly, "Poly"),
+    class_counters!(Transpose, "Transpose"),
+];
 
 #[cfg(test)]
 mod tests {
@@ -417,6 +435,15 @@ mod tests {
             .find(|t| t.label.contains("Wires commitment: Merkle"))
             .expect("merkle node");
         assert!(!merkle.memory_bound(), "{merkle:?}");
+    }
+
+    #[test]
+    fn class_counter_names_follow_the_tags() {
+        for (tag, names) in CLASS_COUNTERS {
+            let expected = ["cycles", "vsa_busy_cycles", "bytes"]
+                .map(|stat| format!("sim.class.{}.{stat}", tag.name()));
+            assert_eq!(names.map(str::to_string), expected);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 /// HBM2e configuration. All timings are in accelerator core cycles (1 GHz
 /// in the paper, so 1 cycle = 1 ns).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct HbmConfig {
     /// Independent pseudo-channels.
     pub channels: usize,
@@ -91,6 +91,47 @@ impl HbmConfig {
             return Err("hbm.burst_cycles: must be nonzero".into());
         }
         Ok(())
+    }
+
+    /// `.field_value` for every field that departs from the paper's
+    /// configuration (empty for the paper's own): what tells two
+    /// configurations' trace counters apart.
+    pub(crate) fn label_suffix(&self) -> String {
+        // Destructured, so a field added to the struct cannot be left out.
+        let fields = |c: &Self| {
+            let &Self {
+                channels,
+                banks_per_channel,
+                row_bytes,
+                burst_bytes,
+                burst_cycles,
+                t_rcd,
+                t_rp,
+                t_ccd,
+                t_rrd,
+                t_refi,
+                t_rfc,
+            } = c;
+            [
+                ("channels", channels as u64),
+                ("banks_per_channel", banks_per_channel as u64),
+                ("row_bytes", row_bytes as u64),
+                ("burst_bytes", burst_bytes as u64),
+                ("burst_cycles", burst_cycles),
+                ("t_rcd", t_rcd),
+                ("t_rp", t_rp),
+                ("t_ccd", t_ccd),
+                ("t_rrd", t_rrd),
+                ("t_refi", t_refi),
+                ("t_rfc", t_rfc),
+            ]
+        };
+        fields(self)
+            .iter()
+            .zip(fields(&Self::hbm2e_two_stacks()))
+            .filter(|(ours, paper)| **ours != *paper)
+            .map(|((name, value), _)| format!(".{name}_{value}"))
+            .collect()
     }
 
     /// Peak bandwidth in bytes per core cycle.

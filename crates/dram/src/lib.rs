@@ -12,7 +12,7 @@
 //! * [`MemoryModel`] — the fast per-kernel interface the accelerator
 //!   simulator uses: cycles for a given number of bytes under a given
 //!   [`AccessPattern`], with pattern efficiencies *measured* on the
-//!   transaction simulator and memoized.
+//!   transaction simulator, once per process for each configuration.
 //!
 //! # Example
 //!

@@ -35,6 +35,15 @@ echo "==> cost/protocol rule pass + static-bound check (C*/P* over every target)
 # debug assertion in Simulator::run.
 ./target/release/lint --quiet --rules 'C*,P*' --check-bounds
 
+echo "==> DRAM probe count (one replay per HBM config x access pattern per process)"
+# A count gate, not a timing gate: eight threads missing the same patterns
+# at once replay each once, and a cold sweep of the benchmark's 360-point
+# grid records dram.probes == 2 configs x 5 patterns == 10, real ppm
+# values, and the same artifact bytes at jobs = 1 and jobs = nproc. Each
+# test is alone in its file because the memo and counters are per process.
+cargo test -q --offline -p unizk-dram --test probe_once
+cargo test -q --offline -p unizk-explore --test probe_count
+
 echo "==> smoke sweep (cold, then fully cached)"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
@@ -136,11 +145,13 @@ echo "==> proof-serving smoke (16 jobs, 2 workers: pipeline vs one-shot identity
 echo "==> one process-global setting (set_parallelism), no environment reads"
 # Routing is decided by private constants backed by measurements in
 # EXPERIMENTS.md. A new `pub fn set_*` or `env::var` read in a prover crate
-# would be a second independently settable value: fail here instead.
+# would be a second independently settable value: fail here instead. The
+# simulator crates are held to the same rule: the DRAM efficiency memo is a
+# memo of a pure function, with no setter, reader or switch.
 if grep -rnE 'pub fn set_|env::var' \
-        crates/{field,ntt,hash,fri,stark,plonk,serve}/src \
+        crates/{field,ntt,hash,fri,stark,plonk,serve,dram,core,fleet,explore,analyze}/src \
         | grep -v 'pub fn set_parallelism('; then
-    echo "FAIL: prover crates may expose no setter but set_parallelism and read no env var"
+    echo "FAIL: library crates may expose no setter but set_parallelism and read no env var"
     exit 1
 fi
 
