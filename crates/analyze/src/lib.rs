@@ -15,8 +15,7 @@
 //!   `crates/explore/specs/`.
 //! * the `lint` binary (`src/bin/lint.rs`) — checks all of the above and
 //!   exits nonzero on any error-severity diagnostic. `scripts/ci.sh` runs
-//!   it as part of the tier-1 gate, and `scripts/bench.sh` refuses to
-//!   emit `BENCH_*.json` artifacts unless it passes.
+//!   it as part of the tier-1 gate, before it checks `CONTRACT.json`.
 //!
 //! The analyzer API re-exported here:
 //!

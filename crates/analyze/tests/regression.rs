@@ -3,7 +3,7 @@
 //! diagnostics — the same property `scripts/ci.sh` enforces via the
 //! `lint` binary, kept here so `cargo test` alone catches a regression.
 //! The static cost envelope is additionally anchored against the
-//! committed simulator baseline (`BENCH_SIM.json`).
+//! committed simulator contract (`CONTRACT.json`).
 
 use std::path::PathBuf;
 
@@ -45,24 +45,20 @@ fn all_explore_specs_analyze_clean() {
     }
 }
 
-/// The static envelope must bracket the *committed* simulator baseline:
-/// `BENCH_SIM.json`'s `plonky2_4096x135` anchor (2^12 rows × 135 wires on
-/// the default chip), per kernel class and in total.
+/// The static envelope must bracket the *committed* simulator numbers:
+/// `CONTRACT.json`'s `sim.plonky2_4096x135` (2^12 rows × 135 wires on the
+/// default chip), per kernel class and in total.
 #[test]
 fn envelope_brackets_the_committed_sim_baseline() {
     let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SIM.json"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../CONTRACT.json"),
     )
-    .expect("BENCH_SIM.json at the repo root");
-    let baseline = parse(&text).expect("BENCH_SIM.json parses");
-    let reference = baseline
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .expect("baseline workloads array")
-        .iter()
-        .find(|w| w.get("name").and_then(Json::as_str) == Some("plonky2_4096x135"))
-        .expect("plonky2_4096x135 baseline entry")
-        .clone();
+    .expect("CONTRACT.json at the repo root");
+    let contract = parse(&text).expect("CONTRACT.json parses");
+    let reference = contract
+        .get("sim")
+        .and_then(|sim| sim.get("plonky2_4096x135"))
+        .expect("sim.plonky2_4096x135 entry");
 
     let graph = compile_plonky2(&Plonky2Instance::new(1 << 12, 135));
     let env = cost_envelope(&graph, &ChipConfig::default_chip());

@@ -20,6 +20,7 @@ fn sweep(spec: &SweepSpec) -> unizk_explore::SweepResult {
 }
 
 fn main() {
+    unizk_bench::no_args();
     let rows = 1 << 14;
     // Ablations 2 and 4 simulate Fibonacci-shaped Plonky2 instances
     // (135 wires) at 2^14 rows = two bits below paper scale.

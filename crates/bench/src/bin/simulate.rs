@@ -11,27 +11,28 @@
 //! * `-e K` — target kernel: 0 = NTTs only, 1 = hash only; omit for the
 //!   entire proof generation
 //! * `--shrink N` / `--full` — workload scale (default shrink 6)
+//! * `--trace` — also print the per-node schedule (paper §5.5)
 //! * `--json [PATH]` — also emit the report as JSON: pretty-printed to
 //!   `PATH` if given (e.g. `results/ecdsa.json`), compact to stdout
 //!   otherwise
 //!
+//! Anything else — an unknown flag, a value that does not parse — is a
+//! usage error (exit status 2), never a silent default run.
+//!
 //! Output follows the artifact's log format (`total_num_write_requests`,
 //! `total_num_read_requests`, `memory_system_cycles`).
 
+use unizk_bench::Args;
 use unizk_core::compiler::compile_plonky2;
 use unizk_core::{ChipConfig, Graph, KernelClassTag, Simulator};
 use unizk_testkit::json::{Json, ToJson};
 use unizk_workloads::{App, Scale};
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let app = match parse_flag(&args, "--app").as_deref() {
+    let mut args = Args::from_env(
+        "[--app NAME] [-r MB] [-t VSAS] [-e 0|1] [--shrink N | --full] [--trace] [--json [PATH]]",
+    );
+    let app = match args.value::<String>("--app").as_deref() {
         Some("factorial") | None => App::Factorial,
         Some("fibonacci") => App::Fibonacci,
         Some("ecdsa") => App::Ecdsa,
@@ -43,21 +44,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scratchpad_mb: usize = parse_flag(&args, "-r")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let vsas: usize = parse_flag(&args, "-t")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let kernel_filter: Option<u32> = parse_flag(&args, "-e").and_then(|v| v.parse().ok());
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        parse_flag(&args, "--shrink")
-            .and_then(|v| v.parse().ok())
-            .map(Scale::Shrunk)
-            .unwrap_or(Scale::Shrunk(6))
-    };
+    let scratchpad_mb: usize = args.value("-r").unwrap_or(8);
+    let vsas: usize = args.value("-t").unwrap_or(32);
+    let kernel_filter: Option<u32> = args.value("-e");
+    let scale = args.scale(Scale::Shrunk(6));
+    let print_trace = args.flag("--trace");
+    let json = args.optional_value("--json");
+    args.finish();
 
     let chip = ChipConfig::default_chip()
         .with_vsas(vsas)
@@ -92,7 +85,7 @@ fn main() {
         app.name(),
         graph.len()
     );
-    if args.iter().any(|a| a == "--trace") {
+    if print_trace {
         println!("\nper-node schedule (paper §5.5):");
         for t in &trace {
             println!(
@@ -115,7 +108,7 @@ fn main() {
         chip.freq_ghz
     );
 
-    if let Some(json_pos) = args.iter().position(|a| a == "--json") {
+    if let Some(path) = json {
         let doc = Json::obj([
             ("app", Json::str(app.name())),
             ("scale", Json::str(format!("{scale:?}"))),
@@ -126,12 +119,12 @@ fn main() {
         ]);
         // A bare `--json` (or one followed by another flag) prints to stdout;
         // `--json PATH` writes a pretty-printed file.
-        match args.get(json_pos + 1).filter(|p| !p.starts_with('-')) {
+        match path {
             Some(path) => {
-                if let Some(dir) = std::path::Path::new(path).parent() {
+                if let Some(dir) = std::path::Path::new(&path).parent() {
                     let _ = std::fs::create_dir_all(dir);
                 }
-                std::fs::write(path, doc.to_string_pretty() + "\n")
+                std::fs::write(&path, doc.to_string_pretty() + "\n")
                     .unwrap_or_else(|e| panic!("writing {path}: {e}"));
                 println!("wrote {path}");
             }

@@ -5,6 +5,7 @@ use unizk_bench::table2;
 use unizk_core::ChipConfig;
 
 fn main() {
+    unizk_bench::no_args();
     println!("Table 2: Area and power breakdown of UniZK (modeled; see DESIGN.md §2.6)\n");
     let b = table2(&ChipConfig::default_chip());
     let paper = [

@@ -5,6 +5,7 @@ use unizk_bench::render::{fmt_seconds, fmt_speedup, table};
 use unizk_bench::{table6, table6_throughput};
 
 fn main() {
+    unizk_bench::no_args();
     println!("Table 6: CPU and ASIC comparison across protocols (single data block)\n");
     let rows = table6();
     let cells: Vec<Vec<String>> = rows

@@ -17,27 +17,36 @@
 //! | Fig. 9 (per-kernel speedups) | [`experiments::fig9`] | `fig9` |
 //! | Fig. 10 (design-space sweep) | [`experiments::fig10`] | `fig10` |
 //!
-//! Binaries accept `--shrink N` (default 6) to scale `log2(rows)` down
+//! Binaries accept `--shrink N` (default 8) to scale `log2(rows)` down
 //! from the paper's dimensions, or `--full` for paper scale (slow; see
-//! DESIGN.md §2.7).
+//! DESIGN.md §2.7). Every binary parses its command line with [`Args`]:
+//! an unknown flag or a bad value is a usage error, exit status 2.
+//!
+//! The `contract` binary prints [`contract()`], the exact numbers the
+//! committed `CONTRACT.json` holds every PR to. Nothing in this crate
+//! reads a clock for an artifact: timing claims are made on `benchmark/`.
 
 #![forbid(unsafe_code)]
 
+pub mod args;
+pub mod contract;
 pub mod experiments;
 pub mod render;
 
+pub use args::Args;
+pub use contract::contract;
 pub use experiments::*;
 
-/// Parses the common `--shrink N` / `--full` arguments.
+/// The whole command line of a table or figure binary:
+/// `[--shrink N | --full]`.
 pub fn scale_from_args() -> unizk_workloads::Scale {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--full") {
-        return unizk_workloads::Scale::Full;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--shrink") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            return unizk_workloads::Scale::Shrunk(n);
-        }
-    }
-    unizk_workloads::Scale::default()
+    let mut args = Args::from_env("[--shrink N | --full]");
+    let scale = args.scale(unizk_workloads::Scale::default());
+    args.finish();
+    scale
+}
+
+/// The whole command line of a binary that takes no arguments.
+pub fn no_args() {
+    Args::from_env("(takes no arguments)").finish();
 }

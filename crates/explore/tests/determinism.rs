@@ -2,7 +2,7 @@
 //!
 //! Worker count, cache temperature, and scheduling order must never change
 //! a byte of the output, and the engine's default-chip numbers must agree
-//! exactly with the committed simulator baseline (`BENCH_SIM.json`).
+//! exactly with the committed simulator contract (`CONTRACT.json`).
 
 use std::path::PathBuf;
 
@@ -158,24 +158,20 @@ fn pruning_preserves_the_frontier_and_executed_bytes() {
 }
 
 /// The sweep engine is only trustworthy if its per-point numbers are the
-/// simulator's numbers. Sweep the default chip on the baseline's
+/// simulator's numbers. Sweep the default chip on the contract's
 /// `plonky2_4096x135` workload (Fibonacci shrunk to 2^12 rows × 135
-/// wires) and require exact equality with the committed `BENCH_SIM.json`.
+/// wires) and require exact equality with the committed `CONTRACT.json`.
 #[test]
 fn default_chip_point_matches_the_committed_baseline() {
     let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SIM.json"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../CONTRACT.json"),
     )
-    .expect("BENCH_SIM.json at the repo root");
-    let baseline = parse(&text).expect("BENCH_SIM.json parses");
-    let workloads = baseline
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .expect("baseline workloads array");
-    let reference = workloads
-        .iter()
-        .find(|w| w.get("name").and_then(Json::as_str) == Some("plonky2_4096x135"))
-        .expect("plonky2_4096x135 baseline entry");
+    .expect("CONTRACT.json at the repo root");
+    let contract = parse(&text).expect("CONTRACT.json parses");
+    let reference = contract
+        .get("sim")
+        .and_then(|sim| sim.get("plonky2_4096x135"))
+        .expect("sim.plonky2_4096x135 entry");
 
     let spec = SweepSpec::new("baseline-check").workload(App::Fibonacci, Scale::Shrunk(4));
     let result = run_sweep(&spec, &SweepOptions::default()).unwrap();

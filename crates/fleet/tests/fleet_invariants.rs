@@ -1,6 +1,6 @@
 //! Queueing invariants of the fleet simulator, plus the degenerate-case
 //! pin: a 1-chip/1-shard fleet is exactly the single-chip simulator, and
-//! must agree with the committed `BENCH_SIM.json` baseline.
+//! must agree with the committed `CONTRACT.json`.
 
 use std::path::PathBuf;
 
@@ -101,28 +101,22 @@ prop! {
     }
 }
 
-/// The degenerate fleet reproduces the committed single-chip baseline:
+/// The degenerate fleet reproduces the committed single-chip numbers:
 /// one chip, one shard, one job on the `plonky2_4096x135` reference
-/// workload must take exactly the cycles `BENCH_SIM.json` pins.
+/// workload must take exactly the cycles `CONTRACT.json` pins.
 #[test]
 fn one_chip_one_shard_matches_the_committed_baseline() {
     let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_SIM.json"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../CONTRACT.json"),
     )
-    .expect("BENCH_SIM.json at the repo root");
-    let baseline = parse(&text).expect("BENCH_SIM.json parses");
-    let reference = baseline
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .expect("baseline workloads array")
-        .iter()
-        .find(|w| w.get("name").and_then(Json::as_str) == Some("plonky2_4096x135"))
-        .cloned()
-        .expect("plonky2_4096x135 baseline entry");
-    let want = reference
-        .get("total_cycles")
+    .expect("CONTRACT.json at the repo root");
+    let contract = parse(&text).expect("CONTRACT.json parses");
+    let want = contract
+        .get("sim")
+        .and_then(|sim| sim.get("plonky2_4096x135"))
+        .and_then(|reference| reference.get("total_cycles"))
         .and_then(Json::as_u64)
-        .expect("baseline total_cycles");
+        .expect("sim.plonky2_4096x135.total_cycles");
 
     let plan = ShardPlan::new(Plonky2Instance::new(1 << 12, 135), 1).unwrap();
     let stream = StreamSpec { jobs: 1, batch: 1, interarrival_cycles: 0, seed: 0 };

@@ -37,9 +37,10 @@ pub struct TrafficSpec {
 
 impl TrafficSpec {
     /// The benchmark workload: `StarkConfig::standard()` over a mix of all
-    /// three demo apps, dominated by the Fibonacci 2^12 job that
-    /// `BENCH_PROVER.json` profiles. Job 0 is always exactly that profiled
-    /// job, anchoring the identity check against the one-shot baseline.
+    /// three demo apps, dominated by the Fibonacci 2^12 job whose counters
+    /// `CONTRACT.json` pins under `prover`. Job 0 is always exactly that
+    /// job; `CONTRACT.json`'s `serve` section holds the one-shot proof
+    /// digest of each mix entry.
     pub fn baseline(jobs: usize) -> Self {
         Self {
             jobs,

@@ -1,5 +1,5 @@
-//! A minimal JSON reader/writer, replacing `serde` for the `results/` and
-//! `BENCH_*.json` emitters and the bench `--compare` mode.
+//! A minimal JSON reader/writer, replacing `serde` for the `results/`,
+//! `CONTRACT.json` and sweep emitters and the tests that read them back.
 //!
 //! The value model is exactly what those artifacts need: null, bool,
 //! finite numbers, strings, arrays, objects. Objects preserve insertion
@@ -291,67 +291,6 @@ impl<T: ToJson> ToJson for Vec<T> {
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-/// Panicking object-field accessors for harness binaries that read
-/// artifacts they themselves emitted: a missing or mistyped field is a
-/// schema violation worth a loud failure, and `ctx` (typically the file
-/// path) names the offending artifact in the panic message.
-///
-/// Library code that must tolerate malformed input (e.g. the explore
-/// crate's sweep cache, which treats corruption as a cache miss) should
-/// use the `Option`-returning [`Json::get`] / `as_*` accessors instead.
-pub mod access {
-    use super::Json;
-
-    /// The value at `key`, panicking with `ctx` if absent.
-    pub fn field<'a>(v: &'a Json, key: &str, ctx: &str) -> &'a Json {
-        if !matches!(v, Json::Obj(_)) {
-            panic!("{ctx}: expected an object");
-        }
-        v.get(key)
-            .unwrap_or_else(|| panic!("{ctx}: missing field {key:?}"))
-    }
-
-    /// The object entries at `key`.
-    pub fn obj_field(v: &Json, key: &str, ctx: &str) -> Vec<(String, Json)> {
-        match field(v, key, ctx) {
-            Json::Obj(pairs) => pairs.clone(),
-            other => panic!("{ctx}: {key:?} is not an object: {other}"),
-        }
-    }
-
-    /// The array items at `key`.
-    pub fn arr_field(v: &Json, key: &str, ctx: &str) -> Vec<Json> {
-        match field(v, key, ctx) {
-            Json::Arr(items) => items.clone(),
-            other => panic!("{ctx}: {key:?} is not an array: {other}"),
-        }
-    }
-
-    /// The string at `key`.
-    pub fn str_field(v: &Json, key: &str, ctx: &str) -> String {
-        match field(v, key, ctx) {
-            Json::Str(s) => s.clone(),
-            other => panic!("{ctx}: {key:?} is not a string: {other}"),
-        }
-    }
-
-    /// The exact integer at `key`.
-    pub fn u64_field(v: &Json, key: &str, ctx: &str) -> u64 {
-        match field(v, key, ctx) {
-            Json::UInt(n) => *n,
-            other => panic!("{ctx}: {key:?} is not a u64: {other}"),
-        }
-    }
-
-    /// The number at `key` (accepts both `Num` and `UInt`, matching the
-    /// writer's integral-float normalization).
-    pub fn f64_field(v: &Json, key: &str, ctx: &str) -> f64 {
-        field(v, key, ctx)
-            .as_f64()
-            .unwrap_or_else(|| panic!("{ctx}: {key:?} is not a number"))
     }
 }
 

@@ -1,4 +1,4 @@
-//! # unizk-testkit — hermetic test & bench infrastructure
+//! # unizk-testkit — hermetic test & report infrastructure
 //!
 //! The UniZK reproduction builds in environments with **no network and no
 //! registry access**, so every crate that used to pull `rand`, `proptest`,
@@ -14,18 +14,14 @@
 //!   bisection shrinking, and failure-seed reporting (reproduce any
 //!   failure with `UNIZK_PROP_SEED=<seed> cargo test <name>`).
 //! * [`json`] — a minimal ordered JSON writer **and parser** for the
-//!   `results/` / `BENCH_*.json` / `SWEEP.json` emitters and the bench
-//!   `--compare` mode, plus shared typed field accessors
-//!   ([`json::access`]).
+//!   `results/` / `CONTRACT.json` / `SWEEP.json` emitters and the tests
+//!   that read them back.
 //! * [`render`] — aligned text/markdown table rendering shared by the
 //!   bench binaries and the explore crate's sweep reports.
-//! * [`mod@bench`] — a wall-clock micro-bench timer with warmup and median
-//!   reporting, mirroring the slice of the Criterion API the bench crate
-//!   uses.
 //! * [`stats`] — the shared nearest-rank percentile and utilization
-//!   math behind every throughput artifact (serving pipeline, bench
-//!   binaries, fleet simulator), so software and hardware reports
-//!   compute latency figures identically.
+//!   math behind every throughput report (serving pipeline, fleet
+//!   simulator), so software and hardware reports compute latency
+//!   figures identically.
 //! * [`trace`] — the hierarchical span/counter tracing layer behind the
 //!   prover and simulator perf breakdowns: scoped [`trace::Span`] guards,
 //!   per-thread collectors merged monotonically across fork/join workers,
@@ -39,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod render;

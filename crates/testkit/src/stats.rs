@@ -1,9 +1,8 @@
 //! Shared latency/utilization statistics for throughput reports.
 //!
-//! Three artifact emitters — the software serving pipeline
-//! (`unizk-serve`), its bench binary (`throughput`), and the hardware
-//! fleet simulator (`unizk-fleet`) — all report sojourn/service
-//! percentiles and per-worker utilization. They must compute those
+//! The software serving pipeline (`unizk-serve`) and the hardware fleet
+//! simulator (`unizk-fleet`) both report sojourn/service percentiles
+//! and per-worker utilization. They must compute those
 //! figures **identically** so the software and hardware throughput
 //! surfaces are comparable; this module is the single definition.
 //!

@@ -1,5 +1,5 @@
 //! Hierarchical span/counter tracing — the observability layer behind the
-//! `BENCH_*.json` perf baselines.
+//! benchmark's per-layer rows and `CONTRACT.json`'s work counters.
 //!
 //! The paper's whole evaluation is a set of measured breakdowns (Table 1's
 //! five kernel classes, Figs. 8–10's per-phase cycles). This module is the

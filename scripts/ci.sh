@@ -95,52 +95,32 @@ grep -q "cache hits: 8/8" "$SWEEP_TMP/fleet-warm.log" \
 diff "$SWEEP_TMP/fleet-cold.json" "$SWEEP_TMP/fleet-warm.json" \
     || { echo "FAIL: cached fleet sweep artifact differs from cold run"; exit 1; }
 
-echo "==> fleet bench smoke (verifier-clean schedules, simulator anchor)"
-# Runs the tiny fleet grid through the full bench pipeline: every swept
-# schedule through the static verifier (M-rules included), the
-# 1-chip/1-shard anchor against the cycle simulator, and the artifact
-# schema self-check. Writes nothing.
-./target/release/fleet --smoke
-
-echo "==> prover bench determinism (two fresh baselines, identical counters)"
-BENCH_TMP="$(mktemp -d)"
-trap 'rm -rf "$SWEEP_TMP" "$BENCH_TMP"' EXIT
-mkdir -p "$BENCH_TMP/a" "$BENCH_TMP/b"
-./target/release/baseline --out-dir "$BENCH_TMP/a" > "$BENCH_TMP/a.log"
-./target/release/baseline --out-dir "$BENCH_TMP/b" > "$BENCH_TMP/b.log"
-# Wall-clock fields differ between runs; the deterministic work counters
-# and proof size must not. `--compare` reports time deltas separately and
-# exits nonzero on any counter drift, so it IS the gate.
-./target/release/baseline --compare \
-    "$BENCH_TMP/a/BENCH_PROVER.json" "$BENCH_TMP/b/BENCH_PROVER.json" \
-    || { echo "FAIL: prover counters differ between identical runs"; exit 1; }
-# The committed baseline must agree with what this tree produces.
-./target/release/baseline --compare \
-    BENCH_PROVER.json "$BENCH_TMP/a/BENCH_PROVER.json" \
-    || { echo "FAIL: counters drifted from committed BENCH_PROVER.json"; exit 1; }
+echo "==> determinism contract (contract | diff - CONTRACT.json)"
+# Every exact number a PR is held to, from one writer in a fresh process:
+# the prover's work counters and proof size over both fields, the four
+# serve proof digests, the simulator anchors with their dram.*/sim.*
+# counters, and the fleet surface after the static verifier (M-rules
+# included) has passed every schedule of its grid.
+./target/release/contract | diff - CONTRACT.json \
+    || { echo "FAIL: contract drifted (lines above: '<' this tree, '>' committed);" \
+              "regenerate with \`contract > CONTRACT.json\` only if the change is intended"; exit 1; }
 
 echo "==> koalabear smoke (31-bit stack prove->verify + cross-field differential wall)"
-# The second-field gate: the release baseline binary proves and verifies
-# the fibonacci workload over (KoalaBear, Poseidon2) — bench_prover_over
-# verifies the proof before writing — and the cross-field NTT wall plus
-# the KoalaBear stark end-to-end tests run as named steps so a regression
-# is attributed to this block, not buried in the workspace test pass.
-# Nothing here is compared against the Goldilocks baseline: the committed
-# BENCH_PROVER.json counters/proof-bytes contract is re-asserted by the
-# prover-bench-determinism block above.
-mkdir -p "$BENCH_TMP/kb"
-./target/release/baseline --field koalabear --out-dir "$BENCH_TMP/kb" \
-    > "$BENCH_TMP/kb.log"
-grep -q "wrote $BENCH_TMP/kb/BENCH_PROVER_KB.json" "$BENCH_TMP/kb.log" \
-    || { echo "FAIL: koalabear baseline did not write BENCH_PROVER_KB.json"; exit 1; }
+# The cross-field NTT wall and the KoalaBear stark end-to-end tests run as
+# named steps so a regression is attributed to this block, not buried in
+# the workspace test pass.
 cargo test -q --offline -p unizk-ntt --test ntt_kernel_equivalence
 cargo test -q --offline -p unizk-stark --test stark_protocol koalabear_stack
 
-echo "==> proof-serving smoke (16 jobs, 2 workers: pipeline vs one-shot identity)"
-# Pushes the CI traffic stream through the worker pipeline with pooling
-# off and on; the binary asserts every pipeline proof is byte-identical
-# to the one-shot prover and self-checks the artifact schema.
-./target/release/throughput --smoke --jobs 16
+echo "==> one benchmark system (no BENCH_*.json, no [[bench]] target, no clock in the contract writer)"
+# Timing lives in benchmark/, exact numbers in CONTRACT.json. A root-level
+# BENCH_*.json or a Cargo bench target would be a second yardstick.
+if compgen -G 'BENCH_*.json' > /dev/null \
+        || grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml \
+        || grep -nE 'Instant|SystemTime' crates/bench/src/contract.rs crates/bench/src/bin/contract.rs; then
+    echo "FAIL: timing artifacts belong to benchmark/; CONTRACT.json holds no clock"
+    exit 1
+fi
 
 echo "==> one process-global setting (set_parallelism), no environment reads"
 # Routing is decided by private constants backed by measurements in
