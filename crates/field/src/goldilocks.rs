@@ -20,6 +20,34 @@ pub const P: u64 = 0xFFFF_FFFF_0000_0001;
 /// `2^32 - 1`, i.e. `2^64 mod p`.
 const EPSILON: u64 = 0xFFFF_FFFF;
 
+/// `ROOTS_OF_UNITY[bits]` is the primitive `2^bits`-th root of unity every
+/// transform and domain uses: `g^((p-1) / 2^32)`, of order exactly `2^32`,
+/// squared down to the requested order.
+const ROOTS_OF_UNITY: [Goldilocks; Goldilocks::TWO_ADICITY + 1] = {
+    const fn mul(a: Goldilocks, b: Goldilocks) -> Goldilocks {
+        Goldilocks::from_residue(Goldilocks::reduce128_residue((a.0 as u128) * (b.0 as u128)))
+    }
+    // Square-and-multiply (`Field::exp_u64` is not `const`).
+    let mut root = Goldilocks::ONE;
+    let mut base = Goldilocks::MULTIPLICATIVE_GENERATOR;
+    let mut exp = (P - 1) >> Goldilocks::TWO_ADICITY;
+    while exp != 0 {
+        if exp & 1 == 1 {
+            root = mul(root, base);
+        }
+        base = mul(base, base);
+        exp >>= 1;
+    }
+    let mut table = [Goldilocks::ONE; Goldilocks::TWO_ADICITY + 1];
+    let mut bits = Goldilocks::TWO_ADICITY;
+    while bits > 0 {
+        table[bits] = root;
+        root = mul(root, root);
+        bits -= 1;
+    }
+    table
+};
+
 /// An element of the Goldilocks field, stored in canonical form `0 <= x < p`.
 ///
 /// # Invariant
@@ -89,7 +117,7 @@ impl Goldilocks {
     /// [`Goldilocks::from_residue`], when a canonical element is needed.
     #[inline]
     #[allow(clippy::cast_possible_truncation)] // word splitting is the reduction
-    pub fn reduce128_residue(n: u128) -> u64 {
+    pub const fn reduce128_residue(n: u128) -> u64 {
         let lo = n as u64;
         let high = (n >> 64) as u64;
         let mid = high & EPSILON; // bits 64..96
@@ -169,7 +197,7 @@ impl Goldilocks {
     ///
     /// A single conditional subtraction suffices because `2^64 < 2p`.
     #[inline]
-    pub fn from_residue(r: u64) -> Self {
+    pub const fn from_residue(r: u64) -> Self {
         Self(if r >= P { r - P } else { r })
     }
 
@@ -242,14 +270,7 @@ impl PrimeField64 for Goldilocks {
             "requested 2^{bits}-th root of unity but two-adicity is {}",
             Self::TWO_ADICITY
         );
-        // g^((p-1) / 2^TWO_ADICITY) has order exactly 2^TWO_ADICITY; square
-        // down to the requested order.
-        let exp = (P - 1) >> Self::TWO_ADICITY;
-        let mut root = Self::MULTIPLICATIVE_GENERATOR.exp_u64(exp);
-        for _ in bits..Self::TWO_ADICITY {
-            root = root.square();
-        }
-        root
+        ROOTS_OF_UNITY[bits]
     }
 
     fn random<R: unizk_testkit::rng::Rng + ?Sized>(rng: &mut R) -> Self {
@@ -558,16 +579,18 @@ mod tests {
 
     #[test]
     fn roots_of_unity_have_exact_order() {
-        for bits in 0..=16 {
+        // Every table entry against the derivation it replaces:
+        // g^((p-1) / 2^32), squared down to the requested order.
+        let mut derived = Goldilocks::MULTIPLICATIVE_GENERATOR.exp_u64((P - 1) >> 32);
+        for bits in (0..=32usize).rev() {
             let w = Goldilocks::primitive_root_of_unity(bits);
+            assert_eq!(w, derived, "bits={bits}");
             assert_eq!(w.exp_u64(1 << bits), Goldilocks::ONE, "bits={bits}");
             if bits > 0 {
                 assert_ne!(w.exp_u64(1 << (bits - 1)), Goldilocks::ONE, "bits={bits}");
             }
+            derived = derived.square();
         }
-        // The maximal two-adic root.
-        let w = Goldilocks::primitive_root_of_unity(32);
-        assert_eq!(w.exp_u64(1 << 32), Goldilocks::ONE);
     }
 
     #[test]

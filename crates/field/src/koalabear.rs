@@ -78,6 +78,31 @@ const fn mont_mul(a: u32, b: u32) -> u32 {
     mont_reduce((a as u64) * (b as u64))
 }
 
+/// `ROOTS_OF_UNITY[bits]` is the primitive `2^bits`-th root of unity every
+/// transform and domain uses: `g^((p-1) / 2^24)`, of order exactly `2^24`,
+/// squared down to the requested order.
+const ROOTS_OF_UNITY: [KoalaBear; KoalaBear::TWO_ADICITY + 1] = {
+    // Square-and-multiply (`Field::exp_u64` is not `const`).
+    let mut root = KoalaBear::ONE.0;
+    let mut base = KoalaBear::MULTIPLICATIVE_GENERATOR.0;
+    let mut exp = (P64 - 1) >> KoalaBear::TWO_ADICITY;
+    while exp != 0 {
+        if exp & 1 == 1 {
+            root = mont_mul(root, base);
+        }
+        base = mont_mul(base, base);
+        exp >>= 1;
+    }
+    let mut table = [KoalaBear::ONE; KoalaBear::TWO_ADICITY + 1];
+    let mut bits = KoalaBear::TWO_ADICITY;
+    while bits > 0 {
+        table[bits] = KoalaBear(root);
+        root = mont_mul(root, root);
+        bits -= 1;
+    }
+    table
+};
+
 /// An element of the KoalaBear field, stored as a Montgomery residue
 /// `x·2^32 mod p` in `[0, p)`.
 ///
@@ -189,13 +214,7 @@ impl PrimeField64 for KoalaBear {
             "no primitive 2^{bits}-th root of unity: exceeds two-adicity {}",
             Self::TWO_ADICITY
         );
-        // g^((p-1) / 2^TWO_ADICITY) has exact order 2^TWO_ADICITY; square
-        // down to the requested order.
-        let mut root = Self::MULTIPLICATIVE_GENERATOR.exp_u64((P64 - 1) >> Self::TWO_ADICITY);
-        for _ in bits..Self::TWO_ADICITY {
-            root = root.square();
-        }
-        root
+        ROOTS_OF_UNITY[bits]
     }
 
     fn random<R: unizk_testkit::rng::Rng + ?Sized>(rng: &mut R) -> Self {
@@ -486,12 +505,17 @@ mod tests {
 
     #[test]
     fn roots_of_unity_have_exact_order() {
-        for bits in 0..=24usize {
+        // Every table entry against the derivation it replaces:
+        // g^((p-1) / 2^24), squared down to the requested order.
+        let mut derived = KoalaBear::MULTIPLICATIVE_GENERATOR.exp_u64((P64 - 1) >> 24);
+        for bits in (0..=24usize).rev() {
             let w = KoalaBear::primitive_root_of_unity(bits);
+            assert_eq!(w, derived, "bits={bits}");
             assert_eq!(w.exp_u64(1 << bits), KoalaBear::ONE, "bits={bits}");
             if bits > 0 {
                 assert_ne!(w.exp_u64(1 << (bits - 1)), KoalaBear::ONE, "bits={bits}");
             }
+            derived = derived.square();
         }
     }
 

@@ -7,13 +7,14 @@
 //! [`GenericPolynomialBatch`]; the KoalaBear path instantiates the same
 //! code over `Poseidon2KbSponge`.
 
-use unizk_field::{bit_reverse, log2_strict, Field, Polynomial, PrimeField64, ProtocolField};
+use unizk_field::{Field, Polynomial, PrimeField64, ProtocolField};
 use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
 use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, SpongeBackend};
 use unizk_ntt::{coset_ntt_nr, intt_nn};
 
 use crate::config::FriConfig;
+use crate::domain::domain_point;
 use crate::timing::KernelClass;
 
 /// The coset shift `g` every LDE in the protocol uses: the field's
@@ -206,14 +207,6 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
     pub fn domain_point(&self, index: usize) -> B::F {
         domain_point(self.lde_size(), index)
     }
-}
-
-/// The point of the standard coset LDE domain of size `lde_size` stored at
-/// bit-reversed position `index`.
-pub fn domain_point<F: PrimeField64>(lde_size: usize, index: usize) -> F {
-    let bits = log2_strict(lde_size);
-    let omega = F::primitive_root_of_unity(bits);
-    coset_shift::<F>() * omega.exp_u64(bit_reverse(index, bits) as u64)
 }
 
 #[cfg(test)]

@@ -44,6 +44,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod domain;
 pub mod proof;
 pub mod prover;
 pub mod serialization;

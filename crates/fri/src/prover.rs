@@ -7,52 +7,19 @@
 //! `B = PoseidonSponge` with no changes.
 
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_first_block, ExtensionOf, Field, Goldilocks,
-    Polynomial, PrimeField64, ProtocolField,
+    batch_inverse, log2_strict, parallel_first_block, ExtensionOf, Field, Polynomial, PrimeField64,
+    ProtocolField,
 };
 use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
 use unizk_hash::{GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, SpongeBackend};
 use unizk_testkit::trace;
 
-use crate::batch::{coset_shift, domain_point, GenericPolynomialBatch};
+use crate::batch::GenericPolynomialBatch;
 use crate::config::FriConfig;
+use crate::domain::FoldDomain;
 use crate::proof::{FriFoldOpening, FriInitialOpening, FriProof, FriQueryRound};
 use crate::timing::{time_kernel, KernelClass};
-
-/// A fold-layer evaluation domain: a multiplicative coset `shift·H` of size
-/// `size`, with values stored in bit-reversed order. Folding squares the
-/// domain: `shift → shift²`, `size → size/2`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FoldDomain<F: PrimeField64 = Goldilocks> {
-    pub size: usize,
-    pub shift: F,
-}
-
-impl<F: PrimeField64> FoldDomain<F> {
-    /// The initial LDE domain of size `lde_size`.
-    pub fn initial(lde_size: usize) -> Self {
-        Self {
-            size: lde_size,
-            shift: coset_shift::<F>(),
-        }
-    }
-
-    /// The point stored at bit-reversed position `pos`.
-    pub fn point(&self, pos: usize) -> F {
-        let bits = log2_strict(self.size);
-        let omega = F::primitive_root_of_unity(bits);
-        self.shift * omega.exp_u64(bit_reverse(pos, bits) as u64)
-    }
-
-    /// The domain after one arity-2 fold.
-    pub fn fold(&self) -> Self {
-        Self {
-            size: self.size / 2,
-            shift: self.shift.square(),
-        }
-    }
-}
 
 /// Produces a FRI opening proof for `batches`, all opened at every point in
 /// `points`.
@@ -151,7 +118,7 @@ pub fn fri_prove_in<B: SpongeBackend>(
 
             let fold_beta = challenger.challenge_ext();
             let folded = time_kernel(KernelClass::Polynomial, || {
-                fold_layer_in(&values, domain, fold_beta, ws)
+                fold_layer(&values, domain, fold_beta, ws)
             });
             layers.push(std::mem::replace(&mut values, folded));
             domain = domain.fold();
@@ -242,41 +209,49 @@ fn combine_initial<B: SpongeBackend>(
     ws: Option<&Workspace>,
 ) -> Vec<<B::F as ProtocolField>::Ext> {
     type E<B> = <<B as SpongeBackend>::F as ProtocolField>::Ext;
-    // S(x_i) for every domain position i.
-    let mut s_values = B::F::take_ext_elems(ws, lde_size);
-    s_values.resize(lde_size, E::<B>::ZERO);
+    // α^j over the global polynomial index j.
+    let num_polys: usize = batches.iter().map(|b| b.num_polys()).sum();
+    let mut alpha_pows = Vec::with_capacity(num_polys);
     let mut alpha_pow = E::<B>::ONE;
-    for batch in batches {
-        for j in 0..batch.num_polys() {
-            for (i, s) in s_values.iter_mut().enumerate() {
-                *s += alpha_pow.scale(batch.leaf(i)[j]);
-            }
-            alpha_pow *= alpha;
-        }
+    for _ in 0..num_polys {
+        alpha_pows.push(alpha_pow);
+        alpha_pow *= alpha;
     }
+
+    // S(x_i) for every domain position i, walking each leaf once.
+    let mut s_values = B::F::take_ext_elems(ws, lde_size);
+    s_values.extend((0..lde_size).map(|i| {
+        let leaf_values = batches.iter().flat_map(|b| b.leaf(i));
+        alpha_pows
+            .iter()
+            .zip(leaf_values)
+            .map(|(a, &v)| a.scale(v))
+            .sum::<E<B>>()
+    }));
 
     // Y_t = Σ_j α^j y_{j,t} with the same global α powers.
-    let mut y_combined = vec![E::<B>::ZERO; points.len()];
-    for (t, per_point) in openings.iter().enumerate() {
-        let mut alpha_pow = E::<B>::ONE;
-        for per_batch in per_point {
-            for &y in per_batch {
-                y_combined[t] += alpha_pow * y;
-                alpha_pow *= alpha;
-            }
-        }
-    }
+    let y_combined: Vec<E<B>> = openings
+        .iter()
+        .map(|per_point| {
+            alpha_pows
+                .iter()
+                .zip(per_point.iter().flatten())
+                .map(|(&a, &y)| a * y)
+                .sum()
+        })
+        .collect();
 
     // Denominators (x_i − z_t), batch-inverted per point.
+    let xs = FoldDomain::<B::F>::initial(lde_size).points();
     let mut values = B::F::take_ext_elems(ws, lde_size);
     values.resize(lde_size, E::<B>::ZERO);
     let mut beta_pow = E::<B>::ONE;
-    for (t, &z) in points.iter().enumerate() {
+    for (&z, &y) in points.iter().zip(&y_combined) {
         let mut denoms = B::F::take_ext_elems(ws, lde_size);
-        denoms.extend((0..lde_size).map(|i| E::<B>::from(domain_point::<B::F>(lde_size, i)) - z));
+        denoms.extend(xs.iter().map(|&x| E::<B>::from(x) - z));
         let inv = batch_inverse(&denoms);
-        for i in 0..lde_size {
-            values[i] += beta_pow * (s_values[i] - y_combined[t]) * inv[i];
+        for ((value, &s), &inv) in values.iter_mut().zip(&s_values).zip(&inv) {
+            *value += beta_pow * (s - y) * inv;
         }
         beta_pow *= beta;
         B::F::put_ext_elems(ws, denoms);
@@ -300,53 +275,40 @@ fn commit_fold_layer<B: SpongeBackend>(
     GenericMerkleTree::<B>::new_in(leaves, ws)
 }
 
-/// Performs one arity-2 fold of a bit-reversed layer over `domain`.
+/// Performs one arity-2 fold of a bit-reversed layer over `domain`, writing
+/// into a workspace buffer.
 ///
 /// With `p(x) = p_e(x²) + x·p_o(x²)` and the sibling pair `(v(x), v(−x))`
 /// adjacent in bit-reversed order, the folded value at `y = x²` is
 /// `p_e(y) + β·p_o(y)`.
-#[cfg(test)]
-pub(crate) fn fold_layer<F: ProtocolField + HashField>(
-    values: &[F::Ext],
-    domain: FoldDomain<F>,
-    fold_beta: F::Ext,
-) -> Vec<F::Ext> {
-    fold_layer_in::<F>(values, domain, fold_beta, None)
-}
-
-/// [`fold_layer`] writing into (and scratching from) workspace buffers.
-fn fold_layer_in<F: ProtocolField + HashField>(
+fn fold_layer<F: ProtocolField + HashField>(
     values: &[F::Ext],
     domain: FoldDomain<F>,
     fold_beta: F::Ext,
     ws: Option<&Workspace>,
 ) -> Vec<F::Ext> {
     debug_assert_eq!(values.len(), domain.size);
-    let half = domain.size / 2;
     let two_inv = F::TWO.inverse();
-    // Batch-invert the pair points.
-    let mut xs = F::take_elems(ws, half);
-    xs.extend((0..half).map(|k| domain.point(2 * k)));
-    let x_invs = batch_inverse(&xs);
-    let mut out = F::take_ext_elems(ws, half);
-    out.extend((0..half).map(|k| {
-        let a = values[2 * k];
-        let b = values[2 * k + 1];
-        let even = (a + b).scale(two_inv);
-        let odd = (a - b).scale(two_inv * x_invs[k]);
-        even + fold_beta * odd
-    }));
-    F::put_elems(ws, xs);
-    F::put_elems(ws, x_invs);
+    let mut out = F::take_ext_elems(ws, domain.size / 2);
+    out.extend(
+        values
+            .chunks_exact(2)
+            .zip(domain.pair_inverses())
+            .map(|(pair, x_inv)| fold_pair::<F>([pair[0], pair[1]], x_inv, two_inv, fold_beta)),
+    );
     out
 }
 
-/// Evaluates the fold-consistency step the verifier performs for a single
-/// pair, shared with [`crate::verifier`].
-pub(crate) fn fold_pair<F: ProtocolField>(pair: [F::Ext; 2], x: F, fold_beta: F::Ext) -> F::Ext {
-    let two_inv = F::TWO.inverse();
+/// The fold of one sibling pair `(v(x), v(−x))`, given `1/x` and `1/2`;
+/// shared with [`crate::verifier`].
+pub(crate) fn fold_pair<F: ProtocolField>(
+    pair: [F::Ext; 2],
+    x_inv: F,
+    two_inv: F,
+    fold_beta: F::Ext,
+) -> F::Ext {
     let even = (pair[0] + pair[1]).scale(two_inv);
-    let odd = (pair[0] - pair[1]).scale(two_inv * x.inverse());
+    let odd = (pair[0] - pair[1]).scale(two_inv * x_inv);
     even + fold_beta * odd
 }
 
@@ -363,9 +325,7 @@ fn interpolate_final<F: ProtocolField>(
     max_len: usize,
 ) -> Vec<F::Ext> {
     debug_assert_eq!(values.len(), domain.size);
-    let xs: Vec<F::Ext> = (0..domain.size)
-        .map(|i| F::Ext::from(domain.point(i)))
-        .collect();
+    let xs: Vec<F::Ext> = domain.points().into_iter().map(F::Ext::from).collect();
     let poly = Polynomial::interpolate(&xs, values);
     let coeffs = poly.into_coeffs();
     for (i, c) in coeffs.iter().enumerate() {
@@ -457,39 +417,8 @@ pub fn pow_ok<F: PrimeField64>(response: F, bits: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unizk_field::Ext2;
+    use unizk_field::{Ext2, Goldilocks};
     use unizk_hash::Challenger;
-
-    #[test]
-    fn fold_domain_squares() {
-        let d = FoldDomain::<Goldilocks>::initial(64);
-        let f = d.fold();
-        assert_eq!(f.size, 32);
-        assert_eq!(f.shift, coset_shift::<Goldilocks>().square());
-        // The folded point at position k is the square of the parent pair's
-        // point.
-        for k in 0..32 {
-            assert_eq!(f.point(k), d.point(2 * k).square());
-        }
-    }
-
-    #[test]
-    fn pair_points_are_negatives() {
-        let d = FoldDomain::<Goldilocks>::initial(64);
-        for k in 0..32 {
-            assert_eq!(d.point(2 * k + 1), -d.point(2 * k));
-        }
-    }
-
-    #[test]
-    fn koalabear_pair_points_are_negatives() {
-        use unizk_field::KoalaBear;
-        let d = FoldDomain::<KoalaBear>::initial(64);
-        for k in 0..32 {
-            assert_eq!(d.point(2 * k + 1), -d.point(2 * k));
-            assert_eq!(d.fold().point(k), d.point(2 * k).square());
-        }
-    }
 
     #[test]
     fn fold_layer_preserves_low_degree() {
@@ -507,7 +436,7 @@ mod tests {
             .map(|i| poly.eval(Ext2::from(domain.point(i))))
             .collect();
         let beta = Ext2::new(Goldilocks::from_u64(3), Goldilocks::from_u64(5));
-        let folded = fold_layer(&values, domain, beta);
+        let folded = fold_layer(&values, domain, beta, None);
 
         let even = Polynomial::from_coeffs(coeffs.iter().copied().step_by(2).collect::<Vec<_>>());
         let odd = Polynomial::from_coeffs(coeffs.iter().copied().skip(1).step_by(2).collect::<Vec<_>>());
@@ -532,7 +461,7 @@ mod tests {
             .map(|i| poly.eval(KbExt4::from(domain.point(i))))
             .collect();
         let beta = KbExt4::from(KoalaBear::from_u64(7)) + KbExt4::X;
-        let folded = fold_layer(&values, domain, beta);
+        let folded = fold_layer(&values, domain, beta, None);
 
         let even = Polynomial::from_coeffs(coeffs.iter().copied().step_by(2).collect::<Vec<_>>());
         let odd =

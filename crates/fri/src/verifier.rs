@@ -7,8 +7,9 @@ use unizk_field::{log2_strict, ExtensionOf, Field, Polynomial, ProtocolField};
 use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, SpongeBackend};
 
 use crate::config::FriConfig;
+use crate::domain::domain_point;
 use crate::proof::FriProof;
-use crate::prover::{fold_pair, pow_ok, FoldDomain};
+use crate::prover::{fold_pair, pow_ok};
 
 /// Reasons a FRI proof can be rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -131,7 +132,7 @@ pub fn fri_verify<B: SpongeBackend>(
 
     let final_poly = Polynomial::from_coeffs(proof.final_poly.clone());
     let index_bits = log2_strict(lde_size);
-    let initial_domain = FoldDomain::<B::F>::initial(lde_size);
+    let two_inv = B::F::TWO.inverse();
 
     for (qi, query) in proof.queries.iter().enumerate() {
         let mut idx = challenger.challenge_bits(index_bits);
@@ -142,8 +143,10 @@ pub fn fri_verify<B: SpongeBackend>(
             return Err(FriError::Malformed("query fold openings mismatch"));
         }
 
-        // Check batch openings and recompute S(x_idx).
-        let x = initial_domain.point(idx);
+        // Check batch openings and recompute S(x_idx). The query point is
+        // derived once; each fold round squares it (and its inverse).
+        let mut x = domain_point::<B::F>(lde_size, idx);
+        let mut x_inv = x.inverse();
         let mut s_value = E::<B>::ZERO;
         let mut alpha_pow = E::<B>::ONE;
         for (b, opening) in query.initial.iter().enumerate() {
@@ -175,7 +178,6 @@ pub fn fri_verify<B: SpongeBackend>(
         }
 
         // Fold rounds.
-        let mut domain = initial_domain;
         for (round, fold) in query.folds.iter().enumerate() {
             let pair_index = idx >> 1;
             let mut leaf = fold.pair[0].to_base_slice();
@@ -189,14 +191,16 @@ pub fn fri_verify<B: SpongeBackend>(
             if fold.pair[idx & 1] != value {
                 return Err(FriError::FoldMismatch { query: qi, round });
             }
-            value = fold_pair(fold.pair, domain.point(pair_index * 2), fold_betas[round]);
+            // The pair sits at (x, −x) with x the even position's point.
+            let pair_x_inv = if idx & 1 == 0 { x_inv } else { -x_inv };
+            value = fold_pair::<B::F>(fold.pair, pair_x_inv, two_inv, fold_betas[round]);
             idx = pair_index;
-            domain = domain.fold();
+            x = x.square();
+            x_inv = x_inv.square();
         }
 
         // Final check against the in-the-clear polynomial.
-        let y = E::<B>::from(domain.point(idx));
-        if final_poly.eval(y) != value {
+        if final_poly.eval(E::<B>::from(x)) != value {
             return Err(FriError::FinalPolyMismatch { query: qi });
         }
     }

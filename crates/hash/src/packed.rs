@@ -26,8 +26,8 @@
 use unizk_field::{Field, Goldilocks};
 
 use crate::poseidon::{
-    constants, poseidon_permute, sbox_residue, NoncePermutation, PoseidonConstants, FULL_ROUNDS,
-    PARTIAL_ROUNDS, WIDTH,
+    constants, mds_circulant, poseidon_permute, sbox_residue, NoncePermutation, PoseidonConstants,
+    FULL_ROUNDS, PARTIAL_ROUNDS, WIDTH,
 };
 
 /// Sponges per packed group in [`permute_batch`] (see the module docs for
@@ -154,7 +154,15 @@ fn full_round_lanes<const LANES: usize>(
     r: usize,
 ) {
     sbox_layer_lanes(cs, state, r);
-    *state = mat_lanes(&cs.mds, state);
+    // The circulant product runs per lane on a gathered column: its
+    // transform is a fixed network of narrow adds and constant products
+    // with nothing to share across lanes.
+    for l in 0..LANES {
+        let column = mds_circulant(&core::array::from_fn(|i| state[i][l]));
+        for (row, x) in state.iter_mut().zip(column) {
+            row[l] = x;
+        }
+    }
 }
 
 fn pre_partial_lanes<const LANES: usize>(
@@ -385,6 +393,7 @@ impl NoncePermutation {
 mod tests {
     use super::*;
     use unizk_field::PrimeField64;
+    use unizk_testkit::prop::prelude::*;
     use unizk_testkit::rng::SplitMix64;
 
     fn random_state(rng: &mut SplitMix64) -> [Goldilocks; WIDTH] {
@@ -447,6 +456,66 @@ mod tests {
             let rows = hoisted.permute_many_row(&xs, row);
             let expected: Vec<Goldilocks> = packed.iter().map(|lane| lane[row]).collect();
             assert_eq!(rows.to_vec(), expected, "row {row}");
+        }
+    }
+
+    /// Every lockstep kernel at width `LANES` against the dense reference:
+    /// the packed permutation on `states[..LANES]`, and the hoisted-nonce
+    /// full-state and single-row exits with `states[l][nonce_lane]` as lane
+    /// `l`'s candidate over the static lanes of `states[0]`.
+    fn check_lockstep_width<const LANES: usize>(states: &[[Goldilocks; WIDTH]; 8], nonce_lane: usize) {
+        use crate::poseidon::permute_dense_reference;
+
+        let mut packed: [[Goldilocks; WIDTH]; LANES] = core::array::from_fn(|l| states[l]);
+        let mut want = packed;
+        want.iter_mut().for_each(permute_dense_reference);
+        PackedPermutation::<LANES>::permute(&mut packed);
+        assert_eq!(packed, want, "LANES={LANES}");
+
+        let hoisted = NoncePermutation::new(&states[0], nonce_lane);
+        let xs: [Goldilocks; LANES] = core::array::from_fn(|l| states[l][nonce_lane]);
+        let want: [[Goldilocks; WIDTH]; LANES] = core::array::from_fn(|l| {
+            let mut full = states[0];
+            full[nonce_lane] = xs[l];
+            permute_dense_reference(&mut full);
+            full
+        });
+        assert_eq!(hoisted.permute_many(&xs), want, "LANES={LANES}, nonce lane {nonce_lane}");
+        for row in 0..WIDTH {
+            assert_eq!(
+                hoisted.permute_many_row(&xs, row),
+                want.map(|full| full[row]),
+                "LANES={LANES}, nonce lane {nonce_lane}, row {row}"
+            );
+        }
+    }
+
+    fn check_lockstep_kernels(states: &[[Goldilocks; WIDTH]; 8], nonce_lane: usize) {
+        check_lockstep_width::<1>(states, nonce_lane);
+        check_lockstep_width::<2>(states, nonce_lane);
+        check_lockstep_width::<4>(states, nonce_lane);
+        check_lockstep_width::<8>(states, nonce_lane);
+    }
+
+    #[test]
+    fn lockstep_kernels_match_dense_reference_at_the_extremes() {
+        let extremes = crate::poseidon::extreme_states();
+        for (i, group) in extremes.windows(8).enumerate() {
+            let states = core::array::from_fn(|l| group[l].map(Goldilocks::from_u64));
+            check_lockstep_kernels(&states, i % WIDTH);
+        }
+    }
+
+    prop! {
+        #![cases(16)]
+
+        fn lockstep_kernels_match_dense_reference(
+            seed in any::<u64>(),
+            nonce_lane in 0usize..WIDTH,
+        ) {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let states = core::array::from_fn(|_| random_state(&mut rng));
+            check_lockstep_kernels(&states, nonce_lane);
         }
     }
 

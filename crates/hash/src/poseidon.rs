@@ -12,6 +12,11 @@
 //! The sparse MDS matrix of the partial rounds decomposes into a first row
 //! `u`, a first column `v`, and a diagonal `E` (paper Fig. 5b) — exactly the
 //! structure UniZK's 12×3-PE partial-round mapping exploits.
+//!
+//! The full-round MDS matrix is circulant, and the CPU kernels evaluate it
+//! as a cyclic correlation in three 4-point blocks (`mds_circulant`)
+//! rather than as 144 multiply-accumulates; [`PoseidonCost`] holds both
+//! counts.
 
 use unizk_field::{Field, Goldilocks};
 
@@ -168,6 +173,80 @@ impl PoseidonConstants {
 /// The process-wide constant set, evaluated at compile time.
 static CONSTANTS: PoseidonConstants = PoseidonConstants::generate();
 
+/// Where index `n` of the length-12 cycle sits in its 3×4 factorization:
+/// `CRT_INDEX[a][b]` is the `n` with `n ≡ a (mod 3)` and `n ≡ b (mod 4)`.
+const CRT_INDEX: [[usize; 4]; 3] = {
+    let mut index = [[0; 4]; 3];
+    let mut n = 0;
+    while n < WIDTH {
+        index[n % 3][n % 4] = n;
+        n += 1;
+    }
+    index
+};
+
+/// The circulant MDS matrix in the frequency domain of its 4-point factor.
+///
+/// `mds[i][j] = row[(j − i) mod 12]`, so the full-round linear layer is the
+/// cyclic correlation `out[i] = Σ_k row[k]·x[(i + k) mod 12]`. Under
+/// `n ↦ (n mod 3, n mod 4)` ([`CRT_INDEX`]) it is a 3×4 two-dimensional
+/// correlation; a 4-point DFT along the second axis (`ω = i`, so no
+/// multiplications) turns it into three independent 3-point correlations
+/// — two over the integers (frequencies 0 and 2) and one over the Gaussian
+/// integers (frequency 1; frequency 3 is its conjugate because the data
+/// are real) — against the transformed row held here. That is
+/// 9 + 9 + 4·9 = 54 products by constants below 2^9 in place of 144.
+struct MdsFrequencyKernel {
+    /// `Σ_b c[a][b]`, the kernel at frequency 0.
+    f0: [i64; 3],
+    /// `c[a][0] − c[a][1] + c[a][2] − c[a][3]`, the kernel at frequency 2.
+    f2: [i64; 3],
+    /// Real part at frequency 1, doubled: the inverse transform adds
+    /// frequencies 1 and 3, i.e. twice the real part of their product.
+    f1_re: [i64; 3],
+    /// Imaginary part at frequency 1, doubled.
+    f1_im: [i64; 3],
+}
+
+const MDS_FREQ: MdsFrequencyKernel = {
+    let row = &CONSTANTS.mds[0];
+    let mut k = MdsFrequencyKernel {
+        f0: [0; 3],
+        f2: [0; 3],
+        f1_re: [0; 3],
+        f1_im: [0; 3],
+    };
+    let mut a = 0;
+    while a < 3 {
+        let c0 = row[CRT_INDEX[a][0]].as_canonical_u64() as i64;
+        let c1 = row[CRT_INDEX[a][1]].as_canonical_u64() as i64;
+        let c2 = row[CRT_INDEX[a][2]].as_canonical_u64() as i64;
+        let c3 = row[CRT_INDEX[a][3]].as_canonical_u64() as i64;
+        k.f0[a] = c0 + c1 + c2 + c3;
+        k.f2[a] = c0 - c1 + c2 - c3;
+        // Σ_b c[a][b]·ω^{−b} = (c0 − c2) + i·(c3 − c1).
+        k.f1_re[a] = 2 * (c0 - c2);
+        k.f1_im[a] = 2 * (c3 - c1);
+        a += 1;
+    }
+    k
+};
+
+/// Bound on every intermediate of [`mds_circulant_half`], derived from the
+/// kernel: inputs are 32-bit halves, the forward transform grows them to
+/// below 2^34 (frequencies 0, 2) and 2^32 in magnitude (frequency 1), and
+/// each output sums one term of every frequency.
+const _: () = {
+    let mut sum = 0;
+    let mut a = 0;
+    while a < 3 {
+        sum += (MDS_FREQ.f0[a].abs() + MDS_FREQ.f2[a].abs()) << 34;
+        sum += (MDS_FREQ.f1_re[a].abs() + MDS_FREQ.f1_im[a].abs()) << 32;
+        a += 1;
+    }
+    assert!(sum < 1 << 47, "circulant MDS intermediates must stay below 2^47");
+};
+
 /// The process-wide constant set.
 pub fn constants() -> &'static PoseidonConstants {
     &CONSTANTS
@@ -198,6 +277,57 @@ fn mat_mul(m: &[[Goldilocks; WIDTH]; WIDTH], state: &[Goldilocks; WIDTH]) -> [Go
     out
 }
 
+/// The permutation over canonical elements, every linear layer a dense
+/// [`mat_mul`]: the oracle the residue, circulant, lane-packed and
+/// hoisted-nonce kernels are all held to. It shares the constants with them
+/// and nothing else.
+#[cfg(test)]
+pub(crate) fn permute_dense_reference(state: &mut [Goldilocks; WIDTH]) {
+    let cs = constants();
+    let full_round = |state: &mut [Goldilocks; WIDTH], r: usize| {
+        for (x, c) in state.iter_mut().zip(&cs.round_constants[r]) {
+            *x = (*x + *c).exp_u64(7);
+        }
+        *state = mat_mul(&cs.mds, state);
+    };
+    for r in 0..FULL_ROUNDS / 2 {
+        full_round(state, r);
+    }
+    for (x, c) in state.iter_mut().zip(&cs.pre_partial_constants) {
+        *x += *c;
+    }
+    *state = mat_mul(&cs.pre_mds, state);
+    for r in 0..PARTIAL_ROUNDS {
+        state[0] = state[0].exp_u64(7) + cs.partial_round_constants[r];
+        let mut sparse = [[Goldilocks::ZERO; WIDTH]; WIDTH];
+        sparse[0] = cs.sparse_u[r];
+        for (i, row) in sparse.iter_mut().enumerate().skip(1) {
+            row[0] = cs.sparse_v[r][i];
+            row[i] = cs.sparse_diag[r][i];
+        }
+        *state = mat_mul(&sparse, state);
+    }
+    for r in FULL_ROUNDS / 2..FULL_ROUNDS {
+        full_round(state, r);
+    }
+}
+
+/// The states the differential tests add to their random ones: every lane
+/// at each edge of the 32-bit split, and each edge alone in each lane.
+#[cfg(test)]
+pub(crate) fn extreme_states() -> Vec<[u64; WIDTH]> {
+    let edges = [u64::MAX, unizk_field::goldilocks::P - 1, 0xFFFF_FFFF, 1 << 32, 0];
+    let mut states: Vec<[u64; WIDTH]> = edges.iter().map(|&e| [e; WIDTH]).collect();
+    for lane in 0..WIDTH {
+        for &e in &edges[..4] {
+            let mut one_hot = [0; WIDTH];
+            one_hot[lane] = e;
+            states.push(one_hot);
+        }
+    }
+    states
+}
+
 /// MDS matrix–vector product over residue lanes, exploiting the small
 /// matrix entries (< 2^7): twelve `u128` partial products of a `< 2^7`
 /// constant and a `< 2^64` residue sum to under `2^75 < 2^96`, so each
@@ -216,11 +346,73 @@ fn mds_residue(m: &[[Goldilocks; WIDTH]; WIDTH], state: &[u64; WIDTH]) -> [u64; 
     out
 }
 
+/// `4·(row ⋆ x)` for one 32-bit half of the state, as the three 3-point
+/// blocks of [`MdsFrequencyKernel`]. Exact integer arithmetic: every
+/// intermediate stays below 2^47 in magnitude (const-asserted above), and
+/// each output is the non-negative, exactly-quadrupled correlation.
+#[inline(always)]
+fn mds_circulant_half(x: &[i64; WIDTH]) -> [i64; WIDTH] {
+    // Forward 4-point transform along the second axis, per residue mod 3.
+    let mut f0 = [0i64; 3];
+    let mut f2 = [0i64; 3];
+    let mut re = [0i64; 3];
+    let mut im = [0i64; 3];
+    for (a, index) in CRT_INDEX.iter().enumerate() {
+        let [x0, x1, x2, x3] = index.map(|n| x[n]);
+        f0[a] = (x0 + x2) + (x1 + x3);
+        f2[a] = (x0 + x2) - (x1 + x3);
+        re[a] = x0 - x2;
+        im[a] = x1 - x3;
+    }
+    // One 3-point cyclic correlation per frequency, then the inverse
+    // transform (without its division by 4).
+    let k = &MDS_FREQ;
+    let mut out = [0i64; WIDTH];
+    for (a, &[n0, n1, n2, n3]) in CRT_INDEX.iter().enumerate() {
+        let (mut y0, mut y2, mut yr, mut yi) = (0, 0, 0, 0);
+        for d in 0..3 {
+            let s = (a + d) % 3;
+            y0 += k.f0[d] * f0[s];
+            y2 += k.f2[d] * f2[s];
+            yr += k.f1_re[d] * re[s] - k.f1_im[d] * im[s];
+            yi += k.f1_re[d] * im[s] + k.f1_im[d] * re[s];
+        }
+        out[n0] = (y0 + y2) + yr;
+        out[n1] = (y0 - y2) + yi;
+        out[n2] = (y0 + y2) - yr;
+        out[n3] = (y0 - y2) - yi;
+    }
+    out
+}
+
+/// The full-round MDS product `mds · state` over residue lanes, bit for bit
+/// what [`mds_residue`] returns for the circulant `mds`.
+///
+/// Each residue is split into 32-bit halves so that the transform's sums
+/// of four stay inside 64 bits; the split by itself would double the
+/// product count, and pays only because the frequency-domain form needs
+/// 2·54 narrow products where the dense form needs 144 widening ones. The
+/// halves recombine into the same exact integer `Σ_j mds[i][j]·state[j]`
+/// (below 2^74) the dense accumulator holds, so the one
+/// [`Goldilocks::reduce96_residue`] per lane sees identical input.
+#[inline(always)]
+#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+pub(crate) fn mds_circulant(state: &[u64; WIDTH]) -> [u64; WIDTH] {
+    let lo = mds_circulant_half(&state.map(|x| i64::from(x as u32)));
+    let hi = mds_circulant_half(&state.map(|x| (x >> 32) as i64));
+    let mut out = [0u64; WIDTH];
+    for ((o, &l), &h) in out.iter_mut().zip(&lo).zip(&hi) {
+        // Both are exact multiples of 4: (l / 4) + (h / 4)·2^32.
+        *o = Goldilocks::reduce96_residue(u128::from(l as u64 >> 2) + (u128::from(h as u64) << 30));
+    }
+    out
+}
+
 fn full_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH], r: usize) {
     for (x, c) in state.iter_mut().zip(cs.round_constants[r].iter()) {
         *x = sbox_residue(Goldilocks::add_residue(*x, c.as_canonical_u64()));
     }
-    *state = mds_residue(&cs.mds, state);
+    *state = mds_circulant(state);
 }
 
 fn pre_partial_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH]) {
@@ -389,14 +581,31 @@ impl NoncePermutation {
     }
 }
 
-/// Static operation counts of one permutation, used by the accelerator cost
-/// model (`unizk-core`) and the CPU-baseline roofline estimates.
+/// Static operation counts of one permutation: the textbook count the
+/// accelerator cost model (`unizk-core`) prices, and the products the CPU
+/// kernels in this file actually issue, by operand size — the basis of the
+/// operation table and floor in EXPERIMENTS.md.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoseidonCost {
-    /// Modular multiplications per permutation.
+    /// Modular multiplications per permutation with every linear layer
+    /// taken as a dense or sparse matrix product over the field.
     pub muls: usize,
-    /// Modular additions per permutation.
+    /// Modular additions per permutation, counted the same way.
     pub adds: usize,
+    /// Shipped kernel: 64×64→128-bit products, each followed by a full
+    /// 128-bit reduction (the S-boxes).
+    pub wide_muls: usize,
+    /// Shipped kernel: widening products of a matrix entry below 2^7 and a
+    /// 64-bit residue, summed unreduced in a `u128` (the pre-partial matrix
+    /// and the sparse partial-round layers).
+    pub const_muls: usize,
+    /// Shipped kernel: products of a frequency-domain constant below 2^9
+    /// and a 32-bit half that stay inside one 64-bit register (the
+    /// circulant MDS of the full rounds).
+    pub narrow_muls: usize,
+    /// Shipped kernel: reductions of a sum below 2^96 to a residue, one per
+    /// output lane of every linear layer.
+    pub reductions: usize,
 }
 
 impl PoseidonCost {
@@ -404,19 +613,30 @@ impl PoseidonCost {
     pub const fn of_permutation() -> Self {
         // Full round: WIDTH s-boxes (4 muls each: sq, sq, mul, mul) + dense
         // mat-vec (WIDTH^2 muls, WIDTH*(WIDTH-1) adds) + WIDTH const adds.
-        let full_muls = WIDTH * 4 + WIDTH * WIDTH;
+        let sbox_muls = 4;
+        let dense_muls = WIDTH * WIDTH;
+        let full_muls = WIDTH * sbox_muls + dense_muls;
         let full_adds = WIDTH + WIDTH * (WIDTH - 1);
         // Pre-partial: dense mat-vec + const adds.
-        let pre_muls = WIDTH * WIDTH;
         let pre_adds = WIDTH + WIDTH * (WIDTH - 1);
         // Partial round: 1 s-box (4 muls) + 1 const add + sparse mat-vec
         // (u-dot: WIDTH muls + WIDTH-1 adds; rows: 2(WIDTH-1) muls +
         // (WIDTH-1) adds).
-        let partial_muls = 4 + WIDTH + 2 * (WIDTH - 1);
+        let sparse_muls = WIDTH + 2 * (WIDTH - 1);
         let partial_adds = 1 + (WIDTH - 1) + (WIDTH - 1);
+        // Circulant full-round layer: per 32-bit half, a 3-point correlation
+        // at frequencies 0 and 2 (9 products each) and a complex one at
+        // frequency 1 (9 × 4).
+        let circulant_muls = 2 * (9 + 9 + 4 * 9);
         Self {
-            muls: FULL_ROUNDS * full_muls + pre_muls + PARTIAL_ROUNDS * partial_muls,
+            muls: FULL_ROUNDS * full_muls
+                + dense_muls
+                + PARTIAL_ROUNDS * (sbox_muls + sparse_muls),
             adds: FULL_ROUNDS * full_adds + pre_adds + PARTIAL_ROUNDS * partial_adds,
+            wide_muls: sbox_muls * (FULL_ROUNDS * WIDTH + PARTIAL_ROUNDS),
+            const_muls: dense_muls + PARTIAL_ROUNDS * sparse_muls,
+            narrow_muls: FULL_ROUNDS * circulant_muls,
+            reductions: (FULL_ROUNDS + 1 + PARTIAL_ROUNDS) * WIDTH,
         }
     }
 }
@@ -424,6 +644,7 @@ impl PoseidonCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unizk_testkit::prop::prelude::*;
 
     /// Canonical-domain s-box wrapper over the residue kernel.
     fn sbox(x: Goldilocks) -> Goldilocks {
@@ -526,6 +747,63 @@ mod tests {
         assert_eq!(from_residues(&fast), mat_mul(&cs.mds, &state));
     }
 
+    fn check_circulant(residues: &[u64; WIDTH]) {
+        let cs = constants();
+        let got = mds_circulant(residues);
+        // Same exact integer into the same reduction: the residues agree
+        // bit for bit, not only modulo p.
+        assert_eq!(got, mds_residue(&cs.mds, residues), "input {residues:x?}");
+        assert_eq!(
+            from_residues(&got),
+            mat_mul(&cs.mds, &from_residues(residues)),
+            "input {residues:x?}"
+        );
+    }
+
+    #[test]
+    fn circulant_matches_dense_oracle_at_the_extremes() {
+        for residues in extreme_states() {
+            check_circulant(&residues);
+        }
+    }
+
+    prop! {
+        #![cases(256)]
+
+        fn circulant_matches_dense_oracle(
+            residues in prop::collection::vec(any::<u64>(), WIDTH),
+        ) {
+            check_circulant(&std::array::from_fn(|i| residues[i]));
+        }
+
+        /// The scalar permutation and the hoisted-nonce scalar path against
+        /// the dense reference, on random states.
+        fn scalar_paths_match_dense_reference(
+            state in prop::collection::vec(any::<u64>(), WIDTH),
+            lane in 0usize..WIDTH,
+        ) {
+            check_scalar_paths(&std::array::from_fn(|i| state[i]), lane);
+        }
+    }
+
+    fn check_scalar_paths(state: &[u64; WIDTH], lane: usize) {
+        let state = state.map(Goldilocks::from_u64);
+        let mut want = state;
+        permute_dense_reference(&mut want);
+        let mut got = state;
+        poseidon_permute(&mut got);
+        assert_eq!(got, want, "input {state:?}");
+        let hoisted = NoncePermutation::new(&state, lane);
+        assert_eq!(hoisted.permute_with(state[lane]), want, "input {state:?}, lane {lane}");
+    }
+
+    #[test]
+    fn scalar_paths_match_dense_reference_at_the_extremes() {
+        for (i, state) in extreme_states().iter().enumerate() {
+            check_scalar_paths(state, i % WIDTH);
+        }
+    }
+
     #[test]
     fn residue_rounds_accept_noncanonical_lanes() {
         // Feed each round kernel a lane pinned at u64::MAX (the worst legal
@@ -589,12 +867,20 @@ mod tests {
     #[test]
     fn cost_counts_are_sane() {
         let cost = PoseidonCost::of_permutation();
-        // 8 full rounds dominate: 8 * (48 + 144) = 1536 muls, plus pre and
-        // partial contributions.
+        // The dense count: 8 full rounds dominate, 8 * (48 + 144) = 1536
+        // muls, plus pre and partial contributions.
         assert_eq!(
             cost.muls,
             8 * (12 * 4 + 144) + 144 + 22 * (4 + 12 + 22)
         );
-        assert!(cost.adds > 1000);
+        assert_eq!(cost.adds, 8 * (12 + 132) + (12 + 132) + 22 * (1 + 11 + 11));
+        // The shipped count: 118 S-boxes, the dense pre-partial matrix and
+        // 22 sparse layers, 8 circulant layers of 2 × 54, 31 linear layers.
+        assert_eq!(cost.wide_muls, 4 * 118);
+        assert_eq!(cost.const_muls, 144 + 22 * 34);
+        assert_eq!(cost.narrow_muls, 8 * 108);
+        assert_eq!(cost.reductions, 31 * 12);
+        // The two agree on everything but the full-round MDS.
+        assert_eq!(cost.muls, cost.wide_muls + cost.const_muls + 8 * 144);
     }
 }

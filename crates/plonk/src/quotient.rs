@@ -10,7 +10,7 @@ use unizk_field::{
     batch_inverse, bit_reverse, log2_strict, parallel_map, reverse_index_bits, Field, Goldilocks,
     Polynomial,
 };
-use unizk_fri::batch::domain_point;
+use unizk_fri::domain::FoldDomain;
 use unizk_fri::PolynomialBatch;
 use unizk_ntt::coset_intt_nn;
 
@@ -39,18 +39,18 @@ pub fn compute_quotients(
     let num_chunks = data.config.num_chunks();
     let s_rounds = data.config.num_challenges;
 
-    // Per-position domain point, Z_H^{-1}, and L_1 (shared by all rounds).
-    let xs: Vec<Goldilocks> = (0..lde_size).map(|i| domain_point(lde_size, i)).collect();
-    let zh: Vec<Goldilocks> = xs
-        .iter()
-        .map(|&x| x.exp_u64(n as u64) - Goldilocks::ONE)
-        .collect();
+    // Per-position domain point and L_1, and Z_H with its inverse (one
+    // entry per coset of the trace domain, see `FoldDomain::vanishing`);
+    // shared by all rounds.
+    let domain = FoldDomain::<Goldilocks>::initial(lde_size);
+    let xs = domain.points();
+    let zh = domain.vanishing(n);
     let zh_inv = batch_inverse(&zh);
     let x_minus_one: Vec<Goldilocks> = xs.iter().map(|&x| x - Goldilocks::ONE).collect();
     let x_minus_one_inv = batch_inverse(&x_minus_one);
     let n_inv = Goldilocks::from_u64(n as u64).inverse();
     let l1: Vec<Goldilocks> = (0..lde_size)
-        .map(|i| zh[i] * n_inv * x_minus_one_inv[i])
+        .map(|i| zh[i / n] * n_inv * x_minus_one_inv[i])
         .collect();
 
     // Evaluate the combined constraints at every LDE position, in parallel
@@ -103,7 +103,7 @@ pub fn compute_quotients(
                     acc += alpha_pow * c;
                     alpha_pow *= alphas[s];
                 }
-                out[s].push(acc * zh_inv[i]);
+                out[s].push(acc * zh_inv[i / n]);
             }
         }
         out

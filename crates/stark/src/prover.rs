@@ -6,7 +6,7 @@
 use unizk_field::{
     batch_inverse, bit_reverse, log2_strict, parallel_map, reverse_index_bits, Polynomial,
 };
-use unizk_fri::batch::domain_point;
+use unizk_fri::domain::FoldDomain;
 use unizk_fri::{fri_prove_in, time_kernel, GenericPolynomialBatch, KernelClass};
 use unizk_hash::sponge::HashField;
 use unizk_hash::{GenericChallenger, SpongeBackend, Workspace};
@@ -143,16 +143,16 @@ where
     let last = omega.exp_u64((n - 1) as u64);
     let boundaries = air.boundaries();
 
-    // Shared per-position quantities.
-    let xs: Vec<F> = (0..lde_size).map(|i| domain_point(lde_size, i)).collect();
-    let zh: Vec<F> = xs.iter().map(|&x| x.exp_u64(n as u64) - F::ONE).collect();
-    let zh_inv = batch_inverse(&zh);
+    // Shared per-position quantities: the domain points, Z_H⁻¹ (one entry
+    // per coset of the trace domain, see `FoldDomain::vanishing`), and the
     // (x − ω^row_b) denominators for each boundary, flattened.
+    let domain = FoldDomain::<F>::initial(lde_size);
+    let xs = domain.points();
+    let zh_inv = batch_inverse(&domain.vanishing(n));
+    let boundary_points: Vec<F> = boundaries.iter().map(|b| omega.exp_u64(b.row as u64)).collect();
     let mut boundary_denoms = Vec::with_capacity(lde_size * boundaries.len());
     for &x in &xs {
-        for b in &boundaries {
-            boundary_denoms.push(x - omega.exp_u64(b.row as u64));
-        }
+        boundary_denoms.extend(boundary_points.iter().map(|&p| x - p));
     }
     let boundary_inv = batch_inverse(&boundary_denoms);
 
@@ -175,7 +175,7 @@ where
             let transitions = air.eval_transition(local, next);
             // Transition constraints vanish on all rows but the last:
             // multiply by (x − ω^{n−1}) and divide by Z_H.
-            let trans_factor = (xs[i] - last) * zh_inv[i];
+            let trans_factor = (xs[i] - last) * zh_inv[i / n];
 
             for (s, alpha) in alphas.iter().enumerate() {
                 let mut acc = F::ZERO;

@@ -106,7 +106,15 @@ where
     let last = omega.exp_u64((n - 1) as u64);
     let trans_factor = (zeta - E::<F>::from(last)) * zh_inv;
     let transitions = air.eval_transition(local, next);
-    let boundaries = air.boundaries();
+    // (local[col] − value) / (ζ − ω^row) per boundary, shared by all rounds.
+    let mut boundary_terms = Vec::new();
+    for b in air.boundaries() {
+        let denom = zeta - E::<F>::from(omega.exp_u64(b.row as u64));
+        let inv = denom
+            .try_inverse()
+            .ok_or(StarkError::Malformed("zeta hits a boundary row"))?;
+        boundary_terms.push((local[b.col] - E::<F>::from(b.value)) * inv);
+    }
 
     for (s, alpha) in alphas.iter().enumerate() {
         let alpha_e = E::<F>::from(*alpha);
@@ -116,12 +124,8 @@ where
             acc += alpha_pow * c * trans_factor;
             alpha_pow *= alpha_e;
         }
-        for b in &boundaries {
-            let denom = zeta - E::<F>::from(omega.exp_u64(b.row as u64));
-            let inv = denom
-                .try_inverse()
-                .ok_or(StarkError::Malformed("zeta hits a boundary row"))?;
-            acc += alpha_pow * (local[b.col] - E::<F>::from(b.value)) * inv;
+        for &term in &boundary_terms {
+            acc += alpha_pow * term;
             alpha_pow *= alpha_e;
         }
         if acc != quotient_at_zeta[s] {

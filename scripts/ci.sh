@@ -135,6 +135,20 @@ if grep -rnE 'pub fn set_|env::var' \
     exit 1
 fi
 
+echo "==> evaluation domains computed once (no per-position point derivation in the prover loops)"
+# The provers read whole tables from unizk_fri::domain (one multiplication
+# per entry). `domain_point` / `.point(` re-derive a root of unity and a
+# log n-bit power per call: fine for the verifiers' handful of query
+# positions and for tests, a several-hundred-multiplication tax per LDE row
+# inside these three files (EXPERIMENTS.md, "Goldilocks prover operation
+# table").
+for f in crates/fri/src/prover.rs crates/stark/src/prover.rs crates/plonk/src/quotient.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'domain_point|\.point\('; then
+        echo "FAIL: $f derives domain points one index at a time; read FoldDomain::points() instead"
+        exit 1
+    fi
+done
+
 echo "==> repository benchmark gate (benchmark/check.sh --quick)"
 # Lints and unit tests of the benchmark package, [profile.release] parity
 # with the root manifest, and the smoke set: every workload and every
