@@ -10,7 +10,8 @@
 //! target produced an error-severity diagnostic. Warnings are reported
 //! but do not fail the run.
 //!
-//! Flags:
+//! Flags (parsed strictly by [`unizk_testkit::Args`]: anything else is a
+//! usage error, exit status 2):
 //!
 //! - `--specs-dir DIR` — sweep-spec directory (default
 //!   `crates/explore/specs`; pass an empty string to skip specs).
@@ -31,8 +32,9 @@ use std::process::ExitCode;
 
 use unizk_analyze::lint::{check_bounds, lint_all, spec_targets, workload_targets, LintTarget};
 use unizk_analyze::Rule;
+use unizk_testkit::Args;
 
-struct Args {
+struct Options {
     specs_dir: Option<PathBuf>,
     json: Option<PathBuf>,
     quiet: bool,
@@ -41,38 +43,23 @@ struct Args {
     list_rules: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut specs_dir = Some(PathBuf::from("crates/explore/specs"));
-    let mut json = None;
-    let mut quiet = false;
-    let mut rules = None;
-    let mut bounds = false;
-    let mut list_rules = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--specs-dir" => {
-                let dir = value("--specs-dir")?;
-                specs_dir = (!dir.is_empty()).then(|| PathBuf::from(dir));
-            }
-            "--json" => json = Some(PathBuf::from(value("--json")?)),
-            "--quiet" => quiet = true,
-            "--rules" => rules = Some(value("--rules")?),
-            "--check-bounds" => bounds = true,
-            "--list-rules" => list_rules = true,
-            "--help" | "-h" => {
-                return Err("usage: lint [--specs-dir DIR] [--json FILE] [--rules LIST] \
-                            [--check-bounds] [--quiet] [--list-rules]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
-        }
-    }
-    Ok(Args { specs_dir, json, quiet, rules, bounds, list_rules })
+fn parse_args() -> Options {
+    let mut args = Args::from_env(
+        "[--specs-dir DIR] [--json FILE] [--rules LIST] [--check-bounds] [--quiet] [--list-rules]",
+    );
+    let specs_dir: String = args
+        .value("--specs-dir")
+        .unwrap_or_else(|| "crates/explore/specs".into());
+    let options = Options {
+        specs_dir: (!specs_dir.is_empty()).then(|| PathBuf::from(specs_dir)),
+        json: args.value("--json"),
+        quiet: args.flag("--quiet"),
+        rules: args.value("--rules"),
+        bounds: args.flag("--check-bounds"),
+        list_rules: args.flag("--list-rules"),
+    };
+    args.finish();
+    options
 }
 
 fn print_rule_catalog() {
@@ -87,7 +74,7 @@ fn print_rule_catalog() {
     }
 }
 
-fn collect_targets(args: &Args) -> Result<Vec<LintTarget>, String> {
+fn collect_targets(args: &Options) -> Result<Vec<LintTarget>, String> {
     let mut targets = workload_targets();
     if let Some(dir) = &args.specs_dir {
         let entries = std::fs::read_dir(dir)
@@ -109,7 +96,7 @@ fn collect_targets(args: &Args) -> Result<Vec<LintTarget>, String> {
 }
 
 fn run() -> Result<bool, String> {
-    let args = parse_args()?;
+    let args = parse_args();
     if args.list_rules {
         print_rule_catalog();
         return Ok(true);

@@ -136,3 +136,20 @@ fn list_rules_prints_the_whole_catalog() {
         assert!(stdout.contains(id), "missing {id}:\n{stdout}");
     }
 }
+
+#[test]
+fn bad_command_lines_exit_2_with_usage() {
+    // The workspace's one strict parser (`unizk_testkit::Args`): a typo
+    // never runs the default lint pass.
+    for args in [
+        &["--check-bound"][..],
+        &["--quiet", "--quiet"],
+        &["--specs-dir", "", "--json"],
+    ] {
+        let out = lint(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: lint [--specs-dir DIR]"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting its arguments");
+    }
+}

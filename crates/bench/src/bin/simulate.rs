@@ -22,10 +22,11 @@
 //! Output follows the artifact's log format (`total_num_write_requests`,
 //! `total_num_read_requests`, `memory_system_cycles`).
 
-use unizk_bench::Args;
+use unizk_bench::scale_arg;
 use unizk_core::compiler::compile_plonky2;
 use unizk_core::{ChipConfig, Graph, KernelClassTag, Simulator};
 use unizk_testkit::json::{Json, ToJson};
+use unizk_testkit::Args;
 use unizk_workloads::{App, Scale};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
     let scratchpad_mb: usize = args.value("-r").unwrap_or(8);
     let vsas: usize = args.value("-t").unwrap_or(32);
     let kernel_filter: Option<u32> = args.value("-e");
-    let scale = args.scale(Scale::Shrunk(6));
+    let scale = scale_arg(&mut args, Scale::Shrunk(6));
     let print_trace = args.flag("--trace");
     let json = args.optional_value("--json");
     args.finish();

@@ -19,8 +19,9 @@
 //!
 //! Binaries accept `--shrink N` (default 8) to scale `log2(rows)` down
 //! from the paper's dimensions, or `--full` for paper scale (slow; see
-//! DESIGN.md §2.7). Every binary parses its command line with [`Args`]:
-//! an unknown flag or a bad value is a usage error, exit status 2.
+//! DESIGN.md §2.7). Every binary parses its command line with
+//! [`unizk_testkit::Args`], as `sweep` and `lint` do: an unknown flag or a
+//! bad value is a usage error, exit status 2.
 //!
 //! The `contract` binary prints [`contract()`], the exact numbers the
 //! committed `CONTRACT.json` holds every PR to. Nothing in this crate
@@ -28,20 +29,33 @@
 
 #![forbid(unsafe_code)]
 
-pub mod args;
 pub mod contract;
 pub mod experiments;
 pub mod render;
 
-pub use args::Args;
 pub use contract::contract;
 pub use experiments::*;
 
+use unizk_testkit::Args;
+use unizk_workloads::Scale;
+
+/// Consumes `--shrink N` / `--full`, the workload scale every table and
+/// figure binary accepts.
+pub fn scale_arg(args: &mut Args, default: Scale) -> Scale {
+    let full = args.flag("--full");
+    match args.value("--shrink") {
+        Some(_) if full => args.fail("--full and --shrink exclude each other"),
+        Some(n) => Scale::Shrunk(n),
+        None if full => Scale::Full,
+        None => default,
+    }
+}
+
 /// The whole command line of a table or figure binary:
 /// `[--shrink N | --full]`.
-pub fn scale_from_args() -> unizk_workloads::Scale {
+pub fn scale_from_args() -> Scale {
     let mut args = Args::from_env("[--shrink N | --full]");
-    let scale = args.scale(unizk_workloads::Scale::default());
+    let scale = scale_arg(&mut args, Scale::default());
     args.finish();
     scale
 }

@@ -71,9 +71,7 @@
 //! HBM traffic is exact (the byte counts are static), and peak scratchpad
 //! liveness is the maximum over schedule positions of the bytes written by
 //! producers still awaiting their last consumer. The simulator
-//! debug-asserts `lower ≤ simulated ≤ upper` per kernel class on every run,
-//! and `crates/explore` uses the envelope to prune Pareto-dominated sweep
-//! points before simulating them.
+//! debug-asserts `lower ≤ simulated ≤ upper` per kernel class on every run.
 
 use unizk_dram::MemoryModel;
 

@@ -5,22 +5,15 @@
 //!     --spec crates/explore/specs/smoke.json --jobs 4
 //! ```
 //!
-//! Flags:
+//! Flags (parsed strictly by [`unizk_testkit::Args`]: anything else is a
+//! usage error, exit status 2):
 //!
 //! - `--spec FILE` (required) — JSON sweep specification (format in
 //!   EXPERIMENTS.md).
 //! - `--jobs N` — worker threads; `0` (default) uses all cores.
-//! - `--cache-dir DIR` — point cache location (default
-//!   `target/sweep-cache`). Completed points are always reused from here
-//!   unless `--fresh` is given.
-//! - `--resume` — explicit no-op alias for the default reuse behavior,
-//!   for scripts that want to state their intent.
-//! - `--fresh` — ignore existing cache entries (recompute everything;
-//!   still refills the cache).
-//! - `--prune` — skip points whose static cost envelope (the C-rule
-//!   roofline bounds) is Pareto-dominated by a kept point's envelope.
-//!   Sound: executed numbers are exact and the frontier is unchanged;
-//!   pruned points are counted on stdout and recorded in the artifact.
+//! - `--cache-dir DIR` — memoize finished points in `DIR` and answer from
+//!   it on a re-run. Without the flag nothing is cached: every point
+//!   simulates, which is the faster path (EXPERIMENTS.md Part 2).
 //! - `--out FILE` — JSON artifact path (default `SWEEP.json`).
 //! - `--markdown FILE` — also write the markdown report here.
 
@@ -28,104 +21,44 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use unizk_explore::{run_sweep, SweepOptions, SweepSpec};
-
-struct Args {
-    spec: PathBuf,
-    jobs: usize,
-    cache_dir: Option<PathBuf>,
-    fresh: bool,
-    prune: bool,
-    out: PathBuf,
-    markdown: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut spec = None;
-    let mut jobs = 0usize;
-    let mut cache_dir = Some(PathBuf::from("target/sweep-cache"));
-    let mut fresh = false;
-    let mut prune = false;
-    let mut out = PathBuf::from("SWEEP.json");
-    let mut markdown = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--spec" => spec = Some(PathBuf::from(value("--spec")?)),
-            "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-cache" => cache_dir = None,
-            "--resume" => fresh = false,
-            "--fresh" => fresh = true,
-            "--prune" => prune = true,
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--markdown" => markdown = Some(PathBuf::from(value("--markdown")?)),
-            "--help" | "-h" => {
-                return Err("usage: sweep --spec FILE [--jobs N] [--cache-dir DIR] \
-                            [--resume | --fresh] [--no-cache] [--prune] [--out FILE] \
-                            [--markdown FILE]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
-        }
-    }
-    Ok(Args {
-        spec: spec.ok_or("--spec FILE is required (try --help)")?,
-        jobs,
-        cache_dir,
-        fresh,
-        prune,
-        out,
-        markdown,
-    })
-}
+use unizk_testkit::Args;
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let text = std::fs::read_to_string(&args.spec)
-        .map_err(|e| format!("cannot read {}: {e}", args.spec.display()))?;
-    let spec = SweepSpec::from_json_text(&text)?;
+    let mut args = Args::from_env(
+        "--spec FILE [--jobs N] [--cache-dir DIR] [--out FILE] [--markdown FILE]",
+    );
+    let spec_path: Option<PathBuf> = args.value("--spec");
     let opts = SweepOptions {
-        jobs: args.jobs,
-        cache_dir: args.cache_dir,
-        fresh: args.fresh,
-        prune: args.prune,
+        jobs: args.value("--jobs").unwrap_or(0),
+        cache_dir: args.value("--cache-dir"),
     };
+    let out: PathBuf = args.value("--out").unwrap_or_else(|| "SWEEP.json".into());
+    let markdown: Option<PathBuf> = args.value("--markdown");
+    let Some(spec_path) = spec_path else {
+        args.fail("--spec FILE is required")
+    };
+    args.finish();
+
+    let text = std::fs::read_to_string(&spec_path)
+        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
+    let spec = SweepSpec::from_json_text(&text)?;
 
     eprintln!(
         "sweep {:?}: {} points, jobs={}",
         spec.name,
         spec.num_points(),
-        if args.jobs == 0 { "auto".to_string() } else { args.jobs.to_string() }
+        if opts.jobs == 0 { "auto".to_string() } else { opts.jobs.to_string() }
     );
     let result = run_sweep(&spec, &opts)?;
 
     let artifact = result.to_json().to_string_pretty() + "\n";
-    std::fs::write(&args.out, &artifact)
-        .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
-    if let Some(md_path) = &args.markdown {
+    std::fs::write(&out, &artifact)
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    if let Some(md_path) = &markdown {
         std::fs::write(md_path, result.markdown())
             .map_err(|e| format!("cannot write {}: {e}", md_path.display()))?;
     }
 
-    if args.prune {
-        // Pruned counts are always reported — a sweep must never look
-        // more exhaustive than it was.
-        let exempt = result.points.iter().filter(|p| p.fleet.is_some()).count();
-        println!(
-            "pruned: {} of {} points statically dominated ({} fleet points exempt)",
-            result.pruned.len(),
-            result.points.len() + result.pruned.len(),
-            exempt
-        );
-    }
     println!(
         "cache hits: {}/{}",
         result.cache_hits,
@@ -135,7 +68,7 @@ fn run() -> Result<(), String> {
         "pareto frontier: {} of {} points -> {}",
         result.pareto.len(),
         result.points.len(),
-        args.out.display()
+        out.display()
     );
     Ok(())
 }

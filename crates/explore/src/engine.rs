@@ -4,14 +4,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use unizk_field::par::run_indexed;
 use unizk_testkit::json::Json;
 use unizk_testkit::render::{fmt_seconds, fmt_speedup, table};
 use unizk_testkit::trace;
 
 use crate::cache::Cache;
 use crate::pareto::frontier;
-use crate::point::{PointResult, StaticBounds, SweepPoint};
-use crate::pool::run_indexed;
+use crate::point::PointResult;
 use crate::spec::SweepSpec;
 
 /// Schema identifier of sweep artifacts (`SWEEP.json`).
@@ -24,16 +24,6 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// Cache directory; `None` disables memoization entirely.
     pub cache_dir: Option<PathBuf>,
-    /// When set, ignore existing cache entries (still writes new ones).
-    pub fresh: bool,
-    /// When set, skip simulating points whose static cost envelope is
-    /// Pareto-dominated by an earlier kept point's envelope (sound: the
-    /// pruned point could never reach the frontier). Every executed
-    /// point's numbers stay the exact simulator numbers, and the pruned
-    /// points are recorded — never silently dropped. Off by default, so
-    /// the default artifact is byte-identical with and without this
-    /// feature compiled in.
-    pub prune: bool,
 }
 
 impl SweepOptions {
@@ -45,46 +35,13 @@ impl SweepOptions {
     }
 }
 
-/// One grid point skipped by static pruning: its enumeration index, the
-/// kept point whose envelope dominates it, and the bounds that justified
-/// the decision (so the artifact carries the evidence, not just the
-/// verdict).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PrunedPoint {
-    /// Index in `spec.enumerate()` order.
-    pub index: usize,
-    /// The point's stable cache key.
-    pub key: String,
-    /// Enumeration index of the kept point that statically dominates it.
-    pub dominated_by: usize,
-    /// The pruned point's static bounds.
-    pub bounds: StaticBounds,
-}
-
-impl PrunedPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("index", Json::from(self.index)),
-            ("key", Json::str(self.key.clone())),
-            ("dominated_by", Json::from(self.dominated_by)),
-            ("cycles_lower", Json::from(self.bounds.cycles_lower)),
-            ("cycles_upper", Json::from(self.bounds.cycles_upper)),
-            ("area_mm2", Json::from(self.bounds.area_mm2)),
-            ("power_w", Json::from(self.bounds.power_w)),
-        ])
-    }
-}
-
-/// The outcome of one sweep: every executed point's result (in
-/// enumeration order) plus the Pareto frontier over (cycles, area,
-/// power).
+/// The outcome of one sweep: every point's result (in enumeration order)
+/// plus the Pareto frontier over (cycles, area, power).
 #[derive(Clone, Debug)]
 pub struct SweepResult {
     /// The spec that produced this sweep (canonical form).
     pub spec: SweepSpec,
-    /// Executed per-point results, indexed exactly as `spec.enumerate()`
-    /// unless pruning dropped some points (then in enumeration order with
-    /// the pruned entries absent; `pruned` names the gaps).
+    /// Per-point results, indexed exactly as `spec.enumerate()`.
     pub points: Vec<PointResult>,
     /// Indices into `points` that are Pareto-non-dominated, ascending.
     pub pareto: Vec<usize>,
@@ -92,43 +49,30 @@ pub struct SweepResult {
     pub cache_hits: usize,
     /// Points that ran the simulator.
     pub cache_misses: usize,
-    /// Points skipped by static pruning (empty unless
-    /// [`SweepOptions::prune`] was set and some envelope was dominated).
-    pub pruned: Vec<PrunedPoint>,
 }
 
-/// Runs a sweep: enumerates the spec's grid, executes every point on a
-/// self-scheduling worker pool (answering from the cache where possible),
-/// and extracts the Pareto frontier.
+/// Runs a sweep: enumerates the spec's grid, executes every point on
+/// [`run_indexed`]'s workers (answering from the cache where one is
+/// given), and extracts the Pareto frontier.
 ///
 /// The result — and the artifact serialized from it — depends only on the
 /// spec: worker count, cache state, and enumeration timing never change a
 /// byte (the determinism integration test pins this down).
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, String> {
     let _span = trace::span("explore.sweep");
-    let enumerated = spec.enumerate()?;
-    let (points, pruned) = if opts.prune {
-        trace::with_span("explore.prune", || prune_statically(enumerated))
-    } else {
-        (enumerated, Vec::new())
-    };
-    if !pruned.is_empty() {
-        trace::counter("explore.points_pruned", pruned.len() as u64);
-    }
+    let points = spec.enumerate()?;
     let cache = match &opts.cache_dir {
         Some(dir) => Some(Cache::new(dir)?),
         None => None,
     };
 
     let hits = AtomicUsize::new(0);
-    let results = run_indexed(opts.resolved_jobs(), points, |_, point| {
+    let results = run_indexed(opts.resolved_jobs(), points, |_, _, point| {
         trace::with_span("explore.point", || {
-            if !opts.fresh {
-                if let Some(cached) = cache.as_ref().and_then(|c| c.load(&point.key_hex())) {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    trace::counter("explore.cache_hits", 1);
-                    return Ok(cached);
-                }
+            if let Some(cached) = cache.as_ref().and_then(|c| c.load(&point.key_hex())) {
+                hits.fetch_add(1, Ordering::Relaxed);
+                trace::counter("explore.cache_hits", 1);
+                return Ok(cached);
             }
             trace::counter("explore.points_run", 1);
             let result = point.run();
@@ -153,69 +97,21 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, S
         points,
         pareto,
         cache_hits,
-        pruned,
     })
-}
-
-/// The static pruning pass: walk the enumeration in order and drop any
-/// classic point whose cost envelope is surely dominated by an
-/// already-kept point's envelope.
-///
-/// Soundness: a kept dominator `j` satisfies `upper_j ≤ lower_i` on
-/// cycles and is no worse on (exact) area and power with one objective
-/// strictly better, so `j`'s *simulated* result Pareto-dominates `i`'s
-/// would-be simulated result wherever both land inside their envelopes.
-/// Dominance is transitive, so removing `i` changes neither the frontier
-/// membership nor any executed point's numbers — only which points run.
-/// Fleet points carry no static envelope and are always kept.
-fn prune_statically(points: Vec<SweepPoint>) -> (Vec<SweepPoint>, Vec<PrunedPoint>) {
-    let mut kept = Vec::with_capacity(points.len());
-    let mut kept_bounds: Vec<(usize, StaticBounds)> = Vec::new();
-    let mut pruned = Vec::new();
-    for (index, point) in points.into_iter().enumerate() {
-        let Some(bounds) = point.static_bounds() else {
-            kept.push(point); // fleet point: exempt from pruning
-            continue;
-        };
-        match kept_bounds.iter().find(|(_, b)| b.surely_dominates(&bounds)) {
-            Some(&(dominated_by, _)) => pruned.push(PrunedPoint {
-                index,
-                key: point.key_hex(),
-                dominated_by,
-                bounds,
-            }),
-            None => {
-                kept_bounds.push((index, bounds));
-                kept.push(point);
-            }
-        }
-    }
-    (kept, pruned)
 }
 
 impl SweepResult {
     /// The stable JSON artifact. Deliberately excludes cache statistics,
     /// timestamps, and host details so that cached re-runs and different
-    /// `--jobs` values emit byte-identical files. Prune records appear
-    /// only when pruning actually dropped points, so un-pruned artifacts
-    /// are byte-identical to those of builds without the feature.
+    /// `--jobs` values emit byte-identical files.
     pub fn to_json(&self) -> Json {
-        let mut out = Json::obj([
+        Json::obj([
             ("schema", Json::str(SWEEP_SCHEMA)),
             ("spec", self.spec.to_json()),
             ("num_points", Json::from(self.points.len())),
             ("points", Json::arr(self.points.iter().map(PointResult::to_json))),
             ("pareto", Json::arr(self.pareto.iter().map(|&i| Json::from(i)))),
-        ]);
-        if !self.pruned.is_empty() {
-            let Json::Obj(pairs) = &mut out else { unreachable!() };
-            pairs.push(("num_pruned".to_string(), Json::from(self.pruned.len())));
-            pairs.push((
-                "pruned".to_string(),
-                Json::arr(self.pruned.iter().map(PrunedPoint::to_json)),
-            ));
-        }
-        out
+        ])
     }
 
     /// A markdown report: the Pareto frontier as a table, then the full
@@ -228,14 +124,6 @@ impl SweepResult {
             self.points.len(),
             self.pareto.len()
         ));
-        if !self.pruned.is_empty() {
-            out.push_str(&format!(
-                "{} further points were statically pruned (cost envelope dominated \
-                 by a kept point); see the artifact's `pruned` records.\n\n",
-                self.pruned.len()
-            ));
-        }
-
         out.push_str("## Pareto frontier\n\n");
         out.push_str(&self.table_for(self.pareto.iter().copied()));
         out.push_str("\n## All points\n\n");
@@ -313,7 +201,7 @@ mod tests {
     #[test]
     fn second_run_is_all_cache_hits_and_byte_identical() {
         let dir = tmp_cache("hits");
-        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()), fresh: false, prune: false };
+        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()) };
         let spec = tiny_spec();
 
         let cold = run_sweep(&spec, &opts).unwrap();
@@ -329,23 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn fresh_ignores_the_cache() {
-        let dir = tmp_cache("fresh");
-        let opts = SweepOptions { jobs: 1, cache_dir: Some(dir.clone()), fresh: false, prune: false };
-        let spec = tiny_spec();
-        run_sweep(&spec, &opts).unwrap();
-
-        let fresh = SweepOptions { fresh: true, ..opts };
-        let r = run_sweep(&spec, &fresh).unwrap();
-        assert_eq!(r.cache_hits, 0);
-        assert_eq!(r.cache_misses, 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fleet_sweeps_cache_and_rank_like_any_other_points() {
         let dir = tmp_cache("fleet");
-        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()), fresh: false, prune: false };
+        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()) };
         let spec = SweepSpec::new("engine-fleet")
             .fleet_axes([1, 2], [1, 2], [1])
             .workload(App::Fibonacci, Scale::Shrunk(7));
@@ -361,69 +235,6 @@ mod tests {
         );
         assert!(cold.markdown().contains("2c/2s/b1"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A grid with a guaranteed statically-dominated corner: a huge
-    /// transpose buffer (pure area/power, no cycle benefit the envelope
-    /// can't bound) on a quarter-bandwidth chip is surely dominated by
-    /// the small-buffer full-bandwidth point — slower in the best case
-    /// than the dominator in its worst case, and strictly more expensive.
-    fn prunable_spec() -> SweepSpec {
-        SweepSpec::new("engine-prune")
-            .transpose_b([16, 128])
-            .bandwidth_scales([(1, 1), (1, 4)])
-            .workload(App::Fibonacci, Scale::Shrunk(7))
-    }
-
-    #[test]
-    fn pruning_skips_dominated_points_and_preserves_the_frontier() {
-        let spec = prunable_spec();
-        let full = run_sweep(&spec, &SweepOptions::default()).unwrap();
-        let pruned =
-            run_sweep(&spec, &SweepOptions { prune: true, ..Default::default() }).unwrap();
-
-        assert!(full.pruned.is_empty(), "pruning is opt-in");
-        assert!(
-            !pruned.pruned.is_empty(),
-            "expected at least one statically dominated point"
-        );
-        assert_eq!(pruned.points.len() + pruned.pruned.len(), spec.num_points());
-
-        // The frontier is the same set of rows, byte for byte.
-        let frontier_rows = |r: &SweepResult| -> Vec<String> {
-            r.pareto
-                .iter()
-                .map(|&i| r.points[i].to_json().to_string_pretty())
-                .collect()
-        };
-        assert_eq!(frontier_rows(&full), frontier_rows(&pruned));
-
-        // Every executed point keeps the exact simulator numbers.
-        for p in &pruned.points {
-            let same = full.points.iter().find(|q| q.key == p.key).unwrap();
-            assert_eq!(p, same);
-        }
-
-        // Prune records carry the evidence and land in the artifact.
-        for rec in &pruned.pruned {
-            assert!(rec.bounds.cycles_lower <= rec.bounds.cycles_upper);
-            assert!(rec.dominated_by < spec.num_points());
-        }
-        let artifact = pruned.to_json().to_string_pretty();
-        assert!(artifact.contains("\"num_pruned\""));
-        assert!(!full.to_json().to_string_pretty().contains("\"num_pruned\""));
-    }
-
-    #[test]
-    fn fleet_points_are_never_pruned() {
-        let spec = SweepSpec::new("engine-prune-fleet")
-            .fleet_axes([1, 2], [1], [1])
-            .transpose_b([16, 128])
-            .bandwidth_scales([(1, 1), (1, 4)])
-            .workload(App::Fibonacci, Scale::Shrunk(7));
-        let r = run_sweep(&spec, &SweepOptions { prune: true, ..Default::default() }).unwrap();
-        assert!(r.pruned.is_empty(), "fleet makespans have no static envelope");
-        assert_eq!(r.points.len(), spec.num_points());
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! - [`spec`] — a declarative grid: chip axes ([`unizk_core::ChipConfig`]
 //!   knobs), a DRAM bandwidth axis, and a workload list, built fluently
 //!   or parsed from a JSON file.
-//! - [`engine`] — enumerates the grid, executes every point on a
-//!   self-scheduling worker [`pool`], memoizes finished points in an
-//!   on-disk [`cache`] keyed by a stable FNV-1a [`hash`] of the
-//!   (config, workload, schema version) triple, and extracts the
-//!   [`pareto`] frontier over (cycles, area, power).
+//! - [`engine`] — enumerates the grid, executes every point on the
+//!   workspace's one closed-batch loop (`unizk_field::par::run_indexed`,
+//!   shared with the serving pipeline), memoizes finished points in an
+//!   on-disk [`cache`] when given a directory, keyed by a stable FNV-1a
+//!   [`hash`] of the (config, workload, schema version) triple, and
+//!   extracts the [`pareto`] frontier over (cycles, area, power).
 //! - [`point`] — the unit of work: one (chip, workload) pair — optionally
 //!   lifted to a multi-chip fleet point via `unizk-fleet` — its cache
 //!   key, its simulation, and its GPU/PipeZK speedup columns.
@@ -43,11 +44,10 @@ pub mod engine;
 pub mod hash;
 pub mod pareto;
 pub mod point;
-pub mod pool;
 pub mod spec;
 
 pub use cache::Cache;
-pub use engine::{run_sweep, PrunedPoint, SweepOptions, SweepResult, SWEEP_SCHEMA};
+pub use engine::{run_sweep, SweepOptions, SweepResult, SWEEP_SCHEMA};
 pub use pareto::{dominates, frontier};
-pub use point::{FleetParams, FleetRow, PointResult, StaticBounds, SweepPoint, POINT_SCHEMA};
+pub use point::{FleetParams, FleetRow, PointResult, SweepPoint, POINT_SCHEMA};
 pub use spec::{FleetAxes, SweepSpec, WorkloadSpec, SPEC_SCHEMA};

@@ -1,7 +1,6 @@
 //! One grid point: its stable cache key, its execution, and its result
 //! record.
 
-use unizk_core::analyze::cost_envelope;
 use unizk_core::compiler::{compile_plonky2, Plonky2Instance};
 use unizk_core::kernels::KernelClassTag;
 use unizk_core::{AreaPowerBreakdown, ChipConfig, Simulator};
@@ -39,44 +38,6 @@ pub struct FleetParams {
     pub shards: usize,
     /// Jobs per arrival burst.
     pub batch: usize,
-}
-
-/// Simulation-free cost bounds of one classic grid point: the C-rule
-/// cost envelope of its compiled kernel graph (`unizk_core::analyze`)
-/// next to the deterministic area/power model. The simulator is
-/// guaranteed to land inside `[cycles_lower, cycles_upper]` (the debug
-/// builds of `Simulator::run` assert exactly this), and area/power are
-/// exact, so these bounds support *sound* sweep pruning: if one point's
-/// upper bound beats another's lower bound on every objective, the
-/// simulated results must rank the same way.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StaticBounds {
-    /// Static lower bound on simulated cycles (full-efficiency roofline).
-    pub cycles_lower: u64,
-    /// Static upper bound on simulated cycles (no compute/DRAM overlap).
-    pub cycles_upper: u64,
-    /// Exact modeled chip area in mm².
-    pub area_mm2: f64,
-    /// Exact modeled chip power in W.
-    pub power_w: f64,
-}
-
-impl StaticBounds {
-    /// Whether a point with these bounds is *guaranteed* to Pareto-
-    /// dominate any point with bounds `other` once both are simulated:
-    /// no worse on every objective in the worst case, strictly better on
-    /// at least one. Cycles compare `self`'s upper bound against
-    /// `other`'s lower bound, so the conclusion holds for the exact
-    /// simulated cycle counts wherever they land inside their envelopes.
-    pub fn surely_dominates(&self, other: &StaticBounds) -> bool {
-        let no_worse = self.cycles_upper <= other.cycles_lower
-            && self.area_mm2 <= other.area_mm2
-            && self.power_w <= other.power_w;
-        let better = self.cycles_upper < other.cycles_lower
-            || self.area_mm2 < other.area_mm2
-            || self.power_w < other.power_w;
-        no_worse && better
-    }
 }
 
 /// One enumerated grid point, ready to run.
@@ -179,26 +140,6 @@ impl SweepPoint {
     /// The 16-hex-digit cache key.
     pub fn key_hex(&self) -> String {
         key_hex(&self.canonical_key())
-    }
-
-    /// Static cost bounds of this point, without running the simulator:
-    /// compile the kernel graph and apply the C-rule cost envelope plus
-    /// the exact area/power model. Fleet points return `None` — their
-    /// makespan depends on queueing dynamics the per-graph envelope does
-    /// not bound, so they are never pruned.
-    pub fn static_bounds(&self) -> Option<StaticBounds> {
-        if self.fleet.is_some() {
-            return None;
-        }
-        let graph = compile_plonky2(&self.instance());
-        let env = cost_envelope(&graph, &self.chip);
-        let budget = AreaPowerBreakdown::for_chip(&self.chip);
-        Some(StaticBounds {
-            cycles_lower: env.total_lower(),
-            cycles_upper: env.total_upper(),
-            area_mm2: budget.total_area_mm2(),
-            power_w: budget.total_power_w(),
-        })
     }
 
     /// Chip echo embedded in the result row.
@@ -894,38 +835,6 @@ mod tests {
         let r = p.run();
         assert!(r.pipezk_seconds.is_some());
         assert!(r.pipezk_speedup.is_some());
-    }
-
-    #[test]
-    fn static_bounds_bracket_the_simulated_point() {
-        let p = demo_point();
-        let b = p.static_bounds().expect("classic points have bounds");
-        let r = p.run();
-        assert!(
-            b.cycles_lower <= r.total_cycles && r.total_cycles <= b.cycles_upper,
-            "simulated {} outside static [{}, {}]",
-            r.total_cycles,
-            b.cycles_lower,
-            b.cycles_upper
-        );
-        assert_eq!(b.area_mm2, r.area_mm2, "area model is exact");
-        assert_eq!(b.power_w, r.power_w, "power model is exact");
-        assert!(fleet_point(2, 2, 1).static_bounds().is_none(), "fleet points are unbounded");
-    }
-
-    #[test]
-    fn sure_domination_needs_disjoint_envelopes() {
-        let fast = StaticBounds { cycles_lower: 10, cycles_upper: 20, area_mm2: 1.0, power_w: 1.0 };
-        let slow = StaticBounds { cycles_lower: 30, cycles_upper: 40, area_mm2: 1.0, power_w: 1.0 };
-        assert!(fast.surely_dominates(&slow));
-        assert!(!slow.surely_dominates(&fast));
-        // Overlapping cycle envelopes prove nothing, even with better area.
-        let cheap =
-            StaticBounds { cycles_lower: 15, cycles_upper: 25, area_mm2: 0.5, power_w: 0.5 };
-        assert!(!fast.surely_dominates(&cheap), "envelopes overlap");
-        assert!(!cheap.surely_dominates(&fast), "envelopes overlap");
-        // Identical bounds never dominate (no strict edge).
-        assert!(!fast.surely_dominates(&fast));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use unizk_explore::{run_sweep, SweepOptions, SweepResult, SweepSpec};
+use unizk_explore::{run_sweep, SweepOptions, SweepSpec};
 use unizk_testkit::json::{parse, Json};
 use unizk_workloads::{App, Scale};
 
@@ -51,7 +51,7 @@ fn artifact_is_independent_of_worker_count() {
 fn cached_rerun_is_all_hits_and_byte_identical() {
     let spec = grid_spec();
     let dir = tmp_dir("cache");
-    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()), fresh: false, prune: false };
+    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()) };
 
     let cold = run_sweep(&spec, &opts).unwrap();
     assert_eq!(cold.cache_hits, 0);
@@ -85,7 +85,7 @@ fn fleet_artifact_is_independent_of_workers_and_cache_state() {
     );
 
     let dir = tmp_dir("fleet-cache");
-    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()), fresh: false, prune: false };
+    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()) };
     let cold = run_sweep(&spec, &opts).unwrap();
     assert_eq!(cold.cache_misses, spec.num_points());
     let warm = run_sweep(&spec, &opts).unwrap();
@@ -96,65 +96,6 @@ fn fleet_artifact_is_independent_of_workers_and_cache_state() {
         "a fully-cached fleet sweep must emit the same bytes as the uncached run"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Static pruning must never change what the sweep reports as optimal:
-/// the committed `prune-ci.json` spec drops at least one statically
-/// dominated point, yet the Pareto frontier is the same set of rows byte
-/// for byte, every executed point keeps its exact simulator numbers, and
-/// the default (no-prune) artifact carries no trace of the feature.
-#[test]
-fn pruning_preserves_the_frontier_and_executed_bytes() {
-    let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("specs/prune-ci.json"),
-    )
-    .expect("committed prune-ci spec");
-    let spec = SweepSpec::from_json_text(&text).unwrap();
-
-    let full = run_sweep(&spec, &SweepOptions::default()).unwrap();
-    let pruned = run_sweep(&spec, &SweepOptions { prune: true, ..Default::default() }).unwrap();
-
-    assert!(
-        !pruned.pruned.is_empty(),
-        "the committed prune-ci spec must actually prune a point"
-    );
-    assert_eq!(pruned.points.len() + pruned.pruned.len(), spec.num_points());
-
-    // The frontier is the identical set of result rows, byte for byte.
-    let frontier_rows = |r: &SweepResult| -> Vec<String> {
-        r.pareto
-            .iter()
-            .map(|&i| r.points[i].to_json().to_string_pretty())
-            .collect()
-    };
-    assert_eq!(
-        frontier_rows(&full),
-        frontier_rows(&pruned),
-        "pruning must not move the Pareto frontier"
-    );
-
-    // Every executed point serializes byte-identically to its unpruned
-    // counterpart: pruning changes which points run, never their numbers.
-    for p in &pruned.points {
-        let counterpart = full
-            .points
-            .iter()
-            .find(|q| q.key == p.key)
-            .expect("executed point exists in the full sweep");
-        assert_eq!(
-            p.to_json().to_string_pretty(),
-            counterpart.to_json().to_string_pretty()
-        );
-    }
-
-    // Default path: byte-identical artifact, no prune records.
-    assert!(full.pruned.is_empty());
-    let rerun = run_sweep(&spec, &SweepOptions::default()).unwrap();
-    assert_eq!(
-        full.to_json().to_string_pretty(),
-        rerun.to_json().to_string_pretty()
-    );
-    assert!(!full.to_json().to_string_pretty().contains("num_pruned"));
 }
 
 /// The sweep engine is only trustworthy if its per-point numbers are the

@@ -23,7 +23,9 @@
 //!   [`set_parallelism`] override (`1` = single-threaded measurement mode).
 //!   Workers inherit the caller's open `unizk_testkit::trace` span, so
 //!   timings recorded inside parallel regions aggregate under the right
-//!   parent instead of double-counting.
+//!   parent instead of double-counting. [`run_indexed`] is the one loop
+//!   for a closed batch of unequal items (sweep points, proving jobs):
+//!   workers claim the next item, the worker count is an argument.
 //! * [`Pool`] / [`TablePool`] — recyclable buffer free-lists. The
 //!   proof-serving pipeline bundles them into a `unizk_hash::Workspace`
 //!   and threads that through the prover so concurrent jobs reuse
@@ -69,7 +71,7 @@ pub use goldilocks::Goldilocks;
 pub use koalabear::KoalaBear;
 pub use par::{
     current_parallelism, parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges,
-    parallel_zip_mut, set_parallelism,
+    parallel_zip_mut, run_indexed, set_parallelism,
 };
 pub use poly::Polynomial;
 pub use pool::{Pool, PoolStats, TablePool};

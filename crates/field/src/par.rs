@@ -4,13 +4,20 @@
 //! Plonky2 baseline (§6 uses 80 threads). A process-wide override supports
 //! the single-threaded runs Table 1's breakdown methodology requires.
 //!
-//! Both helpers are **trace-aware**: they capture the calling thread's
-//! open [`unizk_testkit::trace`] span path and re-attach it inside each
+//! The `parallel_*` helpers cut their input into one static chunk per
+//! thread, which suits uniform work (field elements, butterflies, leaves).
+//! [`run_indexed`] is the loop for a closed batch of *unequal* items — sweep
+//! points, proving jobs: every worker claims the next unclaimed item, so
+//! load balances at item granularity.
+//!
+//! Every helper is **trace-aware**: it captures the calling thread's
+//! open [`unizk_testkit::trace`] span path and re-attaches it inside each
 //! worker, so spans and counters recorded by workers aggregate under the
 //! caller's spans (one merged total, no double counting) instead of
 //! appearing as orphaned top-level entries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use unizk_testkit::trace::SpanHandle;
 
@@ -130,6 +137,99 @@ where
             .flat_map(|h| h.join().expect("parallel_map worker panicked"))
             .collect()
     })
+}
+
+/// Runs `f(worker, index, item)` over a closed batch on up to `workers`
+/// threads and returns the results in input order.
+///
+/// Every worker claims the next unclaimed item until none is left, so a
+/// batch of unequal items (a 2^10-row point beside a 2^16-row one) keeps
+/// all workers busy where the static chunks of [`parallel_map`] would
+/// leave them idle behind the one that drew the expensive chunk. `worker`
+/// is the claiming thread's index in `0..workers`, for per-worker state
+/// the caller built up front; results are slotted by `index`, so the
+/// output is the same whatever order items are claimed in.
+///
+/// The worker count is the argument, not [`current_parallelism`]: the
+/// callers run one single-threaded unit of work per worker. With
+/// `workers <= 1` (or at most one item) everything runs on the calling
+/// thread as worker `0`. Workers inherit the caller's trace-span path,
+/// exactly as in [`parallel_map`].
+///
+/// # Panics
+///
+/// A panic in `f` ends that worker; the others keep claiming until the
+/// batch is drained, and the first panic propagates once all have joined.
+/// On the calling thread it propagates at once.
+///
+/// # Examples
+///
+/// ```
+/// use unizk_field::par::run_indexed;
+///
+/// let out = run_indexed(3, vec![10u64, 20, 30, 40], |worker, index, x| {
+///     assert!(worker < 3);
+///     x + index as u64
+/// });
+/// assert_eq!(out, vec![10, 21, 32, 43]);
+/// ```
+pub fn run_indexed<T, U, F>(workers: usize, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, usize, T) -> U + Sync,
+{
+    let n = items.len();
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(0, i, item))
+            .collect();
+    }
+
+    let unclaimed = Mutex::new(items.into_iter().enumerate());
+    // The lock is held for one `next()` only, never across `f`: a panicking
+    // item cannot leave the iterator half-advanced.
+    let claim = || {
+        unclaimed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next()
+    };
+    // Each result is written once, in place, by the worker that claimed it;
+    // like the claim, the store cannot panic with the lock held.
+    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let span = SpanHandle::current();
+    let first_panic = std::thread::scope(|scope| {
+        let (claim, slots, f, span) = (&claim, &slots, &f, &span);
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                scope.spawn(move || {
+                    let _trace_ctx = span.attach();
+                    while let Some((i, item)) = claim() {
+                        let out = f(worker, i, item);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+                    }
+                })
+            })
+            .collect();
+        // Join all before reporting: the other workers drain the batch.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined.into_iter().find_map(Result::err)
+    });
+    if let Some(panic) = first_panic {
+        std::panic::resume_unwind(panic);
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every item is claimed exactly once")
+        })
+        .collect()
 }
 
 /// Applies `f` to disjoint consecutive chunks of `values` in parallel.
@@ -448,5 +548,92 @@ mod tests {
         let mut a = [0u8; 3];
         let mut b = [0u8; 4];
         parallel_zip_mut(&mut a, &mut b, 1, |_, _, _| {});
+    }
+
+    #[test]
+    fn run_indexed_preserves_order_under_parallelism() {
+        let items: Vec<u64> = (0..257).collect();
+        let out = run_indexed(8, items, |_, i, x| {
+            assert_eq!(i as u64, x);
+            x * 3
+        });
+        assert_eq!(out.len(), 257);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, (i as u64) * 3);
+        }
+    }
+
+    #[test]
+    fn run_indexed_serial_and_parallel_agree() {
+        let serial = run_indexed(1, (0u64..64).collect(), |_, _, x| x * x);
+        let parallel = run_indexed(6, (0u64..64).collect(), |_, _, x| x * x);
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn run_indexed_unbalanced_work_completes() {
+        // One expensive item plus many cheap ones: all must finish, each
+        // claimed exactly once, by a worker inside the requested range.
+        let claims: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_indexed(4, (0u64..32).collect(), |worker, i, x| {
+            assert!(worker < 4, "worker {worker} of 4");
+            claims[i].fetch_add(1, Ordering::SeqCst);
+            if x == 0 {
+                (0..200_000u64).sum::<u64>() + x
+            } else {
+                x
+            }
+        });
+        assert_eq!(out[0], (0..200_000u64).sum::<u64>());
+        assert_eq!(out[31], 31);
+        assert!(claims.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn run_indexed_empty_input() {
+        let out: Vec<u32> = run_indexed(4, Vec::<u32>::new(), |_, _, x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn run_indexed_trace_counters_flow_through_workers() {
+        use unizk_testkit::trace;
+        trace::reset();
+        let _ = run_indexed(4, (0..16).collect::<Vec<u32>>(), |_, _, x| {
+            trace::counter("run_indexed.test_items", 1);
+            x
+        });
+        assert_eq!(trace::snapshot().counter("run_indexed.test_items"), 16);
+    }
+
+    #[test]
+    fn run_indexed_panic_propagates_after_the_batch_is_drained() {
+        // Item 0 panics on whichever worker claims it; the other three
+        // workers must still finish all 63 remaining items before the
+        // panic (with its own message) reaches the caller.
+        let finished = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_indexed(4, (0u32..64).collect(), |_, _, x| {
+                assert!(x != 0, "item {x} fails");
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let message = caught.expect_err("the item's panic propagates");
+        assert!(message
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("item 0 fails")));
+        assert_eq!(finished.load(Ordering::SeqCst), 63);
+    }
+
+    #[test]
+    fn run_indexed_zero_or_one_worker_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for workers in [0, 1] {
+            let out = run_indexed(workers, vec![(); 5], |worker, _, ()| {
+                assert_eq!(worker, 0);
+                std::thread::current().id()
+            });
+            assert_eq!(out, vec![caller; 5], "workers={workers}");
+        }
     }
 }

@@ -4,12 +4,14 @@
 //! arriving at a fixed hardware budget. This crate reproduces that setting
 //! in software — the systems layer above `unizk_stark::prove`:
 //!
-//! * [`JobQueue`] — a bounded blocking MPMC queue providing admission
-//!   control and back-pressure.
-//! * [`Pipeline`] — a worker pool draining the queue; each worker proves
-//!   jobs with an optional per-worker [`Workspace`](unizk_hash::Workspace)
-//!   so one job's large allocations (LDE codewords, Merkle leaf tables and
-//!   digest levels, FRI fold layers) are recycled into the next.
+//! * [`Pipeline`] — proves a closed batch of jobs on the workspace's one
+//!   claim-the-next-item loop (`unizk_field::par::run_indexed`, the loop
+//!   `unizk-explore` sweeps a grid on); each worker proves jobs with an
+//!   optional per-worker [`Workspace`](unizk_hash::Workspace) so one job's
+//!   large allocations (LDE codewords, Merkle leaf tables and digest
+//!   levels, FRI fold layers) are recycled into the next. A job the prover
+//!   refuses or panics on fails alone ([`JobError`]), and the whole run is
+//!   one `serve.run` trace span with a `serve.job` child per proof.
 //! * [`TrafficSpec`] — deterministic synthetic workloads over a weighted
 //!   mix of the demo AIRs, shared by the throughput benchmark and the CI
 //!   smoke gate.
@@ -18,10 +20,10 @@
 //!
 //! Every proof produced by the pipeline is **byte-identical** to the
 //! one-shot `unizk_stark::prove` output for the same
-//! [`JobSpec`] — for every worker count (including the inline `workers: 0`
-//! mode), every [`PoolMode`], and every arrival order. Scheduling only
-//! moves *when* a proof is computed, never *what* it is; the differential
-//! test suite in `tests/` pins this.
+//! [`JobSpec`] — for every worker count (including `workers: 0`, the
+//! calling thread), every [`PoolMode`], and every arrival order.
+//! Scheduling only moves *when* a proof is computed, never *what* it is;
+//! the differential test suite in `tests/` pins this.
 //!
 //! # Example
 //!
@@ -45,10 +47,10 @@
 
 pub mod job;
 pub mod pipeline;
-pub mod queue;
 pub mod traffic;
 
 pub use job::{AppKind, Job, JobSpec};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineReport, PoolMode, WorkerReport};
-pub use queue::JobQueue;
+pub use pipeline::{
+    JobError, Pipeline, PipelineConfig, PipelineReport, PoolMode, WorkerReport,
+};
 pub use traffic::{MixEntry, TrafficSpec};

@@ -1,25 +1,47 @@
-//! The proof-serving pipeline: a bounded job queue feeding a pool of
-//! prover workers, each with an optional per-worker [`Workspace`].
+//! The proof-serving pipeline: a closed batch of jobs proved by a pool of
+//! workers, each with an optional per-worker [`Workspace`].
+//!
+//! Every caller hands over the complete job list up front, so the batch
+//! runs on the workspace's one closed-batch loop
+//! ([`unizk_field::par::run_indexed`], the loop `unizk-explore` sweeps a
+//! grid on): workers claim the next job in slice order until none is left.
 //!
 //! # Determinism contract
 //!
 //! Scheduling is free-running — which worker proves which job, and in what
 //! order jobs complete, varies run to run. The *outputs* do not: each
-//! proof depends only on its [`JobSpec`](crate::JobSpec), so the report's
+//! proof depends only on its [`JobSpec`], so the report's
 //! id → proof mapping is byte-identical across worker counts, pool modes,
 //! and arrival orders. Latency and utilization figures are measurements,
 //! not deterministic quantities; everything a correctness gate should pin
 //! lives in the proofs.
+//!
+//! # Failure containment
+//!
+//! A job fails alone. A spec the prover refuses (`Err`) or panics on
+//! becomes that job's failed [`JobResult`] with the reason in its
+//! [`JobError`]; the worker claims the next job and the run returns.
+//!
+//! # Trace
+//!
+//! The batch runs inside a `serve.run` span and every prove inside a
+//! `serve.job` span under it, on whichever thread proves it, so the
+//! prover's `stark.prove` trees and `kernel:*` spans nest under
+//! `serve.run/serve.job`. Each run publishes the counters `serve.jobs`,
+//! `serve.jobs_failed` and, with pooling on, `serve.pool.hits` /
+//! `serve.pool.misses`. Everything is merged into the trace store by the
+//! time [`Pipeline::run`] returns.
 
-use std::sync::Mutex;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use unizk_field::par::run_indexed;
 use unizk_hash::{Workspace, WorkspaceStats};
 use unizk_stark::{StarkError, StarkProof};
-use unizk_testkit::stats;
+use unizk_testkit::{stats, trace};
 
-use crate::job::Job;
-use crate::queue::JobQueue;
+use crate::job::{Job, JobSpec};
 
 /// Buffer-recycling policy for the worker pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,24 +53,21 @@ pub enum PoolMode {
     PerWorker,
 }
 
-/// Pipeline shape: worker count, queue bound, and pooling policy.
+/// Pipeline shape: worker count and pooling policy.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Prover threads. `0` runs every job inline on the calling thread
-    /// (the degenerate single-lane pipeline, useful as a reference).
+    /// Prover threads. `0` and `1` prove every job on the calling thread
+    /// (the single-lane pipeline, useful as a reference).
     pub workers: usize,
-    /// Bound of the admission queue; producers block when it is full.
-    pub queue_depth: usize,
     /// Whether workers recycle buffers across jobs.
     pub pool: PoolMode,
 }
 
 impl PipelineConfig {
-    /// `workers` threads, a `2·workers` queue bound, per-worker pooling.
+    /// `workers` threads with per-worker pooling.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers,
-            queue_depth: (2 * workers).max(2),
             pool: PoolMode::PerWorker,
         }
     }
@@ -60,18 +79,42 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The outcome of one job, with its queueing/service timeline.
+/// Why a job produced no proof.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobError {
+    /// The prover returned an error for the spec (for the stock AIRs:
+    /// parameters the static P-rule checker refuses).
+    Prover(StarkError),
+    /// The prover panicked on the spec (a trace height no AIR accepts);
+    /// the payload is the panic message.
+    Panicked(String),
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Prover(e) => write!(f, "{e}"),
+            Self::Panicked(message) => write!(f, "prover panicked: {message}"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
+
+/// The outcome of one job, with its timeline inside the batch.
 #[derive(Clone, Debug)]
 pub struct JobResult {
     /// The job's caller-assigned id.
     pub id: u64,
-    /// The proof, or the prover error for an unsatisfiable spec.
-    pub outcome: Result<StarkProof, StarkError>,
-    /// Index of the worker that proved it (`0` in inline mode).
+    /// The proof, or why there is none.
+    pub outcome: Result<StarkProof, JobError>,
+    /// Index of the worker that proved it (`0` on the calling thread).
     pub worker: usize,
-    /// Submission → completion (queue wait + proving), in nanoseconds.
+    /// Batch start → completion (wait for a free worker + proving), in
+    /// nanoseconds: every job of a closed batch is submitted when the
+    /// batch is, at every worker count.
     pub sojourn_ns: u64,
-    /// Dequeue → completion (proving only), in nanoseconds.
+    /// Claim → completion (proving only), in nanoseconds.
     pub service_ns: u64,
 }
 
@@ -89,7 +132,7 @@ pub struct WorkerReport {
     pub worker: usize,
     /// Jobs this worker proved.
     pub jobs: usize,
-    /// Time spent proving (excludes idle waits on the queue).
+    /// Time spent proving: the summed service time of this worker's jobs.
     pub busy_ns: u64,
     /// Final pool counters, when pooling was on.
     pub pool: Option<WorkspaceStats>,
@@ -101,9 +144,9 @@ pub struct PipelineReport {
     /// One entry per submitted job, **sorted by job id** — the
     /// deterministic id → proof mapping.
     pub results: Vec<JobResult>,
-    /// One entry per worker (a single entry in inline mode).
+    /// One entry per worker (a single entry for `workers: 0`).
     pub workers: Vec<WorkerReport>,
-    /// Wall-clock time of the whole run (first submit → last completion).
+    /// Wall-clock time of the whole run (batch start → last completion).
     pub wall_ns: u64,
 }
 
@@ -155,146 +198,94 @@ pub struct Pipeline;
 impl Pipeline {
     /// Proves every job in `jobs` under `config` and returns the report.
     ///
-    /// Jobs are submitted in slice order through the bounded queue; workers
-    /// race to dequeue. The returned results are sorted by job id, so
-    /// `report.results[i]` is job `jobs[i]` whenever ids are `0..n` in
-    /// order.
+    /// Workers claim jobs in slice order. The returned results are sorted
+    /// by job id, so `report.results[i]` is job `jobs[i]` whenever ids are
+    /// `0..n` in order. A job whose spec the prover refuses or panics on is
+    /// reported as a failed [`JobResult`]; the others are unaffected.
     ///
     /// # Panics
     ///
-    /// Panics if two jobs share an id, if any job's protocol parameters
-    /// fail the static P-rule checker ([`unizk_stark::check_protocol`]),
-    /// or if a worker thread panics.
+    /// Panics if two jobs share an id.
     pub fn run(jobs: Vec<Job>, config: &PipelineConfig) -> PipelineReport {
-        let n = jobs.len();
         {
             let mut ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
             ids.sort_unstable();
             ids.dedup();
-            assert_eq!(ids.len(), n, "job ids must be unique");
+            assert_eq!(ids.len(), jobs.len(), "job ids must be unique");
         }
-        // P-rule gate: reject the batch up front rather than burn worker
-        // time discovering that the prover refuses a job's parameters.
-        for job in &jobs {
-            let errors: Vec<String> =
-                unizk_stark::check_protocol(job.spec.rows, &job.spec.config)
-                    .iter()
-                    .filter(|d| d.is_error())
-                    .map(|d| d.render())
-                    .collect();
-            assert!(
-                errors.is_empty(),
-                "job {} has insecure protocol parameters:\n{}",
-                job.id,
-                errors.join("\n")
-            );
-        }
-        let epoch = Instant::now();
-        let mut report = if config.workers == 0 {
-            Self::run_inline(jobs, config, epoch)
-        } else {
-            Self::run_threaded(jobs, config, epoch)
-        };
-        report.results.sort_by_key(|r| r.id);
-        report
-    }
+        let _run_span = trace::span("serve.run");
+        let workspaces: Vec<Option<Workspace>> = (0..config.workers.max(1))
+            .map(|_| match config.pool {
+                PoolMode::Off => None,
+                PoolMode::PerWorker => Some(Workspace::new()),
+            })
+            .collect();
 
-    fn run_inline(jobs: Vec<Job>, config: &PipelineConfig, epoch: Instant) -> PipelineReport {
-        let ws = make_workspace(config.pool);
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut busy_ns = 0u64;
-        let count = jobs.len();
-        for job in jobs {
+        let epoch = Instant::now();
+        let mut results = run_indexed(config.workers, jobs, |worker, _, job| {
             let start = elapsed_ns(epoch);
-            let outcome = job.spec.prove(ws.as_ref());
+            let outcome = trace::with_span("serve.job", || {
+                prove_contained(&job.spec, workspaces[worker].as_ref())
+            });
             let done = elapsed_ns(epoch);
-            busy_ns += done - start;
-            results.push(JobResult {
+            JobResult {
                 id: job.id,
                 outcome,
-                worker: 0,
-                sojourn_ns: done - start,
+                worker,
+                sojourn_ns: done,
                 service_ns: done - start,
-            });
-        }
-        PipelineReport {
-            results,
-            workers: vec![WorkerReport {
-                worker: 0,
-                jobs: count,
-                busy_ns,
-                pool: ws.map(|w| w.stats()),
-            }],
-            wall_ns: elapsed_ns(epoch),
-        }
-    }
-
-    fn run_threaded(jobs: Vec<Job>, config: &PipelineConfig, epoch: Instant) -> PipelineReport {
-        // Each queue entry carries its submission timestamp for the
-        // sojourn measurement.
-        let queue: JobQueue<(Job, u64)> = JobQueue::new(config.queue_depth);
-        let results: Mutex<Vec<JobResult>> = Mutex::new(Vec::with_capacity(jobs.len()));
-        let worker_reports: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for worker in 0..config.workers {
-                let queue = &queue;
-                let results = &results;
-                let worker_reports = &worker_reports;
-                let pool = config.pool;
-                scope.spawn(move || {
-                    let ws = make_workspace(pool);
-                    let mut busy_ns = 0u64;
-                    let mut proved = 0usize;
-                    while let Some((job, submitted)) = queue.pop() {
-                        let start = elapsed_ns(epoch);
-                        let outcome = job.spec.prove(ws.as_ref());
-                        let done = elapsed_ns(epoch);
-                        busy_ns += done - start;
-                        proved += 1;
-                        results.lock().expect("results poisoned").push(JobResult {
-                            id: job.id,
-                            outcome,
-                            worker,
-                            sojourn_ns: done - submitted,
-                            service_ns: done - start,
-                        });
-                    }
-                    worker_reports
-                        .lock()
-                        .expect("reports poisoned")
-                        .push(WorkerReport {
-                            worker,
-                            jobs: proved,
-                            busy_ns,
-                            pool: ws.map(|w| w.stats()),
-                        });
-                });
             }
-
-            // The calling thread is the producer; the bounded push provides
-            // back-pressure.
-            for job in jobs {
-                let submitted = elapsed_ns(epoch);
-                assert!(queue.push((job, submitted)), "queue closed during submit");
-            }
-            queue.close();
         });
+        let wall_ns = elapsed_ns(epoch);
+        results.sort_by_key(|r| r.id);
 
-        let mut workers = worker_reports.into_inner().expect("reports poisoned");
-        workers.sort_by_key(|w| w.worker);
-        PipelineReport {
-            results: results.into_inner().expect("results poisoned"),
+        let workers = workspaces
+            .iter()
+            .enumerate()
+            .map(|(worker, ws)| {
+                let proved = results.iter().filter(|r| r.worker == worker);
+                WorkerReport {
+                    worker,
+                    jobs: proved.clone().count(),
+                    busy_ns: proved.map(|r| r.service_ns).sum(),
+                    pool: ws.as_ref().map(Workspace::stats),
+                }
+            })
+            .collect();
+        let report = PipelineReport {
+            results,
             workers,
-            wall_ns: elapsed_ns(epoch),
+            wall_ns,
+        };
+
+        let failed = report.results.iter().filter(|r| r.outcome.is_err()).count();
+        trace::counter("serve.jobs", report.results.len() as u64);
+        trace::counter("serve.jobs_failed", failed as u64);
+        if let Some(pool) = report.pool_stats().map(|s| s.total()) {
+            trace::counter("serve.pool.hits", pool.hits);
+            trace::counter("serve.pool.misses", pool.misses);
         }
+        report
     }
 }
 
-fn make_workspace(pool: PoolMode) -> Option<Workspace> {
-    match pool {
-        PoolMode::Off => None,
-        PoolMode::PerWorker => Some(Workspace::new()),
+/// [`JobSpec::prove`] with the failure kept inside the job: a prover error
+/// or a panic comes back as this job's [`JobError`].
+fn prove_contained(spec: &JobSpec, ws: Option<&Workspace>) -> Result<StarkProof, JobError> {
+    // The workspace is the only state a job shares with the next one on its
+    // worker, and pooled buffers are value-invisible (the canary suite feeds
+    // the prover garbage-filled ones), so a prove abandoned half-way leaves
+    // nothing a later job can observe.
+    match catch_unwind(AssertUnwindSafe(|| spec.prove(ws))) {
+        Ok(outcome) => outcome.map_err(JobError::Prover),
+        Err(panic) => {
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("(no message)");
+            Err(JobError::Panicked(message.to_string()))
+        }
     }
 }
 
@@ -339,7 +330,6 @@ mod tests {
             tiny_jobs(3),
             &PipelineConfig {
                 workers: 0,
-                queue_depth: 1,
                 pool: PoolMode::Off,
             },
         );
@@ -362,12 +352,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "insecure protocol parameters")]
-    fn insecure_job_parameters_rejected_at_admission() {
-        let mut jobs = tiny_jobs(2);
+    fn insecure_job_parameters_fail_that_job_alone() {
+        let mut jobs = tiny_jobs(3);
         // 1 query · 1 rate bit + 4 pow bits = 5 < the 8-bit test target.
         jobs[1].spec.config.fri.num_queries = 1;
-        let _ = Pipeline::run(jobs, &PipelineConfig::default());
+        let report = Pipeline::run(jobs, &PipelineConfig::default());
+        let Err(JobError::Prover(StarkError::InsecureParameters(why))) = &report.results[1].outcome
+        else {
+            panic!("job 1 must be refused: {:?}", report.results[1].outcome);
+        };
+        assert!(why.contains("P01"), "{why}");
+        assert!(report.results[0].outcome.is_ok() && report.results[2].outcome.is_ok());
     }
 
     #[test]
@@ -386,7 +381,6 @@ mod tests {
             tiny_jobs(2),
             &PipelineConfig {
                 workers: 1,
-                queue_depth: 2,
                 pool: PoolMode::Off,
             },
         );

@@ -1,12 +1,11 @@
-//! The one command-line parser of this crate's binaries.
+//! The one command-line parser of the workspace's binaries (`crates/bench`,
+//! `sweep`, `lint`).
 //!
 //! Parsing is strict: an unknown flag, a repeated flag, a missing value or
 //! a value that does not parse prints the reason and the usage line to
 //! stderr and exits with status 2. A typo never runs the default.
 
 use std::str::FromStr;
-
-use unizk_workloads::Scale;
 
 /// The arguments not yet consumed by [`Args::flag`] / [`Args::value`];
 /// [`Args::finish`] rejects whatever is left.
@@ -28,7 +27,9 @@ impl Args {
         }
     }
 
-    fn fail(&self, why: &str) -> ! {
+    /// Prints `why` and the usage line to stderr and exits with status 2:
+    /// for the constraints between flags only the binary knows.
+    pub fn fail(&self, why: &str) -> ! {
         let bin = self.bin.rsplit('/').next().unwrap_or_default();
         eprintln!("{why}\nusage: {bin} {}", self.usage);
         std::process::exit(2)
@@ -65,18 +66,6 @@ impl Args {
         let i = self.take(name)?;
         let has_value = self.rest.get(i).is_some_and(|v| !v.starts_with('-'));
         Some(has_value.then(|| self.rest.remove(i)))
-    }
-
-    /// Consumes `--shrink N` / `--full`, the workload scale every table
-    /// and figure binary accepts.
-    pub fn scale(&mut self, default: Scale) -> Scale {
-        let full = self.flag("--full");
-        match self.value("--shrink") {
-            Some(_) if full => self.fail("--full and --shrink exclude each other"),
-            Some(n) => Scale::Shrunk(n),
-            None if full => Scale::Full,
-            None => default,
-        }
     }
 
     /// Rejects every argument nothing consumed.

@@ -5,6 +5,9 @@
 //! `serde`, or `criterion` from crates.io depends on this kit instead. It
 //! is a leaf crate (no dependencies whatsoever) providing:
 //!
+//! * [`args`] — the strict command-line parser every binary of the
+//!   workspace shares: an unknown or repeated flag, a missing or
+//!   unparseable value is reason + usage on stderr and exit status 2.
 //! * [`rng`] — seedable SplitMix64 / xoshiro256** PRNGs with `rand`-style
 //!   `gen` / `gen_range` methods and a [`rng::Sample`] trait the field
 //!   crates implement for Goldilocks and extension elements.
@@ -35,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod json;
 pub mod prop;
 pub mod render;
@@ -42,6 +46,7 @@ pub mod rng;
 pub mod stats;
 pub mod trace;
 
+pub use args::Args;
 pub use json::{Json, ToJson};
 pub use rng::{Rng, Sample, TestRng};
 pub use trace::{Span, SpanHandle, TraceNode, TraceReport};
