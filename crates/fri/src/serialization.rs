@@ -19,6 +19,12 @@ pub enum WireError {
     Truncated,
     /// A length prefix claimed more elements than the remaining bytes hold.
     LengthOutOfRange(u64),
+    /// A field limb at or above the modulus: the encoder writes canonical
+    /// representatives only, so a second spelling of one element is refused
+    /// rather than reduced.
+    NonCanonical(u64),
+    /// Bytes left over after the last field of the structure.
+    TrailingBytes(usize),
 }
 
 impl core::fmt::Display for WireError {
@@ -26,6 +32,8 @@ impl core::fmt::Display for WireError {
         match self {
             Self::Truncated => write!(f, "unexpected end of proof bytes"),
             Self::LengthOutOfRange(n) => write!(f, "length prefix {n} out of range"),
+            Self::NonCanonical(v) => write!(f, "field limb {v:#x} is not below the modulus"),
+            Self::TrailingBytes(n) => write!(f, "{n} bytes after the end of the proof"),
         }
     }
 }
@@ -107,17 +115,27 @@ impl<'a> Reader<'a> {
         Self { buf, pos: 0 }
     }
 
-    /// Whether every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Ends a decode: every byte must have been consumed, so that exactly
+    /// one byte string decodes to a given value.
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            left => Err(WireError::TrailingBytes(left)),
+        }
+    }
+
+    /// The next `n <= 8` bytes as a little-endian integer.
+    fn le(&mut self, n: usize) -> Result<u64, WireError> {
+        let bytes = self.buf[self.pos..].get(..n).ok_or(WireError::Truncated)?;
+        self.pos += n;
+        let mut wide = [0u8; 8];
+        wide[..n].copy_from_slice(bytes);
+        Ok(u64::from_le_bytes(wide))
     }
 
     /// Reads a raw `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos.checked_add(8).ok_or(WireError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        self.le(8)
     }
 
     /// Reads the length prefix of a sequence whose elements each occupy at
@@ -129,25 +147,22 @@ impl<'a> Reader<'a> {
     /// allocation, and a decode never reserves more than a small multiple
     /// of its input.
     pub fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let end = self.pos.checked_add(4).ok_or(WireError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        let n = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        let n = self.le(4)?;
         let remaining = self.buf.len() - self.pos;
         match usize::try_from(n) {
             Ok(len) if len <= remaining / min_elem_bytes.max(1) => Ok(len),
-            _ => Err(WireError::LengthOutOfRange(u64::from(n))),
+            _ => Err(WireError::LengthOutOfRange(n)),
         }
     }
 
-    /// Reads a field element (`F::BYTES` bytes, zero-extended).
+    /// Reads a field element: `F::BYTES` bytes holding the canonical
+    /// representative, as [`Writer::field`] writes it.
     pub fn field<F: PrimeField64>(&mut self) -> Result<F, WireError> {
-        let end = self.pos.checked_add(F::BYTES).ok_or(WireError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        let mut wide = [0u8; 8];
-        wide[..F::BYTES].copy_from_slice(bytes);
-        Ok(F::from_u64(u64::from_le_bytes(wide)))
+        let limb = self.le(F::BYTES)?;
+        if limb >= F::ORDER {
+            return Err(WireError::NonCanonical(limb));
+        }
+        Ok(F::from_u64(limb))
     }
 
     /// Reads an extension element (`DEGREE` base limbs).
@@ -231,17 +246,32 @@ impl<F: ProtocolField> FriProof<F> {
         w.into_bytes()
     }
 
-    /// Decodes a proof from bytes.
+    /// Decodes a proof from bytes: exactly the strings [`Self::to_bytes`]
+    /// produces, so `from_bytes(b)?.to_bytes() == b`.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on truncation or corrupt length prefixes.
+    /// Returns [`WireError`] on truncation, corrupt length prefixes,
+    /// non-canonical field limbs or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(bytes);
+        let proof = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(proof)
+    }
+
+    /// Decodes a proof from the reader's position and leaves the reader
+    /// after it — the form an enclosing proof's decoder calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::from_bytes`], except that bytes after the proof are the
+    /// caller's to judge.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         // Minimum encoded size of each element kind; a nested sequence
         // costs at least its own 4-byte prefix.
         const PREFIX: usize = 4;
         let ext_bytes = <F::Ext as ExtensionOf<F>>::DEGREE * F::BYTES;
-        let mut r = Reader::new(bytes);
         let num_points = r.len_prefix(PREFIX)?;
         let mut openings = Vec::with_capacity(num_points);
         for _ in 0..num_points {
@@ -279,14 +309,14 @@ impl<F: ProtocolField> FriProof<F> {
                 for _ in 0..leaf_len {
                     leaf.push(r.field()?);
                 }
-                let proof = read_merkle_proof(&mut r)?;
+                let proof = read_merkle_proof(r)?;
                 initial.push(FriInitialOpening { leaf, proof });
             }
             let num_folds = r.len_prefix(2 * ext_bytes + PREFIX)?;
             let mut folds = Vec::with_capacity(num_folds);
             for _ in 0..num_folds {
                 let pair = [r.ext::<F>()?, r.ext::<F>()?];
-                let proof = read_merkle_proof(&mut r)?;
+                let proof = read_merkle_proof(r)?;
                 folds.push(FriFoldOpening { pair, proof });
             }
             queries.push(FriQueryRound { initial, folds });

@@ -7,7 +7,15 @@
 //! * [`poseidon`] — the Poseidon permutation over 12 Goldilocks elements,
 //!   with the exact round structure of the paper's Algorithm 1 (4 full
 //!   rounds, a pre-partial round, 22 partial rounds with a sparse MDS
-//!   matrix, 4 full rounds; `x^7` S-box).
+//!   matrix, 4 full rounds; `x^7` S-box): constants, cost model, the
+//!   grind's hoisted round 0 and the public one-state entry.
+//! * [`packed`] — the round kernels and the one walk of the schedule,
+//!   generic over the number of states permuted in lockstep (the paper's
+//!   vector mode, §5): one lane for [`poseidon_permute`], eight for batches
+//!   and the grind.
+//! * [`poseidon2_kb`] — Poseidon2 over 16 KoalaBear elements, the hash of
+//!   the 31-bit proof path, built the same way (one walk over a slice of
+//!   states).
 //! * [`sponge`] — sponge hashing (`rate = 8`) and the duplex
 //!   [`sponge::Challenger`] used for Fiat–Shamir transforms.
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and

@@ -17,8 +17,16 @@
 //! as a cyclic correlation in three 4-point blocks (`mds_circulant`)
 //! rather than as 144 multiply-accumulates; [`PoseidonCost`] holds both
 //! counts.
+//!
+//! This module owns the constants, the two per-element primitives
+//! (`sbox_residue`, `mds_circulant`), the hoisted round 0 of the grind
+//! ([`NoncePermutation`]) and the dense test oracle. The round kernels and
+//! the one place that sequences them live in [`crate::packed`], generic
+//! over the lane count; [`poseidon_permute`] is their one-lane case.
 
 use unizk_field::{Field, Goldilocks};
+
+use crate::packed::PackedPermutation;
 
 /// Poseidon state width in field elements.
 pub const WIDTH: usize = 12;
@@ -278,8 +286,8 @@ fn mat_mul(m: &[[Goldilocks; WIDTH]; WIDTH], state: &[Goldilocks; WIDTH]) -> [Go
 }
 
 /// The permutation over canonical elements, every linear layer a dense
-/// [`mat_mul`]: the oracle the residue, circulant, lane-packed and
-/// hoisted-nonce kernels are all held to. It shares the constants with them
+/// [`mat_mul`]: the oracle every width of the lane kernels and the
+/// hoisted-nonce kernel are held to. It shares the constants with them
 /// and nothing else.
 #[cfg(test)]
 pub(crate) fn permute_dense_reference(state: &mut [Goldilocks; WIDTH]) {
@@ -328,24 +336,6 @@ pub(crate) fn extreme_states() -> Vec<[u64; WIDTH]> {
     states
 }
 
-/// MDS matrix–vector product over residue lanes, exploiting the small
-/// matrix entries (< 2^7): twelve `u128` partial products of a `< 2^7`
-/// constant and a `< 2^64` residue sum to under `2^75 < 2^96`, so each
-/// output row pays one [`Goldilocks::reduce96_residue`] instead of twelve
-/// modular multiplies plus a full 128-bit reduction. This is the software
-/// analogue of the cheap constant multipliers the hardware MDS step enjoys.
-fn mds_residue(m: &[[Goldilocks; WIDTH]; WIDTH], state: &[u64; WIDTH]) -> [u64; WIDTH] {
-    let mut out = [0u64; WIDTH];
-    for (o, row) in out.iter_mut().zip(m.iter()) {
-        let mut acc: u128 = 0;
-        for (c, x) in row.iter().zip(state.iter()) {
-            acc += u128::from(c.as_canonical_u64()) * u128::from(*x);
-        }
-        *o = Goldilocks::reduce96_residue(acc);
-    }
-    out
-}
-
 /// `4·(row ⋆ x)` for one 32-bit half of the state, as the three 3-point
 /// blocks of [`MdsFrequencyKernel`]. Exact integer arithmetic: every
 /// intermediate stays below 2^47 in magnitude (const-asserted above), and
@@ -386,7 +376,8 @@ fn mds_circulant_half(x: &[i64; WIDTH]) -> [i64; WIDTH] {
 }
 
 /// The full-round MDS product `mds · state` over residue lanes, bit for bit
-/// what [`mds_residue`] returns for the circulant `mds`.
+/// what the dense small-entry product (`packed::mat_lanes`) returns for the
+/// circulant `mds`.
 ///
 /// Each residue is split into 32-bit halves so that the transform's sums
 /// of four stay inside 64 bits; the split by itself would double the
@@ -408,45 +399,6 @@ pub(crate) fn mds_circulant(state: &[u64; WIDTH]) -> [u64; WIDTH] {
     out
 }
 
-fn full_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH], r: usize) {
-    for (x, c) in state.iter_mut().zip(cs.round_constants[r].iter()) {
-        *x = sbox_residue(Goldilocks::add_residue(*x, c.as_canonical_u64()));
-    }
-    *state = mds_circulant(state);
-}
-
-fn pre_partial_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH]) {
-    for (x, c) in state.iter_mut().zip(cs.pre_partial_constants.iter()) {
-        *x = Goldilocks::add_residue(*x, c.as_canonical_u64());
-    }
-    *state = mds_residue(&cs.pre_mds, state);
-}
-
-fn partial_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH], r: usize) {
-    state[0] = Goldilocks::add_residue(
-        sbox_residue(state[0]),
-        cs.partial_round_constants[r].as_canonical_u64(),
-    );
-
-    // Sparse MDS: out[0] = u·state; out[i] = v[i]·state[0] + E[i]·state[i].
-    // All entries are < 2^7, so both the 12-term dot and each two-term row
-    // update stay below 2^96 and take the short reduction.
-    let u = &cs.sparse_u[r];
-    let v = &cs.sparse_v[r];
-    let e = &cs.sparse_diag[r];
-    let mut dot: u128 = 0;
-    for (c, x) in u.iter().zip(state.iter()) {
-        dot += u128::from(c.as_canonical_u64()) * u128::from(*x);
-    }
-    let s0 = state[0];
-    for i in 1..WIDTH {
-        let acc = u128::from(v[i].as_canonical_u64()) * u128::from(s0)
-            + u128::from(e[i].as_canonical_u64()) * u128::from(state[i]);
-        state[i] = Goldilocks::reduce96_residue(acc);
-    }
-    state[0] = Goldilocks::reduce96_residue(dot);
-}
-
 /// Applies the full Poseidon permutation in place.
 ///
 /// # Example
@@ -460,28 +412,9 @@ fn partial_round(cs: &PoseidonConstants, state: &mut [u64; WIDTH], r: usize) {
 /// assert_ne!(state[0], Goldilocks::ZERO); // zero state does not stay zero
 /// ```
 pub fn poseidon_permute(state: &mut [Goldilocks; WIDTH]) {
-    let cs = constants();
-    // Rounds run over lazy residues (< 2^64, possibly non-canonical) and the
-    // canonicalizing subtraction is paid exactly once per lane on exit; the
-    // outputs are bit-identical to a fully-reduced evaluation (pinned by the
-    // KAT suite).
-    let mut lanes = [0u64; WIDTH];
-    for (l, x) in lanes.iter_mut().zip(state.iter()) {
-        *l = x.as_canonical_u64();
-    }
-    for r in 0..FULL_ROUNDS / 2 {
-        full_round(cs, &mut lanes, r);
-    }
-    pre_partial_round(cs, &mut lanes);
-    for r in 0..PARTIAL_ROUNDS {
-        partial_round(cs, &mut lanes, r);
-    }
-    for r in FULL_ROUNDS / 2..FULL_ROUNDS {
-        full_round(cs, &mut lanes, r);
-    }
-    for (x, l) in state.iter_mut().zip(lanes.iter()) {
-        *x = Goldilocks::from_residue(*l);
-    }
+    // The one-lane case of the lockstep engine: the rounds are written
+    // once, in `crate::packed`, and the width is their parameter.
+    PackedPermutation::<1>::permute(core::array::from_mut(state));
 }
 
 /// A permutation with every input lane fixed except one, with the static
@@ -492,12 +425,12 @@ pub fn poseidon_permute(state: &mut [Goldilocks; WIDTH]) {
 /// the round constants and s-box to each lane independently before the MDS
 /// mix, so for the 11 static lanes both steps — and their contributions to
 /// every MDS output accumulator — are attempt-invariant. [`Self::new`]
-/// hoists them; [`Self::permute_with`] then pays one s-box, `WIDTH`
+/// hoists them; [`Self::permute_many_row`] then pays one s-box, `WIDTH`
 /// constant-by-residue products, and the remaining rounds per attempt.
 ///
 /// Output is bit-identical to [`poseidon_permute`] on the same full input
-/// (pinned by `nonce_permutation_matches_full_permutation`); this is purely
-/// a common-subexpression hoist, not an approximation.
+/// (held to the dense oracle by `packed`'s unit tests); this is purely a
+/// common-subexpression hoist, not an approximation.
 #[derive(Clone, Debug)]
 pub struct NoncePermutation {
     /// Per-output-row MDS accumulators over the 11 static sboxed lanes.
@@ -549,41 +482,11 @@ impl NoncePermutation {
             nonce_rc: cs.round_constants[0][lane].as_canonical_u64(),
         }
     }
-
-    /// Runs the permutation with `x` in the nonce lane, returning the full
-    /// output state.
-    pub fn permute_with(&self, x: Goldilocks) -> [Goldilocks; WIDTH] {
-        let cs = constants();
-        let sx = sbox_residue(Goldilocks::add_residue(x.as_canonical_u64(), self.nonce_rc));
-        let mut lanes = [0u64; WIDTH];
-        for ((l, acc), c) in lanes
-            .iter_mut()
-            .zip(self.static_acc.iter())
-            .zip(self.nonce_col.iter())
-        {
-            *l = Goldilocks::reduce96_residue(*acc + u128::from(*c) * u128::from(sx));
-        }
-        for r in 1..FULL_ROUNDS / 2 {
-            full_round(cs, &mut lanes, r);
-        }
-        pre_partial_round(cs, &mut lanes);
-        for r in 0..PARTIAL_ROUNDS {
-            partial_round(cs, &mut lanes, r);
-        }
-        for r in FULL_ROUNDS / 2..FULL_ROUNDS {
-            full_round(cs, &mut lanes, r);
-        }
-        let mut out = [Goldilocks::ZERO; WIDTH];
-        for (o, l) in out.iter_mut().zip(lanes.iter()) {
-            *o = Goldilocks::from_residue(*l);
-        }
-        out
-    }
 }
 
 /// Static operation counts of one permutation: the textbook count the
 /// accelerator cost model (`unizk-core`) prices, and the products the CPU
-/// kernels in this file actually issue, by operand size — the basis of the
+/// kernels of this crate actually issue, by operand size — the basis of the
 /// operation table and floor in EXPERIMENTS.md.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoseidonCost {
@@ -644,6 +547,7 @@ impl PoseidonCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::{full_round_lanes, mat_lanes, partial_round_lanes};
     use unizk_testkit::prop::prelude::*;
 
     /// Canonical-domain s-box wrapper over the residue kernel.
@@ -710,7 +614,7 @@ mod tests {
 
     #[test]
     fn sparse_round_matches_dense_equivalent() {
-        // Build the dense matrix from (u, v, E) and check partial_round's
+        // Build the dense matrix from (u, v, E) and check the partial round's
         // sparse evaluation agrees with a dense mat-vec.
         let cs = constants();
         let r = 5;
@@ -731,9 +635,9 @@ mod tests {
         expected[0] = sbox(expected[0]) + cs.partial_round_constants[r];
         let expected = mat_mul(&dense, &expected);
 
-        let mut got = to_residues(&state);
-        partial_round(cs, &mut got, r);
-        assert_eq!(from_residues(&got), expected);
+        let mut got = to_residues(&state).map(|x| [x]);
+        partial_round_lanes(cs, &mut got, r);
+        assert_eq!(from_residues(&got.map(|[x]| x)), expected);
     }
 
     #[test]
@@ -743,16 +647,18 @@ mod tests {
         for (i, x) in state.iter_mut().enumerate() {
             *x = Goldilocks::from_u64(u64::MAX - i as u64); // near-p values
         }
-        let fast = mds_residue(&cs.mds, &to_residues(&state));
-        assert_eq!(from_residues(&fast), mat_mul(&cs.mds, &state));
+        let fast = mat_lanes(&cs.mds, &to_residues(&state).map(|x| [x]));
+        assert_eq!(from_residues(&fast.map(|[x]| x)), mat_mul(&cs.mds, &state));
     }
 
     fn check_circulant(residues: &[u64; WIDTH]) {
         let cs = constants();
         let got = mds_circulant(residues);
-        // Same exact integer into the same reduction: the residues agree
-        // bit for bit, not only modulo p.
-        assert_eq!(got, mds_residue(&cs.mds, residues), "input {residues:x?}");
+        // Same exact integer into the same reduction as the dense
+        // small-entry product: the residues agree bit for bit, not only
+        // modulo p.
+        let dense = mat_lanes(&cs.mds, &residues.map(|x| [x])).map(|[x]| x);
+        assert_eq!(got, dense, "input {residues:x?}");
         assert_eq!(
             from_residues(&got),
             mat_mul(&cs.mds, &from_residues(residues)),
@@ -776,38 +682,36 @@ mod tests {
             check_circulant(&std::array::from_fn(|i| residues[i]));
         }
 
-        /// The scalar permutation and the hoisted-nonce scalar path against
-        /// the dense reference, on random states.
+        /// The public one-lane entry against the dense reference, on random
+        /// states (every width, and the nonce kernel: `packed::tests`).
         fn scalar_paths_match_dense_reference(
             state in prop::collection::vec(any::<u64>(), WIDTH),
-            lane in 0usize..WIDTH,
         ) {
-            check_scalar_paths(&std::array::from_fn(|i| state[i]), lane);
+            check_scalar_path(&std::array::from_fn(|i| state[i]));
         }
     }
 
-    fn check_scalar_paths(state: &[u64; WIDTH], lane: usize) {
+    fn check_scalar_path(state: &[u64; WIDTH]) {
         let state = state.map(Goldilocks::from_u64);
         let mut want = state;
         permute_dense_reference(&mut want);
         let mut got = state;
         poseidon_permute(&mut got);
         assert_eq!(got, want, "input {state:?}");
-        let hoisted = NoncePermutation::new(&state, lane);
-        assert_eq!(hoisted.permute_with(state[lane]), want, "input {state:?}, lane {lane}");
     }
 
     #[test]
     fn scalar_paths_match_dense_reference_at_the_extremes() {
-        for (i, state) in extreme_states().iter().enumerate() {
-            check_scalar_paths(state, i % WIDTH);
+        for state in extreme_states() {
+            check_scalar_path(&state);
         }
     }
 
     #[test]
     fn residue_rounds_accept_noncanonical_lanes() {
         // Feed each round kernel a lane pinned at u64::MAX (the worst legal
-        // residue) next to its canonical equivalent and check congruence.
+        // residue) next to its canonical equivalent, as two lockstep lanes,
+        // and check congruence.
         let cs = constants();
         let mut canonical = [Goldilocks::ZERO; WIDTH];
         for (i, x) in canonical.iter_mut().enumerate() {
@@ -815,37 +719,18 @@ mod tests {
         }
         let mut lazy = to_residues(&canonical);
         lazy[0] = u64::MAX; // ≡ canonical[0], but non-canonical form
+        let pair: [[u64; 2]; WIDTH] = std::array::from_fn(|i| [canonical[i].as_canonical_u64(), lazy[i]]);
+        let congruent = |state: &[[u64; 2]; WIDTH]| {
+            assert_eq!(from_residues(&state.map(|[a, _]| a)), from_residues(&state.map(|[_, b]| b)));
+        };
 
-        let mut a = to_residues(&canonical);
-        let mut b = lazy;
-        full_round(cs, &mut a, 0);
-        full_round(cs, &mut b, 0);
-        assert_eq!(from_residues(&a), from_residues(&b));
+        let mut state = pair;
+        full_round_lanes(cs, &mut state, 0);
+        congruent(&state);
 
-        let mut a = to_residues(&canonical);
-        let mut b = lazy;
-        partial_round(cs, &mut a, 3);
-        partial_round(cs, &mut b, 3);
-        assert_eq!(from_residues(&a), from_residues(&b));
-    }
-
-    #[test]
-    fn nonce_permutation_matches_full_permutation() {
-        let mut s = 0xBEEF;
-        let mut base = [Goldilocks::ZERO; WIDTH];
-        for x in base.iter_mut() {
-            *x = gen_field(&mut s);
-        }
-        for lane in 0..WIDTH {
-            let hoisted = NoncePermutation::new(&base, lane);
-            for nonce in [0u64, 1, 42, u64::MAX] {
-                let x = Goldilocks::from_u64(nonce);
-                let mut full = base;
-                full[lane] = x;
-                poseidon_permute(&mut full);
-                assert_eq!(hoisted.permute_with(x), full, "lane={lane} nonce={nonce}");
-            }
-        }
+        let mut state = pair;
+        partial_round_lanes(cs, &mut state, 3);
+        congruent(&state);
     }
 
     #[test]

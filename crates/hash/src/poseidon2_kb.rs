@@ -33,8 +33,8 @@
 //! 2 920. The dense matrix survives in [`Poseidon2KbConstants`] only as
 //! the oracle the tests compare against.
 //!
-//! The scalar permutation, the batch path and both speculative grind
-//! kernels are one walk of the round schedule over a slice of states.
+//! The scalar permutation, the batch path and the speculative grind
+//! kernel are one walk of the round schedule over a slice of states.
 //!
 //! **Substitution note (see DESIGN.md):** round constants and the internal
 //! diagonal are generated deterministically from a seed, like every other
@@ -310,13 +310,6 @@ impl SpongeBackend for Poseidon2KbSponge {
         (*state, pending)
     }
 
-    fn speculative_one(spec: &Self::Speculative, x: KoalaBear) -> KoalaBear {
-        let mut s = spec.0;
-        s[spec.1] = x;
-        poseidon2_kb_permute(&mut s);
-        s[KB_RATE - 1]
-    }
-
     fn speculative_rows<const LANES: usize>(
         spec: &Self::Speculative,
         xs: &[KoalaBear; LANES],
@@ -474,21 +467,5 @@ mod tests {
         }
         Poseidon2KbSponge::permute_batch(&mut batched);
         assert_eq!(scalar, batched);
-    }
-
-    #[test]
-    fn speculative_rows_match_speculative_one() {
-        let mut state = [KoalaBear::ZERO; KB_WIDTH];
-        for (i, s) in state.iter_mut().enumerate() {
-            *s = k(7 + i as u64);
-        }
-        for pending in [0usize, 3, KB_RATE - 1] {
-            let spec = Poseidon2KbSponge::speculative(&state, pending);
-            let xs: [KoalaBear; 4] = core::array::from_fn(|l| k(1000 + l as u64));
-            let rows = Poseidon2KbSponge::speculative_rows(&spec, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                assert_eq!(rows[l], Poseidon2KbSponge::speculative_one(&spec, x), "lane {l}");
-            }
-        }
     }
 }

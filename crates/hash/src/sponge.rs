@@ -70,15 +70,11 @@ pub trait SpongeBackend {
     /// written into its prefix) for candidates injected at lane `pending`.
     fn speculative(state: &Self::State, pending: usize) -> Self::Speculative;
 
-    /// One speculative squeeze: the value of `state[RATE - 1]` after a
-    /// permutation with candidate `x` at the pending lane. Must be
-    /// bit-identical to writing `x` and running [`SpongeBackend::permute`].
-    /// No trace counter is bumped — callers account logical attempts.
-    fn speculative_one(spec: &Self::Speculative, x: Self::F) -> Self::F;
-
-    /// [`SpongeBackend::speculative_one`] over `LANES` candidates in
-    /// lockstep. Lane `l` must equal `speculative_one(spec, xs[l])`
-    /// bit-for-bit.
+    /// `LANES` speculative squeezes in lockstep: lane `l` is the value of
+    /// `state[RATE - 1]` after a permutation with candidate `xs[l]` at the
+    /// pending lane, bit-identical to writing it and running
+    /// [`SpongeBackend::permute`]. No trace counter is bumped — callers
+    /// account logical attempts.
     fn speculative_rows<const LANES: usize>(
         spec: &Self::Speculative,
         xs: &[Self::F; LANES],
@@ -187,9 +183,9 @@ impl HashField for unizk_field::KoalaBear {
     type Sponge = crate::poseidon2_kb::Poseidon2KbSponge;
 }
 
-/// The default backend: the Poseidon permutation of
-/// [`crate::poseidon`], with batches routed through the lane-packed engine
-/// in [`crate::packed`].
+/// The default backend: the Poseidon permutation over the constants of
+/// [`crate::poseidon`], on the round kernels of [`crate::packed`] — one
+/// lane for a single state, eight for a batch or a grind dispatch.
 #[derive(Clone, Copy, Debug)]
 pub struct PoseidonSponge;
 
@@ -217,10 +213,6 @@ impl SpongeBackend for PoseidonSponge {
 
     fn speculative(state: &Self::State, pending: usize) -> NoncePermutation {
         NoncePermutation::new(state, pending)
-    }
-
-    fn speculative_one(spec: &NoncePermutation, x: Goldilocks) -> Goldilocks {
-        spec.permute_with(x)[SPONGE_RATE - 1]
     }
 
     fn speculative_rows<const LANES: usize>(
@@ -496,39 +488,21 @@ impl<B: SpongeBackend> GenericChallenger<B> {
             .expect("query-index bits fit usize")
     }
 
-    /// The challenge that `{ let mut t = self.clone(); t.observe(x);
-    /// t.challenge() }` would produce, computed without cloning the
-    /// transcript or touching the heap.
+    /// Freezes the transcript for loops that ask "what would
+    /// `{ let mut t = self.clone(); t.observe(x); t.challenge() }` return?"
+    /// of many candidates `x` — the FRI grind — without cloning the
+    /// transcript or touching the heap per candidate.
     ///
-    /// The proof-of-work grind evaluates this once per candidate nonce, so
-    /// the per-attempt cost must be one permutation and nothing else.
     /// Correctness: after any public-API call the input buffer holds
     /// `k <= RATE - 1` pending elements, so observing one more element
     /// followed by a squeeze performs exactly one duplex — either inside
     /// `observe` (`k == RATE - 1` fills the rate) or inside `challenge`
     /// (`k < RATE - 1` leaves the input buffer non-empty) — absorbing
     /// `pending ++ [x]` over the state prefix and popping the last rate
-    /// element. Counter parity matches: one `B::COUNTER` bump per call.
-    pub fn speculative_challenge(&self, x: B::F) -> B::F {
-        unizk_testkit::trace::counter(B::COUNTER, 1);
-        let mut state = self.state;
-        state.as_mut()[..self.input_buffer.len()].copy_from_slice(&self.input_buffer);
-        state.as_mut()[self.input_buffer.len()] = x;
-        B::permute(&mut state);
-        state.as_ref()[B::RATE - 1]
-    }
-
-    /// A reusable form of [`Self::speculative_challenge`] for loops that
-    /// probe many candidates against one transcript state — the FRI grind.
-    ///
-    /// Every candidate sees the identical permutation input except the one
-    /// lane holding the candidate itself, so backends may hoist the static
-    /// lanes' first-round work once into their
-    /// [`SpongeBackend::Speculative`] snapshot (Poseidon's
-    /// [`NoncePermutation`]); each
-    /// [`GenericSpeculativeChallenger::challenge`] then costs one
-    /// (logical) permutation, bit-identical to `speculative_challenge` and
-    /// with the same one-bump counter parity.
+    /// element. Every candidate therefore sees the identical permutation
+    /// input except lane `k`, and backends may hoist the static lanes'
+    /// first-round work once into their [`SpongeBackend::Speculative`]
+    /// snapshot (Poseidon's [`NoncePermutation`]).
     pub fn speculative_challenger(&self) -> GenericSpeculativeChallenger<B> {
         let mut state = self.state;
         state.as_mut()[..self.input_buffer.len()].copy_from_slice(&self.input_buffer);
@@ -562,26 +536,18 @@ pub struct GenericSpeculativeChallenger<B: SpongeBackend> {
 pub type SpeculativeChallenger = GenericSpeculativeChallenger<PoseidonSponge>;
 
 impl<B: SpongeBackend> GenericSpeculativeChallenger<B> {
-    /// The challenge the source transcript would emit after observing `x`.
+    /// The challenges the source transcript would emit after observing
+    /// each of `LANES` candidates, permuted in lockstep — the per-attempt
+    /// kernel of the grind.
     ///
-    /// Equals `GenericChallenger::speculative_challenge(x)` bit-for-bit,
-    /// at the cost of one logical permutation (minus any hoisted static
-    /// round work), with the same single `B::COUNTER` bump.
-    pub fn challenge(&self, x: B::F) -> B::F {
-        unizk_testkit::trace::counter(B::COUNTER, 1);
-        B::speculative_one(&self.spec, x)
-    }
-
-    /// The challenges `LANES` candidates would each produce, permuted in
-    /// lockstep through the backend's packed engine — the per-attempt
-    /// kernel of the parallel grind.
-    ///
-    /// Lane `l` equals [`Self::challenge`]`(xs[l])` bit-for-bit, but **no
-    /// trace counter is bumped**: grind-style callers scan past the winning
-    /// nonce in blocks, so they account the *logical* attempt count
-    /// (`winner + 1`) once at the end — the count-once discipline of the
-    /// `ntt.*` counters — keeping `B::COUNTER` byte-identical to the serial
-    /// scan for every lane width, block size, and thread count.
+    /// Lane `l` equals `{ let mut t = source.clone(); t.observe(xs[l]);
+    /// t.challenge() }` bit-for-bit, but where that reference bumps
+    /// `B::COUNTER` once per candidate, **no trace counter is bumped**
+    /// here: grind-style callers scan past the winning nonce in blocks, so
+    /// they account the *logical* attempt count (`winner + 1`) once at the
+    /// end — the count-once discipline of the `ntt.*` counters — keeping
+    /// `B::COUNTER` byte-identical to the serial scan for every lane width,
+    /// block size, and thread count.
     pub fn challenge_batch_uncounted<const LANES: usize>(
         &self,
         xs: &[B::F; LANES],
@@ -713,41 +679,35 @@ mod tests {
         assert_ne!(ch, Goldilocks::ZERO);
     }
 
-    #[test]
-    fn speculative_challenge_matches_clone_observe_challenge() {
-        // Every possible pending-buffer fill (0..=7 after a public call).
-        for pending in 0..8u64 {
-            let mut c = Challenger::new();
-            c.observe(g(99));
+    /// The grind kernel against the reference it replaces, at every
+    /// pending-buffer fill a public call can leave (0..RATE), eight lanes
+    /// at a time as the grind runs it and one at a time.
+    fn check_speculative_rows<B: SpongeBackend + Clone>() {
+        let f = B::F::from_u64;
+        for pending in 0..B::RATE as u64 {
+            let mut c = GenericChallenger::<B>::new();
+            c.observe(f(99));
             let _ = c.challenge(); // drain the buffer
             for i in 0..pending {
-                c.observe(g(i));
+                c.observe(f(1000 + i));
             }
-            for x in [0u64, 1, 17, u64::MAX] {
+            let xs = [0, 1, 5, 17, 12345, 1 << 30, 1 << 40, u64::MAX].map(f);
+            let want = xs.map(|x| {
                 let mut reference = c.clone();
-                reference.observe(g(x));
-                let expect = reference.challenge();
-                assert_eq!(c.speculative_challenge(g(x)), expect, "pending={pending} x={x}");
+                reference.observe(x);
+                reference.challenge()
+            });
+            let spec = c.speculative_challenger();
+            assert_eq!(spec.challenge_batch_uncounted(&xs), want, "{} pending={pending}", B::NAME);
+            for (x, w) in xs.into_iter().zip(want) {
+                assert_eq!(spec.challenge_batch_uncounted(&[x]), [w], "{} pending={pending}", B::NAME);
             }
         }
     }
 
     #[test]
-    fn speculative_challenger_matches_speculative_challenge() {
-        for pending in 0..8u64 {
-            let mut c = Challenger::new();
-            for i in 0..pending {
-                c.observe(g(1000 + i));
-            }
-            let spec = c.speculative_challenger();
-            for x in [0u64, 5, 1 << 40, u64::MAX] {
-                assert_eq!(
-                    spec.challenge(g(x)),
-                    c.speculative_challenge(g(x)),
-                    "pending={pending} x={x}"
-                );
-            }
-        }
+    fn speculative_challenge_matches_clone_observe_challenge() {
+        check_speculative_rows::<PoseidonSponge>();
     }
 
     #[test]
@@ -773,24 +733,7 @@ mod tests {
 
     #[test]
     fn koalabear_speculative_matches_reference() {
-        use crate::poseidon2_kb::Poseidon2KbSponge;
-        use unizk_field::KoalaBear;
-
-        let k = KoalaBear::from_u64;
-        for pending in 0..8u64 {
-            let mut c = GenericChallenger::<Poseidon2KbSponge>::new();
-            for i in 0..pending {
-                c.observe(k(1000 + i));
-            }
-            let spec = c.speculative_challenger();
-            for x in [0u64, 5, 12345, 1 << 30] {
-                let mut reference = c.clone();
-                reference.observe(k(x));
-                let expect = reference.challenge();
-                assert_eq!(c.speculative_challenge(k(x)), expect, "pending={pending} x={x}");
-                assert_eq!(spec.challenge(k(x)), expect, "spec pending={pending} x={x}");
-            }
-        }
+        check_speculative_rows::<crate::poseidon2_kb::Poseidon2KbSponge>();
     }
 
     #[test]

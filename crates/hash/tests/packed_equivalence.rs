@@ -1,12 +1,14 @@
-//! Differential wall: the lane-packed Poseidon engine against the scalar
-//! permutation.
+//! Differential wall, from outside the crate: every lane width and every
+//! batched dispatcher against the KAT-pinned public entry.
 //!
-//! The packed engine is an *execution strategy*, not a different hash:
-//! every lane width (1, 2, 4, 8), partial final lane groups, and every
-//! absorb length 0..=24 must produce results bit-identical to the scalar
-//! `poseidon_permute` path. The prover runs one width; the kernels stay
-//! const-generic so this suite can instantiate the others directly, with
-//! no process-global state to guard.
+//! The lane count is an *execution strategy*, not a different hash: every
+//! width (1, 2, 4, 8), partial final lane groups, and every absorb length
+//! 0..=24 must produce results bit-identical to `poseidon_permute` — the
+//! one-lane case of the same kernels, which `poseidon_kat.rs` pins to
+//! golden vectors. (Inside the crate, the unit tests of `packed` hold
+//! every width to the dense oracle.) The kernels stay const-generic so
+//! this suite can instantiate the widths directly, with no process-global
+//! state to guard.
 
 use unizk_testkit::prop::prelude::*;
 
@@ -45,19 +47,20 @@ fn check_packed_width<const L: usize>(pool: &[[Goldilocks; WIDTH]]) {
     }
 }
 
-/// Full-state, single-row and backend-trait editions of the hoisted nonce
-/// permutation at width `L`, against the scalar per-nonce path.
-fn check_nonce_width<const L: usize>(hoisted: &NoncePermutation, nonces: &[Goldilocks]) {
+/// The hoisted nonce permutation at width `L`, through its own entry and
+/// through the backend trait, against the full permutation of the state
+/// with each nonce written into the lane.
+fn check_nonce_width<const L: usize>(base: &[Goldilocks; WIDTH], lane: usize, nonces: &[Goldilocks]) {
+    let hoisted = NoncePermutation::new(base, lane);
     let xs: [Goldilocks; L] = std::array::from_fn(|i| nonces[i]);
-    let full = hoisted.permute_many::<L>(&xs);
-    let rows = hoisted.permute_many_row::<L>(&xs, SPONGE_RATE - 1);
-    let spec = PoseidonSponge::speculative_rows::<L>(hoisted, &xs);
-    for (l, &x) in xs.iter().enumerate() {
-        let want = hoisted.permute_with(x);
-        assert_eq!(full[l], want, "full-state lane {l} of {L}");
-        assert_eq!(rows[l], want[SPONGE_RATE - 1], "row lane {l} of {L}");
-        assert_eq!(spec[l], PoseidonSponge::speculative_one(hoisted, x), "spec lane {l} of {L}");
-    }
+    let want = xs.map(|x| {
+        let mut full = *base;
+        full[lane] = x;
+        poseidon_permute(&mut full);
+        full[SPONGE_RATE - 1]
+    });
+    assert_eq!(hoisted.permute_many_row::<L>(&xs, SPONGE_RATE - 1), want, "row kernel at {L} lanes");
+    assert_eq!(PoseidonSponge::speculative_rows::<L>(&hoisted, &xs), want, "backend at {L} lanes");
 }
 
 prop! {
@@ -108,19 +111,17 @@ prop! {
         assert_eq!(compress_level(even), want);
     }
 
-    /// The hoisted nonce permutation (grind kernel) matches the scalar
-    /// per-nonce path on every lane of every width, for the full-state,
-    /// single-output-row and `SpongeBackend::speculative_rows` variants.
+    /// The hoisted nonce permutation (grind kernel) matches the full
+    /// permutation on every lane of every width.
     fn nonce_permutation_matches_scalar(
         base in arb_state(),
         nonces in prop::collection::vec(arb_elem(), 8),
         lane_idx in 0usize..SPONGE_RATE,
     ) {
-        let hoisted = NoncePermutation::new(&base, lane_idx);
-        check_nonce_width::<1>(&hoisted, &nonces);
-        check_nonce_width::<2>(&hoisted, &nonces);
-        check_nonce_width::<4>(&hoisted, &nonces);
-        check_nonce_width::<8>(&hoisted, &nonces);
+        check_nonce_width::<1>(&base, lane_idx, &nonces);
+        check_nonce_width::<2>(&base, lane_idx, &nonces);
+        check_nonce_width::<4>(&base, lane_idx, &nonces);
+        check_nonce_width::<8>(&base, lane_idx, &nonces);
     }
 }
 
@@ -139,18 +140,19 @@ fn absorb_lengths_zero_to_24_knob_invariant() {
     }
 }
 
-/// The speculative challenger's uncounted lane batch is the packed edition
-/// of its scalar `challenge`: same transcript, same nonce, same element.
+/// The speculative challenger's uncounted lane batch against the plain
+/// transcript: same observations, same nonce, same element.
 #[test]
 fn speculative_challenge_batch_matches_scalar() {
     let mut challenger = Challenger::new();
     for i in 0..13u64 {
         challenger.observe(Goldilocks::from_u64(i.wrapping_mul(0x9E37_79B9)));
     }
-    let speculative = challenger.speculative_challenger();
     let xs: [Goldilocks; 4] = std::array::from_fn(|i| Goldilocks::from_u64(1000 + i as u64));
-    let batch = speculative.challenge_batch_uncounted::<4>(&xs);
-    for (l, &x) in xs.iter().enumerate() {
-        assert_eq!(batch[l], speculative.challenge(x), "lane {l}");
-    }
+    let want = xs.map(|x| {
+        let mut t = challenger.clone();
+        t.observe(x);
+        t.challenge()
+    });
+    assert_eq!(challenger.speculative_challenger().challenge_batch_uncounted(&xs), want);
 }

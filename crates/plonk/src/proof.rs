@@ -44,11 +44,13 @@ impl Proof {
         bytes
     }
 
-    /// Decodes a proof from bytes.
+    /// Decodes a proof from bytes: exactly the strings [`Self::to_bytes`]
+    /// produces.
     ///
     /// # Errors
     ///
-    /// Returns [`unizk_fri::WireError`] on truncation or corruption.
+    /// Returns [`unizk_fri::WireError`] on truncation, corruption,
+    /// non-canonical field limbs or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, unizk_fri::WireError> {
         let mut r = unizk_fri::Reader::new(bytes);
         let n = r.len_prefix(8)?;
@@ -59,8 +61,8 @@ impl Proof {
         let wires_root = r.digest()?;
         let perm_root = r.digest()?;
         let quotient_root = r.digest()?;
-        let consumed = 4 + n * 8 + 3 * 32;
-        let fri = FriProof::from_bytes(&bytes[consumed..])?;
+        let fri = FriProof::read(&mut r)?;
+        r.finish()?;
         Ok(Self {
             public_inputs,
             wires_root,

@@ -281,3 +281,44 @@ fn proof_bytes_roundtrip() {
     // Truncation is rejected.
     assert!(unizk_plonk::Proof::from_bytes(&bytes[..bytes.len() / 2]).is_err());
 }
+
+/// The decoder accepts exactly what the encoder writes: no trailing byte,
+/// no second spelling of a field element, no length the bytes cannot back.
+#[test]
+fn only_the_encoding_decodes() {
+    use unizk_fri::WireError;
+    use unizk_plonk::Proof;
+
+    let mut b = CircuitBuilder::new(CircuitConfig::for_testing());
+    let x = b.add_input();
+    let y = b.mul(x, x);
+    b.register_public_input(y);
+    let bytes = b.build().prove(&[g(7)]).expect("ok").to_bytes();
+
+    let mut extended = bytes.clone();
+    extended.push(0);
+    assert_eq!(Proof::from_bytes(&extended).err(), Some(WireError::TrailingBytes(1)));
+
+    // The public input sits behind the 4-byte count; `p` is `0` misspelt.
+    const P: u64 = 0xffff_ffff_0000_0001;
+    let mut aliased = bytes.clone();
+    aliased[4..12].copy_from_slice(&P.to_le_bytes());
+    assert_eq!(Proof::from_bytes(&aliased).err(), Some(WireError::NonCanonical(P)));
+
+    // 2^30 stamped over every offset lands on every length prefix. The
+    // public-input count is refused as a length, before anything is
+    // reserved for it (the FRI part is the decoder `unizk-stark`'s
+    // `hostile_lengths.rs` watches the allocator under); wherever a stamp
+    // still decodes it hit payload, and the proof re-encodes to the same
+    // bytes.
+    let inflated = (1u32 << 30).to_le_bytes();
+    for offset in 0..=bytes.len() - inflated.len() {
+        let mut hostile = bytes.clone();
+        hostile[offset..offset + inflated.len()].copy_from_slice(&inflated);
+        match Proof::from_bytes(&hostile) {
+            Ok(proof) => assert_eq!(proof.to_bytes(), hostile, "offset {offset}"),
+            Err(e) if offset == 0 => assert_eq!(e, WireError::LengthOutOfRange(1 << 30)),
+            Err(_) => {}
+        }
+    }
+}

@@ -203,6 +203,14 @@ impl Pipeline {
     /// `0..n` in order. A job whose spec the prover refuses or panics on is
     /// reported as a failed [`JobResult`]; the others are unaffected.
     ///
+    /// `config.workers` counts jobs in flight, not threads: each prove
+    /// still splits its NTTs, Merkle levels and grind across
+    /// [`unizk_field::par::current_parallelism`] threads, so up to
+    /// `workers × current_parallelism()` threads run at once (`workers ×
+    /// cores` by default). A caller that wants one thread per worker calls
+    /// `unizk_field::set_parallelism(1)` first — the repository benchmark's
+    /// `serve_mix_gl` does, with one worker per core.
+    ///
     /// # Panics
     ///
     /// Panics if two jobs share an id.

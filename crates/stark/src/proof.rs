@@ -1,7 +1,7 @@
 //! Stark proof object.
 
 use unizk_field::{Goldilocks, ProtocolField};
-use unizk_fri::FriProof;
+use unizk_fri::{FriProof, WireError};
 use unizk_hash::Digest;
 
 /// A Starky-style proof: trace and quotient commitments plus the FRI
@@ -39,17 +39,21 @@ impl<F: ProtocolField> StarkProof<F> {
         bytes
     }
 
-    /// Decodes a proof from bytes.
+    /// Decodes a proof from bytes: exactly the strings [`Self::to_bytes`]
+    /// produces.
     ///
     /// # Errors
     ///
-    /// Returns [`unizk_fri::WireError`] on truncation or corruption.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, unizk_fri::WireError> {
+    /// Returns [`WireError`] on truncation, corruption, non-canonical field
+    /// limbs or trailing bytes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = unizk_fri::Reader::new(bytes);
         let trace_root: Digest<F> = r.digest()?;
         let quotient_root: Digest<F> = r.digest()?;
-        let rows = usize::try_from(r.u64()?).expect("row count fits usize");
-        let fri = FriProof::<F>::from_bytes(&bytes[2 * Digest::<F>::BYTES + 8..])?;
+        let rows = r.u64()?;
+        let rows = usize::try_from(rows).map_err(|_| WireError::LengthOutOfRange(rows))?;
+        let fri = FriProof::<F>::read(&mut r)?;
+        r.finish()?;
         Ok(Self {
             trace_root,
             quotient_root,

@@ -9,6 +9,10 @@
 //! covers every prefix position, over both fields, for the FRI and the
 //! Stark decoder — and watches the allocator.
 //!
+//! The same proofs then try the rest of the door: a decoder accepts exactly
+//! the byte strings its encoder writes, so a trailing byte or a field limb
+//! at the modulus is an error and an accepted string re-encodes to itself.
+//!
 //! The file holds a single `#[test]` because the allocation high-water
 //! mark is process-global.
 
@@ -101,6 +105,32 @@ fn inflated_prefixes_are_refused<F: HashField + ProtocolField>() {
             bytes.len()
         );
     }
+
+    only_the_encoding_decodes::<F, _>("fri", &fri_bytes, FriProof::<F>::from_bytes, FriProof::to_bytes);
+    only_the_encoding_decodes::<F, _>("stark", &stark_bytes, StarkProof::<F>::from_bytes, StarkProof::to_bytes);
+}
+
+/// One value, one byte string: the honest encoding round-trips, and neither
+/// an appended byte nor a second spelling of a field element (the limb `p`
+/// for `0`) gets through. Both encodings end in a field limb — the last
+/// sibling of the last Merkle path.
+fn only_the_encoding_decodes<F: ProtocolField, T>(
+    what: &str,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let honest = decode(bytes).unwrap_or_else(|e| panic!("{what}: honest bytes refused: {e}"));
+    assert_eq!(encode(&honest), bytes, "{what}: decode then encode changed the bytes");
+
+    let mut extended = bytes.to_vec();
+    extended.push(0);
+    assert_eq!(decode(&extended).err(), Some(WireError::TrailingBytes(1)), "{what}: trailing byte");
+
+    let mut aliased = bytes.to_vec();
+    let limb = aliased.len() - F::BYTES;
+    aliased[limb..].copy_from_slice(&F::ORDER.to_le_bytes()[..F::BYTES]);
+    assert_eq!(decode(&aliased).err(), Some(WireError::NonCanonical(F::ORDER)), "{what}: limb = p");
 }
 
 #[test]

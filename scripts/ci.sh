@@ -94,10 +94,13 @@ echo "==> koalabear smoke (31-bit stack prove->verify + cross-field differential
 cargo test -q --offline -p unizk-ntt --test ntt_kernel_equivalence
 cargo test -q --offline -p unizk-stark --test stark_protocol koalabear_stack
 
-echo "==> one benchmark system (no BENCH_*.json, no [[bench]] target, no clock in the contract writer)"
+echo "==> one benchmark system (no BENCH_*.json, no [[bench]] target, no crate-local example, no clock in the contract writer)"
 # Timing lives in benchmark/, exact numbers in CONTRACT.json. A root-level
-# BENCH_*.json or a Cargo bench target would be a second yardstick.
+# BENCH_*.json or a Cargo bench target would be a second yardstick, and so
+# would a timing loop under crates/*/examples/, which benchmark/ cannot
+# see: runnable examples live in the root examples/.
 if compgen -G 'BENCH_*.json' > /dev/null \
+        || compgen -G 'crates/*/examples/*.rs' \
         || grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml \
         || grep -nE 'Instant|SystemTime' crates/bench/src/contract.rs crates/bench/src/bin/contract.rs; then
     echo "FAIL: timing artifacts belong to benchmark/; CONTRACT.json holds no clock"
@@ -145,6 +148,20 @@ for f in crates/fri/src/prover.rs crates/stark/src/prover.rs crates/plonk/src/qu
         exit 1
     fi
 done
+
+echo "==> one Poseidon schedule (the rounds are walked once, at every width)"
+# packed::walk_rounds is the only shipped walk of the 4 / pre-partial / 22 /
+# 4 sequence (poseidon_permute, permute_batch and the grind kernel are its
+# callers); the second `0..PARTIAL_ROUNDS` loop is the #[cfg(test)] dense
+# oracle. A third would be a copy that has to be moved in step again, and
+# the three names below are the test-only speculative rungs that existed
+# to be compared with each other.
+walks="$(cat crates/hash/src/*.rs | grep -c 'in 0\.\.PARTIAL_ROUNDS' || true)"
+if [ "$walks" -gt 2 ] \
+        || grep -rnE 'fn (permute_with|speculative_one|speculative_challenge)\b' crates --include='*.rs'; then
+    echo "FAIL: the Poseidon rounds are sequenced in packed::walk_rounds only ($walks walks found, 2 allowed)"
+    exit 1
+fi
 
 echo "==> repository benchmark gate (benchmark/check.sh --quick)"
 # Lints and unit tests of the benchmark package, [profile.release] parity
