@@ -12,11 +12,12 @@ use unizk_core::compiler::{compile_plonky2, compile_starky, Plonky2Instance, Sta
 use unizk_core::{ChipConfig, Simulator};
 use unizk_explore::hash::fnv1a64;
 use unizk_explore::{run_sweep, SweepOptions, SweepSpec};
+use unizk_field::ExtensionOf;
 use unizk_fleet::{FleetConfig, FleetSim, ShardPlan, StreamSpec};
 use unizk_hash::sponge::HashField;
-use unizk_hash::SpongeBackend;
+use unizk_hash::{Digest, SpongeBackend};
 use unizk_serve::{JobSpec, TrafficSpec};
-use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig};
+use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig, StarkProof};
 use unizk_testkit::json::{Json, ToJson};
 use unizk_testkit::trace;
 use unizk_workloads::{App, Scale};
@@ -51,16 +52,68 @@ fn counters(counters: Vec<(String, u64)>) -> Json {
 }
 
 /// Fibonacci Starky at 2^12 rows × 2 columns over one `(field, hasher)`
-/// stack: the work counters of one prove and the size of its proof.
+/// stack: the work counters of one prove, the size of its proof and where
+/// those bytes sit, and the verifier's side of the same proof.
 fn prover<F: HashField, H: SpongeBackend<F = F>>(config: &StarkConfig<F, H>) -> Json {
     let air = FibonacciAir::new(1 << LOG_ROWS);
     trace::reset();
     let proof = prove(&air, config).expect("the Fibonacci trace satisfies its AIR");
     let work = trace::snapshot().counters;
+    trace::reset();
     verify(&air, &proof, config).expect("the proof verifies");
+    let checked = trace::snapshot();
     Json::obj([
         ("proof_bytes", Json::from(proof.size_bytes())),
+        ("proof_bytes_by_part", proof_bytes_by_part(&proof)),
+        (
+            "verify",
+            Json::obj([
+                ("permutations", Json::from(checked.counter(H::COUNTER))),
+                ("openings", Json::from(checked.counter("merkle.verify.openings"))),
+                ("distinct_nodes", Json::from(checked.counter("merkle.verify.nodes"))),
+            ]),
+        ),
         ("counters", counters(work)),
+    ])
+}
+
+/// `StarkProof::size_bytes` term by term. `paths` is what a format that
+/// sends no node twice would shrink, to at most `verify.distinct_nodes`
+/// digests (one sibling per hashed interior node).
+fn proof_bytes_by_part<F: HashField>(proof: &StarkProof<F>) -> Json {
+    let ext = <F::Ext as ExtensionOf<F>>::DEGREE * F::BYTES;
+    let fri = &proof.fri;
+    let paths: usize = fri
+        .queries
+        .iter()
+        .flat_map(|q| {
+            let initial = q.initial.iter().map(|o| o.proof.size_bytes());
+            initial.chain(q.folds.iter().map(|f| f.proof.size_bytes()))
+        })
+        .sum();
+    let leaf_values: usize = fri
+        .queries
+        .iter()
+        .map(|q| {
+            let initial: usize = q.initial.iter().map(|o| o.leaf.len() * F::BYTES).sum();
+            initial + q.folds.len() * 2 * ext
+        })
+        .sum();
+    let openings = fri.openings.iter().flatten().flatten().count() * ext;
+    let final_poly = fri.final_poly.len() * ext;
+    // Trace and quotient roots, the row count, the fold roots, the nonce.
+    let roots_and_witness = (2 + fri.commit_roots.len()) * Digest::<F>::BYTES + 8 + F::BYTES;
+    assert_eq!(
+        paths + leaf_values + openings + final_poly + roots_and_witness,
+        proof.size_bytes(),
+        "the parts are the whole proof"
+    );
+    Json::obj([
+        ("paths", Json::from(paths)),
+        ("leaf_values", Json::from(leaf_values)),
+        ("openings", Json::from(openings)),
+        ("final_poly", Json::from(final_poly)),
+        ("roots_and_witness", Json::from(roots_and_witness)),
     ])
 }
 

@@ -67,9 +67,52 @@ fn headline_numbers_are_the_ones_the_benchmark_checks() {
 
     assert_eq!(len(&["prover", "goldilocks", "counters"]), 10);
     assert_eq!(len(&["prover", "koalabear", "counters"]), 10);
+    for (field, bytes) in [("goldilocks", 290_928), ("koalabear", 158_428)] {
+        let parts = at(&["prover", field, "proof_bytes_by_part"]);
+        let part = |key| parts.get(key).and_then(Json::as_u64).expect(key);
+        assert_eq!(len(&["prover", field, "proof_bytes_by_part"]), 5);
+        assert_eq!(
+            part("paths")
+                + part("leaf_values")
+                + part("openings")
+                + part("final_poly")
+                + part("roots_and_witness"),
+            bytes,
+            "{field}"
+        );
+    }
     assert_eq!(len(&["serve"]), 4);
     assert_eq!(at(&["fleet", "verified_schedules"]).as_u64(), Some(48));
     assert_eq!(len(&["fleet", "makespan_cycles"]), 32);
+}
+
+/// The verifier hashes each distinct node of the proof's paths once: under
+/// half of what checking the paths one by one costs, a permutation per leaf
+/// and per sibling (EXPERIMENTS.md, "Verifier: each node once").
+#[test]
+fn the_verifier_hashes_under_half_of_the_paths() {
+    let c = parse(&committed()).expect("CONTRACT.json parses");
+    for field in ["goldilocks", "koalabear"] {
+        let prover = c.get("prover").and_then(|p| p.get(field)).expect(field);
+        let of = |section: &str, key: &str| {
+            let value = prover.get(section).and_then(|s| s.get(key));
+            value.and_then(Json::as_u64).unwrap_or_else(|| panic!("{field}.{section}.{key}"))
+        };
+        let (queries, trees) = (of("counters", "fri.queries"), of("counters", "merkle.trees"));
+        let rounds = of("counters", "fri.reduction_rounds");
+        // Blowup 2: the two batch trees are log2(rows) + 1 levels high, fold
+        // tree `r` is log2(rows) - r.
+        let log_rows = u64::from(of("counters", "stark.rows").ilog2());
+        assert_eq!(trees, 2 + rounds, "{field}");
+        let depths = 2 * (log_rows + 1) + (0..rounds).map(|r| log_rows - r).sum::<u64>();
+        let per_path = queries * (depths + trees);
+
+        assert_eq!(of("verify", "openings"), queries * trees, "{field}");
+        let (hashed, nodes) = (of("verify", "permutations"), of("verify", "distinct_nodes"));
+        assert!(nodes < hashed && 2 * hashed < per_path, "{field}: {nodes} {hashed} {per_path}");
+        // ISSUE 21's ceiling for the Goldilocks shape (the loop took 9 182).
+        assert!(field != "goldilocks" || hashed <= 4_100, "{hashed}");
+    }
 }
 
 #[test]

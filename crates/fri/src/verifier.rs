@@ -1,10 +1,36 @@
-//! The FRI verifier: transcript replay, grinding check, and per-query
-//! Merkle/fold consistency checks.
+//! The FRI verifier, in four phases:
+//!
+//! 1. **Shape.** Every count, leaf width and path length of the proof is
+//!    compared with the instance ([`FriError::Malformed`]) before the first
+//!    permutation, so a malformed proof costs nothing wherever the fault
+//!    sits, and the later phases index without checking.
+//! 2. **Transcript** (`fri.verify.transcript`). Replay the prover's
+//!    observations, check the grind, and draw all `num_queries` indices —
+//!    nothing is observed between two draws, so drawing them together
+//!    leaves the transcript as drawing them query by query did.
+//! 3. **Merkle** (`fri.verify.merkle`). One
+//!    [`GenericMerkleTree::verify_many`] per committed batch and per fold
+//!    round, with the height the verifier derives from the instance
+//!    (`index_bits`, then `index_bits - 1 - round`). The queries' paths
+//!    meet below the root — on the Starky contract shape 59 % of the
+//!    9 156 nodes on them are on an earlier query's path too — and the
+//!    batch check hashes each distinct node once, eight at a time
+//!    (EXPERIMENTS.md, "Verifier: each node once"). The trees are
+//!    independent, so under more than one thread workers claim them one at
+//!    a time; the verdicts are read in tree order, and a failure names the
+//!    first failing query of the first failing tree at every thread count.
+//! 4. **Fold** (`fri.verify.fold`). Per query, the combined opening and the
+//!    fold chain down to the final polynomial: field arithmetic only.
+//!
+//! `scripts/ci.sh` fails if this file goes back to checking one path at a
+//! time.
 
 use core::fmt;
 
+use unizk_field::par::{current_parallelism, run_indexed};
 use unizk_field::{log2_strict, ExtensionOf, Field, Polynomial, ProtocolField};
-use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, SpongeBackend};
+use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, Opening, SpongeBackend};
+use unizk_testkit::trace;
 
 use crate::config::FriConfig;
 use crate::domain::domain_point;
@@ -56,7 +82,8 @@ impl std::error::Error for FriError {}
 ///
 /// # Errors
 ///
-/// Returns a [`FriError`] describing the first check that failed.
+/// Returns a [`FriError`] describing the first check that failed, phases
+/// in the order of the module documentation.
 pub fn fri_verify<B: SpongeBackend>(
     batch_roots: &[Digest<B::F>],
     batch_num_polys: &[usize],
@@ -67,38 +94,15 @@ pub fn fri_verify<B: SpongeBackend>(
     config: &FriConfig,
 ) -> Result<(), FriError> {
     type E<B> = <<B as SpongeBackend>::F as ProtocolField>::Ext;
-    if batch_roots.len() != batch_num_polys.len() {
-        return Err(FriError::Malformed("batch descriptor length mismatch"));
-    }
-    if proof.openings.len() != points.len() {
-        return Err(FriError::Malformed("openings/points mismatch"));
-    }
+    let _verify_span = trace::span("fri.verify");
     let lde_size = degree << config.rate_bits;
+    let index_bits = log2_strict(lde_size);
     let num_rounds = config.num_reduction_rounds(degree);
-    if proof.commit_roots.len() != num_rounds {
-        return Err(FriError::Malformed("wrong number of fold commitments"));
-    }
-    if proof.final_poly.len() != config.final_poly_len {
-        return Err(FriError::Malformed("wrong final polynomial length"));
-    }
-    if proof.queries.len() != config.num_queries {
-        return Err(FriError::Malformed("wrong number of queries"));
-    }
+    check_shape(batch_roots, batch_num_polys, points.len(), index_bits, num_rounds, proof, config)?;
 
-    // Replay the transcript.
-    for (t, per_point) in proof.openings.iter().enumerate() {
-        if per_point.len() != batch_roots.len() {
-            return Err(FriError::Malformed("openings/batches mismatch"));
-        }
-        for (b, per_batch) in per_point.iter().enumerate() {
-            if per_batch.len() != batch_num_polys[b] {
-                return Err(FriError::Malformed("openings/polys mismatch"));
-            }
-            let _ = t;
-            for &y in per_batch {
-                challenger.observe_ext(y);
-            }
-        }
+    let transcript_span = trace::span("fri.verify.transcript");
+    for &y in proof.openings.iter().flatten().flatten() {
+        challenger.observe_ext(y);
     }
     let alpha = challenger.challenge_ext();
     let beta = challenger.challenge_ext();
@@ -117,48 +121,75 @@ pub fn fri_verify<B: SpongeBackend>(
     if !pow_ok(challenger.challenge(), config.proof_of_work_bits) {
         return Err(FriError::InvalidPow);
     }
+    // Nothing is observed between two index draws, so drawing them all here
+    // leaves the transcript as the query-by-query order did.
+    let indices: Vec<usize> = proof
+        .queries
+        .iter()
+        .map(|_| challenger.challenge_bits(index_bits))
+        .collect();
+    drop(transcript_span);
 
+    // One batch check per tree, each distinct node hashed once. The trees
+    // are independent and unequal (tallest first), so workers claim them
+    // one at a time; verdicts come back in tree order.
+    let merkle_span = trace::span("fri.verify.merkle");
+    let check_tree = |tree: usize| match tree.checked_sub(batch_roots.len()) {
+        None => {
+            let openings: Vec<Opening<'_, B::F>> = proof
+                .queries
+                .iter()
+                .zip(&indices)
+                .map(|(query, &idx)| (idx, &query.initial[tree].leaf[..], &query.initial[tree].proof))
+                .collect();
+            GenericMerkleTree::<B>::verify_many(batch_roots[tree], index_bits, &openings)
+                .map_err(|query| FriError::BadMerkleProof { query, what: "initial batch" })
+        }
+        Some(round) => {
+            let folds = proof.queries.iter().map(|query| &query.folds[round]);
+            let leaves: Vec<Vec<B::F>> = folds
+                .clone()
+                .map(|fold| [fold.pair[0].to_base_slice(), fold.pair[1].to_base_slice()].concat())
+                .collect();
+            let openings: Vec<Opening<'_, B::F>> = folds
+                .zip(&indices)
+                .zip(&leaves)
+                .map(|((fold, &idx), leaf)| (idx >> (round + 1), &leaf[..], &fold.proof))
+                .collect();
+            let height = index_bits - 1 - round;
+            GenericMerkleTree::<B>::verify_many(proof.commit_roots[round], height, &openings)
+                .map_err(|query| FriError::BadMerkleProof { query, what: "fold layer" })
+        }
+    };
+    let trees = (0..batch_roots.len() + num_rounds).collect();
+    run_indexed(current_parallelism(), trees, |_, _, tree| check_tree(tree))
+        .into_iter()
+        .collect::<Result<(), FriError>>()?;
+    drop(merkle_span);
+
+    let _fold_span = trace::span("fri.verify.fold");
     // Precompute Y_t = Σ_j α^j y_{j,t}.
     let mut y_combined = vec![E::<B>::ZERO; points.len()];
     for (t, per_point) in proof.openings.iter().enumerate() {
         let mut alpha_pow = E::<B>::ONE;
-        for per_batch in per_point {
-            for &y in per_batch {
-                y_combined[t] += alpha_pow * y;
-                alpha_pow *= alpha;
-            }
+        for &y in per_point.iter().flatten() {
+            y_combined[t] += alpha_pow * y;
+            alpha_pow *= alpha;
         }
     }
 
     let final_poly = Polynomial::from_coeffs(proof.final_poly.clone());
-    let index_bits = log2_strict(lde_size);
     let two_inv = B::F::TWO.inverse();
 
-    for (qi, query) in proof.queries.iter().enumerate() {
-        let mut idx = challenger.challenge_bits(index_bits);
-        if query.initial.len() != batch_roots.len() {
-            return Err(FriError::Malformed("query initial openings mismatch"));
-        }
-        if query.folds.len() != num_rounds {
-            return Err(FriError::Malformed("query fold openings mismatch"));
-        }
-
-        // Check batch openings and recompute S(x_idx). The query point is
-        // derived once; each fold round squares it (and its inverse).
+    for (qi, (query, &index)) in proof.queries.iter().zip(&indices).enumerate() {
+        let mut idx = index;
+        // Recompute S(x_idx). The query point is derived once; each fold
+        // round squares it (and its inverse).
         let mut x = domain_point::<B::F>(lde_size, idx);
         let mut x_inv = x.inverse();
         let mut s_value = E::<B>::ZERO;
         let mut alpha_pow = E::<B>::ONE;
-        for (b, opening) in query.initial.iter().enumerate() {
-            if opening.leaf.len() != batch_num_polys[b] {
-                return Err(FriError::Malformed("query leaf width mismatch"));
-            }
-            if !GenericMerkleTree::<B>::verify(batch_roots[b], idx, &opening.leaf, &opening.proof) {
-                return Err(FriError::BadMerkleProof {
-                    query: qi,
-                    what: "initial batch",
-                });
-            }
+        for opening in &query.initial {
             for &v in &opening.leaf {
                 s_value += alpha_pow.scale(v);
                 alpha_pow *= alpha;
@@ -179,22 +210,13 @@ pub fn fri_verify<B: SpongeBackend>(
 
         // Fold rounds.
         for (round, fold) in query.folds.iter().enumerate() {
-            let pair_index = idx >> 1;
-            let mut leaf = fold.pair[0].to_base_slice();
-            leaf.extend(fold.pair[1].to_base_slice());
-            if !GenericMerkleTree::<B>::verify(proof.commit_roots[round], pair_index, &leaf, &fold.proof) {
-                return Err(FriError::BadMerkleProof {
-                    query: qi,
-                    what: "fold layer",
-                });
-            }
             if fold.pair[idx & 1] != value {
                 return Err(FriError::FoldMismatch { query: qi, round });
             }
             // The pair sits at (x, −x) with x the even position's point.
             let pair_x_inv = if idx & 1 == 0 { x_inv } else { -x_inv };
             value = fold_pair::<B::F>(fold.pair, pair_x_inv, two_inv, fold_betas[round]);
-            idx = pair_index;
+            idx >>= 1;
             x = x.square();
             x_inv = x_inv.square();
         }
@@ -205,5 +227,46 @@ pub fn fri_verify<B: SpongeBackend>(
         }
     }
 
+    Ok(())
+}
+
+/// Every count, width and path length of `proof` against the instance, so
+/// that a malformed proof is refused before the first permutation and the
+/// later phases index without checking.
+fn check_shape<F: ProtocolField>(
+    batch_roots: &[Digest<F>],
+    batch_num_polys: &[usize],
+    num_points: usize,
+    index_bits: usize,
+    num_rounds: usize,
+    proof: &FriProof<F>,
+    config: &FriConfig,
+) -> Result<(), FriError> {
+    let refuse_unless = |ok: bool, what| if ok { Ok(()) } else { Err(FriError::Malformed(what)) };
+    refuse_unless(batch_roots.len() == batch_num_polys.len(), "batch descriptor length mismatch")?;
+    refuse_unless(proof.openings.len() == num_points, "openings/points mismatch")?;
+    refuse_unless(proof.commit_roots.len() == num_rounds, "wrong number of fold commitments")?;
+    refuse_unless(proof.final_poly.len() == config.final_poly_len, "wrong final polynomial length")?;
+    refuse_unless(proof.queries.len() == config.num_queries, "wrong number of queries")?;
+    for per_point in &proof.openings {
+        refuse_unless(per_point.len() == batch_roots.len(), "openings/batches mismatch")?;
+        for (per_batch, &num_polys) in per_point.iter().zip(batch_num_polys) {
+            refuse_unless(per_batch.len() == num_polys, "openings/polys mismatch")?;
+        }
+    }
+    for query in &proof.queries {
+        refuse_unless(query.initial.len() == batch_roots.len(), "query initial openings mismatch")?;
+        refuse_unless(query.folds.len() == num_rounds, "query fold openings mismatch")?;
+        for (opening, &num_polys) in query.initial.iter().zip(batch_num_polys) {
+            refuse_unless(opening.leaf.len() == num_polys, "query leaf width mismatch")?;
+            refuse_unless(opening.proof.siblings.len() == index_bits, "initial path length mismatch")?;
+        }
+        for (round, fold) in query.folds.iter().enumerate() {
+            refuse_unless(
+                fold.proof.siblings.len() + 1 + round == index_bits,
+                "fold path length mismatch",
+            )?;
+        }
+    }
     Ok(())
 }

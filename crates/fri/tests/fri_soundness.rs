@@ -156,6 +156,64 @@ fn tampered_fold_pair_rejected<B: SpongeBackend>() {
     assert!(inst.verify(&proof, &roots, &sizes).is_err());
 }
 
+fn tampered_shared_sibling_rejected<B: SpongeBackend>() {
+    // Every query's last compression has the same input, the root's two
+    // children, so the verifier computes it once. A query that brings a
+    // different top sibling must be judged on its own input.
+    let inst = Instance::<B>::new(16, FriConfig::for_testing(), &[3], 32);
+    let (mut proof, roots, sizes) = inst.prove();
+    let top = proof.queries[4].initial[0].proof.siblings.last_mut().expect("a path");
+    top.0[0] += B::F::ONE;
+    assert_eq!(
+        inst.verify(&proof, &roots, &sizes),
+        Err(FriError::BadMerkleProof {
+            query: 4,
+            what: "initial batch"
+        })
+    );
+    let (mut proof, ..) = inst.prove();
+    let top = proof.queries[1].folds[1].proof.siblings.last_mut().expect("a path");
+    top.0[3] += B::F::ONE;
+    assert_eq!(
+        inst.verify(&proof, &roots, &sizes),
+        Err(FriError::BadMerkleProof {
+            query: 1,
+            what: "fold layer"
+        })
+    );
+}
+
+fn duplicate_query_index_with_conflicting_openings_rejected<B: SpongeBackend>() {
+    // 40 queries into a domain of 32 positions: some index is drawn twice.
+    let mut config = FriConfig::for_testing();
+    config.num_queries = 40;
+    let inst = Instance::<B>::new(17, config, &[2], 4);
+    let (proof, roots, sizes) = inst.prove();
+    inst.verify(&proof, &roots, &sizes).expect("should verify");
+    let same_position = |a: usize, b: usize| {
+        let (a, b) = (&proof.queries[a].initial[0], &proof.queries[b].initial[0]);
+        a.leaf == b.leaf && a.proof == b.proof
+    };
+    let (first, second) = (0..40)
+        .flat_map(|b| (0..b).map(move |a| (a, b)))
+        .find(|&(a, b)| same_position(a, b))
+        .expect("pigeonhole");
+    // The two openings of that index now disagree about its leaf.
+    for (tampered, honest) in [(first, second), (second, first)] {
+        let mut p = proof.clone();
+        p.queries[tampered].initial[0].leaf[1] += B::F::ONE;
+        let err = inst.verify(&p, &roots, &sizes).unwrap_err();
+        assert_eq!(
+            err,
+            FriError::BadMerkleProof {
+                query: tampered,
+                what: "initial batch"
+            },
+            "honest copy: query {honest}"
+        );
+    }
+}
+
 fn tampered_commit_root_rejected<B: SpongeBackend>() {
     let inst = Instance::<B>::new(9, FriConfig::for_testing(), &[3], 32);
     let (mut proof, roots, sizes) = inst.prove();
@@ -320,6 +378,14 @@ macro_rules! field_suite {
             #[test]
             fn tampered_fold_pair_rejected() {
                 super::tampered_fold_pair_rejected::<$backend>();
+            }
+            #[test]
+            fn tampered_shared_sibling_rejected() {
+                super::tampered_shared_sibling_rejected::<$backend>();
+            }
+            #[test]
+            fn duplicate_query_index_with_conflicting_openings_rejected() {
+                super::duplicate_query_index_with_conflicting_openings_rejected::<$backend>();
             }
             #[test]
             fn tampered_commit_root_rejected() {

@@ -13,7 +13,7 @@ use unizk_field::{Goldilocks, PrimeField64};
 /// Goldilocks that is ~256 bits; over KoalaBear it is 4 × 31 = 124 bits —
 /// a deliberate modeling simplification (production small-field stacks
 /// widen the digest to 8 limbs; see ARCHITECTURE.md §generic stack).
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest<F: PrimeField64 = Goldilocks>(pub [F; 4]);
 
 impl<F: PrimeField64> Digest<F> {

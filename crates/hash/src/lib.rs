@@ -51,7 +51,7 @@ pub mod sponge;
 pub mod workspace;
 
 pub use digest::Digest;
-pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree};
+pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree, Opening};
 pub use packed::PackedPermutation;
 pub use poseidon::{
     poseidon_permute, NoncePermutation, PoseidonCost, SPONGE_CAPACITY, SPONGE_RATE, WIDTH,

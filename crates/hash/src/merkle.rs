@@ -7,6 +7,13 @@
 //! paper chooses so that tree construction streams sequentially through
 //! memory and subtrees can be processed scratchpad-resident.
 //!
+//! Openings are checked by one walker,
+//! [`GenericMerkleTree::verify_many`]: all openings of a tree climb it
+//! level by level together, each distinct compression input is hashed once
+//! through the batched dispatchers the builder uses, and
+//! [`GenericMerkleTree::verify`] is its one-opening case. The wall in
+//! `tests/merkle_verify_many.rs` holds it to the path-by-path loop.
+//!
 //! The tree is generic over the sponge backend (and hence the field):
 //! [`MerkleTree`] is the Goldilocks/Poseidon alias of
 //! [`GenericMerkleTree`], and the KoalaBear proof path instantiates the
@@ -16,8 +23,7 @@ use unizk_field::{log2_strict, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
 use crate::sponge::{
-    compress_level_with, hash_many_with, hash_no_pad_with, two_to_one_with, HashField,
-    PoseidonSponge, SpongeBackend,
+    compress_level_with, hash_many_with, HashField, PoseidonSponge, SpongeBackend,
 };
 use crate::workspace::Workspace;
 
@@ -108,6 +114,22 @@ fn hash_pairs_into<B: SpongeBackend>(
     }
 }
 
+/// Groups equal keys: the slot of each key among the distinct ones, and one
+/// position in `keys` per slot.
+fn distinct<K: Ord>(keys: &[K]) -> (Vec<usize>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+    let mut slots = vec![0; keys.len()];
+    let mut firsts = Vec::new();
+    for (rank, &k) in order.iter().enumerate() {
+        if rank == 0 || keys[order[rank - 1]] != keys[k] {
+            firsts.push(k);
+        }
+        slots[k] = firsts.len() - 1;
+    }
+    (slots, firsts)
+}
+
 /// A binary Merkle tree over element-vector leaves, generic over the
 /// sponge backend.
 ///
@@ -141,6 +163,10 @@ pub struct MerkleProof<F: PrimeField64 = Goldilocks> {
     /// Sibling digests, leaf level first.
     pub siblings: Vec<Digest<F>>,
 }
+
+/// One entry of a batch check ([`GenericMerkleTree::verify_many`]): the
+/// leaf index, the claimed leaf contents, and the path.
+pub type Opening<'a, F> = (usize, &'a [F], &'a MerkleProof<F>);
 
 impl<F: PrimeField64> MerkleProof<F> {
     /// Serialized size in bytes (each digest is [`Digest::BYTES`] bytes:
@@ -247,24 +273,94 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     }
 
     /// Verifies that `leaf_data` is the content of leaf `index` under
-    /// `root`.
+    /// `root`: the one-opening case of [`verify_many`](Self::verify_many),
+    /// in a tree as high as the path is long.
     pub fn verify(
         root: Digest<B::F>,
         index: usize,
         leaf_data: &[B::F],
         proof: &MerkleProof<B::F>,
     ) -> bool {
-        let mut digest = hash_no_pad_with::<B>(leaf_data);
-        let mut idx = index;
-        for &sibling in &proof.siblings {
-            digest = if idx & 1 == 0 {
-                two_to_one_with::<B>(digest, sibling)
-            } else {
-                two_to_one_with::<B>(sibling, digest)
-            };
-            idx >>= 1;
+        Self::verify_many(root, proof.siblings.len(), &[(index, leaf_data, proof)]).is_ok()
+    }
+
+    /// Verifies many openings of one tree of `height` levels under `root`,
+    /// hashing each distinct node once.
+    ///
+    /// All leaves are hashed in one [`hash_many_with`] dispatch, then the
+    /// openings climb together: per level, each forms the full input of its
+    /// next compression — `(parent index, left, right)` — and the distinct
+    /// inputs are compressed in one [`compress_level_with`] dispatch.
+    /// Openings share a hash only where the whole input is equal (likewise
+    /// `(index, leaf)` before leaf hashing), so this is a loop of
+    /// [`verify`](Self::verify) evaluated fewer times: it returns `Ok`
+    /// exactly when every opening's own path reaches `root`, for hostile
+    /// openings too.
+    ///
+    /// # Errors
+    ///
+    /// The position in `openings` of the first opening that fails: its path
+    /// is not `height` siblings long, `index >= 2^height`, or its path does
+    /// not reach `root`.
+    pub fn verify_many(
+        root: Digest<B::F>,
+        height: usize,
+        openings: &[Opening<'_, B::F>],
+    ) -> Result<(), usize> {
+        let in_tree = |&(index, _, proof): &Opening<'_, B::F>| {
+            let above = u32::try_from(height).ok().and_then(|h| index.checked_shr(h));
+            proof.siblings.len() == height && above.unwrap_or(0) == 0
+        };
+        let (walked, refused): (Vec<usize>, Vec<usize>) =
+            (0..openings.len()).partition(|&i| in_tree(&openings[i]));
+
+        let leaves: Vec<(usize, &[B::F])> = walked
+            .iter()
+            .map(|&i| (openings[i].0, openings[i].1))
+            .collect();
+        let (slots, firsts) = distinct(&leaves);
+        let inputs: Vec<&[B::F]> = firsts.iter().map(|&k| leaves[k].1).collect();
+        let digests = hash_many_with::<B>(&inputs);
+        let mut hashed = digests.len();
+        // Where each walked opening stands: (node index at this level, digest).
+        let mut at: Vec<(usize, Digest<B::F>)> = leaves
+            .iter()
+            .zip(slots)
+            .map(|(&(index, _), slot)| (index, digests[slot]))
+            .collect();
+
+        // Some walked path is `height` long, or there is nothing to climb:
+        // the loop is bounded by the size of the input, not by `height`.
+        let levels = if walked.is_empty() { 0 } else { height };
+        for level in 0..levels {
+            // The whole input of each opening's next compression.
+            let inputs: Vec<_> = at
+                .iter()
+                .zip(&walked)
+                .map(|(&(index, digest), &i)| {
+                    let sibling = openings[i].2.siblings[level];
+                    let pair = if index & 1 == 0 { [digest, sibling] } else { [sibling, digest] };
+                    (index >> 1, pair)
+                })
+                .collect();
+            let (slots, firsts) = distinct(&inputs);
+            let pairs: Vec<Digest<B::F>> = firsts.iter().flat_map(|&k| inputs[k].1).collect();
+            let parents = compress_level_with::<B>(&pairs);
+            hashed += parents.len();
+            for (node, (input, slot)) in at.iter_mut().zip(inputs.iter().zip(slots)) {
+                *node = (input.0, parents[slot]);
+            }
         }
-        idx == 0 && digest == root
+        unizk_testkit::trace::counter("merkle.verify.openings", openings.len() as u64);
+        unizk_testkit::trace::counter("merkle.verify.nodes", hashed as u64);
+
+        let unreached = walked
+            .iter()
+            .zip(&at)
+            .find(|(_, node)| node.1 != root)
+            .map(|(&i, _)| i);
+        let failed = refused.first().copied().into_iter().chain(unreached).min();
+        failed.map_or(Ok(()), Err)
     }
 
     /// Total sponge permutations needed to build a tree with these leaf

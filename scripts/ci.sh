@@ -149,6 +149,17 @@ for f in crates/fri/src/prover.rs crates/stark/src/prover.rs crates/plonk/src/qu
     fi
 done
 
+echo "==> each Merkle node hashed once (one batch check per tree in the FRI verifier)"
+# fri_verify hands each tree's openings to GenericMerkleTree::verify_many,
+# which hashes a node once per distinct input and eight at a time. A
+# per-query `::verify(` or a `two_to_one` in the verifier is the
+# path-by-path loop coming back: 2.4x the permutations on the contract
+# shape (EXPERIMENTS.md, "Verifier: each node once").
+if sed '/^#\[cfg(test)\]/,$d' crates/fri/src/verifier.rs | grep -nE '::verify\(|two_to_one'; then
+    echo "FAIL: crates/fri/src/verifier.rs hashes path by path; collect the openings and call verify_many once per tree"
+    exit 1
+fi
+
 echo "==> one Poseidon schedule (the rounds are walked once, at every width)"
 # packed::walk_rounds is the only shipped walk of the 4 / pre-partial / 22 /
 # 4 sequence (poseidon_permute, permute_batch and the grind kernel are its

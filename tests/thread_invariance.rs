@@ -1,9 +1,11 @@
-//! Thread-count invariance for the prover hot paths.
+//! Thread-count invariance for the prover hot paths and the verifier.
 //!
-//! The parallel NTT stage split, the chunked Merkle hashing and the
-//! block-parallel grind are all *execution strategies*: they must produce
-//! bit-identical proofs and identical deterministic trace counters under
-//! every [`unizk_field::set_parallelism`] setting. This suite pins the
+//! The parallel NTT stage split, the chunked Merkle hashing, the
+//! block-parallel grind and the verifier's one-tree-per-claim Merkle phase
+//! are all *execution strategies*: they must produce bit-identical proofs,
+//! identical verdicts (the same error for a bad proof) and identical
+//! deterministic trace counters under every
+//! [`unizk_field::set_parallelism`] setting. This suite pins the
 //! invariant end-to-end (STARK prove → verify) and on a 2^16 coset LDE in
 //! isolation — a size at which multi-threaded transforms take the
 //! stage-split path, so the sweep compares it against the serial kernel
@@ -16,9 +18,11 @@
 
 use std::sync::Mutex;
 
-use unizk_field::{set_parallelism, Goldilocks, KoalaBear, PrimeField64};
+use unizk_field::{set_parallelism, Field, Goldilocks, KoalaBear, PrimeField64};
+use unizk_fri::FriError;
+use unizk_hash::{HashField, SpongeBackend};
 use unizk_ntt::lde_of_values;
-use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig};
+use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig, StarkError};
 use unizk_testkit::rng::SplitMix64;
 use unizk_testkit::trace;
 
@@ -144,4 +148,44 @@ fn koalabear_coset_lde_identical_under_every_thread_count() {
             }
         }
     }
+}
+
+/// The verifier's answer and work do not depend on the thread count: the
+/// honest proof is accepted with the same counters, and a proof with two
+/// faults — a later query of an earlier tree, an earlier query of a later
+/// tree — is refused with the same error, the earlier tree's.
+fn verdicts_identical_under_every_thread_count<F: HashField, H: SpongeBackend<F = F>>(
+    config: &StarkConfig<F, H>,
+) {
+    let air = FibonacciAir::new(256);
+    set_parallelism(1);
+    let proof = prove(&air, config).expect("trace satisfies the AIR");
+    let mut tampered = proof.clone();
+    tampered.fri.queries[3].initial[0].leaf[0] += F::ONE;
+    tampered.fri.queries[1].folds[2].pair[0] += F::Ext::ONE;
+
+    let mut reference = None;
+    for threads in [1usize, 2, 4] {
+        set_parallelism(threads);
+        trace::reset();
+        assert_eq!(verify(&air, &proof, config), Ok(()), "threads={threads}");
+        assert_eq!(
+            verify(&air, &tampered, config),
+            Err(StarkError::Fri(FriError::BadMerkleProof {
+                query: 3,
+                what: "initial batch"
+            })),
+            "threads={threads}"
+        );
+        let counts = counters();
+        assert_eq!(reference.get_or_insert(counts.clone()), &counts, "threads={threads}");
+    }
+}
+
+#[test]
+fn verification_identical_under_every_thread_count() {
+    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = KnobGuard;
+    verdicts_identical_under_every_thread_count(&StarkConfig::for_testing());
+    verdicts_identical_under_every_thread_count(&KbStarkConfig::for_testing_over());
 }
