@@ -362,18 +362,20 @@ where
 }
 
 /// Finds the first block index `k` (in ascending order) for which
-/// `f(k)` returns `Some`, evaluating blocks in *waves* of the configured
-/// parallelism, and returns that `Some`.
+/// `f(k)` returns `Some`, and returns that `Some`.
 ///
 /// This is the deterministic search primitive behind the FRI grind: the
 /// result is the answer of the **lowest-indexed** successful block, no
-/// matter how many threads raced within a wave — wave `w` evaluates blocks
-/// `w·t .. (w+1)·t` concurrently (`t` = thread count), then takes the first
-/// `Some` in block order, so every parallelism setting (including the
-/// serial fallback) agrees bit-for-bit. Blocks past the first success
-/// within a wave may still be *evaluated* (speculative overshoot); callers
-/// whose `f` has side effects must make them idempotent or account for the
-/// overshoot themselves.
+/// matter how many threads raced. The workers are spawned once; each
+/// claims the next unclaimed block index from a shared counter, stops at
+/// its first hit (its later claims would only be higher), and stops
+/// claiming once a block below its next claim has hit. Every block below
+/// the lowest successful one is therefore evaluated, that one is too, and
+/// the lowest hit among the workers is the answer — so every parallelism
+/// setting (including the serial fallback) agrees bit-for-bit. Blocks past
+/// the first success may still be *evaluated* (speculative overshoot, at
+/// most one block per worker); callers whose `f` has side effects must
+/// make them idempotent or account for the overshoot themselves.
 ///
 /// `f` must return `Some` for some `k` — the search runs unboundedly
 /// upward, mirroring a `loop` over a serial scan.
@@ -401,15 +403,31 @@ where
             .find_map(f)
             .expect("unbounded search cannot exhaust usize");
     }
-    let mut wave = 0;
-    loop {
-        let blocks: Vec<usize> = (wave * threads..(wave + 1) * threads).collect();
-        let results = parallel_map(blocks, &f);
-        if let Some(hit) = results.into_iter().flatten().next() {
-            return hit;
+    let next_block = AtomicUsize::new(0);
+    let lowest_hit = AtomicUsize::new(usize::MAX);
+    let span = SpanHandle::current();
+    let worker = || {
+        let _trace_ctx = span.attach();
+        loop {
+            let k = next_block.fetch_add(1, Ordering::SeqCst);
+            if k > lowest_hit.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(hit) = f(k) {
+                lowest_hit.fetch_min(k, Ordering::SeqCst);
+                return Some((k, hit));
+            }
         }
-        wave += 1;
-    }
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .filter_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .min_by_key(|&(k, _)| k)
+            .map(|(_, hit)| hit)
+            .expect("the lowest successful block is always claimed and evaluated")
+    })
 }
 
 /// Runs `f(start, end)` over disjoint subranges of `0..n` in parallel.
@@ -496,6 +514,25 @@ mod tests {
         set_parallelism(0);
         let hit = parallel_first_block(|k| if k >= 13 { Some(k) } else { None });
         assert_eq!(hit, 13, "default parallelism");
+    }
+
+    #[test]
+    fn first_block_is_the_lowest_of_two_concurrent_hits() {
+        // Blocks 5 and 6 both hit, and neither returns before the other is
+        // being evaluated: two workers hold a hit at once, and the higher
+        // one may well report first. The answer is block 5 regardless.
+        for threads in [2usize, 3, 8] {
+            set_parallelism(threads);
+            let both_running = std::sync::Barrier::new(2);
+            let hit = parallel_first_block(|k| {
+                (k == 5 || k == 6).then(|| {
+                    both_running.wait();
+                    k * 100
+                })
+            });
+            assert_eq!(hit, 500, "threads={threads}");
+        }
+        set_parallelism(0);
     }
 
     #[test]

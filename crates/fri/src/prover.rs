@@ -364,7 +364,7 @@ const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 ///   block under every `set_parallelism` setting.
 ///
 /// Both axes overshoot: lanes past the winner within a group, blocks past
-/// the winning block within a wave. Nothing is counted per attempt;
+/// the winning block, at most one per worker. Nothing is counted per attempt;
 /// instead the *logical* attempt count — `winner + 1`, exactly what a
 /// serial one-bump-per-attempt scan totals — lands on the backend's
 /// permutation counter once at the end, keeping the counter byte-identical

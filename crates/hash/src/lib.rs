@@ -10,9 +10,11 @@
 //!   matrix, 4 full rounds; `x^7` S-box): constants, cost model, the
 //!   grind's hoisted round 0 and the public one-state entry.
 //! * [`packed`] — the round kernels and the one walk of the schedule,
-//!   generic over the number of states permuted in lockstep (the paper's
-//!   vector mode, §5): one lane for [`poseidon_permute`], eight for batches
-//!   and the grind.
+//!   generic over the row type of a group of states permuted in lockstep
+//!   (the paper's vector mode, §5): plain arrays at any width — one lane
+//!   for [`poseidon_permute`] — and, for batches and the grind on CPUs
+//!   that have it, eight lanes in one AVX-512 register (the crate's one
+//!   `unsafe` module).
 //! * [`poseidon2_kb`] — Poseidon2 over 16 KoalaBear elements, the hash of
 //!   the 31-bit proof path, built the same way (one walk over a slice of
 //!   states).
@@ -40,7 +42,7 @@
 //! assert_ne!(digest.0[0], Goldilocks::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod digest;
 pub mod merkle;

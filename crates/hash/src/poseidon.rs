@@ -376,7 +376,7 @@ fn mds_circulant_half(x: &[i64; WIDTH]) -> [i64; WIDTH] {
 }
 
 /// The full-round MDS product `mds · state` over residue lanes, bit for bit
-/// what the dense small-entry product (`packed::mat_lanes`) returns for the
+/// what the dense small-entry product (`packed::mat_rows`) returns for the
 /// circulant `mds`.
 ///
 /// Each residue is split into 32-bit halves so that the transform's sums
@@ -547,7 +547,7 @@ impl PoseidonCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::{full_round_lanes, mat_lanes, partial_round_lanes};
+    use crate::packed::{full_round, mat_rows, partial_round};
     use unizk_testkit::prop::prelude::*;
 
     /// Canonical-domain s-box wrapper over the residue kernel.
@@ -636,7 +636,7 @@ mod tests {
         let expected = mat_mul(&dense, &expected);
 
         let mut got = to_residues(&state).map(|x| [x]);
-        partial_round_lanes(cs, &mut got, r);
+        partial_round(cs, &mut got, r);
         assert_eq!(from_residues(&got.map(|[x]| x)), expected);
     }
 
@@ -647,7 +647,8 @@ mod tests {
         for (i, x) in state.iter_mut().enumerate() {
             *x = Goldilocks::from_u64(u64::MAX - i as u64); // near-p values
         }
-        let fast = mat_lanes(&cs.mds, &to_residues(&state).map(|x| [x]));
+        let mut fast = to_residues(&state).map(|x| [x]);
+        mat_rows(&cs.mds, &mut fast);
         assert_eq!(from_residues(&fast.map(|[x]| x)), mat_mul(&cs.mds, &state));
     }
 
@@ -657,8 +658,9 @@ mod tests {
         // Same exact integer into the same reduction as the dense
         // small-entry product: the residues agree bit for bit, not only
         // modulo p.
-        let dense = mat_lanes(&cs.mds, &residues.map(|x| [x])).map(|[x]| x);
-        assert_eq!(got, dense, "input {residues:x?}");
+        let mut dense = residues.map(|x| [x]);
+        mat_rows(&cs.mds, &mut dense);
+        assert_eq!(got, dense.map(|[x]| x), "input {residues:x?}");
         assert_eq!(
             from_residues(&got),
             mat_mul(&cs.mds, &from_residues(residues)),
@@ -725,11 +727,11 @@ mod tests {
         };
 
         let mut state = pair;
-        full_round_lanes(cs, &mut state, 0);
+        full_round(cs, &mut state, 0);
         congruent(&state);
 
         let mut state = pair;
-        partial_round_lanes(cs, &mut state, 3);
+        partial_round(cs, &mut state, 3);
         congruent(&state);
     }
 

@@ -140,6 +140,22 @@ fn absorb_lengths_zero_to_24_knob_invariant() {
     }
 }
 
+/// `permute_batch` as this host dispatches it — vector rows where the CPU
+/// has AVX-512, array rows elsewhere — against the one-lane entry, at every
+/// length 0..=40: no group, remainders below and from the padding
+/// threshold, and one to five whole groups with each remainder behind them.
+#[test]
+fn dispatched_permute_batch_lengths_0_to_40_match_one_lane() {
+    let pool: Vec<[Goldilocks; WIDTH]> = (0..40u64)
+        .map(|s| std::array::from_fn(|i| Goldilocks::from_u64((s << 40 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))))
+        .collect();
+    for len in 0..=40 {
+        let mut got = pool[..len].to_vec();
+        permute_batch(&mut got);
+        assert_eq!(got, scalar_batch(&pool[..len]), "len={len}");
+    }
+}
+
 /// The speculative challenger's uncounted lane batch against the plain
 /// transcript: same observations, same nonce, same element.
 #[test]

@@ -58,6 +58,11 @@ fn hash_many_matches_hash_no_pad<B: SpongeBackend>() {
     // Ragged lengths 0..=24 plus equal-length runs of each chunk shape.
     let mut lens: Vec<usize> = (0..=24).collect();
     lens.extend([8, 8, 8, 5, 5, 16, 16, 16, 16, 0, 0]);
+    // Equal-length runs that end short of, on and past the edge of the
+    // dispatcher's 64-state block, one and two chunks deep.
+    for (run, len) in [(63, 3), (64, 9), (65, 8), (131, 12)] {
+        lens.extend(std::iter::repeat_n(len, run));
+    }
     let inputs: Vec<Vec<B::F>> = lens
         .iter()
         .map(|&n| random_elems::<B>(&mut rng, n))
@@ -78,7 +83,8 @@ fn hash_many_matches_hash_no_pad<B: SpongeBackend>() {
 /// Level compression must equal pairwise two-to-one hashing.
 fn compress_level_matches_two_to_one<B: SpongeBackend>() {
     let mut rng = SplitMix64::seed_from_u64(0xC0F2);
-    for pairs in [1usize, 2, 3, 4, 8, 13] {
+    // 63..=129: around one and two of the dispatcher's 64-state blocks.
+    for pairs in [1usize, 2, 3, 4, 8, 13, 63, 64, 65, 128, 129] {
         let digests: Vec<Digest<B::F>> = (0..2 * pairs)
             .map(|_| {
                 let st = random_state::<B>(&mut rng);

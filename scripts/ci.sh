@@ -12,6 +12,33 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> vector-row codegen gate (no call inside the AVX-512 Poseidon kernels)"
+# The vector rows of crates/hash/src/packed/avx512.rs are fast only if every
+# intrinsic is inlined into the two #[target_feature] entry points. One
+# helper left without the attribute turns each intrinsic into an
+# out-of-line call through memory — six times slower than the array rows,
+# with every test green — so the release binary is the only witness. The
+# check reads the code, not the CPU: it holds on hosts without AVX-512 too.
+if ! command -v objdump > /dev/null; then
+    echo "skipped: objdump not found"
+elif [ "$(uname -m)" != "x86_64" ]; then
+    echo "skipped: not an x86-64 build, the vector rows are not compiled"
+else
+    kernels="$(objdump -d -C --no-show-raw-insn target/release/contract \
+        | awk '/^[0-9a-f]+ <.*packed::avx512::(permute_soa|nonce_row)[^:]*>:$/ { show = 1 } /^$/ { show = 0 } show')"
+    entries="$(grep -c '^[0-9a-f]* <' <<< "$kernels" || true)"
+    if [ "$entries" -lt 2 ]; then
+        echo "FAIL: expected packed::avx512::permute_soa and ::nonce_row in target/release/contract, found $entries"
+        exit 1
+    fi
+    if grep -E '[[:space:]]call' <<< "$kernels" | head -5 | grep .; then
+        echo "FAIL: a call inside a vector kernel (first ones above): some function on the vector path lacks" \
+             "#[target_feature(enable = \"avx512f\")] or is not #[inline(always)] glue"
+        exit 1
+    fi
+    echo "ok: $entries kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
+fi
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
@@ -106,6 +133,28 @@ if compgen -G 'BENCH_*.json' > /dev/null \
     echo "FAIL: timing artifacts belong to benchmark/; CONTRACT.json holds no clock"
     exit 1
 fi
+
+echo "==> unsafe fence (one module of unizk-hash; every other crate forbids unsafe_code)"
+# The AVX-512 rows need #[target_feature] functions, which only `unsafe`
+# can enter; all of it lives in crates/hash/src/packed/avx512.rs. A second
+# site, or a crate dropping its forbid, widens what has to be audited.
+if grep -rnE '\bunsafe\b' crates/*/src --include='*.rs' \
+        | grep -v '^crates/hash/src/packed/avx512\.rs:' \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "FAIL: unsafe outside crates/hash/src/packed/avx512.rs"
+    exit 1
+fi
+for lib in crates/*/src/lib.rs; do
+    want='#![forbid(unsafe_code)]'
+    [ "$lib" = crates/hash/src/lib.rs ] && want='#![deny(unsafe_code)]'
+    grep -qxF "$want" "$lib" || { echo "FAIL: $lib must carry $want"; exit 1; }
+done
+if [ "$(grep -rlE 'allow\(unsafe_code\)' crates/*/src --include='*.rs')" != crates/hash/src/packed/avx512.rs ]; then
+    echo "FAIL: exactly one module may allow unsafe_code (crates/hash/src/packed/avx512.rs)"
+    exit 1
+fi
+echo "8-lane Poseidon rows on this host (not part of CONTRACT.json, which is host-independent):"
+cargo test -q --offline -p unizk-hash --lib report_dispatched_rows -- --nocapture 2>&1 | grep 'dispatch'
 
 echo "==> one process-global setting (set_parallelism), no environment reads"
 # Routing is decided by private constants backed by measurements in
