@@ -38,8 +38,10 @@ pub const P: u32 = 0x7f00_0001;
 const P64: u64 = P as u64;
 
 /// `-p^{-1} mod 2^32`, by Newton iteration (each step doubles the number
-/// of correct low bits; five steps cover 32).
-const MU: u32 = {
+/// of correct low bits; five steps cover 32). Public for kernels that run
+/// the Montgomery reduction themselves on raw residues
+/// ([`KoalaBear::to_montgomery`]): `m = lo32(x)·MU`, `(x + m·p) >> 32`.
+pub const MU: u32 = {
     let mut inv: u32 = P;
     let mut i = 0;
     while i < 5 {

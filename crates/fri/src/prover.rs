@@ -339,14 +339,19 @@ fn interpolate_final<F: ProtocolField>(
     out
 }
 
-/// Nonces scanned per grind block: a whole number of lane groups, and the
+/// Nonces scanned per grind block: a whole number of dispatches, and the
 /// unit of the deterministic parallel search — see [`scan_block`].
 const GRIND_BLOCK: u64 = 512;
 
-/// Candidate nonces per speculative dispatch, for every backend. Widths 4
-/// and 8 tie within 2 % on the grind and both beat narrower ones
-/// (EXPERIMENTS.md, "Lane-packed Poseidon"), so one width is in use.
-const GRIND_LANES: usize = 8;
+/// Candidate nonces [`scan_block`] hands the backend per speculative
+/// dispatch. How many of them walk the rounds in lockstep is the backend's
+/// own business ([`SpongeBackend::speculative_rows`]): Poseidon takes them
+/// eight at a time, Poseidon2-KoalaBear sixteen at a time on vector rows and
+/// eight on scalar rows, so 16 is the smallest dispatch that is whole groups
+/// for all of them. 32 and 64 tie with it on KoalaBear and cost Goldilocks
+/// 2–4 % (more overshoot past the winner; EXPERIMENTS.md, "Vector rows,
+/// KoalaBear").
+const GRIND_LANES: usize = 16;
 
 const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 
@@ -357,13 +362,14 @@ const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 /// bit-deterministic:
 ///
 /// * **Lanes** — within a block, candidate nonces run through the
-///   backend's lockstep engine (`GRIND_LANES` = 8 nonces per dispatch),
-///   evaluating only the challenge row of the output state.
+///   backend's lockstep engine (`GRIND_LANES` = 16 nonces per dispatch, in
+///   groups of the backend's own width), evaluating only the challenge row
+///   of the output state.
 /// * **Threads** — blocks of `GRIND_BLOCK` (512) nonces are searched with
 ///   [`parallel_first_block`], which returns the lowest-indexed successful
 ///   block under every `set_parallelism` setting.
 ///
-/// Both axes overshoot: lanes past the winner within a group, blocks past
+/// Both axes overshoot: lanes past the winner within a dispatch, blocks past
 /// the winning block, at most one per worker. Nothing is counted per attempt;
 /// instead the *logical* attempt count — `winner + 1`, exactly what a
 /// serial one-bump-per-attempt scan totals — lands on the backend's
@@ -386,7 +392,7 @@ pub fn grind<B: SpongeBackend>(challenger: &GenericChallenger<B>, bits: usize) -
 
 /// Scans the block of nonces `[start, start + GRIND_BLOCK)` and returns the
 /// lowest qualifying nonce in it, if any: [`GRIND_LANES`] consecutive
-/// nonces per lockstep dispatch, groups walked in ascending order.
+/// nonces per dispatch, dispatches walked in ascending order.
 fn scan_block<B: SpongeBackend>(
     speculative: &GenericSpeculativeChallenger<B>,
     start: u64,

@@ -16,8 +16,11 @@
 //!   that have it, eight lanes in one AVX-512 register (the crate's one
 //!   `unsafe` module).
 //! * [`poseidon2_kb`] — Poseidon2 over 16 KoalaBear elements, the hash of
-//!   the 31-bit proof path, built the same way (one walk over a slice of
-//!   states).
+//!   the 31-bit proof path, built the same way: one walk of the rounds,
+//!   generic over the row type — the field element itself for one state or
+//!   a few in lockstep, and sixteen states in one AVX-512 register for
+//!   batches and the grind on CPUs that have it (a child of the same
+//!   `unsafe` module).
 //! * [`sponge`] — sponge hashing (`rate = 8`) and the duplex
 //!   [`sponge::Challenger`] used for Fiat–Shamir transforms.
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and
@@ -43,6 +46,15 @@
 //! ```
 
 #![deny(unsafe_code)]
+
+// The naive Poseidon2-KoalaBear reference of `tests/poseidon2_kb_kat.rs`,
+// for the unit tests that reach the crate-private row types; it names this
+// crate the way the integration test does.
+#[cfg(test)]
+extern crate self as unizk_hash;
+#[cfg(test)]
+#[path = "../tests/common/naive_poseidon2_kb.rs"]
+mod naive_poseidon2_kb;
 
 pub mod digest;
 pub mod merkle;

@@ -43,9 +43,12 @@
 //! The AVX-512 intrinsics need `#[target_feature]` functions, which only
 //! `unsafe` can enter from code compiled without the feature. All of it
 //! lives in `avx512`, the one module of the workspace that allows
-//! `unsafe_code`; `scripts/ci.sh` holds that fence, and checks in the
-//! release binary that the two vector entry points contain no `call` —
-//! i.e. that every intrinsic was inlined, which no test can see.
+//! `unsafe_code` — these kernels' vector rows in the module itself, the
+//! sixteen-lane rows of [`crate::poseidon2_kb`] in its child
+//! `avx512::koalabear`, behind the same detection; `scripts/ci.sh` holds
+//! that fence, and checks in the release binary that the vector entry
+//! points, two per field, contain no `call` — i.e. that every intrinsic was
+//! inlined, which no test can see.
 //!
 //! # Lane width
 //!
@@ -64,7 +67,7 @@ use crate::poseidon::{
 };
 
 #[cfg(target_arch = "x86_64")]
-mod avx512;
+pub(crate) mod avx512;
 
 /// Sponges per packed group in [`permute_batch`] (see the module docs for
 /// the measurement behind the width).
@@ -682,15 +685,21 @@ mod tests {
     }
 
     /// Not a check: `scripts/ci.sh` runs this with `--nocapture` to put in
-    /// its log which rows the 8-lane dispatchers take on the host.
+    /// its log which rows the batch and grind dispatchers of both fields
+    /// take on the host (one detection decides both).
     #[test]
     fn report_dispatched_rows() {
         #[cfg(target_arch = "x86_64")]
         let vector = avx512::detect().is_some();
         #[cfg(not(target_arch = "x86_64"))]
         let vector = false;
-        let rows = if vector { "AVX-512 vector rows" } else { "array rows (no avx512f)" };
-        eprintln!("8-lane Poseidon dispatch: {rows}");
+        let (gl, kb) = if vector {
+            ("AVX-512 vector rows", "AVX-512 vector rows, 16 lanes")
+        } else {
+            ("array rows (no avx512f)", "scalar rows, 8 states per walk (no avx512f)")
+        };
+        eprintln!("8-lane Poseidon dispatch: {gl}");
+        eprintln!("Poseidon2-KoalaBear dispatch: {kb}");
     }
 
     #[test]

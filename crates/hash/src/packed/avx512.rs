@@ -1,5 +1,7 @@
-//! Eight lanes in one AVX-512 register: the vector [`Row`], and the only
-//! `unsafe` in the workspace's library code.
+//! Eight lanes in one AVX-512 register: the vector [`Row`], and — with the
+//! sixteen KoalaBear lanes of the child module [`koalabear`], built to the
+//! same rules behind the same [`Detected`] — the only `unsafe` in the
+//! workspace's library code.
 //!
 //! A residue row is a `__m512i` of eight `u64` lanes. AVX-512F has no
 //! 64 × 64-bit multiply, so every product goes through `vpmuludq`
@@ -42,6 +44,8 @@ use unizk_field::Goldilocks;
 use super::{mat_rows, nonce_row as nonce_row_on, permute_rows, Row};
 use crate::poseidon::{constants, NoncePermutation, WIDTH};
 
+pub(crate) mod koalabear;
+
 /// `2^32 − 1 ≡ 2^64 (mod p)`, and the mask of a low half.
 const EPSILON: i64 = 0xFFFF_FFFF;
 
@@ -55,12 +59,12 @@ const HIGH_HALVES: u16 = 0xAAAA;
 
 /// Proof that this CPU executes AVX-512F, from [`detect`].
 #[derive(Clone, Copy)]
-pub(super) struct Detected(());
+pub(crate) struct Detected(());
 
 /// The vector rows, if the CPU has them (`std` caches the CPUID query; a
 /// call is one relaxed load).
 #[inline]
-pub(super) fn detect() -> Option<Detected> {
+pub(crate) fn detect() -> Option<Detected> {
     std::arch::is_x86_feature_detected!("avx512f").then_some(Detected(()))
 }
 
@@ -291,7 +295,7 @@ fn reduce(acc: Acc512) -> __m512i {
 /// [`detect`] for the tests: a host without the vector rows says so once
 /// instead of passing their tests silently.
 #[cfg(test)]
-pub(super) fn detect_or_report() -> Option<Detected> {
+pub(crate) fn detect_or_report() -> Option<Detected> {
     static REPORT: std::sync::Once = std::sync::Once::new();
     let detected = detect();
     if detected.is_none() {

@@ -70,15 +70,19 @@ pub trait SpongeBackend {
     /// written into its prefix) for candidates injected at lane `pending`.
     fn speculative(state: &Self::State, pending: usize) -> Self::Speculative;
 
-    /// `LANES` speculative squeezes in lockstep: lane `l` is the value of
-    /// `state[RATE - 1]` after a permutation with candidate `xs[l]` at the
-    /// pending lane, bit-identical to writing it and running
-    /// [`SpongeBackend::permute`]. No trace counter is bumped — callers
+    /// Speculative squeezes of any number of candidates: `out[l]` is the
+    /// value of `state[RATE - 1]` after a permutation with candidate `xs[l]`
+    /// at the pending lane, bit-identical to writing it and running
+    /// [`SpongeBackend::permute`]. How many candidates walk the rounds in
+    /// lockstep is the backend's own business, as it is for
+    /// [`SpongeBackend::permute_batch`]; a caller that wants whole groups
+    /// hands over a multiple of 16. No trace counter is bumped — callers
     /// account logical attempts.
-    fn speculative_rows<const LANES: usize>(
-        spec: &Self::Speculative,
-        xs: &[Self::F; LANES],
-    ) -> [Self::F; LANES];
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    fn speculative_rows(spec: &Self::Speculative, xs: &[Self::F], out: &mut [Self::F]);
 }
 
 /// A base field wired into the hashing layer: knows its default sponge
@@ -185,7 +189,8 @@ impl HashField for unizk_field::KoalaBear {
 
 /// The default backend: the Poseidon permutation over the constants of
 /// [`crate::poseidon`], on the round kernels of [`crate::packed`] — one
-/// lane for a single state, eight for a batch or a grind dispatch.
+/// lane for a single state, eight for a batch or a group of grind
+/// candidates.
 #[derive(Clone, Copy, Debug)]
 pub struct PoseidonSponge;
 
@@ -215,11 +220,18 @@ impl SpongeBackend for PoseidonSponge {
         NoncePermutation::new(state, pending)
     }
 
-    fn speculative_rows<const LANES: usize>(
-        spec: &NoncePermutation,
-        xs: &[Goldilocks; LANES],
-    ) -> [Goldilocks; LANES] {
-        spec.permute_many_row(xs, SPONGE_RATE - 1)
+    /// Eight candidates per walk of the hoisted-nonce kernel (vector rows
+    /// where the CPU has them), a remainder one at a time.
+    fn speculative_rows(spec: &NoncePermutation, xs: &[Goldilocks], out: &mut [Goldilocks]) {
+        assert_eq!(xs.len(), out.len(), "one response per candidate");
+        let (groups, rest) = xs.as_chunks::<8>();
+        let (out_groups, out_rest) = out.as_chunks_mut::<8>();
+        for (xs, out) in groups.iter().zip(out_groups) {
+            *out = spec.permute_many_row(xs, SPONGE_RATE - 1);
+        }
+        for (&x, out) in rest.iter().zip(out_rest) {
+            [*out] = spec.permute_many_row(&[x], SPONGE_RATE - 1);
+        }
     }
 }
 
@@ -290,8 +302,8 @@ pub fn two_to_one(left: Digest, right: Digest) -> Digest {
 
 /// Hashes many inputs with backend `B` in one batched dispatch: runs of
 /// equal-length inputs absorb in lockstep through
-/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 8
-/// sponges per schedule walk instead of one.
+/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 8 or
+/// 16 sponges per schedule walk instead of one.
 ///
 /// Digest-for-digest identical to mapping [`hash_no_pad_with`] over
 /// `inputs`, with the identical total `B::COUNTER` accounting (counted
@@ -319,8 +331,9 @@ pub fn hash_many_with<B: SpongeBackend>(inputs: &[&[B::F]]) -> Vec<Digest<B::F>>
 }
 
 /// States the batched absorbers hand to one
-/// [`SpongeBackend::permute_batch`] dispatch: eight 8-lane groups, 6 KiB of
-/// Poseidon state, held on the stack. A run is walked in blocks of this
+/// [`SpongeBackend::permute_batch`] dispatch — eight 8-lane groups and
+/// 6 KiB of Poseidon state, four 16-lane groups and 4 KiB of Poseidon2
+/// state — held on the stack. A run is walked in blocks of this
 /// size instead of allocating one state per input — for a 2^16-leaf level
 /// that was 6.3 MB written, permuted and read back once, the largest
 /// transient of a proof.
@@ -566,7 +579,9 @@ impl<B: SpongeBackend> GenericSpeculativeChallenger<B> {
         &self,
         xs: &[B::F; LANES],
     ) -> [B::F; LANES] {
-        B::speculative_rows(&self.spec, xs)
+        let mut out = [B::F::ZERO; LANES];
+        B::speculative_rows(&self.spec, xs, &mut out);
+        out
     }
 }
 
@@ -694,8 +709,9 @@ mod tests {
     }
 
     /// The grind kernel against the reference it replaces, at every
-    /// pending-buffer fill a public call can leave (0..RATE), eight lanes
-    /// at a time as the grind runs it and one at a time.
+    /// pending-buffer fill a public call can leave (0..RATE): one candidate,
+    /// one short of a 16-group, a group, one over, two groups — whatever
+    /// width the backend walks them at — and through the array entry.
     fn check_speculative_rows<B: SpongeBackend + Clone>() {
         let f = B::F::from_u64;
         for pending in 0..B::RATE as u64 {
@@ -705,17 +721,24 @@ mod tests {
             for i in 0..pending {
                 c.observe(f(1000 + i));
             }
-            let xs = [0, 1, 5, 17, 12345, 1 << 30, 1 << 40, u64::MAX].map(f);
-            let want = xs.map(|x| {
-                let mut reference = c.clone();
-                reference.observe(x);
-                reference.challenge()
-            });
+            let edges = [0, 1, 5, 17, 12345, 1 << 30, 1 << 40, u64::MAX].map(f);
+            let xs: Vec<B::F> = edges.into_iter().chain((0..24).map(|i| f(77 * i + pending))).collect();
+            let want: Vec<B::F> = xs
+                .iter()
+                .map(|&x| {
+                    let mut reference = c.clone();
+                    reference.observe(x);
+                    reference.challenge()
+                })
+                .collect();
             let spec = c.speculative_challenger();
-            assert_eq!(spec.challenge_batch_uncounted(&xs), want, "{} pending={pending}", B::NAME);
-            for (x, w) in xs.into_iter().zip(want) {
-                assert_eq!(spec.challenge_batch_uncounted(&[x]), [w], "{} pending={pending}", B::NAME);
+            for len in [1, 15, 16, 17, 32] {
+                let mut got = vec![B::F::ZERO; len];
+                B::speculative_rows(&spec.spec, &xs[..len], &mut got);
+                assert_eq!(got, want[..len], "{} pending={pending} len={len}", B::NAME);
             }
+            assert_eq!(spec.challenge_batch_uncounted(&edges), want[..8], "{} pending={pending}", B::NAME);
+            assert_eq!(spec.challenge_batch_uncounted(&[xs[3]]), [want[3]], "{} pending={pending}", B::NAME);
         }
     }
 

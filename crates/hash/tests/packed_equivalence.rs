@@ -60,7 +60,9 @@ fn check_nonce_width<const L: usize>(base: &[Goldilocks; WIDTH], lane: usize, no
         full[SPONGE_RATE - 1]
     });
     assert_eq!(hoisted.permute_many_row::<L>(&xs, SPONGE_RATE - 1), want, "row kernel at {L} lanes");
-    assert_eq!(PoseidonSponge::speculative_rows::<L>(&hoisted, &xs), want, "backend at {L} lanes");
+    let mut got = [Goldilocks::ZERO; L];
+    PoseidonSponge::speculative_rows(&hoisted, &xs, &mut got);
+    assert_eq!(got, want, "backend at {L} candidates");
 }
 
 prop! {

@@ -31,7 +31,8 @@ fn random_state<B: SpongeBackend>(rng: &mut SplitMix64) -> B::State {
 /// including lengths that leave partial final lane groups.
 fn batch_matches_scalar_loop<B: SpongeBackend>() {
     let mut rng = SplitMix64::seed_from_u64(0xC0F0);
-    for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31] {
+    // Around one, two and three groups of 8 and of 16 lanes.
+    for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49] {
         let states: Vec<B::State> = (0..len).map(|_| random_state::<B>(&mut rng)).collect();
         let mut batched = states.clone();
         B::permute_batch(&mut batched);
@@ -60,7 +61,10 @@ fn hash_many_matches_hash_no_pad<B: SpongeBackend>() {
     lens.extend([8, 8, 8, 5, 5, 16, 16, 16, 16, 0, 0]);
     // Equal-length runs that end short of, on and past the edge of the
     // dispatcher's 64-state block, one and two chunks deep.
-    for (run, len) in [(63, 3), (64, 9), (65, 8), (131, 12)] {
+    // And runs around one, two and three 16-lane groups, which leave the
+    // 16-lane backend a bare, a whole and a padded remainder.
+    let group_edges = [15, 16, 17, 31, 32, 33, 47, 48, 49].map(|run| (run, 1 + run % 20));
+    for (run, len) in [(63, 3), (64, 9), (65, 8), (131, 12)].into_iter().chain(group_edges) {
         lens.extend(std::iter::repeat_n(len, run));
     }
     let inputs: Vec<Vec<B::F>> = lens
@@ -84,7 +88,8 @@ fn hash_many_matches_hash_no_pad<B: SpongeBackend>() {
 fn compress_level_matches_two_to_one<B: SpongeBackend>() {
     let mut rng = SplitMix64::seed_from_u64(0xC0F2);
     // 63..=129: around one and two of the dispatcher's 64-state blocks.
-    for pairs in [1usize, 2, 3, 4, 8, 13, 63, 64, 65, 128, 129] {
+    // 15..=49: around one, two and three 16-lane groups.
+    for pairs in [1usize, 2, 3, 4, 8, 13, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 128, 129] {
         let digests: Vec<Digest<B::F>> = (0..2 * pairs)
             .map(|_| {
                 let st = random_state::<B>(&mut rng);

@@ -12,28 +12,32 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
-echo "==> vector-row codegen gate (no call inside the AVX-512 Poseidon kernels)"
-# The vector rows of crates/hash/src/packed/avx512.rs are fast only if every
-# intrinsic is inlined into the two #[target_feature] entry points. One
-# helper left without the attribute turns each intrinsic into an
+echo "==> vector-row codegen gate (no call inside the AVX-512 Poseidon and Poseidon2 kernels)"
+# The vector rows of crates/hash/src/packed/avx512.rs (Goldilocks) and
+# crates/hash/src/packed/avx512/koalabear.rs are fast only if every
+# intrinsic is inlined into the #[target_feature] entry points, two per
+# field. One helper left without the attribute turns each intrinsic into an
 # out-of-line call through memory — six times slower than the array rows,
-# with every test green — so the release binary is the only witness. The
-# check reads the code, not the CPU: it holds on hosts without AVX-512 too.
+# with every test green — and a state that does not stay in registers or on
+# the kernel's own stack shows up as a memcpy; the release binary is the
+# only witness. The check reads the code, not the CPU: it holds on hosts
+# without AVX-512 too.
 if ! command -v objdump > /dev/null; then
     echo "skipped: objdump not found"
 elif [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86-64 build, the vector rows are not compiled"
 else
     kernels="$(objdump -d -C --no-show-raw-insn target/release/contract \
-        | awk '/^[0-9a-f]+ <.*packed::avx512::(permute_soa|nonce_row)[^:]*>:$/ { show = 1 } /^$/ { show = 0 } show')"
+        | awk '/^[0-9a-f]+ <.*packed::avx512::(permute_soa|nonce_row|koalabear::permute_states|koalabear::squeeze_row)[^:]*>:$/ { show = 1 } /^$/ { show = 0 } show')"
     entries="$(grep -c '^[0-9a-f]* <' <<< "$kernels" || true)"
-    if [ "$entries" -lt 2 ]; then
-        echo "FAIL: expected packed::avx512::permute_soa and ::nonce_row in target/release/contract, found $entries"
+    if [ "$entries" -lt 4 ]; then
+        echo "FAIL: expected packed::avx512::{permute_soa, nonce_row, koalabear::permute_states, koalabear::squeeze_row}" \
+             "in target/release/contract, found $entries"
         exit 1
     fi
     if grep -E '[[:space:]]call' <<< "$kernels" | head -5 | grep .; then
         echo "FAIL: a call inside a vector kernel (first ones above): some function on the vector path lacks" \
-             "#[target_feature(enable = \"avx512f\")] or is not #[inline(always)] glue"
+             "#[target_feature(enable = \"avx512f\")] or is not #[inline(always)] glue, or a state is copied through memcpy"
         exit 1
     fi
     echo "ok: $entries kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
@@ -136,12 +140,14 @@ fi
 
 echo "==> unsafe fence (one module of unizk-hash; every other crate forbids unsafe_code)"
 # The AVX-512 rows need #[target_feature] functions, which only `unsafe`
-# can enter; all of it lives in crates/hash/src/packed/avx512.rs. A second
+# can enter; all of it lives in the module crates/hash/src/packed/avx512.rs
+# — the Goldilocks rows in the file itself, the KoalaBear rows in its child
+# avx512/koalabear.rs, under the parent's one allow(unsafe_code). A second
 # site, or a crate dropping its forbid, widens what has to be audited.
 if grep -rnE '\bunsafe\b' crates/*/src --include='*.rs' \
-        | grep -v '^crates/hash/src/packed/avx512\.rs:' \
+        | grep -vE '^crates/hash/src/packed/avx512(\.rs|/koalabear\.rs):' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
-    echo "FAIL: unsafe outside crates/hash/src/packed/avx512.rs"
+    echo "FAIL: unsafe outside the module crates/hash/src/packed/avx512.rs"
     exit 1
 fi
 for lib in crates/*/src/lib.rs; do
@@ -153,7 +159,7 @@ if [ "$(grep -rlE 'allow\(unsafe_code\)' crates/*/src --include='*.rs')" != crat
     echo "FAIL: exactly one module may allow unsafe_code (crates/hash/src/packed/avx512.rs)"
     exit 1
 fi
-echo "8-lane Poseidon rows on this host (not part of CONTRACT.json, which is host-independent):"
+echo "lockstep rows on this host (not part of CONTRACT.json, which is host-independent):"
 cargo test -q --offline -p unizk-hash --lib report_dispatched_rows -- --nocapture 2>&1 | grep 'dispatch'
 
 echo "==> one process-global setting (set_parallelism), no environment reads"
@@ -220,6 +226,18 @@ walks="$(cat crates/hash/src/*.rs | grep -c 'in 0\.\.PARTIAL_ROUNDS' || true)"
 if [ "$walks" -gt 2 ] \
         || grep -rnE 'fn (permute_with|speculative_one|speculative_challenge)\b' crates --include='*.rs'; then
     echo "FAIL: the Poseidon rounds are sequenced in packed::walk_rounds only ($walks walks found, 2 allowed)"
+    exit 1
+fi
+
+echo "==> one Poseidon2-KoalaBear schedule (the rounds are walked once, on every row type)"
+# poseidon2_kb::permute_lockstep is the only function that sequences the
+# pre-mix / 4 external / 20 internal / constants / 4 external walk: the
+# scalar permutation, the batch walk, the grind and both AVX-512 kernels
+# are instantiations of it. A second loop over the internal round constants
+# anywhere under crates/hash/src would be a second walk.
+kb_walks="$(grep -rEc 'for .* in .*internal_constants' crates/hash/src --include='*.rs' | awk -F: '{ n += $2 } END { print n }')"
+if [ "$kb_walks" -ne 1 ]; then
+    echo "FAIL: the KoalaBear rounds are sequenced in poseidon2_kb::permute_lockstep only ($kb_walks loops over internal_constants found, 1 allowed)"
     exit 1
 fi
 

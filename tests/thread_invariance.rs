@@ -95,22 +95,18 @@ fn coset_lde_identical_under_every_thread_count() {
     }
 }
 
-/// The 31-bit stack obeys the same invariant: `(KoalaBear, Poseidon2)`
-/// proofs are bit-identical under every thread count.
-#[test]
-fn koalabear_stark_proof_identical_under_every_thread_count() {
+/// Proves and verifies `air` over KoalaBear under every thread count and
+/// requires the proof bytes and the counters to repeat.
+fn koalabear_proof_sweep(air: &FibonacciAir, config: &KbStarkConfig) {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-
-    let air = FibonacciAir::new(256);
-    let config = KbStarkConfig::for_testing_over();
 
     let mut reference: Observed<Vec<u8>> = None;
     for threads in [1usize, 2, 3, 0] {
         set_parallelism(threads);
         trace::reset();
-        let proof = prove(&air, &config).expect("trace satisfies the AIR");
-        verify(&air, &proof, &config).expect("honest proof verifies");
+        let proof = prove(air, config).expect("trace satisfies the AIR");
+        verify(air, &proof, config).expect("honest proof verifies");
         let got = (proof.to_bytes(), counters());
         match &reference {
             None => reference = Some(got),
@@ -120,6 +116,26 @@ fn koalabear_stark_proof_identical_under_every_thread_count() {
             }
         }
     }
+}
+
+/// The 31-bit stack obeys the same invariant: `(KoalaBear, Poseidon2)`
+/// proofs are bit-identical under every thread count.
+#[test]
+fn koalabear_stark_proof_identical_under_every_thread_count() {
+    koalabear_proof_sweep(&FibonacciAir::new(256), &KbStarkConfig::for_testing_over());
+}
+
+/// The same over real 16-lane groups: at 256 rows most Merkle levels are
+/// narrower than one group. At 2^10 rows (2^11 leaves) the leaf and level
+/// dispatches are whole groups split over the workers, the top levels are
+/// padded remainders and one- and two-state scalar walks, and a 10-bit
+/// grind scans a few hundred 16-candidate dispatches over more than one
+/// block.
+#[test]
+fn koalabear_stark_proof_identical_over_whole_lane_groups() {
+    let mut config = KbStarkConfig::for_testing_over();
+    config.fri.proof_of_work_bits = 10;
+    koalabear_proof_sweep(&FibonacciAir::new(1 << 10), &config);
 }
 
 /// KoalaBear coset LDE under the thread sweep — the transform that feeds
