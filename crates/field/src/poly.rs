@@ -8,7 +8,7 @@
 
 use core::ops::{Add, Mul, Sub};
 
-use crate::traits::Field;
+use crate::traits::{ExtensionOf, Field, PrimeField64};
 
 /// A dense polynomial `c[0] + c[1]·x + … + c[n-1]·x^(n-1)`.
 ///
@@ -105,6 +105,28 @@ impl<F: Field> Polynomial<F> {
             .iter()
             .rev()
             .fold(E::ZERO, |acc, &c| acc * x + E::from(c))
+    }
+
+    /// [`eval_ext`](Self::eval_ext) at the point `ζ` whose first powers
+    /// `1, ζ, …, ζ^B` are `powers`, for any block length `B ≥ 1`: each block
+    /// of `B` coefficients is `Σ powers[i] · c_i`, independent
+    /// base × extension products ([`ExtensionOf::scale`]), and the blocks are
+    /// combined by Horner's rule in `ζ^B` — a dependent extension × extension
+    /// chain of `len / B` steps where plain Horner runs `len`. The table is
+    /// built once per point and shared by every polynomial opened there;
+    /// field arithmetic is exact, so the value is `eval_ext`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `powers` holds fewer than two entries.
+    pub fn eval_at_powers<E: ExtensionOf<F>>(&self, powers: &[E]) -> E
+    where
+        F: PrimeField64,
+    {
+        let (&stride, block) = powers.split_last().expect("powers 1 to ζ^B");
+        assert!(!block.is_empty(), "a block of at least one coefficient");
+        let dot = |coeffs: &[F]| coeffs.iter().zip(block).fold(E::ZERO, |acc, (&c, power)| acc + power.scale(c));
+        self.coeffs.chunks(block.len()).rev().fold(E::ZERO, |acc, coeffs| acc * stride + dot(coeffs))
     }
 
     /// Pads (or truncates) the coefficient vector to exactly `n` entries.

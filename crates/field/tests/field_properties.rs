@@ -2,7 +2,10 @@
 //! Goldilocks and Ext2, and algebraic identities for the polynomial type.
 
 use unizk_testkit::prop::prelude::*;
-use unizk_field::{batch_inverse, Ext2, Field, Goldilocks, Polynomial};
+use unizk_testkit::prop::CaseResult;
+use unizk_field::{
+    batch_inverse, Ext2, ExtensionOf, Field, Goldilocks, KbExt4, KoalaBear, Polynomial, PrimeField64,
+};
 
 fn arb_goldilocks() -> impl Strategy<Value = Goldilocks> {
     any::<u64>().prop_map(Goldilocks::from_u64)
@@ -16,7 +19,37 @@ fn arb_poly(max_len: usize) -> impl Strategy<Value = Polynomial<Goldilocks>> {
     prop::collection::vec(arb_goldilocks(), 0..max_len).prop_map(Polynomial::from_coeffs)
 }
 
+/// `eval_at_powers` against the Horner walk it replaces in `fri.open`, over
+/// a table `1, ζ, …, ζ^block`: the polynomial in one block or in many, the
+/// last one ragged; the zero polynomial with no coefficients and with
+/// `coeffs.len()` zeros; and a shorter polynomial against the same table.
+fn powers_agree_with_horner<F: PrimeField64, E: ExtensionOf<F>>(
+    coeffs: &[u64],
+    zeta: &[u64],
+    block: usize,
+) -> CaseResult {
+    let limbs: Vec<F> = zeta.iter().map(|&z| F::from_u64(z)).collect();
+    let zeta = E::from_base_slice(&limbs[..E::DEGREE]);
+    let powers: Vec<E> = (0..=block).map(|i| zeta.exp_u64(i as u64)).collect();
+    let random = Polynomial::from_coeffs(coeffs.iter().map(|&c| F::from_u64(c)).collect());
+    let zeros = Polynomial::from_coeffs(vec![F::ZERO; coeffs.len()]);
+    prop_assert_eq!(zeros.eval_at_powers(&powers), E::ZERO);
+    prop_assert_eq!(random.eval_at_powers(&powers), random.eval_ext(zeta));
+    let shorter = Polynomial::from_coeffs(random.coeffs()[..coeffs.len() / 2].to_vec());
+    prop_assert_eq!(shorter.eval_at_powers(&powers), shorter.eval_ext(zeta));
+    Ok(())
+}
+
 prop! {
+    fn eval_at_powers_is_eval_ext_over_both_extensions(
+        coeffs in prop::collection::vec(any::<u64>(), 0..40),
+        zeta in prop::collection::vec(any::<u64>(), 4),
+        block in 1usize..48,
+    ) {
+        powers_agree_with_horner::<Goldilocks, Ext2>(&coeffs, &zeta, block)?;
+        powers_agree_with_horner::<KoalaBear, KbExt4>(&coeffs, &zeta, block)?;
+    }
+
     fn goldilocks_add_commutes(a in arb_goldilocks(), b in arb_goldilocks()) {
         prop_assert_eq!(a + b, b + a);
     }

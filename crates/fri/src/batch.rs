@@ -197,9 +197,12 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         self.tree.prove(index)
     }
 
-    /// Evaluates every polynomial at an out-of-domain extension point.
-    pub fn eval_all_ext(&self, zeta: <B::F as ProtocolField>::Ext) -> Vec<<B::F as ProtocolField>::Ext> {
-        self.polys.iter().map(|p| p.eval_ext(zeta)).collect()
+    /// Evaluates every polynomial at the out-of-domain extension point `ζ`
+    /// whose first powers `1, ζ, …, ζ^B` are `zeta_powers` — one table per
+    /// point, shared by every batch opened there
+    /// ([`Polynomial::eval_at_powers`]).
+    pub fn eval_all_ext(&self, zeta_powers: &[<B::F as ProtocolField>::Ext]) -> Vec<<B::F as ProtocolField>::Ext> {
+        self.polys.iter().map(|p| p.eval_at_powers(zeta_powers)).collect()
     }
 
     /// The LDE domain point (in the base field) at bit-reversed position
@@ -278,7 +281,8 @@ mod tests {
         let polys = random_polys(&mut rng, 4, 8);
         let batch = PolynomialBatch::from_coeffs(polys.clone(), &config);
         let x = Goldilocks::from_u64(999);
-        let evals = batch.eval_all_ext(Ext2::from(x));
+        let powers: Vec<Ext2> = (0..=8).map(|i| Ext2::from(x.exp_u64(i))).collect();
+        let evals = batch.eval_all_ext(&powers);
         for (e, p) in evals.iter().zip(&polys) {
             assert_eq!(*e, Ext2::from(p.eval(x)));
         }
@@ -328,8 +332,9 @@ mod tests {
                 assert_eq!(leaf[j], p.eval(x), "poly {j} at index {index}");
             }
         }
-        let z = KbExt4::from(KoalaBear::from_u64(31337));
-        let evals = batch.eval_all_ext(z);
-        assert_eq!(evals.len(), 3);
+        let z = KbExt4::new([31337, 1, 2, 3].map(KoalaBear::from_u64));
+        let powers: Vec<KbExt4> = (0..=3).map(|i| z.exp_u64(i)).collect();
+        let want: Vec<KbExt4> = polys.iter().map(|p| p.eval_ext(z)).collect();
+        assert_eq!(batch.eval_all_ext(&powers), want);
     }
 }

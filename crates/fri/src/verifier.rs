@@ -3,7 +3,10 @@
 //! 1. **Shape.** Every count, leaf width and path length of the proof is
 //!    compared with the instance ([`FriError::Malformed`]) before the first
 //!    permutation, so a malformed proof costs nothing wherever the fault
-//!    sits, and the later phases index without checking.
+//!    sits, and the later phases index without checking. The leaf widths
+//!    are what makes the trees binding: a tree tells leaves of one width
+//!    apart, not `[a]` from `[a, 0]`
+//!    ([`unizk_hash::merkle::leaf_digests_with`]).
 //! 2. **Transcript** (`fri.verify.transcript`). Replay the prover's
 //!    observations, check the grind, and draw all `num_queries` indices —
 //!    nothing is observed between two draws, so drawing them together

@@ -5,7 +5,10 @@
 //! The verifier used to meet shape errors query by query, between hashes —
 //! a proof malformed in its *last* query bought a full verification before
 //! it was refused — and never compared a path's length with the height of
-//! the tree it knows. Each case here damages the last query only and reads
+//! the tree it knows. Since a leaf of at most four elements is its own
+//! digest the leaf-width check carries weight: `[a, b, c]` and
+//! `[a, b, c, 0]` open a tree alike (`tests/hostile_leaf_widths.rs` has the
+//! Stark and Plonk cases). Each case here damages the last query only and reads
 //! the permutation counter, so the tests serialise on one lock (the trace
 //! store is per process) and live in a file of their own.
 
@@ -69,6 +72,20 @@ fn malformed_last_query_costs_no_permutation<B: SpongeBackend>() {
     });
     refused_for_free::<B>("query leaf width mismatch", |p| {
         p.queries.last_mut().expect("queries").initial[0].leaf.push(B::F::ZERO);
+    });
+    // The three-element leaves of this batch are their own digests, elements
+    // then zeros, and a trailing zero does not move such a digest: the tree
+    // would open for the padded leaves of a proof padded in every query. The
+    // width is compared with the instance first, so the tree is never asked.
+    refused_for_free::<B>("query leaf width mismatch", |p| {
+        for query in &mut p.queries {
+            query.initial[0].leaf.push(B::F::ZERO);
+        }
+    });
+    refused_for_free::<B>("query leaf width mismatch", |p| {
+        for query in &mut p.queries {
+            query.initial[0].leaf.pop();
+        }
     });
 }
 

@@ -17,12 +17,29 @@ use unizk_field::{Goldilocks, PrimeField64};
 pub struct Digest<F: PrimeField64 = Goldilocks>(pub [F; 4]);
 
 impl<F: PrimeField64> Digest<F> {
-    /// The all-zero digest (used as padding, never produced by hashing).
+    /// The all-zero digest: padding, and the digest of an all-zero leaf that
+    /// fits in one ([`Digest::from_partial`]); never a permutation's output.
     pub const ZERO: Self = Self([F::ZERO; 4]);
+
+    /// Limbs in a digest, on every field: the widest leaf that is its own
+    /// digest ([`crate::merkle::leaf_digests_with`]).
+    pub const LEN: usize = 4;
 
     /// Serialized size in bytes (4 × the field's wire width: 32 over
     /// Goldilocks, 16 over KoalaBear).
-    pub const BYTES: usize = 4 * F::BYTES;
+    pub const BYTES: usize = Self::LEN * F::BYTES;
+
+    /// The digest that *is* `elems`: the elements in order, then zeros
+    /// (Plonky2's `HashOut::from_partial`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `elems.len() > 4`.
+    pub fn from_partial(elems: &[F]) -> Self {
+        let mut limbs = [F::ZERO; 4];
+        limbs[..elems.len()].copy_from_slice(elems);
+        Self(limbs)
+    }
 
     /// Builds a digest from exactly four elements.
     ///

@@ -24,7 +24,8 @@
 //! * [`sponge`] — sponge hashing (`rate = 8`) and the duplex
 //!   [`sponge::Challenger`] used for Fiat–Shamir transforms.
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and
-//!   4+4+zero-pad interior-node rule (§5.3), plus opening proofs.
+//!   4+4+zero-pad interior-node rule (§5.3) — a leaf that fits in a digest
+//!   is its own digest, as in Plonky2 — plus opening proofs.
 //! * [`workspace`] — the [`Workspace`] buffer-recycling seam the
 //!   proof-serving pipeline threads through tree construction and the
 //!   prover layers above.

@@ -1,7 +1,10 @@
 //! Merkle tree construction and opening proofs (paper §5.3).
 //!
-//! Leaves hold arbitrary-length element vectors (in FRI, the concatenated
-//! values of all polynomials at one LDE point) hashed via the absorb method.
+//! Leaves hold element vectors (in FRI, the concatenated values of all
+//! polynomials at one LDE point) and become digests by one rule,
+//! [`leaf_digests_with`]: a leaf that fits in a digest is its digest, a
+//! longer one is hashed via the absorb method — binding among leaves of one
+//! fixed width, which every caller checks before it opens a tree.
 //! Interior nodes hash the concatenation of the two child digests (4 + 4
 //! elements, zero padded). Nodes are stored in level order — the layout the
 //! paper chooses so that tree construction streams sequentially through
@@ -33,38 +36,36 @@ use crate::workspace::Workspace;
 /// (any chunk size yields identical digests and counters).
 const HASH_CHUNK: usize = 128;
 
-/// Hashes every leaf through the batched sponge dispatcher
-/// ([`hash_many_with`]), which absorbs runs of equal-length leaves in
-/// lockstep through the backend's packed engine. Under multi-threading,
-/// workers receive `chunk_size` leaves at a time and batch-hash them, so
-/// per-item dispatch overhead is paid once per chunk rather than once per
-/// leaf.
+/// The one rule by which a leaf becomes a digest, Plonky2's `hash_or_noop`,
+/// decided per leaf: at most [`Digest::LEN`] elements (4 on both fields) are
+/// the digest themselves ([`Digest::from_partial`]: elements then zeros, no
+/// permutation, nothing on `B::COUNTER`); a longer leaf is absorbed as
+/// [`crate::hash_no_pad_with`] absorbs it, runs of equal length in lockstep
+/// ([`hash_many_with`]). The builder and [`GenericMerkleTree::verify_many`]
+/// both come through here and nowhere else (`scripts/ci.sh` checks).
 ///
-/// Equivalent to `leaves.iter().map(|l| hash_no_pad_with::<B>(l))` for
-/// every chunk size, lane width, and thread count (the per-leaf
-/// `B::COUNTER` accounting is preserved exactly), which the edge-case
-/// suite pins down.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero.
-pub fn hash_leaves_with<B: SpongeBackend>(
-    leaves: &[Vec<B::F>],
-    chunk_size: usize,
-) -> Vec<Digest<B::F>> {
-    let mut out = Vec::with_capacity(leaves.len());
-    hash_leaves_into::<B>(leaves, chunk_size, &mut out);
-    out
+/// `[a]` and `[a, 0]` share a digest, as in Plonky2 (and the unpadded absorb
+/// never told `[a, b, c, d, e]` from `[a, b, c, d, e, 0]`): a tree binds
+/// leaves of one width, which whoever checks an opening fixes first —
+/// `fri_verify` refuses a wrong leaf width before its first permutation.
+pub fn leaf_digests_with<B: SpongeBackend, L: AsRef<[B::F]>>(leaves: &[L]) -> Vec<Digest<B::F>> {
+    let fits = |leaf: &[B::F]| leaf.len() <= Digest::<B::F>::LEN;
+    let long: Vec<&[B::F]> = leaves.iter().map(L::as_ref).filter(|leaf| !fits(leaf)).collect();
+    let mut absorbed = hash_many_with::<B>(&long).into_iter();
+    let digests = leaves.iter().map(L::as_ref).map(|leaf| {
+        if fits(leaf) {
+            Digest::from_partial(leaf)
+        } else {
+            absorbed.next().expect("one digest per absorbed leaf")
+        }
+    });
+    digests.collect()
 }
 
-/// [`hash_leaves_with`] over the default Poseidon backend.
-pub fn hash_leaves(leaves: &[Vec<Goldilocks>], chunk_size: usize) -> Vec<Digest> {
-    hash_leaves_with::<PoseidonSponge>(leaves, chunk_size)
-}
-
-/// [`hash_leaves_with`] writing into a caller-supplied (typically pooled)
-/// buffer, so the level-0 digest vector — the largest in the tree — can be
-/// recycled across jobs.
+/// [`leaf_digests_with`] over a whole level, into a caller-supplied
+/// (typically pooled) buffer. Under multi-threading, workers take
+/// `chunk_size` leaves at a time; chunk size, lane width and thread count
+/// are invisible in digests and counters.
 fn hash_leaves_into<B: SpongeBackend>(
     leaves: &[Vec<B::F>],
     chunk_size: usize,
@@ -72,26 +73,18 @@ fn hash_leaves_into<B: SpongeBackend>(
 ) {
     assert!(chunk_size > 0, "chunk size must be positive");
     if unizk_field::par::current_parallelism() == 1 || leaves.len() <= chunk_size {
-        let refs: Vec<&[B::F]> = leaves.iter().map(Vec::as_slice).collect();
-        out.extend(hash_many_with::<B>(&refs));
+        out.extend(leaf_digests_with::<B, _>(leaves));
         return;
     }
-    let ranges: Vec<(usize, usize)> = (0..leaves.len())
-        .step_by(chunk_size)
-        .map(|s| (s, (s + chunk_size).min(leaves.len())))
-        .collect();
-    let chunks = unizk_field::parallel_map(ranges, |(s, e)| {
-        let refs: Vec<&[B::F]> = leaves[s..e].iter().map(Vec::as_slice).collect();
-        hash_many_with::<B>(&refs)
-    });
-    for c in chunks {
+    let chunks: Vec<&[Vec<B::F>]> = leaves.chunks(chunk_size).collect();
+    for c in unizk_field::parallel_map(chunks, leaf_digests_with::<B, _>) {
         out.extend(c);
     }
 }
 
 /// One interior Merkle level: compresses adjacent digest pairs of `prev`
 /// into `out` through the batched dispatcher ([`compress_level_with`]),
-/// chunked across workers exactly like [`hash_leaves_with`].
+/// chunked across workers exactly like the leaves.
 fn hash_pairs_into<B: SpongeBackend>(
     prev: &[Digest<B::F>],
     chunk_size: usize,
@@ -287,12 +280,12 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     /// Verifies many openings of one tree of `height` levels under `root`,
     /// hashing each distinct node once.
     ///
-    /// All leaves are hashed in one [`hash_many_with`] dispatch, then the
+    /// All leaves become digests in one [`leaf_digests_with`] call, then the
     /// openings climb together: per level, each forms the full input of its
     /// next compression — `(parent index, left, right)` — and the distinct
     /// inputs are compressed in one [`compress_level_with`] dispatch.
     /// Openings share a hash only where the whole input is equal (likewise
-    /// `(index, leaf)` before leaf hashing), so this is a loop of
+    /// `(index, leaf)` at the leaves), so this is a loop of
     /// [`verify`](Self::verify) evaluated fewer times: it returns `Ok`
     /// exactly when every opening's own path reaches `root`, for hostile
     /// openings too.
@@ -320,8 +313,9 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
             .collect();
         let (slots, firsts) = distinct(&leaves);
         let inputs: Vec<&[B::F]> = firsts.iter().map(|&k| leaves[k].1).collect();
-        let digests = hash_many_with::<B>(&inputs);
-        let mut hashed = digests.len();
+        let digests = leaf_digests_with::<B, _>(&inputs);
+        // Distinct nodes visited: a leaf counts whether or not it was hashed.
+        let mut visited = digests.len();
         // Where each walked opening stands: (node index at this level, digest).
         let mut at: Vec<(usize, Digest<B::F>)> = leaves
             .iter()
@@ -346,13 +340,13 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
             let (slots, firsts) = distinct(&inputs);
             let pairs: Vec<Digest<B::F>> = firsts.iter().flat_map(|&k| inputs[k].1).collect();
             let parents = compress_level_with::<B>(&pairs);
-            hashed += parents.len();
+            visited += parents.len();
             for (node, (input, slot)) in at.iter_mut().zip(inputs.iter().zip(slots)) {
                 *node = (input.0, parents[slot]);
             }
         }
         unizk_testkit::trace::counter("merkle.verify.openings", openings.len() as u64);
-        unizk_testkit::trace::counter("merkle.verify.nodes", hashed as u64);
+        unizk_testkit::trace::counter("merkle.verify.nodes", visited as u64);
 
         let unreached = walked
             .iter()
@@ -364,11 +358,13 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     }
 
     /// Total sponge permutations needed to build a tree with these leaf
-    /// lengths — the simulator's hash-kernel work unit (§5.3). Both shipped
-    /// backends share `RATE = 8`, so the count is field-independent.
+    /// lengths — the simulator's hash-kernel work unit (§5.3). A leaf of at
+    /// most [`Digest::LEN`] elements costs none ([`leaf_digests_with`]). Both
+    /// shipped backends share `RATE = 8`, so the count is field-independent.
     pub fn permutation_cost(leaf_lens: &[usize]) -> usize {
         let leaf_perms: usize = leaf_lens
             .iter()
+            .filter(|&&l| l > Digest::<B::F>::LEN)
             .map(|&l| crate::sponge::permutation_count(l))
             .sum();
         // Interior nodes: one permutation each; a full binary tree with L
@@ -484,6 +480,29 @@ mod tests {
         // 4 leaves of length 135: 4*17 leaf perms + 3 interior = 71.
         assert_eq!(MerkleTree::permutation_cost(&[135; 4]), 4 * 17 + 3);
         assert_eq!(MerkleTree::permutation_cost(&[8]), 1);
+        // Leaves that fit in a digest are not hashed: interior nodes only.
+        assert_eq!(MerkleTree::permutation_cost(&[2; 8]), 7);
+        assert_eq!(MerkleTree::permutation_cost(&[4; 8]), 7);
+        assert_eq!(MerkleTree::permutation_cost(&[5; 8]), 8 + 7);
+    }
+
+    /// What `verify` alone does not separate, so that nobody relies on it: a
+    /// leaf and the same leaf with a trailing zero — below the digest width
+    /// by the leaf-digest rule, above it because the absorb pads a block
+    /// with zeros and tags no length (it never did). The width is the
+    /// caller's to fix: `fri_verify` answers "query leaf width mismatch"
+    /// before any permutation.
+    #[test]
+    fn verify_alone_does_not_fix_the_width_of_a_leaf() {
+        for width in [1, 5] {
+            let data = leaves(8, width);
+            let tree = MerkleTree::new(data.clone());
+            let (root, proof) = (tree.root(), tree.prove(5));
+            let padded = |last| [&data[5][..], &[last]].concat();
+            assert!(MerkleTree::verify(root, 5, &data[5], &proof));
+            assert!(MerkleTree::verify(root, 5, &padded(Goldilocks::ZERO), &proof));
+            assert!(!MerkleTree::verify(root, 5, &padded(Goldilocks::ONE), &proof));
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use std::sync::Mutex;
 
 use unizk_field::{set_parallelism, Field, Goldilocks};
-use unizk_hash::merkle::hash_leaves;
-use unizk_hash::{hash_no_pad, two_to_one, Challenger, MerkleTree, SPONGE_RATE};
+use unizk_hash::{hash_no_pad, two_to_one, Challenger, Digest, MerkleTree, SPONGE_RATE};
 
 static PARALLELISM_KNOB: Mutex<()> = Mutex::new(());
 
@@ -35,28 +34,48 @@ fn leaves(n: usize) -> Vec<Vec<Goldilocks>> {
         .collect()
 }
 
+/// The leaf-digest rule, spelled out here rather than taken from the crate:
+/// a leaf that fits in a digest is the digest, a longer one is absorbed
+/// (`tests/leaf_digests.rs` holds `leaf_digests_with` itself to this).
+fn leaf_digest(leaf: &[Goldilocks]) -> Digest {
+    if leaf.len() <= 4 {
+        Digest::from_partial(leaf)
+    } else {
+        hash_no_pad(leaf)
+    }
+}
+
 #[test]
 fn single_leaf_tree_is_the_leaf_hash() {
-    let data = leaves(1);
-    let tree = MerkleTree::new(data.clone());
-    assert_eq!(tree.height(), 0);
-    assert_eq!(tree.num_leaves(), 1);
-    // With no interior nodes the commitment is the leaf digest itself.
-    assert_eq!(tree.root(), hash_no_pad(&data[0]));
-    let proof = tree.prove(0);
-    assert!(proof.siblings.is_empty());
-    assert_eq!(proof.size_bytes(), 0);
-    assert!(MerkleTree::verify(tree.root(), 0, &data[0], &proof));
-    // An out-of-range index must be rejected, not wrap around.
-    assert!(!MerkleTree::verify(tree.root(), 1, &data[0], &proof));
+    // Leaf 0 of `leaves` has three elements and is its own digest; leaf 2
+    // has five and is absorbed.
+    for data in [leaves(1), leaves(3)[2..].to_vec()] {
+        let tree = MerkleTree::new(data.clone());
+        assert_eq!(tree.height(), 0);
+        assert_eq!(tree.num_leaves(), 1);
+        // With no interior nodes the commitment is the leaf digest itself.
+        assert_eq!(tree.root(), leaf_digest(&data[0]));
+        let proof = tree.prove(0);
+        assert!(proof.siblings.is_empty());
+        assert_eq!(proof.size_bytes(), 0);
+        assert!(MerkleTree::verify(tree.root(), 0, &data[0], &proof));
+        // An out-of-range index must be rejected, not wrap around.
+        assert!(!MerkleTree::verify(tree.root(), 1, &data[0], &proof));
+    }
+    assert_eq!(MerkleTree::new(leaves(1)).root().0, [g(0), g(1), g(2), g(0)]);
 }
 
 #[test]
 fn two_leaf_tree_is_one_compression() {
-    let data = leaves(2);
-    let tree = MerkleTree::new(data.clone());
+    // Widths 3 and 4, then 5 and 6: both sides of the leaf-digest rule.
+    two_leaf_tree(&leaves(2));
+    two_leaf_tree(&leaves(4)[2..]);
+}
+
+fn two_leaf_tree(data: &[Vec<Goldilocks>]) {
+    let tree = MerkleTree::new(data.to_vec());
     assert_eq!(tree.height(), 1);
-    let (h0, h1) = (hash_no_pad(&data[0]), hash_no_pad(&data[1]));
+    let (h0, h1) = (leaf_digest(&data[0]), leaf_digest(&data[1]));
     assert_eq!(tree.root(), two_to_one(h0, h1));
     // Each opening is exactly the sibling digest.
     assert_eq!(tree.prove(0).siblings, vec![h1]);
@@ -92,20 +111,18 @@ fn openings_at_first_and_last_leaf() {
 fn hash_leaves_chunking_is_invisible() {
     let _lock = PARALLELISM_KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    // 37 leaves: not a multiple of any tested chunk size, so ragged final
-    // chunks are exercised; 128 leaves covers the exact-multiple case.
-    for n in [37usize, 128] {
+    // Under more than one thread the builder hands out 128 leaves per work
+    // item: 128 leaves are one dispatch, 256 one item per worker or fewer,
+    // 1024 several items per worker. The leaf level is read back through
+    // the openings (leaf `i` is the first sibling of leaf `i ^ 1`).
+    for n in [128usize, 256, 1024] {
         let data = leaves(n);
-        let reference: Vec<_> = data.iter().map(|l| hash_no_pad(l)).collect();
+        let reference: Vec<_> = data.iter().map(|l| leaf_digest(l)).collect();
         for threads in [1usize, 3, 8] {
             set_parallelism(threads);
-            for chunk_size in [1usize, 2, 3, 5, 7, 16, 37, 64, 128, 1000] {
-                assert_eq!(
-                    hash_leaves(&data, chunk_size),
-                    reference,
-                    "n={n} threads={threads} chunk_size={chunk_size}"
-                );
-            }
+            let tree = MerkleTree::new(data.clone());
+            let level: Vec<_> = (0..n).map(|i| tree.prove(i ^ 1).siblings[0]).collect();
+            assert_eq!(level, reference, "n={n} threads={threads}");
         }
     }
 }

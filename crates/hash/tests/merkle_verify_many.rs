@@ -15,7 +15,8 @@
 //! conflicting-duplicate cases below are the ones that catch it.
 
 use unizk_field::Field;
-use unizk_hash::sponge::{hash_no_pad_with, two_to_one_with};
+use unizk_hash::merkle::leaf_digests_with;
+use unizk_hash::sponge::two_to_one_with;
 use unizk_hash::{
     Digest, GenericMerkleTree, MerkleProof, Poseidon2KbSponge, PoseidonSponge, SpongeBackend,
 };
@@ -42,9 +43,10 @@ impl<B: SpongeBackend> Clone for Owned<B> {
     }
 }
 
-/// The reference: one path, one compression at a time.
+/// The reference: one path, one compression at a time, from the leaf digest
+/// the builder's own rule gives (`tests/leaf_digests.rs` holds that rule).
 fn path_reaches_root<B: SpongeBackend>(root: Digest<B::F>, opening: &Owned<B>) -> bool {
-    let mut digest = hash_no_pad_with::<B>(&opening.leaf);
+    let mut digest = leaf_digests_with::<B, _>(&[&opening.leaf])[0];
     let mut index = opening.index;
     for &sibling in &opening.proof.siblings {
         digest = if index & 1 == 0 {

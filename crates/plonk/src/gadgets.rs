@@ -109,6 +109,23 @@ pub fn hash_no_pad_gadget(b: &mut CircuitBuilder, input: &[Target]) -> [Target; 
     [out[0], out[1], out[2], out[3]]
 }
 
+/// The digest of a Merkle leaf in circuit, the twin of
+/// [`unizk_hash::merkle::leaf_digests_with`]: at most four targets are the
+/// digest themselves — the targets in order, then the zero constant, no
+/// permutation — and a longer leaf goes through [`hash_no_pad_gadget`].
+/// As natively, the circuit fixes the leaf width: it is the number of targets.
+///
+/// # Panics
+///
+/// Panics if `input` is longer than the sponge rate (8).
+pub fn leaf_digest_gadget(b: &mut CircuitBuilder, input: &[Target]) -> [Target; 4] {
+    if input.len() > 4 {
+        return hash_no_pad_gadget(b, input);
+    }
+    let zero = b.constant(Goldilocks::ZERO);
+    core::array::from_fn(|i| input.get(i).copied().unwrap_or(zero))
+}
+
 /// Hashes two digests into their parent (the Merkle interior-node rule of
 /// paper §5.3: 4 + 4 elements, zero padded).
 pub fn two_to_one_gadget(
@@ -227,17 +244,24 @@ mod tests {
 
     #[test]
     fn merkle_membership_proves_a_real_tree_opening() {
+        // Both sides of the leaf-digest rule: a leaf that is its own digest
+        // and one that is absorbed.
+        membership_of_a_leaf_of(2);
+        membership_of_a_leaf_of(5);
+    }
+
+    fn membership_of_a_leaf_of(width: u64) {
         // Build a native tree, open leaf 5, and prove membership in circuit.
         let leaves: Vec<Vec<Goldilocks>> =
-            (0..8u64).map(|i| vec![g(1000 + i), g(2000 + i)]).collect();
+            (0..8u64).map(|i| (1..=width).map(|j| g(1000 * j + i)).collect()).collect();
         let tree = MerkleTree::new(leaves.clone());
         let index = 5usize;
         let opening = tree.prove(index);
 
         let mut b = CircuitBuilder::new(CircuitConfig::for_testing());
         // Private: the leaf contents and the path.
-        let leaf_targets: Vec<Target> = (0..2).map(|_| b.add_input()).collect();
-        let leaf_digest = hash_no_pad_gadget(&mut b, &leaf_targets);
+        let leaf_targets: Vec<Target> = (0..width).map(|_| b.add_input()).collect();
+        let leaf_digest = leaf_digest_gadget(&mut b, &leaf_targets);
         let bit_targets: Vec<Target> = (0..3).map(|_| b.add_input()).collect();
         let sibling_targets: Vec<[Target; 4]> = (0..3)
             .map(|_| core::array::from_fn(|_| b.add_input()))

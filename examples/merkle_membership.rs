@@ -9,7 +9,7 @@
 
 use unizk_field::{Field, Goldilocks};
 use unizk_hash::MerkleTree;
-use unizk_plonk::gadgets::{hash_no_pad_gadget, merkle_membership_gadget};
+use unizk_plonk::gadgets::{leaf_digest_gadget, merkle_membership_gadget};
 use unizk_plonk::{CircuitBuilder, CircuitConfig, Target};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     // Statement: "I know a record and a path to the public root".
     let mut b = CircuitBuilder::new(CircuitConfig::for_testing());
     let leaf_targets: Vec<Target> = (0..2).map(|_| b.add_input()).collect();
-    let leaf_digest = hash_no_pad_gadget(&mut b, &leaf_targets);
+    let leaf_digest = leaf_digest_gadget(&mut b, &leaf_targets);
     let bit_targets: Vec<Target> = (0..depth).map(|_| b.add_input()).collect();
     let sibling_targets: Vec<[Target; 4]> = (0..depth)
         .map(|_| core::array::from_fn(|_| b.add_input()))
@@ -43,7 +43,7 @@ fn main() {
         "membership circuit: {} rows x {} wires ({} Poseidon permutations in-circuit)",
         circuit.rows,
         circuit.config.num_wires,
-        depth + 1
+        depth
     );
 
     // Witness: record, path bits, siblings, then the public root.

@@ -215,6 +215,29 @@ if sed '/^#\[cfg(test)\]/,$d' crates/fri/src/verifier.rs | grep -nE '::verify\(|
     exit 1
 fi
 
+echo "==> one leaf-digest rule (builder and verifier turn a leaf into a digest through one function)"
+# merkle::leaf_digests_with decides, per leaf, between "the leaf is its
+# digest" (at most Digest::LEN elements) and the batched absorb. If the
+# builder and verify_many each spelled that rule, a change to one would
+# split prover from verifier with every single-sided test green; so outside
+# #[cfg(test)] the file reaches a sponge (hash_many_with, hash_no_pad*) only
+# inside that function, and hash_leaves_into and verify_many both call it.
+merkle="$(sed '/^#\[cfg(test)\]/,$d' crates/hash/src/merkle.rs | grep -vE '^[[:space:]]*//')"
+sponge_call='hash_many_with::<|hash_no_pad'
+body() { awk -v first="$1" -v last="$2" '$0 ~ first { show = 1 } show; show && $0 ~ last { show = 0 }' <<< "$merkle"; }
+rule="$(body '^pub fn leaf_digests_with' '^}')"
+if [ "$(grep -cE "$sponge_call" <<< "$rule")" -ne 1 ] \
+        || [ "$(grep -cE "$sponge_call" <<< "$merkle")" -ne 1 ] \
+        || ! body '^fn hash_leaves_into' '^}' | grep -q 'leaf_digests_with::<' \
+        || ! body '^    pub fn verify_many' '^    }' | grep -q 'leaf_digests_with::<'; then
+    echo "FAIL: crates/hash/src/merkle.rs must turn leaves into digests through leaf_digests_with only" \
+         "(one sponge call, inside it; named by hash_leaves_into and by verify_many)"
+    exit 1
+fi
+# The in-circuit twin (plonk::gadgets::leaf_digest_gadget) against a native
+# tree of two-element leaves; the example is not a test, so it is run here.
+cargo run --release --offline -q --example merkle_membership | tail -2
+
 echo "==> one Poseidon schedule (the rounds are walked once, at every width)"
 # packed::walk_rounds is the only shipped walk of the 4 / pre-partial / 22 /
 # 4 sequence (poseidon_permute, permute_batch and the grind kernel are its
