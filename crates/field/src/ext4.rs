@@ -132,8 +132,8 @@ impl Field for KbExt4 {
 impl ExtensionOf<KoalaBear> for KbExt4 {
     const DEGREE: usize = 4;
 
-    fn to_base_slice(&self) -> Vec<KoalaBear> {
-        self.0.to_vec()
+    fn as_base_slice(&self) -> &[KoalaBear] {
+        &self.0
     }
 
     fn from_base_slice(limbs: &[KoalaBear]) -> Self {
@@ -178,18 +178,33 @@ impl Sub for KbExt4 {
     }
 }
 
+// `times_w` spells `W·b` as two modular adds.
+const _: () = assert!(W4.as_canonical_u32() == 3);
+
+/// `W·b` for `W = 3`: two modular adds, no product.
+#[inline(always)]
+fn times_w(b: KoalaBear) -> KoalaBear {
+    b + b + b
+}
+
 impl Mul for KbExt4 {
     type Output = Self;
 
+    /// The schoolbook product folded by `x⁴ = W`, with `W` moved onto the
+    /// right operand (`w_j = W·b_j`, modular adds) so that every output limb
+    /// is one four-term dot product of `a` with a rotation of `(b, w)`,
+    /// reduced once (`KoalaBear::dot_product`): 16 products and 4
+    /// Montgomery reductions where the term-by-term form pays 19 of each.
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
-        // Schoolbook product folded by x^4 = W.
-        let [a0, a1, a2, a3] = self.0;
+        let a = &self.0;
         let [b0, b1, b2, b3] = rhs.0;
+        let (w1, w2, w3) = (times_w(b1), times_w(b2), times_w(b3));
         Self([
-            a0 * b0 + W4 * (a1 * b3 + a2 * b2 + a3 * b1),
-            a0 * b1 + a1 * b0 + W4 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a1 * b1 + a2 * b0 + W4 * (a3 * b3),
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            KoalaBear::dot_product(a, &[b0, w3, w2, w1]),
+            KoalaBear::dot_product(a, &[b1, b0, w3, w2]),
+            KoalaBear::dot_product(a, &[b2, b1, b0, w3]),
+            KoalaBear::dot_product(a, &[b3, b2, b1, b0]),
         ])
     }
 }
@@ -364,9 +379,85 @@ mod tests {
             KoalaBear::from_u64(3),
             KoalaBear::from_u64(4),
         ]);
-        let limbs = a.to_base_slice();
+        let limbs = a.as_base_slice();
         assert_eq!(limbs.len(), 4);
-        assert_eq!(KbExt4::from_base_slice(&limbs), a);
+        assert_eq!(KbExt4::from_base_slice(limbs), a);
+    }
+
+    /// The term-by-term product the shipped one replaces: 19 base products,
+    /// each reduced, folded by `x⁴ = W`.
+    fn mul_schoolbook(a: KbExt4, b: KbExt4) -> KbExt4 {
+        let [a0, a1, a2, a3] = a.0;
+        let [b0, b1, b2, b3] = b.0;
+        KbExt4([
+            a0 * b0 + W4 * (a1 * b3 + a2 * b2 + a3 * b1),
+            a0 * b1 + a1 * b0 + W4 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a1 * b1 + a2 * b0 + W4 * (a3 * b3),
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        ])
+    }
+
+    #[test]
+    fn times_w_is_w() {
+        let p = KoalaBear::ORDER;
+        for v in [0, 1, 2, p / 3, p / 2, p - 1] {
+            let b = KoalaBear::from_u64(v);
+            assert_eq!(times_w(b), W4 * b, "b={v}");
+        }
+    }
+
+    #[test]
+    fn mul_matches_schoolbook_on_random_limbs() {
+        let mut rng = StdRng::seed_from_u64(46);
+        for _ in 0..4096 {
+            let a = KbExt4::random(&mut rng);
+            let b = KbExt4::random(&mut rng);
+            assert_eq!(a * b, mul_schoolbook(a, b), "{a:?} * {b:?}");
+        }
+    }
+
+    #[test]
+    fn mul_matches_schoolbook_on_extreme_limbs() {
+        // What the one-reduction sum sees are Montgomery residues: all four
+        // limbs at residue p − 1 make output limb 3 exactly 4(p − 1)², the
+        // bound `DOT_TERMS` is sized by (the other limbs carry W·(p − 1),
+        // residue p − 3). Canonical p − 1 and small limbs ride along.
+        let top_residue = KoalaBear::from_montgomery(crate::koalabear::P - 1);
+        let top = KoalaBear::from_u64(KoalaBear::ORDER - 1);
+        let all = KbExt4([top_residue; 4]);
+        assert_eq!(all * all, mul_schoolbook(all, all));
+        let edges = [
+            KoalaBear::ZERO,
+            KoalaBear::ONE,
+            KoalaBear::TWO,
+            top,
+            top_residue,
+        ];
+        let mut elements = Vec::new();
+        for a in edges {
+            for b in edges {
+                for c in edges {
+                    elements.extend(edges.map(|d| KbExt4([a, b, c, d])));
+                }
+            }
+        }
+        for &a in &elements {
+            for &b in &elements {
+                assert_eq!(a * b, mul_schoolbook(a, b), "{a:?} * {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_folds_x_to_the_fourth_into_w() {
+        // x^k = W^(k div 4) · x^(k mod 4), walked with the shipped product.
+        let mut pow = KbExt4::ONE;
+        for k in 0..12usize {
+            let mut expect = KbExt4::ZERO;
+            expect.0[k % 4] = W4.exp_u64((k / 4) as u64);
+            assert_eq!(pow, expect, "x^{k}");
+            pow *= KbExt4::X;
+        }
     }
 
     #[test]

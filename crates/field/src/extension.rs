@@ -90,8 +90,8 @@ impl Field for Ext2 {
 impl ExtensionOf<Goldilocks> for Ext2 {
     const DEGREE: usize = 2;
 
-    fn to_base_slice(&self) -> Vec<Goldilocks> {
-        self.0.to_vec()
+    fn as_base_slice(&self) -> &[Goldilocks] {
+        &self.0
     }
 
     fn from_base_slice(limbs: &[Goldilocks]) -> Self {
@@ -263,9 +263,9 @@ mod tests {
     #[test]
     fn base_slice_roundtrip() {
         let a = Ext2::new(Goldilocks::from_u64(1), Goldilocks::from_u64(2));
-        let limbs = a.to_base_slice();
+        let limbs = a.as_base_slice();
         assert_eq!(limbs.len(), 2);
-        assert_eq!(Ext2::from_base_slice(&limbs), a);
+        assert_eq!(Ext2::from_base_slice(limbs), a);
     }
 
     #[test]

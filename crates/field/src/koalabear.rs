@@ -80,6 +80,30 @@ const fn mont_mul(a: u32, b: u32) -> u32 {
     mont_reduce((a as u64) * (b as u64))
 }
 
+/// Products summed unreduced by [`KoalaBear::dot_product`] before its one
+/// Montgomery reduction: four residue products stay below `4p² < 2^64`,
+/// and one conditional subtraction of `p·2^32` brings any such sum under
+/// [`mont_reduce`]'s input bound (both facts are checked at compile time
+/// below). Four is the length of every output limb of the `KbExt4` product
+/// (`x⁴ = W` folded into the right operand), which this reduction takes from
+/// 19 Montgomery reductions to 4: `field.kbext4_mul_ns` 30.9 → 16.8 ns on an
+/// AVX-512 host (EXPERIMENTS.md, "The polynomial layer: products per LDE
+/// position"). A fifth term could pass `2^64`.
+pub(crate) const DOT_TERMS: usize = 4;
+
+/// `p·2^32`: what [`KoalaBear::dot_product`] subtracts once.
+const P_SHIFTED: u64 = P64 << 32;
+
+const _: () = {
+    let bound = DOT_TERMS as u128 * (P64 as u128 - 1) * (P64 as u128 - 1);
+    assert!(bound < 1u128 << 64, "the unreduced sum must fit a u64");
+    assert!(
+        bound < 2 * P_SHIFTED as u128,
+        "one subtraction must reach REDC's bound"
+    );
+    assert!((DOT_TERMS as u128 + 1) * (P64 as u128 - 1) * (P64 as u128 - 1) >= 1u128 << 64);
+};
+
 /// `ROOTS_OF_UNITY[bits]` is the primitive `2^bits`-th root of unity every
 /// transform and domain uses: `g^((p-1) / 2^24)`, of order exactly `2^24`,
 /// squared down to the requested order.
@@ -165,6 +189,23 @@ impl KoalaBear {
     #[inline]
     pub const fn reduce_u64(x: u64) -> u32 {
         (x % P64) as u32
+    }
+
+    /// `Σ a_i·b_i` over [`DOT_TERMS`] pairs with one Montgomery reduction:
+    /// Montgomery form is linear, so the residue products are summed in a
+    /// `u64` and reduced once instead of once each.
+    #[inline(always)]
+    pub(crate) fn dot_product(a: &[Self; DOT_TERMS], b: &[Self; DOT_TERMS]) -> Self {
+        let mut sum = 0u64;
+        for (x, y) in a.iter().zip(b) {
+            sum += u64::from(x.0) * u64::from(y.0);
+        }
+        let sum = if sum >= P_SHIFTED {
+            sum - P_SHIFTED
+        } else {
+            sum
+        };
+        Self(mont_reduce(sum))
     }
 
     /// Whether the element is a square in the field, by Euler's criterion.

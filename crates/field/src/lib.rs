@@ -14,8 +14,9 @@
 //!   Schwartz–Zippel room). [`ProtocolField`] is the seam that lets the
 //!   FRI/STARK layers stay generic over the `(base, extension)` pair.
 //! * [`Polynomial`] — a dense univariate polynomial over any [`Field`].
-//! * [`batch_inverse`] — Montgomery's batch-inversion trick, used heavily by
-//!   the quotient computation in the Plonk phase.
+//! * [`batch_inverse`] — Montgomery's batch-inversion trick over four
+//!   interleaved chains, used by the quotient computations and the FRI
+//!   combination.
 //! * [`bit_reverse`] / [`reverse_index_bits`] — the bit-reversal permutations
 //!   that the NTT variants (`NN`, `NR`, …) are defined in terms of.
 //! * [`parallel_map`] / [`parallel_ranges`] — the fork/join primitives the
@@ -76,4 +77,4 @@ pub use par::{
 pub use poly::Polynomial;
 pub use pool::{Pool, PoolStats, TablePool};
 pub use traits::{ExtensionOf, Field, PrimeField64, ProtocolField};
-pub use util::{batch_inverse, bit_reverse, log2_strict, reverse_index_bits};
+pub use util::{batch_inverse, bit_reverse, log2_strict, powers, reverse_index_bits};

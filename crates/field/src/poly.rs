@@ -218,8 +218,9 @@ impl<F: Field> Polynomial<F> {
         x.exp_u64(n as u64) - F::ONE
     }
 
-    /// Lagrange interpolation through `(xs[i], ys[i])` — `O(n^2)`, intended
-    /// for the handful of small interpolations in the verifier.
+    /// Lagrange interpolation through `(xs[i], ys[i])` — `O(n^3)` through
+    /// [`Self::mul_naive`]. No protocol path calls it: it is the reference
+    /// FRI's final-layer transform is held to in tests.
     ///
     /// # Panics
     ///

@@ -153,8 +153,9 @@ pub trait ExtensionOf<F: PrimeField64>: Field + From<F> {
     /// Extension degree `D`.
     const DEGREE: usize;
 
-    /// The base-field limbs, lowest degree first.
-    fn to_base_slice(&self) -> Vec<F>;
+    /// The base-field limbs, lowest degree first, borrowed from the element
+    /// (both extensions store an array of `DEGREE` limbs).
+    fn as_base_slice(&self) -> &[F];
 
     /// Builds an element from base-field limbs, lowest degree first.
     ///

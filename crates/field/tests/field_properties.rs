@@ -40,6 +40,101 @@ fn powers_agree_with_horner<F: PrimeField64, E: ExtensionOf<F>>(
     Ok(())
 }
 
+/// Base elements from words, zero replaced by one (zeros are placed on
+/// purpose by [`zero_anywhere_panics`]).
+fn nonzero_base<F: PrimeField64>(words: &[u64]) -> Vec<F> {
+    words
+        .iter()
+        .map(|&w| F::from_u64(w))
+        .map(|x| if x.is_zero() { F::ONE } else { x })
+        .collect()
+}
+
+/// Extension elements from `DEGREE` words each, zero replaced by one.
+fn nonzero_ext<F: PrimeField64, E: ExtensionOf<F>>(words: &[u64]) -> Vec<E> {
+    words
+        .chunks_exact(E::DEGREE)
+        .map(|limbs| E::from_base_slice(&nonzero_base::<F>(limbs)))
+        .collect()
+}
+
+/// `batch_inverse` against `inverse()` element by element, then with a zero
+/// written at every position in turn — each of the interleaved chains, the
+/// first and the ragged last row — which must still panic with the message
+/// the single-chain version had.
+fn batch_inverse_is_elementwise<F: Field>(xs: &[F]) -> CaseResult {
+    let invs = batch_inverse(xs);
+    prop_assert_eq!(invs.len(), xs.len());
+    for (x, inv) in xs.iter().zip(&invs) {
+        prop_assert_eq!(*inv, x.inverse());
+    }
+    Ok(())
+}
+
+fn zero_anywhere_panics<F: Field>(xs: &[F]) {
+    for at in 0..xs.len() {
+        let mut with_zero = xs.to_vec();
+        with_zero[at] = F::ZERO;
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch_inverse(&with_zero)))
+                .expect_err("a zero element must panic");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert_eq!(
+            message,
+            "batch_inverse of zero element",
+            "length {}, zero at {at}",
+            xs.len()
+        );
+    }
+}
+
+/// Lengths 0–9 and 4k ± 1 up to 65: every shape of the four-chain layout
+/// (fewer elements than chains, a full last row, a ragged one).
+fn chain_layout_lengths() -> impl Iterator<Item = usize> {
+    (0..10).chain((3..=16).flat_map(|k| [4 * k - 1, 4 * k + 1]))
+}
+
+#[test]
+fn batch_inverse_is_elementwise_at_every_chain_layout() {
+    let words: Vec<u64> = (0..4 * 66u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed)
+        .collect();
+    for len in chain_layout_lengths() {
+        let words = &words[..4 * len];
+        let gl = nonzero_base::<Goldilocks>(&words[..len]);
+        let kb = nonzero_base::<KoalaBear>(&words[..len]);
+        let e2 = nonzero_ext::<Goldilocks, Ext2>(&words[..2 * len]);
+        let e4 = nonzero_ext::<KoalaBear, KbExt4>(words);
+        batch_inverse_is_elementwise(&gl)
+            .unwrap_or_else(|e| panic!("Goldilocks, length {len}: {e:?}"));
+        batch_inverse_is_elementwise(&kb)
+            .unwrap_or_else(|e| panic!("KoalaBear, length {len}: {e:?}"));
+        batch_inverse_is_elementwise(&e2).unwrap_or_else(|e| panic!("Ext2, length {len}: {e:?}"));
+        batch_inverse_is_elementwise(&e4).unwrap_or_else(|e| panic!("KbExt4, length {len}: {e:?}"));
+        zero_anywhere_panics(&gl);
+        zero_anywhere_panics(&kb);
+        zero_anywhere_panics(&e2);
+        zero_anywhere_panics(&e4);
+    }
+}
+
+prop! {
+    #![cases(32)]
+    fn batch_inverse_agrees(
+        words in prop::collection::vec(any::<u64>(), 0..1200),
+    ) {
+        let len = words.len() / 4;
+        batch_inverse_is_elementwise(&nonzero_base::<Goldilocks>(&words[..len]))?;
+        batch_inverse_is_elementwise(&nonzero_base::<KoalaBear>(&words[..len]))?;
+        batch_inverse_is_elementwise(&nonzero_ext::<Goldilocks, Ext2>(&words[..2 * len]))?;
+        batch_inverse_is_elementwise(&nonzero_ext::<KoalaBear, KbExt4>(&words[..4 * len]))?;
+    }
+}
+
 prop! {
     fn eval_at_powers_is_eval_ext_over_both_extensions(
         coeffs in prop::collection::vec(any::<u64>(), 0..40),
@@ -100,14 +195,6 @@ prop! {
     fn ext2_inverse(a in arb_ext2()) {
         if a != Ext2::ZERO {
             prop_assert_eq!(a * a.inverse(), Ext2::ONE);
-        }
-    }
-
-    fn batch_inverse_agrees(xs in prop::collection::vec(arb_goldilocks(), 1..50)) {
-        let xs: Vec<Goldilocks> = xs.into_iter().filter(|x| !x.is_zero()).collect();
-        let invs = batch_inverse(&xs);
-        for (x, inv) in xs.iter().zip(&invs) {
-            prop_assert_eq!(*x * *inv, Goldilocks::ONE);
         }
     }
 

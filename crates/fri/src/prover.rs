@@ -7,12 +7,13 @@
 //! `B = PoseidonSponge` with no changes.
 
 use unizk_field::{
-    batch_inverse, log2_strict, parallel_first_block, ExtensionOf, Field, Polynomial, PrimeField64,
-    ProtocolField,
+    batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, Polynomial,
+    PrimeField64, ProtocolField,
 };
 use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
 use unizk_hash::{GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, SpongeBackend};
+use unizk_ntt::coset_intt_rn_uncounted;
 use unizk_testkit::trace;
 
 use crate::batch::GenericPolynomialBatch;
@@ -214,7 +215,77 @@ pub fn fri_prove_in<B: SpongeBackend>(
     }
 }
 
-/// Evaluates the combined witness over the whole LDE domain.
+/// The combined witness `Σ_t β^t·(S − Y_t)/(x − z_t)` over the opening
+/// points `z_t`, as one rational function of the domain point `x`:
+///
+/// `(S·A(x) − B(x)) / D(x)`, with `D = Π_t (X − z_t)`,
+/// `A = Σ_t β^t·D/(X − z_t)` and `B = Σ_t β^t·Y_t·D/(X − z_t)`.
+///
+/// The three polynomials are expanded once from the points; at a base-field
+/// `x` each is a Horner walk of base × extension products
+/// ([`ExtensionOf::scale`]), so a position pays `S·A` and, after one batch
+/// inversion of every `D(x)`, `·D(x)⁻¹` — where the sum pays an inversion
+/// and two extension products per point. Field arithmetic is exact, so the
+/// value is the sum's. The prover ([`combine_initial`]) and the verifier
+/// (`fri_verify`, at each query) both evaluate the witness through it.
+pub(crate) struct OpeningQuotient<F: ProtocolField> {
+    /// `D`, monic of degree `T`, lowest coefficient first (`T + 1` entries).
+    d: Vec<F::Ext>,
+    /// `A`, degree `< T` (`T` entries).
+    a: Vec<F::Ext>,
+    /// `B`, degree `< T` (`T` entries).
+    b: Vec<F::Ext>,
+}
+
+impl<F: ProtocolField> OpeningQuotient<F> {
+    /// Expands `D`, `A` and `B` for the points `z_t`, the combined openings
+    /// `Y_t` and the point challenge `β`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is empty or `ys` has another length.
+    pub(crate) fn new(points: &[F::Ext], ys: &[F::Ext], beta: F::Ext) -> Self {
+        assert!(!points.is_empty(), "need at least one opening point");
+        assert_eq!(points.len(), ys.len(), "one combined opening per point");
+        let d = points
+            .iter()
+            .fold(Polynomial::constant(F::Ext::ONE), |d, &z| {
+                d.mul_naive(&Polynomial::x_minus(z))
+            });
+        let (mut a, mut b) = (Polynomial::zero(), Polynomial::zero());
+        let mut beta_pow = F::Ext::ONE;
+        for (&z, &y) in points.iter().zip(ys) {
+            let others = d.divide_by_linear(z);
+            a = &a + &others.scale(beta_pow);
+            b = &b + &others.scale(beta_pow * y);
+            beta_pow *= beta;
+        }
+        Self {
+            d: d.into_coeffs(),
+            a: a.into_coeffs(),
+            b: b.into_coeffs(),
+        }
+    }
+
+    /// Numerator `S·A(x) − B(x)` and denominator `D(x)` of the witness at
+    /// the domain point `x`, given `S(x)`: `3(T − 1)` scales and one
+    /// extension product.
+    pub(crate) fn at(&self, x: F, s: F::Ext) -> (F::Ext, F::Ext) {
+        let t = self.a.len();
+        let horner = |top: F::Ext, below: &[F::Ext]| {
+            below.iter().rev().fold(top, |acc, &c| acc.scale(x) + c)
+        };
+        // D is monic: its Horner walk starts at x + d_{T−1}.
+        let d = horner(F::Ext::from(x) + self.d[t - 1], &self.d[..t - 1]);
+        let a = horner(self.a[t - 1], &self.a[..t - 1]);
+        let b = horner(self.b[t - 1], &self.b[..t - 1]);
+        (s * a - b, d)
+    }
+}
+
+/// Evaluates the combined witness over the whole LDE domain: the numerator
+/// and denominator of [`OpeningQuotient`] per position, one batch inversion
+/// of the denominators, one product per position.
 fn combine_initial<B: SpongeBackend>(
     batches: &[&GenericPolynomialBatch<B>],
     points: &[<B::F as ProtocolField>::Ext],
@@ -226,24 +297,7 @@ fn combine_initial<B: SpongeBackend>(
 ) -> Vec<<B::F as ProtocolField>::Ext> {
     type E<B> = <<B as SpongeBackend>::F as ProtocolField>::Ext;
     // α^j over the global polynomial index j.
-    let num_polys: usize = batches.iter().map(|b| b.num_polys()).sum();
-    let mut alpha_pows = Vec::with_capacity(num_polys);
-    let mut alpha_pow = E::<B>::ONE;
-    for _ in 0..num_polys {
-        alpha_pows.push(alpha_pow);
-        alpha_pow *= alpha;
-    }
-
-    // S(x_i) for every domain position i, walking each leaf once.
-    let mut s_values = B::F::take_ext_elems(ws, lde_size);
-    s_values.extend((0..lde_size).map(|i| {
-        let leaf_values = batches.iter().flat_map(|b| b.leaf(i));
-        alpha_pows
-            .iter()
-            .zip(leaf_values)
-            .map(|(a, &v)| a.scale(v))
-            .sum::<E<B>>()
-    }));
+    let alpha_pows = powers(alpha, batches.iter().map(|b| b.num_polys()).sum());
 
     // Y_t = Σ_j α^j y_{j,t} with the same global α powers.
     let y_combined: Vec<E<B>> = openings
@@ -256,37 +310,45 @@ fn combine_initial<B: SpongeBackend>(
                 .sum()
         })
         .collect();
+    let quotient = OpeningQuotient::<B::F>::new(points, &y_combined, beta);
 
-    // Denominators (x_i − z_t), batch-inverted per point.
+    // S(x_i) = Σ_j α^j p_j(x_i), walking each leaf once, into the numerator;
+    // D(x_i) beside it.
     let xs = FoldDomain::<B::F>::initial(lde_size).points();
     let mut values = B::F::take_ext_elems(ws, lde_size);
-    values.resize(lde_size, E::<B>::ZERO);
-    let mut beta_pow = E::<B>::ONE;
-    for (&z, &y) in points.iter().zip(&y_combined) {
-        let mut denoms = B::F::take_ext_elems(ws, lde_size);
-        denoms.extend(xs.iter().map(|&x| E::<B>::from(x) - z));
-        let inv = batch_inverse(&denoms);
-        for ((value, &s), &inv) in values.iter_mut().zip(&s_values).zip(&inv) {
-            *value += beta_pow * (s - y) * inv;
-        }
-        beta_pow *= beta;
-        B::F::put_ext_elems(ws, denoms);
-        B::F::put_ext_elems(ws, inv);
+    let mut denoms = B::F::take_ext_elems(ws, lde_size);
+    for (i, &x) in xs.iter().enumerate() {
+        let leaf_values = batches.iter().flat_map(|b| b.leaf(i));
+        let s = alpha_pows
+            .iter()
+            .zip(leaf_values)
+            .map(|(a, &v)| a.scale(v))
+            .sum::<E<B>>();
+        let (numerator, denominator) = quotient.at(x, s);
+        values.push(numerator);
+        denoms.push(denominator);
     }
-    B::F::put_ext_elems(ws, s_values);
+    let inv = batch_inverse(&denoms);
+    for (value, &inv) in values.iter_mut().zip(&inv) {
+        *value *= inv;
+    }
+    B::F::put_ext_elems(ws, denoms);
+    B::F::put_ext_elems(ws, inv);
     values
 }
 
 /// Builds the Merkle tree over fold pairs of a layer: leaf `k` holds the
-/// base limbs of `(v[2k], v[2k+1])`.
+/// base limbs of `(v[2k], v[2k+1])`, each leaf allocated once at its width.
 fn commit_fold_layer<B: SpongeBackend>(
     values: &[<B::F as ProtocolField>::Ext],
     ws: Option<&Workspace>,
 ) -> GenericMerkleTree<B> {
+    let width = 2 * <<B::F as ProtocolField>::Ext as ExtensionOf<B::F>>::DEGREE;
     let mut leaves = B::F::take_table(ws, values.len() / 2);
-    for (pair, leaf) in values.chunks(2).zip(leaves.iter_mut()) {
-        leaf.extend(pair[0].to_base_slice());
-        leaf.extend(pair[1].to_base_slice());
+    for (pair, leaf) in values.chunks_exact(2).zip(leaves.iter_mut()) {
+        leaf.reserve_exact(width);
+        leaf.extend_from_slice(pair[0].as_base_slice());
+        leaf.extend_from_slice(pair[1].as_base_slice());
     }
     GenericMerkleTree::<B>::new_in(leaves, ws)
 }
@@ -340,19 +402,43 @@ fn interpolate_final<F: ProtocolField>(
     domain: FoldDomain<F>,
     max_len: usize,
 ) -> Vec<F::Ext> {
-    debug_assert_eq!(values.len(), domain.size);
-    let xs: Vec<F::Ext> = domain.points().into_iter().map(F::Ext::from).collect();
-    let poly = Polynomial::interpolate(&xs, values);
-    let coeffs = poly.into_coeffs();
+    let mut coeffs = final_layer_coeffs(values, domain);
     for (i, c) in coeffs.iter().enumerate() {
         assert!(
             i < max_len || c.is_zero(),
             "final polynomial exceeds the degree bound (prover bug)"
         );
     }
-    let mut out: Vec<F::Ext> = coeffs.into_iter().take(max_len).collect();
-    out.resize(max_len, F::Ext::ZERO);
-    out
+    coeffs.resize(max_len, F::Ext::ZERO);
+    coeffs
+}
+
+/// All `domain.size` coefficients of the polynomial whose bit-reversed
+/// values over `domain` are `values`: the inverse coset transform of each
+/// base limb in turn (the transform is linear over the base field), so
+/// `O(m log m)` base products per limb where Lagrange interpolation
+/// (`Polynomial::interpolate`, the test oracle) pays `O(m³)` extension
+/// products — ≈ 2 ms of every Plonk proof at `m = 64`.
+fn final_layer_coeffs<F: ProtocolField>(values: &[F::Ext], domain: FoldDomain<F>) -> Vec<F::Ext> {
+    let m = values.len();
+    debug_assert_eq!(m, domain.size);
+    let degree = <F::Ext as ExtensionOf<F>>::DEGREE;
+    // Limb-major: limb l of coefficient k at limbs[l·m + k].
+    let mut limbs = vec![F::ZERO; degree * m];
+    for (l, column) in limbs.chunks_exact_mut(m).enumerate() {
+        for (c, v) in column.iter_mut().zip(values) {
+            *c = v.as_base_slice()[l];
+        }
+        coset_intt_rn_uncounted(column, domain.shift);
+    }
+    let mut element = Vec::with_capacity(degree);
+    (0..m)
+        .map(|k| {
+            element.clear();
+            element.extend((0..degree).map(|l| limbs[l * m + k]));
+            F::Ext::from_base_slice(&element)
+        })
+        .collect()
 }
 
 /// Nonces scanned per grind block: a whole number of dispatches, and the
@@ -441,6 +527,8 @@ mod tests {
     use super::*;
     use unizk_field::{Ext2, Goldilocks};
     use unizk_hash::Challenger;
+    use unizk_testkit::prop::prelude::*;
+    use unizk_testkit::prop::CaseResult;
 
     #[test]
     fn fold_layer_preserves_low_degree() {
@@ -492,6 +580,99 @@ mod tests {
         for (k, f) in folded.iter().enumerate().take(32) {
             let y = KbExt4::from(next.point(k));
             assert_eq!(*f, even.eval(y) + beta * odd.eval(y), "k={k}");
+        }
+    }
+
+    /// The sum [`OpeningQuotient`] replaces: `Σ_t β^t·(S − Y_t)/(x − z_t)`,
+    /// one inversion per point.
+    fn combine_direct<F: ProtocolField>(
+        points: &[F::Ext],
+        ys: &[F::Ext],
+        beta: F::Ext,
+        s: F::Ext,
+        x: F,
+    ) -> F::Ext {
+        let mut value = F::Ext::ZERO;
+        let mut beta_pow = F::Ext::ONE;
+        for (&z, &y) in points.iter().zip(ys) {
+            value += beta_pow * (s - y) * (F::Ext::from(x) - z).inverse();
+            beta_pow *= beta;
+        }
+        value
+    }
+
+    fn random_ext<F: ProtocolField>(rng: &mut unizk_testkit::rng::TestRng) -> F::Ext {
+        let limbs: Vec<F> = (0..<F::Ext as ExtensionOf<F>>::DEGREE)
+            .map(|_| F::random(rng))
+            .collect();
+        F::Ext::from_base_slice(&limbs)
+    }
+
+    fn rational_combine_is_the_direct_sum<F: ProtocolField>(seed: u64) {
+        let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
+        let xs = FoldDomain::<F>::initial(64).points();
+        for num_points in 1..=3 {
+            let points: Vec<F::Ext> = (0..num_points).map(|_| random_ext::<F>(&mut rng)).collect();
+            let ys: Vec<F::Ext> = (0..num_points).map(|_| random_ext::<F>(&mut rng)).collect();
+            let beta = random_ext::<F>(&mut rng);
+            let quotient = OpeningQuotient::<F>::new(&points, &ys, beta);
+            for &x in &xs {
+                let s = random_ext::<F>(&mut rng);
+                let (numerator, denominator) = quotient.at(x, s);
+                assert_eq!(
+                    numerator * denominator.inverse(),
+                    combine_direct::<F>(&points, &ys, beta, s, x),
+                    "{num_points} points, x = {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn goldilocks_rational_combine_is_the_direct_sum() {
+        rational_combine_is_the_direct_sum::<Goldilocks>(502);
+    }
+
+    #[test]
+    fn koalabear_rational_combine_is_the_direct_sum() {
+        rational_combine_is_the_direct_sum::<unizk_field::KoalaBear>(503);
+    }
+
+    /// The final layer's transform against the Lagrange interpolation it
+    /// replaces, on a domain folded `folds` times from the LDE coset.
+    fn final_layer_is_lagrange<F: ProtocolField>(
+        words: &[u64],
+        log_m: usize,
+        folds: usize,
+    ) -> CaseResult {
+        let m = 1usize << log_m;
+        let mut domain = FoldDomain::<F>::initial(m << folds);
+        for _ in 0..folds {
+            domain = domain.fold();
+        }
+        let degree = <F::Ext as ExtensionOf<F>>::DEGREE;
+        let values: Vec<F::Ext> = words
+            .chunks_exact(degree)
+            .take(m)
+            .map(|limbs| {
+                F::Ext::from_base_slice(&limbs.iter().map(|&w| F::from_u64(w)).collect::<Vec<F>>())
+            })
+            .collect();
+        let xs: Vec<F::Ext> = domain.points().into_iter().map(F::Ext::from).collect();
+        let lagrange = Polynomial::interpolate(&xs, &values).into_coeffs();
+        prop_assert_eq!(final_layer_coeffs(&values, domain), lagrange);
+        Ok(())
+    }
+
+    prop! {
+        #![cases(16)]
+        fn final_layer_transform_is_lagrange_over_both_extensions(
+            words in prop::collection::vec(any::<u64>(), 256),
+            log_m in 0usize..7,
+            folds in 0usize..4,
+        ) {
+            final_layer_is_lagrange::<Goldilocks>(&words, log_m, folds)?;
+            final_layer_is_lagrange::<unizk_field::KoalaBear>(&words, log_m, folds)?;
         }
     }
 

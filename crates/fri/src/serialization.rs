@@ -90,7 +90,7 @@ impl Writer {
     /// Writes an extension element as its `DEGREE` base limbs, lowest
     /// degree first (16 bytes over either shipped field).
     pub fn ext<F: ProtocolField>(&mut self, v: F::Ext) {
-        for limb in v.to_base_slice() {
+        for &limb in v.as_base_slice() {
             self.field(limb);
         }
     }

@@ -38,7 +38,7 @@ use unizk_testkit::trace;
 use crate::config::FriConfig;
 use crate::domain::domain_point;
 use crate::proof::FriProof;
-use crate::prover::{fold_pair, pow_ok};
+use crate::prover::{fold_pair, pow_ok, OpeningQuotient};
 
 /// Reasons a FRI proof can be rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,7 +152,7 @@ pub fn fri_verify<B: SpongeBackend>(
             let folds = proof.queries.iter().map(|query| &query.folds[round]);
             let leaves: Vec<Vec<B::F>> = folds
                 .clone()
-                .map(|fold| [fold.pair[0].to_base_slice(), fold.pair[1].to_base_slice()].concat())
+                .map(|fold| [fold.pair[0].as_base_slice(), fold.pair[1].as_base_slice()].concat())
                 .collect();
             let openings: Vec<Opening<'_, B::F>> = folds
                 .zip(&indices)
@@ -181,6 +181,7 @@ pub fn fri_verify<B: SpongeBackend>(
         }
     }
 
+    let quotient = OpeningQuotient::<B::F>::new(points, &y_combined, beta);
     let final_poly = Polynomial::from_coeffs(proof.final_poly.clone());
     let two_inv = B::F::TWO.inverse();
 
@@ -199,17 +200,13 @@ pub fn fri_verify<B: SpongeBackend>(
             }
         }
 
-        // Combined witness value at x.
-        let mut value = E::<B>::ZERO;
-        let mut beta_pow = E::<B>::ONE;
-        for (t, &z) in points.iter().enumerate() {
-            let denom = E::<B>::from(x) - z;
-            let inv = denom
-                .try_inverse()
-                .ok_or(FriError::Malformed("opening point lies on the domain"))?;
-            value += beta_pow * (s_value - y_combined[t]) * inv;
-            beta_pow *= beta;
-        }
+        // Combined witness value at x; D(x) = Π_t (x − z_t) is zero exactly
+        // when an opening point lies on the domain.
+        let (numerator, denominator) = quotient.at(x, s_value);
+        let inv = denominator
+            .try_inverse()
+            .ok_or(FriError::Malformed("opening point lies on the domain"))?;
+        let mut value = numerator * inv;
 
         // Fold rounds.
         for (round, fold) in query.folds.iter().enumerate() {
@@ -247,6 +244,7 @@ fn check_shape<F: ProtocolField>(
 ) -> Result<(), FriError> {
     let refuse_unless = |ok: bool, what| if ok { Ok(()) } else { Err(FriError::Malformed(what)) };
     refuse_unless(batch_roots.len() == batch_num_polys.len(), "batch descriptor length mismatch")?;
+    refuse_unless(num_points > 0, "no opening points")?;
     refuse_unless(proof.openings.len() == num_points, "openings/points mismatch")?;
     refuse_unless(proof.commit_roots.len() == num_rounds, "wrong number of fold commitments")?;
     refuse_unless(proof.final_poly.len() == config.final_poly_len, "wrong final polynomial length")?;

@@ -475,9 +475,7 @@ impl<B: SpongeBackend> GenericChallenger<B> {
 
     /// Absorbs an extension-field element limb by limb, lowest first.
     pub fn observe_ext(&mut self, x: <B::F as ProtocolField>::Ext) {
-        for limb in x.to_base_slice() {
-            self.observe(limb);
-        }
+        self.observe_slice(x.as_base_slice());
     }
 
     /// Squeezes one base-field challenge.

@@ -280,6 +280,24 @@ pub fn coset_intt_nn<F: PrimeField64>(values: &mut [F], shift: F) {
     apply_coset_powers(values, shift.inverse());
 }
 
+/// Coset inverse NTT from bit-reversed evaluations on `shift·H` to natural
+/// coefficients (`iNTT^RN`, then [`coset_intt_nn`]'s unshift), recorded in
+/// no `ntt.*` counter.
+///
+/// This is the interpolation of FRI's final layer: a few dozen points, on
+/// no NTT node of the kernel graph, while the `ntt.*` counters are the
+/// prover's NTT work that `CONTRACT.json` pins and the graph's NTT nodes
+/// are held to. Always serial.
+pub fn coset_intt_rn_uncounted<F: PrimeField64>(values: &mut [F], shift: F) {
+    if values.len() <= 1 {
+        return;
+    }
+    let tables = twiddle::stage_tables::<F>(values.len(), true);
+    dit_stages(values, &tables);
+    scale_by_n_inv(values);
+    apply_coset_powers(values, shift.inverse());
+}
+
 fn apply_coset_powers<F: PrimeField64>(values: &mut [F], shift: F) {
     let n = values.len();
     if n <= 1 {
@@ -398,6 +416,23 @@ mod tests {
         coset_ntt_nn(&mut v, shift);
         coset_intt_nn(&mut v, shift);
         assert_eq!(v, coeffs);
+    }
+
+    #[test]
+    fn uncounted_coset_intt_rn_is_bit_reversed_coset_intt_nn() {
+        use unizk_field::{Field, PrimeField64};
+        // (That nothing is counted is pinned by CONTRACT.json's `ntt.*`.)
+        let mut rng = StdRng::seed_from_u64(112);
+        let shift = Goldilocks::MULTIPLICATIVE_GENERATOR.square();
+        for log_n in 0..8 {
+            let values = random_vec(&mut rng, 1 << log_n);
+            let mut expect = values.clone();
+            coset_intt_nn(&mut expect, shift);
+            let mut reversed = values;
+            unizk_field::reverse_index_bits(&mut reversed);
+            coset_intt_rn_uncounted(&mut reversed, shift);
+            assert_eq!(reversed, expect, "n=2^{log_n}");
+        }
     }
 
     #[test]

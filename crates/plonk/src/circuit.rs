@@ -55,6 +55,12 @@ impl CircuitConfig {
         self.num_wires.div_ceil(CHUNK_SIZE)
     }
 
+    /// Constraints [`eval_constraints`] evaluates: the gate, one per chunk,
+    /// and `L_1·(Z − 1)`.
+    pub fn num_constraints(&self) -> usize {
+        self.num_chunks() + 2
+    }
+
     /// Committed polynomials per challenge round: `Z` plus `c − 1` partial
     /// products.
     pub fn perm_polys_per_challenge(&self) -> usize {
@@ -157,22 +163,24 @@ pub fn commit_constants(
 }
 
 /// Everything needed to evaluate the constraint set at one point, over the
-/// base field (quotient computation) or the extension (verifier).
+/// base field (quotient computation) or the extension (verifier). The
+/// per-column values are borrowed from the opened leaf or the committed
+/// row they live in, so building one per LDE position copies nothing.
 #[derive(Clone, Debug)]
-pub struct ConstraintInputs<E> {
+pub struct ConstraintInputs<'a, E> {
     /// Selector values `q_L, q_R, q_M, q_O, q_C`.
     pub selectors: [E; NUM_SELECTORS],
     /// Wire values `w_0..w_{W-1}`.
-    pub wires: Vec<E>,
+    pub wires: &'a [E],
     /// Permutation values `σ_0..σ_{W-1}`.
-    pub sigmas: Vec<E>,
+    pub sigmas: &'a [E],
     /// `Z(x)`.
     pub z: E,
     /// `Z(ω·x)`.
     pub z_next: E,
     /// Partial products `P_0..P_{c-2}` (the last chunk's output is
     /// `z_next`).
-    pub partials: Vec<E>,
+    pub partials: &'a [E],
     /// The evaluation point `x`.
     pub x: E,
     /// `L_1(x)`.
@@ -186,36 +194,44 @@ pub struct ConstraintInputs<E> {
     pub gamma: E,
 }
 
-/// Evaluates every constraint polynomial at one point. Order:
+/// Evaluates every constraint polynomial at one point into `out`, whose
+/// length is [`CircuitConfig::num_constraints`]. Order:
 /// `[gate, chunk_0, …, chunk_{c-1}, L_1·(Z−1)]`.
 ///
 /// This single implementation serves both the prover (over `Goldilocks`,
 /// across the whole LDE domain) and the verifier (over `Ext2`, at `ζ`),
 /// guaranteeing they agree.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold one entry per constraint.
 #[allow(clippy::needless_range_loop)]
 pub fn eval_constraints<E: Field + From<Goldilocks>>(
     ks: &[Goldilocks],
-    inputs: &ConstraintInputs<E>,
-) -> Vec<E> {
+    inputs: &ConstraintInputs<'_, E>,
+    out: &mut [E],
+) {
     let w = inputs.wires.len();
     let num_chunks = w.div_ceil(CHUNK_SIZE);
-    let mut out = Vec::with_capacity(num_chunks + 2);
+    assert_eq!(out.len(), num_chunks + 2, "one output per constraint");
 
     // Gate constraint on the first three wires, plus the public-input
     // polynomial (PI(x) = −v on each public-input row, 0 elsewhere).
     let [ql, qr, qm, qo, qc] = inputs.selectors;
     let (a, b, c) = (inputs.wires[0], inputs.wires[1], inputs.wires[2]);
-    out.push(ql * a + qr * b + qm * a * b + qo * c + qc + inputs.pi);
+    out[0] = ql * a + qr * b + qm * a * b + qo * c + qc + inputs.pi;
 
     // Permutation chunks: P_m·G_m − P_{m-1}·F_m, with P_{-1} = Z and
-    // P_{c-1} = Z(ωx).
+    // P_{c-1} = Z(ωx). The identity factor of wire j is w_j + β·k_j·x + γ,
+    // with β·x shared by every wire.
+    let beta_x = inputs.beta * inputs.x;
     for m in 0..num_chunks {
         let lo = m * CHUNK_SIZE;
         let hi = ((m + 1) * CHUNK_SIZE).min(w);
         let mut f = E::ONE;
         let mut g = E::ONE;
         for j in lo..hi {
-            f *= inputs.wires[j] + inputs.beta * E::from(ks[j]) * inputs.x + inputs.gamma;
+            f *= inputs.wires[j] + beta_x * E::from(ks[j]) + inputs.gamma;
             g *= inputs.wires[j] + inputs.beta * inputs.sigmas[j] + inputs.gamma;
         }
         let prev = if m == 0 { inputs.z } else { inputs.partials[m - 1] };
@@ -224,12 +240,11 @@ pub fn eval_constraints<E: Field + From<Goldilocks>>(
         } else {
             inputs.partials[m]
         };
-        out.push(cur * g - prev * f);
+        out[1 + m] = cur * g - prev * f;
     }
 
     // Z starts at 1.
-    out.push(inputs.l1 * (inputs.z - E::ONE));
-    out
+    out[num_chunks + 1] = inputs.l1 * (inputs.z - E::ONE);
 }
 
 #[cfg(test)]
@@ -255,20 +270,21 @@ mod tests {
             .collect();
         let inputs = ConstraintInputs {
             selectors: [Goldilocks::ZERO; 5],
-            wires: vec![Goldilocks::ZERO; 3],
-            sigmas: vec![Goldilocks::ONE; 3],
+            wires: &[Goldilocks::ZERO; 3],
+            sigmas: &[Goldilocks::ONE; 3],
             z: Goldilocks::ONE,
             z_next: Goldilocks::ONE,
-            partials: vec![],
+            partials: &[],
             x: Goldilocks::from_u64(5),
             l1: Goldilocks::ZERO,
             pi: Goldilocks::ZERO,
             beta: Goldilocks::ZERO,
             gamma: Goldilocks::ONE,
         };
-        let cs = eval_constraints(&ks, &inputs);
         // gate + 1 chunk + L1
-        assert_eq!(cs.len(), 3);
+        assert_eq!(CircuitConfig::for_testing().num_constraints(), 3);
+        let mut cs = [Goldilocks::from_u64(9); 3];
+        eval_constraints(&ks, &inputs, &mut cs);
         // With β=0, γ=1: every factor is w+1, F=G, Z=Z_next → all zero.
         assert!(cs.iter().all(|c| c.is_zero()));
     }

@@ -7,8 +7,8 @@
 //! pair of NTTs per quotient chunk.
 
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_map, reverse_index_bits, Field, Goldilocks,
-    Polynomial,
+    batch_inverse, bit_reverse, log2_strict, parallel_map, powers, reverse_index_bits, Field,
+    Goldilocks, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::PolynomialBatch;
@@ -62,9 +62,17 @@ pub fn compute_quotients(
         .map(|start| (start, (start + chunk_len).min(lde_size)))
         .collect();
 
+    // α_s^k for every round s and constraint k.
+    let num_constraints = data.config.num_constraints();
+    let alpha_pows: Vec<Vec<Goldilocks>> = alphas
+        .iter()
+        .map(|&alpha| powers(alpha, num_constraints))
+        .collect();
+
     let partials_per_round = num_chunks; // z + (c-1) partials
     let per_range: Vec<Vec<Vec<Goldilocks>>> = parallel_map(ranges, |(start, end)| {
         let mut out = vec![Vec::with_capacity(end - start); s_rounds];
+        let mut constraints = vec![Goldilocks::ZERO; num_constraints];
         for i in start..end {
             let const_leaf = constants.leaf(i);
             let wire_leaf = wires.leaf(i);
@@ -75,7 +83,7 @@ pub fn compute_quotients(
             let i_next = bit_reverse(t_next, bits);
             let perm_leaf_next = perm.leaf(i_next);
 
-            for s in 0..s_rounds {
+            for (s, round) in out.iter_mut().enumerate() {
                 let base = s * partials_per_round;
                 let inputs = ConstraintInputs {
                     selectors: [
@@ -85,25 +93,24 @@ pub fn compute_quotients(
                         const_leaf[3],
                         const_leaf[4],
                     ],
-                    wires: wire_leaf.to_vec(),
-                    sigmas: const_leaf[NUM_SELECTORS..NUM_SELECTORS + w].to_vec(),
+                    wires: wire_leaf,
+                    sigmas: &const_leaf[NUM_SELECTORS..NUM_SELECTORS + w],
                     z: perm_leaf[base],
                     z_next: perm_leaf_next[base],
-                    partials: perm_leaf[base + 1..base + partials_per_round].to_vec(),
+                    partials: &perm_leaf[base + 1..base + partials_per_round],
                     x: xs[i],
                     l1: l1[i],
                     pi: pi_lde.get(i).copied().unwrap_or(Goldilocks::ZERO),
                     beta: betas[s],
                     gamma: gammas[s],
                 };
-                let constraints = eval_constraints(&data.ks, &inputs);
-                let mut acc = Goldilocks::ZERO;
-                let mut alpha_pow = Goldilocks::ONE;
-                for c in constraints {
-                    acc += alpha_pow * c;
-                    alpha_pow *= alphas[s];
-                }
-                out[s].push(acc * zh_inv[i / n]);
+                eval_constraints(&data.ks, &inputs, &mut constraints);
+                let acc: Goldilocks = alpha_pows[s]
+                    .iter()
+                    .zip(&constraints)
+                    .map(|(&a, &c)| a * c)
+                    .sum();
+                round.push(acc * zh_inv[i / n]);
             }
         }
         out
@@ -118,9 +125,11 @@ pub fn compute_quotients(
         }
         reverse_index_bits(&mut values);
         coset_intt_nn(&mut values, unizk_fri::batch::coset_shift());
-        for m in 0..blowup {
-            quotients.push(Polynomial::from_coeffs(values[m * n..(m + 1) * n].to_vec()));
-        }
+        quotients.extend(
+            values
+                .chunks_exact(n)
+                .map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))),
+        );
     }
     quotients
 }

@@ -90,25 +90,26 @@ pub fn verify(data: &CircuitData, proof: &Proof) -> Result<(), PlonkError> {
         pi_at_zeta += Ext2::from(-v) * omega_r * zh_over_n * denom;
     }
 
+    let mut constraints = vec![Ext2::ZERO; data.config.num_constraints()];
     for s in 0..s_rounds {
         let base = s * num_chunks;
         let inputs = ConstraintInputs {
             selectors: [consts[0], consts[1], consts[2], consts[3], consts[4]],
-            wires: wires.clone(),
-            sigmas: consts[NUM_SELECTORS..NUM_SELECTORS + w].to_vec(),
+            wires,
+            sigmas: &consts[NUM_SELECTORS..NUM_SELECTORS + w],
             z: perm[base],
             z_next: perm_next[base],
-            partials: perm[base + 1..base + num_chunks].to_vec(),
+            partials: &perm[base + 1..base + num_chunks],
             x: zeta,
             l1,
             pi: pi_at_zeta,
             beta: Ext2::from(betas[s]),
             gamma: Ext2::from(gammas[s]),
         };
-        let constraints = eval_constraints(&data.ks, &inputs);
+        eval_constraints(&data.ks, &inputs, &mut constraints);
         let mut combined = Ext2::ZERO;
         let mut alpha_pow = Ext2::ONE;
-        for c in constraints {
+        for &c in &constraints {
             combined += alpha_pow * c;
             alpha_pow *= Ext2::from(alphas[s]);
         }

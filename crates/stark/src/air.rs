@@ -34,13 +34,15 @@ pub trait Air<F: ProtocolField = Goldilocks> {
     /// Generates the trace, column-major: `trace[col][row]`.
     fn generate_trace(&self) -> Vec<Vec<F>>;
 
-    /// Evaluates the transition constraints on one `(local, next)` row
-    /// pair. Generic so the prover evaluates over the base field on the
-    /// LDE and the verifier over the extension at `ζ`.
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E]) -> Vec<E>;
+    /// Evaluates the transition constraints on one `(local, next)` row pair
+    /// into `out`, one entry per constraint. Generic so the prover evaluates
+    /// over the base field on the LDE and the verifier over the extension at
+    /// `ζ`; the caller owns `out`, so the prover's pass over the LDE
+    /// allocates nothing per position.
+    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]);
 
-    /// Number of transition constraints (must match
-    /// [`Air::eval_transition`]'s output length).
+    /// Number of transition constraints: the length of
+    /// [`Air::eval_transition`]'s `out`.
     fn num_transition_constraints(&self) -> usize;
 
     /// The boundary constraints.

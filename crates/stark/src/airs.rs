@@ -78,8 +78,9 @@ impl<F: ProtocolField> Air<F> for FibonacciAir {
         vec![x0, x1]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E]) -> Vec<E> {
-        vec![next[0] - local[1], next[1] - local[0] - local[1]]
+    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+        out[0] = next[0] - local[1];
+        out[1] = next[1] - local[0] - local[1];
     }
 
     fn num_transition_constraints(&self) -> usize {
@@ -149,8 +150,8 @@ impl<F: ProtocolField> Air<F> for CountdownAir {
             .collect()]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E]) -> Vec<E> {
-        vec![local[0] - next[0] - E::ONE]
+    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+        out[0] = local[0] - next[0] - E::ONE;
     }
 
     fn num_transition_constraints(&self) -> usize {
@@ -239,12 +240,10 @@ impl<F: ProtocolField> Air<F> for RangeAccumulatorAir {
         vec![idx, acc_col]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E]) -> Vec<E> {
+    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
         // i' = i + 1; acc' = acc + i'².
-        vec![
-            next[0] - local[0] - E::ONE,
-            next[1] - local[1] - next[0] * next[0],
-        ]
+        out[0] = next[0] - local[0] - E::ONE;
+        out[1] = next[1] - local[1] - next[0] * next[0];
     }
 
     fn num_transition_constraints(&self) -> usize {

@@ -4,7 +4,7 @@
 //! are unchanged and `KbStarkConfig` selects the KoalaBear stack.
 
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_map, reverse_index_bits, Polynomial,
+    batch_inverse, bit_reverse, log2_strict, parallel_map, powers, reverse_index_bits, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::{fri_prove_in, time_kernel, GenericPolynomialBatch, KernelClass};
@@ -142,19 +142,35 @@ where
     let omega = F::primitive_root_of_unity(log2_strict(n));
     let last = omega.exp_u64((n - 1) as u64);
     let boundaries = air.boundaries();
+    let num_transitions = air.num_transition_constraints();
 
     // Shared per-position quantities: the domain points, Z_H⁻¹ (one entry
-    // per coset of the trace domain, see `FoldDomain::vanishing`), and the
-    // (x − ω^row_b) denominators for each boundary, flattened.
+    // per coset of the trace domain, see `FoldDomain::vanishing`), and
+    // (x − ω^row)⁻¹ for each distinct boundary row, flattened — boundaries
+    // on one row (Fibonacci's two at row 0) share a denominator.
     let domain = FoldDomain::<F>::initial(lde_size);
     let xs = domain.points();
     let zh_inv = batch_inverse(&domain.vanishing(n));
-    let boundary_points: Vec<F> = boundaries.iter().map(|b| omega.exp_u64(b.row as u64)).collect();
-    let mut boundary_denoms = Vec::with_capacity(lde_size * boundaries.len());
+    let mut rows: Vec<usize> = boundaries.iter().map(|b| b.row).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let row_of: Vec<usize> = boundaries
+        .iter()
+        .map(|b| rows.partition_point(|&r| r < b.row))
+        .collect();
+    let row_points: Vec<F> = rows.iter().map(|&r| omega.exp_u64(r as u64)).collect();
+    let mut row_denoms = Vec::with_capacity(lde_size * rows.len());
     for &x in &xs {
-        boundary_denoms.extend(boundary_points.iter().map(|&p| x - p));
+        row_denoms.extend(row_points.iter().map(|&p| x - p));
     }
-    let boundary_inv = batch_inverse(&boundary_denoms);
+    let row_inv = batch_inverse(&row_denoms);
+
+    // α_s^k for every round s: transition constraints first, then
+    // boundaries, in the order the verifier combines them.
+    let alpha_pows: Vec<Vec<F>> = alphas
+        .iter()
+        .map(|&alpha| powers(alpha, num_transitions + boundaries.len()))
+        .collect();
 
     let threads = unizk_field::current_parallelism();
     let chunk_len = lde_size.div_ceil(threads.max(1)).max(1);
@@ -164,32 +180,33 @@ where
         .collect();
 
     let s_rounds = alphas.len();
+    let dot = |pows: &[F], terms: &[F]| pows.iter().zip(terms).map(|(&a, &c)| a * c).sum::<F>();
     let per_range: Vec<Vec<Vec<F>>> = parallel_map(ranges, |(start, end)| {
         let mut out = vec![Vec::with_capacity(end - start); s_rounds];
+        let mut transitions = vec![F::ZERO; num_transitions];
+        let mut boundary_terms = vec![F::ZERO; boundaries.len()];
         for i in start..end {
             let local = trace.leaf(i);
             let t = bit_reverse(i, bits);
             let i_next = bit_reverse((t + blowup) % lde_size, bits);
             let next = trace.leaf(i_next);
 
-            let transitions = air.eval_transition(local, next);
+            air.eval_transition(local, next, &mut transitions);
             // Transition constraints vanish on all rows but the last:
             // multiply by (x − ω^{n−1}) and divide by Z_H.
             let trans_factor = (xs[i] - last) * zh_inv[i / n];
+            // (local[col] − value) / (x − ω^row), shared by every round.
+            let inv = &row_inv[i * rows.len()..(i + 1) * rows.len()];
+            for ((term, b), &r) in boundary_terms.iter_mut().zip(&boundaries).zip(&row_of) {
+                *term = (local[b.col] - b.value) * inv[r];
+            }
 
-            for (s, alpha) in alphas.iter().enumerate() {
-                let mut acc = F::ZERO;
-                let mut alpha_pow = F::ONE;
-                for &c in &transitions {
-                    acc += alpha_pow * c * trans_factor;
-                    alpha_pow *= *alpha;
-                }
-                for (bi, b) in boundaries.iter().enumerate() {
-                    let num = local[b.col] - b.value;
-                    acc += alpha_pow * num * boundary_inv[i * boundaries.len() + bi];
-                    alpha_pow *= *alpha;
-                }
-                out[s].push(acc);
+            for (pows, round) in alpha_pows.iter().zip(&mut out) {
+                let (transition_pows, boundary_pows) = pows.split_at(num_transitions);
+                round.push(
+                    dot(transition_pows, &transitions) * trans_factor
+                        + dot(boundary_pows, &boundary_terms),
+                );
             }
         }
         out

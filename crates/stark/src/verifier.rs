@@ -105,7 +105,8 @@ where
         .ok_or(StarkError::Malformed("zeta on domain"))?;
     let last = omega.exp_u64((n - 1) as u64);
     let trans_factor = (zeta - E::<F>::from(last)) * zh_inv;
-    let transitions = air.eval_transition(local, next);
+    let mut transitions = vec![E::<F>::ZERO; air.num_transition_constraints()];
+    air.eval_transition(local, next, &mut transitions);
     // (local[col] − value) / (ζ − ω^row) per boundary, shared by all rounds.
     let mut boundary_terms = Vec::new();
     for b in air.boundaries() {

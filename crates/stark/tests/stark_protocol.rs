@@ -84,8 +84,8 @@ impl Air for BrokenAir {
         t[1][mid] += Goldilocks::ONE;
         t
     }
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E]) -> Vec<E> {
-        self.inner.eval_transition(local, next)
+    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+        self.inner.eval_transition(local, next, out);
     }
     fn num_transition_constraints(&self) -> usize {
         self.inner.num_transition_constraints()
@@ -117,8 +117,8 @@ fn wrong_boundary_cannot_prove() {
         fn generate_trace(&self) -> Vec<Vec<Goldilocks>> {
             self.0.generate_trace()
         }
-        fn eval_transition<E: Field + From<Goldilocks>>(&self, l: &[E], n: &[E]) -> Vec<E> {
-            self.0.eval_transition(l, n)
+        fn eval_transition<E: Field + From<Goldilocks>>(&self, l: &[E], n: &[E], out: &mut [E]) {
+            self.0.eval_transition(l, n, out);
         }
         fn num_transition_constraints(&self) -> usize {
             self.0.num_transition_constraints()

@@ -58,12 +58,10 @@ impl Air for FactorialAir {
         vec![ks, accs]
     }
 
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E]) -> Vec<E> {
+    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
         // k' = k + 1;  acc' = acc·k' = acc·k + acc.
-        vec![
-            next[0] - local[0] - E::ONE,
-            next[1] - local[1] * local[0] - local[1],
-        ]
+        out[0] = next[0] - local[0] - E::ONE;
+        out[1] = next[1] - local[1] * local[0] - local[1];
     }
 
     fn num_transition_constraints(&self) -> usize {
@@ -139,15 +137,13 @@ impl Air for BitMixAir {
         cols
     }
 
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E]) -> Vec<E> {
+    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
         let w = self.width;
-        (0..w)
-            .map(|j| {
-                let a = local[j];
-                let b = local[(j + 1) % w];
-                next[j] - (a + b - (a * b).double())
-            })
-            .collect()
+        for (j, o) in out.iter_mut().enumerate() {
+            let a = local[j];
+            let b = local[(j + 1) % w];
+            *o = next[j] - (a + b - (a * b).double());
+        }
     }
 
     fn num_transition_constraints(&self) -> usize {

@@ -204,6 +204,30 @@ for f in crates/fri/src/prover.rs crates/stark/src/prover.rs crates/plonk/src/qu
     fi
 done
 
+echo "==> each product once in the polynomial layer (one inversion pass in the FRI combine, no per-position copies)"
+# combine_initial evaluates Σ_t β^t·(S − Y_t)/(x − z_t) as one rational
+# function (fri::prover::OpeningQuotient): one batch inversion of D(x) over
+# the LDE where the sum needs one per opening point. The Plonk quotient
+# borrows its wire, sigma and partial slices (a `.to_vec()` there is a copy
+# per LDE position and round), and an AIR writes its transition constraints
+# into the prover's buffer (a `Vec` return is an allocation per position).
+# EXPERIMENTS.md, "The polynomial layer: products per LDE position".
+combine="$(sed '/^#\[cfg(test)\]/,$d' crates/fri/src/prover.rs \
+    | awk '/^fn combine_initial/ { show = 1 } show; show && /^}/ { show = 0 }')"
+vec_transitions=""
+for f in $(grep -rl 'fn eval_transition' crates tests examples --include='*.rs'); do
+    if tr '\n' ' ' < "$f" | grep -oE 'fn eval_transition[^{;]*' | grep -qE -- '->[[:space:]]*Vec'; then
+        vec_transitions="$vec_transitions $f"
+    fi
+done
+if [ -z "$combine" ] || [ "$(grep -c 'batch_inverse' <<< "$combine")" -gt 1 ] \
+        || sed '/^#\[cfg(test)\]/,$d' crates/plonk/src/quotient.rs | grep -n '\.to_vec()' \
+        || [ -n "$vec_transitions" ]; then
+    echo "FAIL: combine_initial must invert once (OpeningQuotient), crates/plonk/src/quotient.rs must borrow" \
+         "instead of .to_vec(), and eval_transition must write into its out buffer${vec_transitions:+ (returns a Vec in:$vec_transitions)}"
+    exit 1
+fi
+
 echo "==> each Merkle node hashed once (one batch check per tree in the FRI verifier)"
 # fri_verify hands each tree's openings to GenericMerkleTree::verify_many,
 # which hashes a node once per distinct input and eight at a time. A
