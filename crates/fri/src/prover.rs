@@ -448,12 +448,14 @@ const GRIND_BLOCK: u64 = 512;
 /// Candidate nonces [`scan_block`] hands the backend per speculative
 /// dispatch. How many of them walk the rounds in lockstep is the backend's
 /// own business ([`SpongeBackend::speculative_rows`]): Poseidon takes them
-/// eight at a time, Poseidon2-KoalaBear sixteen at a time on vector rows and
-/// eight on scalar rows, so 16 is the smallest dispatch that is whole groups
-/// for all of them. 32 and 64 tie with it on KoalaBear and cost Goldilocks
-/// 2–4 % (more overshoot past the winner; EXPERIMENTS.md, "Vector rows,
-/// KoalaBear").
-const GRIND_LANES: usize = 16;
+/// 32 at a time on vector rows (four registers of eight) and eight at a time
+/// on array rows, Poseidon2-KoalaBear sixteen at a time on vector rows and
+/// eight on scalar rows, so 32 is the smallest dispatch that is whole groups
+/// for all of them. Sixteen would put the Goldilocks vector rows on their
+/// one-register path, two serial chains instead of four overlapped ones
+/// (EXPERIMENTS.md, "Four chains per row"); on KoalaBear 16, 32 and 64 tie
+/// ("Vector rows, KoalaBear").
+const GRIND_LANES: usize = 32;
 
 const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 
@@ -464,7 +466,7 @@ const _: () = assert!(GRIND_BLOCK.is_multiple_of(GRIND_LANES as u64));
 /// bit-deterministic:
 ///
 /// * **Lanes** — within a block, candidate nonces run through the
-///   backend's lockstep engine (`GRIND_LANES` = 16 nonces per dispatch, in
+///   backend's lockstep engine (`GRIND_LANES` = 32 nonces per dispatch, in
 ///   groups of the backend's own width), evaluating only the challenge row
 ///   of the output state.
 /// * **Threads** — blocks of `GRIND_BLOCK` (512) nonces are searched with

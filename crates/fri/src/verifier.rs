@@ -17,7 +17,7 @@
 //!    (`index_bits`, then `index_bits - 1 - round`). The queries' paths
 //!    meet below the root — on the Starky contract shape 59 % of the
 //!    9 156 nodes on them are on an earlier query's path too — and the
-//!    batch check hashes each distinct node once, eight at a time
+//!    batch check hashes each distinct node once, in lockstep groups
 //!    (EXPERIMENTS.md, "Verifier: each node once"). The trees are
 //!    independent, so under more than one thread workers claim them one at
 //!    a time; the verdicts are read in tree order, and a failure names the

@@ -1,14 +1,16 @@
 //! Determinism wall for the proof-of-work grind.
 //!
 //! [`unizk_fri::grind`] searches nonces with two overshooting parallel
-//! axes — lockstep lanes within a block (eight Poseidon states, sixteen
-//! Poseidon2-KoalaBear states per walk), worker threads across blocks — yet
-//! the protocol pins the witness to the **smallest** qualifying nonce and
-//! charges the backend's permutation counter exactly `winner + 1`. This
-//! suite checks that contract on both backends against a transparent serial
-//! scan for transcripts whose winning nonce lands at the very first
-//! candidate, in the first, a middle and the last lane of a 16-candidate
-//! dispatch, deep inside one block, in the second block of a wave and past
+//! axes — lockstep lanes within a block (32 candidates per dispatch: one
+//! 32-lane walk of four registers on Poseidon's vector rows, four 8-lane
+//! walks on its array rows, two 16-lane Poseidon2-KoalaBear walks), worker
+//! threads across blocks — yet the protocol pins the witness to the
+//! **smallest** qualifying nonce and charges the backend's permutation
+//! counter exactly `winner + 1`. This suite checks that contract on both
+//! backends against a transparent serial scan for transcripts whose winning
+//! nonce lands at the very first candidate, in the first and the last lane
+//! of a 32-candidate dispatch and at each seam between its 8-lane
+//! registers, deep inside one block, in the second block of a wave and past
 //! it, under every thread count.
 //!
 //! Like `tests/thread_invariance.rs`, everything here sets the
@@ -67,19 +69,21 @@ fn grind_matches_serial_scan<B: SpongeBackend + Clone>() {
     //  descriptive region). Regions chosen to cover: an instant hit
     //  (winner 0, "many qualifying nonces" in every dispatch, where a scan
     //  that returned the first lane *found* instead of the lowest would
-    //  differ), a hit in the first, a middle and the last lane of a
-    //  16-candidate dispatch (the first and last lanes of a vector group,
-    //  and the seam between two 8-lane groups), a hit deep inside the first
-    //  512-nonce block, a hit in the second block (found by the second
-    //  worker of a two-thread wave while the first finds nothing) and one
-    //  past it (several waves).
+    //  differ), a hit in the first and the last lane of a 32-candidate
+    //  dispatch, and on either side of each seam between its 8-lane
+    //  registers (7|8, 15|16, 23|24: also the seam between KoalaBear's two
+    //  16-lane walks), a hit deep inside the first 512-nonce block, a hit in
+    //  the second block (found by the second worker of a two-thread wave
+    //  while the first finds nothing) and one past it (several waves).
     type Region = (usize, fn(u64) -> bool, &'static str);
-    let regions: [Region; 8] = [
+    let regions: [Region; 10] = [
         (0, |w| w == 0, "every nonce qualifies"),
         (2, |w| (1..8).contains(&w), "inside the first lane group"),
-        (5, |w| w >= 16 && w % 16 == 0, "first lane of a 16-candidate dispatch"),
-        (5, |w| w % 16 == 15, "last lane of a 16-candidate dispatch"),
-        (5, |w| w >= 16 && (7..=8).contains(&(w % 16)), "a middle lane of a 16-candidate dispatch"),
+        (5, |w| w >= 32 && w % 32 == 0, "first lane of a 32-candidate dispatch"),
+        (5, |w| w % 32 == 31, "last lane of a 32-candidate dispatch"),
+        (5, |w| w >= 32 && (7..=8).contains(&(w % 32)), "the seam of the first and second register"),
+        (5, |w| (15..=16).contains(&(w % 32)), "the seam of the second and third register"),
+        (5, |w| (23..=24).contains(&(w % 32)), "the seam of the third and fourth register"),
         (7, |w| (8..512).contains(&w), "inside the first block"),
         (10, |w| (512..1024).contains(&w), "in the second block of a wave"),
         (11, |w| w >= 1024, "past the first wave"),

@@ -13,8 +13,9 @@
 //!   generic over the row type of a group of states permuted in lockstep
 //!   (the paper's vector mode, §5): plain arrays at any width — one lane
 //!   for [`poseidon_permute`] — and, for batches and the grind on CPUs
-//!   that have it, eight lanes in one AVX-512 register (the crate's one
-//!   `unsafe` module).
+//!   that have it, AVX-512 rows of eight lanes per register: 32 lanes in
+//!   four registers for whole groups, eight in one for a batch's remainder
+//!   (the crate's one `unsafe` module).
 //! * [`poseidon2_kb`] — Poseidon2 over 16 KoalaBear elements, the hash of
 //!   the 31-bit proof path, built the same way: one walk of the rounds,
 //!   generic over the row type — the field element itself for one state or

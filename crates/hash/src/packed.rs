@@ -24,19 +24,27 @@
 //!   reference, the one-lane path on every host ([`crate::poseidon_permute`]:
 //!   challenger duplexes, Merkle openings, short remainders) and the
 //!   eight-lane path wherever the vector rows are not available.
-//! * eight lanes in one AVX-512 register (module `avx512`, x86-64 only):
+//! * AVX-512 registers of eight lanes (module `avx512`, x86-64 only):
 //!   `vpmuludq` on 32-bit halves, a dense linear layer, about a fifth of
-//!   the instructions per permutation (EXPERIMENTS.md, "Vector rows").
+//!   the instructions per permutation (EXPERIMENTS.md, "Vector rows"). A
+//!   row is four registers for whole groups of 32 states, so that four
+//!   serial S-box chains overlap, and one for the groups of a batch's
+//!   remainder (EXPERIMENTS.md, "Four chains per row").
 //!
-//! The two 8-lane dispatchers — [`permute_batch`] and
-//! [`NoncePermutation::permute_many_row`] at `LANES = 8` — pick the row
-//! type once per call from `is_x86_feature_detected!("avx512f")`; nothing
-//! else chooses (no feature, environment variable, setter or build flag).
-//! Both row types compute the same function on canonical values: an
-//! intermediate residue may be the other representative of its class, which
-//! [`Goldilocks::from_residue`] erases, so no output bit depends on the
-//! host. The unit tests hold each row type to the dense oracle in
-//! [`crate::poseidon`] and each vector primitive to its scalar counterpart.
+//! The dispatchers — [`permute_batch`] and
+//! [`NoncePermutation::permute_many_row`] — reach a row type through
+//! `Kernels`, its two kernels at one lane count, and pick it once per call
+//! from `is_x86_feature_detected!("avx512f")`: with it, whole groups of 32
+//! on four-register rows, then groups of 8 on one-register rows; without
+//! it, groups of 8 on array rows; the rest one lane at a time (or, for a
+//! batch on vector rows, as one padded group). Nothing else chooses (no
+//! feature, environment variable, setter or build flag). Every row type
+//! computes the same function on canonical values: an intermediate residue
+//! may be the other representative of its class, which
+//! [`Goldilocks::from_residue`] erases, so no output bit depends on the host
+//! or the grouping. The unit tests hold each row type to the dense oracle
+//! in [`crate::poseidon`] and each vector primitive to its scalar
+//! counterpart.
 //!
 //! # `unsafe`
 //!
@@ -47,17 +55,21 @@
 //! sixteen-lane rows of [`crate::poseidon2_kb`] in its child
 //! `avx512::koalabear`, behind the same detection; `scripts/ci.sh` holds
 //! that fence, and checks in the release binary that the vector entry
-//! points, two per field, contain no `call` — i.e. that every intrinsic was
-//! inlined, which no test can see.
+//! points of both fields are there and contain no `call` — i.e. that every
+//! intrinsic was inlined and no state goes through `memcpy`, which no test
+//! can see.
 //!
 //! # Lane width
 //!
 //! The array kernels are const-generic over the lane count so the tests can
-//! instantiate any width, but the prover runs two: single permutations take
-//! one lane, batched dispatches and the grind eight. Array widths 4 and 8
-//! measure within 2 % of each other and both ahead of 2 and 1
-//! (EXPERIMENTS.md, "Lane-packed Poseidon"), so there is nothing for a
-//! setting to choose between.
+//! instantiate any width, but the prover runs few: single permutations take
+//! one lane; batched dispatches and the grind take 32 on vector rows (8 for
+//! a batch's remainder) and 8 on array rows. Array widths 4 and 8 measure
+//! within 2 % of each other and both ahead of 2 and 1 (EXPERIMENTS.md,
+//! "Lane-packed Poseidon"); vector rows of two registers come within
+//! 1–4 % of four on the kernel but trail them by 3 % end to end, and eight
+//! gain nothing over four (EXPERIMENTS.md, "Four chains per row"). There is
+//! nothing for a setting to choose between.
 
 use unizk_field::{Field, Goldilocks};
 
@@ -69,15 +81,22 @@ use crate::poseidon::{
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 
-/// Sponges per packed group in [`permute_batch`] (see the module docs for
-/// the measurement behind the width).
+/// Sponges per packed group in [`permute_batch`] on array rows, and per
+/// group of a remainder on vector rows (see the module docs for the
+/// measurement behind the width).
 const BATCH_LANES: usize = 8;
 
-/// The shortest [`permute_batch`] remainder the vector rows take as one
-/// zero-padded group. A vector group costs the same whatever its lanes
-/// hold — about four one-lane walks (EXPERIMENTS.md, "Vector rows") — so
-/// from four states up padding wins, and below it the remainder goes one
-/// lane at a time, as it always does on array rows.
+/// Sponges per group on the four-register vector rows: four chains per
+/// walk (EXPERIMENTS.md, "Four chains per row").
+#[cfg(target_arch = "x86_64")]
+const VECTOR_LANES: usize = 32;
+
+/// The shortest remainder of eight-lane groups that the vector rows take
+/// as one zero-padded group. A one-register group costs the same whatever
+/// its lanes hold — about four one-lane walks (EXPERIMENTS.md, "Vector
+/// rows", re-measured in "Four chains per row") — so from four states up
+/// padding wins, and below it the remainder goes one lane at a time, as it
+/// always does on array rows.
 #[cfg(target_arch = "x86_64")]
 const VECTOR_PAD_FROM: usize = 4;
 
@@ -146,6 +165,24 @@ pub(crate) trait Row: Copy {
             }};
         }
         Self::reduce(terms!(0 1 2 3 4 5 6 7 8 9 10 11))
+    }
+
+    /// The sparse rows of a partial round, `state[i] = v[i]·s0 +
+    /// e[i]·state[i]` for `i` in 1..12: two [`Row::mac`] terms and a
+    /// [`Row::reduce`] each. A row type overrides it only to order the same
+    /// accumulations differently.
+    #[inline(always)]
+    fn sparse_rows(v: &[Goldilocks; WIDTH], e: &[Goldilocks; WIDTH], s0: Self, state: &mut [Self; WIDTH]) {
+        // Spelled out row by row, like `dot`: rolled, the loop kept a vector
+        // instantiation's rows in memory (12 % slower at one register,
+        // EXPERIMENTS.md, "Four chains per row").
+        macro_rules! rows {
+            ($($i:literal)*) => {$(
+                let acc = Self::mac(Self::acc(0), v[$i].as_canonical_u64(), s0);
+                state[$i] = Self::reduce(Self::mac(acc, e[$i].as_canonical_u64(), state[$i]));
+            )*};
+        }
+        rows!(1 2 3 4 5 6 7 8 9 10 11);
     }
 }
 
@@ -241,6 +278,16 @@ impl<const N: usize> Row for [u64; N] {
         }
     }
 
+    /// One row at a time: spelled out row by row, the 8-lane array kernel
+    /// measured 12 % slower.
+    #[inline(always)]
+    fn sparse_rows(v: &[Goldilocks; WIDTH], e: &[Goldilocks; WIDTH], s0: Self, state: &mut [Self; WIDTH]) {
+        for i in 1..WIDTH {
+            let acc = Self::mac(Self::acc(0), v[i].as_canonical_u64(), s0);
+            state[i] = Self::reduce(Self::mac(acc, e[i].as_canonical_u64(), state[i]));
+        }
+    }
+
     /// [`DOT_BLOCK`] lanes at a time.
     #[inline]
     fn dot(row: &[Goldilocks; WIDTH], state: &[Self; WIDTH]) -> Self {
@@ -321,12 +368,7 @@ pub(crate) fn partial_round<R: Row>(cs: &PoseidonConstants, state: &mut [R; WIDT
     // E[i]·state[i]. All entries are < 2^7, so both the 12-term dot and
     // each two-term row update stay below 2^96 and take the short reduction.
     let dot = R::dot(&cs.sparse_u[r], state);
-    let v = &cs.sparse_v[r];
-    let e = &cs.sparse_diag[r];
-    for i in 1..WIDTH {
-        let acc = R::mac(R::acc(0), v[i].as_canonical_u64(), s0);
-        state[i] = R::reduce(R::mac(acc, e[i].as_canonical_u64(), state[i]));
-    }
+    R::sparse_rows(&cs.sparse_v[r], &cs.sparse_diag[r], s0, state);
     state[0] = dot;
 }
 
@@ -399,6 +441,41 @@ fn permute_soa<const LANES: usize>(soa: &mut [[u64; LANES]; WIDTH]) {
     permute_rows::<[u64; LANES]>(soa);
 }
 
+/// The two kernels of one row type at one lane count, as the dispatchers
+/// and the tests reach them: [`permute_rows`] and [`nonce_row`] on a group
+/// of `LANES` residues. [`ArrayRows`] has them at every width; the vector
+/// rows, behind `avx512::Detected`, at 8 and 32.
+pub(crate) trait Kernels<const LANES: usize>: Copy {
+    fn permute_soa(self, soa: &mut [[u64; LANES]; WIDTH]);
+
+    fn nonce_row(
+        self,
+        nonce: &NoncePermutation,
+        xs: &[u64; LANES],
+        mds_row: &[Goldilocks; WIDTH],
+    ) -> [u64; LANES];
+}
+
+/// The array rows: every host, every width.
+#[derive(Clone, Copy)]
+struct ArrayRows;
+
+impl<const LANES: usize> Kernels<LANES> for ArrayRows {
+    fn permute_soa(self, soa: &mut [[u64; LANES]; WIDTH]) {
+        permute_soa::<LANES>(soa);
+    }
+
+    #[inline(always)]
+    fn nonce_row(
+        self,
+        nonce: &NoncePermutation,
+        xs: &[u64; LANES],
+        mds_row: &[Goldilocks; WIDTH],
+    ) -> [u64; LANES] {
+        nonce_row::<[u64; LANES]>(nonce, xs, mds_row)
+    }
+}
+
 /// Transposes `states` to struct-of-arrays residues, runs `kernel` on them
 /// and transposes back, canonicalizing.
 #[inline(always)]
@@ -459,10 +536,11 @@ impl<const LANES: usize> PackedPermutation<LANES> {
     }
 }
 
-/// Permutes a batch of sponge states: whole groups of 8 (`BATCH_LANES`)
-/// states walk the rounds in lockstep — on vector rows where the CPU has
-/// AVX-512, on array rows elsewhere — and the remainder goes one lane at a
-/// time, or, on vector rows from four states up, as one padded group.
+/// Permutes a batch of sponge states in lockstep groups: where the CPU has
+/// AVX-512, whole groups of 32 states on four-register vector rows, then
+/// groups of 8 (`BATCH_LANES`) on one-register rows; elsewhere groups of 8
+/// on array rows. The remainder goes one lane at a time, or, on vector rows
+/// from four states up, as one padded group of 8.
 ///
 /// Bit-identical to permuting each state with [`poseidon_permute`]. Does
 /// not touch trace counters — batched sponge dispatchers account their own
@@ -471,29 +549,33 @@ impl<const LANES: usize> PackedPermutation<LANES> {
 pub fn permute_batch(states: &mut [[Goldilocks; WIDTH]]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(vector) = avx512::detect() {
-        return permute_batch_on(states, VECTOR_PAD_FROM, |soa| vector.permute_soa(soa));
+        let rest = permute_groups::<VECTOR_LANES>(states, vector);
+        return permute_tail(rest, VECTOR_PAD_FROM, vector);
     }
-    permute_batch_on(states, BATCH_LANES, permute_soa::<BATCH_LANES>);
+    permute_tail(states, BATCH_LANES, ArrayRows);
 }
 
-/// [`permute_batch`] with the 8-lane `kernel` chosen: a remainder of at
-/// least `pad_from` states runs as one zero-padded group.
-fn permute_batch_on(
+/// Whole groups of `LANES` states on `rows`; returns the rest.
+fn permute_groups<const LANES: usize>(
     states: &mut [[Goldilocks; WIDTH]],
-    pad_from: usize,
-    kernel: impl Fn(&mut [[u64; BATCH_LANES]; WIDTH]),
-) {
-    let mut groups = states.chunks_exact_mut(BATCH_LANES);
-    for group in &mut groups {
-        let group: &mut [[Goldilocks; WIDTH]; BATCH_LANES] =
-            group.try_into().expect("chunks_exact_mut yields whole groups");
-        permute_group(group, &kernel);
+    rows: impl Kernels<LANES>,
+) -> &mut [[Goldilocks; WIDTH]] {
+    let (groups, rest) = states.as_chunks_mut::<LANES>();
+    for group in groups {
+        permute_group(group, |soa| rows.permute_soa(soa));
     }
-    let rest = groups.into_remainder();
+    rest
+}
+
+/// The 8-lane end of [`permute_batch`] on `rows`: whole groups, then a
+/// remainder of at least `pad_from` states as one zero-padded group, or
+/// else one lane at a time.
+fn permute_tail(states: &mut [[Goldilocks; WIDTH]], pad_from: usize, rows: impl Kernels<BATCH_LANES>) {
+    let rest = permute_groups(states, rows);
     if rest.len() >= pad_from {
         let mut padded = [[Goldilocks::ZERO; WIDTH]; BATCH_LANES];
         padded[..rest.len()].copy_from_slice(rest);
-        permute_group(&mut padded, &kernel);
+        permute_group(&mut padded, |soa| rows.permute_soa(soa));
         rest.copy_from_slice(&padded[..rest.len()]);
     } else {
         rest.iter_mut().for_each(poseidon_permute);
@@ -502,10 +584,12 @@ fn permute_batch_on(
 
 impl NoncePermutation {
     /// Output element `row` of `LANES` permutations that differ only in
-    /// the nonce lane, in lockstep — the shape of the grind, which squeezes
-    /// one rate element per attempt. Eight lanes (the grind's width) run
-    /// on vector rows where the CPU has AVX-512; every other width, and
-    /// every other host, on array rows.
+    /// the nonce lane — the shape of the grind, which squeezes one rate
+    /// element per attempt. The lanes walk in lockstep groups, as
+    /// [`permute_batch`]'s states do: where the CPU has AVX-512, whole
+    /// groups of 32 on four-register rows, then groups of 8 on
+    /// one-register rows; elsewhere groups of 8 on array rows; the rest one
+    /// lane at a time.
     ///
     /// # Panics
     ///
@@ -515,17 +599,48 @@ impl NoncePermutation {
         xs: &[Goldilocks; LANES],
         row: usize,
     ) -> [Goldilocks; LANES] {
+        let mut out = [Goldilocks::ZERO; LANES];
+        self.permute_many_row_into(xs, &mut out, row);
+        out
+    }
+
+    /// [`Self::permute_many_row`] on any number of candidates, into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= WIDTH` or if `xs` and `out` differ in length.
+    pub(crate) fn permute_many_row_into(&self, xs: &[Goldilocks], out: &mut [Goldilocks], row: usize) {
         assert!(row < WIDTH, "output row out of range");
+        assert_eq!(xs.len(), out.len(), "one response per candidate");
         let mds_row = &constants().mds[row];
-        let xs = xs.map(|x| x.as_canonical_u64());
         #[cfg(target_arch = "x86_64")]
-        if let Ok(xs) = <&[u64; BATCH_LANES]>::try_from(&xs[..]) {
-            if let Some(vector) = avx512::detect() {
-                let out = vector.nonce_row(self, xs, mds_row);
-                return core::array::from_fn(|l| Goldilocks::from_residue(out[l]));
+        let (xs, out) = match avx512::detect() {
+            Some(vector) => {
+                let (xs, out) = self.nonce_groups::<VECTOR_LANES>(xs, out, mds_row, vector);
+                self.nonce_groups::<BATCH_LANES>(xs, out, mds_row, vector)
             }
+            None => (xs, out),
+        };
+        let (xs, out) = self.nonce_groups::<BATCH_LANES>(xs, out, mds_row, ArrayRows);
+        self.nonce_groups::<1>(xs, out, mds_row, ArrayRows);
+    }
+
+    /// Whole groups of `LANES` candidates on `rows`, each output into its
+    /// place in `out`; returns the rest of both.
+    fn nonce_groups<'a, const LANES: usize>(
+        &self,
+        xs: &'a [Goldilocks],
+        out: &'a mut [Goldilocks],
+        mds_row: &[Goldilocks; WIDTH],
+        rows: impl Kernels<LANES>,
+    ) -> (&'a [Goldilocks], &'a mut [Goldilocks]) {
+        let (groups, rest) = xs.as_chunks::<LANES>();
+        let (out_groups, out_rest) = out.as_chunks_mut::<LANES>();
+        for (xs, out) in groups.iter().zip(out_groups) {
+            let xs = xs.map(|x| x.as_canonical_u64());
+            *out = rows.nonce_row(self, &xs, mds_row).map(Goldilocks::from_residue);
         }
-        nonce_row::<[u64; LANES]>(self, &xs, mds_row).map(Goldilocks::from_residue)
+        (rest, out_rest)
     }
 }
 
@@ -548,9 +663,11 @@ mod tests {
     #[test]
     fn permute_batch_matches_scalar_with_remainder() {
         let mut rng = SplitMix64::seed_from_u64(0xBA7C);
-        // Every split into eight-lane groups and a one-lane remainder: no
-        // group, a bare remainder, whole groups, groups plus 1..=7.
-        for len in 0..=17 {
+        // Every split into groups and a remainder, twice over: no group, a
+        // bare remainder, whole 8-lane groups plus 1..=7, and where the
+        // vector rows run, one and two whole 32-lane groups with each of
+        // those behind them.
+        for len in 0..=72 {
             let mut states: Vec<[Goldilocks; WIDTH]> = (0..len).map(|_| random_state(&mut rng)).collect();
             let mut expected = states.clone();
             expected.iter_mut().for_each(poseidon_permute);
@@ -559,7 +676,7 @@ mod tests {
             // can run (from 1: always pad; from 8: never).
             for pad_from in [1, 4, BATCH_LANES] {
                 let mut padded = states.clone();
-                permute_batch_on(&mut padded, pad_from, permute_soa::<BATCH_LANES>);
+                permute_tail(&mut padded, pad_from, ArrayRows);
                 assert_eq!(padded, expected, "len={len}, padding from {pad_from}");
             }
             permute_batch(&mut states);
@@ -567,67 +684,21 @@ mod tests {
         }
     }
 
-    /// The two kernels of one row type at one width, as the dispatchers
-    /// reach them.
-    trait Kernels<const LANES: usize> {
-        const ROWS: &'static str;
-        fn permute_soa(&self, soa: &mut [[u64; LANES]; WIDTH]);
-        fn nonce_row(
-            &self,
-            nonce: &NoncePermutation,
-            xs: &[u64; LANES],
-            mds_row: &[Goldilocks; WIDTH],
-        ) -> [u64; LANES];
-    }
-
-    struct ArrayRows;
-
-    impl<const LANES: usize> Kernels<LANES> for ArrayRows {
-        const ROWS: &'static str = "array";
-        fn permute_soa(&self, soa: &mut [[u64; LANES]; WIDTH]) {
-            permute_soa::<LANES>(soa);
-        }
-        fn nonce_row(
-            &self,
-            nonce: &NoncePermutation,
-            xs: &[u64; LANES],
-            mds_row: &[Goldilocks; WIDTH],
-        ) -> [u64; LANES] {
-            nonce_row::<[u64; LANES]>(nonce, xs, mds_row)
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    impl Kernels<8> for avx512::Detected {
-        const ROWS: &'static str = "avx512";
-        fn permute_soa(&self, soa: &mut [[u64; 8]; WIDTH]) {
-            avx512::Detected::permute_soa(*self, soa);
-        }
-        fn nonce_row(
-            &self,
-            nonce: &NoncePermutation,
-            xs: &[u64; 8],
-            mds_row: &[Goldilocks; WIDTH],
-        ) -> [u64; 8] {
-            avx512::Detected::nonce_row(*self, nonce, xs, mds_row)
-        }
-    }
-
     /// One row type at width `LANES` against the dense reference: the
     /// permutation on `states[..LANES]`, and every output row of the
     /// hoisted-nonce walk with `states[l][nonce_lane]` as lane `l`'s
     /// candidate over the static lanes of `states[0]`.
-    fn check_lockstep_rows<const LANES: usize, K: Kernels<LANES>>(
-        kernels: &K,
-        states: &[[Goldilocks; WIDTH]; 8],
+    fn check_lockstep_rows<const LANES: usize>(
+        rows: impl Kernels<LANES>,
+        name: &str,
+        states: &[[Goldilocks; WIDTH]; 32],
         nonce_lane: usize,
     ) {
-        let rows = K::ROWS;
         let mut packed: [[Goldilocks; WIDTH]; LANES] = core::array::from_fn(|l| states[l]);
         let mut want = packed;
         want.iter_mut().for_each(permute_dense_reference);
-        permute_group(&mut packed, |soa| kernels.permute_soa(soa));
-        assert_eq!(packed, want, "{rows} rows, LANES={LANES}");
+        permute_group(&mut packed, |soa| rows.permute_soa(soa));
+        assert_eq!(packed, want, "{name} rows, LANES={LANES}");
 
         let hoisted = NoncePermutation::new(&states[0], nonce_lane);
         let xs: [Goldilocks; LANES] = core::array::from_fn(|l| states[l][nonce_lane]);
@@ -639,11 +710,11 @@ mod tests {
         });
         for (row, mds_row) in constants().mds.iter().enumerate() {
             let want = want.map(|full| full[row]);
-            let got = kernels.nonce_row(&hoisted, &xs.map(|x| x.as_canonical_u64()), mds_row);
+            let got = rows.nonce_row(&hoisted, &xs.map(|x| x.as_canonical_u64()), mds_row);
             assert_eq!(
                 got.map(Goldilocks::from_residue),
                 want,
-                "{rows} rows, LANES={LANES}, nonce lane {nonce_lane}, row {row}"
+                "{name} rows, LANES={LANES}, nonce lane {nonce_lane}, row {row}"
             );
             // And whichever of them the public entry dispatches to.
             assert_eq!(hoisted.permute_many_row(&xs, row), want, "dispatched, LANES={LANES}, row {row}");
@@ -651,22 +722,26 @@ mod tests {
     }
 
     /// Every row type this host can run: the array rows at every width, on
-    /// every host, and the vector rows where the CPU has them.
-    fn check_lockstep_kernels(states: &[[Goldilocks; WIDTH]; 8], nonce_lane: usize) {
-        check_lockstep_rows::<1, _>(&ArrayRows, states, nonce_lane);
-        check_lockstep_rows::<2, _>(&ArrayRows, states, nonce_lane);
-        check_lockstep_rows::<4, _>(&ArrayRows, states, nonce_lane);
-        check_lockstep_rows::<8, _>(&ArrayRows, states, nonce_lane);
+    /// every host, and the vector rows of one and of four registers where
+    /// the CPU has them.
+    fn check_lockstep_kernels(states: &[[Goldilocks; WIDTH]; 32], nonce_lane: usize) {
+        check_lockstep_rows::<1>(ArrayRows, "array", states, nonce_lane);
+        check_lockstep_rows::<2>(ArrayRows, "array", states, nonce_lane);
+        check_lockstep_rows::<4>(ArrayRows, "array", states, nonce_lane);
+        check_lockstep_rows::<8>(ArrayRows, "array", states, nonce_lane);
         #[cfg(target_arch = "x86_64")]
         if let Some(vector) = avx512::detect_or_report() {
-            check_lockstep_rows::<8, _>(&vector, states, nonce_lane);
+            check_lockstep_rows::<8>(vector, "avx512", states, nonce_lane);
+            check_lockstep_rows::<32>(vector, "avx512", states, nonce_lane);
         }
     }
 
     #[test]
     fn lockstep_kernels_match_dense_reference_at_the_extremes() {
-        for (i, group) in extreme_states().windows(8).enumerate() {
-            let states = core::array::from_fn(|l| group[l].map(Goldilocks::from_u64));
+        // Every extreme state in every lane position of a 32-lane group.
+        let extremes = extreme_states();
+        for i in 0..extremes.len() {
+            let states = core::array::from_fn(|l| extremes[(i + l) % extremes.len()].map(Goldilocks::from_u64));
             check_lockstep_kernels(&states, i % WIDTH);
         }
     }
@@ -694,11 +769,14 @@ mod tests {
         #[cfg(not(target_arch = "x86_64"))]
         let vector = false;
         let (gl, kb) = if vector {
-            ("AVX-512 vector rows", "AVX-512 vector rows, 16 lanes")
+            (
+                "AVX-512 vector rows, 32 lanes in four registers (a batch's remainder: 8 in one)",
+                "AVX-512 vector rows, 16 lanes",
+            )
         } else {
-            ("array rows (no avx512f)", "scalar rows, 8 states per walk (no avx512f)")
+            ("array rows, 8 lanes (no avx512f)", "scalar rows, 8 states per walk (no avx512f)")
         };
-        eprintln!("8-lane Poseidon dispatch: {gl}");
+        eprintln!("Poseidon dispatch: {gl}");
         eprintln!("Poseidon2-KoalaBear dispatch: {kb}");
     }
 

@@ -1,14 +1,24 @@
-//! Eight lanes in one AVX-512 register: the vector [`Row`], and — with the
-//! sixteen KoalaBear lanes of the child module [`koalabear`], built to the
-//! same rules behind the same [`Detected`] — the only `unsafe` in the
-//! workspace's library code.
+//! Eight lanes per AVX-512 register, one or four registers per row: the
+//! vector [`Row`]s, and — with the sixteen KoalaBear lanes of the child
+//! module [`koalabear`], built to the same rules behind the same
+//! [`Detected`] — the only `unsafe` in the workspace's library code.
 //!
-//! A residue row is a `__m512i` of eight `u64` lanes. AVX-512F has no
+//! A residue register is a `__m512i` of eight `u64` lanes. AVX-512F has no
 //! 64 × 64-bit multiply, so every product goes through `vpmuludq`
 //! (32 × 32 → 64 per lane) on 32-bit halves: four of them and a carry chain
 //! for a residue × residue product, two for a small constant × residue. The
 //! Goldilocks folds are the scalar ones (`2^64 ≡ 2^32 − 1`, `2^96 ≡ −1`)
-//! with the carries taken from unsigned compares into mask registers.
+//! with the carries taken from unsigned compares into mask registers; the
+//! product by `2^32 − 1` is one `vpmuludq` written as `asm!`
+//! ([`mul_epsilon`]), because the optimizer otherwise expands it.
+//!
+//! One register's walk is latency-bound: the 22 partial rounds are one
+//! serial S-box chain. A row of K registers issues every operation once per
+//! register, so each chain runs beside K − 1 independent ones. The rows are
+//! stamped out by one macro ([`vector_rows!`]) at K = 4 ([`V512x4`]: whole
+//! groups of 32 states, the grind's 32 candidates) and K = 1 ([`V512x1`]:
+//! a batch's remainder); two registers trail four by 3 % end to end, eight
+//! gain nothing (EXPERIMENTS.md, "Four chains per row").
 //!
 //! # The fence
 //!
@@ -19,19 +29,24 @@
 //!   behind as an out-of-line call per intrinsic, with every vector passed
 //!   through memory — two to six times *slower* than the array rows
 //!   (EXPERIMENTS.md, "Vector rows"), with every test green.
-//!   `scripts/ci.sh` disassembles [`permute_soa`] and [`nonce_row`] in the
-//!   release binary and fails on a `call`.
+//!   `scripts/ci.sh` disassembles the entry points ([`permute_soa`] and
+//!   [`nonce_row`], one instantiation per row type) in the release binary
+//!   and fails on a `call`.
 //! * The generic round kernels of the parent module cannot carry the
 //!   attribute, so they are `#[inline(always)]` and reach the functions
-//!   here through the [`Row`] implementation of [`V512`], whose methods are
-//!   `#[inline(always)]` shims: instantiated over `V512` the whole walk
-//!   dissolves into the two `#[target_feature]` entry points below.
-//! * [`V512`] is private to this module, so nothing outside can name the
-//!   instantiation; the entry points are reached only through
-//!   [`Detected`], which exists only after `avx512f` was detected.
+//!   here through the [`Row`] implementations of the vector rows, whose
+//!   methods are `#[inline(always)]` shims: instantiated over a vector row
+//!   the whole walk dissolves into the `#[target_feature]` entry points.
+//! * The row types are private to this module, so nothing outside can name
+//!   an instantiation; the entry points are reached only through
+//!   [`Detected`]'s [`Kernels`], and a `Detected` exists only after
+//!   `avx512f` was detected.
+//! * `asm!` appears once, in [`mul_epsilon`], and nowhere else in the
+//!   workspace; `scripts/ci.sh` holds that too.
 
 #![allow(unsafe_code)]
 
+use core::arch::asm;
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epu64_mask, _mm512_loadu_si512,
     _mm512_mask_add_epi64, _mm512_mask_shuffle_epi32, _mm512_mask_sub_epi64, _mm512_mul_epu32,
@@ -41,7 +56,7 @@ use core::arch::x86_64::{
 
 use unizk_field::Goldilocks;
 
-use super::{mat_rows, nonce_row as nonce_row_on, permute_rows, Row};
+use super::{nonce_row as nonce_row_on, permute_rows, Kernels, Row};
 use crate::poseidon::{constants, NoncePermutation, WIDTH};
 
 pub(crate) mod koalabear;
@@ -68,41 +83,20 @@ pub(crate) fn detect() -> Option<Detected> {
     std::arch::is_x86_feature_detected!("avx512f").then_some(Detected(()))
 }
 
-impl Detected {
-    /// [`permute_rows`] on vector rows.
-    pub(super) fn permute_soa(self, soa: &mut [[u64; 8]; WIDTH]) {
-        // SAFETY: `self` exists, so `detect` saw avx512f on this CPU.
-        unsafe { permute_soa(soa) }
-    }
+// The entry points, one instantiation per row type: out of line by
+// construction, since a caller without the feature cannot inline them.
 
-    /// [`nonce_row_on`] on vector rows.
-    pub(super) fn nonce_row(
-        self,
-        nonce: &NoncePermutation,
-        xs: &[u64; 8],
-        mds_row: &[Goldilocks; WIDTH],
-    ) -> [u64; 8] {
-        // SAFETY: `self` exists, so `detect` saw avx512f on this CPU.
-        unsafe { nonce_row(nonce, xs, mds_row) }
-    }
-}
-
-/// The permutation of eight states. Out of line by construction: a caller
-/// without the feature cannot inline it.
+/// The permutations of one group of states, on rows of type `R`.
 #[target_feature(enable = "avx512f")]
-fn permute_soa(soa: &mut [[u64; 8]; WIDTH]) {
-    permute_rows::<V512>(soa);
+fn permute_soa<R: Row>(soa: &mut [R::Lanes; WIDTH]) {
+    permute_rows::<R>(soa);
 }
 
-/// One output row of eight nonce candidates.
+/// One output row of a group of nonce candidates, on rows of type `R`.
 #[target_feature(enable = "avx512f")]
-fn nonce_row(nonce: &NoncePermutation, xs: &[u64; 8], mds_row: &[Goldilocks; WIDTH]) -> [u64; 8] {
-    nonce_row_on::<V512>(nonce, xs, mds_row)
+fn nonce_row<R: Row>(nonce: &NoncePermutation, xs: &R::Lanes, mds_row: &[Goldilocks; WIDTH]) -> R::Lanes {
+    nonce_row_on::<R>(nonce, xs, mds_row)
 }
-
-/// Eight residues, one per 64-bit lane.
-#[derive(Clone, Copy)]
-struct V512(__m512i);
 
 /// Eight unreduced sums `lo + 2^32 · hi`, both halves below 2^62.
 #[derive(Clone, Copy)]
@@ -111,65 +105,140 @@ struct Acc512 {
     hi: __m512i,
 }
 
-// SAFETY (every `unsafe` block of this impl): `V512` is private to this
-// module, and the only code instantiated over it is `permute_soa` and
-// `nonce_row` above, which run only after avx512f was detected
-// (`Detected`). Each method is an `#[inline(always)]` shim, so it has no
-// body of its own outside those two functions.
-impl Row for V512 {
-    type Lanes = [u64; 8];
-    type Acc = Acc512;
-
-    #[inline(always)]
-    fn load(lanes: &[u64; 8]) -> Self {
-        // SAFETY: see the impl.
-        Self(unsafe { load(lanes) })
-    }
-
-    #[inline(always)]
-    fn store(self) -> [u64; 8] {
-        // SAFETY: see the impl.
-        unsafe { store(self.0) }
-    }
-
-    #[inline(always)]
-    fn add_const(self, c: u64) -> Self {
-        // SAFETY: see the impl.
-        Self(unsafe { add_const(self.0, c) })
-    }
-
-    #[inline(always)]
-    fn sbox(self) -> Self {
-        // SAFETY: see the impl.
-        Self(unsafe { sbox(self.0) })
-    }
-
-    #[inline(always)]
-    fn acc(init: u128) -> Acc512 {
-        // SAFETY: see the impl.
-        unsafe { acc(init) }
-    }
-
-    #[inline(always)]
-    fn mac(acc: Acc512, c: u64, x: Self) -> Acc512 {
-        // SAFETY: see the impl.
-        unsafe { mac(acc, c, x.0) }
-    }
-
-    #[inline(always)]
-    fn reduce(acc: Acc512) -> Self {
-        // SAFETY: see the impl.
-        Self(unsafe { reduce(acc) })
-    }
-
-    /// The dense product: 144 constant × row accumulations. The frequency
-    /// form of the array rows saves scalar multiplies by widening its
-    /// operands past 32 bits, which is what `vpmuludq` cannot take.
-    #[inline(always)]
-    fn mds_layer(state: &mut [Self; WIDTH]) {
-        mat_rows(&constants().mds, state);
-    }
+/// The tokens after `$k`, once per register index `$k` of a
+/// [`vector_rows!`] repetition.
+macro_rules! per_register {
+    ($k:tt $($then:tt)+) => {
+        $($then)+
+    };
 }
+
+/// A vector row of `8·K` residues in `K` registers, one field per listed
+/// index, with its accumulator, its [`Row`] implementation and
+/// [`Detected`]'s [`Kernels`] at its lane count. Every operation is issued
+/// once per register, so a round's `K` dependency chains overlap. The
+/// registers are fields, not an array: looped over, a `[__m512i; K]` row
+/// kept some of those loops rolled and ran 3–5 % slower at K = 2
+/// (EXPERIMENTS.md, "Four chains per row").
+macro_rules! vector_rows {
+    ($(#[$doc:meta])* $row:ident, $acc:ident, $lanes:literal: $($k:tt)+) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy)]
+        struct $row($(per_register!($k __m512i)),+);
+
+        /// One [`Acc512`] per register of the row.
+        #[derive(Clone, Copy)]
+        struct $acc($(per_register!($k Acc512)),+);
+
+        // SAFETY (every `unsafe` block of this impl): the row type is
+        // private to this module, and the only code instantiated over it is
+        // `permute_soa` and `nonce_row` above, which run only after avx512f
+        // was detected (`Detected`). Each method is an `#[inline(always)]`
+        // shim, so it has no body of its own outside those functions.
+        impl Row for $row {
+            type Lanes = [u64; $lanes];
+            type Acc = $acc;
+
+            #[inline(always)]
+            fn load(lanes: &Self::Lanes) -> Self {
+                let (registers, _) = lanes.as_chunks::<8>();
+                // SAFETY: see the impl.
+                Self($(unsafe { load(&registers[$k]) }),+)
+            }
+
+            #[inline(always)]
+            fn store(self) -> Self::Lanes {
+                let mut lanes = [0; $lanes];
+                let (registers, _) = lanes.as_chunks_mut::<8>();
+                // SAFETY: see the impl.
+                $(registers[$k] = unsafe { store(self.$k) };)+
+                lanes
+            }
+
+            #[inline(always)]
+            fn add_const(self, c: u64) -> Self {
+                // SAFETY: see the impl.
+                Self($(unsafe { add_const(self.$k, c) }),+)
+            }
+
+            #[inline(always)]
+            fn sbox(self) -> Self {
+                // SAFETY: see the impl.
+                Self($(unsafe { sbox(self.$k) }),+)
+            }
+
+            #[inline(always)]
+            fn acc(init: u128) -> $acc {
+                // SAFETY: see the impl.
+                let acc = unsafe { acc(init) };
+                $acc($(per_register!($k acc)),+)
+            }
+
+            #[inline(always)]
+            fn mac(acc: $acc, c: u64, x: Self) -> $acc {
+                // SAFETY: see the impl.
+                $acc($(unsafe { mac(acc.$k, c, x.$k) }),+)
+            }
+
+            #[inline(always)]
+            fn reduce(acc: $acc) -> Self {
+                // SAFETY: see the impl.
+                Self($(unsafe { reduce(acc.$k) }),+)
+            }
+
+            /// The dense product — 144 constant × register accumulations;
+            /// the frequency form of the array rows widens its operands
+            /// past the 32 bits `vpmuludq` takes — one register at a time:
+            /// over four at once it would hold 48 state registers and their
+            /// 48 high halves against 32 in the file. It is
+            /// [`mat_rows`](super::mat_rows) per register, written straight
+            /// into the state: through a gathered one-register state and
+            /// back, the copy back was a `memcpy` at K = 1.
+            #[inline(always)]
+            fn mds_layer(state: &mut [Self; WIDTH]) {
+                $(
+                    let mut input = [V512x1(state[0].$k); WIDTH];
+                    for (x, row) in input.iter_mut().zip(state.iter()) {
+                        *x = V512x1(row.$k);
+                    }
+                    for (row, m) in state.iter_mut().zip(constants().mds.iter()) {
+                        row.$k = V512x1::dot(m, &input).0;
+                    }
+                )+
+            }
+        }
+
+        // SAFETY (both `unsafe` blocks): `self` exists, so `detect` saw
+        // avx512f on this CPU.
+        impl Kernels<$lanes> for Detected {
+            fn permute_soa(self, soa: &mut [[u64; $lanes]; WIDTH]) {
+                // SAFETY: see the impl.
+                unsafe { permute_soa::<$row>(soa) }
+            }
+
+            fn nonce_row(
+                self,
+                nonce: &NoncePermutation,
+                xs: &[u64; $lanes],
+                mds_row: &[Goldilocks; WIDTH],
+            ) -> [u64; $lanes] {
+                // SAFETY: see the impl.
+                unsafe { nonce_row::<$row>(nonce, xs, mds_row) }
+            }
+        }
+    };
+}
+
+vector_rows!(
+    /// Eight residues in one register: the groups of a batch's remainder.
+    V512x1, Acc512x1, 8: 0
+);
+
+vector_rows!(
+    /// Thirty-two residues in four registers: whole groups of 32 states and
+    /// the grind's candidates.
+    V512x4, Acc512x4, 32: 0 1 2 3
+);
 
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -240,7 +309,30 @@ fn mul(a: __m512i, b: __m512i) -> __m512i {
     let diff = _mm512_sub_epi64(lo, hi_hi);
     let borrow = _mm512_cmplt_epu64_mask(lo, hi_hi);
     let diff = _mm512_mask_sub_epi64(diff, borrow, diff, epsilon);
-    add_fold(diff, _mm512_mul_epu32(hi, epsilon))
+    add_fold(diff, mul_epsilon(hi))
+}
+
+/// `(x mod 2^32) · (2^32 − 1)` per lane, one `vpmuludq`. Spelled as an
+/// intrinsic, the optimizer rewrites the product by this constant as
+/// `(x << 32) − x` on the masked low half — three instructions, one of them
+/// a port-0 shift — and no intrinsic-level spelling keeps it from doing so.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn mul_epsilon(x: __m512i) -> __m512i {
+    let epsilon = _mm512_set1_epi64(EPSILON);
+    let product;
+    // SAFETY: `vpmuludq` on registers only: no memory, stack or flags, and
+    // the enclosing function requires avx512f, which zmm operands need.
+    unsafe {
+        asm!(
+            "vpmuludq {product}, {x}, {epsilon}",
+            product = lateout(zmm_reg) product,
+            x = in(zmm_reg) x,
+            epsilon = in(zmm_reg) epsilon,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    product
 }
 
 /// `x^7`; the two squarings share a cross product, which the optimizer
@@ -286,9 +378,8 @@ fn mac(acc: Acc512, c: u64, x: __m512i) -> Acc512 {
 #[target_feature(enable = "avx512f")]
 #[inline]
 fn reduce(acc: Acc512) -> __m512i {
-    let epsilon = _mm512_set1_epi64(EPSILON);
     let h1 = _mm512_srli_epi64::<32>(acc.hi);
-    let small = _mm512_add_epi64(acc.lo, _mm512_mul_epu32(h1, epsilon));
+    let small = _mm512_add_epi64(acc.lo, mul_epsilon(h1));
     add_fold(_mm512_slli_epi64::<32>(acc.hi), small)
 }
 

@@ -189,8 +189,8 @@ impl HashField for unizk_field::KoalaBear {
 
 /// The default backend: the Poseidon permutation over the constants of
 /// [`crate::poseidon`], on the round kernels of [`crate::packed`] — one
-/// lane for a single state, eight for a batch or a group of grind
-/// candidates.
+/// lane for a single state, groups of 32 and 8 on vector rows (8 on array
+/// rows) for a batch or the grind's candidates.
 #[derive(Clone, Copy, Debug)]
 pub struct PoseidonSponge;
 
@@ -220,18 +220,11 @@ impl SpongeBackend for PoseidonSponge {
         NoncePermutation::new(state, pending)
     }
 
-    /// Eight candidates per walk of the hoisted-nonce kernel (vector rows
-    /// where the CPU has them), a remainder one at a time.
+    /// The hoisted-nonce kernel in the groups of
+    /// [`NoncePermutation::permute_many_row`]: 32 candidates per walk on
+    /// vector rows, 8 on array rows, a remainder one at a time.
     fn speculative_rows(spec: &NoncePermutation, xs: &[Goldilocks], out: &mut [Goldilocks]) {
-        assert_eq!(xs.len(), out.len(), "one response per candidate");
-        let (groups, rest) = xs.as_chunks::<8>();
-        let (out_groups, out_rest) = out.as_chunks_mut::<8>();
-        for (xs, out) in groups.iter().zip(out_groups) {
-            *out = spec.permute_many_row(xs, SPONGE_RATE - 1);
-        }
-        for (&x, out) in rest.iter().zip(out_rest) {
-            [*out] = spec.permute_many_row(&[x], SPONGE_RATE - 1);
-        }
+        spec.permute_many_row_into(xs, out, SPONGE_RATE - 1);
     }
 }
 
@@ -302,8 +295,8 @@ pub fn two_to_one(left: Digest, right: Digest) -> Digest {
 
 /// Hashes many inputs with backend `B` in one batched dispatch: runs of
 /// equal-length inputs absorb in lockstep through
-/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 8 or
-/// 16 sponges per schedule walk instead of one.
+/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 8, 16
+/// or 32 sponges per schedule walk instead of one.
 ///
 /// Digest-for-digest identical to mapping [`hash_no_pad_with`] over
 /// `inputs`, with the identical total `B::COUNTER` accounting (counted
@@ -331,12 +324,12 @@ pub fn hash_many_with<B: SpongeBackend>(inputs: &[&[B::F]]) -> Vec<Digest<B::F>>
 }
 
 /// States the batched absorbers hand to one
-/// [`SpongeBackend::permute_batch`] dispatch — eight 8-lane groups and
-/// 6 KiB of Poseidon state, four 16-lane groups and 4 KiB of Poseidon2
-/// state — held on the stack. A run is walked in blocks of this
-/// size instead of allocating one state per input — for a 2^16-leaf level
-/// that was 6.3 MB written, permuted and read back once, the largest
-/// transient of a proof.
+/// [`SpongeBackend::permute_batch`] dispatch — 6 KiB of Poseidon state in
+/// two 32-lane vector groups (eight 8-lane array groups), 4 KiB of
+/// Poseidon2 state in four 16-lane groups — held on the stack. A run is
+/// walked in blocks of this size instead of allocating one state per
+/// input — for a 2^16-leaf level that was 6.3 MB written, permuted and
+/// read back once, the largest transient of a proof.
 const DISPATCH_BLOCK: usize = 64;
 
 /// Absorbs a run of equal-length inputs in lockstep, [`DISPATCH_BLOCK`] at
@@ -708,8 +701,9 @@ mod tests {
 
     /// The grind kernel against the reference it replaces, at every
     /// pending-buffer fill a public call can leave (0..RATE): one candidate,
-    /// one short of a 16-group, a group, one over, two groups — whatever
-    /// width the backend walks them at — and through the array entry.
+    /// one short of a 16-group, a group, one over, a 32-group, and a
+    /// 32-group with one, nine, sixteen and 25 behind it — whatever widths
+    /// the backend walks them at — and through the array entry.
     fn check_speculative_rows<B: SpongeBackend + Clone>() {
         let f = B::F::from_u64;
         for pending in 0..B::RATE as u64 {
@@ -720,7 +714,7 @@ mod tests {
                 c.observe(f(1000 + i));
             }
             let edges = [0, 1, 5, 17, 12345, 1 << 30, 1 << 40, u64::MAX].map(f);
-            let xs: Vec<B::F> = edges.into_iter().chain((0..24).map(|i| f(77 * i + pending))).collect();
+            let xs: Vec<B::F> = edges.into_iter().chain((0..49).map(|i| f(77 * i + pending))).collect();
             let want: Vec<B::F> = xs
                 .iter()
                 .map(|&x| {
@@ -730,7 +724,7 @@ mod tests {
                 })
                 .collect();
             let spec = c.speculative_challenger();
-            for len in [1, 15, 16, 17, 32] {
+            for len in [1, 15, 16, 17, 32, 33, 41, 48, 57] {
                 let mut got = vec![B::F::ZERO; len];
                 B::speculative_rows(&spec.spec, &xs[..len], &mut got);
                 assert_eq!(got, want[..len], "{} pending={pending} len={len}", B::NAME);

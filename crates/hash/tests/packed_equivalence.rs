@@ -2,7 +2,8 @@
 //! batched dispatcher against the KAT-pinned public entry.
 //!
 //! The lane count is an *execution strategy*, not a different hash: every
-//! width (1, 2, 4, 8), partial final lane groups, and every absorb length
+//! width (1, 2, 4, 8, and 32 for the grind kernel), partial final lane
+//! groups, and every absorb length
 //! 0..=24 must produce results bit-identical to `poseidon_permute` — the
 //! one-lane case of the same kernels, which `poseidon_kat.rs` pins to
 //! golden vectors. (Inside the crate, the unit tests of `packed` hold
@@ -117,13 +118,14 @@ prop! {
     /// permutation on every lane of every width.
     fn nonce_permutation_matches_scalar(
         base in arb_state(),
-        nonces in prop::collection::vec(arb_elem(), 8),
+        nonces in prop::collection::vec(arb_elem(), 32),
         lane_idx in 0usize..SPONGE_RATE,
     ) {
         check_nonce_width::<1>(&base, lane_idx, &nonces);
         check_nonce_width::<2>(&base, lane_idx, &nonces);
         check_nonce_width::<4>(&base, lane_idx, &nonces);
         check_nonce_width::<8>(&base, lane_idx, &nonces);
+        check_nonce_width::<32>(&base, lane_idx, &nonces);
     }
 }
 
@@ -144,14 +146,15 @@ fn absorb_lengths_zero_to_24_knob_invariant() {
 
 /// `permute_batch` as this host dispatches it — vector rows where the CPU
 /// has AVX-512, array rows elsewhere — against the one-lane entry, at every
-/// length 0..=40: no group, remainders below and from the padding
-/// threshold, and one to five whole groups with each remainder behind them.
+/// length 0..=72: no group, remainders below and from the padding
+/// threshold, whole 8-lane groups, and one and two whole 32-state groups,
+/// each with the 8-lane groups, padded and one-lane remainders behind it.
 #[test]
-fn dispatched_permute_batch_lengths_0_to_40_match_one_lane() {
-    let pool: Vec<[Goldilocks; WIDTH]> = (0..40u64)
+fn dispatched_permute_batch_lengths_0_to_72_match_one_lane() {
+    let pool: Vec<[Goldilocks; WIDTH]> = (0..72u64)
         .map(|s| std::array::from_fn(|i| Goldilocks::from_u64((s << 40 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))))
         .collect();
-    for len in 0..=40 {
+    for len in 0..=72 {
         let mut got = pool[..len].to_vec();
         permute_batch(&mut got);
         assert_eq!(got, scalar_batch(&pool[..len]), "len={len}");

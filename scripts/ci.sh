@@ -15,32 +15,43 @@ cargo build --release --offline --workspace
 echo "==> vector-row codegen gate (no call inside the AVX-512 Poseidon and Poseidon2 kernels)"
 # The vector rows of crates/hash/src/packed/avx512.rs (Goldilocks) and
 # crates/hash/src/packed/avx512/koalabear.rs are fast only if every
-# intrinsic is inlined into the #[target_feature] entry points, two per
-# field. One helper left without the attribute turns each intrinsic into an
-# out-of-line call through memory — six times slower than the array rows,
-# with every test green — and a state that does not stay in registers or on
-# the kernel's own stack shows up as a memcpy; the release binary is the
-# only witness. The check reads the code, not the CPU: it holds on hosts
-# without AVX-512 too.
+# intrinsic is inlined into the #[target_feature] entry points. One helper
+# left without the attribute turns each intrinsic into an out-of-line call
+# through memory — six times slower than the array rows, with every test
+# green — and a state that does not stay in registers or on the kernel's
+# own stack shows up as a memcpy; the release binary is the only witness.
+# The entry points: Goldilocks `permute_soa` on its two row types (32 lanes
+# in four registers, 8 in one; generic instantiations share a demangled
+# name) and `nonce_row` on the four-register row (the grind hands over 32
+# candidates, so the one-register instantiation has no caller in the
+# prover), and KoalaBear's `permute_states` and `squeeze_row`. Each
+# kernel's stack operands (spills and reloads) are printed, not gated, so a
+# register-allocation regression shows in the log. The check reads the
+# code, not the CPU: it holds on hosts without AVX-512 too.
 if ! command -v objdump > /dev/null; then
     echo "skipped: objdump not found"
 elif [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86-64 build, the vector rows are not compiled"
 else
     kernels="$(objdump -d -C --no-show-raw-insn target/release/contract \
-        | awk '/^[0-9a-f]+ <.*packed::avx512::(permute_soa|nonce_row|koalabear::permute_states|koalabear::squeeze_row)[^:]*>:$/ { show = 1 } /^$/ { show = 0 } show')"
-    entries="$(grep -c '^[0-9a-f]* <' <<< "$kernels" || true)"
-    if [ "$entries" -lt 4 ]; then
-        echo "FAIL: expected packed::avx512::{permute_soa, nonce_row, koalabear::permute_states, koalabear::squeeze_row}" \
-             "in target/release/contract, found $entries"
-        exit 1
-    fi
+        | awk '/^[0-9a-f]+ <.*packed::avx512::(permute_soa|nonce_row|koalabear::permute_states|koalabear::squeeze_row)(::<.*>)?>:$/ { show = 1 } /^$/ { show = 0 } show')"
+    for expected in 'permute_soa 2' 'nonce_row 1' 'koalabear::permute_states 1' 'koalabear::squeeze_row 1'; do
+        read -r name count <<< "$expected"
+        found="$(grep -cE "^[0-9a-f]+ <.*packed::avx512::$name(::<.*>)?>:\$" <<< "$kernels" || true)"
+        if [ "$found" -ne "$count" ]; then
+            echo "FAIL: expected $count of packed::avx512::$name in target/release/contract, found $found"
+            exit 1
+        fi
+    done
     if grep -E '[[:space:]]call' <<< "$kernels" | head -5 | grep .; then
         echo "FAIL: a call inside a vector kernel (first ones above): some function on the vector path lacks" \
              "#[target_feature(enable = \"avx512f\")] or is not #[inline(always)] glue, or a state is copied through memcpy"
         exit 1
     fi
-    echo "ok: $entries kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
+    awk '/^[0-9a-f]+ </ { name = $2; sub(/^<.*packed::avx512::/, "", name); sub(/>:$/, "", name); name = name " at " $1 }
+         /^ +[0-9a-f]+:/ { n[name]++; if (/\(%r[sb]p/) stack[name]++ }
+         END { for (k in n) printf "  %-50s %5d instructions, %4d stack operands\n", k, n[k], stack[k] }' <<< "$kernels" | sort
+    echo "ok: $(grep -c '^[0-9a-f]* <' <<< "$kernels") kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
 fi
 
 echo "==> cargo test -q --offline"
@@ -138,7 +149,7 @@ if compgen -G 'BENCH_*.json' > /dev/null \
     exit 1
 fi
 
-echo "==> unsafe fence (one module of unizk-hash; every other crate forbids unsafe_code)"
+echo "==> unsafe fence (one module of unizk-hash; every other crate forbids unsafe_code; asm! in one file)"
 # The AVX-512 rows need #[target_feature] functions, which only `unsafe`
 # can enter; all of it lives in the module crates/hash/src/packed/avx512.rs
 # — the Goldilocks rows in the file itself, the KoalaBear rows in its child
@@ -148,6 +159,14 @@ if grep -rnE '\bunsafe\b' crates/*/src --include='*.rs' \
         | grep -vE '^crates/hash/src/packed/avx512(\.rs|/koalabear\.rs):' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
     echo "FAIL: unsafe outside the module crates/hash/src/packed/avx512.rs"
+    exit 1
+fi
+# Inline assembly is narrower still: the file itself, where one `vpmuludq`
+# keeps the product by 2^32 - 1 from being expanded (mul_epsilon).
+if grep -rnE '\b(global_|naked_)?asm!' crates/*/src --include='*.rs' \
+        | grep -vE '^crates/hash/src/packed/avx512\.rs:' \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "FAIL: asm! outside crates/hash/src/packed/avx512.rs"
     exit 1
 fi
 for lib in crates/*/src/lib.rs; do
@@ -230,7 +249,7 @@ fi
 
 echo "==> each Merkle node hashed once (one batch check per tree in the FRI verifier)"
 # fri_verify hands each tree's openings to GenericMerkleTree::verify_many,
-# which hashes a node once per distinct input and eight at a time. A
+# which hashes a node once per distinct input, in lockstep groups. A
 # per-query `::verify(` or a `two_to_one` in the verifier is the
 # path-by-path loop coming back: 2.4x the permutations on the contract
 # shape (EXPERIMENTS.md, "Verifier: each node once").
