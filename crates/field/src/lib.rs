@@ -21,14 +21,13 @@
 //!   combination.
 //! * [`bit_reverse`] / [`reverse_index_bits`] — the bit-reversal permutations
 //!   that the NTT variants (`NN`, `NR`, …) are defined in terms of.
-//! * [`parallel_map`] / [`parallel_ranges`] — the fork/join primitives the
-//!   prover's hot loops run on, governed by the process-global
-//!   [`set_parallelism`] override (`1` = single-threaded measurement mode).
-//!   Workers inherit the caller's open `unizk_testkit::trace` span, so
-//!   timings recorded inside parallel regions aggregate under the right
-//!   parent instead of double-counting. [`run_indexed`] is the one loop
-//!   for a closed batch of unequal items (sweep points, proving jobs):
-//!   workers claim the next item, the worker count is an argument.
+//! * [`parallel_map`] / [`parallel_ranges`] and the other [`par`] helpers —
+//!   one static split into pieces of whole grains and one worker loop, for
+//!   the prover's hot loops, under the process-global [`set_parallelism`]
+//!   override (`1` = single-threaded measurement mode). Workers inherit the
+//!   caller's open `unizk_testkit::trace` span, and a worker's panic
+//!   reaches the caller unchanged. [`run_indexed`] is the one loop for a
+//!   closed batch of unequal items (sweep points, proving jobs).
 //! * [`Pool`] / [`TablePool`] — recyclable buffer free-lists. The
 //!   proof-serving pipeline bundles them into a `unizk_hash::Workspace`
 //!   and threads that through the prover so concurrent jobs reuse

@@ -1,21 +1,40 @@
-//! Minimal data-parallel helpers built on `std::thread::scope`.
+//! Data-parallel helpers: one static split and one worker loop.
 //!
 //! The CPU-baseline prover uses these to mirror the paper's multi-threaded
 //! Plonky2 baseline (§6 uses 80 threads). A process-wide override supports
 //! the single-threaded runs Table 1's breakdown methodology requires.
 //!
-//! The `parallel_*` helpers cut their input into one static chunk per
-//! thread, which suits uniform work (field elements, butterflies, leaves).
-//! [`run_indexed`] is the loop for a closed batch of *unequal* items — sweep
-//! points, proving jobs: every worker claims the next unclaimed item, so
-//! load balances at item granularity.
+//! Every helper is built on two private functions:
 //!
-//! Every helper is **trace-aware**: it captures the calling thread's
-//! open [`unizk_testkit::trace`] span path and re-attaches it inside each
-//! worker, so spans and counters recorded by workers aggregate under the
+//! * **Pieces**, the one static split, for index spaces. A caller names
+//!   its work as a length and a *grain*: the run of positions no piece may
+//!   cut (1 for independent positions, 128 leaves for a Merkle level, one
+//!   segment for an NTT). Of the `ceil(len / grain)` grains, each piece
+//!   takes `ceil(grains / threads)` in order, so there are at most
+//!   [`current_parallelism`] pieces, and one when there is one thread or
+//!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`] and
+//!   [`parallel_zip_mut`] hand their closure one piece per call.
+//! * **Workers**, the one spawn site. A single input runs on the calling
+//!   thread with no dispatch, so `set_parallelism(1)` is a true serial
+//!   mode. Otherwise each input gets a scoped thread: a piece, or for item
+//!   lists a claim loop that takes the next unclaimed item until none is
+//!   left ([`run_indexed`], and [`parallel_map`] on it), so items of
+//!   unequal cost keep every worker busy. [`parallel_first_block`] claims
+//!   blocks of an unbounded search the same way.
+//!
+//! Every worker re-attaches the caller's open [`unizk_testkit::trace`] span
+//! path, so spans and counters recorded by workers aggregate under the
 //! caller's spans (one merged total, no double counting) instead of
-//! appearing as orphaned top-level entries.
+//! appearing as orphaned top-level entries. Their collectors merge when the
+//! workers join, so a snapshot taken after a helper returns is complete.
+//!
+//! # Panics
+//!
+//! A panic in a closure reaches the caller with its own payload, at every
+//! thread count: all workers are joined first, then the payload of the
+//! first panicking piece (or claim loop) is re-raised unchanged.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -23,8 +42,9 @@ use unizk_testkit::trace::SpanHandle;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forces all [`parallel_map`] calls to use exactly `n` threads
-/// (`0` restores the default of one thread per available core).
+/// Forces every helper but [`run_indexed`] (whose worker count is an
+/// argument) to use at most `n` threads (`0` restores the default of one
+/// thread per available core).
 ///
 /// # Semantics
 ///
@@ -34,10 +54,10 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// * `set_parallelism(1)` is the measurement mode: helpers run their
 ///   closure serially on the calling thread, so wall time equals CPU time
 ///   and kernel spans nest exactly as the call tree does. The Table 1
-///   harness and `bench/baseline` both use it, matching the paper's
-///   single-threaded breakdown methodology.
-/// * The value is a worker-thread *cap*, not a floor — small inputs use
-///   fewer threads (at most one item per worker).
+///   harness and the benchmark's single-threaded rows use it, matching the
+///   paper's single-threaded breakdown methodology.
+/// * The value is a worker-thread *cap*, not a floor: work of fewer grains
+///   uses fewer threads.
 ///
 /// # Examples
 ///
@@ -53,7 +73,7 @@ pub fn set_parallelism(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// The number of worker threads [`parallel_map`] will use.
+/// The number of worker threads the helpers cut their work for.
 pub fn current_parallelism() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
@@ -65,13 +85,59 @@ pub fn current_parallelism() -> usize {
     }
 }
 
-/// Maps `f` over `items` in parallel, preserving order.
-///
-/// Falls back to a plain serial map when one thread is configured or the
-/// input is small. Worker threads inherit the caller's open trace-span
-/// path (see the module docs), and their collectors merge into the global
-/// trace store when the scope joins — so a snapshot taken after
-/// `parallel_map` returns always includes the workers' spans and counters.
+/// The one static split: `0..len` in runs of `ceil(grains / threads)`
+/// whole grains, the last run cut at `len`. Empty for `len == 0`.
+fn pieces(len: usize, grain: usize, threads: usize) -> Vec<Range<usize>> {
+    assert!(grain > 0, "grain must be positive");
+    let step = len.div_ceil(grain).div_ceil(threads.max(1)).max(1) * grain;
+    (0..len)
+        .step_by(step)
+        .map(|start| start..len.min(start + step))
+        .collect()
+}
+
+/// `values` cut at the boundaries of `pieces`, each slice with its offset.
+fn cut<'a, T>(mut values: &'a mut [T], pieces: &[Range<usize>]) -> Vec<(usize, &'a mut [T])> {
+    pieces
+        .iter()
+        .map(|piece| {
+            let (head, tail) = std::mem::take(&mut values).split_at_mut(piece.len());
+            values = tail;
+            (piece.start, head)
+        })
+        .collect()
+}
+
+/// The one worker loop: `f` over `inputs`, results in input order. One
+/// input runs on the calling thread; more get one scoped thread each, in
+/// the caller's trace-span path. All are joined before the first panic
+/// payload, in input order, is re-raised unchanged.
+fn on_workers<I: Send, R: Send>(inputs: Vec<I>, f: impl Fn(I) -> R + Sync) -> Vec<R> {
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(f).collect();
+    }
+    let (f, span) = (&f, &SpanHandle::current());
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = inputs
+            .into_iter()
+            .map(|input| {
+                scope.spawn(move || {
+                    let _trace_ctx = span.attach();
+                    f(input)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect()
+    });
+    joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect()
+}
+
+/// Maps `f` over `items` on [`current_parallelism`] threads, preserving
+/// order: [`run_indexed`]'s claim loop, one item per claim, so a list of
+/// unequal items (the verifier's Merkle trees, tallest first) balances.
 ///
 /// # Examples
 ///
@@ -102,41 +168,21 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = current_parallelism().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
+    run_indexed(current_parallelism(), items, |_, _, item| f(item))
+}
 
-    // Split into owned chunks, one per worker, preserving order.
-    let chunk = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-
-    let span = SpanHandle::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let span = &span;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| {
-                scope.spawn(move || {
-                    let _trace_ctx = span.attach();
-                    c.into_iter().map(f).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
-            .collect()
-    })
+/// Runs `f` once per piece of `0..n` (see the module docs: runs of whole
+/// `grain`s) and returns the results in order. `n == 0` makes no call.
+///
+/// # Panics
+///
+/// Panics if `grain` is zero.
+pub fn parallel_ranges<U, F>(n: usize, grain: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(Range<usize>) -> U + Sync,
+{
+    on_workers(pieces(n, grain, current_parallelism()), f)
 }
 
 /// Runs `f(worker, index, item)` over a closed batch on up to `workers`
@@ -144,17 +190,16 @@ where
 ///
 /// Every worker claims the next unclaimed item until none is left, so a
 /// batch of unequal items (a 2^10-row point beside a 2^16-row one) keeps
-/// all workers busy where the static chunks of [`parallel_map`] would
-/// leave them idle behind the one that drew the expensive chunk. `worker`
-/// is the claiming thread's index in `0..workers`, for per-worker state
-/// the caller built up front; results are slotted by `index`, so the
-/// output is the same whatever order items are claimed in.
+/// all workers busy where static pieces would leave them idle behind the
+/// one that drew the expensive piece. `worker` is the claiming thread's
+/// index in `0..workers`, for per-worker state the caller built up front;
+/// results are placed by `index`, so the output is the same whatever order
+/// items are claimed in.
 ///
-/// The worker count is the argument, not [`current_parallelism`]: the
-/// callers run one single-threaded unit of work per worker. With
-/// `workers <= 1` (or at most one item) everything runs on the calling
-/// thread as worker `0`. Workers inherit the caller's trace-span path,
-/// exactly as in [`parallel_map`].
+/// The worker count is the argument: [`parallel_map`] passes
+/// [`current_parallelism`], the proof server and the sweep one
+/// single-threaded unit of work per worker. With `workers <= 1` (or at
+/// most one item) everything runs on the calling thread as worker `0`.
 ///
 /// # Panics
 ///
@@ -180,15 +225,6 @@ where
     F: Fn(usize, usize, T) -> U + Sync,
 {
     let n = items.len();
-    let workers = workers.min(n);
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(0, i, item))
-            .collect();
-    }
-
     let unclaimed = Mutex::new(items.into_iter().enumerate());
     // The lock is held for one `next()` only, never across `f`: a panicking
     // item cannot leave the iterator half-advanced.
@@ -201,27 +237,12 @@ where
     // Each result is written once, in place, by the worker that claimed it;
     // like the claim, the store cannot panic with the lock held.
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let span = SpanHandle::current();
-    let first_panic = std::thread::scope(|scope| {
-        let (claim, slots, f, span) = (&claim, &slots, &f, &span);
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let _trace_ctx = span.attach();
-                    while let Some((i, item)) = claim() {
-                        let out = f(worker, i, item);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                    }
-                })
-            })
-            .collect();
-        // Join all before reporting: the other workers drain the batch.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined.into_iter().find_map(Result::err)
+    on_workers((0..workers.min(n).max(1)).collect(), |worker| {
+        while let Some((i, item)) = claim() {
+            let out = f(worker, i, item);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        }
     });
-    if let Some(panic) = first_panic {
-        std::panic::resume_unwind(panic);
-    }
     slots
         .into_iter()
         .map(|slot| {
@@ -232,20 +253,13 @@ where
         .collect()
 }
 
-/// Applies `f` to disjoint consecutive chunks of `values` in parallel.
-///
-/// `values` is cut into `chunk`-sized pieces (the last may be shorter); each
-/// invocation receives the chunk's starting offset within `values` and a
-/// mutable view of the chunk. Chunks are distributed contiguously over the
-/// configured worker threads, and workers inherit the caller's trace-span
-/// path exactly as in [`parallel_map`]. With one thread configured the
-/// chunks are processed in order on the calling thread with zero dispatch
-/// overhead — the property the in-place parallel NTT stages rely on to make
-/// `set_parallelism(1)` a true serial-measurement mode.
+/// Calls `f(offset, piece)` once per piece of `values` (runs of whole
+/// `grain`s, see the module docs); `offset` is the piece's start within
+/// `values`.
 ///
 /// # Panics
 ///
-/// Panics if `chunk` is zero.
+/// Panics if `grain` is zero.
 ///
 /// # Examples
 ///
@@ -253,112 +267,43 @@ where
 /// use unizk_field::par::parallel_chunks_mut;
 ///
 /// let mut v: Vec<u64> = (0..100).collect();
-/// parallel_chunks_mut(&mut v, 16, |offset, chunk| {
-///     for (i, x) in chunk.iter_mut().enumerate() {
+/// parallel_chunks_mut(&mut v, 16, |offset, piece| {
+///     assert_eq!(offset % 16, 0);
+///     for (i, x) in piece.iter_mut().enumerate() {
 ///         *x += (offset + i) as u64; // every element doubled
 ///     }
 /// });
 /// assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
 /// ```
-pub fn parallel_chunks_mut<T, F>(values: &mut [T], chunk: usize, f: F)
+pub fn parallel_chunks_mut<T, F>(values: &mut [T], grain: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    let threads = current_parallelism();
-    if threads <= 1 || values.len() <= chunk {
-        let mut start = 0;
-        for c in values.chunks_mut(chunk) {
-            let len = c.len();
-            f(start, c);
-            start += len;
-        }
-        return;
-    }
-
-    let mut chunks: Vec<(usize, &mut [T])> = Vec::new();
-    let mut start = 0;
-    for c in values.chunks_mut(chunk) {
-        let len = c.len();
-        chunks.push((start, c));
-        start += len;
-    }
-    let per_worker = chunks.len().div_ceil(threads);
-    let span = SpanHandle::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let span = &span;
-        let mut it = chunks.into_iter();
-        loop {
-            let group: Vec<(usize, &mut [T])> = it.by_ref().take(per_worker).collect();
-            if group.is_empty() {
-                break;
-            }
-            scope.spawn(move || {
-                let _trace_ctx = span.attach();
-                for (offset, c) in group {
-                    f(offset, c);
-                }
-            });
-        }
-    });
+    let pieces = pieces(values.len(), grain, current_parallelism());
+    on_workers(cut(values, &pieces), |(offset, piece)| f(offset, piece));
 }
 
-/// Processes two equal-length slices as aligned chunk pairs in parallel:
-/// `f(offset, a_chunk, b_chunk)` where both chunks cover
-/// `offset..offset + chunk` of their slice.
+/// [`parallel_chunks_mut`] over two equal-length slices cut at the same
+/// boundaries: `f(offset, a_piece, b_piece)`, both pieces covering
+/// `offset..offset + len` of their slice.
 ///
 /// This is the safe decomposition of a butterfly stage whose blocks straddle
 /// worker segments: the caller splits the block into its low and high
-/// halves, and each worker owns one aligned window of both halves. Same
-/// dispatch, trace-propagation, and serial-fallback behavior as
-/// [`parallel_chunks_mut`].
+/// halves, and each worker owns one aligned window of both halves.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length or `chunk` is zero.
-pub fn parallel_zip_mut<T, F>(a: &mut [T], b: &mut [T], chunk: usize, f: F)
+/// Panics if the slices differ in length or `grain` is zero.
+pub fn parallel_zip_mut<T, F>(a: &mut [T], b: &mut [T], grain: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T], &mut [T]) + Sync,
 {
     assert_eq!(a.len(), b.len(), "parallel_zip_mut slices must match");
-    assert!(chunk > 0, "chunk size must be positive");
-    let threads = current_parallelism();
-    if threads <= 1 || a.len() <= chunk {
-        f(0, a, b);
-        return;
-    }
-
-    let pairs: Vec<(usize, &mut [T], &mut [T])> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .scan(0, |start, (ca, cb)| {
-            let offset = *start;
-            *start += ca.len();
-            Some((offset, ca, cb))
-        })
-        .collect();
-    let per_worker = pairs.len().div_ceil(threads);
-    let span = SpanHandle::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let span = &span;
-        let mut it = pairs.into_iter();
-        loop {
-            let group: Vec<(usize, &mut [T], &mut [T])> = it.by_ref().take(per_worker).collect();
-            if group.is_empty() {
-                break;
-            }
-            scope.spawn(move || {
-                let _trace_ctx = span.attach();
-                for (offset, ca, cb) in group {
-                    f(offset, ca, cb);
-                }
-            });
-        }
-    });
+    let pieces = pieces(a.len(), grain, current_parallelism());
+    let pairs: Vec<_> = cut(a, &pieces).into_iter().zip(cut(b, &pieces)).collect();
+    on_workers(pairs, |((offset, a), (_, b))| f(offset, a, b));
 }
 
 /// Finds the first block index `k` (in ascending order) for which
@@ -366,22 +311,20 @@ where
 ///
 /// This is the deterministic search primitive behind the FRI grind: the
 /// result is the answer of the **lowest-indexed** successful block, no
-/// matter how many threads raced. The workers are spawned once; each
+/// matter how many threads raced. One claim loop runs per thread; each
 /// claims the next unclaimed block index from a shared counter, stops at
 /// its first hit (its later claims would only be higher), and stops
 /// claiming once a block below its next claim has hit. Every block below
 /// the lowest successful one is therefore evaluated, that one is too, and
-/// the lowest hit among the workers is the answer — so every parallelism
-/// setting (including the serial fallback) agrees bit-for-bit. Blocks past
-/// the first success may still be *evaluated* (speculative overshoot, at
-/// most one block per worker); callers whose `f` has side effects must
-/// make them idempotent or account for the overshoot themselves.
+/// the lowest hit among the loops is the answer — so every parallelism
+/// setting (one loop on the calling thread included) agrees bit-for-bit.
+/// Blocks past the first success may still be *evaluated* (speculative
+/// overshoot, at most one block per worker); callers whose `f` has side
+/// effects must make them idempotent or account for the overshoot
+/// themselves.
 ///
 /// `f` must return `Some` for some `k` — the search runs unboundedly
 /// upward, mirroring a `loop` over a serial scan.
-///
-/// Workers inherit the caller's trace-span path, exactly as in
-/// [`parallel_map`].
 ///
 /// # Examples
 ///
@@ -397,67 +340,24 @@ where
     U: Send,
     F: Fn(usize) -> Option<U> + Sync,
 {
-    let threads = current_parallelism();
-    if threads <= 1 {
-        return (0..)
-            .find_map(f)
-            .expect("unbounded search cannot exhaust usize");
-    }
     let next_block = AtomicUsize::new(0);
     let lowest_hit = AtomicUsize::new(usize::MAX);
-    let span = SpanHandle::current();
-    let worker = || {
-        let _trace_ctx = span.attach();
-        loop {
-            let k = next_block.fetch_add(1, Ordering::SeqCst);
-            if k > lowest_hit.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(hit) = f(k) {
-                lowest_hit.fetch_min(k, Ordering::SeqCst);
-                return Some((k, hit));
-            }
+    let search = |()| loop {
+        let k = next_block.fetch_add(1, Ordering::SeqCst);
+        if k > lowest_hit.load(Ordering::SeqCst) {
+            return None;
+        }
+        if let Some(hit) = f(k) {
+            lowest_hit.fetch_min(k, Ordering::SeqCst);
+            return Some((k, hit));
         }
     };
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        workers
-            .into_iter()
-            .filter_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .min_by_key(|&(k, _)| k)
-            .map(|(_, hit)| hit)
-            .expect("the lowest successful block is always claimed and evaluated")
-    })
-}
-
-/// Runs `f(start, end)` over disjoint subranges of `0..n` in parallel.
-///
-/// Workers inherit the caller's trace-span path, exactly as in
-/// [`parallel_map`].
-pub fn parallel_ranges<F>(n: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = current_parallelism();
-    if threads <= 1 || n < 2 {
-        f(0, n);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let span = SpanHandle::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let span = &span;
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            scope.spawn(move || {
-                let _trace_ctx = span.attach();
-                f(start, end);
-            });
-            start = end;
-        }
-    });
+    on_workers(vec![(); current_parallelism()], search)
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(k, _)| k)
+        .map(|(_, hit)| hit)
+        .expect("the lowest successful block is always claimed and evaluated")
 }
 
 #[cfg(test)]
@@ -494,12 +394,8 @@ mod tests {
 
     #[test]
     fn parallel_ranges_covers_everything() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let hits = AtomicU64::new(0);
-        parallel_ranges(1001, |s, e| {
-            hits.fetch_add((e - s) as u64, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 1001);
+        let covered = parallel_ranges(1001, 7, Iterator::collect::<Vec<usize>>).concat();
+        assert_eq!(covered, (0..1001).collect::<Vec<_>>());
     }
 
     #[test]
@@ -671,6 +567,82 @@ mod tests {
                 std::thread::current().id()
             });
             assert_eq!(out, vec![caller; 5], "workers={workers}");
+        }
+    }
+
+    /// The payload a helper's caller catches when the closure panics.
+    fn caught(run: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the closure's panic reaches the caller");
+        *err.downcast::<String>()
+            .expect("the closure's own payload, not a wrapper")
+    }
+
+    #[test]
+    fn every_helper_raises_the_closures_own_panic() {
+        let boom = |i: usize| assert!(i != 5, "boom at {i}");
+        let each = |o: usize, p: &mut [u8]| (o..o + p.len()).for_each(boom);
+        for threads in [1, 4] {
+            set_parallelism(threads);
+            let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+            let payloads = [
+                caught(|| drop(parallel_map((0..64).collect(), boom))),
+                caught(|| drop(parallel_ranges(64, 1, |r| r.for_each(boom)))),
+                caught(|| parallel_chunks_mut(&mut a, 1, each)),
+                caught(|| parallel_zip_mut(&mut a, &mut b, 1, |o, p, _| each(o, p))),
+                caught(|| drop(run_indexed(threads, (0..64).collect(), |_, _, i| boom(i)))),
+                caught(|| {
+                    parallel_first_block(|k| {
+                        boom(k);
+                        (k > 5).then_some(k)
+                    });
+                }),
+            ];
+            for (helper, payload) in payloads.iter().enumerate() {
+                assert_eq!(payload, "boom at 5", "helper {helper} at threads={threads}");
+            }
+        }
+        set_parallelism(0);
+    }
+
+    /// `0..len` in runs of `step`, the way the call sites cut their own
+    /// ranges before they named a grain.
+    fn runs(len: usize, step: usize) -> Vec<Range<usize>> {
+        let starts = (0..len).step_by(step);
+        starts.map(|s| s..len.min(s + step)).collect()
+    }
+
+    #[test]
+    fn pieces_reproduce_every_call_sites_own_split() {
+        let lens = (0..=4096).chain((13..=20).map(|bits| 1 << bits));
+        for threads in [1, 2, 3, 4, 5, 6, 8, 16] {
+            for len in lens.clone() {
+                let at = format!("len={len} threads={threads}");
+                // Quotients, leaf-table fill, coset powers, butterflies:
+                // `ceil(len / threads)` positions per worker.
+                let even = runs(len, len.div_ceil(threads).max(1));
+                assert_eq!(pieces(len, 1, threads), even, "{at}");
+                // Merkle levels: 128-leaf chunks, `ceil(chunks / threads)`
+                // per worker, serial up to one chunk.
+                let chunks = len.div_ceil(128);
+                let merkle = if threads == 1 || len <= 128 {
+                    runs(len, len.max(1))
+                } else {
+                    runs(len, chunks.div_ceil(threads.min(chunks)) * 128)
+                };
+                assert_eq!(pieces(len, 128, threads), merkle, "{at}");
+                // NTT segments: `n / segs` elements, `ceil(segs / threads)`
+                // segments per worker.
+                if len >= 2 && len.is_power_of_two() {
+                    let log_segs = threads
+                        .next_power_of_two()
+                        .trailing_zeros()
+                        .min(len.trailing_zeros() - 1);
+                    let (segs, seg) = (1usize << log_segs, len >> log_segs);
+                    let ntt = runs(len, segs.div_ceil(threads) * seg);
+                    assert_eq!(pieces(len, seg, threads), ntt, "{at}");
+                }
+            }
         }
     }
 }

@@ -1,8 +1,13 @@
 //! Trace-layer integration with the fork/join primitives: spans opened by
-//! `parallel_map` workers must aggregate under the caller's open span, and
-//! counters must merge deterministically regardless of thread count.
+//! the workers of every helper must aggregate under the caller's open span,
+//! and counters must merge deterministically regardless of thread count.
 
-use unizk_field::{parallel_map, parallel_ranges, set_parallelism};
+use std::sync::{Mutex, PoisonError};
+
+use unizk_field::{
+    parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges, parallel_zip_mut,
+    run_indexed, set_parallelism,
+};
 use unizk_testkit::trace;
 
 /// Runs `f` under a uniquely-named wrapper span and returns that span's
@@ -63,16 +68,61 @@ fn counters_merge_deterministically_across_thread_counts() {
     assert_eq!(delta("field_test.sum"), 2 * (0..97).sum::<u64>());
 }
 
+/// One item of a 64-item batch: a `field_test.item` span and one
+/// `field_test.helper_items` count.
+fn item(_: usize) {
+    let _item = trace::span("field_test.item");
+    trace::counter("field_test.helper_items", 1);
+}
+
+fn items(offset: usize, len: usize) {
+    (offset..offset + len).for_each(item);
+}
+
+/// Runs `helper` at four threads under the wrapper span `name` and
+/// requires one [`item`] span under it, and one count, per item. Callers
+/// take turns: the count is a process-global counter.
+fn reports_every_item(name: &'static str, helper: impl FnOnce()) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    set_parallelism(4);
+    let before = trace::snapshot().counter("field_test.helper_items");
+    let ((), node) = under_span(name, helper);
+    set_parallelism(0);
+    let spans = node.child("field_test.item").map(|item| item.count);
+    assert_eq!(spans, Some(64), "{name}: worker spans under the caller");
+    let counted = trace::snapshot().counter("field_test.helper_items") - before;
+    assert_eq!(counted, 64, "{name}: worker counters");
+}
+
 #[test]
 fn parallel_ranges_inherits_span_context() {
-    let (_, node) = under_span("field_test.ranges", || {
-        parallel_ranges(256, |start, end| {
-            trace::counter("field_test.range_len", (end - start) as u64);
-            let _chunk = trace::span("field_test.chunk");
+    reports_every_item("field_test.ranges", || {
+        parallel_ranges(64, 1, |r| items(r.start, r.len()));
+    });
+}
+
+#[test]
+fn every_helpers_workers_report_under_the_caller() {
+    let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+    reports_every_item("field_test.every.map", || {
+        parallel_map((0..64).collect(), item);
+    });
+    reports_every_item("field_test.every.chunks", || {
+        parallel_chunks_mut(&mut a, 1, |o, p| items(o, p.len()));
+    });
+    reports_every_item("field_test.every.zip", || {
+        parallel_zip_mut(&mut a, &mut b, 1, |o, p, _| items(o, p.len()));
+    });
+    reports_every_item("field_test.every.indexed", || {
+        run_indexed(4, (0..64).collect(), |_, _, i| item(i));
+    });
+    reports_every_item("field_test.every.first_block", || {
+        parallel_first_block(|k| {
+            if k < 64 {
+                item(k);
+            }
+            (k >= 63).then_some(k)
         });
     });
-    let chunk = node
-        .child("field_test.chunk")
-        .expect("chunk spans must attach to the caller's span");
-    assert!(chunk.count >= 1);
 }

@@ -93,10 +93,7 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         let leaves: Vec<Vec<B::F>> =
             crate::timing::time_kernel(KernelClass::LayoutTransform, || {
                 let mut table = B::F::take_table(ws, lde_size);
-                let chunk = lde_size
-                    .div_ceil(unizk_field::current_parallelism().max(1))
-                    .max(1);
-                unizk_field::parallel_chunks_mut(&mut table, chunk, |offset, rows| {
+                unizk_field::parallel_chunks_mut(&mut table, 1, |offset, rows| {
                     for (k, row) in rows.iter_mut().enumerate() {
                         row.extend(ldes.iter().map(|l| l[offset + k]));
                     }

@@ -30,7 +30,7 @@
 
 use core::fmt;
 
-use unizk_field::par::{current_parallelism, run_indexed};
+use unizk_field::par::parallel_map;
 use unizk_field::{log2_strict, ExtensionOf, Field, Polynomial, ProtocolField};
 use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, Opening, SpongeBackend};
 use unizk_testkit::trace;
@@ -165,7 +165,7 @@ pub fn fri_verify<B: SpongeBackend>(
         }
     };
     let trees = (0..batch_roots.len() + num_rounds).collect();
-    run_indexed(current_parallelism(), trees, |_, _, tree| check_tree(tree))
+    parallel_map(trees, check_tree)
         .into_iter()
         .collect::<Result<(), FriError>>()?;
     drop(merkle_span);

@@ -22,7 +22,7 @@
 //! [`GenericMerkleTree`], and the KoalaBear proof path instantiates the
 //! same code with [`crate::poseidon2_kb::Poseidon2KbSponge`].
 
-use unizk_field::{log2_strict, Goldilocks, PrimeField64};
+use unizk_field::{log2_strict, parallel_ranges, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
 use crate::sponge::{
@@ -30,10 +30,10 @@ use crate::sponge::{
 };
 use crate::workspace::Workspace;
 
-/// Leaves (or interior pairs) hashed per parallel work item. Chunking
-/// amortizes worker dispatch over many hashes instead of paying it per
-/// leaf; the value is a throughput knob, not a correctness parameter
-/// (any chunk size yields identical digests and counters).
+/// The grain of a Merkle level: workers take whole runs of this many leaves
+/// (or interior pairs), and a level of at most one grain is hashed on the
+/// calling thread. A throughput knob, not a correctness parameter (any
+/// grain yields identical digests and counters).
 const HASH_CHUNK: usize = 128;
 
 /// The one rule by which a leaf becomes a digest, Plonky2's `hash_or_noop`,
@@ -63,47 +63,26 @@ pub fn leaf_digests_with<B: SpongeBackend, L: AsRef<[B::F]>>(leaves: &[L]) -> Ve
 }
 
 /// [`leaf_digests_with`] over a whole level, into a caller-supplied
-/// (typically pooled) buffer. Under multi-threading, workers take
-/// `chunk_size` leaves at a time; chunk size, lane width and thread count
-/// are invisible in digests and counters.
-fn hash_leaves_into<B: SpongeBackend>(
-    leaves: &[Vec<B::F>],
-    chunk_size: usize,
-    out: &mut Vec<Digest<B::F>>,
-) {
-    assert!(chunk_size > 0, "chunk size must be positive");
-    if unizk_field::par::current_parallelism() == 1 || leaves.len() <= chunk_size {
-        out.extend(leaf_digests_with::<B, _>(leaves));
-        return;
-    }
-    let chunks: Vec<&[Vec<B::F>]> = leaves.chunks(chunk_size).collect();
-    for c in unizk_field::parallel_map(chunks, leaf_digests_with::<B, _>) {
-        out.extend(c);
+/// (typically pooled) buffer, in pieces of whole [`HASH_CHUNK`]s per worker;
+/// piece size, lane width and thread count are invisible in digests and
+/// counters.
+fn hash_leaves_into<B: SpongeBackend>(leaves: &[Vec<B::F>], out: &mut Vec<Digest<B::F>>) {
+    for piece in parallel_ranges(leaves.len(), HASH_CHUNK, |r| {
+        leaf_digests_with::<B, _>(&leaves[r])
+    }) {
+        out.extend(piece);
     }
 }
 
 /// One interior Merkle level: compresses adjacent digest pairs of `prev`
 /// into `out` through the batched dispatcher ([`compress_level_with`]),
-/// chunked across workers exactly like the leaves.
-fn hash_pairs_into<B: SpongeBackend>(
-    prev: &[Digest<B::F>],
-    chunk_size: usize,
-    out: &mut Vec<Digest<B::F>>,
-) {
+/// split across workers exactly like the leaves.
+fn hash_pairs_into<B: SpongeBackend>(prev: &[Digest<B::F>], out: &mut Vec<Digest<B::F>>) {
     debug_assert!(prev.len().is_multiple_of(2));
-    let n = prev.len() / 2;
-    if unizk_field::par::current_parallelism() == 1 || n <= chunk_size {
-        out.extend(compress_level_with::<B>(prev));
-        return;
-    }
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk_size)
-        .map(|s| (s, (s + chunk_size).min(n)))
-        .collect();
-    let chunks =
-        unizk_field::parallel_map(ranges, |(s, e)| compress_level_with::<B>(&prev[2 * s..2 * e]));
-    for c in chunks {
-        out.extend(c);
+    for piece in parallel_ranges(prev.len() / 2, HASH_CHUNK, |r| {
+        compress_level_with::<B>(&prev[2 * r.start..2 * r.end])
+    }) {
+        out.extend(piece);
     }
 }
 
@@ -200,16 +179,16 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         unizk_testkit::trace::counter("merkle.trees", 1);
         unizk_testkit::trace::counter("merkle.leaves", leaves.len() as u64);
         // Hashes at one level are independent (paper §5.3), so both the leaf
-        // digests and each interior level parallelize trivially; work is
-        // distributed in chunks of HASH_CHUNK hashes per worker item.
+        // digests and each interior level parallelize trivially, in pieces
+        // of whole HASH_CHUNKs.
         let mut levels = Vec::with_capacity(log2_strict(leaves.len()) + 1);
         let mut first = B::F::take_digests(ws, leaves.len());
-        hash_leaves_into::<B>(&leaves, HASH_CHUNK, &mut first);
+        hash_leaves_into::<B>(&leaves, &mut first);
         levels.push(first);
         while levels.last().expect("nonempty").len() > 1 {
             let prev = levels.last().expect("nonempty");
             let mut next = B::F::take_digests(ws, prev.len() / 2);
-            hash_pairs_into::<B>(prev, HASH_CHUNK, &mut next);
+            hash_pairs_into::<B>(prev, &mut next);
             levels.push(next);
         }
         Self { leaves, levels }

@@ -106,14 +106,13 @@ fn dif_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], thr
     let n = values.len();
     let log_n = log2_strict(n);
     let log_segs = (threads.next_power_of_two().trailing_zeros() as usize).min(log_n - 1);
-    let segs = 1usize << log_segs;
+    let seg = n >> log_segs;
 
     let mut m = n / 2;
     for tw in &tables[..log_segs] {
-        let chunk = m.div_ceil(threads).max(1);
         for block in (0..n).step_by(2 * m) {
             let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, chunk, |off, a, b| {
+            unizk_field::parallel_zip_mut(lo, hi, 1, |off, a, b| {
                 for j in 0..a.len() {
                     let x = a[j];
                     let y = b[j];
@@ -125,8 +124,10 @@ fn dif_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], thr
         m /= 2;
     }
 
-    unizk_field::parallel_chunks_mut(values, n / segs, |_, seg| {
-        dif_stages(seg, &tables[log_segs..]);
+    unizk_field::parallel_chunks_mut(values, seg, |_, piece| {
+        for segment in piece.chunks_mut(seg) {
+            dif_stages(segment, &tables[log_segs..]);
+        }
     });
 }
 
@@ -136,18 +137,19 @@ fn dit_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], thr
     let n = values.len();
     let log_n = log2_strict(n);
     let log_segs = (threads.next_power_of_two().trailing_zeros() as usize).min(log_n - 1);
-    let segs = 1usize << log_segs;
+    let seg = n >> log_segs;
 
-    unizk_field::parallel_chunks_mut(values, n / segs, |_, seg| {
-        dit_stages(seg, &tables[log_segs..]);
+    unizk_field::parallel_chunks_mut(values, seg, |_, piece| {
+        for segment in piece.chunks_mut(seg) {
+            dit_stages(segment, &tables[log_segs..]);
+        }
     });
 
     let mut m = n >> log_segs;
     for tw in tables[..log_segs].iter().rev() {
-        let chunk = m.div_ceil(threads).max(1);
         for block in (0..n).step_by(2 * m) {
             let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, chunk, |off, a, b| {
+            unizk_field::parallel_zip_mut(lo, hi, 1, |off, a, b| {
                 for j in 0..a.len() {
                     let x = a[j];
                     let y = b[j] * tw[off + j];
@@ -304,18 +306,15 @@ fn apply_coset_powers<F: PrimeField64>(values: &mut [F], shift: F) {
         return;
     }
     let powers = twiddle::coset_powers::<F>(n, shift);
-    let threads = unizk_field::current_parallelism();
-    if wants_stage_parallel(n, threads) {
-        let chunk = n.div_ceil(threads).max(1);
-        unizk_field::parallel_chunks_mut(values, chunk, |off, seg| {
-            for (j, v) in seg.iter_mut().enumerate() {
-                *v *= powers[off + j];
-            }
-        });
-    } else {
-        for (v, &p) in values.iter_mut().zip(powers.iter()) {
+    let scale = |off: usize, piece: &mut [F]| {
+        for (v, &p) in piece.iter_mut().zip(&powers[off..]) {
             *v *= p;
         }
+    };
+    if wants_stage_parallel(n, unizk_field::current_parallelism()) {
+        unizk_field::parallel_chunks_mut(values, 1, scale);
+    } else {
+        scale(0, values);
     }
 }
 

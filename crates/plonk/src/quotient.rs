@@ -7,7 +7,7 @@
 //! pair of NTTs per quotient chunk.
 
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_map, powers, reverse_index_bits, Field,
+    batch_inverse, bit_reverse, log2_strict, parallel_ranges, powers, reverse_index_bits, Field,
     Goldilocks, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
@@ -53,15 +53,6 @@ pub fn compute_quotients(
         .map(|i| zh[i / n] * n_inv * x_minus_one_inv[i])
         .collect();
 
-    // Evaluate the combined constraints at every LDE position, in parallel
-    // over position ranges.
-    let threads = unizk_field::current_parallelism();
-    let chunk_len = lde_size.div_ceil(threads.max(1));
-    let ranges: Vec<(usize, usize)> = (0..lde_size)
-        .step_by(chunk_len.max(1))
-        .map(|start| (start, (start + chunk_len).min(lde_size)))
-        .collect();
-
     // α_s^k for every round s and constraint k.
     let num_constraints = data.config.num_constraints();
     let alpha_pows: Vec<Vec<Goldilocks>> = alphas
@@ -70,10 +61,13 @@ pub fn compute_quotients(
         .collect();
 
     let partials_per_round = num_chunks; // z + (c-1) partials
-    let per_range: Vec<Vec<Vec<Goldilocks>>> = parallel_map(ranges, |(start, end)| {
-        let mut out = vec![Vec::with_capacity(end - start); s_rounds];
+
+    // Evaluate the combined constraints at every LDE position, in parallel
+    // over position ranges.
+    let per_range: Vec<Vec<Vec<Goldilocks>>> = parallel_ranges(lde_size, 1, |range| {
+        let mut out = vec![Vec::with_capacity(range.len()); s_rounds];
         let mut constraints = vec![Goldilocks::ZERO; num_constraints];
-        for i in start..end {
+        for i in range {
             let const_leaf = constants.leaf(i);
             let wire_leaf = wires.leaf(i);
             let perm_leaf = perm.leaf(i);

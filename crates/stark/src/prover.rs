@@ -4,7 +4,7 @@
 //! are unchanged and `KbStarkConfig` selects the KoalaBear stack.
 
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_map, powers, reverse_index_bits, Polynomial,
+    batch_inverse, bit_reverse, log2_strict, powers, reverse_index_bits, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::{fri_prove_in, time_kernel, GenericPolynomialBatch, KernelClass};
@@ -172,20 +172,13 @@ where
         .map(|&alpha| powers(alpha, num_transitions + boundaries.len()))
         .collect();
 
-    let threads = unizk_field::current_parallelism();
-    let chunk_len = lde_size.div_ceil(threads.max(1)).max(1);
-    let ranges: Vec<(usize, usize)> = (0..lde_size)
-        .step_by(chunk_len)
-        .map(|s| (s, (s + chunk_len).min(lde_size)))
-        .collect();
-
     let s_rounds = alphas.len();
     let dot = |pows: &[F], terms: &[F]| pows.iter().zip(terms).map(|(&a, &c)| a * c).sum::<F>();
-    let per_range: Vec<Vec<Vec<F>>> = parallel_map(ranges, |(start, end)| {
-        let mut out = vec![Vec::with_capacity(end - start); s_rounds];
+    let per_range: Vec<Vec<Vec<F>>> = unizk_field::parallel_ranges(lde_size, 1, |range| {
+        let mut out = vec![Vec::with_capacity(range.len()); s_rounds];
         let mut transitions = vec![F::ZERO; num_transitions];
         let mut boundary_terms = vec![F::ZERO; boundaries.len()];
-        for i in start..end {
+        for i in range {
             let local = trace.leaf(i);
             let t = bit_reverse(i, bits);
             let i_next = bit_reverse((t + blowup) % lde_size, bits);

@@ -1,6 +1,8 @@
 //! End-to-end Stark protocol tests over the example AIRs, plus the
 //! Starky→Plonky2 aggregation stage of Table 5.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use unizk_field::{Field, Goldilocks};
 use unizk_plonk::CircuitConfig;
 use unizk_stark::{
@@ -64,13 +66,29 @@ fn quadratic_air_proves_and_verifies() {
     verify(&air, &proof, &config).expect("verifies");
 }
 
-/// An AIR whose trace deliberately violates its transition constraints.
-#[derive(Clone)]
-struct BrokenAir {
-    inner: FibonacciAir,
+/// The one fault a [`FaultyAir`] carries over an honest Fibonacci AIR.
+enum Fault {
+    /// One interior trace cell is off by one.
+    CorruptCell,
+    /// The claimed output (boundary 2) is off by one.
+    WrongClaim,
+    /// Constraint evaluation panics at one LDE position (the 38th call).
+    PanicAtOnePosition,
 }
 
-impl Air for BrokenAir {
+struct FaultyAir {
+    inner: FibonacciAir,
+    fault: Fault,
+    calls: AtomicUsize,
+}
+
+impl FaultyAir {
+    fn new(rows: usize, fault: Fault) -> Self {
+        Self { inner: FibonacciAir::new(rows), fault, calls: AtomicUsize::new(0) }
+    }
+}
+
+impl Air for FaultyAir {
     fn width(&self) -> usize {
         self.inner.width()
     }
@@ -79,25 +97,33 @@ impl Air for BrokenAir {
     }
     fn generate_trace(&self) -> Vec<Vec<Goldilocks>> {
         let mut t = self.inner.generate_trace();
-        // Corrupt one interior cell.
-        let mid = self.rows() / 2;
-        t[1][mid] += Goldilocks::ONE;
+        if let Fault::CorruptCell = self.fault {
+            t[1][self.rows() / 2] += Goldilocks::ONE;
+        }
         t
     }
     fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+        if let Fault::PanicAtOnePosition = self.fault {
+            let call = self.calls.fetch_add(1, Ordering::SeqCst);
+            assert!(call != 37, "FaultyAir refuses one LDE position");
+        }
         self.inner.eval_transition(local, next, out);
     }
     fn num_transition_constraints(&self) -> usize {
         self.inner.num_transition_constraints()
     }
     fn boundaries(&self) -> Vec<Boundary> {
-        self.inner.boundaries()
+        let mut b = self.inner.boundaries();
+        if let Fault::WrongClaim = self.fault {
+            b[2].value += Goldilocks::ONE;
+        }
+        b
     }
 }
 
 #[test]
 fn unsatisfied_trace_cannot_prove() {
-    let air = BrokenAir { inner: FibonacciAir::new(64) };
+    let air = FaultyAir::new(64, Fault::CorruptCell);
     let config = StarkConfig::for_testing();
     assert_eq!(prove(&air, &config).unwrap_err(), StarkError::UnsatisfiedConstraints);
 }
@@ -105,33 +131,25 @@ fn unsatisfied_trace_cannot_prove() {
 #[test]
 fn wrong_boundary_cannot_prove() {
     // Claim the wrong Fibonacci output: honest trace, wrong boundary.
-    #[derive(Clone)]
-    struct WrongClaim(FibonacciAir);
-    impl Air for WrongClaim {
-        fn width(&self) -> usize {
-            self.0.width()
-        }
-        fn rows(&self) -> usize {
-            self.0.rows()
-        }
-        fn generate_trace(&self) -> Vec<Vec<Goldilocks>> {
-            self.0.generate_trace()
-        }
-        fn eval_transition<E: Field + From<Goldilocks>>(&self, l: &[E], n: &[E], out: &mut [E]) {
-            self.0.eval_transition(l, n, out);
-        }
-        fn num_transition_constraints(&self) -> usize {
-            self.0.num_transition_constraints()
-        }
-        fn boundaries(&self) -> Vec<Boundary> {
-            let mut b = self.0.boundaries();
-            b[2].value += Goldilocks::ONE; // wrong claimed output
-            b
-        }
-    }
-    let air = WrongClaim(FibonacciAir::new(64));
+    let air = FaultyAir::new(64, Fault::WrongClaim);
     let config = StarkConfig::for_testing();
     assert_eq!(prove(&air, &config).unwrap_err(), StarkError::UnsatisfiedConstraints);
+}
+
+/// The AIR's own panic reaches `prove`'s caller whether the quotient runs
+/// on the calling thread or on workers.
+#[test]
+fn a_panicking_air_reaches_the_caller_with_its_own_message() {
+    let config = StarkConfig::for_testing();
+    for threads in [1, 4] {
+        unizk_field::set_parallelism(threads);
+        let air = FaultyAir::new(64, Fault::PanicAtOnePosition);
+        let panic = std::panic::catch_unwind(|| prove(&air, &config))
+            .expect_err("the AIR's panic reaches the caller");
+        let message = panic.downcast_ref::<&str>().copied();
+        assert_eq!(message, Some("FaultyAir refuses one LDE position"), "threads={threads}");
+    }
+    unizk_field::set_parallelism(0);
 }
 
 #[test]

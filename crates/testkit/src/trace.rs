@@ -25,8 +25,8 @@
 //! * **Cross-thread nesting.** A worker thread starts with an empty span
 //!   stack. To attribute its spans under the spawning thread's open spans,
 //!   capture a [`SpanHandle`] before spawning and [`SpanHandle::attach`] it
-//!   inside the worker. `unizk_field::parallel_map` does this
-//!   automatically.
+//!   inside the worker. Every `unizk_field::par` helper does this
+//!   automatically (their one spawn site, `on_workers`).
 //! * **Epoch-guarded reset.** [`reset`] starts a new measurement epoch:
 //!   the global store is cleared and data from spans that were opened under
 //!   an older epoch is discarded at merge time, so a stale worker can never

@@ -324,6 +324,28 @@ if grep -rnE 'struct (Ext2|KbExt4)\b|impl\b.*\bfor (Ext2|KbExt4)\b' crates --inc
     exit 1
 fi
 
+echo "==> one worker loop (one spawn site, in field::par; the thread count read in par.rs and the NTT router)"
+# Every parallel helper runs on par.rs's one split (pieces of whole grains)
+# and one worker loop (on_workers: span hand-off, panic rule). A second
+# spawn outside #[cfg(test)] would copy both, and a current_parallelism()
+# call in a prover module is a caller cutting its own ranges again; radix2.rs
+# reads it to route (EXPERIMENTS.md, "One worker loop").
+spawns="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^[[:space:]]*//' \
+        | grep -E 'thread::(scope|spawn|Builder)|\.spawn\(' | sed "s|^|$f: |" || true
+done)"
+reads="$(grep -rn 'current_parallelism()' crates/*/src --include='*.rs' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+    | grep -vE '^crates/(field/src/par|ntt/src/radix2)\.rs:' || true)"
+if [ "$(grep -c '^crates/field/src/par.rs: .*thread::scope(' <<< "$spawns")" -ne 1 ] \
+        || [ "$(grep -c '^crates/field/src/par.rs: .*\.spawn(' <<< "$spawns")" -ne 1 ] \
+        || [ "$(grep -c . <<< "$spawns")" -ne 2 ] || [ -n "$reads" ]; then
+    printf '%s\n' "$spawns" "$reads"
+    echo "FAIL: threads are spawned in crates/field/src/par.rs (on_workers) only, and only par.rs and" \
+         "crates/ntt/src/radix2.rs read current_parallelism(); pass a grain to a par helper instead"
+    exit 1
+fi
+
 echo "==> repository benchmark gate (benchmark/check.sh --quick)"
 # Lints and unit tests of the benchmark package, [profile.release] parity
 # with the root manifest, and the smoke set: every workload and every

@@ -5,8 +5,8 @@
 //! are all *execution strategies*: they must produce bit-identical proofs,
 //! identical verdicts (the same error for a bad proof) and identical
 //! deterministic trace counters under every
-//! [`unizk_field::set_parallelism`] setting. This suite pins the
-//! invariant end-to-end (STARK prove → verify) and on a 2^16 coset LDE in
+//! [`unizk_field::set_parallelism`] setting. This suite pins the invariant
+//! end-to-end (STARK and Plonk prove → verify) and on a 2^16 coset LDE in
 //! isolation — a size at which multi-threaded transforms take the
 //! stage-split path, so the sweep compares it against the serial kernel
 //! through the public API.
@@ -25,6 +25,7 @@ use unizk_ntt::lde_of_values;
 use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig, StarkError};
 use unizk_testkit::rng::SplitMix64;
 use unizk_testkit::trace;
+use unizk_workloads::{App, Scale};
 
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
@@ -41,88 +42,80 @@ fn counters() -> Vec<(String, u64)> {
     trace::snapshot().counters
 }
 
-/// One run's observable outcome: the value under test plus the counters.
-type Observed<T> = Option<(T, Vec<(String, u64)>)>;
-
-#[test]
-fn stark_proof_identical_under_every_thread_count() {
+/// Runs `observe` once per thread count, each after a trace reset, and
+/// requires its value and the trace counters to repeat at every count.
+fn identical_under<T: PartialEq + std::fmt::Debug>(what: &str, observe: impl Fn() -> T) {
     let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-
-    let air = FibonacciAir::new(256);
-    let config = StarkConfig::for_testing();
-
-    let mut reference: Observed<Vec<u8>> = None;
-    for threads in [1usize, 2, 3, 0] {
+    let mut reference = None;
+    for threads in [1usize, 2, 3, 5, 0] {
         set_parallelism(threads);
         trace::reset();
-        let proof = prove(&air, &config).expect("trace satisfies the AIR");
-        verify(&air, &proof, &config).expect("honest proof verifies");
-        let got = (proof.to_bytes(), counters());
+        let got = (observe(), counters());
         match &reference {
             None => reference = Some(got),
-            Some((bytes, counts)) => {
-                assert_eq!(&got.0, bytes, "proof bytes differ at threads={threads}");
-                assert_eq!(&got.1, counts, "trace counters differ at threads={threads}");
+            Some((value, counts)) => {
+                assert_eq!(&got.0, value, "{what} differs at threads={threads}");
+                assert_eq!(&got.1, counts, "{what}: trace counters differ at threads={threads}");
             }
         }
     }
+}
+
+/// Proves and verifies `air` under every thread count and requires the
+/// proof bytes and the counters to repeat.
+fn stark_proof_sweep<F: HashField, H: SpongeBackend<F = F>>(
+    air: &FibonacciAir,
+    config: &StarkConfig<F, H>,
+) {
+    identical_under("Stark proof bytes", || {
+        let proof = prove(air, config).expect("trace satisfies the AIR");
+        verify(air, &proof, config).expect("honest proof verifies");
+        proof.to_bytes()
+    });
+}
+
+#[test]
+fn stark_proof_identical_under_every_thread_count() {
+    stark_proof_sweep(&FibonacciAir::new(256), &StarkConfig::for_testing());
+}
+
+/// The Plonk prover splits its quotient and its commitments over threads
+/// too: the benchmark's `plonk_fib_gl` circuit (2^10 rows, 135 wires)
+/// builds and proves to the same bytes and counters under every thread
+/// count.
+#[test]
+fn plonk_proof_identical_under_every_thread_count() {
+    identical_under("Plonk proof bytes", || {
+        let (circuit, inputs) = App::Fibonacci.build_circuit(Scale::Shrunk(6));
+        let proof = circuit.prove(&inputs).expect("the witness satisfies the circuit");
+        circuit.verify(&proof).expect("honest proof verifies");
+        proof.to_bytes()
+    });
+}
+
+/// The coset LDE of 2^14 random values at blowup 4: 2^16 points, where
+/// multi-threaded transforms take the stage-split path.
+fn coset_lde_sweep<F: PrimeField64>() {
+    let mut rng = SplitMix64::seed_from_u64(0x1DE);
+    let values: Vec<F> = (0..1 << 14).map(|_| F::random(&mut rng)).collect();
+    identical_under("LDE values", || {
+        let extended = lde_of_values(&values, 2, F::MULTIPLICATIVE_GENERATOR);
+        assert_eq!(extended.len(), 1 << 16);
+        extended
+    });
 }
 
 #[test]
 fn coset_lde_identical_under_every_thread_count() {
-    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = KnobGuard;
-
-    let mut rng = SplitMix64::seed_from_u64(0x1DE);
-    let values: Vec<Goldilocks> = (0..1 << 14).map(|_| Goldilocks::random(&mut rng)).collect();
-    let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
-
-    let mut reference: Observed<Vec<Goldilocks>> = None;
-    for threads in [1usize, 2, 5, 0] {
-        set_parallelism(threads);
-        trace::reset();
-        let extended = lde_of_values(&values, 2, shift);
-        assert_eq!(extended.len(), 1 << 16);
-        let got = (extended, counters());
-        match &reference {
-            None => reference = Some(got),
-            Some((vals, counts)) => {
-                assert_eq!(&got.0, vals, "LDE values differ at threads={threads}");
-                assert_eq!(&got.1, counts, "trace counters differ at threads={threads}");
-            }
-        }
-    }
-}
-
-/// Proves and verifies `air` over KoalaBear under every thread count and
-/// requires the proof bytes and the counters to repeat.
-fn koalabear_proof_sweep(air: &FibonacciAir, config: &KbStarkConfig) {
-    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = KnobGuard;
-
-    let mut reference: Observed<Vec<u8>> = None;
-    for threads in [1usize, 2, 3, 0] {
-        set_parallelism(threads);
-        trace::reset();
-        let proof = prove(air, config).expect("trace satisfies the AIR");
-        verify(air, &proof, config).expect("honest proof verifies");
-        let got = (proof.to_bytes(), counters());
-        match &reference {
-            None => reference = Some(got),
-            Some((bytes, counts)) => {
-                assert_eq!(&got.0, bytes, "KB proof bytes differ at threads={threads}");
-                assert_eq!(&got.1, counts, "KB trace counters differ at threads={threads}");
-            }
-        }
-    }
+    coset_lde_sweep::<Goldilocks>();
 }
 
 /// The 31-bit stack obeys the same invariant: `(KoalaBear, Poseidon2)`
 /// proofs are bit-identical under every thread count.
 #[test]
 fn koalabear_stark_proof_identical_under_every_thread_count() {
-    koalabear_proof_sweep(&FibonacciAir::new(256), &KbStarkConfig::for_testing_over());
+    stark_proof_sweep(&FibonacciAir::new(256), &KbStarkConfig::for_testing_over());
 }
 
 /// The same over real 16-lane groups: at 256 rows most Merkle levels are
@@ -135,35 +128,14 @@ fn koalabear_stark_proof_identical_under_every_thread_count() {
 fn koalabear_stark_proof_identical_over_whole_lane_groups() {
     let mut config = KbStarkConfig::for_testing_over();
     config.fri.proof_of_work_bits = 10;
-    koalabear_proof_sweep(&FibonacciAir::new(1 << 10), &config);
+    stark_proof_sweep(&FibonacciAir::new(1 << 10), &config);
 }
 
 /// KoalaBear coset LDE under the thread sweep — the transform that feeds
 /// every 31-bit commitment must be an execution-strategy-only parallelism.
 #[test]
 fn koalabear_coset_lde_identical_under_every_thread_count() {
-    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = KnobGuard;
-
-    let mut rng = SplitMix64::seed_from_u64(0x1DE);
-    let values: Vec<KoalaBear> = (0..1 << 14).map(|_| KoalaBear::random(&mut rng)).collect();
-    let shift = KoalaBear::MULTIPLICATIVE_GENERATOR;
-
-    let mut reference: Observed<Vec<KoalaBear>> = None;
-    for threads in [1usize, 2, 5, 0] {
-        set_parallelism(threads);
-        trace::reset();
-        let extended = lde_of_values(&values, 2, shift);
-        assert_eq!(extended.len(), 1 << 16);
-        let got = (extended, counters());
-        match &reference {
-            None => reference = Some(got),
-            Some((vals, counts)) => {
-                assert_eq!(&got.0, vals, "KB LDE values differ at threads={threads}");
-                assert_eq!(&got.1, counts, "KB trace counters differ at threads={threads}");
-            }
-        }
-    }
+    coset_lde_sweep::<KoalaBear>();
 }
 
 /// The verifier's answer and work do not depend on the thread count: the
