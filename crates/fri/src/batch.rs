@@ -12,10 +12,10 @@ use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
 use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, SpongeBackend};
 use unizk_ntt::{coset_ntt_nr, intt_nn};
+use unizk_testkit::trace;
 
 use crate::config::FriConfig;
 use crate::domain::domain_point;
-use crate::timing::KernelClass;
 
 /// The coset shift `g` every LDE in the protocol uses: the field's
 /// multiplicative generator.
@@ -77,7 +77,7 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         // index-major view of §5.1), then hash the tree.
         let shift = coset_shift::<B::F>();
         let lde_size = degree << config.rate_bits;
-        let ldes: Vec<Vec<B::F>> = crate::timing::time_kernel(KernelClass::Ntt, || {
+        let ldes: Vec<Vec<B::F>> = trace::with_span("batch.lde", || {
             let coeff_refs: Vec<&[B::F]> = polys.iter().map(|p| p.coeffs()).collect();
             unizk_field::parallel_map(coeff_refs, |c| {
                 // `lde_nr` on a pooled buffer: zero-pad, then NTT^NR on the
@@ -90,25 +90,22 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
             })
         });
 
-        let leaves: Vec<Vec<B::F>> =
-            crate::timing::time_kernel(KernelClass::LayoutTransform, || {
-                let mut table = B::F::take_table(ws, lde_size);
-                unizk_field::parallel_chunks_mut(&mut table, 1, |offset, rows| {
-                    for (k, row) in rows.iter_mut().enumerate() {
-                        row.extend(ldes.iter().map(|l| l[offset + k]));
-                    }
-                });
-                table
+        let leaves: Vec<Vec<B::F>> = trace::with_span("batch.leaves", || {
+            let mut table = B::F::take_table(ws, lde_size);
+            unizk_field::parallel_chunks_mut(&mut table, 1, |offset, rows| {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    row.extend(ldes.iter().map(|l| l[offset + k]));
+                }
             });
+            table
+        });
         // The codewords have been transposed into the leaf table; shelve
         // them for the next commitment.
         for lde in ldes {
             B::F::put_elems(ws, lde);
         }
 
-        let tree = crate::timing::time_kernel(KernelClass::MerkleTree, || {
-            GenericMerkleTree::<B>::new_in(leaves, ws)
-        });
+        let tree = GenericMerkleTree::<B>::new_in(leaves, ws);
         Self {
             polys,
             tree,
@@ -140,7 +137,7 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         config: &FriConfig,
         ws: Option<&Workspace>,
     ) -> Self {
-        let polys = crate::timing::time_kernel(KernelClass::Ntt, || {
+        let polys = trace::with_span("batch.intt", || {
             unizk_field::parallel_map(columns, |mut v| {
                 intt_nn(&mut v);
                 Polynomial::from_coeffs(v)

@@ -20,7 +20,6 @@ use crate::batch::GenericPolynomialBatch;
 use crate::config::FriConfig;
 use crate::domain::FoldDomain;
 use crate::proof::{FriFoldOpening, FriInitialOpening, FriProof, FriQueryRound};
-use crate::timing::{time_kernel, KernelClass};
 
 /// Coefficients per block of `fri.open`'s table of powers `1, ζ, …, ζ^B`
 /// ([`Polynomial::eval_at_powers`]). Building the table is the dependent
@@ -82,20 +81,18 @@ pub fn fri_prove_in<B: SpongeBackend>(
     //    binds them into the transcript.
     let _fri_span = trace::span("fri.prove");
     let openings: Vec<Vec<Vec<<B::F as ProtocolField>::Ext>>> = trace::with_span("fri.open", || {
-        time_kernel(KernelClass::Polynomial, || {
-            points
-                .iter()
-                .map(|&z| {
-                    let mut powers = [<B::F as ProtocolField>::Ext::ONE; OPEN_BLOCK + 1];
-                    for i in 1..=OPEN_BLOCK {
-                        powers[i] = powers[i - 1] * z;
-                    }
-                    batches.iter().map(|b| b.eval_all_ext(&powers)).collect()
-                })
-                .collect()
-        })
+        points
+            .iter()
+            .map(|&z| {
+                let mut powers = [<B::F as ProtocolField>::Ext::ONE; OPEN_BLOCK + 1];
+                for i in 1..=OPEN_BLOCK {
+                    powers[i] = powers[i - 1] * z;
+                }
+                batches.iter().map(|b| b.eval_all_ext(&powers)).collect()
+            })
+            .collect()
     });
-    time_kernel(KernelClass::OtherHash, || {
+    trace::with_span("fri.observe_openings", || {
         for per_point in &openings {
             for per_batch in per_point {
                 for &y in per_batch {
@@ -113,9 +110,7 @@ pub fn fri_prove_in<B: SpongeBackend>(
     //    v0(x) = Σ_t β^t · (S(x) − Y_t) / (x − z_t),
     //    with S(x) = Σ_j α^j p_j(x) over the global polynomial index.
     let mut values = trace::with_span("fri.combine", || {
-        time_kernel(KernelClass::Polynomial, || {
-            combine_initial(batches, points, &openings, alpha, beta, lde_size, ws)
-        })
+        combine_initial(batches, points, &openings, alpha, beta, lde_size, ws)
     });
 
     // 4. Commit phase: arity-2 folds, one Merkle tree per round.
@@ -128,15 +123,14 @@ pub fn fri_prove_in<B: SpongeBackend>(
     {
         let _commit_span = trace::span("fri.commit_fold");
         for _ in 0..num_rounds {
-            let tree = time_kernel(KernelClass::MerkleTree, || commit_fold_layer::<B>(&values, ws));
+            let tree = trace::with_span("fri.fold_tree", || commit_fold_layer::<B>(&values, ws));
             challenger.observe_digest(tree.root());
             commit_roots.push(tree.root());
             fold_trees.push(tree);
 
             let fold_beta = challenger.challenge_ext();
-            let folded = time_kernel(KernelClass::Polynomial, || {
-                fold_layer(&values, domain, fold_beta, ws)
-            });
+            let folded =
+                trace::with_span("fri.fold", || fold_layer(&values, domain, fold_beta, ws));
             layers.push(std::mem::replace(&mut values, folded));
             domain = domain.fold();
         }
@@ -145,51 +139,45 @@ pub fn fri_prove_in<B: SpongeBackend>(
     // 5. Final polynomial: interpolate the remaining layer and send the
     //    coefficients in the clear.
     let final_poly = trace::with_span("fri.final_poly", || {
-        time_kernel(KernelClass::Polynomial, || {
-            interpolate_final(&values, domain, config.final_poly_len)
-        })
+        interpolate_final(&values, domain, config.final_poly_len)
     });
     for &c in &final_poly {
         challenger.observe_ext(c);
     }
 
     // 6. Proof-of-work grind.
-    let pow_witness = trace::with_span("fri.grind", || {
-        time_kernel(KernelClass::OtherHash, || grind(challenger, config.proof_of_work_bits))
-    });
+    let pow_witness =
+        trace::with_span("fri.grind", || grind(challenger, config.proof_of_work_bits));
     challenger.observe(pow_witness);
     let pow_response = challenger.challenge();
     debug_assert!(pow_ok(pow_response, config.proof_of_work_bits));
 
-    // 7. Query phase: sampling indices hashes (Other Hash); assembling the
-    //    openings is pure data movement (Layout Transform).
+    // 7. Query phase: assembling the openings is data movement; sampling
+    //    each index is one short duplex.
     let _query_span = trace::span("fri.query");
     trace::counter("fri.queries", config.num_queries as u64);
     let index_bits = log2_strict(lde_size);
     let mut queries = Vec::with_capacity(config.num_queries);
     for _ in 0..config.num_queries {
-        let mut idx = time_kernel(KernelClass::OtherHash, || challenger.challenge_bits(index_bits));
-        let round = time_kernel(KernelClass::LayoutTransform, || {
-            let initial = batches
-                .iter()
-                .map(|b| FriInitialOpening {
-                    leaf: b.leaf(idx).to_vec(),
-                    proof: b.prove_leaf(idx),
-                })
-                .collect();
-            let mut folds = Vec::with_capacity(num_rounds);
-            for (round, tree) in fold_trees.iter().enumerate() {
-                let pair_index = idx >> 1;
-                let layer = &layers[round];
-                folds.push(FriFoldOpening {
-                    pair: [layer[pair_index * 2], layer[pair_index * 2 + 1]],
-                    proof: tree.prove(pair_index),
-                });
-                idx = pair_index;
-            }
-            FriQueryRound { initial, folds }
-        });
-        queries.push(round);
+        let mut idx = challenger.challenge_bits(index_bits);
+        let initial = batches
+            .iter()
+            .map(|b| FriInitialOpening {
+                leaf: b.leaf(idx).to_vec(),
+                proof: b.prove_leaf(idx),
+            })
+            .collect();
+        let mut folds = Vec::with_capacity(num_rounds);
+        for (round, tree) in fold_trees.iter().enumerate() {
+            let pair_index = idx >> 1;
+            let layer = &layers[round];
+            folds.push(FriFoldOpening {
+                pair: [layer[pair_index * 2], layer[pair_index * 2 + 1]],
+                proof: tree.prove(pair_index),
+            });
+            idx = pair_index;
+        }
+        queries.push(FriQueryRound { initial, folds });
     }
     drop(_query_span);
 

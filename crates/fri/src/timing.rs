@@ -1,19 +1,14 @@
-//! Per-kernel wall-clock accounting for the CPU baseline — a thin shim
-//! over [`unizk_testkit::trace`].
+//! Per-kernel wall-clock accounting for the CPU baseline, read from the
+//! span tree of [`unizk_testkit::trace`].
 //!
 //! Table 1 of the paper breaks single-threaded Plonky2 proving time into
-//! five kernel classes; the prover stack wraps each code region in a
-//! [`time_kernel`] guard so the same breakdown can be reproduced here.
-//!
-//! Historically this module kept its own process-global `Mutex<[Duration;
-//! 5]>`, which double-counted when a `time_kernel` region ran *inside*
-//! another one on a `parallel_map` worker (both the outer region and each
-//! worker's inner region charged the globals). It is now a façade over the
-//! testkit's span tracing: `time_kernel(class, f)` opens a span named
-//! `kernel:<class>`, and [`kernel_totals_from`] sums, for each class, only
-//! the **outermost** `kernel:*` spans — a kernel span nested under another
-//! kernel span (e.g. per-worker NTTs inside a committed batch's
-//! `Polynomial` region) is already included in its ancestor's total and is
+//! five kernel classes. The provers open one span per region and name it
+//! for what it does (`batch.lde`, `merkle.build`, `fri.grind`, …); which
+//! class a region belongs to is decided here only, by [`KernelClass::of_span`].
+//! [`kernel_totals_from`] sums, for each class, only the **outermost**
+//! classified spans: a classified span nested under another one (the
+//! `merkle.build` inside a fold layer's `fri.fold_tree`, a worker's span
+//! under its caller's) is already included in its ancestor's total and is
 //! not counted again.
 
 use std::time::Duration;
@@ -34,6 +29,29 @@ pub enum KernelClass {
     /// Data layout transformations (transposes, leaf gathering).
     LayoutTransform,
 }
+
+/// Every span a prover opens for a region of one Table 1 class. Phase
+/// spans that hold regions of several classes (`stark.trace_commit`,
+/// `fri.prove`, …) are not listed: their classified children are.
+const SPAN_CLASSES: [(&str, KernelClass); 17] = [
+    ("stark.trace_gen", KernelClass::Polynomial),
+    ("stark.quotient", KernelClass::Polynomial),
+    ("plonk.witness", KernelClass::Polynomial),
+    ("plonk.permutation", KernelClass::Polynomial),
+    ("plonk.quotient", KernelClass::Polynomial),
+    ("batch.intt", KernelClass::Ntt),
+    ("batch.lde", KernelClass::Ntt),
+    ("batch.leaves", KernelClass::LayoutTransform),
+    ("merkle.build", KernelClass::MerkleTree),
+    ("fri.open", KernelClass::Polynomial),
+    ("fri.observe_openings", KernelClass::OtherHash),
+    ("fri.combine", KernelClass::Polynomial),
+    ("fri.fold_tree", KernelClass::MerkleTree),
+    ("fri.fold", KernelClass::Polynomial),
+    ("fri.final_poly", KernelClass::Polynomial),
+    ("fri.grind", KernelClass::OtherHash),
+    ("fri.query", KernelClass::LayoutTransform),
+];
 
 impl KernelClass {
     /// All classes, in Table 1's column order.
@@ -56,38 +74,30 @@ impl KernelClass {
         }
     }
 
-    /// The span name this class records under in the trace tree
-    /// (`"kernel:<Table-1 name>"`).
-    pub fn span_name(&self) -> &'static str {
-        match self {
-            KernelClass::Polynomial => "kernel:Polynomial",
-            KernelClass::Ntt => "kernel:NTT",
-            KernelClass::MerkleTree => "kernel:Merkle Tree",
-            KernelClass::OtherHash => "kernel:Other Hash",
-            KernelClass::LayoutTransform => "kernel:Layout Transform",
-        }
-    }
-
-    /// The inverse of [`span_name`](Self::span_name).
-    pub fn from_span_name(name: &str) -> Option<KernelClass> {
-        KernelClass::ALL.into_iter().find(|c| c.span_name() == name)
+    /// The class of the region a span named `name` covers, or `None` for a
+    /// span that is not one class's region (a root or phase span).
+    pub fn of_span(name: &str) -> Option<KernelClass> {
+        SPAN_CLASSES
+            .iter()
+            .find(|(span, _)| *span == name)
+            .map(|&(_, class)| class)
     }
 }
 
 /// Accumulated time per kernel class in `report`, in Table 1 order.
 ///
-/// Sums only *outermost* `kernel:*` spans: a kernel region nested inside
-/// another kernel region (however deep, and across `parallel_map` worker
+/// Sums only *outermost* classified spans: a classified region nested
+/// inside another one (however deep, and across `parallel_map` worker
 /// threads) is part of its ancestor's wall time and is not double-counted.
 pub fn kernel_totals_from(report: &trace::TraceReport) -> [(KernelClass, Duration); 5] {
     let mut ns = [0u64; 5];
     report.walk(&mut |path, node| {
-        let Some(class) = KernelClass::from_span_name(&node.name) else {
+        let Some(class) = KernelClass::of_span(&node.name) else {
             return;
         };
         let nested = path[..path.len() - 1]
             .iter()
-            .any(|p| KernelClass::from_span_name(p).is_some());
+            .any(|p| KernelClass::of_span(p).is_some());
         if !nested {
             let index = KernelClass::ALL
                 .iter()
@@ -103,15 +113,6 @@ pub fn kernel_totals_from(report: &trace::TraceReport) -> [(KernelClass, Duratio
     out
 }
 
-/// Times `f`, charging its wall-clock duration to `class`.
-///
-/// Safe to nest (inner kernel regions are absorbed into the outermost
-/// one's total) and safe to call from `parallel_map` workers (per-thread
-/// collectors merge on worker exit — see `unizk_testkit::trace`).
-pub fn time_kernel<T>(class: KernelClass, f: impl FnOnce() -> T) -> T {
-    trace::with_span(class.span_name(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,31 +126,35 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Other tests in this binary open `kernel:*` spans concurrently
+    /// Other tests in this binary open classified spans concurrently
     /// (batch commits, prover tests), so these tests never assert on the
     /// *global* totals. Each wraps its work in a uniquely-named span and
     /// computes totals from that subtree only.
-    fn subtree_totals(root: &'static str) -> [(KernelClass, Duration); 5] {
+    fn subtree(root: &'static str) -> trace::TraceReport {
         let report = trace::snapshot();
         let node = report.node(&[root]).expect("test root span recorded");
-        kernel_totals_from(&trace::TraceReport {
+        trace::TraceReport {
             roots: node.children.clone(),
             counters: Vec::new(),
-        })
+        }
     }
 
     fn get(totals: &[(KernelClass, Duration); 5], class: KernelClass) -> Duration {
-        totals.iter().find(|(c, _)| *c == class).expect("class row").1
+        totals
+            .iter()
+            .find(|(c, _)| *c == class)
+            .expect("class row")
+            .1
     }
 
     #[test]
     fn accumulates_and_resets() {
         let _x = exclusive();
         trace::with_span("test.timing_acc", || {
-            time_kernel(KernelClass::Ntt, || std::thread::sleep(Duration::from_millis(2)));
-            time_kernel(KernelClass::Ntt, || std::thread::sleep(Duration::from_millis(2)));
+            trace::with_span("batch.lde", || std::thread::sleep(Duration::from_millis(2)));
+            trace::with_span("batch.lde", || std::thread::sleep(Duration::from_millis(2)));
         });
-        let totals = subtree_totals("test.timing_acc");
+        let totals = kernel_totals_from(&subtree("test.timing_acc"));
         assert!(get(&totals, KernelClass::Ntt) >= Duration::from_millis(4));
         trace::reset();
         // Nothing else in this binary uses this span name, so after reset
@@ -158,76 +163,84 @@ mod tests {
     }
 
     #[test]
-    fn returns_closure_value() {
-        assert_eq!(time_kernel(KernelClass::Polynomial, || 7), 7);
-    }
-
-    #[test]
     fn class_names_match_table1() {
-        assert_eq!(KernelClass::ALL.len(), 5);
         assert_eq!(KernelClass::MerkleTree.name(), "Merkle Tree");
-        for class in KernelClass::ALL {
-            assert_eq!(KernelClass::from_span_name(class.span_name()), Some(class));
-            assert_eq!(class.span_name(), format!("kernel:{}", class.name()));
+        for (i, (span, class)) in SPAN_CLASSES.iter().enumerate() {
+            assert_eq!(KernelClass::of_span(span), Some(*class));
+            assert!(
+                SPAN_CLASSES[..i].iter().all(|(s, _)| s != span),
+                "{span} listed twice"
+            );
         }
-        assert_eq!(KernelClass::from_span_name("stark.prove"), None);
+        for class in KernelClass::ALL {
+            assert!(
+                SPAN_CLASSES.iter().any(|&(_, c)| c == class),
+                "no span charged to {}",
+                class.name()
+            );
+        }
+        for phase in [
+            "stark.prove",
+            "stark.trace_commit",
+            "plonk.prove",
+            "fri.prove",
+        ] {
+            assert_eq!(KernelClass::of_span(phase), None);
+        }
     }
 
     #[test]
     fn nested_kernel_regions_do_not_double_count() {
         let _x = exclusive();
-        // The old Mutex timers charged 2 ms to MerkleTree *and* 2 ms to the
-        // nested OtherHash region, so the per-class sum exceeded wall time.
+        // A fold layer's tree: `fri.fold_tree` gathers the leaves and calls
+        // the builder, which opens `merkle.build`. Both are Merkle Tree;
+        // the class total is the outer span's time, not the sum of both.
+        // A region of another class inside it folds into the outer one.
         trace::with_span("test.timing_nested", || {
-            time_kernel(KernelClass::MerkleTree, || {
-                time_kernel(KernelClass::OtherHash, || {
-                    std::thread::sleep(Duration::from_millis(2));
+            trace::with_span("fri.fold_tree", || {
+                trace::with_span("merkle.build", || {
+                    trace::with_span("fri.observe_openings", || {
+                        std::thread::sleep(Duration::from_millis(2));
+                    });
                 });
             });
         });
-        let totals = subtree_totals("test.timing_nested");
+        let report = subtree("test.timing_nested");
+        let totals = kernel_totals_from(&report);
+        let outer = report
+            .node(&["fri.fold_tree"])
+            .expect("outer span recorded");
         assert!(get(&totals, KernelClass::MerkleTree) >= Duration::from_millis(2));
+        assert_eq!(get(&totals, KernelClass::MerkleTree), outer.total());
         assert_eq!(
             get(&totals, KernelClass::OtherHash),
             Duration::ZERO,
-            "nested kernel span must fold into its ancestor"
+            "nested classified span must fold into its ancestor"
         );
     }
 
     #[test]
     fn worker_thread_regions_merge_without_double_count() {
         let _x = exclusive();
-        // An outer kernel region fans out to workers that open their own
-        // kernel regions — the paper's commit path shape. With handle
-        // attachment the workers' spans nest under the outer one.
+        // A batch's LDE fans its columns out with `parallel_map`, and each
+        // worker opens a span of its own: the commit path's shape. The
+        // workers' spans nest under the caller's, whatever the thread count.
         trace::with_span("test.timing_workers", || {
-            time_kernel(KernelClass::Ntt, || {
-                let handle = trace::SpanHandle::current();
-                std::thread::scope(|scope| {
-                    for _ in 0..4 {
-                        let handle = handle.clone();
-                        scope.spawn(move || {
-                            let _ctx = handle.attach();
-                            time_kernel(KernelClass::Ntt, || {
-                                std::thread::sleep(Duration::from_millis(2));
-                            });
-                        });
-                    }
+            trace::with_span("batch.lde", || {
+                unizk_field::parallel_map(vec![(); 4], |()| {
+                    trace::with_span("batch.lde", || std::thread::sleep(Duration::from_millis(2)));
                 });
             });
         });
-        let totals = subtree_totals("test.timing_workers");
-        let ntt = get(&totals, KernelClass::Ntt);
-        // Outermost span's wall time only: ~2 ms (workers run in parallel),
-        // never the old behavior's outer + 4 × inner ≈ 10 ms.
-        assert!(ntt >= Duration::from_millis(2));
-        assert!(ntt < Duration::from_millis(9), "workers double-counted: {ntt:?}");
-
-        // The workers' spans are recorded, nested under the outer one.
-        let report = trace::snapshot();
-        let inner = report
-            .node(&["test.timing_workers", "kernel:NTT", "kernel:NTT"])
-            .expect("worker spans nest under the outer kernel span");
+        let report = subtree("test.timing_workers");
+        let outer = report.node(&["batch.lde"]).expect("outer span recorded");
+        let inner = outer
+            .child("batch.lde")
+            .expect("worker spans nest under the caller's");
         assert_eq!(inner.count, 4);
+        // Only the outermost span's wall time is charged, never outer +
+        // 4 × inner.
+        let totals = kernel_totals_from(&report);
+        assert_eq!(get(&totals, KernelClass::Ntt), outer.total());
     }
 }

@@ -1,11 +1,13 @@
 //! The Plonk prover: witness generation, commitments, permutation argument,
 //! quotient, and FRI openings — the full proof-generation flow of the
-//! paper's Fig. 1 and Fig. 7, with the Table 1 kernel-timer instrumentation.
+//! paper's Fig. 1 and Fig. 7, one trace span per phase (the Stark prover's
+//! tree under `plonk.prove`; `unizk_fri::timing` maps spans to Table 1).
 
 use unizk_field::{Ext2, Field, Goldilocks};
-use unizk_fri::{fri_prove, time_kernel, KernelClass, PolynomialBatch};
+use unizk_fri::{fri_prove, PolynomialBatch};
 use unizk_hash::Challenger;
 use unizk_ntt::lde_nr;
+use unizk_testkit::trace;
 
 use crate::builder::Op;
 use crate::circuit::CircuitData;
@@ -126,24 +128,23 @@ pub fn generate_witness(
 /// Returns [`PlonkError`] if witness generation fails; commitment and FRI
 /// phases are infallible for a valid witness.
 pub fn prove(data: &CircuitData, inputs: &[Goldilocks]) -> Result<Proof, PlonkError> {
+    let _prove_span = trace::span("plonk.prove");
     let mut challenger = Challenger::new();
 
-    // Witness generation counts as miscellaneous polynomial work.
-    let wires_cols = time_kernel(KernelClass::Polynomial, || generate_witness(data, inputs))?;
+    let wires_cols = trace::with_span("plonk.witness", || generate_witness(data, inputs))?;
 
     // Public inputs are read out of the witness and bound into the
     // transcript before anything else derived from them.
     let public_inputs: Vec<Goldilocks> =
         data.pi_rows.iter().map(|&r| wires_cols[0][r]).collect();
 
-    // Wires commitment (paper Fig. 7's first node): iNTT + LDE + Merkle,
-    // timed inside PolynomialBatch.
-    let wires_batch = PolynomialBatch::from_values(wires_cols.clone(), &data.config.fri);
-    time_kernel(KernelClass::OtherHash, || {
-        challenger.observe_digest(data.constants.root());
-        challenger.observe_slice(&public_inputs);
-        challenger.observe_digest(wires_batch.root());
+    // Wires commitment (paper Fig. 7's first node): iNTT + LDE + Merkle.
+    let wires_batch = trace::with_span("plonk.wires_commit", || {
+        PolynomialBatch::from_values(wires_cols.clone(), &data.config.fri)
     });
+    challenger.observe_digest(data.constants.root());
+    challenger.observe_slice(&public_inputs);
+    challenger.observe_digest(wires_batch.root());
 
     // The public-input polynomial PI(x): −v on each public-input row,
     // zero elsewhere; its LDE joins the gate constraint.
@@ -162,31 +163,29 @@ pub fn prove(data: &CircuitData, inputs: &[Goldilocks]) -> Result<Proof, PlonkEr
     let s_rounds = data.config.num_challenges;
     let mut betas = Vec::with_capacity(s_rounds);
     let mut gammas = Vec::with_capacity(s_rounds);
-    time_kernel(KernelClass::OtherHash, || {
-        for _ in 0..s_rounds {
-            betas.push(challenger.challenge());
-            gammas.push(challenger.challenge());
-        }
-    });
+    for _ in 0..s_rounds {
+        betas.push(challenger.challenge());
+        gammas.push(challenger.challenge());
+    }
 
     // Permutation columns (§5.4's partial products).
-    let perm_cols = time_kernel(KernelClass::Polynomial, || {
+    let perm_cols = trace::with_span("plonk.permutation", || {
         let mut cols = Vec::new();
         for s in 0..s_rounds {
             cols.extend(compute_permutation(data, &wires_cols, betas[s], gammas[s]).columns);
         }
         cols
     });
-    let perm_batch = PolynomialBatch::from_values(perm_cols, &data.config.fri);
-    time_kernel(KernelClass::OtherHash, || {
-        challenger.observe_digest(perm_batch.root());
+    let perm_batch = trace::with_span("plonk.perm_commit", || {
+        PolynomialBatch::from_values(perm_cols, &data.config.fri)
     });
+    challenger.observe_digest(perm_batch.root());
 
     // Constraint-combination challenges.
     let alphas: Vec<Goldilocks> = challenger.challenges(s_rounds);
 
     // Quotient polynomials.
-    let quotient_polys = time_kernel(KernelClass::Polynomial, || {
+    let quotient_polys = trace::with_span("plonk.quotient", || {
         compute_quotients(
             data,
             &data.constants,
@@ -198,14 +197,12 @@ pub fn prove(data: &CircuitData, inputs: &[Goldilocks]) -> Result<Proof, PlonkEr
             &alphas,
         )
     });
-    let quotient_batch = PolynomialBatch::from_coeffs(quotient_polys, &data.config.fri);
-    time_kernel(KernelClass::OtherHash, || {
-        challenger.observe_digest(quotient_batch.root());
+    let quotient_batch = trace::with_span("plonk.quotient_commit", || {
+        PolynomialBatch::from_coeffs(quotient_polys, &data.config.fri)
     });
+    challenger.observe_digest(quotient_batch.root());
 
-    // Opening point and FRI proof. (FRI internals are dominated by hashing
-    // and NTT work already charged inside the batch commitments; the query
-    // phase is cheap and charged as other-hash.)
+    // Opening point and FRI proof.
     let zeta = challenger.challenge_ext();
     let omega = data.omega();
     let points = [zeta, zeta * Ext2::from(omega)];

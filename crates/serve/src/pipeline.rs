@@ -26,7 +26,7 @@
 //!
 //! The batch runs inside a `serve.run` span and every prove inside a
 //! `serve.job` span under it, on whichever thread proves it, so the
-//! prover's `stark.prove` trees and `kernel:*` spans nest under
+//! prover's `stark.prove` trees, every region span included, nest under
 //! `serve.run/serve.job`. Each run publishes the counters `serve.jobs`,
 //! `serve.jobs_failed` and, with pooling on, `serve.pool.hits` /
 //! `serve.pool.misses`. Everything is merged into the trace store by the

@@ -7,7 +7,7 @@ use unizk_field::{
     batch_inverse, bit_reverse, log2_strict, powers, reverse_index_bits, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
-use unizk_fri::{fri_prove_in, time_kernel, GenericPolynomialBatch, KernelClass};
+use unizk_fri::{fri_prove_in, GenericPolynomialBatch};
 use unizk_hash::sponge::HashField;
 use unizk_hash::{GenericChallenger, SpongeBackend, Workspace};
 use unizk_testkit::trace;
@@ -73,9 +73,7 @@ where
     let mut challenger = GenericChallenger::<H>::new();
 
     // 1. Trace generation and commitment.
-    let trace = trace::with_span("stark.trace_gen", || {
-        time_kernel(KernelClass::Polynomial, || air.generate_trace())
-    });
+    let trace = trace::with_span("stark.trace_gen", || air.generate_trace());
     assert_eq!(trace.len(), air.width(), "trace width mismatch");
     let trace_batch = trace::with_span("stark.trace_commit", || {
         GenericPolynomialBatch::<H>::from_values_in(trace, &config.fri, ws)
@@ -87,9 +85,7 @@ where
 
     // 3. Quotient per challenge round.
     let quotient_polys = trace::with_span("stark.quotient", || {
-        time_kernel(KernelClass::Polynomial, || {
-            compute_quotients(air, &trace_batch, &alphas, n)
-        })
+        compute_quotients(air, &trace_batch, &alphas, n)
     })?;
     let quotient_batch = trace::with_span("stark.quotient_commit", || {
         GenericPolynomialBatch::<H>::from_coeffs_in(quotient_polys, &config.fri, ws)

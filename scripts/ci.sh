@@ -346,6 +346,26 @@ if [ "$(grep -c '^crates/field/src/par.rs: .*thread::scope(' <<< "$spawns")" -ne
     exit 1
 fi
 
+echo "==> one class table (a prover region's Table 1 class is decided by fri::timing::KernelClass::of_span only)"
+# The provers open one span per region, named for what it does, and the
+# table behind of_span says which class each name is charged to; the
+# benchmark's trace.*_ms rows and the Table 1 runner read it through
+# kernel_totals_from. A time_kernel wrapper or a "kernel:" span name would
+# decide a class at the call site again, and a second of_span would be a
+# second table (EXPERIMENTS.md, "One span per region").
+classes="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^[[:space:]]*//' \
+        | grep -E '\btime_kernel\b|"kernel:|fn of_span\b' | sed "s|^|$f: |" || true
+done)"
+if grep -E '\btime_kernel\b|"kernel:' <<< "$classes" \
+        || [ "$(grep -c 'fn of_span' <<< "$classes")" -ne 1 ] \
+        || ! grep -q '^crates/fri/src/timing.rs: .*fn of_span' <<< "$classes"; then
+    printf '%s\n' "$classes"
+    echo "FAIL: name the region's span and list it in crates/fri/src/timing.rs (KernelClass::of_span);" \
+         "no time_kernel call, no \"kernel:\" span, one of_span"
+    exit 1
+fi
+
 echo "==> repository benchmark gate (benchmark/check.sh --quick)"
 # Lints and unit tests of the benchmark package, [profile.release] parity
 # with the root manifest, and the smoke set: every workload and every
