@@ -36,6 +36,7 @@ pub fn contract() -> Json {
     let prover = Json::obj([
         ("goldilocks", prover(&StarkConfig::standard())),
         ("koalabear", prover(&KbStarkConfig::standard_over())),
+        ("plonk_fibonacci_1024x135", plonk()),
     ]);
     let serve = serve();
     unizk_field::set_parallelism(0);
@@ -64,6 +65,7 @@ fn prover<F: HashField, H: SpongeBackend<F = F>>(config: &StarkConfig<F, H>) -> 
     let checked = trace::snapshot();
     Json::obj([
         ("proof_bytes", Json::from(proof.size_bytes())),
+        ("proof_fnv1a64", digest_hex(&proof.to_bytes())),
         ("proof_bytes_by_part", proof_bytes_by_part(&proof)),
         (
             "verify",
@@ -75,6 +77,24 @@ fn prover<F: HashField, H: SpongeBackend<F = F>>(config: &StarkConfig<F, H>) -> 
         ),
         ("counters", counters(work)),
     ])
+}
+
+/// The Plonk proof of `plonk_fib_gl`'s shape: the Fibonacci circuit at
+/// 2^10 rows × 135 wires, blowup 8 — its size and the digest of its bytes.
+fn plonk() -> Json {
+    let (circuit, inputs) = App::Fibonacci.build_circuit(Scale::Shrunk(6));
+    let bytes = circuit.prove(&inputs).expect("the Fibonacci circuit is satisfiable").to_bytes();
+    Json::obj([
+        ("rows", Json::from(circuit.rows)),
+        ("wires", Json::from(circuit.config.num_wires)),
+        ("bytes", Json::from(bytes.len())),
+        ("fnv1a64", digest_hex(&bytes)),
+    ])
+}
+
+/// A byte string's FNV-1a digest as the contract prints it.
+fn digest_hex(bytes: &[u8]) -> Json {
+    Json::str(format!("{:#018x}", fnv1a64(bytes)))
 }
 
 /// `StarkProof::size_bytes` term by term. `paths` is what a format that
@@ -131,7 +151,7 @@ fn serve() -> Json {
         let bytes = spec.prove(None).expect("one-shot proves").to_bytes();
         let digest = Json::obj([
             ("bytes", Json::from(bytes.len())),
-            ("fnv1a64", Json::str(format!("{:#018x}", fnv1a64(&bytes)))),
+            ("fnv1a64", digest_hex(&bytes)),
         ]);
         (spec.key(), digest)
     }))
