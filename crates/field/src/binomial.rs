@@ -142,6 +142,11 @@ impl<F: BinomiallyExtendable<D>, const D: usize> ExtensionOf<F> for BinomialExte
         }))
     }
 
+    #[inline]
+    fn from_base_fn(limb: impl FnMut(usize) -> F) -> Self {
+        Self(core::array::from_fn(limb))
+    }
+
     fn scale(&self, s: F) -> Self {
         let mut out = *self;
         for limb in &mut out.0 {

@@ -12,6 +12,7 @@ use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::binomial::{BinomialExtension, BinomiallyExtendable};
+use crate::lanes::LaneKernel;
 use crate::traits::{Field, PrimeField64, ProtocolField};
 
 /// The field order `p = 2^64 - 2^32 + 1`.
@@ -70,6 +71,7 @@ const ROOTS_OF_UNITY: [Goldilocks; Goldilocks::TWO_ADICITY + 1] = {
 ///            Goldilocks::from_u64(2));
 /// ```
 #[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)] // a lane of `lanes::avx512` is one `u64`
 pub struct Goldilocks(u64);
 
 impl Goldilocks {
@@ -271,6 +273,17 @@ impl PrimeField64 for Goldilocks {
             Self::TWO_ADICITY
         );
         ROOTS_OF_UNITY[bits]
+    }
+
+    /// Eight lanes in one AVX-512 register when the CPU has `avx512f`,
+    /// else one.
+    #[inline]
+    fn with_lanes<K: LaneKernel<Self>>(kernel: K) -> K::Output {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = crate::lanes::avx512::detect() {
+            return detected.run(kernel);
+        }
+        kernel.run::<Self>()
     }
 
     fn random<R: unizk_testkit::rng::Rng + ?Sized>(rng: &mut R) -> Self {

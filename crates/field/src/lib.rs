@@ -16,6 +16,11 @@
 //!   seam that lets the FRI/STARK layers stay generic over the
 //!   `(base, extension)` pair.
 //! * [`Polynomial`] — a dense univariate polynomial over any [`Field`].
+//! * [`Lanes`] / [`LaneKernel`] — element-wise kernels written once over a
+//!   row of lanes: every field is its own one-lane row, and
+//!   [`PrimeField64::with_lanes`] runs Goldilocks kernels on eight lanes in
+//!   one AVX-512 register when the CPU has `avx512f` (module
+//!   `lanes::avx512`, the crate's one `unsafe` module).
 //! * [`batch_inverse`] — Montgomery's batch-inversion trick over four
 //!   interleaved chains, used by the quotient computations and the FRI
 //!   combination.
@@ -55,11 +60,12 @@
 //! assert_eq!(b * inv, Goldilocks::ONE);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod binomial;
 pub mod goldilocks;
 pub mod koalabear;
+pub mod lanes;
 pub mod par;
 pub mod poly;
 pub mod pool;
@@ -69,6 +75,7 @@ pub mod util;
 pub use binomial::{BinomialExtension, BinomiallyExtendable};
 pub use goldilocks::{Ext2, Goldilocks};
 pub use koalabear::{KbExt4, KoalaBear};
+pub use lanes::{LaneKernel, Lanes};
 pub use par::{
     current_parallelism, parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges,
     parallel_zip_mut, run_indexed, set_parallelism,

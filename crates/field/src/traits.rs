@@ -5,6 +5,8 @@ use core::hash::Hash;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::lanes::LaneKernel;
+
 /// A finite field with the operations the protocol stack needs.
 ///
 /// Implemented by both base fields ([`crate::Goldilocks`],
@@ -133,6 +135,14 @@ pub trait PrimeField64: Field + Ord + PartialOrd {
     /// Panics if `bits > Self::TWO_ADICITY`.
     fn primitive_root_of_unity(bits: usize) -> Self;
 
+    /// Runs `kernel` on this field's widest lane type the CPU executes —
+    /// by default the field itself, one lane at a time. Nothing but CPU
+    /// detection chooses (see [`crate::lanes`]).
+    #[inline]
+    fn with_lanes<K: LaneKernel<Self>>(kernel: K) -> K::Output {
+        kernel.run::<Self>()
+    }
+
     /// Samples a uniform field element.
     fn random<R: unizk_testkit::rng::Rng + ?Sized>(rng: &mut R) -> Self;
 }
@@ -165,6 +175,9 @@ pub trait ExtensionOf<F: PrimeField64>: Field + From<F> {
     ///
     /// Panics if `limbs.len() != Self::DEGREE`.
     fn from_base_slice(limbs: &[F]) -> Self;
+
+    /// Builds an element whose limb `d` is `limb(d)`, lowest degree first.
+    fn from_base_fn(limb: impl FnMut(usize) -> F) -> Self;
 
     /// Multiplies by a base-field scalar.
     fn scale(&self, s: F) -> Self;

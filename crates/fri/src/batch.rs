@@ -11,7 +11,7 @@ use unizk_field::{Field, Polynomial, PrimeField64, ProtocolField};
 use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
 use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, SpongeBackend};
-use unizk_ntt::{coset_ntt_nr, intt_nn};
+use unizk_ntt::{coset_ntt_nr_zero_tail, intt_nn};
 use unizk_testkit::trace;
 
 use crate::config::FriConfig;
@@ -81,11 +81,12 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
             let coeff_refs: Vec<&[B::F]> = polys.iter().map(|p| p.coeffs()).collect();
             unizk_field::parallel_map(coeff_refs, |c| {
                 // `lde_nr` on a pooled buffer: zero-pad, then NTT^NR on the
-                // coset (identical values and transform counters).
+                // coset, skipping the work on the zero tail (identical
+                // values and transform counters).
                 let mut padded = B::F::take_elems(ws, lde_size);
                 padded.extend_from_slice(c);
                 padded.resize(lde_size, B::F::ZERO);
-                coset_ntt_nr(&mut padded, shift);
+                coset_ntt_nr_zero_tail(&mut padded, degree, shift);
                 padded
             })
         });
@@ -184,6 +185,11 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
     /// order), i.e. the contents of leaf `index`.
     pub fn leaf(&self, index: usize) -> &[B::F] {
         self.tree.leaf(index)
+    }
+
+    /// Every leaf, in LDE position order (bit-reversed).
+    pub fn leaves(&self) -> &[Vec<B::F>] {
+        self.tree.leaves()
     }
 
     /// Merkle authentication path for leaf `index`.

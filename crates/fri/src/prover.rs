@@ -6,9 +6,10 @@
 //! the Goldilocks/Poseidon aliases make existing call sites infer
 //! `B = PoseidonSponge` with no changes.
 
+use unizk_field::lanes::dot_rows;
 use unizk_field::{
-    batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, Polynomial,
-    PrimeField64, ProtocolField,
+    batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, LaneKernel, Lanes,
+    Polynomial, PrimeField64, ProtocolField,
 };
 use unizk_hash::sponge::HashField;
 use unizk_hash::workspace::Workspace;
@@ -300,20 +301,26 @@ fn combine_initial<B: SpongeBackend>(
         .collect();
     let quotient = OpeningQuotient::<B::F>::new(points, &y_combined, beta);
 
-    // S(x_i) = Σ_j α^j p_j(x_i), walking each leaf once, into the numerator;
-    // D(x_i) beside it.
-    let xs = FoldDomain::<B::F>::initial(lde_size).points();
+    // S(x_i) = Σ_j α^j p_j(x_i): limb d of S is the base-field dot product
+    // of the leaf with limb d of the α powers, one table per limb.
+    let limbs: Vec<Vec<B::F>> = (0..<E<B> as ExtensionOf<B::F>>::DEGREE)
+        .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
+        .collect();
+    let leaves: Vec<&[Vec<B::F>]> = batches.iter().map(|b| b.leaves()).collect();
     let mut values = B::F::take_ext_elems(ws, lde_size);
+    values.resize(lde_size, E::<B>::ZERO);
+    B::F::with_lanes(LeafSums {
+        leaves: &leaves,
+        limbs: &limbs,
+        sums: &mut values,
+    });
+
+    // Into the numerator, D(x_i) beside it.
+    let xs = FoldDomain::<B::F>::initial(lde_size).points();
     let mut denoms = B::F::take_ext_elems(ws, lde_size);
-    for (i, &x) in xs.iter().enumerate() {
-        let leaf_values = batches.iter().flat_map(|b| b.leaf(i));
-        let s = alpha_pows
-            .iter()
-            .zip(leaf_values)
-            .map(|(a, &v)| a.scale(v))
-            .sum::<E<B>>();
-        let (numerator, denominator) = quotient.at(x, s);
-        values.push(numerator);
+    for (value, &x) in values.iter_mut().zip(&xs) {
+        let (numerator, denominator) = quotient.at(x, *value);
+        *value = numerator;
         denoms.push(denominator);
     }
     let inv = batch_inverse(&denoms);
@@ -323,6 +330,34 @@ fn combine_initial<B: SpongeBackend>(
     B::F::put_ext_elems(ws, denoms);
     B::F::put_ext_elems(ws, inv);
     values
+}
+
+/// The kernel of [`combine_initial`]'s sum: `sums[i] = Σ_j α^j p_j(x_i)`
+/// over the leaves at position `i` of every batch, in global polynomial
+/// order, each limb a [`dot_rows`] against its table in `limbs`.
+struct LeafSums<'a, F, E> {
+    leaves: &'a [&'a [Vec<F>]],
+    limbs: &'a [Vec<F>],
+    sums: &'a mut [E],
+}
+
+impl<F: PrimeField64, E: ExtensionOf<F>> LaneKernel<F> for LeafSums<'_, F, E> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        for (i, sum) in self.sums.iter_mut().enumerate() {
+            let mut offset = 0;
+            for batch in self.leaves {
+                let Some(leaf) = batch.get(i) else { continue };
+                *sum += E::from_base_fn(|d| {
+                    let limb = self.limbs.get(d).and_then(|t| t.get(offset..)).unwrap_or_default();
+                    dot_rows::<L>(limb, leaf)
+                });
+                offset += leaf.len();
+            }
+        }
+    }
 }
 
 /// Builds the Merkle tree over fold pairs of a layer: leaf `k` holds the

@@ -228,6 +228,11 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         &self.leaves[index]
     }
 
+    /// Every leaf's contents, in leaf order.
+    pub fn leaves(&self) -> &[Vec<B::F>] {
+        &self.leaves
+    }
+
     /// Produces the authentication path for leaf `index`.
     ///
     /// # Panics

@@ -6,11 +6,12 @@
 //! A residue register is a `__m512i` of eight `u64` lanes. AVX-512F has no
 //! 64 × 64-bit multiply, so every product goes through `vpmuludq`
 //! (32 × 32 → 64 per lane) on 32-bit halves: four of them and a carry chain
-//! for a residue × residue product, two for a small constant × residue. The
-//! Goldilocks folds are the scalar ones (`2^64 ≡ 2^32 − 1`, `2^96 ≡ −1`)
-//! with the carries taken from unsigned compares into mask registers; the
-//! product by `2^32 − 1` is one `vpmuludq` written as `asm!`
-//! ([`mul_epsilon`]), because the optimizer otherwise expands it.
+//! for a residue × residue product ([`mul`]), two for a small constant ×
+//! residue ([`mac`]). The residue × residue product, its carry fold
+//! ([`add_fold`]) and the product by `2^32 − 1` ([`mul_epsilon`], the
+//! workspace's one `asm!`) are the ones the Goldilocks lanes of
+//! `unizk_field::lanes::avx512` are built on, imported from there: the
+//! workspace has one vector Goldilocks product.
 //!
 //! One register's walk is latency-bound: the 22 partial rounds are one
 //! serial S-box chain. A row of K registers issues every operation once per
@@ -41,36 +42,27 @@
 //!   an instantiation; the entry points are reached only through
 //!   [`Detected`]'s [`Kernels`], and a `Detected` exists only after
 //!   `avx512f` was detected.
-//! * `asm!` appears once, in [`mul_epsilon`], and nowhere else in the
-//!   workspace; `scripts/ci.sh` holds that too.
+//! * There is no `asm!` here: the one in the workspace is `mul_epsilon` in
+//!   `unizk_field::lanes::avx512`; `scripts/ci.sh` holds that too.
 
 #![allow(unsafe_code)]
 
-use core::arch::asm;
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epu64_mask, _mm512_loadu_si512,
-    _mm512_mask_add_epi64, _mm512_mask_shuffle_epi32, _mm512_mask_sub_epi64, _mm512_mul_epu32,
-    _mm512_set1_epi32, _mm512_set1_epi64, _mm512_shuffle_epi32, _mm512_slli_epi64,
-    _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _MM_PERM_ENUM,
+    __m512i, _mm512_add_epi64, _mm512_loadu_si512, _mm512_mul_epu32, _mm512_set1_epi32,
+    _mm512_set1_epi64, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512, _MM_PERM_ENUM,
 };
 
+use unizk_field::lanes::avx512::{add_fold, mul, mul_epsilon};
 use unizk_field::Goldilocks;
+
+/// `vpshufd` pattern `[1, 1, 3, 3]`: the high half of every 64-bit lane
+/// copied over its low half (what `vpmuludq` reads).
+const HIGH_TO_LOW: _MM_PERM_ENUM = 0b11_11_01_01;
 
 use super::{nonce_row as nonce_row_on, permute_rows, Kernels, Row};
 use crate::poseidon::{constants, NoncePermutation, WIDTH};
 
 pub(crate) mod koalabear;
-
-/// `2^32 − 1 ≡ 2^64 (mod p)`, and the mask of a low half.
-const EPSILON: i64 = 0xFFFF_FFFF;
-
-/// `vpshufd` pattern `[1, 1, 3, 3]`: the high half of every 64-bit lane
-/// copied over its low half (what `vpmuludq` reads).
-const HIGH_TO_LOW: _MM_PERM_ENUM = 0b11_11_01_01;
-/// `vpshufd` pattern `[0, 0, 2, 2]`: the low half copied over the high half.
-const LOW_TO_HIGH: _MM_PERM_ENUM = 0b10_10_00_00;
-/// The odd 32-bit elements: the high halves of the eight lanes.
-const HIGH_HALVES: u16 = 0xAAAA;
 
 /// Proof that this CPU executes AVX-512F, from [`detect`].
 #[derive(Clone, Copy)]
@@ -264,75 +256,11 @@ fn splat(x: u64) -> __m512i {
     _mm512_set1_epi64(x.cast_signed())
 }
 
-/// `a + b` where the true sum is below `2^64 + p`: a carry out of bit 64 is
-/// folded back as `2^32 − 1`, which cannot carry again.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn add_fold(a: __m512i, b: __m512i) -> __m512i {
-    let sum = _mm512_add_epi64(a, b);
-    let carry = _mm512_cmplt_epu64_mask(sum, b);
-    _mm512_mask_add_epi64(sum, carry, sum, _mm512_set1_epi64(EPSILON))
-}
-
 /// [`Goldilocks::add_residue`] on eight lanes.
 #[target_feature(enable = "avx512f")]
 #[inline]
 fn add_const(a: __m512i, c: u64) -> __m512i {
     add_fold(a, splat(c))
-}
-
-/// [`Goldilocks::mul_residue`] on eight lanes: the 128-bit product from
-/// four half products, then [`Goldilocks::reduce128_residue`].
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn mul(a: __m512i, b: __m512i) -> __m512i {
-    let epsilon = _mm512_set1_epi64(EPSILON);
-    let a_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(a);
-    let b_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(b);
-    let ll = _mm512_mul_epu32(a, b);
-    let lh = _mm512_mul_epu32(a, b_hi);
-    let hl = _mm512_mul_epu32(a_hi, b);
-    let hh = _mm512_mul_epu32(a_hi, b_hi);
-    // ll + 2^32·(lh + hl) + 2^64·hh, column by column. A half product is at
-    // most (2^32 − 1)^2 = 2^64 − 2^33 + 1, so it takes a 32-bit carry-in
-    // without overflowing.
-    let t0 = _mm512_add_epi64(hl, _mm512_srli_epi64::<32>(ll));
-    let t1 = _mm512_add_epi64(lh, _mm512_and_si512(t0, epsilon));
-    let lo = _mm512_mask_shuffle_epi32::<LOW_TO_HIGH>(ll, HIGH_HALVES, t1);
-    let hi = _mm512_add_epi64(
-        _mm512_add_epi64(hh, _mm512_srli_epi64::<32>(t0)),
-        _mm512_srli_epi64::<32>(t1),
-    );
-    // lo − (hi >> 32) + (hi mod 2^32)·(2^32 − 1): a borrow takes 2^32 − 1
-    // back out (that is, adds p), a carry puts it back in.
-    let hi_hi = _mm512_srli_epi64::<32>(hi);
-    let diff = _mm512_sub_epi64(lo, hi_hi);
-    let borrow = _mm512_cmplt_epu64_mask(lo, hi_hi);
-    let diff = _mm512_mask_sub_epi64(diff, borrow, diff, epsilon);
-    add_fold(diff, mul_epsilon(hi))
-}
-
-/// `(x mod 2^32) · (2^32 − 1)` per lane, one `vpmuludq`. Spelled as an
-/// intrinsic, the optimizer rewrites the product by this constant as
-/// `(x << 32) − x` on the masked low half — three instructions, one of them
-/// a port-0 shift — and no intrinsic-level spelling keeps it from doing so.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn mul_epsilon(x: __m512i) -> __m512i {
-    let epsilon = _mm512_set1_epi64(EPSILON);
-    let product;
-    // SAFETY: `vpmuludq` on registers only: no memory, stack or flags, and
-    // the enclosing function requires avx512f, which zmm operands need.
-    unsafe {
-        asm!(
-            "vpmuludq {product}, {x}, {epsilon}",
-            product = lateout(zmm_reg) product,
-            x = in(zmm_reg) x,
-            epsilon = in(zmm_reg) epsilon,
-            options(pure, nomem, nostack, preserves_flags),
-        );
-    }
-    product
 }
 
 /// `x^7`; the two squarings share a cross product, which the optimizer

@@ -6,9 +6,9 @@
 //! evaluation domain disjoint from the original trace domain, which the
 //! protocol needs to divide by the vanishing polynomial safely.
 
-use unizk_field::{Field, PrimeField64};
+use unizk_field::{reverse_index_bits, Field, PrimeField64};
 
-use crate::radix2::{coset_ntt_nn, coset_ntt_nr, intt_nn};
+use crate::radix2::{coset_ntt_nr_zero_tail, intt_nn};
 
 /// Extends coefficients to evaluations on the coset `shift·H'` of size
 /// `coeffs.len() << rate_bits`, natural order.
@@ -17,8 +17,8 @@ use crate::radix2::{coset_ntt_nn, coset_ntt_nr, intt_nn};
 ///
 /// Panics if `coeffs.len()` is not a power of two.
 pub fn lde<F: PrimeField64>(coeffs: &[F], rate_bits: usize, shift: F) -> Vec<F> {
-    let mut padded = zero_pad(coeffs, rate_bits);
-    coset_ntt_nn(&mut padded, shift);
+    let mut padded = lde_nr(coeffs, rate_bits, shift);
+    reverse_index_bits(&mut padded);
     padded
 }
 
@@ -32,7 +32,7 @@ pub fn lde<F: PrimeField64>(coeffs: &[F], rate_bits: usize, shift: F) -> Vec<F> 
 /// Panics if `coeffs.len()` is not a power of two.
 pub fn lde_nr<F: PrimeField64>(coeffs: &[F], rate_bits: usize, shift: F) -> Vec<F> {
     let mut padded = zero_pad(coeffs, rate_bits);
-    coset_ntt_nr(&mut padded, shift);
+    coset_ntt_nr_zero_tail(&mut padded, coeffs.len(), shift);
     padded
 }
 

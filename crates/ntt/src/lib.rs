@@ -43,6 +43,6 @@ pub use lde::{lde, lde_nr, lde_of_values};
 pub use transpose::{transpose, transpose_tile_count, transpose_tiled};
 pub use naive::{naive_coset_dft, naive_dft, naive_idft};
 pub use radix2::{
-    coset_intt_nn, coset_intt_rn_uncounted, coset_ntt_nn, coset_ntt_nr, intt_nn, intt_rn, ntt_nn,
-    ntt_nr, ntt_rn,
+    coset_intt_nn, coset_intt_rn_uncounted, coset_ntt_nn, coset_ntt_nr, coset_ntt_nr_zero_tail,
+    intt_nn, intt_rn, ntt_nn, ntt_nr, ntt_rn,
 };

@@ -25,7 +25,7 @@
 //! once per logical transform before the path choice — are bit-identical
 //! for every thread count. The determinism suite pins this down.
 
-use unizk_field::{log2_strict, reverse_index_bits, PrimeField64};
+use unizk_field::{lanes, log2_strict, reverse_index_bits, Field, LaneKernel, Lanes, PrimeField64};
 
 use crate::twiddle;
 
@@ -44,6 +44,12 @@ fn wants_stage_parallel(n: usize, threads: usize) -> bool {
 /// and butterfly volume (`n/2·log₂ n`, the unit Fig. 9's NTT speedups are
 /// normalized over). One bump per transform, so the cost is negligible
 /// even for the smallest sizes.
+///
+/// The counters count the *logical* transform of `n` points, not the
+/// butterflies executed: [`coset_ntt_nr_zero_tail`] skips the work on a
+/// zero tail and bumps them as the full transform, and the NTT node of the
+/// chip graph (`unizk_core::compiler`) costs the same logical transform —
+/// which is what lets `CONTRACT.json` hold the two to one count.
 pub(crate) fn count_transform(n: usize) {
     use unizk_testkit::trace;
     trace::counter("ntt.transforms", 1);
@@ -59,42 +65,122 @@ pub(crate) fn count_transform(n: usize) {
 /// transform runs its remaining stages with exactly the tail `&tables[s..]`
 /// of the full table set — the property the parallel split relies on.
 fn dif_stages<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>]) {
-    let n = values.len();
-    let mut m = n / 2;
-    let mut stage = 0;
-    while m >= 1 {
-        let tw = &tables[stage];
-        for block in (0..n).step_by(2 * m) {
-            for j in 0..m {
-                let a = values[block + j];
-                let b = values[block + j + m];
-                values[block + j] = a + b;
-                values[block + j + m] = (a - b) * tw[j];
-            }
-        }
-        m /= 2;
-        stage += 1;
-    }
+    F::with_lanes(DifStages { values, tables });
 }
 
 /// Serial DIT stage loop over `values` (mirror of [`dif_stages`]).
 fn dit_stages<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>]) {
-    let n = values.len();
-    let log_n = log2_strict(n);
-    let mut m = 1;
-    let mut stage = log_n;
-    while m < n {
-        stage -= 1;
-        let tw = &tables[stage];
-        for block in (0..n).step_by(2 * m) {
-            for j in 0..m {
-                let a = values[block + j];
-                let b = values[block + j + m] * tw[j];
-                values[block + j] = a + b;
-                values[block + j + m] = a - b;
+    F::with_lanes(DitStages { values, tables });
+}
+
+/// The kernel of [`dif_stages`]: stage by stage, block by block, each
+/// stage on rows of `L` where its half-size holds whole rows.
+struct DifStages<'a, F> {
+    values: &'a mut [F],
+    tables: &'a [Vec<F>],
+}
+
+impl<F: Field> LaneKernel<F> for DifStages<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        let mut block = self.values.len();
+        for tw in self.tables {
+            if block < 2 {
+                break;
             }
+            for block in self.values.chunks_exact_mut(block) {
+                let (lo, hi) = block.split_at_mut(block.len() / 2);
+                dif_butterflies::<L>(lo, hi, tw);
+            }
+            block /= 2;
         }
-        m *= 2;
+    }
+}
+
+/// The kernel of [`dit_stages`].
+struct DitStages<'a, F> {
+    values: &'a mut [F],
+    tables: &'a [Vec<F>],
+}
+
+impl<F: Field> LaneKernel<F> for DitStages<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        let n = self.values.len();
+        let mut block: usize = 2;
+        for tw in self.tables.iter().rev() {
+            if block > n || block == 0 {
+                break;
+            }
+            for block in self.values.chunks_exact_mut(block) {
+                let (lo, hi) = block.split_at_mut(block.len() / 2);
+                dit_butterflies::<L>(lo, hi, tw);
+            }
+            block *= 2;
+        }
+    }
+}
+
+/// One half-block window of a straddling stage (the parallel paths), DIF
+/// (`dit = false`) or DIT.
+struct Butterflies<'a, F> {
+    lo: &'a mut [F],
+    hi: &'a mut [F],
+    tw: &'a [F],
+    dit: bool,
+}
+
+impl<F: Field> LaneKernel<F> for Butterflies<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        if self.dit {
+            dit_butterflies::<L>(self.lo, self.hi, self.tw);
+        } else {
+            dif_butterflies::<L>(self.lo, self.hi, self.tw);
+        }
+    }
+}
+
+/// `lo[j], hi[j] ← lo[j] + hi[j], (lo[j] − hi[j])·tw[j]` over the length
+/// of `lo`: whole rows of `L`, then the rest one lane at a time (all of it
+/// when a stage's half-size is below one row).
+#[inline(always)]
+fn dif_butterflies<L: Lanes>(lo: &mut [L::Scalar], hi: &mut [L::Scalar], tw: &[L::Scalar]) {
+    let w = L::WIDTH;
+    for ((a, b), t) in lo.chunks_exact_mut(w).zip(hi.chunks_exact_mut(w)).zip(tw.chunks_exact(w)) {
+        let (x, y) = (L::load(a), L::load(b));
+        (x + y).store(a);
+        ((x - y) * L::load(t)).store(b);
+    }
+    let done = lo.len() / w * w;
+    for ((a, b), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(tw).skip(done) {
+        let (x, y) = (*a, *b);
+        *a = x + y;
+        *b = (x - y) * t;
+    }
+}
+
+/// `lo[j], hi[j] ← lo[j] + hi[j]·tw[j], lo[j] − hi[j]·tw[j]` (mirror of
+/// [`dif_butterflies`]).
+#[inline(always)]
+fn dit_butterflies<L: Lanes>(lo: &mut [L::Scalar], hi: &mut [L::Scalar], tw: &[L::Scalar]) {
+    let w = L::WIDTH;
+    for ((a, b), t) in lo.chunks_exact_mut(w).zip(hi.chunks_exact_mut(w)).zip(tw.chunks_exact(w)) {
+        let (x, y) = (L::load(a), L::load(b) * L::load(t));
+        (x + y).store(a);
+        (x - y).store(b);
+    }
+    let done = lo.len() / w * w;
+    for ((a, b), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(tw).skip(done) {
+        let (x, y) = (*a, *b * t);
+        *a = x + y;
+        *b = x - y;
     }
 }
 
@@ -112,13 +198,8 @@ fn dif_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], thr
     for tw in &tables[..log_segs] {
         for block in (0..n).step_by(2 * m) {
             let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, 1, |off, a, b| {
-                for j in 0..a.len() {
-                    let x = a[j];
-                    let y = b[j];
-                    a[j] = x + y;
-                    b[j] = (x - y) * tw[off + j];
-                }
+            unizk_field::parallel_zip_mut(lo, hi, 1, |off, lo, hi| {
+                F::with_lanes(Butterflies { lo, hi, tw: &tw[off..], dit: false });
             });
         }
         m /= 2;
@@ -149,13 +230,8 @@ fn dit_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], thr
     for tw in tables[..log_segs].iter().rev() {
         for block in (0..n).step_by(2 * m) {
             let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, 1, |off, a, b| {
-                for j in 0..a.len() {
-                    let x = a[j];
-                    let y = b[j] * tw[off + j];
-                    a[j] = x + y;
-                    b[j] = x - y;
-                }
+            unizk_field::parallel_zip_mut(lo, hi, 1, |off, lo, hi| {
+                F::with_lanes(Butterflies { lo, hi, tw: &tw[off..], dit: true });
             });
         }
         m *= 2;
@@ -210,9 +286,7 @@ pub(crate) fn ntt_nn_uncounted<F: PrimeField64>(values: &mut [F]) {
 
 fn scale_by_n_inv<F: PrimeField64>(values: &mut [F]) {
     let n_inv = F::from_u64(values.len() as u64).inverse();
-    for v in values.iter_mut() {
-        *v *= n_inv;
-    }
+    lanes::scale(values, n_inv);
 }
 
 /// Forward NTT, natural input, bit-reversed output (`NTT^NR`).
@@ -273,6 +347,93 @@ pub fn coset_ntt_nr<F: PrimeField64>(values: &mut [F], shift: F) {
     ntt_nr(values);
 }
 
+/// [`coset_ntt_nr`] of a vector whose entries from `degree` on are zero —
+/// the zero-padded low-degree extension by `values.len() / degree` — without
+/// the work on the zeros: only the first `degree` entries are scaled, and
+/// in the first `log₂(len / degree)` DIF stages, where every block's upper
+/// half is zero, a butterfly is a copy and one product. Values and `ntt.*`
+/// counters are those of [`coset_ntt_nr`] (the counters count the logical
+/// transform, see [`count_transform`]). A transform the stage-parallel path
+/// takes runs in full there.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two or `degree` is not a power
+/// of two no larger than it.
+pub fn coset_ntt_nr_zero_tail<F: PrimeField64>(values: &mut [F], degree: usize, shift: F) {
+    let n = values.len();
+    assert!(degree.is_power_of_two() && degree <= n, "degree {degree} must be a power of two <= {n}");
+    debug_assert!(values[degree..].iter().all(F::is_zero), "entries from `degree` on must be zero");
+    if n <= 1 || wants_stage_parallel(n, unizk_field::current_parallelism()) {
+        coset_ntt_nr(values, shift);
+        return;
+    }
+    count_transform(n);
+    let powers = twiddle::coset_powers::<F>(n, shift);
+    lanes::mul_assign(&mut values[..degree], &powers[..degree]);
+    let tables = twiddle::stage_tables::<F>(n, false);
+    let (spread, rest) = tables.split_at(log2_strict(n / degree));
+    F::with_lanes(ZeroTailDif {
+        values,
+        degree,
+        spread,
+        rest,
+    });
+}
+
+/// The kernel of [`coset_ntt_nr_zero_tail`]: the stages that spread the
+/// nonzero prefix, then [`DifStages`] on every `degree`-long segment.
+struct ZeroTailDif<'a, F> {
+    values: &'a mut [F],
+    degree: usize,
+    spread: &'a [Vec<F>],
+    rest: &'a [Vec<F>],
+}
+
+impl<F: Field> LaneKernel<F> for ZeroTailDif<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        let degree = self.degree;
+        let mut block = self.values.len();
+        for tw in self.spread {
+            if block < 2 {
+                break;
+            }
+            for block in self.values.chunks_exact_mut(block) {
+                let (lo, hi) = block.split_at_mut(block.len() / 2);
+                spread_butterflies::<L>(lo, hi, tw, degree);
+            }
+            block /= 2;
+        }
+        if degree == 0 {
+            return;
+        }
+        for segment in self.values.chunks_exact_mut(degree) {
+            DifStages {
+                values: segment,
+                tables: self.rest,
+            }
+            .run::<L>();
+        }
+    }
+}
+
+/// [`dif_butterflies`] over the first `len` positions when `hi` is zero
+/// there: `lo` keeps its value and `hi[j] ← lo[j]·tw[j]`.
+#[inline(always)]
+fn spread_butterflies<L: Lanes>(lo: &[L::Scalar], hi: &mut [L::Scalar], tw: &[L::Scalar], len: usize) {
+    let w = L::WIDTH;
+    let rows = lo.chunks_exact(w).zip(hi.chunks_exact_mut(w)).zip(tw.chunks_exact(w));
+    for ((a, b), t) in rows.take(len / w) {
+        (L::load(a) * L::load(t)).store(b);
+    }
+    for ((&a, b), &t) in lo.iter().zip(hi.iter_mut()).zip(tw).take(len).skip(len / w * w) {
+        *b = a * t;
+    }
+}
+
 /// Coset inverse NTT: recovers coefficients from evaluations on `shift·H`.
 ///
 /// The trailing `N^{-1}·shift^{-i}` multiplications are the ones the paper
@@ -306,11 +467,7 @@ fn apply_coset_powers<F: PrimeField64>(values: &mut [F], shift: F) {
         return;
     }
     let powers = twiddle::coset_powers::<F>(n, shift);
-    let scale = |off: usize, piece: &mut [F]| {
-        for (v, &p) in piece.iter_mut().zip(&powers[off..]) {
-            *v *= p;
-        }
-    };
+    let scale = |off: usize, piece: &mut [F]| lanes::mul_assign(piece, &powers[off..]);
     if wants_stage_parallel(n, unizk_field::current_parallelism()) {
         unizk_field::parallel_chunks_mut(values, 1, scale);
     } else {
@@ -557,6 +714,158 @@ mod tests {
         let full = twiddle::stage_tables::<Goldilocks>(256, false);
         let small = twiddle::stage_tables::<Goldilocks>(32, false);
         assert_eq!(full[3..], small[..]);
+    }
+
+    // -- The lane wall: every lane-wise kernel against its one-lane
+    // instantiation, called explicitly so that hosts with avx512f run both,
+    // and the public transforms against the naive DFT.
+
+    /// Random values with the extremes 0, 1, 2, 2^32 − 1, 2^32, p − 2 and
+    /// p − 1 at every offset of the first 21 positions.
+    fn edge_vec(rng: &mut StdRng, n: usize, shift: usize) -> Vec<Goldilocks> {
+        let edges = [0, 1, 2, 0xFFFF_FFFF, 1 << 32, unizk_field::goldilocks::P - 2, unizk_field::goldilocks::P - 1]
+            .map(Goldilocks::new);
+        (0..n)
+            .map(|i| if i < 21 { edges[(i + shift) % 7] } else { Goldilocks::random(rng) })
+            .collect()
+    }
+
+    fn report_lanes() -> bool {
+        let wide = Goldilocks::with_lanes(WidthProbe) > 1;
+        if !wide {
+            static REPORT: std::sync::Once = std::sync::Once::new();
+            REPORT.call_once(|| eprintln!("skipped: no avx512f (the NTT wall compared one lane with itself)"));
+        }
+        wide
+    }
+
+    struct WidthProbe;
+    impl LaneKernel<Goldilocks> for WidthProbe {
+        type Output = usize;
+        fn run<L: Lanes<Scalar = Goldilocks>>(self) -> usize {
+            L::WIDTH
+        }
+    }
+
+    #[test]
+    fn stage_kernels_match_one_lane_at_every_size() {
+        let mut rng = StdRng::seed_from_u64(113);
+        report_lanes();
+        for log_n in 0..=12 {
+            let n = 1 << log_n;
+            for inverse in [false, true] {
+                let tables = twiddle::stage_tables::<Goldilocks>(n, inverse);
+                let input = edge_vec(&mut rng, n, log_n);
+
+                let mut dispatched = input.clone();
+                dif_stages(&mut dispatched, &tables);
+                let mut one = input.clone();
+                DifStages { values: &mut one, tables: &tables }.run::<Goldilocks>();
+                assert_eq!(dispatched, one, "DIF n=2^{log_n} inverse={inverse}");
+
+                let mut dispatched = input.clone();
+                dit_stages(&mut dispatched, &tables);
+                let mut one = input;
+                DitStages { values: &mut one, tables: &tables }.run::<Goldilocks>();
+                assert_eq!(dispatched, one, "DIT n=2^{log_n} inverse={inverse}");
+            }
+        }
+    }
+
+    #[test]
+    fn butterfly_windows_match_one_lane_at_every_length() {
+        // The straddling stages of the parallel paths hand out windows of
+        // any length at any twiddle offset.
+        let mut rng = StdRng::seed_from_u64(114);
+        let tw = edge_vec(&mut rng, 80, 3);
+        for len in 0..=72 {
+            for dit in [false, true] {
+                let lo = edge_vec(&mut rng, len, len);
+                let hi = edge_vec(&mut rng, len, len + 1);
+                let offset = len % 8;
+                let (mut lo_a, mut hi_a) = (lo.clone(), hi.clone());
+                Goldilocks::with_lanes(Butterflies { lo: &mut lo_a, hi: &mut hi_a, tw: &tw[offset..], dit });
+                let (mut lo_b, mut hi_b) = (lo.clone(), hi.clone());
+                Butterflies { lo: &mut lo_b, hi: &mut hi_b, tw: &tw[offset..], dit }.run::<Goldilocks>();
+                let mut want = (lo, hi);
+                for ((a, b), &t) in want.0.iter_mut().zip(&mut want.1).zip(&tw[offset..]) {
+                    let (x, y) = if dit { (*a, *b * t) } else { (*a, *b) };
+                    (*a, *b) = if dit { (x + y, x - y) } else { (x + y, (x - y) * t) };
+                }
+                assert_eq!((&lo_a, &hi_a), (&want.0, &want.1), "len={len} dit={dit}");
+                assert_eq!((&lo_b, &hi_b), (&want.0, &want.1), "len={len} dit={dit}");
+            }
+        }
+    }
+
+    #[test]
+    fn transforms_match_naive_dft_in_both_directions_with_and_without_coset() {
+        let mut rng = StdRng::seed_from_u64(115);
+        let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
+        for log_n in 0..=12 {
+            let n = 1 << log_n;
+            let coeffs = edge_vec(&mut rng, n, log_n);
+            let plain = naive_dft(&coeffs);
+            let coset = naive_coset_dft(&coeffs, shift);
+            let rev = |mut v: Vec<Goldilocks>| {
+                unizk_field::reverse_index_bits(&mut v);
+                v
+            };
+
+            let mut v = coeffs.clone();
+            ntt_nr(&mut v);
+            assert_eq!(v, rev(plain.clone()), "NTT^NR n=2^{log_n}");
+            let mut v = rev(coeffs.clone());
+            ntt_rn(&mut v);
+            assert_eq!(v, plain, "NTT^RN n=2^{log_n}");
+            let mut v = coeffs.clone();
+            coset_ntt_nr(&mut v, shift);
+            assert_eq!(v, rev(coset.clone()), "coset NTT^NR n=2^{log_n}");
+
+            let mut v = plain.clone();
+            intt_nn(&mut v);
+            assert_eq!(v, coeffs, "iNTT^NN n=2^{log_n}");
+            let mut v = rev(plain);
+            intt_rn(&mut v);
+            assert_eq!(v, coeffs, "iNTT^RN n=2^{log_n}");
+            let mut v = coset;
+            coset_intt_nn(&mut v, shift);
+            assert_eq!(v, coeffs, "coset iNTT^NN n=2^{log_n}");
+        }
+    }
+
+    #[test]
+    fn zero_tail_lde_matches_naive_coset_dft_and_the_one_lane_kernel() {
+        let mut rng = StdRng::seed_from_u64(116);
+        let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
+        report_lanes();
+        for log_n in 0..=12 {
+            let n = 1 << log_n;
+            for rate_bits in 0..=log_n.min(4) {
+                let degree = n >> rate_bits;
+                let mut padded = edge_vec(&mut rng, degree, rate_bits);
+                padded.resize(n, Goldilocks::ZERO);
+
+                let mut want = naive_coset_dft(&padded, shift);
+                unizk_field::reverse_index_bits(&mut want);
+                let mut got = padded.clone();
+                coset_ntt_nr_zero_tail(&mut got, degree, shift);
+                assert_eq!(got, want, "n=2^{log_n} rate_bits={rate_bits}");
+
+                // The same kernel, one lane at a time.
+                if n > 1 {
+                    let mut one = padded;
+                    let powers = twiddle::coset_powers::<Goldilocks>(n, shift);
+                    for (v, &p) in one[..degree].iter_mut().zip(powers.iter()) {
+                        *v *= p;
+                    }
+                    let tables = twiddle::stage_tables::<Goldilocks>(n, false);
+                    let (spread, rest) = tables.split_at(rate_bits);
+                    ZeroTailDif { values: &mut one, degree, spread, rest }.run::<Goldilocks>();
+                    assert_eq!(one, want, "one lane, n=2^{log_n} rate_bits={rate_bits}");
+                }
+            }
+        }
     }
 
     #[test]

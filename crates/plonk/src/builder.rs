@@ -4,8 +4,6 @@
 //! index/permutation matrices `id`/`σ` (from the copy-constraint sets), and
 //! the recipe for filling the witness matrix `W`.
 
-use std::collections::HashMap;
-
 use unizk_field::{Field, Goldilocks, PrimeField64};
 
 use crate::circuit::{commit_constants, CircuitConfig, CircuitData, NUM_SELECTORS};
@@ -287,13 +285,6 @@ impl CircuitBuilder {
             }
         }
 
-        // Group slots by representative, then wire each group into a cycle:
-        // σ(slot_i) = slot_{i+1 mod len}.
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for s in 0..num_slots {
-            let rep = find(&mut parent, s);
-            groups.entry(rep).or_default().push(s);
-        }
         let omega = Goldilocks::primitive_root_of_unity(unizk_field::log2_strict(rows));
         let g = Goldilocks::MULTIPLICATIVE_GENERATOR;
         let ks: Vec<Goldilocks> = (0..w).map(|j| g.exp_u64(j as u64)).collect();
@@ -309,22 +300,32 @@ impl CircuitBuilder {
             let row = s % rows;
             ks[col] * omega_pows[row]
         };
+
+        // Wire each copy set into a cycle in ascending slot order,
+        // σ(slot_i) = slot_{i+1 mod len}, in one pass: a slot points its
+        // set's previous slot at itself, and the set's last slot is pointed
+        // at its first once every slot has been seen. A singleton keeps
+        // σ = id.
+        let slot_reps: Vec<usize> = (0..num_slots).map(|s| find(&mut parent, s)).collect();
         let mut sigma_flat: Vec<Goldilocks> = (0..num_slots).map(id_value).collect();
-        for members in groups.values() {
-            if members.len() < 2 {
-                continue;
+        let mut first = vec![usize::MAX; num_slots];
+        let mut last = vec![usize::MAX; num_slots];
+        for (s, &rep) in slot_reps.iter().enumerate() {
+            if first[rep] == usize::MAX {
+                first[rep] = s;
+            } else {
+                sigma_flat[last[rep]] = id_value(s);
             }
-            for i in 0..members.len() {
-                let next = members[(i + 1) % members.len()];
-                sigma_flat[members[i]] = id_value(next);
+            last[rep] = s;
+        }
+        for (&head, &tail) in first.iter().zip(&last) {
+            if head != tail {
+                sigma_flat[tail] = id_value(head);
             }
         }
         let sigmas: Vec<Vec<Goldilocks>> = (0..w)
             .map(|c| sigma_flat[c * rows..(c + 1) * rows].to_vec())
             .collect();
-
-        // Slot representatives for witness materialization.
-        let slot_reps: Vec<usize> = (0..num_slots).map(|s| find(&mut parent, s)).collect();
 
         let constants = commit_constants(&selectors, &sigmas, &self.config.fri);
         CircuitData {

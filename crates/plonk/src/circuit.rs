@@ -1,7 +1,9 @@
 //! Circuit data shared by prover and verifier: configuration, selector and
 //! permutation columns, and the constraint system itself.
 
-use unizk_field::{Field, Goldilocks, Polynomial, PrimeField64};
+use core::ops::{Add, Mul, Sub};
+
+use unizk_field::{Field, Goldilocks, PrimeField64};
 use unizk_fri::{FriConfig, PolynomialBatch};
 
 use crate::builder::Op;
@@ -150,15 +152,15 @@ impl CircuitData {
     }
 }
 
-/// Builds the constants batch (selectors then sigmas) — the verification
-/// key material.
+/// Builds the constants batch — the verification key material: the
+/// selector then sigma columns, interpolated into
+/// [`Polynomial`](unizk_field::Polynomial)s and committed.
 pub fn commit_constants(
     selectors: &[Vec<Goldilocks>],
     sigmas: &[Vec<Goldilocks>],
     fri: &FriConfig,
 ) -> PolynomialBatch {
     let columns: Vec<Vec<Goldilocks>> = selectors.iter().chain(sigmas.iter()).cloned().collect();
-    let _ = Polynomial::<Goldilocks>::zero(); // keep Polynomial in scope for doc links
     PolynomialBatch::from_values(columns, fri)
 }
 
@@ -198,54 +200,60 @@ pub struct ConstraintInputs<'a, E> {
 /// length is [`CircuitConfig::num_constraints`]. Order:
 /// `[gate, chunk_0, …, chunk_{c-1}, L_1·(Z−1)]`.
 ///
-/// This single implementation serves both the prover (over `Goldilocks`,
-/// across the whole LDE domain) and the verifier (over its challenge
-/// extension `BinomialExtension<Goldilocks, 2>`, at `ζ`),
-/// guaranteeing they agree.
-///
-/// # Panics
-///
-/// Panics if `out` does not hold one entry per constraint.
-#[allow(clippy::needless_range_loop)]
-pub fn eval_constraints<E: Field + From<Goldilocks>>(
-    ks: &[Goldilocks],
-    inputs: &ConstraintInputs<'_, E>,
-    out: &mut [E],
-) {
-    let w = inputs.wires.len();
-    let num_chunks = w.div_ceil(CHUNK_SIZE);
-    assert_eq!(out.len(), num_chunks + 2, "one output per constraint");
+/// This single implementation serves both the prover (over rows of
+/// [`unizk_field::Lanes`] of `Goldilocks`: one LDE position per lane,
+/// across the whole domain) and the verifier (over its challenge extension
+/// `BinomialExtension<Goldilocks, 2>`, at `ζ`), guaranteeing they agree.
+/// It indexes nothing, so inside a lane kernel it compiles to no bounds
+/// check: a short `out` receives the constraints that fit (a debug build
+/// asserts the length).
+#[inline(always)]
+pub fn eval_constraints<E>(ks: &[Goldilocks], inputs: &ConstraintInputs<'_, E>, out: &mut [E])
+where
+    E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<Goldilocks>,
+{
+    let one = E::from(Goldilocks::ONE);
+    debug_assert_eq!(
+        out.len(),
+        inputs.wires.len().div_ceil(CHUNK_SIZE) + 2,
+        "one output per constraint"
+    );
+    let mut out = out.iter_mut();
 
     // Gate constraint on the first three wires, plus the public-input
     // polynomial (PI(x) = −v on each public-input row, 0 elsewhere).
     let [ql, qr, qm, qo, qc] = inputs.selectors;
-    let (a, b, c) = (inputs.wires[0], inputs.wires[1], inputs.wires[2]);
-    out[0] = ql * a + qr * b + qm * a * b + qo * c + qc + inputs.pi;
+    if let (Some(gate), &[a, b, c, ..]) = (out.next(), inputs.wires) {
+        *gate = ql * a + qr * b + qm * a * b + qo * c + qc + inputs.pi;
+    }
 
     // Permutation chunks: P_m·G_m − P_{m-1}·F_m, with P_{-1} = Z and
     // P_{c-1} = Z(ωx). The identity factor of wire j is w_j + β·k_j·x + γ,
     // with β·x shared by every wire.
     let beta_x = inputs.beta * inputs.x;
-    for m in 0..num_chunks {
-        let lo = m * CHUNK_SIZE;
-        let hi = ((m + 1) * CHUNK_SIZE).min(w);
-        let mut f = E::ONE;
-        let mut g = E::ONE;
-        for j in lo..hi {
-            f *= inputs.wires[j] + beta_x * E::from(ks[j]) + inputs.gamma;
-            g *= inputs.wires[j] + inputs.beta * inputs.sigmas[j] + inputs.gamma;
+    let chunks = inputs
+        .wires
+        .chunks(CHUNK_SIZE)
+        .zip(inputs.sigmas.chunks(CHUNK_SIZE))
+        .zip(ks.chunks(CHUNK_SIZE));
+    let mut partials = inputs.partials.iter();
+    let mut prev = inputs.z;
+    for (((wires, sigmas), ks), chunk) in chunks.zip(&mut out) {
+        let mut f = one;
+        let mut g = one;
+        for ((&w, &sigma), &k) in wires.iter().zip(sigmas).zip(ks) {
+            f = f * (w + beta_x * E::from(k) + inputs.gamma);
+            g = g * (w + inputs.beta * sigma + inputs.gamma);
         }
-        let prev = if m == 0 { inputs.z } else { inputs.partials[m - 1] };
-        let cur = if m == num_chunks - 1 {
-            inputs.z_next
-        } else {
-            inputs.partials[m]
-        };
-        out[1 + m] = cur * g - prev * f;
+        let cur = partials.next().copied().unwrap_or(inputs.z_next);
+        *chunk = cur * g - prev * f;
+        prev = cur;
     }
 
     // Z starts at 1.
-    out[num_chunks + 1] = inputs.l1 * (inputs.z - E::ONE);
+    if let Some(first_row) = out.next() {
+        *first_row = inputs.l1 * (inputs.z - one);
+    }
 }
 
 #[cfg(test)]

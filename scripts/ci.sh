@@ -54,6 +54,43 @@ else
     echo "ok: $(grep -c '^[0-9a-f]* <' <<< "$kernels") kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
 fi
 
+echo "==> lane-kernel codegen gate (no call inside the eight-lane Goldilocks entry points of unizk_field::lanes)"
+# Every Goldilocks kernel of the polynomial layer is a LaneKernel that
+# PrimeField64::with_lanes hands to one #[target_feature] entry point,
+# crates/field/src/lanes/avx512.rs's run_on_lanes, which is stamped out once
+# per kernel type. The rule is the vector rows' rule above: the kernel body,
+# its helpers and every lane operation must be inlined into the entry point
+# (a helper left out of line runs its lanes through memory, and a slice
+# index that the compiler cannot prove in range leaves a call to a panic
+# handler). The ten kernels the contract binary reaches: the NTT's DIF and
+# DIT stage loops, the straddling-stage windows and the zero-tail LDE;
+# lanes::mul_assign and lanes::scale (coset and n^-1 scaling); the FRI
+# combine's leaf sums; the Plonk quotient rows; and the permutation's
+# denominators and chunk products. Each instantiation's instruction and
+# stack-operand counts are printed, not gated.
+if ! command -v objdump > /dev/null; then
+    echo "skipped: objdump not found"
+elif [ "$(uname -m)" != "x86_64" ]; then
+    echo "skipped: not an x86-64 build, the eight-lane rows are not compiled"
+else
+    entries="$(objdump -d -C --no-show-raw-insn target/release/contract \
+        | awk '/^[0-9a-f]+ <unizk_field::lanes::avx512::run_on_lanes(::<.*>)?>:$/ { show = 1 } /^$/ { show = 0 } show')"
+    found="$(grep -cE '^[0-9a-f]+ <' <<< "$entries" || true)"
+    if [ "$found" -ne 10 ]; then
+        echo "FAIL: expected 10 instantiations of unizk_field::lanes::avx512::run_on_lanes in target/release/contract, found $found"
+        exit 1
+    fi
+    if grep -E '[[:space:]]call' <<< "$entries" | head -5 | grep .; then
+        echo "FAIL: a call inside a lane kernel (first ones above): a helper of a LaneKernel is not #[inline(always)]," \
+             "or a slice index or allocation inside LaneKernel::run left a call behind"
+        exit 1
+    fi
+    awk '/^[0-9a-f]+ </ { name = "run_on_lanes at " $1 }
+         /^ +[0-9a-f]+:/ { n[name]++; if (/\(%r[sb]p/) stack[name]++ }
+         END { for (k in n) printf "  %-50s %5d instructions, %4d stack operands\n", k, n[k], stack[k] }' <<< "$entries" | sort
+    echo "ok: $found lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
+fi
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
@@ -149,33 +186,49 @@ if compgen -G 'BENCH_*.json' > /dev/null \
     exit 1
 fi
 
-echo "==> unsafe fence (one module of unizk-hash; every other crate forbids unsafe_code; asm! in one file)"
+echo "==> unsafe fence (one module each of unizk-field and unizk-hash; every other crate forbids unsafe_code; asm! in one file)"
 # The AVX-512 rows need #[target_feature] functions, which only `unsafe`
-# can enter; all of it lives in the module crates/hash/src/packed/avx512.rs
-# — the Goldilocks rows in the file itself, the KoalaBear rows in its child
-# avx512/koalabear.rs, under the parent's one allow(unsafe_code). A second
-# site, or a crate dropping its forbid, widens what has to be audited.
+# can enter. All of it lives in two modules: crates/field/src/lanes/avx512.rs
+# (the eight Goldilocks lanes of the polynomial layer and the vector product
+# every Goldilocks row uses) and crates/hash/src/packed/avx512.rs (the
+# Poseidon rows in the file itself, the KoalaBear rows in its child
+# avx512/koalabear.rs), each under its own allow(unsafe_code) in a crate
+# that is deny(unsafe_code). A third site, or a crate dropping its forbid,
+# widens what has to be audited.
 if grep -rnE '\bunsafe\b' crates/*/src --include='*.rs' \
-        | grep -vE '^crates/hash/src/packed/avx512(\.rs|/koalabear\.rs):' \
+        | grep -vE '^crates/(field/src/lanes/avx512|hash/src/packed/avx512(/koalabear)?)\.rs:' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
-    echo "FAIL: unsafe outside the module crates/hash/src/packed/avx512.rs"
+    echo "FAIL: unsafe outside the modules crates/field/src/lanes/avx512.rs and crates/hash/src/packed/avx512.rs"
     exit 1
 fi
-# Inline assembly is narrower still: the file itself, where one `vpmuludq`
+# Inline assembly is narrower still: the field module, where one `vpmuludq`
 # keeps the product by 2^32 - 1 from being expanded (mul_epsilon).
 if grep -rnE '\b(global_|naked_)?asm!' crates/*/src --include='*.rs' \
-        | grep -vE '^crates/hash/src/packed/avx512\.rs:' \
+        | grep -vE '^crates/field/src/lanes/avx512\.rs:' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
-    echo "FAIL: asm! outside crates/hash/src/packed/avx512.rs"
+    echo "FAIL: asm! outside crates/field/src/lanes/avx512.rs"
     exit 1
 fi
 for lib in crates/*/src/lib.rs; do
     want='#![forbid(unsafe_code)]'
-    [ "$lib" = crates/hash/src/lib.rs ] && want='#![deny(unsafe_code)]'
+    case "$lib" in
+        crates/field/src/lib.rs | crates/hash/src/lib.rs) want='#![deny(unsafe_code)]' ;;
+    esac
     grep -qxF "$want" "$lib" || { echo "FAIL: $lib must carry $want"; exit 1; }
 done
-if [ "$(grep -rlE 'allow\(unsafe_code\)' crates/*/src --include='*.rs')" != crates/hash/src/packed/avx512.rs ]; then
-    echo "FAIL: exactly one module may allow unsafe_code (crates/hash/src/packed/avx512.rs)"
+if [ "$(grep -rlE 'allow\(unsafe_code\)' crates/*/src --include='*.rs' | sort | tr '\n' ' ')" \
+        != 'crates/field/src/lanes/avx512.rs crates/hash/src/packed/avx512.rs ' ]; then
+    echo "FAIL: exactly two modules may allow unsafe_code (crates/field/src/lanes/avx512.rs, crates/hash/src/packed/avx512.rs)"
+    exit 1
+fi
+# One vector Goldilocks product: lanes::avx512::mul, which the Poseidon rows
+# import. A second `fn mul` over __m512i outside the KoalaBear rows would be
+# a second copy of the carry chain and folds to keep in step.
+gl_muls="$(grep -rnE 'fn mul\([^)]*__m512i' crates/*/src --include='*.rs' \
+    | grep -vE '^crates/hash/src/packed/avx512/koalabear\.rs:' || true)"
+if [ "$(grep -c . <<< "$gl_muls")" -ne 1 ] || ! grep -q '^crates/field/src/lanes/avx512\.rs:' <<< "$gl_muls"; then
+    printf '%s\n' "$gl_muls"
+    echo "FAIL: the Goldilocks vector product is unizk_field::lanes::avx512::mul only"
     exit 1
 fi
 echo "lockstep rows on this host (not part of CONTRACT.json, which is host-independent):"
