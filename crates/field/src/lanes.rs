@@ -90,6 +90,17 @@ pub trait Lanes:
     ///
     /// Panics if `src.len()` is not a multiple of `WIDTH`.
     fn pack_mut(src: &mut [Self::Scalar]) -> &mut [Self];
+
+    /// The two rows cut into chunks of `block_len` lanes and dealt
+    /// alternately: the first result holds the even chunks (chunk 0 of
+    /// `self`, chunk 0 of `other`, chunk 2 of `self`, …), the second the
+    /// odd ones. With blocks of `2·block_len` elements in `self` and
+    /// `other`, the first result is their first halves and the second
+    /// their second halves, lane for lane — a butterfly stage whose
+    /// half-size is below one row. Interleaving twice with one `block_len`
+    /// gives the rows back. `block_len` is a power of two; from `WIDTH` up
+    /// the rows come back unchanged.
+    fn interleave(self, other: Self, block_len: usize) -> (Self, Self);
 }
 
 /// Every field element is a row of one lane.
@@ -121,6 +132,11 @@ impl<F: Field> Lanes for F {
     fn pack_mut(src: &mut [F]) -> &mut [F] {
         src
     }
+
+    #[inline(always)]
+    fn interleave(self, other: F, _block_len: usize) -> (F, F) {
+        (self, other)
+    }
 }
 
 /// A computation over one field, written once for every lane type.
@@ -147,15 +163,10 @@ pub fn scale<F: PrimeField64>(dst: &mut [F], c: F) {
     F::with_lanes(Scale { dst, c });
 }
 
-/// `Σ a[i] · b[i]` over the common length.
-pub fn dot<F: PrimeField64>(a: &[F], b: &[F]) -> F {
-    F::with_lanes(Dot { a, b })
-}
-
 /// The kernel of [`mul_assign`].
-pub(crate) struct MulAssign<'a, F> {
-    pub(crate) dst: &'a mut [F],
-    pub(crate) factors: &'a [F],
+struct MulAssign<'a, F> {
+    dst: &'a mut [F],
+    factors: &'a [F],
 }
 
 impl<F: Field> LaneKernel<F> for MulAssign<'_, F> {
@@ -176,9 +187,9 @@ impl<F: Field> LaneKernel<F> for MulAssign<'_, F> {
 }
 
 /// The kernel of [`scale`].
-pub(crate) struct Scale<'a, F> {
-    pub(crate) dst: &'a mut [F],
-    pub(crate) c: F,
+struct Scale<'a, F> {
+    dst: &'a mut [F],
+    c: F,
 }
 
 impl<F: Field> LaneKernel<F> for Scale<'_, F> {
@@ -197,21 +208,6 @@ impl<F: Field> LaneKernel<F> for Scale<'_, F> {
     }
 }
 
-/// The kernel of [`dot`].
-pub(crate) struct Dot<'a, F> {
-    pub(crate) a: &'a [F],
-    pub(crate) b: &'a [F],
-}
-
-impl<F: Field> LaneKernel<F> for Dot<'_, F> {
-    type Output = F;
-
-    #[inline(always)]
-    fn run<L: Lanes<Scalar = F>>(self) -> F {
-        dot_rows::<L>(self.a, self.b)
-    }
-}
-
 /// `Σ a[i] · b[i]` over the common length on rows of `L`: one lane-wise
 /// accumulator, summed across lanes at the end, the tail one lane at a
 /// time. Any order gives the same element, so the sum agrees with the
@@ -221,11 +217,11 @@ pub fn dot_rows<L: Lanes>(a: &[L::Scalar], b: &[L::Scalar]) -> L::Scalar {
     let (a, b) = common_prefix(a, b);
     let (a_rows, a_tail) = split_rows::<L>(a);
     let (b_rows, b_tail) = split_rows::<L>(b);
-    let mut acc = L::splat(L::Scalar::ZERO);
-    for (&x, &y) in a_rows.iter().zip(b_rows) {
-        acc = acc + x * y;
-    }
-    let mut sum = sum_lanes(acc);
+    let mut products = a_rows.iter().zip(b_rows).map(|(&x, &y)| x * y);
+    let mut sum = match products.next() {
+        Some(first) => sum_lanes(products.fold(first, |acc, p| acc + p)),
+        None => L::Scalar::ZERO,
+    };
     for (&x, &y) in a_tail.iter().zip(b_tail) {
         sum += x * y;
     }
@@ -234,10 +230,11 @@ pub fn dot_rows<L: Lanes>(a: &[L::Scalar], b: &[L::Scalar]) -> L::Scalar {
 
 /// The sum of a row's lanes.
 #[inline(always)]
-pub fn sum_lanes<L: Lanes>(row: L) -> L::Scalar {
+fn sum_lanes<L: Lanes>(row: L) -> L::Scalar {
     let mut lanes = [L::Scalar::ZERO; MAX_LANES];
     row.store(&mut lanes);
-    lanes[..L::WIDTH].iter().fold(L::Scalar::ZERO, |s, &x| s + x)
+    let (first, rest) = lanes.split_at(1);
+    rest.iter().take(L::WIDTH - 1).fold(first[0], |s, &x| s + x)
 }
 
 /// `s` as whole rows of `L` and the scalars after them.
@@ -346,6 +343,50 @@ mod tests {
         }
     }
 
+    /// Interleaving two rows of 0..W and W..2W at every block length,
+    /// against the definition, and back.
+    #[test]
+    fn interleave_deals_chunks_and_undoes_itself() {
+        struct Deal;
+        impl LaneKernel<Goldilocks> for Deal {
+            type Output = Vec<(usize, [Vec<u64>; 2])>;
+            #[inline(always)]
+            fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Self::Output {
+                let xs: Vec<Goldilocks> = (0..2 * L::WIDTH as u64).map(Goldilocks::from_u64).collect();
+                let (x, y) = (L::load(&xs), L::load(&xs[L::WIDTH..]));
+                let mut out = Vec::new();
+                let mut block_len = 1;
+                while block_len <= 2 * L::WIDTH {
+                    let (a, b) = x.interleave(y, block_len);
+                    let (x2, y2) = a.interleave(b, block_len);
+                    let mut rows = [vec![Goldilocks::ZERO; 2 * L::WIDTH], vec![Goldilocks::ZERO; 2 * L::WIDTH]];
+                    a.store(&mut rows[0]);
+                    b.store(&mut rows[0][L::WIDTH..]);
+                    x2.store(&mut rows[1]);
+                    y2.store(&mut rows[1][L::WIDTH..]);
+                    out.push((block_len, rows.map(|r| r.iter().map(|v| v.as_u64()).collect())));
+                    block_len *= 2;
+                }
+                out
+            }
+        }
+        for (width, dealt) in [(1, Deal.run::<Goldilocks>()), (0, Goldilocks::with_lanes(Deal))] {
+            let width = if width == 1 { 1 } else { dealt[0].1[0].len() / 2 };
+            for (block_len, [first_second, back]) in dealt {
+                let identity: Vec<u64> = (0..2 * width as u64).collect();
+                assert_eq!(back, identity, "width {width} block {block_len}");
+                let want: Vec<u64> = if block_len >= width {
+                    identity
+                } else {
+                    let chunk = |row: usize, c: usize| (0..block_len).map(move |k| (row * width + c * block_len + k) as u64);
+                    let half = |parity: usize| (0..width / block_len / 2).flat_map(move |p| chunk(0, 2 * p + parity).chain(chunk(1, 2 * p + parity)));
+                    half(0).chain(half(1)).collect()
+                };
+                assert_eq!(first_second, want, "width {width} block {block_len}");
+            }
+        }
+    }
+
     #[test]
     fn splat_load_store_round_trip() {
         let mut rng = TestRng::seed_from_u64(0x5a1);
@@ -367,8 +408,23 @@ mod tests {
         assert!(splat.iter().all(|&x| x == xs[1]));
     }
 
-    /// The three public kernels at every length 0..=72 — so every
-    /// remainder of eight — on both lane types, against plain loops.
+    /// [`dot_rows`] as a kernel of its own.
+    struct Dot<'a> {
+        a: &'a [Goldilocks],
+        b: &'a [Goldilocks],
+    }
+
+    impl LaneKernel<Goldilocks> for Dot<'_> {
+        type Output = Goldilocks;
+
+        #[inline(always)]
+        fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Goldilocks {
+            dot_rows::<L>(self.a, self.b)
+        }
+    }
+
+    /// The shared kernels at every length 0..=72 — so every remainder of
+    /// eight — on both lane types, against plain loops.
     #[test]
     fn kernels_match_one_lane_at_every_length() {
         let mut rng = TestRng::seed_from_u64(0xd07);
@@ -382,7 +438,7 @@ mod tests {
             let want_scale: Vec<Goldilocks> = a.iter().map(|&x| x * c).collect();
 
             assert_eq!(Dot { a: &a, b: &b }.run::<Goldilocks>(), want_dot, "len {len}");
-            assert_eq!(dot(&a, &b), want_dot, "len {len}");
+            assert_eq!(Goldilocks::with_lanes(Dot { a: &a, b: &b }), want_dot, "len {len}");
 
             let mut one = a.clone();
             MulAssign { dst: &mut one, factors: &b }.run::<Goldilocks>();
@@ -411,6 +467,8 @@ mod tests {
         }
         assert_eq!(KoalaBear::with_lanes(Width), 1);
         let xs: Vec<KoalaBear> = (1..=20u64).map(KoalaBear::from_u64).collect();
-        assert_eq!(dot(&xs, &xs), xs.iter().map(|&x| x * x).sum());
+        let mut squares = xs.clone();
+        mul_assign(&mut squares, &xs);
+        assert_eq!(squares, xs.iter().map(|&x| x * x).collect::<Vec<_>>());
     }
 }

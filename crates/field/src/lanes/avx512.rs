@@ -21,10 +21,10 @@
 //!   into code compiled with the feature; a helper that is merely
 //!   `#[inline(always)]` can be left behind as an out-of-line call per
 //!   intrinsic, with every test green.
-//! * The lane type [`Gl8`] is private, so nothing outside can name it. It
-//!   is instantiated in one place, [`run_on_lanes`] — the
+//! * The lane type `Gl8` is private, so nothing outside can name it. It
+//!   is instantiated in one place, `run_on_lanes` — the
 //!   `#[target_feature]` entry point into which a [`LaneKernel`] is inlined
-//!   — which [`Detected::run`] enters only after `avx512f` was detected.
+//!   — which `Detected::run` enters only after `avx512f` was detected.
 //!   Its operator methods are `#[inline(always)]` shims, so inside that
 //!   entry point they dissolve into the register code. `scripts/ci.sh`
 //!   disassembles every instantiation of the entry point and fails on a
@@ -37,7 +37,8 @@ use core::arch::asm;
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpge_epu64_mask, _mm512_cmplt_epu64_mask,
     _mm512_loadu_si512, _mm512_mask_add_epi64, _mm512_mask_shuffle_epi32,
-    _mm512_mask_sub_epi64, _mm512_mul_epu32, _mm512_set1_epi64, _mm512_shuffle_epi32,
+    _mm512_mask_sub_epi64, _mm512_mul_epu32, _mm512_permutex2var_epi64, _mm512_set1_epi64,
+    _mm512_set_epi64, _mm512_shuffle_epi32,
     _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _MM_PERM_ENUM,
 };
 use core::ops::{Add, Mul, Sub};
@@ -185,6 +186,22 @@ impl Lanes for Gl8 {
         // SAFETY: as in `pack`, and the borrow is unique.
         unsafe { core::slice::from_raw_parts_mut(rows.as_mut_ptr().cast(), rows.len()) }
     }
+
+    #[inline(always)]
+    fn interleave(self, other: Self, block_len: usize) -> (Self, Self) {
+        // Lane indices into `self ++ other` (0–7 then 8–15) of the even and
+        // the odd chunks.
+        let (even, odd) = match block_len {
+            1 => ([0, 8, 2, 10, 4, 12, 6, 14], [1, 9, 3, 11, 5, 13, 7, 15]),
+            2 => ([0, 1, 8, 9, 4, 5, 12, 13], [2, 3, 10, 11, 6, 7, 14, 15]),
+            4 => ([0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]),
+            _ => return (self, other),
+        };
+        let (a, b) = (self.vector(), other.vector());
+        // SAFETY: see above.
+        let (even, odd) = unsafe { (permute2(a, even, b), permute2(a, odd, b)) };
+        (Self::from_vector(even), Self::from_vector(odd))
+    }
 }
 
 #[target_feature(enable = "avx512f")]
@@ -204,6 +221,23 @@ fn store(x: __m512i) -> [Goldilocks; 8] {
     // `storeu` takes any alignment.
     unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), x) };
     lanes
+}
+
+/// Lane `l` of the result is lane `index[l]` of `a ++ b` (`vpermt2q`).
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn permute2(a: __m512i, index: [u64; 8], b: __m512i) -> __m512i {
+    let index = _mm512_set_epi64(
+        index[7].cast_signed(),
+        index[6].cast_signed(),
+        index[5].cast_signed(),
+        index[4].cast_signed(),
+        index[3].cast_signed(),
+        index[2].cast_signed(),
+        index[1].cast_signed(),
+        index[0].cast_signed(),
+    );
+    _mm512_permutex2var_epi64(a, index, b)
 }
 
 #[target_feature(enable = "avx512f")]

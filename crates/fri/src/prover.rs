@@ -663,6 +663,46 @@ mod tests {
         rational_combine_is_the_direct_sum::<unizk_field::KoalaBear>(503);
     }
 
+    /// [`LeafSums`] against `Σ_j α^j·p_j(x)` scaled term by term, over
+    /// batches whose widths leave every remainder of a lane row, one lane at
+    /// a time and dispatched.
+    fn leaf_sums_are_the_scaled_sum<F: ProtocolField>(seed: u64) {
+        let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
+        let positions = 12;
+        let widths = [1usize, 7, 8, 9, 17, 135];
+        let batches: Vec<Vec<Vec<F>>> = widths
+            .iter()
+            .map(|&w| (0..positions).map(|_| (0..w).map(|_| F::random(&mut rng)).collect()).collect())
+            .collect();
+        let alpha_pows = powers(random_ext::<F>(&mut rng), widths.iter().sum());
+        let limbs: Vec<Vec<F>> = (0..<F::Ext as ExtensionOf<F>>::DEGREE)
+            .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
+            .collect();
+        let leaves: Vec<&[Vec<F>]> = batches.iter().map(Vec::as_slice).collect();
+        let want: Vec<F::Ext> = (0..positions)
+            .map(|i| {
+                let values = batches.iter().flat_map(|b| b[i].iter());
+                alpha_pows.iter().zip(values).map(|(a, &v)| a.scale(v)).sum()
+            })
+            .collect();
+        let mut one = vec![F::Ext::ZERO; positions];
+        LeafSums { leaves: &leaves, limbs: &limbs, sums: &mut one }.run::<F>();
+        let mut dispatched = vec![F::Ext::ZERO; positions];
+        F::with_lanes(LeafSums { leaves: &leaves, limbs: &limbs, sums: &mut dispatched });
+        assert_eq!(one, want);
+        assert_eq!(dispatched, want);
+    }
+
+    #[test]
+    fn goldilocks_leaf_sums_are_the_scaled_sum() {
+        leaf_sums_are_the_scaled_sum::<Goldilocks>(504);
+    }
+
+    #[test]
+    fn koalabear_leaf_sums_are_the_scaled_sum() {
+        leaf_sums_are_the_scaled_sum::<unizk_field::KoalaBear>(505);
+    }
+
     /// The final layer's transform against the Lagrange interpolation it
     /// replaces, on a domain folded `folds` times from the LDE coset.
     fn final_layer_is_lagrange<F: ProtocolField>(

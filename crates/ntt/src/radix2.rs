@@ -25,7 +25,8 @@
 //! once per logical transform before the path choice — are bit-identical
 //! for every thread count. The determinism suite pins this down.
 
-use unizk_field::{lanes, log2_strict, reverse_index_bits, Field, LaneKernel, Lanes, PrimeField64};
+use unizk_field::lanes::{self, MAX_LANES};
+use unizk_field::{log2_strict, reverse_index_bits, Field, LaneKernel, Lanes, PrimeField64};
 
 use crate::twiddle;
 
@@ -73,8 +74,8 @@ fn dit_stages<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>]) {
     F::with_lanes(DitStages { values, tables });
 }
 
-/// The kernel of [`dif_stages`]: stage by stage, block by block, each
-/// stage on rows of `L` where its half-size holds whole rows.
+/// The kernel of [`dif_stages`]: stage by stage, each on rows of `L`
+/// ([`dif_stage`]).
 struct DifStages<'a, F> {
     values: &'a mut [F],
     tables: &'a [Vec<F>],
@@ -90,10 +91,7 @@ impl<F: Field> LaneKernel<F> for DifStages<'_, F> {
             if block < 2 {
                 break;
             }
-            for block in self.values.chunks_exact_mut(block) {
-                let (lo, hi) = block.split_at_mut(block.len() / 2);
-                dif_butterflies::<L>(lo, hi, tw);
-            }
+            dif_stage::<L>(self.values, block, tw);
             block /= 2;
         }
     }
@@ -116,10 +114,7 @@ impl<F: Field> LaneKernel<F> for DitStages<'_, F> {
             if block > n || block == 0 {
                 break;
             }
-            for block in self.values.chunks_exact_mut(block) {
-                let (lo, hi) = block.split_at_mut(block.len() / 2);
-                dit_butterflies::<L>(lo, hi, tw);
-            }
+            dit_stage::<L>(self.values, block, tw);
             block *= 2;
         }
     }
@@ -147,9 +142,76 @@ impl<F: Field> LaneKernel<F> for Butterflies<'_, F> {
     }
 }
 
+/// One DIF stage over every `block`-long block of `values` (none below 2).
+/// Where a half-block is shorter than a row, two rows are interleaved so
+/// that one holds the blocks' first halves and the other their second
+/// halves, and the stage runs on rows all the same.
+#[inline(always)]
+fn dif_stage<L: Lanes>(values: &mut [L::Scalar], block: usize, tw: &[L::Scalar]) {
+    if block < 2 {
+        return;
+    }
+    let half = block / 2;
+    let mut rest = values;
+    if let Some(tw) = repeated_twiddles::<L>(tw, half) {
+        let mut pairs = rest.chunks_exact_mut(2 * L::WIDTH);
+        for pair in pairs.by_ref() {
+            let (x, y) = pair.split_at_mut(L::WIDTH);
+            let (a, b) = L::load(x).interleave(L::load(y), half);
+            let (a, b) = (a + b).interleave((a - b) * tw, half);
+            a.store(x);
+            b.store(y);
+        }
+        rest = pairs.into_remainder();
+    }
+    for block in rest.chunks_exact_mut(block) {
+        let (lo, hi) = block.split_at_mut(block.len() / 2);
+        dif_butterflies::<L>(lo, hi, tw);
+    }
+}
+
+/// One DIT stage (mirror of [`dif_stage`]).
+#[inline(always)]
+fn dit_stage<L: Lanes>(values: &mut [L::Scalar], block: usize, tw: &[L::Scalar]) {
+    if block < 2 {
+        return;
+    }
+    let half = block / 2;
+    let mut rest = values;
+    if let Some(tw) = repeated_twiddles::<L>(tw, half) {
+        let mut pairs = rest.chunks_exact_mut(2 * L::WIDTH);
+        for pair in pairs.by_ref() {
+            let (x, y) = pair.split_at_mut(L::WIDTH);
+            let (a, b) = L::load(x).interleave(L::load(y), half);
+            let b = b * tw;
+            let (a, b) = (a + b).interleave(a - b, half);
+            a.store(x);
+            b.store(y);
+        }
+        rest = pairs.into_remainder();
+    }
+    for block in rest.chunks_exact_mut(block) {
+        let (lo, hi) = block.split_at_mut(block.len() / 2);
+        dit_butterflies::<L>(lo, hi, tw);
+    }
+}
+
+/// For a half-size below one row, the row of twiddles an interleaved
+/// stage multiplies by: `tw[0..half]` repeated across the lanes.
+#[inline(always)]
+fn repeated_twiddles<L: Lanes>(tw: &[L::Scalar], half: usize) -> Option<L> {
+    if half == 0 || half >= L::WIDTH {
+        return None;
+    }
+    let mut row = [L::Scalar::ZERO; MAX_LANES];
+    for (l, t) in row.iter_mut().take(L::WIDTH).enumerate() {
+        *t = *tw.get(l % half)?;
+    }
+    Some(L::load(&row))
+}
+
 /// `lo[j], hi[j] ← lo[j] + hi[j], (lo[j] − hi[j])·tw[j]` over the length
-/// of `lo`: whole rows of `L`, then the rest one lane at a time (all of it
-/// when a stage's half-size is below one row).
+/// of `lo`: whole rows of `L`, then the rest one lane at a time.
 #[inline(always)]
 fn dif_butterflies<L: Lanes>(lo: &mut [L::Scalar], hi: &mut [L::Scalar], tw: &[L::Scalar]) {
     let w = L::WIDTH;
@@ -353,7 +415,7 @@ pub fn coset_ntt_nr<F: PrimeField64>(values: &mut [F], shift: F) {
 /// in the first `log₂(len / degree)` DIF stages, where every block's upper
 /// half is zero, a butterfly is a copy and one product. Values and `ntt.*`
 /// counters are those of [`coset_ntt_nr`] (the counters count the logical
-/// transform, see [`count_transform`]). A transform the stage-parallel path
+/// transform, see `count_transform`). A transform the stage-parallel path
 /// takes runs in full there.
 ///
 /// # Panics

@@ -225,6 +225,7 @@ mod tests {
 
     /// The row-by-row permutation: every denominator inverted in one batch,
     /// then per row the chunk products chained onto the running product.
+    #[allow(clippy::needless_range_loop)]
     fn rowwise(data: &CircuitData, wires: &[Vec<Goldilocks>], beta: Goldilocks, gamma: Goldilocks) -> Vec<Vec<Goldilocks>> {
         let (n, w, num_chunks) = (data.rows, data.config.num_wires, data.config.num_chunks());
         let omega_pows = powers(data.omega(), n);

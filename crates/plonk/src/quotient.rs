@@ -198,11 +198,20 @@ fn quotient_row<L: Lanes<Scalar = Goldilocks>>(
         let perm_next = t.perm.get(next).map_or(&[][..], Vec::as_slice);
         let z_next = perm_next.iter().step_by(t.partials_per_round.max(1));
         let zh_inv = t.zh_inv.get(lane);
-        let column = consts.iter().chain(wires).chain(perm).chain(z_next).chain(zh_inv);
-        for (slot, &v) in gathered.chunks_exact_mut(w).zip(column) {
-            if let Some(slot) = slot.get_mut(l) {
-                *slot = v;
-            }
+        // The source leads each zip, so an exhausted source leaves the
+        // next slot for the next source.
+        let mut slots = gathered.chunks_exact_mut(w).filter_map(|slot| slot.get_mut(l));
+        for (&v, slot) in consts.iter().zip(slots.by_ref()) {
+            *slot = v;
+        }
+        for (&v, slot) in wires.iter().zip(slots.by_ref()) {
+            *slot = v;
+        }
+        for (&v, slot) in perm.iter().zip(slots.by_ref()) {
+            *slot = v;
+        }
+        for (&v, slot) in z_next.chain(zh_inv).zip(slots) {
+            *slot = v;
         }
     }
     let Some(columns) = gathered.get(..t.columns() * w) else { return };
