@@ -138,8 +138,8 @@ fn proof_bytes_by_part<F: HashField>(proof: &StarkProof<F>) -> Json {
 }
 
 /// The one-shot proof of each entry of the serving baseline mix. The
-/// pipeline must reproduce these bytes under every worker count and pool
-/// mode (`serve/tests/differential.rs`).
+/// pipeline must reproduce these bytes under every worker count and
+/// arrival order (`serve/tests/differential.rs`).
 fn serve() -> Json {
     let traffic = TrafficSpec::baseline(0);
     Json::obj(traffic.mix.iter().map(|entry| {

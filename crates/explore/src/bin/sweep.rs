@@ -11,9 +11,6 @@
 //! - `--spec FILE` (required) — JSON sweep specification (format in
 //!   EXPERIMENTS.md).
 //! - `--jobs N` — worker threads; `0` (default) uses all cores.
-//! - `--cache-dir DIR` — memoize finished points in `DIR` and answer from
-//!   it on a re-run. Without the flag nothing is cached: every point
-//!   simulates, which is the faster path (EXPERIMENTS.md Part 2).
 //! - `--out FILE` — JSON artifact path (default `SWEEP.json`).
 //! - `--markdown FILE` — also write the markdown report here.
 
@@ -24,13 +21,11 @@ use unizk_explore::{run_sweep, SweepOptions, SweepSpec};
 use unizk_testkit::Args;
 
 fn run() -> Result<(), String> {
-    let mut args = Args::from_env(
-        "--spec FILE [--jobs N] [--cache-dir DIR] [--out FILE] [--markdown FILE]",
-    );
+    let mut args = Args::from_env("--spec FILE [--jobs N] [--out FILE] [--markdown FILE]");
     let spec_path: Option<PathBuf> = args.value("--spec");
     let opts = SweepOptions {
         jobs: args.value("--jobs").unwrap_or(0),
-        cache_dir: args.value("--cache-dir"),
+        ..SweepOptions::default()
     };
     let out: PathBuf = args.value("--out").unwrap_or_else(|| "SWEEP.json".into());
     let markdown: Option<PathBuf> = args.value("--markdown");
@@ -59,11 +54,6 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("cannot write {}: {e}", md_path.display()))?;
     }
 
-    println!(
-        "cache hits: {}/{}",
-        result.cache_hits,
-        result.points.len()
-    );
     println!(
         "pareto frontier: {} of {} points -> {}",
         result.pareto.len(),

@@ -1,15 +1,13 @@
-//! The sweep engine: enumerate → (cache-check, simulate) in parallel →
-//! Pareto post-process → artifact.
+//! The sweep engine: enumerate → simulate in parallel → Pareto
+//! post-process → artifact.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use unizk_field::par::run_indexed;
 use unizk_testkit::json::Json;
 use unizk_testkit::render::{fmt_seconds, fmt_speedup, table};
 use unizk_testkit::trace;
 
-use crate::cache::Cache;
 use crate::pareto::frontier;
 use crate::point::PointResult;
 use crate::spec::SweepSpec;
@@ -22,7 +20,7 @@ pub const SWEEP_SCHEMA: &str = "unizk-explore-sweep/1";
 pub struct SweepOptions {
     /// Worker count; `0` means all available cores.
     pub jobs: usize,
-    /// Cache directory; `None` disables memoization entirely.
+    /// Ignored: every point simulates; `benchmark/` still sets it.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -45,44 +43,23 @@ pub struct SweepResult {
     pub points: Vec<PointResult>,
     /// Indices into `points` that are Pareto-non-dominated, ascending.
     pub pareto: Vec<usize>,
-    /// Points answered from the on-disk cache.
-    pub cache_hits: usize,
-    /// Points that ran the simulator.
-    pub cache_misses: usize,
 }
 
-/// Runs a sweep: enumerates the spec's grid, executes every point on
-/// [`run_indexed`]'s workers (answering from the cache where one is
-/// given), and extracts the Pareto frontier.
+/// Runs a sweep: enumerates the spec's grid, simulates every point on
+/// [`run_indexed`]'s workers, and extracts the Pareto frontier.
 ///
 /// The result — and the artifact serialized from it — depends only on the
-/// spec: worker count, cache state, and enumeration timing never change a
-/// byte (the determinism integration test pins this down).
+/// spec: worker count and enumeration timing never change a byte (the
+/// determinism integration test pins this down).
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, String> {
     let _span = trace::span("explore.sweep");
     let points = spec.enumerate()?;
-    let cache = match &opts.cache_dir {
-        Some(dir) => Some(Cache::new(dir)?),
-        None => None,
-    };
-
-    let hits = AtomicUsize::new(0);
-    let results = run_indexed(opts.resolved_jobs(), points, |_, _, point| {
+    let points = run_indexed(opts.resolved_jobs(), points, |_, _, point| {
         trace::with_span("explore.point", || {
-            if let Some(cached) = cache.as_ref().and_then(|c| c.load(&point.key_hex())) {
-                hits.fetch_add(1, Ordering::Relaxed);
-                trace::counter("explore.cache_hits", 1);
-                return Ok(cached);
-            }
             trace::counter("explore.points_run", 1);
-            let result = point.run();
-            if let Some(c) = &cache {
-                c.store(&result)?;
-            }
-            Ok(result)
+            point.run()
         })
     });
-    let points = results.into_iter().collect::<Result<Vec<_>, String>>()?;
 
     let costs: Vec<[f64; 3]> = points
         .iter()
@@ -90,20 +67,17 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, S
         .collect();
     let pareto = frontier(&costs);
 
-    let cache_hits = hits.into_inner();
     Ok(SweepResult {
         spec: spec.clone(),
-        cache_misses: points.len() - cache_hits,
         points,
         pareto,
-        cache_hits,
     })
 }
 
 impl SweepResult {
-    /// The stable JSON artifact. Deliberately excludes cache statistics,
-    /// timestamps, and host details so that cached re-runs and different
-    /// `--jobs` values emit byte-identical files.
+    /// The stable JSON artifact. Deliberately excludes timestamps and host
+    /// details so that re-runs and different `--jobs` values emit
+    /// byte-identical files.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::str(SWEEP_SCHEMA)),
@@ -178,20 +152,11 @@ mod tests {
             .workload(App::Fibonacci, Scale::Shrunk(7))
     }
 
-    fn tmp_cache(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("unizk-explore-engine-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn sweep_runs_and_finds_a_frontier() {
         let r = run_sweep(&tiny_spec(), &SweepOptions::default()).unwrap();
         assert_eq!(r.points.len(), 4);
         assert!(!r.pareto.is_empty());
-        assert_eq!(r.cache_hits, 0);
-        assert_eq!(r.cache_misses, 4);
         // Frontier indices are valid, ascending, and non-dominated.
         for w in r.pareto.windows(2) {
             assert!(w[0] < w[1]);
@@ -199,42 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn second_run_is_all_cache_hits_and_byte_identical() {
-        let dir = tmp_cache("hits");
-        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()) };
-        let spec = tiny_spec();
-
-        let cold = run_sweep(&spec, &opts).unwrap();
-        assert_eq!(cold.cache_hits, 0);
-        let warm = run_sweep(&spec, &opts).unwrap();
-        assert_eq!(warm.cache_hits, 4);
-        assert_eq!(warm.cache_misses, 0);
-        assert_eq!(
-            cold.to_json().to_string_pretty(),
-            warm.to_json().to_string_pretty()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fleet_sweeps_cache_and_rank_like_any_other_points() {
-        let dir = tmp_cache("fleet");
-        let opts = SweepOptions { jobs: 2, cache_dir: Some(dir.clone()) };
+    fn fleet_sweeps_rank_like_any_other_points() {
         let spec = SweepSpec::new("engine-fleet")
             .fleet_axes([1, 2], [1, 2], [1])
             .workload(App::Fibonacci, Scale::Shrunk(7));
-
-        let cold = run_sweep(&spec, &opts).unwrap();
-        assert_eq!(cold.points.len(), 4);
-        assert!(cold.points.iter().all(|p| p.fleet.is_some()));
-        let warm = run_sweep(&spec, &opts).unwrap();
-        assert_eq!(warm.cache_hits, 4);
-        assert_eq!(
-            cold.to_json().to_string_pretty(),
-            warm.to_json().to_string_pretty()
-        );
-        assert!(cold.markdown().contains("2c/2s/b1"));
-        let _ = std::fs::remove_dir_all(&dir);
+        let r = run_sweep(&spec, &SweepOptions { jobs: 2, ..SweepOptions::default() }).unwrap();
+        assert_eq!(r.points.len(), 4);
+        assert!(r.points.iter().all(|p| p.fleet.is_some()));
+        assert!(!r.pareto.is_empty());
+        assert!(r.markdown().contains("2c/2s/b1"));
     }
 
     #[test]

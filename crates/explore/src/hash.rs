@@ -1,6 +1,6 @@
-//! Stable point hashing for the sweep cache.
+//! Stable point hashing for sweep artifacts.
 //!
-//! Cache keys must be identical across runs, platforms, and rustc
+//! Point keys must be identical across runs, platforms, and rustc
 //! versions, so `std::hash` (randomized, version-dependent) is out. We
 //! hash a canonical JSON serialization of the (config, workload, schema
 //! version) triple with FNV-1a 64 — the same portable-integer-only

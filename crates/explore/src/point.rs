@@ -1,5 +1,4 @@
-//! One grid point: its stable cache key, its execution, and its result
-//! record.
+//! One grid point: its stable key, its execution, and its result record.
 
 use unizk_core::compiler::{compile_plonky2, Plonky2Instance};
 use unizk_core::kernels::KernelClassTag;
@@ -12,12 +11,12 @@ use unizk_workloads::{App, GpuModel, PipeZkModel};
 
 use crate::hash::key_hex;
 
-/// Schema identifier for per-point cache entries; bumping it invalidates
-/// every cached result (it is part of the cache key).
+/// Schema identifier of a point; part of its key, so bumping it re-keys
+/// every point.
 pub const POINT_SCHEMA: &str = "unizk-explore-point/2";
 
 /// Seed of the synthetic arrival stream every fleet point uses. Part of
-/// the canonical cache key, so changing it re-keys every fleet point.
+/// the canonical key, so changing it re-keys every fleet point.
 const FLEET_STREAM_SEED: u64 = 0xF1EE7;
 
 /// The kernel classes a point records, in the paper's fixed order.
@@ -65,7 +64,7 @@ impl SweepPoint {
         inst
     }
 
-    /// The canonical serialization the cache key hashes: every field of
+    /// The canonical serialization the point key hashes: every field of
     /// the chip and HBM configuration plus the workload dimensions and
     /// the point schema version, as compact JSON (ordered keys, so the
     /// string — and therefore the hash — is stable across runs).
@@ -137,7 +136,7 @@ impl SweepPoint {
         .to_string()
     }
 
-    /// The 16-hex-digit cache key.
+    /// The 16-hex-digit point key.
     pub fn key_hex(&self) -> String {
         key_hex(&self.canonical_key())
     }
@@ -429,12 +428,11 @@ pub struct FleetRow {
     pub service_p99_cycles: u64,
 }
 
-/// The complete record of one executed grid point. Serializes to (and
-/// parses back from) JSON byte-identically, which is what lets cached and
-/// freshly-computed sweeps emit identical artifacts.
+/// The complete record of one executed grid point; its JSON row is one
+/// entry of a sweep artifact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointResult {
-    /// The stable cache key (hex FNV-1a 64 of [`SweepPoint::canonical_key`]).
+    /// The stable point key (hex FNV-1a 64 of [`SweepPoint::canonical_key`]).
     pub key: String,
     /// Chip echo.
     pub chip: ChipSummary,
@@ -472,7 +470,7 @@ impl PointResult {
         self.classes.iter().find(|c| c.name == name).map(|c| c.cycles)
     }
 
-    /// The JSON row emitted into sweep artifacts and cache entries.
+    /// The JSON row emitted into sweep artifacts.
     pub fn to_json(&self) -> Json {
         let classes = self.classes.iter().map(|c| {
             (
@@ -562,166 +560,6 @@ impl PointResult {
             ));
         }
         Json::Obj(obj)
-    }
-
-    /// Parses a row back. Every failure names the missing/mistyped field
-    /// — the cache treats any `Err` as a miss rather than panicking.
-    pub fn from_json(v: &Json) -> Result<PointResult, String> {
-        let req = |key: &str| v.get(key).ok_or_else(|| format!("point: missing {key:?}"));
-        let u64_of = |val: &Json, key: &str| {
-            val.as_u64().ok_or_else(|| format!("point: {key:?} is not a u64"))
-        };
-        let f64_of = |val: &Json, key: &str| {
-            val.as_f64().ok_or_else(|| format!("point: {key:?} is not a number"))
-        };
-
-        let chip_v = req("chip")?;
-        let chip_u = |key: &str| {
-            chip_v
-                .get(key)
-                .and_then(Json::as_u64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("point: chip.{key} is not a u64"))
-        };
-        let chip = ChipSummary {
-            num_vsas: chip_u("num_vsas")?,
-            vsa_dim: chip_u("vsa_dim")?,
-            scratchpad_bytes: chip_u("scratchpad_bytes")?,
-            transpose_b: chip_u("transpose_b")?,
-            ntt_pipeline_log2: chip_u("ntt_pipeline_log2")?,
-            hbm_channels: chip_u("hbm_channels")?,
-            peak_gb_per_s: chip_v
-                .get("peak_gb_per_s")
-                .and_then(Json::as_f64)
-                .ok_or("point: chip.peak_gb_per_s is not a number")?,
-        };
-
-        let wl_v = req("workload")?;
-        let workload = WorkloadSummary {
-            app: wl_v
-                .get("app")
-                .and_then(Json::as_str)
-                .ok_or("point: workload.app is not a string")?
-                .to_string(),
-            log_rows: wl_v
-                .get("log_rows")
-                .and_then(Json::as_u64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or("point: workload.log_rows is not a u64")?,
-            width: wl_v
-                .get("width")
-                .and_then(Json::as_u64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or("point: workload.width is not a u64")?,
-            chunk_size: match wl_v.get("chunk_size") {
-                Some(Json::Null) | None => None,
-                Some(val) => Some(
-                    usize::try_from(u64_of(val, "workload.chunk_size")?)
-                        .expect("chunk size fits usize"),
-                ),
-            },
-        };
-
-        let classes_v = req("classes")?
-            .as_obj()
-            .ok_or("point: classes is not an object")?;
-        let classes = classes_v
-            .iter()
-            .map(|(name, val)| {
-                Ok(ClassRow {
-                    name: name.clone(),
-                    cycles: val
-                        .get("cycles")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("point: classes.{name}.cycles"))?,
-                    vsa_busy_cycles: val
-                        .get("vsa_busy_cycles")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("point: classes.{name}.vsa_busy_cycles"))?,
-                    bytes: val
-                        .get("bytes")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("point: classes.{name}.bytes"))?,
-                    nodes: val
-                        .get("nodes")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("point: classes.{name}.nodes"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let fleet = match v.get("fleet") {
-            Some(fv) => {
-                let fu = |key: &str| {
-                    fv.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("point: fleet.{key} is not a u64"))
-                };
-                let fus = |key: &str| {
-                    fu(key).and_then(|n| {
-                        usize::try_from(n).map_err(|_| format!("point: fleet.{key} overflows"))
-                    })
-                };
-                let ff = |key: &str| {
-                    fv.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("point: fleet.{key} is not a number"))
-                };
-                Some(FleetRow {
-                    chips: fus("chips")?,
-                    shards: fus("shards")?,
-                    batch: fus("batch")?,
-                    jobs: fus("jobs")?,
-                    shard_cycles: fu("shard_cycles")?,
-                    agg_cycles: fu("agg_cycles")?,
-                    transfer_cycles: fu("transfer_cycles")?,
-                    payload_bytes: fu("payload_bytes")?,
-                    makespan_cycles: fu("makespan_cycles")?,
-                    throughput_proofs_per_sec: ff("throughput_proofs_per_sec")?,
-                    utilization_mean: ff("utilization_mean")?,
-                    utilization_min: ff("utilization_min")?,
-                    utilization_max: ff("utilization_max")?,
-                    queue_peak: fu("queue_peak")?,
-                    queue_mean: ff("queue_mean")?,
-                    sojourn_p50_cycles: fu("sojourn_p50_cycles")?,
-                    sojourn_p95_cycles: fu("sojourn_p95_cycles")?,
-                    sojourn_p99_cycles: fu("sojourn_p99_cycles")?,
-                    service_p50_cycles: fu("service_p50_cycles")?,
-                    service_p95_cycles: fu("service_p95_cycles")?,
-                    service_p99_cycles: fu("service_p99_cycles")?,
-                })
-            }
-            None => None,
-        };
-
-        let (pipezk_seconds, pipezk_speedup) = match v.get("pipezk") {
-            Some(p) => (
-                Some(f64_of(p.get("seconds").ok_or("point: pipezk.seconds")?, "pipezk.seconds")?),
-                Some(f64_of(p.get("speedup").ok_or("point: pipezk.speedup")?, "pipezk.speedup")?),
-            ),
-            None => (None, None),
-        };
-
-        Ok(PointResult {
-            key: req("key")?
-                .as_str()
-                .ok_or("point: key is not a string")?
-                .to_string(),
-            chip,
-            workload,
-            total_cycles: u64_of(req("total_cycles")?, "total_cycles")?,
-            seconds: f64_of(req("seconds")?, "seconds")?,
-            read_requests: u64_of(req("read_requests")?, "read_requests")?,
-            write_requests: u64_of(req("write_requests")?, "write_requests")?,
-            classes,
-            area_mm2: f64_of(req("area_mm2")?, "area_mm2")?,
-            power_w: f64_of(req("power_w")?, "power_w")?,
-            gpu_seconds: f64_of(req("gpu_seconds")?, "gpu_seconds")?,
-            gpu_speedup: f64_of(req("gpu_speedup")?, "gpu_speedup")?,
-            pipezk_seconds,
-            pipezk_speedup,
-            fleet,
-        })
     }
 }
 
@@ -835,27 +673,5 @@ mod tests {
         let r = p.run();
         assert!(r.pipezk_seconds.is_some());
         assert!(r.pipezk_speedup.is_some());
-    }
-
-    #[test]
-    fn json_round_trip_is_byte_identical() {
-        for point in [
-            demo_point(),
-            SweepPoint {
-                chip: ChipConfig::default_chip().with_vsas(8),
-                app: App::Sha256,
-                log_rows: 10,
-                chunk_size: Some(3),
-                fleet: None,
-            },
-            fleet_point(2, 2, 2),
-        ] {
-            let r = point.run();
-            let text = r.to_json().to_string_pretty();
-            let back =
-                PointResult::from_json(&unizk_testkit::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, r);
-            assert_eq!(back.to_json().to_string_pretty(), text);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! The engine's central guarantee: the artifact depends only on the spec.
 //!
-//! Worker count, cache temperature, and scheduling order must never change
-//! a byte of the output, and the engine's default-chip numbers must agree
+//! Worker count and scheduling order must never change a byte of the
+//! output, and the engine's default-chip numbers must agree
 //! exactly with the committed simulator contract (`CONTRACT.json`).
 
 use std::path::PathBuf;
@@ -26,15 +26,6 @@ fn fleet_spec() -> SweepSpec {
         .workload(App::Fibonacci, Scale::Shrunk(6))
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "unizk-explore-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn artifact_is_independent_of_worker_count() {
     let spec = grid_spec();
@@ -47,55 +38,19 @@ fn artifact_is_independent_of_worker_count() {
     );
 }
 
-#[test]
-fn cached_rerun_is_all_hits_and_byte_identical() {
-    let spec = grid_spec();
-    let dir = tmp_dir("cache");
-    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()) };
-
-    let cold = run_sweep(&spec, &opts).unwrap();
-    assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, spec.num_points());
-
-    let warm = run_sweep(&spec, &opts).unwrap();
-    assert_eq!(warm.cache_hits, spec.num_points(), "every point must hit");
-    assert_eq!(warm.cache_misses, 0);
-
-    assert_eq!(
-        cold.to_json().to_string_pretty(),
-        warm.to_json().to_string_pretty(),
-        "a fully-cached sweep must emit the same bytes as the cold run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Fleet points inherit the same contract: the queueing simulation is a
-/// pure function of the spec, so worker count and cache temperature must
-/// not change a byte of a fleet sweep's artifact either.
+/// pure function of the spec, so worker count must not change a byte of a
+/// fleet sweep's artifact either.
 #[test]
-fn fleet_artifact_is_independent_of_workers_and_cache_state() {
+fn fleet_artifact_is_independent_of_worker_count() {
     let spec = fleet_spec();
     let serial = run_sweep(&spec, &SweepOptions { jobs: 1, ..Default::default() }).unwrap();
     let parallel = run_sweep(&spec, &SweepOptions { jobs: 8, ..Default::default() }).unwrap();
-    let serial_bytes = serial.to_json().to_string_pretty();
     assert_eq!(
-        serial_bytes,
+        serial.to_json().to_string_pretty(),
         parallel.to_json().to_string_pretty(),
         "1-thread and 8-thread fleet sweeps must emit byte-identical artifacts"
     );
-
-    let dir = tmp_dir("fleet-cache");
-    let opts = SweepOptions { jobs: 4, cache_dir: Some(dir.clone()) };
-    let cold = run_sweep(&spec, &opts).unwrap();
-    assert_eq!(cold.cache_misses, spec.num_points());
-    let warm = run_sweep(&spec, &opts).unwrap();
-    assert_eq!(warm.cache_hits, spec.num_points(), "every fleet point must hit");
-    assert_eq!(
-        serial_bytes,
-        warm.to_json().to_string_pretty(),
-        "a fully-cached fleet sweep must emit the same bytes as the uncached run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The sweep engine is only trustworthy if its per-point numbers are the

@@ -33,11 +33,6 @@
 //!   caller's open `unizk_testkit::trace` span, and a worker's panic
 //!   reaches the caller unchanged. [`run_indexed`] is the one loop for a
 //!   closed batch of unequal items (sweep points, proving jobs).
-//! * [`Pool`] / [`TablePool`] — recyclable buffer free-lists. The
-//!   proof-serving pipeline bundles them into a `unizk_hash::Workspace`
-//!   and threads that through the prover so concurrent jobs reuse
-//!   polynomial, codeword, and Merkle allocations instead of churning the
-//!   allocator.
 //!
 //! # Invariants
 //!
@@ -68,7 +63,6 @@ pub mod koalabear;
 pub mod lanes;
 pub mod par;
 pub mod poly;
-pub mod pool;
 pub mod traits;
 pub mod util;
 
@@ -81,7 +75,6 @@ pub use par::{
     parallel_zip_mut, run_indexed, set_parallelism,
 };
 pub use poly::Polynomial;
-pub use pool::{Pool, PoolStats, TablePool};
 pub use traits::{ExtensionOf, Field, PrimeField64, ProtocolField};
 pub use util::{batch_inverse, bit_reverse, log2_strict, powers, reverse_index_bits};
 

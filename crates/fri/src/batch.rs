@@ -8,8 +8,6 @@
 //! code over `Poseidon2KbSponge`.
 
 use unizk_field::{Field, Polynomial, PrimeField64, ProtocolField};
-use unizk_hash::sponge::HashField;
-use unizk_hash::workspace::Workspace;
 use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, SpongeBackend};
 use unizk_ntt::{coset_ntt_nr_zero_tail, intt_nn};
 use unizk_testkit::trace;
@@ -47,24 +45,6 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
     /// Panics if the batch is empty or lengths differ / are not powers of
     /// two.
     pub fn from_coeffs(polys: Vec<Polynomial<B::F>>, config: &FriConfig) -> Self {
-        Self::from_coeffs_in(polys, config, None)
-    }
-
-    /// [`GenericPolynomialBatch::from_coeffs`] with an optional
-    /// [`Workspace`]: the LDE codewords, the Merkle leaf table, and the
-    /// tree's digest levels are drawn from (and sized for return to) the
-    /// workspace pools. The commitment is bit-identical with and without a
-    /// workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or lengths differ / are not powers of
-    /// two.
-    pub fn from_coeffs_in(
-        polys: Vec<Polynomial<B::F>>,
-        config: &FriConfig,
-        ws: Option<&Workspace>,
-    ) -> Self {
         assert!(!polys.is_empty(), "cannot commit to an empty batch");
         let degree = polys[0].len();
         assert!(degree.is_power_of_two(), "degree must be a power of two");
@@ -80,10 +60,10 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         let ldes: Vec<Vec<B::F>> = trace::with_span("batch.lde", || {
             let coeff_refs: Vec<&[B::F]> = polys.iter().map(|p| p.coeffs()).collect();
             unizk_field::parallel_map(coeff_refs, |c| {
-                // `lde_nr` on a pooled buffer: zero-pad, then NTT^NR on the
-                // coset, skipping the work on the zero tail (identical
-                // values and transform counters).
-                let mut padded = B::F::take_elems(ws, lde_size);
+                // `lde_nr`: zero-pad, then NTT^NR on the coset, skipping the
+                // work on the zero tail (identical values and transform
+                // counters).
+                let mut padded = Vec::with_capacity(lde_size);
                 padded.extend_from_slice(c);
                 padded.resize(lde_size, B::F::ZERO);
                 coset_ntt_nr_zero_tail(&mut padded, degree, shift);
@@ -92,7 +72,7 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         });
 
         let leaves: Vec<Vec<B::F>> = trace::with_span("batch.leaves", || {
-            let mut table = B::F::take_table(ws, lde_size);
+            let mut table = vec![Vec::new(); lde_size];
             unizk_field::parallel_chunks_mut(&mut table, 1, |offset, rows| {
                 for (k, row) in rows.iter_mut().enumerate() {
                     row.extend(ldes.iter().map(|l| l[offset + k]));
@@ -100,13 +80,11 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
             });
             table
         });
-        // The codewords have been transposed into the leaf table; shelve
-        // them for the next commitment.
-        for lde in ldes {
-            B::F::put_elems(ws, lde);
-        }
+        // The codewords have been transposed into the leaf table; free them
+        // before the tree is built, so they never coexist with its levels.
+        drop(ldes);
 
-        let tree = GenericMerkleTree::<B>::new_in(leaves, ws);
+        let tree = GenericMerkleTree::<B>::new(leaves);
         Self {
             polys,
             tree,
@@ -123,37 +101,13 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
     /// Panics under the same conditions as
     /// [`GenericPolynomialBatch::from_coeffs`].
     pub fn from_values(columns: Vec<Vec<B::F>>, config: &FriConfig) -> Self {
-        Self::from_values_in(columns, config, None)
-    }
-
-    /// [`GenericPolynomialBatch::from_values`] with an optional
-    /// [`Workspace`] (see [`GenericPolynomialBatch::from_coeffs_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`GenericPolynomialBatch::from_coeffs`].
-    pub fn from_values_in(
-        columns: Vec<Vec<B::F>>,
-        config: &FriConfig,
-        ws: Option<&Workspace>,
-    ) -> Self {
         let polys = trace::with_span("batch.intt", || {
             unizk_field::parallel_map(columns, |mut v| {
                 intt_nn(&mut v);
                 Polynomial::from_coeffs(v)
             })
         });
-        Self::from_coeffs_in(polys, config, ws)
-    }
-
-    /// Consumes the batch, shelving its polynomial coefficient buffers and
-    /// the Merkle tree's allocations in `ws` for the next job.
-    pub fn recycle(self, ws: &Workspace) {
-        for p in self.polys {
-            B::F::put_elems(Some(ws), p.into_coeffs());
-        }
-        self.tree.recycle(ws);
+        Self::from_coeffs(polys, config)
     }
 
     /// The Merkle root (the commitment).

@@ -54,7 +54,7 @@ pub mod verifier;
 pub use batch::{GenericPolynomialBatch, PolynomialBatch};
 pub use config::FriConfig;
 pub use proof::{FriProof, FriQueryRound};
-pub use prover::{fri_prove, fri_prove_in, grind, pow_ok};
+pub use prover::{fri_prove, grind, pow_ok};
 pub use serialization::{Reader, WireError, Writer};
 pub use timing::{kernel_totals_from, KernelClass};
 pub use verifier::{fri_verify, FriError};

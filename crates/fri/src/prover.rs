@@ -11,8 +11,6 @@ use unizk_field::{
     batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, LaneKernel, Lanes,
     Polynomial, PrimeField64, ProtocolField,
 };
-use unizk_hash::sponge::HashField;
-use unizk_hash::workspace::Workspace;
 use unizk_hash::{GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, SpongeBackend};
 use unizk_ntt::coset_intt_rn_uncounted;
 use unizk_testkit::trace;
@@ -49,25 +47,6 @@ pub fn fri_prove<B: SpongeBackend>(
     points: &[<B::F as ProtocolField>::Ext],
     challenger: &mut GenericChallenger<B>,
     config: &FriConfig,
-) -> FriProof<B::F> {
-    fri_prove_in(batches, points, challenger, config, None)
-}
-
-/// [`fri_prove`] with an optional [`Workspace`]: the combined witness, the
-/// fold layers, and every fold tree's leaf table and digest levels are
-/// drawn from the workspace pools and shelved back before returning. The
-/// proof is bit-identical with and without a workspace — pooling only
-/// changes where the backing allocations come from.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`fri_prove`].
-pub fn fri_prove_in<B: SpongeBackend>(
-    batches: &[&GenericPolynomialBatch<B>],
-    points: &[<B::F as ProtocolField>::Ext],
-    challenger: &mut GenericChallenger<B>,
-    config: &FriConfig,
-    ws: Option<&Workspace>,
 ) -> FriProof<B::F> {
     assert!(!batches.is_empty(), "need at least one batch");
     assert!(!points.is_empty(), "need at least one opening point");
@@ -111,7 +90,7 @@ pub fn fri_prove_in<B: SpongeBackend>(
     //    v0(x) = Σ_t β^t · (S(x) − Y_t) / (x − z_t),
     //    with S(x) = Σ_j α^j p_j(x) over the global polynomial index.
     let mut values = trace::with_span("fri.combine", || {
-        combine_initial(batches, points, &openings, alpha, beta, lde_size, ws)
+        combine_initial(batches, points, &openings, alpha, beta, lde_size)
     });
 
     // 4. Commit phase: arity-2 folds, one Merkle tree per round.
@@ -124,14 +103,13 @@ pub fn fri_prove_in<B: SpongeBackend>(
     {
         let _commit_span = trace::span("fri.commit_fold");
         for _ in 0..num_rounds {
-            let tree = trace::with_span("fri.fold_tree", || commit_fold_layer::<B>(&values, ws));
+            let tree = trace::with_span("fri.fold_tree", || commit_fold_layer::<B>(&values));
             challenger.observe_digest(tree.root());
             commit_roots.push(tree.root());
             fold_trees.push(tree);
 
             let fold_beta = challenger.challenge_ext();
-            let folded =
-                trace::with_span("fri.fold", || fold_layer(&values, domain, fold_beta, ws));
+            let folded = trace::with_span("fri.fold", || fold_layer(&values, domain, fold_beta));
             layers.push(std::mem::replace(&mut values, folded));
             domain = domain.fold();
         }
@@ -181,19 +159,6 @@ pub fn fri_prove_in<B: SpongeBackend>(
         queries.push(FriQueryRound { initial, folds });
     }
     drop(_query_span);
-
-    // Everything the queries referenced has been copied into the proof;
-    // hand the layer buffers and fold-tree allocations back for the next
-    // job on this worker.
-    if let Some(w) = ws {
-        for layer in layers {
-            B::F::put_ext_elems(Some(w), layer);
-        }
-        B::F::put_ext_elems(Some(w), values);
-        for tree in fold_trees {
-            tree.recycle(w);
-        }
-    }
 
     FriProof {
         openings,
@@ -282,7 +247,6 @@ fn combine_initial<B: SpongeBackend>(
     alpha: <B::F as ProtocolField>::Ext,
     beta: <B::F as ProtocolField>::Ext,
     lde_size: usize,
-    ws: Option<&Workspace>,
 ) -> Vec<<B::F as ProtocolField>::Ext> {
     type E<B> = <<B as SpongeBackend>::F as ProtocolField>::Ext;
     // α^j over the global polynomial index j.
@@ -307,8 +271,7 @@ fn combine_initial<B: SpongeBackend>(
         .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
         .collect();
     let leaves: Vec<&[Vec<B::F>]> = batches.iter().map(|b| b.leaves()).collect();
-    let mut values = B::F::take_ext_elems(ws, lde_size);
-    values.resize(lde_size, E::<B>::ZERO);
+    let mut values = vec![E::<B>::ZERO; lde_size];
     B::F::with_lanes(LeafSums {
         leaves: &leaves,
         limbs: &limbs,
@@ -317,7 +280,7 @@ fn combine_initial<B: SpongeBackend>(
 
     // Into the numerator, D(x_i) beside it.
     let xs = FoldDomain::<B::F>::initial(lde_size).points();
-    let mut denoms = B::F::take_ext_elems(ws, lde_size);
+    let mut denoms = Vec::with_capacity(lde_size);
     for (value, &x) in values.iter_mut().zip(&xs) {
         let (numerator, denominator) = quotient.at(x, *value);
         *value = numerator;
@@ -327,8 +290,6 @@ fn combine_initial<B: SpongeBackend>(
     for (value, &inv) in values.iter_mut().zip(&inv) {
         *value *= inv;
     }
-    B::F::put_ext_elems(ws, denoms);
-    B::F::put_ext_elems(ws, inv);
     values
 }
 
@@ -364,33 +325,30 @@ impl<F: PrimeField64, E: ExtensionOf<F>> LaneKernel<F> for LeafSums<'_, F, E> {
 /// base limbs of `(v[2k], v[2k+1])`, each leaf allocated once at its width.
 fn commit_fold_layer<B: SpongeBackend>(
     values: &[<B::F as ProtocolField>::Ext],
-    ws: Option<&Workspace>,
 ) -> GenericMerkleTree<B> {
     let width = 2 * <<B::F as ProtocolField>::Ext as ExtensionOf<B::F>>::DEGREE;
-    let mut leaves = B::F::take_table(ws, values.len() / 2);
+    let mut leaves = vec![Vec::new(); values.len() / 2];
     for (pair, leaf) in values.chunks_exact(2).zip(leaves.iter_mut()) {
         leaf.reserve_exact(width);
         leaf.extend_from_slice(pair[0].as_base_slice());
         leaf.extend_from_slice(pair[1].as_base_slice());
     }
-    GenericMerkleTree::<B>::new_in(leaves, ws)
+    GenericMerkleTree::<B>::new(leaves)
 }
 
-/// Performs one arity-2 fold of a bit-reversed layer over `domain`, writing
-/// into a workspace buffer.
+/// Performs one arity-2 fold of a bit-reversed layer over `domain`.
 ///
 /// With `p(x) = p_e(x²) + x·p_o(x²)` and the sibling pair `(v(x), v(−x))`
 /// adjacent in bit-reversed order, the folded value at `y = x²` is
 /// `p_e(y) + β·p_o(y)`.
-fn fold_layer<F: ProtocolField + HashField>(
+fn fold_layer<F: ProtocolField>(
     values: &[F::Ext],
     domain: FoldDomain<F>,
     fold_beta: F::Ext,
-    ws: Option<&Workspace>,
 ) -> Vec<F::Ext> {
     debug_assert_eq!(values.len(), domain.size);
     let two_inv = F::TWO.inverse();
-    let mut out = F::take_ext_elems(ws, domain.size / 2);
+    let mut out = Vec::with_capacity(domain.size / 2);
     out.extend(
         values
             .chunks_exact(2)
@@ -571,7 +529,7 @@ mod tests {
             .map(|i| poly.eval(Ext2::from(domain.point(i))))
             .collect();
         let beta = Ext2::new([3, 5].map(Goldilocks::from_u64));
-        let folded = fold_layer(&values, domain, beta, None);
+        let folded = fold_layer(&values, domain, beta);
 
         let even = Polynomial::from_coeffs(coeffs.iter().copied().step_by(2).collect::<Vec<_>>());
         let odd = Polynomial::from_coeffs(coeffs.iter().copied().skip(1).step_by(2).collect::<Vec<_>>());
@@ -596,7 +554,7 @@ mod tests {
             .map(|i| poly.eval(KbExt4::from(domain.point(i))))
             .collect();
         let beta = KbExt4::from(KoalaBear::from_u64(7)) + KbExt4::X;
-        let folded = fold_layer(&values, domain, beta, None);
+        let folded = fold_layer(&values, domain, beta);
 
         let even = Polynomial::from_coeffs(coeffs.iter().copied().step_by(2).collect::<Vec<_>>());
         let odd =

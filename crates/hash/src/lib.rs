@@ -27,9 +27,6 @@
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and
 //!   4+4+zero-pad interior-node rule (§5.3) — a leaf that fits in a digest
 //!   is its own digest, as in Plonky2 — plus opening proofs.
-//! * [`workspace`] — the [`Workspace`] buffer-recycling seam the
-//!   proof-serving pipeline threads through tree construction and the
-//!   prover layers above.
 //!
 //! **Substitution note (see DESIGN.md):** round constants and matrix entries
 //! are generated deterministically from a seed rather than copied from
@@ -64,7 +61,6 @@ pub mod packed;
 pub mod poseidon;
 pub mod poseidon2_kb;
 pub mod sponge;
-pub mod workspace;
 
 pub use digest::Digest;
 pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree, Opening};
@@ -80,4 +76,3 @@ pub use sponge::{
     two_to_one, two_to_one_with, Challenger, GenericChallenger, GenericSpeculativeChallenger,
     HashField, PoseidonSponge, SpeculativeChallenger, SpongeBackend,
 };
-pub use workspace::{Workspace, WorkspaceStats};

@@ -25,10 +25,7 @@
 use unizk_field::{log2_strict, parallel_ranges, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
-use crate::sponge::{
-    compress_level_with, hash_many_with, HashField, PoseidonSponge, SpongeBackend,
-};
-use crate::workspace::Workspace;
+use crate::sponge::{compress_level_with, hash_many_with, PoseidonSponge, SpongeBackend};
 
 /// The grain of a Merkle level: workers take whole runs of this many leaves
 /// (or interior pairs), and a level of at most one grain is hashed on the
@@ -62,10 +59,9 @@ pub fn leaf_digests_with<B: SpongeBackend, L: AsRef<[B::F]>>(leaves: &[L]) -> Ve
     digests.collect()
 }
 
-/// [`leaf_digests_with`] over a whole level, into a caller-supplied
-/// (typically pooled) buffer, in pieces of whole [`HASH_CHUNK`]s per worker;
-/// piece size, lane width and thread count are invisible in digests and
-/// counters.
+/// [`leaf_digests_with`] over a whole level, into a caller-supplied buffer,
+/// in pieces of whole [`HASH_CHUNK`]s per worker; piece size, lane width
+/// and thread count are invisible in digests and counters.
 fn hash_leaves_into<B: SpongeBackend>(leaves: &[Vec<B::F>], out: &mut Vec<Digest<B::F>>) {
     for piece in parallel_ranges(leaves.len(), HASH_CHUNK, |r| {
         leaf_digests_with::<B, _>(&leaves[r])
@@ -156,20 +152,6 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     /// Panics if `leaves.len()` is not a power of two (the protocol always
     /// commits to power-of-two LDE domains).
     pub fn new(leaves: Vec<Vec<B::F>>) -> Self {
-        Self::new_in(leaves, None)
-    }
-
-    /// Builds a tree over `leaves`, drawing each level's digest buffer from
-    /// `ws` when one is supplied (the proof-serving path). Digests are
-    /// bit-identical either way; only the provenance of the backing
-    /// allocations differs. Give the buffers back with
-    /// [`recycle`](GenericMerkleTree::recycle) once the tree is no longer
-    /// needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves.len()` is not a power of two.
-    pub fn new_in(leaves: Vec<Vec<B::F>>, ws: Option<&Workspace>) -> Self {
         assert!(
             leaves.len().is_power_of_two(),
             "leaf count must be a power of two, got {}",
@@ -182,26 +164,16 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         // digests and each interior level parallelize trivially, in pieces
         // of whole HASH_CHUNKs.
         let mut levels = Vec::with_capacity(log2_strict(leaves.len()) + 1);
-        let mut first = B::F::take_digests(ws, leaves.len());
+        let mut first = Vec::with_capacity(leaves.len());
         hash_leaves_into::<B>(&leaves, &mut first);
         levels.push(first);
         while levels.last().expect("nonempty").len() > 1 {
             let prev = levels.last().expect("nonempty");
-            let mut next = B::F::take_digests(ws, prev.len() / 2);
+            let mut next = Vec::with_capacity(prev.len() / 2);
             hash_pairs_into::<B>(prev, &mut next);
             levels.push(next);
         }
         Self { leaves, levels }
-    }
-
-    /// Consumes the tree, shelving its leaf table and every level's digest
-    /// buffer in `ws` for the next job on this worker. Call this instead of
-    /// dropping when serving many proofs from one process.
-    pub fn recycle(self, ws: &Workspace) {
-        B::F::put_table(Some(ws), self.leaves);
-        for level in self.levels {
-            B::F::put_digests(Some(ws), level);
-        }
     }
 
     /// The root digest (the commitment sent to the verifier).
@@ -487,29 +459,6 @@ mod tests {
             assert!(MerkleTree::verify(root, 5, &padded(Goldilocks::ZERO), &proof));
             assert!(!MerkleTree::verify(root, 5, &padded(Goldilocks::ONE), &proof));
         }
-    }
-
-    #[test]
-    fn pooled_tree_is_bit_identical_and_recycles() {
-        let data = leaves(16, 5);
-        let plain = MerkleTree::new(data.clone());
-        let ws = Workspace::new();
-        // Poison the pools: stale contents must never leak into digests.
-        ws.put_digests(vec![Digest::ZERO; 64]);
-        ws.put_gl_table(vec![vec![Goldilocks::from_u64(u64::MAX); 9]; 16]);
-
-        let pooled = MerkleTree::new_in(data.clone(), Some(&ws));
-        assert_eq!(pooled.root(), plain.root());
-        for i in 0..16 {
-            assert_eq!(pooled.prove(i), plain.prove(i), "leaf {i}");
-        }
-        pooled.recycle(&ws);
-        // Second build reuses the recycled buffers.
-        let before = ws.stats().total();
-        let again = MerkleTree::new_in(data, Some(&ws));
-        assert_eq!(again.root(), plain.root());
-        let after = ws.stats().total();
-        assert!(after.hits > before.hits, "recycled buffers should hit");
     }
 
     #[test]

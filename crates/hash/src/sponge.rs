@@ -19,7 +19,6 @@ use unizk_field::{ExtensionOf, Field, Goldilocks, PrimeField64, ProtocolField};
 
 use crate::digest::Digest;
 use crate::poseidon::{poseidon_permute, NoncePermutation, SPONGE_RATE, WIDTH};
-use crate::workspace::Workspace;
 
 /// A cryptographic permutation a sponge can be built over, together with
 /// the base field it permutes.
@@ -85,105 +84,21 @@ pub trait SpongeBackend {
     fn speculative_rows(spec: &Self::Speculative, xs: &[Self::F], out: &mut [Self::F]);
 }
 
-/// A base field wired into the hashing layer: knows its default sponge
-/// and how to route its buffer shapes through a [`Workspace`].
+/// A base field wired into the hashing layer: knows its default sponge.
 ///
 /// This is the type-level switch that picks the whole `(field, hasher)`
 /// stack: `StarkConfig<Goldilocks>` resolves to Poseidon over Goldilocks,
-/// `StarkConfig<KoalaBear>` to Poseidon2 over KoalaBear. The pooling hooks
-/// exist because [`Workspace`] holds *concrete* Goldilocks-shaped pools —
-/// the Goldilocks impl routes through them (bit-identical to the
-/// pre-generic helpers), while small-field impls fall back to the default
-/// bodies below, which allocate fresh and drop (`None`-workspace
-/// semantics).
+/// `StarkConfig<KoalaBear>` to Poseidon2 over KoalaBear.
 pub trait HashField: ProtocolField {
     /// The field's default sponge backend.
     type Sponge: SpongeBackend<F = Self>;
-
-    /// Takes an empty base-element buffer (pool hit or fresh allocation).
-    fn take_elems(ws: Option<&Workspace>, capacity: usize) -> Vec<Self> {
-        let _ = ws;
-        Vec::with_capacity(capacity)
-    }
-
-    /// Recycles a base-element buffer (or drops it).
-    fn put_elems(ws: Option<&Workspace>, v: Vec<Self>) {
-        let _ = (ws, v);
-    }
-
-    /// Takes an empty extension-element buffer.
-    fn take_ext_elems(ws: Option<&Workspace>, capacity: usize) -> Vec<Self::Ext> {
-        let _ = ws;
-        Vec::with_capacity(capacity)
-    }
-
-    /// Recycles an extension-element buffer.
-    fn put_ext_elems(ws: Option<&Workspace>, v: Vec<Self::Ext>) {
-        let _ = (ws, v);
-    }
-
-    /// Takes an empty digest buffer.
-    fn take_digests(ws: Option<&Workspace>, capacity: usize) -> Vec<Digest<Self>> {
-        let _ = ws;
-        Vec::with_capacity(capacity)
-    }
-
-    /// Recycles a digest buffer.
-    fn put_digests(ws: Option<&Workspace>, v: Vec<Digest<Self>>) {
-        let _ = (ws, v);
-    }
-
-    /// Takes a leaf table with exactly `rows` empty rows.
-    fn take_table(ws: Option<&Workspace>, rows: usize) -> Vec<Vec<Self>> {
-        let _ = ws;
-        let mut t = Vec::with_capacity(rows);
-        t.resize_with(rows, Vec::new);
-        t
-    }
-
-    /// Recycles a leaf table.
-    fn put_table(ws: Option<&Workspace>, t: Vec<Vec<Self>>) {
-        let _ = (ws, t);
-    }
 }
 
 impl HashField for Goldilocks {
     type Sponge = PoseidonSponge;
-
-    fn take_elems(ws: Option<&Workspace>, capacity: usize) -> Vec<Self> {
-        crate::workspace::take_gl(ws, capacity)
-    }
-    fn put_elems(ws: Option<&Workspace>, v: Vec<Self>) {
-        crate::workspace::put_gl(ws, v);
-    }
-    fn take_ext_elems(ws: Option<&Workspace>, capacity: usize) -> Vec<Self::Ext> {
-        crate::workspace::take_ext(ws, capacity)
-    }
-    fn put_ext_elems(ws: Option<&Workspace>, v: Vec<Self::Ext>) {
-        crate::workspace::put_ext(ws, v);
-    }
-    fn take_digests(ws: Option<&Workspace>, capacity: usize) -> Vec<Digest<Self>> {
-        crate::workspace::take_digests(ws, capacity)
-    }
-    fn put_digests(ws: Option<&Workspace>, v: Vec<Digest<Self>>) {
-        if let Some(w) = ws {
-            w.put_digests(v);
-        }
-    }
-    fn take_table(ws: Option<&Workspace>, rows: usize) -> Vec<Vec<Self>> {
-        crate::workspace::take_gl_table(ws, rows)
-    }
-    fn put_table(ws: Option<&Workspace>, t: Vec<Vec<Self>>) {
-        if let Some(w) = ws {
-            w.put_gl_table(t);
-        }
-    }
 }
 
 impl HashField for unizk_field::KoalaBear {
-    // Small-field buffers use the default fresh-alloc bodies: the
-    // Workspace's pools are Goldilocks-shaped, and the serve pipeline
-    // (the pooling customer) is a Goldilocks deployment.
     type Sponge = crate::poseidon2_kb::Poseidon2KbSponge;
 }
 

@@ -1,9 +1,10 @@
 //! Job descriptions: which AIR to prove, at what size, under which config.
 
-use unizk_hash::Workspace;
 use unizk_stark::{
-    prove_in, CountdownAir, FibonacciAir, RangeAccumulatorAir, StarkConfig, StarkError, StarkProof,
+    prove, CountdownAir, FibonacciAir, RangeAccumulatorAir, StarkConfig, StarkError, StarkProof,
 };
+
+use crate::pipeline::NoPool;
 
 /// The demo applications a proof-serving job can request, one per AIR the
 /// STARK layer ships.
@@ -41,22 +42,22 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Proves the spec, optionally recycling buffers through `ws`.
+    /// Proves the spec. `pool` is always `None` ([`NoPool`] has no values);
+    /// `benchmark/` still passes it.
     ///
-    /// This is the single proving entry point of the pipeline: the one-shot
-    /// reference path is exactly `self.prove(None)`.
+    /// This is the single proving entry point of the pipeline and of the
+    /// one-shot reference path.
     ///
     /// # Errors
     ///
     /// Returns [`StarkError::UnsatisfiedConstraints`] if the AIR's trace
     /// fails its degree check (never for the stock AIRs above).
-    pub fn prove(&self, ws: Option<&Workspace>) -> Result<StarkProof, StarkError> {
+    pub fn prove(&self, pool: Option<NoPool>) -> Result<StarkProof, StarkError> {
+        let _ = pool;
         match self.app {
-            AppKind::Fibonacci => prove_in(&FibonacciAir::new(self.rows), &self.config, ws),
-            AppKind::Countdown => prove_in(&CountdownAir::new(self.rows), &self.config, ws),
-            AppKind::RangeAccumulator => {
-                prove_in(&RangeAccumulatorAir::new(self.rows), &self.config, ws)
-            }
+            AppKind::Fibonacci => prove(&FibonacciAir::new(self.rows), &self.config),
+            AppKind::Countdown => prove(&CountdownAir::new(self.rows), &self.config),
+            AppKind::RangeAccumulator => prove(&RangeAccumulatorAir::new(self.rows), &self.config),
         }
     }
 

@@ -6,10 +6,8 @@
 //!
 //! * [`Pipeline`] — proves a closed batch of jobs on the workspace's one
 //!   claim-the-next-item loop (`unizk_field::par::run_indexed`, the loop
-//!   `unizk-explore` sweeps a grid on); each worker proves jobs with an
-//!   optional per-worker [`Workspace`](unizk_hash::Workspace) so one job's
-//!   large allocations (LDE codewords, Merkle leaf tables and digest
-//!   levels, FRI fold layers) are recycled into the next. A job the prover
+//!   `unizk-explore` sweeps a grid on); every job allocates its own
+//!   buffers, exactly as the one-shot prover does. A job the prover
 //!   refuses or panics on fails alone ([`JobError`]), and the whole run is
 //!   one `serve.run` trace span with a `serve.job` child per proof.
 //! * [`TrafficSpec`] — deterministic synthetic workloads over a weighted
@@ -21,7 +19,7 @@
 //! Every proof produced by the pipeline is **byte-identical** to the
 //! one-shot `unizk_stark::prove` output for the same
 //! [`JobSpec`] — for every worker count (including `workers: 0`, the
-//! calling thread), every [`PoolMode`], and every arrival order.
+//! calling thread) and every arrival order.
 //! Scheduling only moves *when* a proof is computed, never *what* it is;
 //! the differential test suite in `tests/` pins this.
 //!
@@ -51,6 +49,6 @@ pub mod traffic;
 
 pub use job::{AppKind, Job, JobSpec};
 pub use pipeline::{
-    JobError, Pipeline, PipelineConfig, PipelineReport, PoolMode, WorkerReport,
+    JobError, NoPool, Pipeline, PipelineConfig, PipelineReport, PoolMode, WorkerReport,
 };
 pub use traffic::{MixEntry, TrafficSpec};

@@ -1,5 +1,5 @@
-//! The proof-serving pipeline: a closed batch of jobs proved by a pool of
-//! workers, each with an optional per-worker [`Workspace`].
+//! The proof-serving pipeline: a closed batch of jobs proved by a set of
+//! workers.
 //!
 //! Every caller hands over the complete job list up front, so the batch
 //! runs on the workspace's one closed-batch loop
@@ -11,8 +11,8 @@
 //! Scheduling is free-running — which worker proves which job, and in what
 //! order jobs complete, varies run to run. The *outputs* do not: each
 //! proof depends only on its [`JobSpec`], so the report's
-//! id → proof mapping is byte-identical across worker counts, pool modes,
-//! and arrival orders. Latency and utilization figures are measurements,
+//! id → proof mapping is byte-identical across worker counts and arrival
+//! orders. Latency and utilization figures are measurements,
 //! not deterministic quantities; everything a correctness gate should pin
 //! lives in the proofs.
 //!
@@ -27,9 +27,8 @@
 //! The batch runs inside a `serve.run` span and every prove inside a
 //! `serve.job` span under it, on whichever thread proves it, so the
 //! prover's `stark.prove` trees, every region span included, nest under
-//! `serve.run/serve.job`. Each run publishes the counters `serve.jobs`,
-//! `serve.jobs_failed` and, with pooling on, `serve.pool.hits` /
-//! `serve.pool.misses`. Everything is merged into the trace store by the
+//! `serve.run/serve.job`. Each run publishes the counters `serve.jobs` and
+//! `serve.jobs_failed`. Everything is merged into the trace store by the
 //! time [`Pipeline::run`] returns.
 
 use std::fmt;
@@ -37,34 +36,46 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use unizk_field::par::run_indexed;
-use unizk_hash::{Workspace, WorkspaceStats};
 use unizk_stark::{StarkError, StarkProof};
 use unizk_testkit::{stats, trace};
 
 use crate::job::{Job, JobSpec};
 
-/// Buffer-recycling policy for the worker pool.
+/// Accepted and ignored: every job allocates its own buffers; `benchmark/`
+/// still names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolMode {
-    /// No workspace: every job allocates from scratch (the one-shot path).
+    /// Ignored.
     Off,
-    /// One [`Workspace`] per worker, reused across that worker's jobs.
+    /// Ignored.
     #[default]
     PerWorker,
 }
 
-/// Pipeline shape: worker count and pooling policy.
+/// The item type of [`PipelineReport::pool_stats`]: uninhabited, so the
+/// accessor is always `None`; `benchmark/` still names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoPool {}
+
+impl NoPool {
+    /// Unreachable: there is no value to ask.
+    pub fn hit_rate(&self) -> Option<f64> {
+        match *self {}
+    }
+}
+
+/// Pipeline shape: the worker count.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Prover threads. `0` and `1` prove every job on the calling thread
     /// (the single-lane pipeline, useful as a reference).
     pub workers: usize,
-    /// Whether workers recycle buffers across jobs.
+    /// Accepted and ignored; `benchmark/` still sets it.
     pub pool: PoolMode,
 }
 
 impl PipelineConfig {
-    /// `workers` threads with per-worker pooling.
+    /// `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers,
@@ -134,8 +145,6 @@ pub struct WorkerReport {
     pub jobs: usize,
     /// Time spent proving: the summed service time of this worker's jobs.
     pub busy_ns: u64,
-    /// Final pool counters, when pooling was on.
-    pub pool: Option<WorkspaceStats>,
 }
 
 /// Everything one [`Pipeline::run`] produced.
@@ -179,15 +188,9 @@ impl PipelineReport {
         stats::utilizations(&busy, self.wall_ns)
     }
 
-    /// Pool counters aggregated over all workers (`None` with pooling off).
-    pub fn pool_stats(&self) -> Option<WorkspaceStats> {
-        let mut merged: Option<WorkspaceStats> = None;
-        for w in &self.workers {
-            if let Some(s) = &w.pool {
-                merged = Some(merged.map_or(*s, |m| m.merged(s)));
-            }
-        }
-        merged
+    /// Always `None`; `benchmark/` still calls it.
+    pub fn pool_stats(&self) -> Option<NoPool> {
+        None
     }
 }
 
@@ -222,19 +225,11 @@ impl Pipeline {
             assert_eq!(ids.len(), jobs.len(), "job ids must be unique");
         }
         let _run_span = trace::span("serve.run");
-        let workspaces: Vec<Option<Workspace>> = (0..config.workers.max(1))
-            .map(|_| match config.pool {
-                PoolMode::Off => None,
-                PoolMode::PerWorker => Some(Workspace::new()),
-            })
-            .collect();
 
         let epoch = Instant::now();
         let mut results = run_indexed(config.workers, jobs, |worker, _, job| {
             let start = elapsed_ns(epoch);
-            let outcome = trace::with_span("serve.job", || {
-                prove_contained(&job.spec, workspaces[worker].as_ref())
-            });
+            let outcome = trace::with_span("serve.job", || prove_contained(&job.spec));
             let done = elapsed_ns(epoch);
             JobResult {
                 id: job.id,
@@ -247,16 +242,13 @@ impl Pipeline {
         let wall_ns = elapsed_ns(epoch);
         results.sort_by_key(|r| r.id);
 
-        let workers = workspaces
-            .iter()
-            .enumerate()
-            .map(|(worker, ws)| {
+        let workers = (0..config.workers.max(1))
+            .map(|worker| {
                 let proved = results.iter().filter(|r| r.worker == worker);
                 WorkerReport {
                     worker,
                     jobs: proved.clone().count(),
                     busy_ns: proved.map(|r| r.service_ns).sum(),
-                    pool: ws.as_ref().map(Workspace::stats),
                 }
             })
             .collect();
@@ -269,22 +261,16 @@ impl Pipeline {
         let failed = report.results.iter().filter(|r| r.outcome.is_err()).count();
         trace::counter("serve.jobs", report.results.len() as u64);
         trace::counter("serve.jobs_failed", failed as u64);
-        if let Some(pool) = report.pool_stats().map(|s| s.total()) {
-            trace::counter("serve.pool.hits", pool.hits);
-            trace::counter("serve.pool.misses", pool.misses);
-        }
         report
     }
 }
 
 /// [`JobSpec::prove`] with the failure kept inside the job: a prover error
 /// or a panic comes back as this job's [`JobError`].
-fn prove_contained(spec: &JobSpec, ws: Option<&Workspace>) -> Result<StarkProof, JobError> {
-    // The workspace is the only state a job shares with the next one on its
-    // worker, and pooled buffers are value-invisible (the canary suite feeds
-    // the prover garbage-filled ones), so a prove abandoned half-way leaves
-    // nothing a later job can observe.
-    match catch_unwind(AssertUnwindSafe(|| spec.prove(ws))) {
+fn prove_contained(spec: &JobSpec) -> Result<StarkProof, JobError> {
+    // A job shares no state with the next one on its worker, so a prove
+    // abandoned half-way leaves nothing a later job can observe.
+    match catch_unwind(AssertUnwindSafe(|| spec.prove(None))) {
         Ok(outcome) => outcome.map_err(JobError::Prover),
         Err(panic) => {
             let message = panic
@@ -334,13 +320,7 @@ mod tests {
     #[test]
     fn inline_mode_matches_threaded() {
         let threaded = Pipeline::run(tiny_jobs(3), &PipelineConfig::with_workers(2));
-        let inline = Pipeline::run(
-            tiny_jobs(3),
-            &PipelineConfig {
-                workers: 0,
-                pool: PoolMode::Off,
-            },
-        );
+        let inline = Pipeline::run(tiny_jobs(3), &PipelineConfig::with_workers(0));
         for (a, b) in threaded.results.iter().zip(&inline.results) {
             assert_eq!(a.proof_bytes(), b.proof_bytes());
         }
@@ -379,19 +359,5 @@ mod tests {
         let mut jobs = tiny_jobs(2);
         jobs[1].id = 0;
         let _ = Pipeline::run(jobs, &PipelineConfig::default());
-    }
-
-    #[test]
-    fn pool_stats_present_only_when_pooling() {
-        let on = Pipeline::run(tiny_jobs(2), &PipelineConfig::with_workers(1));
-        assert!(on.pool_stats().is_some());
-        let off = Pipeline::run(
-            tiny_jobs(2),
-            &PipelineConfig {
-                workers: 1,
-                pool: PoolMode::Off,
-            },
-        );
-        assert!(off.pool_stats().is_none());
     }
 }

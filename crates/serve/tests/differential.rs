@@ -1,14 +1,13 @@
 //! Differential wall: the proof-serving pipeline against the one-shot
 //! prover.
 //!
-//! The pipeline's whole value rests on one claim — scheduling and pooling
-//! move *when* a proof is computed, never *what* it is. This suite pins
-//! the claim exhaustively over the axes a deployment can vary:
+//! The pipeline's whole value rests on one claim — scheduling moves *when*
+//! a proof is computed, never *what* it is. This suite pins the claim
+//! exhaustively over the axes a deployment can vary:
 //!
 //! * worker count: inline (`0`), single (`1`), and oversubscribed (`2`,
 //!   `4` — the host may have fewer cores, which is exactly the contended
 //!   case worth testing);
-//! * pool mode: off (fresh allocations) and per-worker recycling;
 //! * arrival order: in-order, reversed, and interleaved submissions.
 //!
 //! Every cell of that grid must reproduce the one-shot proof bytes for
@@ -39,24 +38,33 @@ fn assert_identical(jobs: &[Job], config: &PipelineConfig, refs: &HashMap<String
         assert_eq!(
             &bytes,
             &refs[&job.spec.key()],
-            "job {} ({}) diverged under workers={} pool={:?}",
+            "job {} ({}) diverged under workers={}",
             result.id,
             job.spec.key(),
             config.workers,
-            config.pool,
         );
     }
 }
 
 #[test]
-fn every_worker_count_and_pool_mode_matches_one_shot() {
+fn every_worker_count_matches_one_shot() {
     let jobs = TrafficSpec::smoke(8).generate();
     let refs = references(&jobs);
     for workers in [0usize, 1, 2, 4] {
-        for pool in [PoolMode::Off, PoolMode::PerWorker] {
-            let config = PipelineConfig { workers, pool };
-            assert_identical(&jobs, &config, &refs);
-        }
+        assert_identical(&jobs, &PipelineConfig::with_workers(workers), &refs);
+    }
+}
+
+/// `PoolMode` and `pool_stats` survive only as names `benchmark/` still
+/// uses: either mode proves the same bytes, and there are never stats.
+#[test]
+fn pool_names_are_inert() {
+    let jobs = TrafficSpec::smoke(4).generate();
+    let refs = references(&jobs);
+    for pool in [PoolMode::Off, PoolMode::PerWorker] {
+        let config = PipelineConfig { workers: 2, pool };
+        assert_identical(&jobs, &config, &refs);
+        assert!(Pipeline::run(jobs.clone(), &config).pool_stats().is_none());
     }
 }
 
@@ -73,10 +81,7 @@ fn arrival_order_does_not_change_any_proof() {
     let mut interleaved: Vec<Job> = in_order.iter().step_by(2).cloned().collect();
     interleaved.extend(in_order.iter().skip(1).step_by(2).cloned());
 
-    let config = PipelineConfig {
-        workers: 2,
-        pool: PoolMode::PerWorker,
-    };
+    let config = PipelineConfig::with_workers(2);
     for jobs in [&in_order, &reversed, &interleaved] {
         assert_identical(jobs, &config, &refs);
     }
@@ -87,11 +92,7 @@ fn report_invariants_hold() {
     for workers in [0usize, 1, 2, 4] {
         let jobs = TrafficSpec::smoke(8).generate();
         let n = jobs.len();
-        let config = PipelineConfig {
-            workers,
-            pool: PoolMode::PerWorker,
-        };
-        let report = Pipeline::run(jobs, &config);
+        let report = Pipeline::run(jobs, &PipelineConfig::with_workers(workers));
         let lanes = workers.max(1);
 
         // Conservation: every job proved exactly once, by exactly one
@@ -182,51 +183,28 @@ fn a_failing_job_fails_alone() {
     }
 
     for workers in [0usize, 1, 2, 4] {
-        for pool in [PoolMode::Off, PoolMode::PerWorker] {
-            let report = Pipeline::run(jobs.clone(), &PipelineConfig { workers, pool });
-            assert_eq!(report.results.len(), jobs.len());
-            for (result, job) in report.results.iter().zip(&jobs) {
-                let fault = faults.iter().find(|(at, ..)| *at as u64 == result.id);
-                match (&result.outcome, fault) {
-                    (Ok(proof), None) => assert_eq!(
-                        proof.to_bytes(),
-                        refs[&job.spec.key()],
-                        "job {} diverged beside failing jobs, workers={workers} pool={pool:?}",
-                        result.id,
-                    ),
-                    (Err(e), Some((.., reason))) => assert!(
-                        e.to_string().contains(reason),
-                        "job {}: {e:?} does not mention {reason:?}",
-                        result.id,
-                    ),
-                    (outcome, _) => panic!(
-                        "job {} ({}): unexpected {outcome:?}, workers={workers} pool={pool:?}",
-                        result.id,
-                        job.spec.key(),
-                    ),
-                }
+        let report = Pipeline::run(jobs.clone(), &PipelineConfig::with_workers(workers));
+        assert_eq!(report.results.len(), jobs.len());
+        for (result, job) in report.results.iter().zip(&jobs) {
+            let fault = faults.iter().find(|(at, ..)| *at as u64 == result.id);
+            match (&result.outcome, fault) {
+                (Ok(proof), None) => assert_eq!(
+                    proof.to_bytes(),
+                    refs[&job.spec.key()],
+                    "job {} diverged beside failing jobs, workers={workers}",
+                    result.id,
+                ),
+                (Err(e), Some((.., reason))) => assert!(
+                    e.to_string().contains(reason),
+                    "job {}: {e:?} does not mention {reason:?}",
+                    result.id,
+                ),
+                (outcome, _) => panic!(
+                    "job {} ({}): unexpected {outcome:?}, workers={workers}",
+                    result.id,
+                    job.spec.key(),
+                ),
             }
         }
     }
-}
-
-#[test]
-fn pooled_workers_actually_recycle() {
-    // With several jobs per worker, the second job onward must draw from
-    // the shelves the first job filled.
-    let jobs = TrafficSpec::smoke(6).generate();
-    let report = Pipeline::run(
-        jobs,
-        &PipelineConfig {
-            workers: 1,
-            pool: PoolMode::PerWorker,
-        },
-    );
-    let stats = report.pool_stats().expect("pooling was on");
-    assert!(
-        stats.total().hits > 0,
-        "expected pool hits across jobs, got {:?}",
-        stats
-    );
-    assert!(stats.hit_rate().expect("takes happened") > 0.0);
 }

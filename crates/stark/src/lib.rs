@@ -35,5 +35,5 @@ pub use aggregate::{aggregate, aggregate_many, recursive_circuit, AggregatedProo
 pub use airs::{CountdownAir, FibonacciAir, RangeAccumulatorAir};
 pub use config::{check_protocol, KbStarkConfig, StarkConfig};
 pub use proof::StarkProof;
-pub use prover::{prove, prove_in};
+pub use prover::prove;
 pub use verifier::{verify, StarkError};

@@ -7,9 +7,9 @@ use unizk_field::{
     batch_inverse, bit_reverse, log2_strict, powers, reverse_index_bits, Polynomial,
 };
 use unizk_fri::domain::FoldDomain;
-use unizk_fri::{fri_prove_in, GenericPolynomialBatch};
+use unizk_fri::{fri_prove, GenericPolynomialBatch};
 use unizk_hash::sponge::HashField;
-use unizk_hash::{GenericChallenger, SpongeBackend, Workspace};
+use unizk_hash::{GenericChallenger, SpongeBackend};
 use unizk_testkit::trace;
 
 use crate::air::Air;
@@ -22,35 +22,12 @@ use crate::verifier::StarkError;
 /// # Errors
 ///
 /// Returns [`StarkError::UnsatisfiedConstraints`] if the generated trace
-/// does not satisfy the AIR (the quotient fails its degree check).
+/// does not satisfy the AIR (the quotient fails its degree check), and
+/// [`StarkError::InsecureParameters`] if the configuration fails the static
+/// P-rule checker (conjectured security short of
+/// `config.target_security_bits`, an LDE past the field's two-adicity, a
+/// malformed final polynomial, or an unsatisfiable grind).
 pub fn prove<F, H, A>(air: &A, config: &StarkConfig<F, H>) -> Result<StarkProof<F>, StarkError>
-where
-    F: HashField,
-    H: SpongeBackend<F = F>,
-    A: Air<F> + Sync,
-{
-    prove_in(air, config, None)
-}
-
-/// [`prove`] with an optional [`Workspace`]: every large intermediate — LDE
-/// codewords, Merkle leaf tables and digest levels, the FRI combined
-/// witness and fold layers — is drawn from the workspace pools and shelved
-/// back before returning, so a long-lived worker reuses one job's
-/// allocations for the next. The proof is bit-identical with and without a
-/// workspace; `prove(air, config)` is exactly `prove_in(air, config, None)`.
-///
-/// # Errors
-///
-/// Returns [`StarkError::UnsatisfiedConstraints`] under the same conditions
-/// as [`prove`], and [`StarkError::InsecureParameters`] if the
-/// configuration fails the static P-rule checker (conjectured security
-/// short of `config.target_security_bits`, an LDE past the field's
-/// two-adicity, a malformed final polynomial, or an unsatisfiable grind).
-pub fn prove_in<F, H, A>(
-    air: &A,
-    config: &StarkConfig<F, H>,
-    ws: Option<&Workspace>,
-) -> Result<StarkProof<F>, StarkError>
 where
     F: HashField,
     H: SpongeBackend<F = F>,
@@ -76,7 +53,7 @@ where
     let trace = trace::with_span("stark.trace_gen", || air.generate_trace());
     assert_eq!(trace.len(), air.width(), "trace width mismatch");
     let trace_batch = trace::with_span("stark.trace_commit", || {
-        GenericPolynomialBatch::<H>::from_values_in(trace, &config.fri, ws)
+        GenericPolynomialBatch::<H>::from_values(trace, &config.fri)
     });
     challenger.observe_digest(trace_batch.root());
 
@@ -88,7 +65,7 @@ where
         compute_quotients(air, &trace_batch, &alphas, n)
     })?;
     let quotient_batch = trace::with_span("stark.quotient_commit", || {
-        GenericPolynomialBatch::<H>::from_coeffs_in(quotient_polys, &config.fri, ws)
+        GenericPolynomialBatch::<H>::from_coeffs(quotient_polys, &config.fri)
     });
     challenger.observe_digest(quotient_batch.root());
 
@@ -97,28 +74,20 @@ where
     let omega = F::primitive_root_of_unity(log2_strict(n));
     let points = [zeta, zeta * F::Ext::from(omega)];
     let fri = trace::with_span("stark.fri", || {
-        fri_prove_in(
+        fri_prove(
             &[&trace_batch, &quotient_batch],
             &points,
             &mut challenger,
             &config.fri,
-            ws,
         )
     });
 
-    let proof = StarkProof {
+    Ok(StarkProof {
         trace_root: trace_batch.root(),
         quotient_root: quotient_batch.root(),
         fri,
         rows: n,
-    };
-    // The proof holds copies of everything it needs; shelve both
-    // commitments' buffers for the worker's next job.
-    if let Some(w) = ws {
-        trace_batch.recycle(w);
-        quotient_batch.recycle(w);
-    }
-    Ok(proof)
+    })
 }
 
 fn compute_quotients<F, H, A>(

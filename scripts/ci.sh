@@ -123,38 +123,20 @@ echo "==> DRAM probe count (one replay per HBM config x access pattern per proce
 cargo test -q --offline -p unizk-dram --test probe_once
 cargo test -q --offline -p unizk-explore --test probe_count
 
-echo "==> smoke sweep (cold, then fully cached)"
+echo "==> smoke sweeps (one path: the same artifact at one and four workers)"
+# Every point simulates. A chip spec and a fleet spec each run at --jobs 1
+# and --jobs 4, and the two artifacts must be byte-identical: worker count
+# and completion order never reach the output.
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
-./target/release/sweep --spec crates/explore/specs/ci.json --jobs 4 \
-    --cache-dir "$SWEEP_TMP/cache" --out "$SWEEP_TMP/cold.json" \
-    | tee "$SWEEP_TMP/cold.log"
-./target/release/sweep --spec crates/explore/specs/ci.json --jobs 4 \
-    --cache-dir "$SWEEP_TMP/cache" --out "$SWEEP_TMP/warm.json" \
-    | tee "$SWEEP_TMP/warm.log"
-grep -q "cache hits: 0/4" "$SWEEP_TMP/cold.log" \
-    || { echo "FAIL: cold sweep should have zero cache hits"; exit 1; }
-grep -q "cache hits: 4/4" "$SWEEP_TMP/warm.log" \
-    || { echo "FAIL: cached re-run should hit on every point"; exit 1; }
-diff "$SWEEP_TMP/cold.json" "$SWEEP_TMP/warm.json" \
-    || { echo "FAIL: cached sweep artifact differs from cold run"; exit 1; }
-
-echo "==> fleet smoke sweep (cold, then fully cached)"
-# Fleet points must honor the same caching/determinism contract as chip
-# points: a cold run misses on all 8 points, the re-run hits on all 8,
-# and the two artifacts are byte-identical.
-./target/release/sweep --spec crates/explore/specs/fleet-ci.json --jobs 4 \
-    --cache-dir "$SWEEP_TMP/fleet-cache" --out "$SWEEP_TMP/fleet-cold.json" \
-    | tee "$SWEEP_TMP/fleet-cold.log"
-./target/release/sweep --spec crates/explore/specs/fleet-ci.json --jobs 4 \
-    --cache-dir "$SWEEP_TMP/fleet-cache" --out "$SWEEP_TMP/fleet-warm.json" \
-    | tee "$SWEEP_TMP/fleet-warm.log"
-grep -q "cache hits: 0/8" "$SWEEP_TMP/fleet-cold.log" \
-    || { echo "FAIL: cold fleet sweep should have zero cache hits"; exit 1; }
-grep -q "cache hits: 8/8" "$SWEEP_TMP/fleet-warm.log" \
-    || { echo "FAIL: cached fleet re-run should hit on every point"; exit 1; }
-diff "$SWEEP_TMP/fleet-cold.json" "$SWEEP_TMP/fleet-warm.json" \
-    || { echo "FAIL: cached fleet sweep artifact differs from cold run"; exit 1; }
+for spec in ci fleet-ci; do
+    for jobs in 1 4; do
+        ./target/release/sweep --spec "crates/explore/specs/$spec.json" --jobs "$jobs" \
+            --out "$SWEEP_TMP/$spec-$jobs.json"
+    done
+    diff "$SWEEP_TMP/$spec-1.json" "$SWEEP_TMP/$spec-4.json" \
+        || { echo "FAIL: $spec sweep artifact differs between --jobs 1 and --jobs 4"; exit 1; }
+done
 
 echo "==> determinism contract (contract | diff - CONTRACT.json)"
 # Every exact number a PR is held to, from one writer in a fresh process:
@@ -259,6 +241,26 @@ if grep -rnE 'Condvar|poisoned' crates/serve/src \
         || ./target/release/sweep --spec crates/explore/specs/ci.json --prune \
             --out "$SWEEP_TMP/prune.json" 2> /dev/null; then
     echo "FAIL: closed batches have one scheduler (field::par::run_indexed) and the sweep one path"
+    exit 1
+fi
+
+echo "==> one allocation path per prover layer (no _in forks, no pool, workspace or cache module)"
+# Each prover layer has one entry point that allocates its own buffers;
+# the per-worker buffer pools and the on-disk sweep memo were measured and
+# removed (EXPERIMENTS.md, "The pool decision" and Part 2). An `fn …_in(`
+# is a second entry point coming back, a pool/workspace/cache module in
+# field, hash or explore a second allocation or sweep path, and an item in
+# HashField beside `type Sponge` the hooks such a path threads through.
+hash_field="$(awk '/^pub trait HashField/ { show = 1; next } show && /^}/ { show = 0 } show' \
+    crates/hash/src/sponge.rs | grep -vE '^[[:space:]]*(//|$)' || true)"
+if grep -rnE 'fn [A-Za-z0-9_]*_in[<(]' crates/*/src \
+        || find crates/{field,hash,explore}/src -maxdepth 1 -regextype posix-extended \
+            -regex '.*/(pool|workspace|cache)(\.rs)?' | grep . \
+        || grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? )?mod (pool|workspace|cache)\b' \
+            crates/{field,hash,explore}/src \
+        || ! grep -qE '^[[:space:]]*type Sponge:' <<< "$hash_field" \
+        || [ "$(wc -l <<< "$hash_field")" -ne 1 ]; then
+    echo "FAIL: one allocation path per prover layer; HashField holds type Sponge and nothing else"
     exit 1
 fi
 
