@@ -31,6 +31,7 @@ use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::binomial::{BinomialExtension, BinomiallyExtendable};
+use crate::lanes::LaneKernel;
 use crate::traits::{Field, PrimeField64, ProtocolField};
 
 /// The KoalaBear prime `2^31 - 2^24 + 1`.
@@ -139,6 +140,7 @@ const ROOTS_OF_UNITY: [KoalaBear; KoalaBear::TWO_ADICITY + 1] = {
 /// on `[0, p)`, so residue equality is field equality. `Ord` compares
 /// *canonical* values so that ordering matches [`Field::as_u64`].
 #[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)] // a lane of `lanes::avx512::koalabear` is one `u32`
 pub struct KoalaBear(u32);
 
 impl KoalaBear {
@@ -244,6 +246,17 @@ impl PrimeField64 for KoalaBear {
             Self::TWO_ADICITY
         );
         ROOTS_OF_UNITY[bits]
+    }
+
+    /// Sixteen lanes in one AVX-512 register when the CPU has `avx512f`,
+    /// else one.
+    #[inline]
+    fn with_lanes<K: LaneKernel<Self>>(kernel: K) -> K::Output {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = crate::lanes::avx512::detect() {
+            return detected.run_koalabear(kernel);
+        }
+        kernel.run::<Self>()
     }
 
     fn random<R: unizk_testkit::rng::Rng + ?Sized>(rng: &mut R) -> Self {

@@ -7,9 +7,10 @@
 //!   Every [`Field`] is its own one-lane case.
 //! * [`LaneKernel`] is a computation written once, generic over the lane
 //!   type. [`PrimeField64::with_lanes`] runs it: by default on the field
-//!   itself, one lane at a time; [`crate::Goldilocks`] overrides the hook
-//!   to run it on eight lanes in one AVX-512 register when the CPU has
-//!   `avx512f` (the private row type of [`avx512`]).
+//!   itself, one lane at a time. Both fields override the hook when the CPU
+//!   has `avx512f`: [`crate::Goldilocks`] runs it on eight lanes in one
+//!   AVX-512 register, [`crate::KoalaBear`] on sixteen (the private row
+//!   types of [`avx512`] and [`avx512::koalabear`]).
 //!
 //! CPU detection is the only selector: there is no feature, environment
 //! variable, setter or build flag. Lanes hold canonical elements and every
@@ -19,7 +20,7 @@
 //!
 //! # Writing a kernel
 //!
-//! The eight-lane type is fast only if the whole kernel is compiled inside
+//! A vector lane type is fast only if the whole kernel is compiled inside
 //! the `#[target_feature]` entry point [`with_lanes`](PrimeField64::with_lanes)
 //! reaches: [`LaneKernel::run`] and every helper it calls on lanes must be
 //! `#[inline(always)]` and must not pass lanes through a closure or a call
@@ -35,16 +36,16 @@ use crate::traits::{Field, PrimeField64};
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
-/// The widest lane type of any field: a buffer of `MAX_LANES` scalars per
-/// row holds one lane row of whichever type [`PrimeField64::with_lanes`]
-/// picks.
-pub const MAX_LANES: usize = 8;
+/// The widest lane type of any field — sixteen KoalaBear lanes — so a
+/// buffer of `MAX_LANES` scalars per row holds one lane row of whichever
+/// type [`PrimeField64::with_lanes`] picks, for either field.
+pub const MAX_LANES: usize = 16;
 
 /// `WIDTH` elements of one field, operated on element-wise.
 ///
 /// Implemented by every [`Field`] (one lane) and, on x86-64, by a private
-/// eight-lane Goldilocks row that only [`PrimeField64::with_lanes`] can
-/// instantiate.
+/// eight-lane Goldilocks row and a private sixteen-lane KoalaBear row that
+/// only [`PrimeField64::with_lanes`] can instantiate.
 pub trait Lanes:
     Copy
     + Send
@@ -265,8 +266,8 @@ fn common_prefix_mut<'a, 'b, F>(a: &'a mut [F], b: &'b [F]) -> (&'a mut [F], &'b
     (&mut a[..len], &b[..len])
 }
 
-/// Reports once per test process that the eight-lane rows are not
-/// exercised on this host, and says whether they are.
+/// Reports once per test process that the vector rows are not exercised
+/// on this host, and says whether they are.
 #[cfg(test)]
 pub(crate) fn vector_lanes_or_report() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -275,47 +276,74 @@ pub(crate) fn vector_lanes_or_report() -> bool {
     let detected = false;
     if !detected {
         static REPORT: std::sync::Once = std::sync::Once::new();
-        REPORT.call_once(|| eprintln!("skipped: no avx512f (eight-lane kernel tests did not run)"));
+        REPORT.call_once(|| eprintln!("skipped: no avx512f (vector lane kernel tests did not run)"));
     }
     detected
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goldilocks::P;
     use crate::{Goldilocks, KoalaBear};
     use unizk_testkit::rng::TestRng;
 
-    /// The values where a carry, borrow or fold of a 64-bit lane goes
-    /// wrong: 0, 1, 2, 2^32 − 1, 2^32, p − 2, p − 1.
-    pub(crate) fn extremes() -> [Goldilocks; 7] {
-        [0, 1, 2, 0xFFFF_FFFF, 1 << 32, P - 2, P - 1].map(Goldilocks::new)
+    /// A field whose lane kernels the tests run, with the values where its
+    /// lanes' carries, borrows, folds and conditional subtractions go wrong.
+    trait Edges: PrimeField64 {
+        fn extremes() -> Vec<Self>;
+    }
+
+    impl Edges for Goldilocks {
+        /// 0, 1, 2, 2^32 − 1, 2^32, p − 2, p − 1.
+        fn extremes() -> Vec<Self> {
+            let p = crate::goldilocks::P;
+            [0, 1, 2, 0xFFFF_FFFF, 1 << 32, p - 2, p - 1].map(Goldilocks::new).to_vec()
+        }
+    }
+
+    impl Edges for KoalaBear {
+        /// 0, 1, 2, p − 2, p − 1 and `R = 2^32 mod p`.
+        fn extremes() -> Vec<Self> {
+            let p = u64::from(crate::koalabear::P);
+            [0, 1, 2, p - 2, p - 1, (1 << 32) % p].map(KoalaBear::from_u64).to_vec()
+        }
     }
 
     /// `n` values: the extremes at every offset of one another, then random.
-    fn values(rng: &mut TestRng, n: usize, shift: usize) -> Vec<Goldilocks> {
-        let e = extremes();
+    fn values<F: Edges>(rng: &mut TestRng, n: usize, shift: usize) -> Vec<F> {
+        let e = F::extremes();
         (0..n)
-            .map(|i| if i < 3 * e.len() { e[(i + shift) % e.len()] } else { Goldilocks::random(rng) })
+            .map(|i| if i < 3 * e.len() { e[(i + shift) % e.len()] } else { F::random(rng) })
             .collect()
     }
 
-    /// Each lane operation on `L` against the scalar operation per lane.
-    struct Ops<'a> {
-        a: &'a [Goldilocks],
-        b: &'a [Goldilocks],
+    /// The lane width [`PrimeField64::with_lanes`] picks for `F`.
+    struct Width;
+
+    impl<F: Field> LaneKernel<F> for Width {
+        type Output = usize;
+
+        fn run<L: Lanes<Scalar = F>>(self) -> usize {
+            L::WIDTH
+        }
     }
 
-    impl LaneKernel<Goldilocks> for Ops<'_> {
-        type Output = Vec<[Goldilocks; 3]>;
+    /// Each lane operation on `L` against the scalar operation per lane.
+    struct Ops<'a, F> {
+        a: &'a [F],
+        b: &'a [F],
+    }
+
+    impl<F: Field> LaneKernel<F> for Ops<'_, F> {
+        type Output = Vec<[F; 3]>;
 
         #[inline(always)]
-        fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Self::Output {
+        fn run<L: Lanes<Scalar = F>>(self) -> Self::Output {
             let (a, _) = split_rows::<L>(self.a);
             let (b, _) = split_rows::<L>(self.b);
-            let mut out = vec![[Goldilocks::ZERO; 3]; a.len() * L::WIDTH];
-            let mut lanes = [Goldilocks::ZERO; MAX_LANES];
+            let mut out = vec![[F::ZERO; 3]; a.len() * L::WIDTH];
+            let mut lanes = [F::ZERO; MAX_LANES];
             for (r, (&x, &y)) in a.iter().zip(b).enumerate() {
                 for (op, row) in [x + y, x - y, x * y].into_iter().enumerate() {
                     row.store(&mut lanes);
@@ -328,50 +356,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_ops_match_scalar_ops_at_every_pair_of_extremes() {
-        let mut rng = TestRng::seed_from_u64(0x1a7e);
-        for shift in 0..7 {
-            let a = values(&mut rng, 72, 0);
-            let b = values(&mut rng, 72, shift);
-            let want: Vec<[Goldilocks; 3]> =
-                a.iter().zip(&b).map(|(&x, &y)| [x + y, x - y, x * y]).collect();
-            assert_eq!(Ops { a: &a, b: &b }.run::<Goldilocks>(), want, "one lane, shift {shift}");
-            if vector_lanes_or_report() {
-                assert_eq!(Goldilocks::with_lanes(Ops { a: &a, b: &b }), want, "eight lanes, shift {shift}");
+    /// The whole rows of `0..len` on the picked lane type, and on one lane,
+    /// against the scalar operations.
+    fn lane_ops_match<F: Edges>(seed: u64) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let width = F::with_lanes(Width);
+        let shifts = F::extremes().len();
+        for len in 0..=72 {
+            for shift in 0..shifts {
+                let a = values::<F>(&mut rng, len, 0);
+                let b = values::<F>(&mut rng, len, shift);
+                let want: Vec<[F; 3]> = a.iter().zip(&b).map(|(&x, &y)| [x + y, x - y, x * y]).collect();
+                assert_eq!(Ops { a: &a, b: &b }.run::<F>(), want, "one lane, len {len} shift {shift}");
+                let rows = len / width * width;
+                assert_eq!(F::with_lanes(Ops { a: &a, b: &b }), want[..rows], "{width} lanes, len {len} shift {shift}");
             }
         }
     }
 
+    #[test]
+    fn lane_ops_match_scalar_ops_at_every_pair_of_extremes() {
+        lane_ops_match::<Goldilocks>(0x1a7e);
+        lane_ops_match::<KoalaBear>(0x1a7f);
+        vector_lanes_or_report();
+    }
+
     /// Interleaving two rows of 0..W and W..2W at every block length,
     /// against the definition, and back.
-    #[test]
-    fn interleave_deals_chunks_and_undoes_itself() {
-        struct Deal;
-        impl LaneKernel<Goldilocks> for Deal {
-            type Output = Vec<(usize, [Vec<u64>; 2])>;
-            #[inline(always)]
-            fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Self::Output {
-                let xs: Vec<Goldilocks> = (0..2 * L::WIDTH as u64).map(Goldilocks::from_u64).collect();
-                let (x, y) = (L::load(&xs), L::load(&xs[L::WIDTH..]));
-                let mut out = Vec::new();
-                let mut block_len = 1;
-                while block_len <= 2 * L::WIDTH {
-                    let (a, b) = x.interleave(y, block_len);
-                    let (x2, y2) = a.interleave(b, block_len);
-                    let mut rows = [vec![Goldilocks::ZERO; 2 * L::WIDTH], vec![Goldilocks::ZERO; 2 * L::WIDTH]];
-                    a.store(&mut rows[0]);
-                    b.store(&mut rows[0][L::WIDTH..]);
-                    x2.store(&mut rows[1]);
-                    y2.store(&mut rows[1][L::WIDTH..]);
-                    out.push((block_len, rows.map(|r| r.iter().map(|v| v.as_u64()).collect())));
-                    block_len *= 2;
-                }
-                out
+    struct Deal;
+
+    impl<F: Field> LaneKernel<F> for Deal {
+        type Output = Vec<(usize, [Vec<u64>; 2])>;
+
+        #[inline(always)]
+        fn run<L: Lanes<Scalar = F>>(self) -> Self::Output {
+            let xs: Vec<F> = (0..2 * L::WIDTH as u64).map(F::from_u64).collect();
+            let (x, y) = (L::load(&xs), L::load(&xs[L::WIDTH..]));
+            let mut out = Vec::new();
+            let mut block_len = 1;
+            while block_len <= 2 * L::WIDTH {
+                let (a, b) = x.interleave(y, block_len);
+                let (x2, y2) = a.interleave(b, block_len);
+                let mut rows = [vec![F::ZERO; 2 * L::WIDTH], vec![F::ZERO; 2 * L::WIDTH]];
+                a.store(&mut rows[0]);
+                b.store(&mut rows[0][L::WIDTH..]);
+                x2.store(&mut rows[1]);
+                y2.store(&mut rows[1][L::WIDTH..]);
+                out.push((block_len, rows.map(|r| r.iter().map(Field::as_u64).collect())));
+                block_len *= 2;
             }
+            out
         }
-        for (width, dealt) in [(1, Deal.run::<Goldilocks>()), (0, Goldilocks::with_lanes(Deal))] {
-            let width = if width == 1 { 1 } else { dealt[0].1[0].len() / 2 };
+    }
+
+    fn interleave_deals<F: PrimeField64>() {
+        for dealt in [Deal.run::<F>(), F::with_lanes(Deal)] {
+            let width = dealt[0].1[0].len() / 2;
             for (block_len, [first_second, back]) in dealt {
                 let identity: Vec<u64> = (0..2 * width as u64).collect();
                 assert_eq!(back, identity, "width {width} block {block_len}");
@@ -388,85 +428,101 @@ mod tests {
     }
 
     #[test]
-    fn splat_load_store_round_trip() {
-        let mut rng = TestRng::seed_from_u64(0x5a1);
-        let xs = values(&mut rng, MAX_LANES, 3);
-        struct RoundTrip<'a>(&'a [Goldilocks]);
-        impl LaneKernel<Goldilocks> for RoundTrip<'_> {
-            type Output = (Vec<Goldilocks>, Vec<Goldilocks>);
-            #[inline(always)]
-            fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Self::Output {
-                let mut loaded = vec![Goldilocks::ZERO; L::WIDTH];
-                L::load(self.0).store(&mut loaded);
-                let mut splat = vec![Goldilocks::ZERO; L::WIDTH];
-                L::splat(self.0[1]).store(&mut splat);
-                (loaded, splat)
-            }
+    fn interleave_deals_chunks_and_undoes_itself() {
+        interleave_deals::<Goldilocks>();
+        interleave_deals::<KoalaBear>();
+    }
+
+    struct RoundTrip<'a, F>(&'a [F]);
+
+    impl<F: Field> LaneKernel<F> for RoundTrip<'_, F> {
+        type Output = (Vec<F>, Vec<F>);
+
+        #[inline(always)]
+        fn run<L: Lanes<Scalar = F>>(self) -> Self::Output {
+            let mut loaded = vec![F::ZERO; L::WIDTH];
+            L::load(self.0).store(&mut loaded);
+            let mut splat = vec![F::ZERO; L::WIDTH];
+            L::splat(self.0[1]).store(&mut splat);
+            (loaded, splat)
         }
-        let (loaded, splat) = Goldilocks::with_lanes(RoundTrip(&xs));
+    }
+
+    fn round_trip<F: Edges>(seed: u64) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let xs = values::<F>(&mut rng, MAX_LANES, 3);
+        let (loaded, splat) = F::with_lanes(RoundTrip(&xs));
         assert_eq!(loaded, xs[..loaded.len()]);
         assert!(splat.iter().all(|&x| x == xs[1]));
     }
 
-    /// [`dot_rows`] as a kernel of its own.
-    struct Dot<'a> {
-        a: &'a [Goldilocks],
-        b: &'a [Goldilocks],
+    #[test]
+    fn splat_load_store_round_trip() {
+        round_trip::<Goldilocks>(0x5a1);
+        round_trip::<KoalaBear>(0x5a2);
     }
 
-    impl LaneKernel<Goldilocks> for Dot<'_> {
-        type Output = Goldilocks;
+    /// [`dot_rows`] as a kernel of its own.
+    struct Dot<'a, F> {
+        a: &'a [F],
+        b: &'a [F],
+    }
+
+    impl<F: Field> LaneKernel<F> for Dot<'_, F> {
+        type Output = F;
 
         #[inline(always)]
-        fn run<L: Lanes<Scalar = Goldilocks>>(self) -> Goldilocks {
+        fn run<L: Lanes<Scalar = F>>(self) -> F {
             dot_rows::<L>(self.a, self.b)
         }
     }
 
     /// The shared kernels at every length 0..=72 — so every remainder of
-    /// eight — on both lane types, against plain loops.
-    #[test]
-    fn kernels_match_one_lane_at_every_length() {
-        let mut rng = TestRng::seed_from_u64(0xd07);
+    /// eight and of sixteen — on both lane types, against plain loops.
+    fn kernels_match<F: Edges>(seed: u64) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let shifts = F::extremes().len();
         for len in 0..=72 {
-            let a = values(&mut rng, len, len % 7);
-            let b = values(&mut rng, len + len % 3, 2);
-            let c = a.get(len / 2).copied().unwrap_or(Goldilocks::NEG_ONE);
+            let a = values::<F>(&mut rng, len, len % shifts);
+            let b = values::<F>(&mut rng, len + len % 3, 2);
+            let c = a.get(len / 2).copied().unwrap_or(F::ZERO - F::ONE);
 
-            let want_dot: Goldilocks = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-            let want_mul: Vec<Goldilocks> = a.iter().zip(&b).map(|(&x, &y)| x * y).collect();
-            let want_scale: Vec<Goldilocks> = a.iter().map(|&x| x * c).collect();
+            let want_dot: F = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
+            let want_mul: Vec<F> = a.iter().zip(&b).map(|(&x, &y)| x * y).collect();
+            let want_scale: Vec<F> = a.iter().map(|&x| x * c).collect();
 
-            assert_eq!(Dot { a: &a, b: &b }.run::<Goldilocks>(), want_dot, "len {len}");
-            assert_eq!(Goldilocks::with_lanes(Dot { a: &a, b: &b }), want_dot, "len {len}");
+            assert_eq!(Dot { a: &a, b: &b }.run::<F>(), want_dot, "len {len}");
+            assert_eq!(F::with_lanes(Dot { a: &a, b: &b }), want_dot, "len {len}");
 
             let mut one = a.clone();
-            MulAssign { dst: &mut one, factors: &b }.run::<Goldilocks>();
+            MulAssign { dst: &mut one, factors: &b }.run::<F>();
             let mut dispatched = a.clone();
             mul_assign(&mut dispatched, &b);
             assert_eq!((&one, &dispatched), (&want_mul, &want_mul), "len {len}");
 
             let mut one = a.clone();
-            Scale { dst: &mut one, c }.run::<Goldilocks>();
+            Scale { dst: &mut one, c }.run::<F>();
             let mut dispatched = a.clone();
             scale(&mut dispatched, c);
             assert_eq!((&one, &dispatched), (&want_scale, &want_scale), "len {len}");
         }
+    }
+
+    #[test]
+    fn kernels_match_one_lane_at_every_length() {
+        kernels_match::<Goldilocks>(0xd07);
+        kernels_match::<KoalaBear>(0xd08);
         vector_lanes_or_report();
     }
 
-    /// KoalaBear keeps the default hook: its kernels run one lane at a time.
+    /// Goldilocks runs its kernels on eight lanes and KoalaBear on sixteen
+    /// when the CPU has `avx512f`, each on one lane otherwise.
     #[test]
-    fn koalabear_runs_one_lane() {
-        struct Width;
-        impl LaneKernel<KoalaBear> for Width {
-            type Output = usize;
-            fn run<L: Lanes<Scalar = KoalaBear>>(self) -> usize {
-                L::WIDTH
-            }
-        }
-        assert_eq!(KoalaBear::with_lanes(Width), 1);
-        let xs: Vec<KoalaBear> = (1..=20u64).map(KoalaBear::from_u64).collect();
+    fn each_field_runs_its_widest_lanes() {
+        let vector = vector_lanes_or_report();
+        assert_eq!(Goldilocks::with_lanes(Width), if vector { 8 } else { 1 });
+        assert_eq!(KoalaBear::with_lanes(Width), if vector { 16 } else { 1 });
+        let xs: Vec<KoalaBear> = (1..=40u64).map(KoalaBear::from_u64).collect();
         let mut squares = xs.clone();
         mul_assign(&mut squares, &xs);
         assert_eq!(squares, xs.iter().map(|&x| x * x).collect::<Vec<_>>());

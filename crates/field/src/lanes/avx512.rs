@@ -1,6 +1,7 @@
 //! Eight Goldilocks lanes in one AVX-512 register: the vector [`Lanes`] of
 //! [`Goldilocks`], the vector product the Poseidon rows of `unizk_hash`
-//! import, and — with that crate's `packed::avx512` module — the only
+//! import, and — with the sixteen KoalaBear lanes of the child module
+//! [`koalabear`] and that crate's `packed::avx512` module — the only
 //! `unsafe` in the workspace's library code.
 //!
 //! AVX-512F has no 64 × 64-bit multiply, so a product goes through
@@ -14,6 +15,9 @@
 //! masked subtraction that make it canonical, so its lanes always agree
 //! with [`Goldilocks`] bit for bit.
 //!
+//! The workspace has one vector product per field: this module's [`mul`]
+//! and [`koalabear::mul`].
+//!
 //! # The fence
 //!
 //! * Every function that executes an intrinsic carries
@@ -21,14 +25,17 @@
 //!   into code compiled with the feature; a helper that is merely
 //!   `#[inline(always)]` can be left behind as an out-of-line call per
 //!   intrinsic, with every test green.
-//! * The lane type `Gl8` is private, so nothing outside can name it. It
-//!   is instantiated in one place, `run_on_lanes` — the
-//!   `#[target_feature]` entry point into which a [`LaneKernel`] is inlined
-//!   — which `Detected::run` enters only after `avx512f` was detected.
-//!   Its operator methods are `#[inline(always)]` shims, so inside that
+//! * The lane types `Gl8` (here) and `Kb16` ([`koalabear`]) are private,
+//!   so nothing outside can name them. Each is instantiated in one place, a
+//!   `run_on_lanes` of its module — the `#[target_feature]` entry point
+//!   into which a [`LaneKernel`] is inlined — which `Detected::run` and
+//!   `Detected::run_koalabear` enter only after `avx512f` was detected.
+//!   Their operator methods are `#[inline(always)]` shims, so inside that
 //!   entry point they dissolve into the register code. `scripts/ci.sh`
-//!   disassembles every instantiation of the entry point and fails on a
+//!   disassembles every instantiation of both entry points and fails on a
 //!   `call`.
+//! * `koalabear` is the one child module; `scripts/ci.sh` names it in the
+//!   unsafe fence and fails on any other.
 //! * `asm!` appears once in the workspace, in [`mul_epsilon`].
 
 #![allow(unsafe_code)]
@@ -45,6 +52,8 @@ use core::ops::{Add, Mul, Sub};
 
 use super::{LaneKernel, Lanes};
 use crate::goldilocks::{Goldilocks, P};
+
+pub mod koalabear;
 
 /// `2^32 − 1 ≡ 2^64 (mod p)`, and the mask of a low half.
 const EPSILON: i64 = 0xFFFF_FFFF;
@@ -69,7 +78,7 @@ pub(crate) fn detect() -> Option<Detected> {
 }
 
 impl Detected {
-    /// Runs `kernel` on eight lanes.
+    /// Runs `kernel` on eight Goldilocks lanes.
     #[inline]
     pub(crate) fn run<K: LaneKernel<Goldilocks>>(self, kernel: K) -> K::Output {
         // SAFETY: `self` exists, so `detect` saw avx512f on this CPU.

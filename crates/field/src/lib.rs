@@ -18,9 +18,11 @@
 //! * [`Polynomial`] — a dense univariate polynomial over any [`Field`].
 //! * [`Lanes`] / [`LaneKernel`] — element-wise kernels written once over a
 //!   row of lanes: every field is its own one-lane row, and
-//!   [`PrimeField64::with_lanes`] runs Goldilocks kernels on eight lanes in
-//!   one AVX-512 register when the CPU has `avx512f` (module
-//!   `lanes::avx512`, the crate's one `unsafe` module).
+//!   [`PrimeField64::with_lanes`] runs a kernel on one AVX-512 register
+//!   when the CPU has `avx512f` — eight Goldilocks lanes or sixteen
+//!   KoalaBear lanes (module `lanes::avx512` and its child
+//!   `lanes::avx512::koalabear`, the crate's one `unsafe` module);
+//!   [`lanes::MAX_LANES`] (16) sizes a row buffer for either field.
 //! * [`batch_inverse`] — Montgomery's batch-inversion trick over four
 //!   interleaved chains, used by the quotient computations and the FRI
 //!   combination.
@@ -71,8 +73,8 @@ pub use goldilocks::{Ext2, Goldilocks};
 pub use koalabear::{KbExt4, KoalaBear};
 pub use lanes::{LaneKernel, Lanes};
 pub use par::{
-    current_parallelism, parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges,
-    parallel_zip_mut, run_indexed, set_parallelism,
+    current_parallelism, parallel_chunks_mut, parallel_columns_mut, parallel_first_block,
+    parallel_map, parallel_ranges, parallel_zip_mut, run_indexed, set_parallelism,
 };
 pub use poly::Polynomial;
 pub use traits::{ExtensionOf, Field, PrimeField64, ProtocolField};

@@ -12,8 +12,9 @@
 //!   segment for an NTT). Of the `ceil(len / grain)` grains, each piece
 //!   takes `ceil(grains / threads)` in order, so there are at most
 //!   [`current_parallelism`] pieces, and one when there is one thread or
-//!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`] and
-//!   [`parallel_zip_mut`] hand their closure one piece per call.
+//!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`],
+//!   [`parallel_zip_mut`] and [`parallel_columns_mut`] hand their closure
+//!   one piece per call.
 //! * **Workers**, the one spawn site. A single input runs on the calling
 //!   thread with no dispatch, so `set_parallelism(1)` is a true serial
 //!   mode. Otherwise each input gets a scoped thread: a piece, or for item
@@ -306,6 +307,35 @@ where
     on_workers(pairs, |((offset, a), (_, b))| f(offset, a, b));
 }
 
+/// [`parallel_chunks_mut`] over several equal-length columns cut at the
+/// same boundaries: `f(offset, pieces)`, piece `c` covering
+/// `offset..offset + len` of column `c`. A kernel that writes one output
+/// per column at each position (a quotient per challenge round) writes
+/// them in place.
+///
+/// # Panics
+///
+/// Panics if the columns differ in length or `grain` is zero.
+pub fn parallel_columns_mut<T, F>(columns: &mut [Vec<T>], grain: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [&mut [T]]) + Sync,
+{
+    let len = columns.first().map_or(0, Vec::len);
+    assert!(columns.iter().all(|c| c.len() == len), "parallel_columns_mut columns must match");
+    let pieces = pieces(len, grain, current_parallelism());
+    let mut cuts: Vec<(usize, Vec<&mut [T]>)> = pieces
+        .iter()
+        .map(|piece| (piece.start, Vec::with_capacity(columns.len())))
+        .collect();
+    for column in columns {
+        for ((_, slices), (_, piece)) in cuts.iter_mut().zip(cut(column, &pieces)) {
+            slices.push(piece);
+        }
+    }
+    on_workers(cuts, |(offset, mut slices)| f(offset, &mut slices));
+}
+
 /// Finds the first block index `k` (in ascending order) for which
 /// `f(k)` returns `Some`, and returns that `Some`.
 ///
@@ -481,6 +511,31 @@ mod tests {
         let mut a = [0u8; 3];
         let mut b = [0u8; 4];
         parallel_zip_mut(&mut a, &mut b, 1, |_, _, _| {});
+    }
+
+    #[test]
+    fn columns_mut_pieces_stay_aligned() {
+        for (n, columns) in [(0usize, 3usize), (1, 1), (64, 4), (1000, 3), (7, 0)] {
+            let mut cols: Vec<Vec<u64>> = (0..columns).map(|_| vec![0; n]).collect();
+            parallel_columns_mut(&mut cols, 1, |offset, pieces| {
+                assert_eq!(pieces.len(), columns);
+                for (c, piece) in pieces.iter_mut().enumerate() {
+                    for (i, x) in piece.iter_mut().enumerate() {
+                        *x = (c * n + offset + i) as u64;
+                    }
+                }
+            });
+            for (c, col) in cols.iter().enumerate() {
+                assert!(col.iter().enumerate().all(|(i, &x)| x == (c * n + i) as u64), "n={n} column {c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must match")]
+    fn columns_mut_rejects_length_mismatch() {
+        let mut cols = vec![vec![0u8; 3], vec![0u8; 4]];
+        parallel_columns_mut(&mut cols, 1, |_, _| {});
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the Goldilocks/Poseidon aliases make existing call sites infer
 //! `B = PoseidonSponge` with no changes.
 
-use unizk_field::lanes::dot_rows;
+use unizk_field::lanes::{dot_rows, MAX_LANES};
 use unizk_field::{
     batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, LaneKernel, Lanes,
     Polynomial, PrimeField64, ProtocolField,
@@ -278,19 +278,278 @@ fn combine_initial<B: SpongeBackend>(
         sums: &mut values,
     });
 
-    // Into the numerator, D(x_i) beside it.
+    // Into the numerator, D(x_i) beside it; then one inversion and one
+    // product per position.
     let xs = FoldDomain::<B::F>::initial(lde_size).points();
-    let mut denoms = Vec::with_capacity(lde_size);
-    for (value, &x) in values.iter_mut().zip(&xs) {
-        let (numerator, denominator) = quotient.at(x, *value);
-        *value = numerator;
-        denoms.push(denominator);
-    }
+    let w = extension_w::<B::F>();
+    let mut denoms = vec![E::<B>::ZERO; lde_size];
+    B::F::with_lanes(WitnessRows {
+        quotient: &quotient,
+        xs: &xs,
+        w,
+        values: &mut values,
+        denoms: &mut denoms,
+    });
     let inv = batch_inverse(&denoms);
-    for (value, &inv) in values.iter_mut().zip(&inv) {
-        *value *= inv;
-    }
+    B::F::with_lanes(ExtProducts::<B::F> {
+        values: &mut values,
+        factors: &inv,
+        w,
+    });
     values
+}
+
+/// The kernel of [`combine_initial`]'s rational function: `values[i]`
+/// holds `S(x_i)` and becomes the numerator `S·A(x_i) − B(x_i)`, and
+/// `denoms[i]` becomes `D(x_i)` — [`OpeningQuotient::at`] on rows of
+/// positions ([`ExtRows`]), whole rows of the widest lanes, then the rest
+/// on one-lane rows.
+struct WitnessRows<'a, F: ProtocolField> {
+    quotient: &'a OpeningQuotient<F>,
+    xs: &'a [F],
+    /// The extension's `W` ([`extension_w`]).
+    w: F,
+    values: &'a mut [F::Ext],
+    denoms: &'a mut [F::Ext],
+}
+
+impl<F: ProtocolField> LaneKernel<F> for WitnessRows<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(mut self) {
+        match <F::Ext as ExtensionOf<F>>::DEGREE {
+            2 => {
+                let done = self.rows::<L, 2>(0);
+                self.rows::<F, 2>(done);
+            }
+            4 => {
+                let done = self.rows::<L, 4>(0);
+                self.rows::<F, 4>(done);
+            }
+            d => unreachable!("no challenge extension of degree {d}"),
+        }
+    }
+}
+
+impl<F: ProtocolField> WitnessRows<'_, F> {
+    /// The whole rows of `L` from position `from` on, extension elements
+    /// of `D` limbs; returns the positions done.
+    #[inline(always)]
+    fn rows<L: Lanes<Scalar = F>, const D: usize>(&mut self, from: usize) -> usize {
+        let q = self.quotient;
+        let (Some((&d_lead, d_below)), Some((&a_lead, a_below)), Some((&b_lead, b_below))) =
+            (q.d.split_last().and_then(|(_, d)| d.split_last()), q.a.split_last(), q.b.split_last())
+        else {
+            return from;
+        };
+        let (Some(values), Some(denoms), Some(xs)) = (self.values.get_mut(from..), self.denoms.get_mut(from..), self.xs.get(from..)) else {
+            return from;
+        };
+        let w = L::splat(self.w);
+        let mut scratch = [F::ZERO; 4 * MAX_LANES];
+        let mut done = from;
+        let rows = values.chunks_exact_mut(L::WIDTH).zip(denoms.chunks_exact_mut(L::WIDTH)).zip(xs.chunks_exact(L::WIDTH));
+        for ((values, denoms), xs) in rows {
+            let x = L::load(xs);
+            // D is monic: its Horner walk starts at x + d_{T−1}.
+            let d = (ExtRows::<L, D>::from_base(x) + ExtRows::splat(d_lead)).horner(x, d_below);
+            let a = ExtRows::<L, D>::splat(a_lead).horner(x, a_below);
+            let b = ExtRows::<L, D>::splat(b_lead).horner(x, b_below);
+            let s = ExtRows::<L, D>::load(values, &mut scratch);
+            (s.mul(a, w) - b).store(values, &mut scratch);
+            d.store(denoms, &mut scratch);
+            done += L::WIDTH;
+        }
+        done
+    }
+}
+
+/// `values[i] ← values[i] · factors[i]` over the common length, in the
+/// extension: the combine's final `·D(x)⁻¹`.
+struct ExtProducts<'a, F: ProtocolField> {
+    values: &'a mut [F::Ext],
+    factors: &'a [F::Ext],
+    /// The extension's `W` ([`extension_w`]).
+    w: F,
+}
+
+impl<F: ProtocolField> LaneKernel<F> for ExtProducts<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<L: Lanes<Scalar = F>>(self) {
+        let (values, factors, w) = (self.values, self.factors, self.w);
+        match <F::Ext as ExtensionOf<F>>::DEGREE {
+            2 => {
+                let done = ext_products::<L, 2>(values, factors, w, 0);
+                ext_products::<F, 2>(values, factors, w, done);
+            }
+            4 => {
+                let done = ext_products::<L, 4>(values, factors, w, 0);
+                ext_products::<F, 4>(values, factors, w, done);
+            }
+            d => unreachable!("no challenge extension of degree {d}"),
+        }
+    }
+}
+
+/// The whole rows of [`ExtProducts`] from position `from` on; returns the
+/// positions done.
+#[inline(always)]
+fn ext_products<L: Lanes, const D: usize>(
+    values: &mut [<L::Scalar as ProtocolField>::Ext],
+    factors: &[<L::Scalar as ProtocolField>::Ext],
+    w: L::Scalar,
+    from: usize,
+) -> usize
+where
+    L::Scalar: ProtocolField,
+{
+    let (Some(values), Some(factors)) = (values.get_mut(from..), factors.get(from..)) else {
+        return from;
+    };
+    let w = L::splat(w);
+    let mut scratch = [L::Scalar::ZERO; 4 * MAX_LANES];
+    let mut done = from;
+    for (values, factors) in values.chunks_exact_mut(L::WIDTH).zip(factors.chunks_exact(L::WIDTH)) {
+        let product = ExtRows::<L, D>::load(values, &mut scratch).mul(ExtRows::load(factors, &mut scratch), w);
+        product.store(values, &mut scratch);
+        done += L::WIDTH;
+    }
+    done
+}
+
+/// Extension elements of `D` limbs on the lanes of `L`: limb `k` of lane
+/// `l` is limb `k` of position `l`'s element of `Fp[X] / (X^D − W)` — the
+/// arithmetic of [`unizk_field::BinomialExtension`] on rows of positions
+/// (its tests hold the two to each other). `D` is at most 4, so a row's
+/// limbs pass through a scratch buffer of `4·MAX_LANES` scalars.
+#[derive(Clone, Copy)]
+struct ExtRows<L, const D: usize>([L; D]);
+
+/// The `W` of the challenge extension `Fp[X] / (X^D − W)`: limb 0 of
+/// `X^D`.
+fn extension_w<F: ProtocolField>() -> F {
+    let x = F::Ext::from_base_fn(|k| if k == 1 { F::ONE } else { F::ZERO });
+    x.exp_u64(<F::Ext as ExtensionOf<F>>::DEGREE as u64).as_base_slice()[0]
+}
+
+impl<L: Lanes, const D: usize> ExtRows<L, D>
+where
+    L::Scalar: PrimeField64,
+{
+    /// Every lane `e`.
+    #[inline(always)]
+    fn splat<E: ExtensionOf<L::Scalar>>(e: E) -> Self {
+        let mut limbs = [L::splat(L::Scalar::ZERO); D];
+        for (limb, &c) in limbs.iter_mut().zip(e.as_base_slice()) {
+            *limb = L::splat(c);
+        }
+        Self(limbs)
+    }
+
+    /// The base-field row `x` embedded.
+    #[inline(always)]
+    fn from_base(x: L) -> Self {
+        let mut limbs = [L::splat(L::Scalar::ZERO); D];
+        if let Some(first) = limbs.first_mut() {
+            *first = x;
+        }
+        Self(limbs)
+    }
+
+    /// The first `WIDTH` elements of `values`, limbs gathered through
+    /// `scratch` (limb `k` of lane `l` at `k·WIDTH + l`).
+    #[inline(always)]
+    fn load<E: ExtensionOf<L::Scalar>>(values: &[E], scratch: &mut [L::Scalar; 4 * MAX_LANES]) -> Self {
+        for (l, e) in values.iter().take(L::WIDTH).enumerate() {
+            let slots = scratch.chunks_exact_mut(L::WIDTH).filter_map(|row| row.get_mut(l));
+            for (slot, &c) in slots.zip(e.as_base_slice()) {
+                *slot = c;
+            }
+        }
+        let mut limbs = [L::splat(L::Scalar::ZERO); D];
+        for (limb, row) in limbs.iter_mut().zip(scratch.chunks_exact(L::WIDTH)) {
+            *limb = L::load(row);
+        }
+        Self(limbs)
+    }
+
+    /// Writes lane `l` to `values[l]` for the first `WIDTH` elements,
+    /// through `scratch` as in [`ExtRows::load`].
+    #[inline(always)]
+    fn store<E: ExtensionOf<L::Scalar>>(self, values: &mut [E], scratch: &mut [L::Scalar; 4 * MAX_LANES]) {
+        for (limb, row) in self.0.iter().zip(scratch.chunks_exact_mut(L::WIDTH)) {
+            limb.store(row);
+        }
+        for (l, value) in values.iter_mut().take(L::WIDTH).enumerate() {
+            *value = E::from_base_fn(|k| scratch.get(k * L::WIDTH + l).copied().unwrap_or(L::Scalar::ZERO));
+        }
+    }
+
+    /// `(…(self·x + c_{k−1})·x + …)·x + c_0` for `below = [c_0, …, c_{k−1}]`:
+    /// the Horner walk of [`OpeningQuotient::at`] from a leading term.
+    #[inline(always)]
+    fn horner<E: ExtensionOf<L::Scalar>>(mut self, x: L, below: &[E]) -> Self {
+        for &c in below.iter().rev() {
+            self = self.scale(x) + Self::splat(c);
+        }
+        self
+    }
+
+    /// Each limb times the base-field row `x`.
+    #[inline(always)]
+    fn scale(mut self, x: L) -> Self {
+        for limb in &mut self.0 {
+            *limb = *limb * x;
+        }
+        self
+    }
+
+    /// The product reduced by `X^D = w`: the schoolbook limbs at and above
+    /// `X^D` summed apart and folded down with one product by `w` each.
+    #[inline(always)]
+    fn mul(self, rhs: Self, w: L) -> Self {
+        let zero = L::splat(L::Scalar::ZERO);
+        let (mut lo, mut hi) = ([zero; D], [zero; D]);
+        for (i, &a) in self.0.iter().enumerate() {
+            for (j, &b) in rhs.0.iter().enumerate() {
+                let limb = if i + j < D { lo.get_mut(i + j) } else { hi.get_mut(i + j - D) };
+                if let Some(limb) = limb {
+                    *limb = *limb + a * b;
+                }
+            }
+        }
+        for (limb, &high) in lo.iter_mut().zip(&hi) {
+            *limb = *limb + w * high;
+        }
+        Self(lo)
+    }
+}
+
+impl<L: Lanes, const D: usize> core::ops::Add for ExtRows<L, D> {
+    type Output = Self;
+
+    #[inline(always)]
+    fn add(mut self, rhs: Self) -> Self {
+        for (a, &b) in self.0.iter_mut().zip(&rhs.0) {
+            *a = *a + b;
+        }
+        self
+    }
+}
+
+impl<L: Lanes, const D: usize> core::ops::Sub for ExtRows<L, D> {
+    type Output = Self;
+
+    #[inline(always)]
+    fn sub(mut self, rhs: Self) -> Self {
+        for (a, &b) in self.0.iter_mut().zip(&rhs.0) {
+            *a = *a - b;
+        }
+        self
+    }
 }
 
 /// The kernel of [`combine_initial`]'s sum: `sums[i] = Σ_j α^j p_j(x_i)`
@@ -659,6 +918,122 @@ mod tests {
     #[test]
     fn koalabear_leaf_sums_are_the_scaled_sum() {
         leaf_sums_are_the_scaled_sum::<unizk_field::KoalaBear>(505);
+    }
+
+    /// `[a + b, a − b, a·b, a·x]` on [`ExtRows`] of `L` over whole rows.
+    struct ExtOps<'a, F: ProtocolField> {
+        a: &'a [F::Ext],
+        b: &'a [F::Ext],
+        xs: &'a [F],
+        w: F,
+    }
+
+    impl<F: ProtocolField> ExtOps<'_, F> {
+        fn rows<L: Lanes<Scalar = F>, const D: usize>(&self) -> Vec<[F::Ext; 4]> {
+            let mut scratch = [F::ZERO; 4 * MAX_LANES];
+            let mut out = Vec::new();
+            let rows = self.a.chunks_exact(L::WIDTH).zip(self.b.chunks_exact(L::WIDTH)).zip(self.xs.chunks_exact(L::WIDTH));
+            for ((a, b), xs) in rows {
+                let (x, w) = (L::load(xs), L::splat(self.w));
+                let (a, b) = (ExtRows::<L, D>::load(a, &mut scratch), ExtRows::<L, D>::load(b, &mut scratch));
+                let mut results = vec![[F::Ext::ZERO; 4]; L::WIDTH];
+                for (op, row) in [a + b, a - b, a.mul(b, w), a.scale(x)].into_iter().enumerate() {
+                    let mut values = vec![F::Ext::ZERO; L::WIDTH];
+                    row.store(&mut values, &mut scratch);
+                    for (result, value) in results.iter_mut().zip(values) {
+                        result[op] = value;
+                    }
+                }
+                out.extend(results);
+            }
+            out
+        }
+    }
+
+    impl<F: ProtocolField> LaneKernel<F> for ExtOps<'_, F> {
+        type Output = Vec<[F::Ext; 4]>;
+
+        fn run<L: Lanes<Scalar = F>>(self) -> Self::Output {
+            match <F::Ext as ExtensionOf<F>>::DEGREE {
+                2 => self.rows::<L, 2>(),
+                4 => self.rows::<L, 4>(),
+                d => unreachable!("no extension of degree {d}"),
+            }
+        }
+    }
+
+    /// [`ExtRows`] against [`unizk_field::BinomialExtension`], one lane and
+    /// dispatched, on random elements and the extremes `0`, `1`, `−1`.
+    fn ext_rows_are_the_extension<F: ProtocolField>(seed: u64) {
+        let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
+        let extremes = [F::Ext::ZERO, F::Ext::ONE, -F::Ext::ONE];
+        let mut element = |i: usize| extremes.get(i % 11).copied().unwrap_or_else(|| random_ext::<F>(&mut rng));
+        let a: Vec<F::Ext> = (0..64).map(&mut element).collect();
+        let b: Vec<F::Ext> = (0..64).map(|i| element(i / 3)).collect();
+        let xs: Vec<F> = (0..64).map(|i| F::from_u64(i as u64) - F::ONE).collect();
+        let w = extension_w::<F>();
+        let x_to_d = F::Ext::from_base_fn(|k| if k == 1 { F::ONE } else { F::ZERO }).exp_u64(<F::Ext as ExtensionOf<F>>::DEGREE as u64);
+        assert_eq!(x_to_d, F::Ext::from(w), "W is X^D");
+        let want: Vec<[F::Ext; 4]> =
+            a.iter().zip(&b).zip(&xs).map(|((&a, &b), &x)| [a + b, a - b, a * b, a.scale(x)]).collect();
+        assert_eq!(ExtOps::<F> { a: &a, b: &b, xs: &xs, w }.run::<F>(), want, "one lane");
+        assert_eq!(F::with_lanes(ExtOps::<F> { a: &a, b: &b, xs: &xs, w }), want, "dispatched");
+    }
+
+    #[test]
+    fn goldilocks_ext_rows_are_the_extension() {
+        ext_rows_are_the_extension::<Goldilocks>(506);
+    }
+
+    #[test]
+    fn koalabear_ext_rows_are_the_extension() {
+        ext_rows_are_the_extension::<unizk_field::KoalaBear>(507);
+    }
+
+    /// [`WitnessRows`] and [`ExtProducts`] at every length 0..=40 — so every
+    /// remainder of a row — against [`OpeningQuotient::at`] and the
+    /// extension product one position at a time.
+    fn combine_rows_are_the_scalar_path<F: ProtocolField>(seed: u64) {
+        let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
+        let w = extension_w::<F>();
+        for num_points in 1..=3 {
+            let points: Vec<F::Ext> = (0..num_points).map(|_| random_ext::<F>(&mut rng)).collect();
+            let ys: Vec<F::Ext> = (0..num_points).map(|_| random_ext::<F>(&mut rng)).collect();
+            let quotient = OpeningQuotient::<F>::new(&points, &ys, random_ext::<F>(&mut rng));
+            for len in 0..=40 {
+                let xs = FoldDomain::<F>::initial(64).points()[..len].to_vec();
+                let sums: Vec<F::Ext> = (0..len).map(|_| random_ext::<F>(&mut rng)).collect();
+                let factors: Vec<F::Ext> = (0..len).map(|_| random_ext::<F>(&mut rng)).collect();
+                let (want_values, want_denoms): (Vec<F::Ext>, Vec<F::Ext>) = xs.iter().zip(&sums).map(|(&x, &s)| quotient.at(x, s)).unzip();
+                let want_products: Vec<F::Ext> = sums.iter().zip(&factors).map(|(&s, &f)| s * f).collect();
+                for one_lane in [true, false] {
+                    let (mut values, mut denoms) = (sums.clone(), vec![F::Ext::ZERO; len]);
+                    let kernel = WitnessRows { quotient: &quotient, xs: &xs, w, values: &mut values, denoms: &mut denoms };
+                    let mut products = sums.clone();
+                    let product_kernel = ExtProducts::<F> { values: &mut products, factors: &factors, w };
+                    if one_lane {
+                        kernel.run::<F>();
+                        product_kernel.run::<F>();
+                    } else {
+                        F::with_lanes(kernel);
+                        F::with_lanes(product_kernel);
+                    }
+                    let at = format!("{num_points} points, len {len}, one lane {one_lane}");
+                    assert_eq!((values, denoms), (want_values.clone(), want_denoms.clone()), "{at}");
+                    assert_eq!(products, want_products, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn goldilocks_combine_rows_are_the_scalar_path() {
+        combine_rows_are_the_scalar_path::<Goldilocks>(508);
+    }
+
+    #[test]
+    fn koalabear_combine_rows_are_the_scalar_path() {
+        combine_rows_are_the_scalar_path::<unizk_field::KoalaBear>(509);
     }
 
     /// The final layer's transform against the Lagrange interpolation it

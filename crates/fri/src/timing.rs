@@ -32,13 +32,17 @@ pub enum KernelClass {
 
 /// Every span a prover opens for a region of one Table 1 class. Phase
 /// spans that hold regions of several classes (`stark.trace_commit`,
-/// `fri.prove`, …) are not listed: their classified children are.
-const SPAN_CLASSES: [(&str, KernelClass); 17] = [
+/// `stark.quotient`, `fri.prove`, …) are not listed: their classified
+/// children are. A quotient is its evaluation over the LDE (Polynomial)
+/// and one coset iNTT per round (NTT).
+const SPAN_CLASSES: [(&str, KernelClass); 19] = [
     ("stark.trace_gen", KernelClass::Polynomial),
-    ("stark.quotient", KernelClass::Polynomial),
+    ("stark.quotient_eval", KernelClass::Polynomial),
+    ("stark.quotient_intt", KernelClass::Ntt),
     ("plonk.witness", KernelClass::Polynomial),
     ("plonk.permutation", KernelClass::Polynomial),
-    ("plonk.quotient", KernelClass::Polynomial),
+    ("plonk.quotient_eval", KernelClass::Polynomial),
+    ("plonk.quotient_intt", KernelClass::Ntt),
     ("batch.intt", KernelClass::Ntt),
     ("batch.lde", KernelClass::Ntt),
     ("batch.leaves", KernelClass::LayoutTransform),

@@ -11,7 +11,8 @@
 //! ([`add_fold`]) and the product by `2^32 − 1` ([`mul_epsilon`], the
 //! workspace's one `asm!`) are the ones the Goldilocks lanes of
 //! `unizk_field::lanes::avx512` are built on, imported from there: the
-//! workspace has one vector Goldilocks product.
+//! workspace has one vector Goldilocks product (and, in the child module,
+//! imports the one vector KoalaBear product).
 //!
 //! One register's walk is latency-bound: the 22 partial rounds are one
 //! serial S-box chain. A row of K registers issues every operation once per
@@ -49,15 +50,11 @@
 
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_loadu_si512, _mm512_mul_epu32, _mm512_set1_epi32,
-    _mm512_set1_epi64, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512, _MM_PERM_ENUM,
+    _mm512_set1_epi64, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
 };
 
 use unizk_field::lanes::avx512::{add_fold, mul, mul_epsilon};
 use unizk_field::Goldilocks;
-
-/// `vpshufd` pattern `[1, 1, 3, 3]`: the high half of every 64-bit lane
-/// copied over its low half (what `vpmuludq` reads).
-const HIGH_TO_LOW: _MM_PERM_ENUM = 0b11_11_01_01;
 
 use super::{nonce_row as nonce_row_on, permute_rows, Kernels, Row};
 use crate::poseidon::{constants, NoncePermutation, WIDTH};

@@ -2,13 +2,13 @@
 //! [`Row`] of the Poseidon2 walk.
 //!
 //! A row is a `__m512i` of sixteen canonical Montgomery residues, one per
-//! 32-bit lane. A 31-bit field is the case packed lanes are made for: the
-//! Montgomery product needs only 32 × 32 → 64-bit multiplies, which
-//! `vpmuludq` does eight at a time — the even lanes in one instruction, the
-//! odd lanes, moved down, in another. What 32-bit lanes cannot do is hold
-//! the scalar rows' unreduced `81·p` sums, so every addition of the two
-//! linear layers is modular: `t = a + b; min(t, t − p)` as unsigned values,
-//! three instructions, `t < 2p < 2^32`.
+//! 32-bit lane. The product and the modular sum are the sixteen-lane
+//! KoalaBear primitives of the polynomial layer, imported from
+//! `unizk_field::lanes::avx512::koalabear` ([`mul`], [`add`]): the
+//! workspace has one vector KoalaBear product. What 32-bit lanes cannot do
+//! is hold the scalar rows' unreduced `81·p` sums, so every addition of the
+//! two linear layers is modular: `t = a + b; min(t, t − p)` as unsigned
+//! values, three instructions, `t < 2p < 2^32`.
 //!
 //! The fence of the parent module applies unchanged: every function that
 //! executes an intrinsic carries `#[target_feature(enable = "avx512f")]`,
@@ -18,17 +18,14 @@
 //! which `scripts/ci.sh` disassembles beside the Goldilocks pair.
 
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi32, _mm512_add_epi64, _mm512_loadu_si512, _mm512_mask_shuffle_epi32,
-    _mm512_min_epu32, _mm512_mul_epu32, _mm512_set1_epi32, _mm512_shuffle_epi32,
-    _mm512_shuffle_i32x4, _mm512_storeu_si512, _mm512_sub_epi32, _mm512_unpackhi_epi32,
-    _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
+    __m512i, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_shuffle_i32x4, _mm512_storeu_si512,
+    _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
 };
 
-use unizk_field::koalabear::{MU, P};
+use unizk_field::lanes::avx512::koalabear::{add, mul};
 use unizk_field::KoalaBear;
 
 pub(crate) use super::{detect, Detected};
-use super::HIGH_TO_LOW;
 use crate::poseidon2_kb::{constants_kb, permute_lockstep, Row, KB_RATE, KB_WIDTH};
 
 /// States in one group of vector rows: the 32-bit lanes of a 512-bit
@@ -37,9 +34,6 @@ use crate::poseidon2_kb::{constants_kb, permute_lockstep, Row, KB_RATE, KB_WIDTH
 pub(crate) const LANES: usize = 16;
 
 const _: () = assert!(LANES == KB_WIDTH);
-
-/// The even 32-bit elements: the low halves of the eight 64-bit lanes.
-const EVEN_LANES: u16 = 0x5555;
 
 impl Detected {
     /// The permutations of sixteen states, each one row of canonical
@@ -258,55 +252,11 @@ fn splat(x: u32) -> __m512i {
     _mm512_set1_epi32(x.cast_signed())
 }
 
-/// `KoalaBear + KoalaBear` on sixteen lanes. `a + b < 2p < 2^32` does not
-/// wrap; `t − p` wraps to at least `2^32 − p > t` exactly when `t < p`, so
-/// the unsigned minimum is the canonical sum.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn add(a: __m512i, b: __m512i) -> __m512i {
-    let t = _mm512_add_epi32(a, b);
-    _mm512_min_epu32(t, _mm512_sub_epi32(t, splat(P)))
-}
-
-/// The odd lanes moved down to where `vpmuludq` reads.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn odd(a: __m512i) -> __m512i {
-    _mm512_shuffle_epi32::<HIGH_TO_LOW>(a)
-}
-
-/// `KoalaBear * KoalaBear` on sixteen lanes: the 64-bit products of the even
-/// and of the odd lanes, each through [`mont_reduce`].
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn mul(a: __m512i, b: __m512i) -> __m512i {
-    mont_reduce(_mm512_mul_epu32(a, b), _mm512_mul_epu32(odd(a), odd(b)))
-}
-
-/// [`mul`] by the same factor in every lane.
+/// The product with the same factor in every lane.
 #[target_feature(enable = "avx512f")]
 #[inline]
 fn mul_const(a: __m512i, c: KoalaBear) -> __m512i {
-    let c = splat(c.to_montgomery());
-    mont_reduce(_mm512_mul_epu32(a, c), _mm512_mul_epu32(odd(a), c))
-}
-
-/// The scalar Montgomery reduction on eight even-lane and eight odd-lane
-/// products `x < p·2^32`: `m = lo32(x)·MU`, `t = (x + m·p) >> 32 < 2p`, one
-/// conditional subtraction — the same canonical residue, bit for bit.
-/// Both `t` rows have their result in the high half of each 64-bit lane:
-/// the odd row's is already in place, the even row's is shuffled down
-/// beside it.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn mont_reduce(even: __m512i, odd: __m512i) -> __m512i {
-    let (mu, p) = (splat(MU), splat(P));
-    // `vpmuludq` reads the low half of each 64-bit lane, so the `lo32` of
-    // both steps is free.
-    let t_even = _mm512_add_epi64(even, _mm512_mul_epu32(_mm512_mul_epu32(even, mu), p));
-    let t_odd = _mm512_add_epi64(odd, _mm512_mul_epu32(_mm512_mul_epu32(odd, mu), p));
-    let t = _mm512_mask_shuffle_epi32::<HIGH_TO_LOW>(t_odd, EVEN_LANES, t_even);
-    _mm512_min_epu32(t, _mm512_sub_epi32(t, p))
+    mul(a, splat(c.to_montgomery()))
 }
 
 /// `x^3`, in the multiply order of the scalar S-box.
@@ -318,12 +268,15 @@ fn sbox(x: __m512i) -> __m512i {
 
 #[cfg(test)]
 mod tests {
-    //! Each vector primitive against its scalar counterpart, residue for
-    //! residue. The walk over these rows is held to the naive reference in
-    //! `crate::poseidon2_kb`'s tests.
+    //! Each vector primitive of the rows against its scalar counterpart,
+    //! residue for residue (the imported product and sum have their own
+    //! edge tests in `unizk_field::lanes::avx512::koalabear`). The walk over
+    //! these rows is held to the naive reference in `crate::poseidon2_kb`'s
+    //! tests.
 
     use super::super::detect_or_report;
     use super::*;
+    use unizk_field::koalabear::{MU, P};
     use unizk_field::{Field, PrimeField64};
     use unizk_testkit::prop::prelude::*;
 

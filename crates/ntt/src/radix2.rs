@@ -541,7 +541,7 @@ fn apply_coset_powers<F: PrimeField64>(values: &mut [F], shift: F) {
 mod tests {
     use super::*;
     use crate::naive::{naive_coset_dft, naive_dft};
-    use unizk_field::{bit_reverse, Goldilocks};
+    use unizk_field::{bit_reverse, Goldilocks, KoalaBear};
     use unizk_testkit::rng::TestRng as StdRng;
 
     fn random_vec(rng: &mut StdRng, n: usize) -> Vec<Goldilocks> {
@@ -780,20 +780,40 @@ mod tests {
 
     // -- The lane wall: every lane-wise kernel against its one-lane
     // instantiation, called explicitly so that hosts with avx512f run both,
-    // and the public transforms against the naive DFT.
+    // and the public transforms against the naive DFT, over both fields.
 
-    /// Random values with the extremes 0, 1, 2, 2^32 − 1, 2^32, p − 2 and
-    /// p − 1 at every offset of the first 21 positions.
-    fn edge_vec(rng: &mut StdRng, n: usize, shift: usize) -> Vec<Goldilocks> {
-        let edges = [0, 1, 2, 0xFFFF_FFFF, 1 << 32, unizk_field::goldilocks::P - 2, unizk_field::goldilocks::P - 1]
-            .map(Goldilocks::new);
+    /// A field the wall runs over, with the values where its lanes'
+    /// carries, borrows and conditional subtractions go wrong.
+    trait Edges: PrimeField64 {
+        const EDGES: [u64; 7];
+    }
+
+    impl Edges for Goldilocks {
+        /// 0, 1, 2, 2^32 − 1, 2^32, p − 2, p − 1.
+        const EDGES: [u64; 7] = {
+            let p = unizk_field::goldilocks::P;
+            [0, 1, 2, 0xFFFF_FFFF, 1 << 32, p - 2, p - 1]
+        };
+    }
+
+    impl Edges for KoalaBear {
+        /// 0, 1, 2, p − 2, p − 1, `R = 2^32 mod p` and `p − R`.
+        const EDGES: [u64; 7] = {
+            let p = unizk_field::koalabear::P as u64;
+            [0, 1, 2, p - 2, p - 1, (1 << 32) % p, p - (1 << 32) % p]
+        };
+    }
+
+    /// Random values with the field's seven edges at every offset of the
+    /// first 21 positions.
+    fn edge_vec<F: Edges>(rng: &mut StdRng, n: usize, shift: usize) -> Vec<F> {
         (0..n)
-            .map(|i| if i < 21 { edges[(i + shift) % 7] } else { Goldilocks::random(rng) })
+            .map(|i| if i < 21 { F::from_u64(F::EDGES[(i + shift) % 7]) } else { F::random(rng) })
             .collect()
     }
 
-    fn report_lanes() -> bool {
-        let wide = Goldilocks::with_lanes(WidthProbe) > 1;
+    fn report_lanes<F: PrimeField64>() -> bool {
+        let wide = F::with_lanes(WidthProbe) > 1;
         if !wide {
             static REPORT: std::sync::Once = std::sync::Once::new();
             REPORT.call_once(|| eprintln!("skipped: no avx512f (the NTT wall compared one lane with itself)"));
@@ -802,53 +822,55 @@ mod tests {
     }
 
     struct WidthProbe;
-    impl LaneKernel<Goldilocks> for WidthProbe {
+    impl<F: Field> LaneKernel<F> for WidthProbe {
         type Output = usize;
-        fn run<L: Lanes<Scalar = Goldilocks>>(self) -> usize {
+        fn run<L: Lanes<Scalar = F>>(self) -> usize {
             L::WIDTH
         }
     }
 
-    #[test]
-    fn stage_kernels_match_one_lane_at_every_size() {
-        let mut rng = StdRng::seed_from_u64(113);
-        report_lanes();
+    fn stage_kernels_match<F: Edges>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        report_lanes::<F>();
         for log_n in 0..=12 {
             let n = 1 << log_n;
             for inverse in [false, true] {
-                let tables = twiddle::stage_tables::<Goldilocks>(n, inverse);
-                let input = edge_vec(&mut rng, n, log_n);
+                let tables = twiddle::stage_tables::<F>(n, inverse);
+                let input = edge_vec::<F>(&mut rng, n, log_n);
 
                 let mut dispatched = input.clone();
                 dif_stages(&mut dispatched, &tables);
                 let mut one = input.clone();
-                DifStages { values: &mut one, tables: &tables }.run::<Goldilocks>();
+                DifStages { values: &mut one, tables: &tables }.run::<F>();
                 assert_eq!(dispatched, one, "DIF n=2^{log_n} inverse={inverse}");
 
                 let mut dispatched = input.clone();
                 dit_stages(&mut dispatched, &tables);
                 let mut one = input;
-                DitStages { values: &mut one, tables: &tables }.run::<Goldilocks>();
+                DitStages { values: &mut one, tables: &tables }.run::<F>();
                 assert_eq!(dispatched, one, "DIT n=2^{log_n} inverse={inverse}");
             }
         }
     }
 
     #[test]
-    fn butterfly_windows_match_one_lane_at_every_length() {
-        // The straddling stages of the parallel paths hand out windows of
-        // any length at any twiddle offset.
-        let mut rng = StdRng::seed_from_u64(114);
-        let tw = edge_vec(&mut rng, 80, 3);
+    fn stage_kernels_match_one_lane_at_every_size() {
+        stage_kernels_match::<Goldilocks>(113);
+        stage_kernels_match::<KoalaBear>(213);
+    }
+
+    fn butterfly_windows_match<F: Edges>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tw = edge_vec::<F>(&mut rng, 96, 3);
         for len in 0..=72 {
             for dit in [false, true] {
-                let lo = edge_vec(&mut rng, len, len);
-                let hi = edge_vec(&mut rng, len, len + 1);
-                let offset = len % 8;
+                let lo = edge_vec::<F>(&mut rng, len, len);
+                let hi = edge_vec::<F>(&mut rng, len, len + 1);
+                let offset = len % 16;
                 let (mut lo_a, mut hi_a) = (lo.clone(), hi.clone());
-                Goldilocks::with_lanes(Butterflies { lo: &mut lo_a, hi: &mut hi_a, tw: &tw[offset..], dit });
+                F::with_lanes(Butterflies { lo: &mut lo_a, hi: &mut hi_a, tw: &tw[offset..], dit });
                 let (mut lo_b, mut hi_b) = (lo.clone(), hi.clone());
-                Butterflies { lo: &mut lo_b, hi: &mut hi_b, tw: &tw[offset..], dit }.run::<Goldilocks>();
+                Butterflies { lo: &mut lo_b, hi: &mut hi_b, tw: &tw[offset..], dit }.run::<F>();
                 let mut want = (lo, hi);
                 for ((a, b), &t) in want.0.iter_mut().zip(&mut want.1).zip(&tw[offset..]) {
                     let (x, y) = if dit { (*a, *b * t) } else { (*a, *b) };
@@ -861,15 +883,22 @@ mod tests {
     }
 
     #[test]
-    fn transforms_match_naive_dft_in_both_directions_with_and_without_coset() {
-        let mut rng = StdRng::seed_from_u64(115);
-        let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
+    fn butterfly_windows_match_one_lane_at_every_length() {
+        // The straddling stages of the parallel paths hand out windows of
+        // any length at any twiddle offset.
+        butterfly_windows_match::<Goldilocks>(114);
+        butterfly_windows_match::<KoalaBear>(214);
+    }
+
+    fn transforms_match_naive<F: Edges>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shift = F::MULTIPLICATIVE_GENERATOR;
         for log_n in 0..=12 {
             let n = 1 << log_n;
-            let coeffs = edge_vec(&mut rng, n, log_n);
+            let coeffs = edge_vec::<F>(&mut rng, n, log_n);
             let plain = naive_dft(&coeffs);
             let coset = naive_coset_dft(&coeffs, shift);
-            let rev = |mut v: Vec<Goldilocks>| {
+            let rev = |mut v: Vec<F>| {
                 unizk_field::reverse_index_bits(&mut v);
                 v
             };
@@ -897,16 +926,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_tail_lde_matches_naive_coset_dft_and_the_one_lane_kernel() {
-        let mut rng = StdRng::seed_from_u64(116);
-        let shift = Goldilocks::MULTIPLICATIVE_GENERATOR;
-        report_lanes();
+    fn transforms_match_naive_dft_in_both_directions_with_and_without_coset() {
+        transforms_match_naive::<Goldilocks>(115);
+        transforms_match_naive::<KoalaBear>(215);
+    }
+
+    fn zero_tail_lde_matches<F: Edges>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shift = F::MULTIPLICATIVE_GENERATOR;
+        report_lanes::<F>();
         for log_n in 0..=12 {
             let n = 1 << log_n;
             for rate_bits in 0..=log_n.min(4) {
                 let degree = n >> rate_bits;
-                let mut padded = edge_vec(&mut rng, degree, rate_bits);
-                padded.resize(n, Goldilocks::ZERO);
+                let mut padded = edge_vec::<F>(&mut rng, degree, rate_bits);
+                padded.resize(n, F::ZERO);
 
                 let mut want = naive_coset_dft(&padded, shift);
                 unizk_field::reverse_index_bits(&mut want);
@@ -917,17 +951,23 @@ mod tests {
                 // The same kernel, one lane at a time.
                 if n > 1 {
                     let mut one = padded;
-                    let powers = twiddle::coset_powers::<Goldilocks>(n, shift);
+                    let powers = twiddle::coset_powers::<F>(n, shift);
                     for (v, &p) in one[..degree].iter_mut().zip(powers.iter()) {
                         *v *= p;
                     }
-                    let tables = twiddle::stage_tables::<Goldilocks>(n, false);
+                    let tables = twiddle::stage_tables::<F>(n, false);
                     let (spread, rest) = tables.split_at(rate_bits);
-                    ZeroTailDif { values: &mut one, degree, spread, rest }.run::<Goldilocks>();
+                    ZeroTailDif { values: &mut one, degree, spread, rest }.run::<F>();
                     assert_eq!(one, want, "one lane, n=2^{log_n} rate_bits={rate_bits}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_tail_lde_matches_naive_coset_dft_and_the_one_lane_kernel() {
+        zero_tail_lde_matches::<Goldilocks>(116);
+        zero_tail_lde_matches::<KoalaBear>(216);
     }
 
     #[test]

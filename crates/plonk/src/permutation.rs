@@ -236,7 +236,7 @@ mod tests {
             }
         }
         let denom_invs = batch_inverse(&denoms);
-        let mut columns = vec![Vec::with_capacity(n); num_chunks];
+        let mut columns: Vec<Vec<Goldilocks>> = (0..num_chunks).map(|_| Vec::with_capacity(n)).collect();
         let mut running = Goldilocks::ONE;
         for i in 0..n {
             columns[0].push(running);

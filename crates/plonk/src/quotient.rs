@@ -8,16 +8,19 @@
 
 use unizk_field::lanes::MAX_LANES;
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_ranges, powers, reverse_index_bits, Field,
-    Goldilocks, LaneKernel, Lanes, Polynomial, PrimeField64,
+    batch_inverse, bit_reverse, log2_strict, parallel_columns_mut, powers, reverse_index_bits,
+    Field, Goldilocks, LaneKernel, Lanes, Polynomial, PrimeField64,
 };
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::PolynomialBatch;
 use unizk_ntt::coset_intt_nn;
+use unizk_testkit::trace;
 
 use crate::circuit::{eval_constraints, CircuitData, ConstraintInputs, NUM_SELECTORS};
 
-/// Computes the quotient chunk polynomials for every challenge round.
+/// Computes the quotient chunk polynomials for every challenge round: the
+/// combined constraints over the LDE (`plonk.quotient_eval`), then one
+/// coset iNTT per round, split into chunks (`plonk.quotient_intt`).
 ///
 /// Returns `num_challenges · blowup` polynomials of length `n`, ordered
 /// round-major.
@@ -32,6 +35,39 @@ pub fn compute_quotients(
     gammas: &[Goldilocks],
     alphas: &[Goldilocks],
 ) -> Vec<Polynomial<Goldilocks>> {
+    let values = trace::with_span("plonk.quotient_eval", || {
+        quotient_values(data, constants, wires, perm, pi_lde, betas, gammas, alphas)
+    });
+    let n = data.rows;
+    trace::with_span("plonk.quotient_intt", || {
+        let mut quotients = Vec::with_capacity(values.len() * wires.lde_size() / n);
+        for mut values in values {
+            reverse_index_bits(&mut values);
+            coset_intt_nn(&mut values, unizk_fri::batch::coset_shift());
+            quotients.extend(
+                values
+                    .chunks_exact(n)
+                    .map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))),
+            );
+        }
+        quotients
+    })
+}
+
+/// The combined constraints of every round at every LDE position, in
+/// parallel over position ranges, lane rows of positions at a time, each
+/// round written in place.
+#[allow(clippy::too_many_arguments)]
+fn quotient_values(
+    data: &CircuitData,
+    constants: &PolynomialBatch,
+    wires: &PolynomialBatch,
+    perm: &PolynomialBatch,
+    pi_lde: &[Goldilocks],
+    betas: &[Goldilocks],
+    gammas: &[Goldilocks],
+    alphas: &[Goldilocks],
+) -> Vec<Vec<Goldilocks>> {
     let n = data.rows;
     let lde_size = wires.lde_size();
     let bits = log2_strict(lde_size);
@@ -82,38 +118,19 @@ pub fn compute_quotients(
         partials_per_round: data.config.num_chunks(),
     };
 
-    // Evaluate the combined constraints at every LDE position, in parallel
-    // over position ranges, lane rows of positions at a time.
-    let per_range: Vec<Vec<Vec<Goldilocks>>> = parallel_ranges(lde_size, 1, |range| {
-        let mut out = vec![vec![Goldilocks::ZERO; range.len()]; s_rounds];
+    let mut values: Vec<Vec<Goldilocks>> = (0..s_rounds).map(|_| vec![Goldilocks::ZERO; lde_size]).collect();
+    parallel_columns_mut(&mut values, 1, |first, out| {
         let mut gathered = vec![Goldilocks::ZERO; table.columns() * MAX_LANES];
         let mut constraints = vec![Goldilocks::ZERO; num_constraints * MAX_LANES];
         Goldilocks::with_lanes(QuotientRows {
             table: &table,
-            first: range.start,
-            out: &mut out,
+            first,
+            out,
             gathered: &mut gathered,
             constraints: &mut constraints,
         });
-        out
     });
-
-    // Stitch ranges back together per round, then iNTT and split.
-    let mut quotients = Vec::with_capacity(s_rounds * blowup);
-    for s in 0..s_rounds {
-        let mut values = Vec::with_capacity(lde_size);
-        for range in &per_range {
-            values.extend_from_slice(&range[s]);
-        }
-        reverse_index_bits(&mut values);
-        coset_intt_nn(&mut values, unizk_fri::batch::coset_shift());
-        quotients.extend(
-            values
-                .chunks_exact(n)
-                .map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))),
-        );
-    }
-    quotients
+    values
 }
 
 /// What the constraints read at each LDE position `i`: the three batches'
@@ -149,20 +166,20 @@ impl PositionTable<'_> {
 /// The kernel of [`compute_quotients`] over the positions
 /// `first..first + out[s].len()`: whole lane rows of positions, then the
 /// rest one lane at a time.
-struct QuotientRows<'a> {
+struct QuotientRows<'a, 'b> {
     table: &'a PositionTable<'a>,
     first: usize,
-    out: &'a mut [Vec<Goldilocks>],
+    out: &'a mut [&'b mut [Goldilocks]],
     gathered: &'a mut [Goldilocks],
     constraints: &'a mut [Goldilocks],
 }
 
-impl LaneKernel<Goldilocks> for QuotientRows<'_> {
+impl LaneKernel<Goldilocks> for QuotientRows<'_, '_> {
     type Output = ();
 
     #[inline(always)]
     fn run<L: Lanes<Scalar = Goldilocks>>(self) {
-        let len = self.out.first().map_or(0, Vec::len);
+        let len = self.out.first().map_or(0, |out| out.len());
         let whole = len / L::WIDTH * L::WIDTH;
         for start in (0..whole).step_by(L::WIDTH) {
             quotient_row::<L>(self.table, self.first, start, self.out, self.gathered, self.constraints);
@@ -183,7 +200,7 @@ fn quotient_row<L: Lanes<Scalar = Goldilocks>>(
     t: &PositionTable<'_>,
     first: usize,
     start: usize,
-    out: &mut [Vec<Goldilocks>],
+    out: &mut [&mut [Goldilocks]],
     gathered: &mut [Goldilocks],
     constraints: &mut [Goldilocks],
 ) {
@@ -339,9 +356,10 @@ mod tests {
 
     fn evaluate(t: &PositionTable<'_>, first: usize, len: usize, one_lane: bool) -> Vec<Vec<Goldilocks>> {
         let mut out = vec![vec![Goldilocks::ZERO; len]; ROUNDS];
+        let mut rounds: Vec<&mut [Goldilocks]> = out.iter_mut().map(Vec::as_mut_slice).collect();
         let mut gathered = vec![Goldilocks::ZERO; t.columns() * MAX_LANES];
         let mut constraints = vec![Goldilocks::ZERO; (CHUNKS + 2) * MAX_LANES];
-        let kernel = QuotientRows { table: t, first, out: &mut out, gathered: &mut gathered, constraints: &mut constraints };
+        let kernel = QuotientRows { table: t, first, out: &mut rounds, gathered: &mut gathered, constraints: &mut constraints };
         if one_lane {
             kernel.run::<Goldilocks>();
         } else {

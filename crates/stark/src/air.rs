@@ -2,7 +2,9 @@
 //! paper's Algebraic Execution Trace with transition and boundary
 //! constraints (Fig. 2).
 
-use unizk_field::{Field, Goldilocks, ProtocolField};
+use core::ops::{Add, Mul, Sub};
+
+use unizk_field::{Goldilocks, ProtocolField};
 
 /// A boundary (input/output) constraint: trace column `col` must equal
 /// `value` at row `row`.
@@ -25,7 +27,9 @@ pub struct Boundary<F: ProtocolField = Goldilocks> {
 /// must vanish on every row except the last. With Starky's blowup of 2,
 /// constraints may have algebraic degree at most 2 in the trace cells.
 pub trait Air<F: ProtocolField = Goldilocks> {
-    /// Number of trace columns.
+    /// Number of trace columns. Implementations mark it
+    /// `#[inline(always)]`, so the prover's lane kernel sizes its gathered
+    /// rows with a constant.
     fn width(&self) -> usize;
 
     /// Number of trace rows (a power of two).
@@ -35,14 +39,22 @@ pub trait Air<F: ProtocolField = Goldilocks> {
     fn generate_trace(&self) -> Vec<Vec<F>>;
 
     /// Evaluates the transition constraints on one `(local, next)` row pair
-    /// into `out`, one entry per constraint. Generic so the prover evaluates
-    /// over the base field on the LDE and the verifier over the extension at
-    /// `ζ`; the caller owns `out`, so the prover's pass over the LDE
-    /// allocates nothing per position.
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]);
+    /// into `out`, one entry per constraint. Generic over anything with
+    /// `+`, `−`, `×` and the base field's constants, so the prover evaluates
+    /// on lane rows of LDE positions (`unizk_field::Lanes`) and the verifier
+    /// over the extension at `ζ`; the caller owns `out`, so the prover's
+    /// pass over the LDE allocates nothing per position.
+    ///
+    /// Implementations mark it `#[inline(always)]` and write it without a
+    /// call the optimizer cannot remove: the prover inlines it into its
+    /// lane kernel (see `unizk_field::lanes`).
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<F>;
 
     /// Number of transition constraints: the length of
-    /// [`Air::eval_transition`]'s `out`.
+    /// [`Air::eval_transition`]'s `out`. `#[inline(always)]`, as
+    /// [`Air::width`].
     fn num_transition_constraints(&self) -> usize;
 
     /// The boundary constraints.

@@ -1,5 +1,7 @@
 //! Example AIRs, including the paper's Fig. 2 Fibonacci trace.
 
+use core::ops::{Add, Mul, Sub};
+
 use unizk_field::{Field, ProtocolField};
 
 use crate::air::{Air, Boundary};
@@ -55,6 +57,7 @@ impl FibonacciAir {
 }
 
 impl<F: ProtocolField> Air<F> for FibonacciAir {
+    #[inline(always)]
     fn width(&self) -> usize {
         2
     }
@@ -78,11 +81,16 @@ impl<F: ProtocolField> Air<F> for FibonacciAir {
         vec![x0, x1]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+    #[inline(always)]
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<F>,
+    {
         out[0] = next[0] - local[1];
         out[1] = next[1] - local[0] - local[1];
     }
 
+    #[inline(always)]
     fn num_transition_constraints(&self) -> usize {
         2
     }
@@ -135,6 +143,7 @@ impl CountdownAir {
 }
 
 impl<F: ProtocolField> Air<F> for CountdownAir {
+    #[inline(always)]
     fn width(&self) -> usize {
         1
     }
@@ -150,10 +159,15 @@ impl<F: ProtocolField> Air<F> for CountdownAir {
             .collect()]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
-        out[0] = local[0] - next[0] - E::ONE;
+    #[inline(always)]
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<F>,
+    {
+        out[0] = local[0] - next[0] - E::from(F::ONE);
     }
 
+    #[inline(always)]
     fn num_transition_constraints(&self) -> usize {
         1
     }
@@ -219,6 +233,7 @@ impl RangeAccumulatorAir {
 }
 
 impl<F: ProtocolField> Air<F> for RangeAccumulatorAir {
+    #[inline(always)]
     fn width(&self) -> usize {
         2
     }
@@ -240,12 +255,17 @@ impl<F: ProtocolField> Air<F> for RangeAccumulatorAir {
         vec![idx, acc_col]
     }
 
-    fn eval_transition<E: Field + From<F>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+    #[inline(always)]
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<F>,
+    {
         // i' = i + 1; acc' = acc + i'².
-        out[0] = next[0] - local[0] - E::ONE;
+        out[0] = next[0] - local[0] - E::from(F::ONE);
         out[1] = next[1] - local[1] - next[0] * next[0];
     }
 
+    #[inline(always)]
     fn num_transition_constraints(&self) -> usize {
         2
     }

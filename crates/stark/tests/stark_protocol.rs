@@ -1,6 +1,7 @@
 //! End-to-end Stark protocol tests over the example AIRs, plus the
 //! Starky→Plonky2 aggregation stage of Table 5.
 
+use core::ops::{Add, Mul, Sub};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use unizk_field::{Field, Goldilocks};
@@ -72,7 +73,9 @@ enum Fault {
     CorruptCell,
     /// The claimed output (boundary 2) is off by one.
     WrongClaim,
-    /// Constraint evaluation panics at one LDE position (the 38th call).
+    /// Constraint evaluation panics at its sixth call: one LDE position
+    /// at one lane, one row of positions on lanes. Any lane width reaches
+    /// it (64 rows at blowup 2 are 128 positions, eight rows of sixteen).
     PanicAtOnePosition,
 }
 
@@ -102,10 +105,13 @@ impl Air for FaultyAir {
         }
         t
     }
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<Goldilocks>,
+    {
         if let Fault::PanicAtOnePosition = self.fault {
             let call = self.calls.fetch_add(1, Ordering::SeqCst);
-            assert!(call != 37, "FaultyAir refuses one LDE position");
+            assert!(call != 5, "FaultyAir refuses one LDE position");
         }
         self.inner.eval_transition(local, next, out);
     }

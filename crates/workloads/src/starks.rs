@@ -5,6 +5,8 @@
 //! dimension-matched "bit-mix" AIRs whose width, row count, and degree-2
 //! constraint mix match a bitwise hash/cipher schedule (DESIGN.md §3).
 
+use core::ops::{Add, Mul, Sub};
+
 use unizk_core::compiler::StarkyInstance;
 use unizk_field::{Field, Goldilocks};
 use unizk_stark::{Air, Boundary};
@@ -38,6 +40,7 @@ impl FactorialAir {
 }
 
 impl Air for FactorialAir {
+    #[inline(always)]
     fn width(&self) -> usize {
         2
     }
@@ -58,12 +61,17 @@ impl Air for FactorialAir {
         vec![ks, accs]
     }
 
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+    #[inline(always)]
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<Goldilocks>,
+    {
         // k' = k + 1;  acc' = acc·k' = acc·k + acc.
-        out[0] = next[0] - local[0] - E::ONE;
+        out[0] = next[0] - local[0] - E::from(Goldilocks::ONE);
         out[1] = next[1] - local[1] * local[0] - local[1];
     }
 
+    #[inline(always)]
     fn num_transition_constraints(&self) -> usize {
         2
     }
@@ -115,6 +123,7 @@ impl BitMixAir {
 }
 
 impl Air for BitMixAir {
+    #[inline(always)]
     fn width(&self) -> usize {
         self.width
     }
@@ -124,7 +133,7 @@ impl Air for BitMixAir {
     }
 
     fn generate_trace(&self) -> Vec<Vec<Goldilocks>> {
-        let mut cols = vec![Vec::with_capacity(self.rows); self.width];
+        let mut cols: Vec<Vec<Goldilocks>> = (0..self.width).map(|_| Vec::with_capacity(self.rows)).collect();
         let mut state: Vec<Goldilocks> = (0..self.width)
             .map(|j| Goldilocks::from_u64((j as u64) & 1))
             .collect();
@@ -137,15 +146,21 @@ impl Air for BitMixAir {
         cols
     }
 
-    fn eval_transition<E: Field + From<Goldilocks>>(&self, local: &[E], next: &[E], out: &mut [E]) {
+    #[inline(always)]
+    fn eval_transition<E>(&self, local: &[E], next: &[E], out: &mut [E])
+    where
+        E: Copy + Add<Output = E> + Sub<Output = E> + Mul<Output = E> + From<Goldilocks>,
+    {
         let w = self.width;
         for (j, o) in out.iter_mut().enumerate() {
             let a = local[j];
             let b = local[(j + 1) % w];
-            *o = next[j] - (a + b - (a * b).double());
+            let ab = a * b;
+            *o = next[j] - (a + b - (ab + ab));
         }
     }
 
+    #[inline(always)]
     fn num_transition_constraints(&self) -> usize {
         self.width
     }

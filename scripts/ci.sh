@@ -54,41 +54,52 @@ else
     echo "ok: $(grep -c '^[0-9a-f]* <' <<< "$kernels") kernels, $(grep -c 'zmm' <<< "$kernels") zmm instructions, no call"
 fi
 
-echo "==> lane-kernel codegen gate (no call inside the eight-lane Goldilocks entry points of unizk_field::lanes)"
-# Every Goldilocks kernel of the polynomial layer is a LaneKernel that
-# PrimeField64::with_lanes hands to one #[target_feature] entry point,
-# crates/field/src/lanes/avx512.rs's run_on_lanes, which is stamped out once
-# per kernel type. The rule is the vector rows' rule above: the kernel body,
-# its helpers and every lane operation must be inlined into the entry point
-# (a helper left out of line runs its lanes through memory, and a slice
-# index that the compiler cannot prove in range leaves a call to a panic
-# handler). The ten kernels the contract binary reaches: the NTT's DIF and
-# DIT stage loops, the straddling-stage windows and the zero-tail LDE;
-# lanes::mul_assign and lanes::scale (coset and n^-1 scaling); the FRI
-# combine's leaf sums; the Plonk quotient rows; and the permutation's
-# denominators and chunk products. Each instantiation's instruction and
-# stack-operand counts are printed, not gated.
+echo "==> lane-kernel codegen gate (no call inside the Goldilocks and KoalaBear lane entry points of unizk_field::lanes)"
+# Every kernel of the polynomial layer is a LaneKernel that
+# PrimeField64::with_lanes hands to one #[target_feature] entry point per
+# field, stamped out once per kernel type: crates/field/src/lanes/avx512.rs's
+# run_on_lanes (eight Goldilocks lanes) and
+# crates/field/src/lanes/avx512/koalabear.rs's run_on_lanes (sixteen
+# KoalaBear lanes). The rule is the vector rows' rule above: the kernel
+# body, its helpers and every lane operation must be inlined into the entry
+# point (a helper left out of line runs its lanes through memory, and a
+# slice index that the compiler cannot prove in range leaves a call to a
+# panic handler). The kernels the contract binary reaches, per field: the
+# NTT's DIF and DIT stage loops and the zero-tail LDE, lanes::mul_assign and
+# lanes::scale (coset and n^-1 scaling), the FRI combine's leaf sums,
+# witness rows and extension products, and the Stark quotient rows, one
+# instantiation per AIR the binary proves (four over Goldilocks, one over
+# KoalaBear); over Goldilocks also the straddling-stage windows of the NTT,
+# the Plonk quotient rows and the permutation's denominators and chunk
+# products. Each instantiation's instruction and stack-operand counts are
+# printed, not gated.
 if ! command -v objdump > /dev/null; then
     echo "skipped: objdump not found"
 elif [ "$(uname -m)" != "x86_64" ]; then
-    echo "skipped: not an x86-64 build, the eight-lane rows are not compiled"
+    echo "skipped: not an x86-64 build, the vector lane rows are not compiled"
 else
-    entries="$(objdump -d -C --no-show-raw-insn target/release/contract \
-        | awk '/^[0-9a-f]+ <unizk_field::lanes::avx512::run_on_lanes(::<.*>)?>:$/ { show = 1 } /^$/ { show = 0 } show')"
-    found="$(grep -cE '^[0-9a-f]+ <' <<< "$entries" || true)"
-    if [ "$found" -ne 10 ]; then
-        echo "FAIL: expected 10 instantiations of unizk_field::lanes::avx512::run_on_lanes in target/release/contract, found $found"
-        exit 1
-    fi
+    disassembly="$(objdump -d -C --no-show-raw-insn target/release/contract)"
+    entries=""
+    for expected in 'Goldilocks avx512 16' 'KoalaBear avx512::koalabear 10'; do
+        read -r field module count <<< "$expected"
+        field_entries="$(awk -v m="$module" '$0 ~ "^[0-9a-f]+ <unizk_field::lanes::" m "::run_on_lanes(::<.*>)?>:$" { show = 1 } /^$/ { show = 0 } show' \
+            <<< "$disassembly")"
+        found="$(grep -cE '^[0-9a-f]+ <' <<< "$field_entries" || true)"
+        if [ "$found" -ne "$count" ]; then
+            echo "FAIL: expected $count instantiations of unizk_field::lanes::$module::run_on_lanes ($field) in target/release/contract, found $found"
+            exit 1
+        fi
+        entries="$entries$field_entries"$'\n\n'
+    done
     if grep -E '[[:space:]]call' <<< "$entries" | head -5 | grep .; then
         echo "FAIL: a call inside a lane kernel (first ones above): a helper of a LaneKernel is not #[inline(always)]," \
              "or a slice index or allocation inside LaneKernel::run left a call behind"
         exit 1
     fi
-    awk '/^[0-9a-f]+ </ { name = "run_on_lanes at " $1 }
+    awk '/^[0-9a-f]+ </ { name = $2; sub(/^<unizk_field::lanes::/, "", name); sub(/>:$/, "", name); name = name " at " $1 }
          /^ +[0-9a-f]+:/ { n[name]++; if (/\(%r[sb]p/) stack[name]++ }
          END { for (k in n) printf "  %-50s %5d instructions, %4d stack operands\n", k, n[k], stack[k] }' <<< "$entries" | sort
-    echo "ok: $found lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
+    echo "ok: 26 lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
 fi
 
 echo "==> cargo test -q --offline"
@@ -172,15 +183,23 @@ echo "==> unsafe fence (one module each of unizk-field and unizk-hash; every oth
 # The AVX-512 rows need #[target_feature] functions, which only `unsafe`
 # can enter. All of it lives in two modules: crates/field/src/lanes/avx512.rs
 # (the eight Goldilocks lanes of the polynomial layer and the vector product
-# every Goldilocks row uses) and crates/hash/src/packed/avx512.rs (the
-# Poseidon rows in the file itself, the KoalaBear rows in its child
+# every Goldilocks row uses, in the file itself; the sixteen KoalaBear lanes
+# and the vector product every KoalaBear row uses, in its child
+# avx512/koalabear.rs) and crates/hash/src/packed/avx512.rs (the Poseidon
+# rows in the file itself, the Poseidon2 KoalaBear rows in its child
 # avx512/koalabear.rs), each under its own allow(unsafe_code) in a crate
-# that is deny(unsafe_code). A third site, or a crate dropping its forbid,
-# widens what has to be audited.
+# that is deny(unsafe_code). A third site, a child module the fence does not
+# name, or a crate dropping its forbid, widens what has to be audited.
 if grep -rnE '\bunsafe\b' crates/*/src --include='*.rs' \
-        | grep -vE '^crates/(field/src/lanes/avx512|hash/src/packed/avx512(/koalabear)?)\.rs:' \
+        | grep -vE '^crates/(field/src/lanes|hash/src/packed)/avx512(/koalabear)?\.rs:' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
-    echo "FAIL: unsafe outside the modules crates/field/src/lanes/avx512.rs and crates/hash/src/packed/avx512.rs"
+    echo "FAIL: unsafe outside the modules crates/field/src/lanes/avx512.rs and crates/hash/src/packed/avx512.rs" \
+         "(each with its child avx512/koalabear.rs)"
+    exit 1
+fi
+children="$(find crates/field/src/lanes/avx512 crates/hash/src/packed/avx512 -type f 2> /dev/null | sort | tr '\n' ' ')"
+if [ "$children" != 'crates/field/src/lanes/avx512/koalabear.rs crates/hash/src/packed/avx512/koalabear.rs ' ]; then
+    echo "FAIL: the unsafe modules have one child each, avx512/koalabear.rs (found: $children)"
     exit 1
 fi
 # Inline assembly is narrower still: the field module, where one `vpmuludq`
@@ -203,14 +222,16 @@ if [ "$(grep -rlE 'allow\(unsafe_code\)' crates/*/src --include='*.rs' | sort | 
     echo "FAIL: exactly two modules may allow unsafe_code (crates/field/src/lanes/avx512.rs, crates/hash/src/packed/avx512.rs)"
     exit 1
 fi
-# One vector Goldilocks product: lanes::avx512::mul, which the Poseidon rows
-# import. A second `fn mul` over __m512i outside the KoalaBear rows would be
-# a second copy of the carry chain and folds to keep in step.
-gl_muls="$(grep -rnE 'fn mul\([^)]*__m512i' crates/*/src --include='*.rs' \
-    | grep -vE '^crates/hash/src/packed/avx512/koalabear\.rs:' || true)"
-if [ "$(grep -c . <<< "$gl_muls")" -ne 1 ] || ! grep -q '^crates/field/src/lanes/avx512\.rs:' <<< "$gl_muls"; then
-    printf '%s\n' "$gl_muls"
-    echo "FAIL: the Goldilocks vector product is unizk_field::lanes::avx512::mul only"
+# One vector product per field: lanes::avx512::mul (Goldilocks) and
+# lanes::avx512::koalabear::mul (KoalaBear), which the lane types and the
+# Poseidon and Poseidon2 rows import. A third `fn mul` over __m512i would be
+# a second copy of a carry chain or a Montgomery reduction to keep in step.
+vector_muls="$(grep -rnE 'fn mul\([^)]*__m512i' crates/*/src --include='*.rs' || true)"
+if [ "$(grep -c . <<< "$vector_muls")" -ne 2 ] \
+        || ! grep -q '^crates/field/src/lanes/avx512\.rs:' <<< "$vector_muls" \
+        || ! grep -q '^crates/field/src/lanes/avx512/koalabear\.rs:' <<< "$vector_muls"; then
+    printf '%s\n' "$vector_muls"
+    echo "FAIL: the vector products are unizk_field::lanes::avx512::mul and unizk_field::lanes::avx512::koalabear::mul only"
     exit 1
 fi
 echo "lockstep rows on this host (not part of CONTRACT.json, which is host-independent):"
@@ -418,6 +439,15 @@ if grep -E '\btime_kernel\b|"kernel:' <<< "$classes" \
     printf '%s\n' "$classes"
     echo "FAIL: name the region's span and list it in crates/fri/src/timing.rs (KernelClass::of_span);" \
          "no time_kernel call, no \"kernel:\" span, one of_span"
+    exit 1
+fi
+
+echo "==> no capacity lost to vec! (vec![Vec::with_capacity(n); k] clones k - 1 empty vectors)"
+# `vec![x; k]` clones `x`, and `Vec::clone` does not copy capacity: every
+# vector but the last starts empty and regrows. Write
+# `(0..k).map(|_| Vec::with_capacity(n)).collect()`.
+if grep -rnE 'vec!\[[[:space:]]*Vec(::<[^>]*>)?::with_capacity\(' crates tests examples --include='*.rs'; then
+    echo "FAIL: vec![Vec::with_capacity(..); k] gives k - 1 vectors without the capacity; build each one"
     exit 1
 fi
 
