@@ -20,7 +20,9 @@
 //!   mode. Otherwise each input gets a scoped thread: a piece, or for item
 //!   lists a claim loop that takes the next unclaimed item until none is
 //!   left ([`run_indexed`], and [`parallel_map`] on it), so items of
-//!   unequal cost keep every worker busy. [`parallel_first_block`] claims
+//!   unequal cost keep every worker busy; or one group of items per worker,
+//!   dealt by weight up front ([`parallel_groups`]), for items that run
+//!   faster together than one by one. [`parallel_first_block`] claims
 //!   blocks of an unbounded search the same way.
 //!
 //! Every worker re-attaches the caller's open [`unizk_testkit::trace`] span
@@ -138,7 +140,7 @@ fn on_workers<I: Send, R: Send>(inputs: Vec<I>, f: impl Fn(I) -> R + Sync) -> Ve
 
 /// Maps `f` over `items` on [`current_parallelism`] threads, preserving
 /// order: [`run_indexed`]'s claim loop, one item per claim, so a list of
-/// unequal items (the verifier's Merkle trees, tallest first) balances.
+/// unequal items balances.
 ///
 /// # Examples
 ///
@@ -170,6 +172,77 @@ where
     F: Fn(T) -> U + Sync,
 {
     run_indexed(current_parallelism(), items, |_, _, item| f(item))
+}
+
+/// Runs `f` once per group of the items `0..weights.len()`, one group per
+/// worker of [`current_parallelism`], and returns one result per item, in
+/// item order.
+///
+/// Items are dealt heaviest first (equal weights in index order) to the
+/// group of least total weight so far, so unequal items balance with one
+/// call of `f` per worker where [`parallel_map`] would make one per item.
+/// `f` gets its group's item indices in ascending order and must return
+/// one result per index, in that order. One thread, or one item, makes one
+/// group on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `f` returns a different number of results than it was given
+/// items.
+///
+/// # Examples
+///
+/// ```
+/// use unizk_field::par::parallel_groups;
+///
+/// let weights = [5, 1, 3, 3];
+/// let doubled = parallel_groups(&weights, |items| {
+///     items.iter().map(|&i| 2 * weights[i]).collect()
+/// });
+/// assert_eq!(doubled, vec![10, 2, 6, 6]);
+/// ```
+pub fn parallel_groups<U, F>(weights: &[usize], f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(&[usize]) -> Vec<U> + Sync,
+{
+    let groups = deal(weights, current_parallelism());
+    let results = on_workers(groups.iter().map(Vec::as_slice).collect(), |items| {
+        let out = f(items);
+        assert_eq!(out.len(), items.len(), "one result per item of the group");
+        out
+    });
+    let mut slots: Vec<Option<U>> = weights.iter().map(|_| None).collect();
+    for (items, out) in groups.iter().zip(results) {
+        for (&i, u) in items.iter().zip(out) {
+            slots[i] = Some(u);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item is in one group"))
+        .collect()
+}
+
+/// [`parallel_groups`]' deal: at most `groups` nonempty groups of the
+/// items `0..weights.len()`, each in ascending order.
+fn deal(weights: &[usize], groups: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+    let mut dealt = vec![(0usize, Vec::new()); groups.clamp(1, weights.len().max(1))];
+    for i in order {
+        let lightest = dealt.iter_mut().min_by_key(|(load, _)| *load).expect("one group at least");
+        lightest.0 = lightest.0.saturating_add(weights[i]);
+        lightest.1.push(i);
+    }
+    dealt
+        .into_iter()
+        .filter(|(_, items)| !items.is_empty())
+        .map(|(_, mut items)| {
+            items.sort_unstable();
+            items
+        })
+        .collect()
 }
 
 /// Runs `f` once per piece of `0..n` (see the module docs: runs of whole
@@ -420,6 +493,27 @@ mod tests {
         let out = parallel_map(vec![1, 2, 3], |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
         set_parallelism(0);
+    }
+
+    #[test]
+    fn groups_are_dealt_heaviest_first_to_the_lightest() {
+        let weights = [1, 9, 4, 4, 1, 7];
+        assert_eq!(deal(&weights, 1), vec![vec![0, 1, 2, 3, 4, 5]]);
+        assert_eq!(deal(&weights, 2), vec![vec![1, 3], vec![0, 2, 4, 5]]);
+        assert_eq!(deal(&weights, 3), vec![vec![1], vec![0, 4, 5], vec![2, 3]]);
+        assert_eq!(deal(&weights, 100).len(), 6);
+        // Weightless items all join the first group; no group is empty.
+        assert_eq!(deal(&[0, 0, 0], 2), vec![vec![0, 1, 2]]);
+        assert!(deal(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn parallel_groups_returns_results_in_item_order() {
+        let weights: Vec<usize> = (0..37).map(|i| (i * 7) % 11).collect();
+        let pairs = |items: &[usize]| items.iter().map(|&i| (i, weights[i])).collect();
+        let out = parallel_groups(&weights, pairs);
+        assert_eq!(out, weights.iter().copied().enumerate().collect::<Vec<_>>());
+        assert!(parallel_groups(&[], |items: &[usize]| items.to_vec()).is_empty());
     }
 
     #[test]

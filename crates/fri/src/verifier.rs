@@ -12,27 +12,30 @@
 //!    nothing is observed between two draws, so drawing them together
 //!    leaves the transcript as drawing them query by query did.
 //! 3. **Merkle** (`fri.verify.merkle`). One
-//!    [`GenericMerkleTree::verify_many`] per committed batch and per fold
-//!    round, with the height the verifier derives from the instance
-//!    (`index_bits`, then `index_bits - 1 - round`). The queries' paths
-//!    meet below the root — on the Starky contract shape 59 % of the
-//!    9 156 nodes on them are on an earlier query's path too — and the
-//!    batch check hashes each distinct node once, in lockstep groups
-//!    (EXPERIMENTS.md, "Verifier: each node once"). The trees are
-//!    independent, so under more than one thread workers claim them one at
-//!    a time; the verdicts are read in tree order, and a failure names the
-//!    first failing query of the first failing tree at every thread count.
+//!    [`GenericMerkleTree::verify_many`] over every committed batch and
+//!    every fold round, with the heights the verifier derives from the
+//!    instance (`index_bits`, then `index_bits - 1 - round`). The queries'
+//!    paths meet below the root — on the Starky contract shape 59 % of the
+//!    9 156 nodes on them are on an earlier query's path too — and the walk
+//!    hashes each distinct node of a tree once (EXPERIMENTS.md, "Verifier:
+//!    each node once"). The trees climb together, aligned at their leaves,
+//!    so each step is one batched dispatch over all of them, hundreds of
+//!    inputs at the lower levels where one tree alone gives a few dozen
+//!    (EXPERIMENTS.md, "One walk per proof"). Fold leaves are borrowed as
+//!    their pairs' two extension elements. Under more than one thread the
+//!    trees are dealt into one group per worker; verdicts are read in tree
+//!    order, so a failure names the first failing query of the first
+//!    failing tree at every thread count.
 //! 4. **Fold** (`fri.verify.fold`). Per query, the combined opening and the
 //!    fold chain down to the final polynomial: field arithmetic only.
 //!
-//! `scripts/ci.sh` fails if this file goes back to checking one path at a
-//! time.
+//! `scripts/ci.sh` fails if this file goes back to checking one path, or
+//! one tree, at a time.
 
 use core::fmt;
 
-use unizk_field::par::parallel_map;
 use unizk_field::{log2_strict, ExtensionOf, Field, Polynomial, ProtocolField};
-use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, Opening, SpongeBackend};
+use unizk_hash::{Digest, GenericChallenger, GenericMerkleTree, SpongeBackend, TreeOpenings};
 use unizk_testkit::trace;
 
 use crate::config::FriConfig;
@@ -133,41 +136,31 @@ pub fn fri_verify<B: SpongeBackend>(
         .collect();
     drop(transcript_span);
 
-    // One batch check per tree, each distinct node hashed once. The trees
-    // are independent and unequal (tallest first), so workers claim them
-    // one at a time; verdicts come back in tree order.
+    // One walk over every tree, each distinct node of a tree hashed once;
+    // verdicts come back in tree order, batches first.
     let merkle_span = trace::span("fri.verify.merkle");
-    let check_tree = |tree: usize| match tree.checked_sub(batch_roots.len()) {
-        None => {
-            let openings: Vec<Opening<'_, B::F>> = proof
-                .queries
-                .iter()
-                .zip(&indices)
-                .map(|(query, &idx)| (idx, &query.initial[tree].leaf[..], &query.initial[tree].proof))
-                .collect();
-            GenericMerkleTree::<B>::verify_many(batch_roots[tree], index_bits, &openings)
-                .map_err(|query| FriError::BadMerkleProof { query, what: "initial batch" })
-        }
-        Some(round) => {
-            let folds = proof.queries.iter().map(|query| &query.folds[round]);
-            let leaves: Vec<Vec<B::F>> = folds
-                .clone()
-                .map(|fold| [fold.pair[0].as_base_slice(), fold.pair[1].as_base_slice()].concat())
-                .collect();
-            let openings: Vec<Opening<'_, B::F>> = folds
-                .zip(&indices)
-                .zip(&leaves)
-                .map(|((fold, &idx), leaf)| (idx >> (round + 1), &leaf[..], &fold.proof))
-                .collect();
-            let height = index_bits - 1 - round;
-            GenericMerkleTree::<B>::verify_many(proof.commit_roots[round], height, &openings)
-                .map_err(|query| FriError::BadMerkleProof { query, what: "fold layer" })
-        }
-    };
-    let trees = (0..batch_roots.len() + num_rounds).collect();
-    parallel_map(trees, check_tree)
-        .into_iter()
-        .collect::<Result<(), FriError>>()?;
+    let batches = batch_roots.iter().enumerate().map(|(batch, &root)| {
+        let openings = proof.queries.iter().zip(&indices).map(|(query, &idx)| {
+            let opening = &query.initial[batch];
+            (idx, [&opening.leaf[..], &[]], &opening.proof)
+        });
+        (root, index_bits, openings.collect())
+    });
+    let folds = proof.commit_roots.iter().enumerate().map(|(round, &root)| {
+        let openings = proof.queries.iter().zip(&indices).map(|(query, &idx)| {
+            let fold = &query.folds[round];
+            let leaf = [fold.pair[0].as_base_slice(), fold.pair[1].as_base_slice()];
+            (idx >> (round + 1), leaf, &fold.proof)
+        });
+        (root, index_bits - 1 - round, openings.collect())
+    });
+    let trees: Vec<TreeOpenings<'_, B::F>> = batches.chain(folds).collect();
+    let verdicts = GenericMerkleTree::<B>::verify_many(&trees);
+    let failed = verdicts.iter().enumerate().find_map(|(tree, v)| Some(tree).zip(v.err()));
+    if let Some((tree, query)) = failed {
+        let what = if tree < batch_roots.len() { "initial batch" } else { "fold layer" };
+        return Err(FriError::BadMerkleProof { query, what });
+    }
     drop(merkle_span);
 
     let _fold_span = trace::span("fri.verify.fold");

@@ -7,7 +7,7 @@
 //! honest-prover paths and all the corruption cases run identically over
 //! the 64-bit degree-2 stack and the 31-bit degree-4 stack.
 
-use unizk_field::{ExtensionOf, Field, Polynomial, ProtocolField};
+use unizk_field::{set_parallelism, ExtensionOf, Field, Polynomial, ProtocolField};
 use unizk_fri::{fri_prove, fri_verify, FriConfig, FriError, GenericPolynomialBatch};
 use unizk_hash::sponge::HashField;
 use unizk_hash::{Digest, GenericChallenger, Poseidon2KbSponge, PoseidonSponge, SpongeBackend};
@@ -214,6 +214,30 @@ fn duplicate_query_index_with_conflicting_openings_rejected<B: SpongeBackend>() 
     }
 }
 
+fn verdict_names_the_same_query_at_every_thread_count<B: SpongeBackend>() {
+    // A later query of the second batch tree and an earlier query of a fold
+    // tree: the batch tree comes first in tree order, whichever worker
+    // walks it.
+    let inst = Instance::<B>::new(18, FriConfig::for_testing(), &[3, 2], 32);
+    let (mut fold, roots, sizes) = inst.prove();
+    fold.queries[2].folds[1].proof.siblings[1].0[0] += B::F::ONE;
+    let mut both = fold.clone();
+    both.queries[5].initial[1].proof.siblings[0].0[2] += B::F::ONE;
+    for threads in [1, 2] {
+        set_parallelism(threads);
+        let answers = [&both, &fold].map(|p| inst.verify(p, &roots, &sizes));
+        set_parallelism(0);
+        assert_eq!(
+            answers,
+            [
+                Err(FriError::BadMerkleProof { query: 5, what: "initial batch" }),
+                Err(FriError::BadMerkleProof { query: 2, what: "fold layer" }),
+            ],
+            "threads={threads}"
+        );
+    }
+}
+
 fn tampered_commit_root_rejected<B: SpongeBackend>() {
     let inst = Instance::<B>::new(9, FriConfig::for_testing(), &[3], 32);
     let (mut proof, roots, sizes) = inst.prove();
@@ -386,6 +410,10 @@ macro_rules! field_suite {
             #[test]
             fn duplicate_query_index_with_conflicting_openings_rejected() {
                 super::duplicate_query_index_with_conflicting_openings_rejected::<$backend>();
+            }
+            #[test]
+            fn verdict_names_the_same_query_at_every_thread_count() {
+                super::verdict_names_the_same_query_at_every_thread_count::<$backend>();
             }
             #[test]
             fn tampered_commit_root_rejected() {

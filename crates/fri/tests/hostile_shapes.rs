@@ -14,7 +14,7 @@
 
 use std::sync::Mutex;
 
-use unizk_field::{Field, Polynomial};
+use unizk_field::{set_parallelism, Field, Polynomial};
 use unizk_fri::{fri_prove, fri_verify, FriConfig, FriError, FriProof, GenericPolynomialBatch};
 use unizk_hash::{Digest, GenericChallenger, Poseidon2KbSponge, PoseidonSponge, SpongeBackend};
 use unizk_testkit::trace;
@@ -24,7 +24,8 @@ static TRACE_STORE: Mutex<()> = Mutex::new(());
 const DEGREE: usize = 32;
 
 /// Proves one small instance, lets `damage` at the proof, and returns the
-/// verifier's answer with the permutations it spent on it.
+/// verifier's answer with the permutations it spent on it — the same at one
+/// thread and at two.
 fn verdict<B: SpongeBackend>(damage: impl FnOnce(&mut FriProof<B::F>)) -> (Result<(), FriError>, u64) {
     let _serial = TRACE_STORE.lock().unwrap_or_else(|e| e.into_inner());
     let config = FriConfig::for_testing();
@@ -41,18 +42,23 @@ fn verdict<B: SpongeBackend>(damage: impl FnOnce(&mut FriProof<B::F>)) -> (Resul
     let mut proof = fri_prove(&[&batch], &point, &mut transcript(), &config);
     damage(&mut proof);
 
-    let mut challenger = transcript();
-    trace::reset();
-    let answer = fri_verify(
-        &[batch.root()],
-        &[batch.num_polys()],
-        DEGREE,
-        &point,
-        &proof,
-        &mut challenger,
-        &config,
-    );
-    (answer, trace::snapshot().counter(B::COUNTER))
+    let [one, two] = [1, 2].map(|threads| {
+        set_parallelism(threads);
+        trace::reset();
+        let answer = fri_verify(
+            &[batch.root()],
+            &[batch.num_polys()],
+            DEGREE,
+            &point,
+            &proof,
+            &mut transcript(),
+            &config,
+        );
+        set_parallelism(0);
+        (answer, trace::snapshot().counter(B::COUNTER))
+    });
+    assert_eq!(one, two, "one thread, then two");
+    one
 }
 
 fn refused_for_free<B: SpongeBackend>(why: &'static str, damage: impl FnOnce(&mut FriProof<B::F>)) {

@@ -63,7 +63,7 @@ pub mod poseidon2_kb;
 pub mod sponge;
 
 pub use digest::Digest;
-pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree, Opening};
+pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree, Opening, TreeOpenings};
 pub use packed::PackedPermutation;
 pub use poseidon::{
     poseidon_permute, NoncePermutation, PoseidonCost, SPONGE_CAPACITY, SPONGE_RATE, WIDTH,

@@ -11,18 +11,20 @@
 //! memory and subtrees can be processed scratchpad-resident.
 //!
 //! Openings are checked by one walker,
-//! [`GenericMerkleTree::verify_many`]: all openings of a tree climb it
-//! level by level together, each distinct compression input is hashed once
-//! through the batched dispatchers the builder uses, and
-//! [`GenericMerkleTree::verify`] is its one-opening case. The wall in
-//! `tests/merkle_verify_many.rs` holds it to the path-by-path loop.
+//! [`GenericMerkleTree::verify_many`]: the openings of many trees climb
+//! them together, aligned at their leaves, so each step hashes the
+//! distinct compression inputs of every tree still climbing in one
+//! batched dispatch of the kind the builder uses, and
+//! [`GenericMerkleTree::verify`] is its one-tree, one-opening case. The
+//! wall in `tests/merkle_verify_many.rs` holds it to the path-by-path loop,
+//! tree by tree.
 //!
 //! The tree is generic over the sponge backend (and hence the field):
 //! [`MerkleTree`] is the Goldilocks/Poseidon alias of
 //! [`GenericMerkleTree`], and the KoalaBear proof path instantiates the
 //! same code with [`crate::poseidon2_kb::Poseidon2KbSponge`].
 
-use unizk_field::{log2_strict, parallel_ranges, Goldilocks, PrimeField64};
+use unizk_field::{log2_strict, parallel_groups, parallel_ranges, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
 use crate::sponge::{compress_level_with, hash_many_with, PoseidonSponge, SpongeBackend};
@@ -82,22 +84,6 @@ fn hash_pairs_into<B: SpongeBackend>(prev: &[Digest<B::F>], out: &mut Vec<Digest
     }
 }
 
-/// Groups equal keys: the slot of each key among the distinct ones, and one
-/// position in `keys` per slot.
-fn distinct<K: Ord>(keys: &[K]) -> (Vec<usize>, Vec<usize>) {
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
-    let mut slots = vec![0; keys.len()];
-    let mut firsts = Vec::new();
-    for (rank, &k) in order.iter().enumerate() {
-        if rank == 0 || keys[order[rank - 1]] != keys[k] {
-            firsts.push(k);
-        }
-        slots[k] = firsts.len() - 1;
-    }
-    (slots, firsts)
-}
-
 /// A binary Merkle tree over element-vector leaves, generic over the
 /// sponge backend.
 ///
@@ -132,9 +118,16 @@ pub struct MerkleProof<F: PrimeField64 = Goldilocks> {
     pub siblings: Vec<Digest<F>>,
 }
 
-/// One entry of a batch check ([`GenericMerkleTree::verify_many`]): the
-/// leaf index, the claimed leaf contents, and the path.
-pub type Opening<'a, F> = (usize, &'a [F], &'a MerkleProof<F>);
+/// One opening of a tree ([`GenericMerkleTree::verify_many`]): the leaf
+/// index, the claimed leaf contents, and the path. The leaf is the
+/// concatenation of its two parts, so a leaf held in one slice has an empty
+/// second part and a FRI fold leaf is borrowed as its pair's two extension
+/// elements.
+pub type Opening<'a, F> = (usize, [&'a [F]; 2], &'a MerkleProof<F>);
+
+/// One tree of a check ([`GenericMerkleTree::verify_many`]): its root, its
+/// height, and the openings claimed against it.
+pub type TreeOpenings<'a, F> = (Digest<F>, usize, Vec<Opening<'a, F>>);
 
 impl<F: PrimeField64> MerkleProof<F> {
     /// Serialized size in bytes (each digest is [`Digest::BYTES`] bytes:
@@ -222,95 +215,54 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     }
 
     /// Verifies that `leaf_data` is the content of leaf `index` under
-    /// `root`: the one-opening case of [`verify_many`](Self::verify_many),
-    /// in a tree as high as the path is long.
+    /// `root`: [`verify_many`](Self::verify_many) of one tree, as high as
+    /// the path is long, with one opening.
     pub fn verify(
         root: Digest<B::F>,
         index: usize,
         leaf_data: &[B::F],
         proof: &MerkleProof<B::F>,
     ) -> bool {
-        Self::verify_many(root, proof.siblings.len(), &[(index, leaf_data, proof)]).is_ok()
+        let opening = (index, [leaf_data, &[]], proof);
+        Self::verify_many(&[(root, proof.siblings.len(), vec![opening])])[0].is_ok()
     }
 
-    /// Verifies many openings of one tree of `height` levels under `root`,
-    /// hashing each distinct node once.
+    /// Verifies the openings of many trees, hashing each distinct node of a
+    /// tree once: one verdict per tree, in the order of `trees`.
     ///
-    /// All leaves become digests in one [`leaf_digests_with`] call, then the
-    /// openings climb together: per level, each forms the full input of its
-    /// next compression — `(parent index, left, right)` — and the distinct
-    /// inputs are compressed in one [`compress_level_with`] dispatch.
-    /// Openings share a hash only where the whole input is equal (likewise
-    /// `(index, leaf)` at the leaves), so this is a loop of
-    /// [`verify`](Self::verify) evaluated fewer times: it returns `Ok`
-    /// exactly when every opening's own path reaches `root`, for hostile
-    /// openings too.
+    /// The trees climb together, aligned at their leaves. The distinct
+    /// leaves of every tree become digests in one [`leaf_digests_with`]
+    /// call, equal widths adjacent so that each width absorbs in one
+    /// lockstep run. Then at step `s` each opening of every tree higher
+    /// than `s` forms the full input of its next compression — `(parent
+    /// index, left, right)` — and the distinct inputs of all those trees
+    /// are compressed in one [`compress_level_with`] dispatch.
     ///
-    /// # Errors
+    /// Inputs are shared within a tree only, and only where the whole input
+    /// is equal (likewise `(index, leaf)` at the leaves): each tree's
+    /// openings are sorted by leaf index once, an order every parent index
+    /// keeps, and an input is hashed once per run of equal neighbours. So
+    /// the check is a loop of [`verify`](Self::verify) evaluated fewer
+    /// times: a tree's verdict is `Ok` exactly when every one of its
+    /// openings' own paths reaches its root, for hostile openings too. On
+    /// honest openings the `merkle.verify.nodes` counter is the number of
+    /// distinct nodes on the paths (a leaf counts whether or not it was
+    /// hashed), summed over the trees; a hostile duplicate that sorts
+    /// apart from its twin is hashed, and counted, again.
     ///
-    /// The position in `openings` of the first opening that fails: its path
-    /// is not `height` siblings long, `index >= 2^height`, or its path does
-    /// not reach `root`.
-    pub fn verify_many(
-        root: Digest<B::F>,
-        height: usize,
-        openings: &[Opening<'_, B::F>],
-    ) -> Result<(), usize> {
-        let in_tree = |&(index, _, proof): &Opening<'_, B::F>| {
-            let above = u32::try_from(height).ok().and_then(|h| index.checked_shr(h));
-            proof.siblings.len() == height && above.unwrap_or(0) == 0
-        };
-        let (walked, refused): (Vec<usize>, Vec<usize>) =
-            (0..openings.len()).partition(|&i| in_tree(&openings[i]));
-
-        let leaves: Vec<(usize, &[B::F])> = walked
+    /// Under more than one thread the trees are dealt by openings × height
+    /// into one group per worker ([`parallel_groups`]), one walk per group;
+    /// verdicts do not depend on the grouping.
+    ///
+    /// A tree's `Err` is the position in its openings of the first opening
+    /// that fails: its path is not `height` siblings long, its `index >=
+    /// 2^height`, or its path does not reach the root.
+    pub fn verify_many(trees: &[TreeOpenings<'_, B::F>]) -> Vec<Result<(), usize>> {
+        let weights: Vec<usize> = trees
             .iter()
-            .map(|&i| (openings[i].0, openings[i].1))
+            .map(|(_, height, openings)| openings.len().saturating_mul(*height))
             .collect();
-        let (slots, firsts) = distinct(&leaves);
-        let inputs: Vec<&[B::F]> = firsts.iter().map(|&k| leaves[k].1).collect();
-        let digests = leaf_digests_with::<B, _>(&inputs);
-        // Distinct nodes visited: a leaf counts whether or not it was hashed.
-        let mut visited = digests.len();
-        // Where each walked opening stands: (node index at this level, digest).
-        let mut at: Vec<(usize, Digest<B::F>)> = leaves
-            .iter()
-            .zip(slots)
-            .map(|(&(index, _), slot)| (index, digests[slot]))
-            .collect();
-
-        // Some walked path is `height` long, or there is nothing to climb:
-        // the loop is bounded by the size of the input, not by `height`.
-        let levels = if walked.is_empty() { 0 } else { height };
-        for level in 0..levels {
-            // The whole input of each opening's next compression.
-            let inputs: Vec<_> = at
-                .iter()
-                .zip(&walked)
-                .map(|(&(index, digest), &i)| {
-                    let sibling = openings[i].2.siblings[level];
-                    let pair = if index & 1 == 0 { [digest, sibling] } else { [sibling, digest] };
-                    (index >> 1, pair)
-                })
-                .collect();
-            let (slots, firsts) = distinct(&inputs);
-            let pairs: Vec<Digest<B::F>> = firsts.iter().flat_map(|&k| inputs[k].1).collect();
-            let parents = compress_level_with::<B>(&pairs);
-            visited += parents.len();
-            for (node, (input, slot)) in at.iter_mut().zip(inputs.iter().zip(slots)) {
-                *node = (input.0, parents[slot]);
-            }
-        }
-        unizk_testkit::trace::counter("merkle.verify.openings", openings.len() as u64);
-        unizk_testkit::trace::counter("merkle.verify.nodes", visited as u64);
-
-        let unreached = walked
-            .iter()
-            .zip(&at)
-            .find(|(_, node)| node.1 != root)
-            .map(|(&i, _)| i);
-        let failed = refused.first().copied().into_iter().chain(unreached).min();
-        failed.map_or(Ok(()), Err)
+        parallel_groups(&weights, |group| climb::<B>(trees, group))
     }
 
     /// Total sponge permutations needed to build a tree with these leaf
@@ -327,6 +279,145 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         // leaves has L - 1 interior nodes.
         leaf_perms + leaf_lens.len().saturating_sub(1)
     }
+}
+
+/// Where one walked opening stands in [`climb`].
+struct Climber<'a, F: PrimeField64> {
+    /// The opening's position in its tree's list.
+    opening: usize,
+    /// The node's index at the current level.
+    index: usize,
+    leaf: [&'a [F]; 2],
+    siblings: &'a [Digest<F>],
+    /// The node's digest at the current level.
+    digest: Digest<F>,
+    /// The slot of the climber's node among the step's distinct ones.
+    slot: usize,
+}
+
+impl<F: PrimeField64> Climber<'_, F> {
+    fn elements(&self) -> impl Iterator<Item = &F> {
+        self.leaf[0].iter().chain(self.leaf[1])
+    }
+
+    fn width(&self) -> usize {
+        self.leaf[0].len() + self.leaf[1].len()
+    }
+}
+
+/// The walk of [`GenericMerkleTree::verify_many`] over the trees `group`
+/// of `trees`: one verdict per tree of the group, in group order.
+fn climb<B: SpongeBackend>(
+    trees: &[TreeOpenings<'_, B::F>],
+    group: &[usize],
+) -> Vec<Result<(), usize>> {
+    // Each tree's walked openings as one run of `climbers`, sorted by
+    // (leaf index, leaf); and each tree's first refused opening.
+    let mut climbers: Vec<Climber<'_, B::F>> = Vec::new();
+    let mut runs = Vec::with_capacity(group.len());
+    let mut refused = Vec::with_capacity(group.len());
+    let mut opened = 0;
+    for &(root, height, ref openings) in group.iter().map(|&t| &trees[t]) {
+        opened += openings.len();
+        let start = climbers.len();
+        let mut first_refused = None;
+        for (opening, &(index, leaf, proof)) in openings.iter().enumerate() {
+            let above = u32::try_from(height).ok().and_then(|h| index.checked_shr(h));
+            if proof.siblings.len() == height && above.unwrap_or(0) == 0 {
+                let siblings = &proof.siblings[..];
+                let (digest, slot) = (Digest::ZERO, 0);
+                climbers.push(Climber { opening, index, leaf, siblings, digest, slot });
+            } else {
+                first_refused.get_or_insert(opening);
+            }
+        }
+        climbers[start..].sort_by(|a, b| {
+            (a.index.cmp(&b.index)).then_with(|| a.elements().cmp(b.elements()))
+        });
+        runs.push((start..climbers.len(), height, root));
+        refused.push(first_refused);
+    }
+
+    // The distinct leaves, ordered by width, through the one leaf rule.
+    let mut firsts = Vec::new();
+    for (run, ..) in &runs {
+        for c in run.clone() {
+            let (prev, this) = (&climbers[c.saturating_sub(1)], &climbers[c]);
+            if c == run.start || prev.index != this.index || !prev.elements().eq(this.elements()) {
+                firsts.push(c);
+            }
+            climbers[c].slot = firsts.len() - 1;
+        }
+    }
+    let mut by_width: Vec<usize> = (0..firsts.len()).collect();
+    by_width.sort_by_key(|&k| climbers[firsts[k]].width());
+    let flat: Vec<B::F> = by_width
+        .iter()
+        .flat_map(|&k| climbers[firsts[k]].elements().copied())
+        .collect();
+    let mut rest = &flat[..];
+    let leaves: Vec<&[B::F]> = by_width
+        .iter()
+        .map(|&k| {
+            let (leaf, tail) = rest.split_at(climbers[firsts[k]].width());
+            rest = tail;
+            leaf
+        })
+        .collect();
+    let mut leaf_digests = vec![Digest::ZERO; firsts.len()];
+    for (&k, digest) in by_width.iter().zip(leaf_digests_with::<B, _>(&leaves)) {
+        leaf_digests[k] = digest;
+    }
+    for climber in &mut climbers {
+        climber.digest = leaf_digests[climber.slot];
+    }
+    // Distinct nodes visited: a leaf counts whether or not it was hashed.
+    let mut visited = firsts.len();
+
+    // Some walked path is as long as the tallest walked tree, so the climb
+    // is bounded by the size of the input, not by a claimed height.
+    let walked = runs.iter().filter(|(run, ..)| !run.is_empty());
+    let steps = walked.map(|&(_, height, _)| height).max().unwrap_or(0);
+    let mut pairs = Vec::new();
+    for step in 0..steps {
+        let climbing = || runs.iter().filter(move |&&(_, height, _)| height > step);
+        pairs.clear();
+        for (run, ..) in climbing() {
+            let mut last_parent = None;
+            for climber in &mut climbers[run.clone()] {
+                let (digest, sibling) = (climber.digest, climber.siblings[step]);
+                let pair = if climber.index & 1 == 0 {
+                    [digest, sibling]
+                } else {
+                    [sibling, digest]
+                };
+                climber.index >>= 1;
+                if last_parent != Some(climber.index) || pairs[pairs.len() - 2..] != pair {
+                    pairs.extend(pair);
+                }
+                climber.slot = pairs.len() / 2 - 1;
+                last_parent = Some(climber.index);
+            }
+        }
+        let parents = compress_level_with::<B>(&pairs);
+        visited += parents.len();
+        for (run, ..) in climbing() {
+            for climber in &mut climbers[run.clone()] {
+                climber.digest = parents[climber.slot];
+            }
+        }
+    }
+    unizk_testkit::trace::counter("merkle.verify.openings", opened as u64);
+    unizk_testkit::trace::counter("merkle.verify.nodes", visited as u64);
+
+    runs.iter()
+        .zip(refused)
+        .map(|((run, _, root), refused)| {
+            let climbed = climbers[run.clone()].iter();
+            let unreached = climbed.filter(|c| c.digest != *root).map(|c| c.opening);
+            refused.into_iter().chain(unreached).min().map_or(Ok(()), Err)
+        })
+        .collect()
 }
 
 #[cfg(test)]

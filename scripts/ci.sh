@@ -323,24 +323,33 @@ if [ -z "$combine" ] || [ "$(grep -c 'batch_inverse' <<< "$combine")" -gt 1 ] \
     exit 1
 fi
 
-echo "==> each Merkle node hashed once (one batch check per tree in the FRI verifier)"
-# fri_verify hands each tree's openings to GenericMerkleTree::verify_many,
-# which hashes a node once per distinct input, in lockstep groups. A
+echo "==> each Merkle node hashed once (one walk over every tree in the FRI verifier)"
+# fri_verify hands the openings of every batch tree and every fold tree to
+# one GenericMerkleTree::verify_many, which hashes a node once per distinct
+# input of its tree, all trees' inputs of a step in one dispatch. A
 # per-query `::verify(` or a `two_to_one` in the verifier is the
-# path-by-path loop coming back: 2.4x the permutations on the contract
-# shape (EXPERIMENTS.md, "Verifier: each node once").
-if sed '/^#\[cfg(test)\]/,$d' crates/fri/src/verifier.rs | grep -nE '::verify\(|two_to_one'; then
-    echo "FAIL: crates/fri/src/verifier.rs hashes path by path; collect the openings and call verify_many once per tree"
+# path-by-path loop coming back (2.4x the permutations on the contract
+# shape: EXPERIMENTS.md, "Verifier: each node once"); a second
+# `verify_many` call or a per-tree worker closure is the tree-by-tree walk
+# coming back (dispatches of a few dozen inputs: "One walk per proof").
+verifier="$(sed '/^#\[cfg(test)\]/,$d' crates/fri/src/verifier.rs | grep -vE '^[[:space:]]*//')"
+if grep -nE '::verify\(|two_to_one' <<< "$verifier" \
+        || [ "$(grep -c 'verify_many' <<< "$verifier")" -ne 1 ] \
+        || grep -nE 'parallel_(map|groups)|run_indexed' <<< "$verifier"; then
+    echo "FAIL: crates/fri/src/verifier.rs must check every tree in one verify_many call," \
+         "with no path-by-path hashing and no per-tree worker closure"
     exit 1
 fi
 
 echo "==> one leaf-digest rule (builder and verifier turn a leaf into a digest through one function)"
 # merkle::leaf_digests_with decides, per leaf, between "the leaf is its
 # digest" (at most Digest::LEN elements) and the batched absorb. If the
-# builder and verify_many each spelled that rule, a change to one would
-# split prover from verifier with every single-sided test green; so outside
-# #[cfg(test)] the file reaches a sponge (hash_many_with, hash_no_pad*) only
-# inside that function, and hash_leaves_into and verify_many both call it.
+# builder and the verifier's walk each spelled that rule, a change to one
+# would split prover from verifier with every single-sided test green; so
+# outside #[cfg(test)] the file reaches a sponge (hash_many_with,
+# hash_no_pad*) only inside that function, hash_leaves_into and the walk
+# (`fn climb`, behind verify_many) both call it, and the walk is the one
+# place besides the builder's levels that compresses pairs.
 merkle="$(sed '/^#\[cfg(test)\]/,$d' crates/hash/src/merkle.rs | grep -vE '^[[:space:]]*//')"
 sponge_call='hash_many_with::<|hash_no_pad'
 body() { awk -v first="$1" -v last="$2" '$0 ~ first { show = 1 } show; show && $0 ~ last { show = 0 }' <<< "$merkle"; }
@@ -348,9 +357,13 @@ rule="$(body '^pub fn leaf_digests_with' '^}')"
 if [ "$(grep -cE "$sponge_call" <<< "$rule")" -ne 1 ] \
         || [ "$(grep -cE "$sponge_call" <<< "$merkle")" -ne 1 ] \
         || ! body '^fn hash_leaves_into' '^}' | grep -q 'leaf_digests_with::<' \
-        || ! body '^    pub fn verify_many' '^    }' | grep -q 'leaf_digests_with::<'; then
+        || ! body '^fn climb' '^}' | grep -q 'leaf_digests_with::<' \
+        || ! body '^    pub fn verify_many' '^    }' | grep -q 'climb::<' \
+        || [ "$(grep -c 'compress_level_with::<' <<< "$merkle")" -ne 2 ] \
+        || ! body '^fn climb' '^}' | grep -q 'compress_level_with::<'; then
     echo "FAIL: crates/hash/src/merkle.rs must turn leaves into digests through leaf_digests_with only" \
-         "(one sponge call, inside it; named by hash_leaves_into and by verify_many)"
+         "(one sponge call, inside it; named by hash_leaves_into and by climb, the walk verify_many runs)," \
+         "and climb up the trees in one loop"
     exit 1
 fi
 # The in-circuit twin (plonk::gadgets::leaf_digest_gadget) against a native

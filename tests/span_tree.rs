@@ -11,7 +11,7 @@
 //! The trace store and the parallelism override are per process: the tests
 //! serialise on one lock, in a binary of their own.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -103,12 +103,61 @@ fn table_names() -> Vec<String> {
     names
 }
 
+/// The spans a Goldilocks Stark prove closes once, by path.
+const STARK_PHASE_SPANS: [&str; 23] = [
+    "stark.prove",
+    "stark.prove/stark.trace_gen",
+    "stark.prove/stark.trace_commit",
+    "stark.prove/stark.trace_commit/batch.intt",
+    "stark.prove/stark.trace_commit/batch.lde",
+    "stark.prove/stark.trace_commit/batch.leaves",
+    "stark.prove/stark.trace_commit/merkle.build",
+    "stark.prove/stark.quotient",
+    "stark.prove/stark.quotient/stark.quotient_eval",
+    "stark.prove/stark.quotient/stark.quotient_intt",
+    "stark.prove/stark.quotient_commit",
+    "stark.prove/stark.quotient_commit/batch.lde",
+    "stark.prove/stark.quotient_commit/batch.leaves",
+    "stark.prove/stark.quotient_commit/merkle.build",
+    "stark.prove/stark.fri",
+    "stark.prove/stark.fri/fri.prove",
+    "stark.prove/stark.fri/fri.prove/fri.observe_openings",
+    "stark.prove/stark.fri/fri.prove/fri.combine",
+    "stark.prove/stark.fri/fri.prove/fri.commit_fold",
+    "stark.prove/stark.fri/fri.prove/fri.final_poly",
+    "stark.prove/stark.fri/fri.prove/fri.grind",
+    "stark.prove/stark.fri/fri.prove/fri.query",
+    "stark.prove/stark.fri/fri.prove/fri.open",
+];
+
+/// The spans a Goldilocks Stark prove closes once per FRI reduction round.
+const STARK_ROUND_SPANS: [&str; 3] = [
+    "stark.prove/stark.fri/fri.prove/fri.commit_fold/fri.fold",
+    "stark.prove/stark.fri/fri.prove/fri.commit_fold/fri.fold_tree",
+    "stark.prove/stark.fri/fri.prove/fri.commit_fold/fri.fold_tree/merkle.build",
+];
+
+/// Every span of a Stark prove is one of the listed phases or rounds, closed
+/// as often as that says — whatever the query count. A new span states
+/// itself here.
 #[test]
 fn span_count_does_not_depend_on_num_queries() {
     let _serial = serial();
-    let (few, many) = (closes(&stark_gl(28)), closes(&stark_gl(84)));
-    assert_eq!(few, many, "28 queries close {few} spans, 84 close {many}");
-    assert!(many <= 50, "a Stark prove at 2^12 rows closes {many} spans");
+    for num_queries in [28, 84] {
+        let report = stark_gl(num_queries);
+        let rounds = report.counter("fri.reduction_rounds");
+        assert!(rounds > 0, "a Stark prove at 2^12 rows folds");
+        let mut closed = BTreeMap::new();
+        report.walk(&mut |path, node| {
+            closed.insert(path.join("/"), node.count);
+        });
+        let phases = STARK_PHASE_SPANS.iter().map(|&path| (path.to_owned(), 1));
+        let per_round = STARK_ROUND_SPANS.iter().map(|&path| (path.to_owned(), rounds));
+        let want: BTreeMap<String, u64> = phases.chain(per_round).collect();
+        assert_eq!(closed, want, "{num_queries} queries");
+        let exact = STARK_PHASE_SPANS.len() as u64 + STARK_ROUND_SPANS.len() as u64 * rounds;
+        assert_eq!(closes(&report), exact, "{num_queries} queries");
+    }
 }
 
 #[test]
