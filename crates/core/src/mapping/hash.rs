@@ -96,7 +96,7 @@ mod tests {
         // (ROADMAP item 2, named difference 1): not reconciled here.
         let chip = ChipConfig::default_chip();
         let cost = map_merkle(4, 135, &chip);
-        let perms = unizk_hash::MerkleTree::permutation_cost(&[135; 4]) as u64;
+        let perms = unizk_hash::MerkleTree::permutation_cost(4, 135) as u64;
         assert_eq!(
             cost.compute_cycles,
             (perms * 15).div_ceil(chip.num_vsas as u64)

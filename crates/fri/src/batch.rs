@@ -2,13 +2,18 @@
 //! the paper's computation graph (Fig. 7): `iNTT` → `LDE` → `NTT^NR` →
 //! Merkle tree.
 //!
+//! The LDEs are computed column by column and gathered once into the
+//! tree's one [`RowMajorMatrix`]: row `i` holds every polynomial's value at
+//! LDE position `i`. The FRI combine and the quotients read those rows
+//! ([`GenericPolynomialBatch::leaves`]).
+//!
 //! The batch is generic over the sponge backend (and hence the base
 //! field): [`PolynomialBatch`] is the Goldilocks/Poseidon alias of
 //! [`GenericPolynomialBatch`]; the KoalaBear path instantiates the same
 //! code over `Poseidon2KbSponge`.
 
 use unizk_field::{Field, Polynomial, PrimeField64, ProtocolField};
-use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, SpongeBackend};
+use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, RowMajorMatrix, SpongeBackend};
 use unizk_ntt::{coset_ntt_nr_zero_tail, intt_nn};
 use unizk_testkit::trace;
 
@@ -25,7 +30,8 @@ pub fn coset_shift<F: PrimeField64>() -> F {
 ///
 /// Leaf `i` of the tree concatenates the values of all polynomials at LDE
 /// point `i` (bit-reversed order) — "taking values from the same position
-/// of all the polynomials and concatenating them" (paper Fig. 1 step ③).
+/// of all the polynomials and concatenating them" (paper Fig. 1 step ③):
+/// row `i` of the tree's one [`RowMajorMatrix`], as wide as the batch.
 #[derive(Clone, Debug)]
 pub struct GenericPolynomialBatch<B: SpongeBackend> {
     polys: Vec<Polynomial<B::F>>,
@@ -53,8 +59,8 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         }
 
         // LDE of every polynomial (NTT kernel), then gather the values at
-        // each domain position into Merkle leaves (a layout transform — the
-        // index-major view of §5.1), then hash the tree.
+        // each domain position into one row of the leaf matrix (a layout
+        // transform — the index-major view of §5.1), then hash the tree.
         let shift = coset_shift::<B::F>();
         let lde_size = degree << config.rate_bits;
         let ldes: Vec<Vec<B::F>> = trace::with_span("batch.lde", || {
@@ -71,16 +77,20 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
             })
         });
 
-        let leaves: Vec<Vec<B::F>> = trace::with_span("batch.leaves", || {
-            let mut table = vec![Vec::new(); lde_size];
-            unizk_field::parallel_chunks_mut(&mut table, 1, |offset, rows| {
-                for (k, row) in rows.iter_mut().enumerate() {
-                    row.extend(ldes.iter().map(|l| l[offset + k]));
+        let width = ldes.len();
+        let leaves = trace::with_span("batch.leaves", || {
+            let mut values = vec![B::F::ZERO; lde_size * width];
+            // Pieces of whole rows: `offset` is a multiple of `width`.
+            unizk_field::parallel_chunks_mut(&mut values, width, |offset, rows| {
+                for (position, row) in (offset / width..).zip(rows.chunks_exact_mut(width)) {
+                    for (value, lde) in row.iter_mut().zip(&ldes) {
+                        *value = lde[position];
+                    }
                 }
             });
-            table
+            RowMajorMatrix::new(values, width)
         });
-        // The codewords have been transposed into the leaf table; free them
+        // The codewords have been transposed into the leaf matrix; free them
         // before the tree is built, so they never coexist with its levels.
         drop(ldes);
 
@@ -141,8 +151,8 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
         self.tree.leaf(index)
     }
 
-    /// Every leaf, in LDE position order (bit-reversed).
-    pub fn leaves(&self) -> &[Vec<B::F>] {
+    /// Every leaf, one row per LDE position (bit-reversed order).
+    pub fn leaves(&self) -> &RowMajorMatrix<B::F> {
         self.tree.leaves()
     }
 
@@ -180,21 +190,43 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn leaf_values_match_polynomial_evaluation() {
-        let mut rng = StdRng::seed_from_u64(400);
-        let config = FriConfig::for_testing();
-        let polys = random_polys(&mut rng, 3, 8);
-        let batch = PolynomialBatch::from_coeffs(polys.clone(), &config);
-
-        for index in [0usize, 1, 17, 63] {
-            let x = batch.domain_point(index);
-            let leaf = batch.leaf(index);
-            assert_eq!(leaf.len(), 3);
-            for (j, p) in polys.iter().enumerate() {
-                assert_eq!(leaf[j], p.eval(x), "poly {j} at index {index}");
+    /// Every row of the leaf matrix against the polynomials evaluated at its
+    /// domain point, at widths that fill one, two and many lanes of a row and
+    /// at one and three threads — pieces of the gather that cut a row apart
+    /// put values in the wrong leaves.
+    fn leaf_values_match<B: SpongeBackend>(seed: u64) {
+        // The thread count is process-wide but invisible in every other
+        // test's results; restore the default even if an assertion fails.
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                unizk_field::set_parallelism(0);
             }
         }
+        let _restore = Restore;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = FriConfig::for_testing();
+        for width in [1usize, 2, 135] {
+            let polys: Vec<Polynomial<B::F>> = (0..width)
+                .map(|_| Polynomial::from_coeffs((0..8).map(|_| B::F::random(&mut rng)).collect()))
+                .collect();
+            for threads in [1usize, 3] {
+                unizk_field::set_parallelism(threads);
+                let batch = GenericPolynomialBatch::<B>::from_coeffs(polys.clone(), &config);
+                assert_eq!((batch.leaves().height(), batch.leaves().width()), (batch.lde_size(), width));
+                for index in 0..batch.lde_size() {
+                    let x = batch.domain_point(index);
+                    let want: Vec<B::F> = polys.iter().map(|p| p.eval(x)).collect();
+                    assert_eq!(batch.leaf(index), want, "width {width}, {threads} threads, index {index}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_values_match_polynomial_evaluation() {
+        leaf_values_match::<PoseidonSponge>(400);
+        leaf_values_match::<unizk_hash::Poseidon2KbSponge>(405);
     }
 
     #[test]

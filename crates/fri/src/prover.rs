@@ -11,7 +11,9 @@ use unizk_field::{
     batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, LaneKernel, Lanes,
     Polynomial, PrimeField64, ProtocolField,
 };
-use unizk_hash::{GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, SpongeBackend};
+use unizk_hash::{
+    GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, RowMajorMatrix, SpongeBackend,
+};
 use unizk_ntt::coset_intt_rn_uncounted;
 use unizk_testkit::trace;
 
@@ -93,12 +95,13 @@ pub fn fri_prove<B: SpongeBackend>(
         combine_initial(batches, points, &openings, alpha, beta, lde_size)
     });
 
-    // 4. Commit phase: arity-2 folds, one Merkle tree per round.
+    // 4. Commit phase: arity-2 folds, one Merkle tree per round. A layer is
+    //    kept only as its tree's leaves: the queries read pairs back from
+    //    them.
     let num_rounds = config.num_reduction_rounds(degree);
     trace::counter("fri.reduction_rounds", num_rounds as u64);
     let mut fold_trees: Vec<GenericMerkleTree<B>> = Vec::with_capacity(num_rounds);
     let mut commit_roots = Vec::with_capacity(num_rounds);
-    let mut layers: Vec<Vec<<B::F as ProtocolField>::Ext>> = Vec::with_capacity(num_rounds);
     let mut domain = FoldDomain::<B::F>::initial(lde_size);
     {
         let _commit_span = trace::span("fri.commit_fold");
@@ -109,8 +112,7 @@ pub fn fri_prove<B: SpongeBackend>(
             fold_trees.push(tree);
 
             let fold_beta = challenger.challenge_ext();
-            let folded = trace::with_span("fri.fold", || fold_layer(&values, domain, fold_beta));
-            layers.push(std::mem::replace(&mut values, folded));
+            values = trace::with_span("fri.fold", || fold_layer(&values, domain, fold_beta));
             domain = domain.fold();
         }
     }
@@ -147,11 +149,11 @@ pub fn fri_prove<B: SpongeBackend>(
             })
             .collect();
         let mut folds = Vec::with_capacity(num_rounds);
-        for (round, tree) in fold_trees.iter().enumerate() {
+        for tree in &fold_trees {
             let pair_index = idx >> 1;
-            let layer = &layers[round];
+            let (even, odd) = tree.leaf(pair_index).split_at(tree.leaves().width() / 2);
             folds.push(FriFoldOpening {
-                pair: [layer[pair_index * 2], layer[pair_index * 2 + 1]],
+                pair: [even, odd].map(<B::F as ProtocolField>::Ext::from_base_slice),
                 proof: tree.prove(pair_index),
             });
             idx = pair_index;
@@ -270,7 +272,7 @@ fn combine_initial<B: SpongeBackend>(
     let limbs: Vec<Vec<B::F>> = (0..<E<B> as ExtensionOf<B::F>>::DEGREE)
         .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
         .collect();
-    let leaves: Vec<&[Vec<B::F>]> = batches.iter().map(|b| b.leaves()).collect();
+    let leaves: Vec<&RowMajorMatrix<B::F>> = batches.iter().map(|b| b.leaves()).collect();
     let mut values = vec![E::<B>::ZERO; lde_size];
     B::F::with_lanes(LeafSums {
         leaves: &leaves,
@@ -553,10 +555,10 @@ impl<L: Lanes, const D: usize> core::ops::Sub for ExtRows<L, D> {
 }
 
 /// The kernel of [`combine_initial`]'s sum: `sums[i] = Σ_j α^j p_j(x_i)`
-/// over the leaves at position `i` of every batch, in global polynomial
-/// order, each limb a [`dot_rows`] against its table in `limbs`.
+/// over row `i` of every batch's leaf matrix, in global polynomial order,
+/// each limb a [`dot_rows`] against its table in `limbs`.
 struct LeafSums<'a, F, E> {
-    leaves: &'a [&'a [Vec<F>]],
+    leaves: &'a [&'a RowMajorMatrix<F>],
     limbs: &'a [Vec<F>],
     sums: &'a mut [E],
 }
@@ -569,7 +571,7 @@ impl<F: PrimeField64, E: ExtensionOf<F>> LaneKernel<F> for LeafSums<'_, F, E> {
         for (i, sum) in self.sums.iter_mut().enumerate() {
             let mut offset = 0;
             for batch in self.leaves {
-                let Some(leaf) = batch.get(i) else { continue };
+                let Some(leaf) = batch.get_row(i) else { continue };
                 *sum += E::from_base_fn(|d| {
                     let limb = self.limbs.get(d).and_then(|t| t.get(offset..)).unwrap_or_default();
                     dot_rows::<L>(limb, leaf)
@@ -581,18 +583,17 @@ impl<F: PrimeField64, E: ExtensionOf<F>> LaneKernel<F> for LeafSums<'_, F, E> {
 }
 
 /// Builds the Merkle tree over fold pairs of a layer: leaf `k` holds the
-/// base limbs of `(v[2k], v[2k+1])`, each leaf allocated once at its width.
+/// base limbs of `(v[2k], v[2k+1])`, one row of width `2·D` of a flat copy
+/// of the layer's limbs.
 fn commit_fold_layer<B: SpongeBackend>(
     values: &[<B::F as ProtocolField>::Ext],
 ) -> GenericMerkleTree<B> {
     let width = 2 * <<B::F as ProtocolField>::Ext as ExtensionOf<B::F>>::DEGREE;
-    let mut leaves = vec![Vec::new(); values.len() / 2];
-    for (pair, leaf) in values.chunks_exact(2).zip(leaves.iter_mut()) {
-        leaf.reserve_exact(width);
-        leaf.extend_from_slice(pair[0].as_base_slice());
-        leaf.extend_from_slice(pair[1].as_base_slice());
+    let mut limbs = Vec::with_capacity(values.len() / 2 * width);
+    for v in values {
+        limbs.extend_from_slice(v.as_base_slice());
     }
-    GenericMerkleTree::<B>::new(leaves)
+    GenericMerkleTree::<B>::new(RowMajorMatrix::new(limbs, width))
 }
 
 /// Performs one arity-2 fold of a bit-reversed layer over `domain`.
@@ -887,18 +888,18 @@ mod tests {
         let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
         let positions = 12;
         let widths = [1usize, 7, 8, 9, 17, 135];
-        let batches: Vec<Vec<Vec<F>>> = widths
+        let batches: Vec<RowMajorMatrix<F>> = widths
             .iter()
-            .map(|&w| (0..positions).map(|_| (0..w).map(|_| F::random(&mut rng)).collect()).collect())
+            .map(|&w| RowMajorMatrix::new((0..positions * w).map(|_| F::random(&mut rng)).collect(), w))
             .collect();
         let alpha_pows = powers(random_ext::<F>(&mut rng), widths.iter().sum());
         let limbs: Vec<Vec<F>> = (0..<F::Ext as ExtensionOf<F>>::DEGREE)
             .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
             .collect();
-        let leaves: Vec<&[Vec<F>]> = batches.iter().map(Vec::as_slice).collect();
+        let leaves: Vec<&RowMajorMatrix<F>> = batches.iter().collect();
         let want: Vec<F::Ext> = (0..positions)
             .map(|i| {
-                let values = batches.iter().flat_map(|b| b[i].iter());
+                let values = batches.iter().flat_map(|b| b.row(i));
                 alpha_pows.iter().zip(values).map(|(a, &v)| a.scale(v)).sum()
             })
             .collect();

@@ -26,7 +26,8 @@
 //!   [`sponge::Challenger`] used for Fiat–Shamir transforms.
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and
 //!   4+4+zero-pad interior-node rule (§5.3) — a leaf that fits in a digest
-//!   is its own digest, as in Plonky2 — plus opening proofs.
+//!   is its own digest, as in Plonky2 — plus opening proofs, over one
+//!   [`matrix::RowMajorMatrix`] of leaves per tree.
 //!
 //! **Substitution note (see DESIGN.md):** round constants and matrix entries
 //! are generated deterministically from a seed rather than copied from
@@ -56,6 +57,7 @@ extern crate self as unizk_hash;
 mod naive_poseidon2_kb;
 
 pub mod digest;
+pub mod matrix;
 pub mod merkle;
 pub mod packed;
 pub mod poseidon;
@@ -63,6 +65,7 @@ pub mod poseidon2_kb;
 pub mod sponge;
 
 pub use digest::Digest;
+pub use matrix::RowMajorMatrix;
 pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree, Opening, TreeOpenings};
 pub use packed::PackedPermutation;
 pub use poseidon::{

@@ -1,7 +1,8 @@
 //! Merkle tree construction and opening proofs (paper §5.3).
 //!
-//! Leaves hold element vectors (in FRI, the concatenated values of all
-//! polynomials at one LDE point) and become digests by one rule,
+//! A tree's leaves are the rows of one [`RowMajorMatrix`] (in FRI, row `i`
+//! holds the values of all polynomials at LDE point `i`), so every leaf of
+//! a tree has one width. They become digests by one rule,
 //! [`leaf_digests_with`]: a leaf that fits in a digest is its digest, a
 //! longer one is hashed via the absorb method — binding among leaves of one
 //! fixed width, which every caller checks before it opens a tree.
@@ -27,6 +28,7 @@
 use unizk_field::{log2_strict, parallel_groups, parallel_ranges, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
+use crate::matrix::RowMajorMatrix;
 use crate::sponge::{compress_level_with, hash_many_with, PoseidonSponge, SpongeBackend};
 
 /// The grain of a Merkle level: workers take whole runs of this many leaves
@@ -61,12 +63,14 @@ pub fn leaf_digests_with<B: SpongeBackend, L: AsRef<[B::F]>>(leaves: &[L]) -> Ve
     digests.collect()
 }
 
-/// [`leaf_digests_with`] over a whole level, into a caller-supplied buffer,
-/// in pieces of whole [`HASH_CHUNK`]s per worker; piece size, lane width
-/// and thread count are invisible in digests and counters.
-fn hash_leaves_into<B: SpongeBackend>(leaves: &[Vec<B::F>], out: &mut Vec<Digest<B::F>>) {
-    for piece in parallel_ranges(leaves.len(), HASH_CHUNK, |r| {
-        leaf_digests_with::<B, _>(&leaves[r])
+/// [`leaf_digests_with`] over every row of `leaves`, into a caller-supplied
+/// buffer, in pieces of whole [`HASH_CHUNK`]s of rows per worker; piece
+/// size, lane width and thread count are invisible in digests and counters.
+fn hash_leaves_into<B: SpongeBackend>(leaves: &RowMajorMatrix<B::F>, out: &mut Vec<Digest<B::F>>) {
+    let width = leaves.width();
+    for piece in parallel_ranges(leaves.height(), HASH_CHUNK, |r| {
+        let rows = &leaves.values()[r.start * width..r.end * width];
+        leaf_digests_with::<B, _>(&rows.chunks_exact(width).collect::<Vec<_>>())
     }) {
         out.extend(piece);
     }
@@ -84,8 +88,8 @@ fn hash_pairs_into<B: SpongeBackend>(prev: &[Digest<B::F>], out: &mut Vec<Digest
     }
 }
 
-/// A binary Merkle tree over element-vector leaves, generic over the
-/// sponge backend.
+/// A binary Merkle tree over the rows of a [`RowMajorMatrix`], generic over
+/// the sponge backend.
 ///
 /// # Example
 ///
@@ -102,8 +106,9 @@ fn hash_pairs_into<B: SpongeBackend>(prev: &[Digest<B::F>], out: &mut Vec<Digest
 /// ```
 #[derive(Clone, Debug)]
 pub struct GenericMerkleTree<B: SpongeBackend> {
-    /// The original leaf data, kept so openings can return leaf contents.
-    leaves: Vec<Vec<B::F>>,
+    /// The leaf data, one row per leaf, kept so openings can return leaf
+    /// contents.
+    leaves: RowMajorMatrix<B::F>,
     /// `levels[0]` = leaf digests, `levels.last()` = `[root]`.
     levels: Vec<Vec<Digest<B::F>>>,
 }
@@ -138,26 +143,28 @@ impl<F: PrimeField64> MerkleProof<F> {
 }
 
 impl<B: SpongeBackend> GenericMerkleTree<B> {
-    /// Builds a tree over `leaves`.
+    /// Builds a tree over the rows of `leaves` (a `Vec<Vec<F>>` of rows of
+    /// one width converts, see [`RowMajorMatrix`]'s `From`).
     ///
     /// # Panics
     ///
-    /// Panics if `leaves.len()` is not a power of two (the protocol always
-    /// commits to power-of-two LDE domains).
-    pub fn new(leaves: Vec<Vec<B::F>>) -> Self {
+    /// Panics if the number of rows is not a power of two (the protocol
+    /// always commits to power-of-two LDE domains).
+    pub fn new(leaves: impl Into<RowMajorMatrix<B::F>>) -> Self {
+        let leaves = leaves.into();
+        let num_leaves = leaves.height();
         assert!(
-            leaves.len().is_power_of_two(),
-            "leaf count must be a power of two, got {}",
-            leaves.len()
+            num_leaves.is_power_of_two(),
+            "leaf count must be a power of two, got {num_leaves}"
         );
         let _build_span = unizk_testkit::trace::span("merkle.build");
         unizk_testkit::trace::counter("merkle.trees", 1);
-        unizk_testkit::trace::counter("merkle.leaves", leaves.len() as u64);
+        unizk_testkit::trace::counter("merkle.leaves", num_leaves as u64);
         // Hashes at one level are independent (paper §5.3), so both the leaf
         // digests and each interior level parallelize trivially, in pieces
         // of whole HASH_CHUNKs.
-        let mut levels = Vec::with_capacity(log2_strict(leaves.len()) + 1);
-        let mut first = Vec::with_capacity(leaves.len());
+        let mut levels = Vec::with_capacity(log2_strict(num_leaves) + 1);
+        let mut first = Vec::with_capacity(num_leaves);
         hash_leaves_into::<B>(&leaves, &mut first);
         levels.push(first);
         while levels.last().expect("nonempty").len() > 1 {
@@ -176,7 +183,7 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
 
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
+        self.leaves.height()
     }
 
     /// Tree height (number of sibling digests in a proof).
@@ -190,11 +197,11 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     ///
     /// Panics if `index` is out of bounds.
     pub fn leaf(&self, index: usize) -> &[B::F] {
-        &self.leaves[index]
+        self.leaves.row(index)
     }
 
-    /// Every leaf's contents, in leaf order.
-    pub fn leaves(&self) -> &[Vec<B::F>] {
+    /// Every leaf's contents, one row per leaf, in leaf order.
+    pub fn leaves(&self) -> &RowMajorMatrix<B::F> {
         &self.leaves
     }
 
@@ -204,7 +211,7 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
     ///
     /// Panics if `index` is out of bounds.
     pub fn prove(&self, index: usize) -> MerkleProof<B::F> {
-        assert!(index < self.leaves.len(), "leaf index out of bounds");
+        assert!(index < self.num_leaves(), "leaf index out of bounds");
         let mut siblings = Vec::with_capacity(self.height());
         let mut idx = index;
         for level in &self.levels[..self.levels.len() - 1] {
@@ -265,19 +272,20 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         parallel_groups(&weights, |group| climb::<B>(trees, group))
     }
 
-    /// Total sponge permutations needed to build a tree with these leaf
-    /// lengths — the simulator's hash-kernel work unit (§5.3). A leaf of at
-    /// most [`Digest::LEN`] elements costs none ([`leaf_digests_with`]). Both
-    /// shipped backends share `RATE = 8`, so the count is field-independent.
-    pub fn permutation_cost(leaf_lens: &[usize]) -> usize {
-        let leaf_perms: usize = leaf_lens
-            .iter()
-            .filter(|&&l| l > Digest::<B::F>::LEN)
-            .map(|&l| crate::sponge::permutation_count(l))
-            .sum();
+    /// Total sponge permutations needed to build a tree of `num_leaves`
+    /// leaves of `leaf_len` elements — the simulator's hash-kernel work unit
+    /// (§5.3). A leaf of at most [`Digest::LEN`] elements costs none
+    /// ([`leaf_digests_with`]). Both shipped backends share `RATE = 8`, so
+    /// the count is field-independent.
+    pub fn permutation_cost(num_leaves: usize, leaf_len: usize) -> usize {
+        let per_leaf = if leaf_len > Digest::<B::F>::LEN {
+            crate::sponge::permutation_count(leaf_len)
+        } else {
+            0
+        };
         // Interior nodes: one permutation each; a full binary tree with L
         // leaves has L - 1 interior nodes.
-        leaf_perms + leaf_lens.len().saturating_sub(1)
+        num_leaves * per_leaf + num_leaves.saturating_sub(1)
     }
 }
 
@@ -525,12 +533,12 @@ mod tests {
     #[test]
     fn permutation_cost_formula() {
         // 4 leaves of length 135: 4*17 leaf perms + 3 interior = 71.
-        assert_eq!(MerkleTree::permutation_cost(&[135; 4]), 4 * 17 + 3);
-        assert_eq!(MerkleTree::permutation_cost(&[8]), 1);
+        assert_eq!(MerkleTree::permutation_cost(4, 135), 4 * 17 + 3);
+        assert_eq!(MerkleTree::permutation_cost(1, 8), 1);
         // Leaves that fit in a digest are not hashed: interior nodes only.
-        assert_eq!(MerkleTree::permutation_cost(&[2; 8]), 7);
-        assert_eq!(MerkleTree::permutation_cost(&[4; 8]), 7);
-        assert_eq!(MerkleTree::permutation_cost(&[5; 8]), 8 + 7);
+        assert_eq!(MerkleTree::permutation_cost(8, 2), 7);
+        assert_eq!(MerkleTree::permutation_cost(8, 4), 7);
+        assert_eq!(MerkleTree::permutation_cost(8, 5), 8 + 7);
     }
 
     /// What `verify` alone does not separate, so that nobody relies on it: a

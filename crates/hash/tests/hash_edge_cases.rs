@@ -1,6 +1,7 @@
 //! Edge cases for the hash substrate: degenerate Merkle trees, openings at
-//! the domain boundaries, chunked-vs-unchunked leaf hashing, and duplex
-//! challenger absorb lengths crossing every buffer boundary.
+//! the domain boundaries, chunked-vs-unchunked leaf hashing, leaf tables
+//! that are no matrix, and duplex challenger absorb lengths crossing every
+//! buffer boundary.
 //!
 //! The chunked hashing paths in `merkle` are execution strategies; this
 //! suite pins the claim that chunk size and worker count are invisible in
@@ -27,10 +28,12 @@ fn g(n: u64) -> Goldilocks {
     Goldilocks::from_u64(n)
 }
 
-/// Deterministic variable-width leaves: leaf `i` has `3 + (i % 5)` elements.
-fn leaves(n: usize) -> Vec<Vec<Goldilocks>> {
+/// `n` deterministic leaves of `width` elements: element `j` of leaf `i` is
+/// `100·i + j`. The tests draw widths from 3–7, both sides of the
+/// leaf-digest rule.
+fn leaves(n: usize, width: usize) -> Vec<Vec<Goldilocks>> {
     (0..n)
-        .map(|i| (0..3 + i % 5).map(|j| g((i * 100 + j) as u64)).collect())
+        .map(|i| (0..width).map(|j| g((i * 100 + j) as u64)).collect())
         .collect()
 }
 
@@ -47,9 +50,10 @@ fn leaf_digest(leaf: &[Goldilocks]) -> Digest {
 
 #[test]
 fn single_leaf_tree_is_the_leaf_hash() {
-    // Leaf 0 of `leaves` has three elements and is its own digest; leaf 2
-    // has five and is absorbed.
-    for data in [leaves(1), leaves(3)[2..].to_vec()] {
+    // A leaf of three or four elements is its own digest; one of five or
+    // more is absorbed.
+    for width in 3..=7 {
+        let data = leaves(1, width);
         let tree = MerkleTree::new(data.clone());
         assert_eq!(tree.height(), 0);
         assert_eq!(tree.num_leaves(), 1);
@@ -62,14 +66,15 @@ fn single_leaf_tree_is_the_leaf_hash() {
         // An out-of-range index must be rejected, not wrap around.
         assert!(!MerkleTree::verify(tree.root(), 1, &data[0], &proof));
     }
-    assert_eq!(MerkleTree::new(leaves(1)).root().0, [g(0), g(1), g(2), g(0)]);
+    assert_eq!(MerkleTree::new(leaves(1, 3)).root().0, [g(0), g(1), g(2), g(0)]);
 }
 
 #[test]
 fn two_leaf_tree_is_one_compression() {
-    // Widths 3 and 4, then 5 and 6: both sides of the leaf-digest rule.
-    two_leaf_tree(&leaves(2));
-    two_leaf_tree(&leaves(4)[2..]);
+    // Widths 3 and 4, then 5 to 7: both sides of the leaf-digest rule.
+    for width in 3..=7 {
+        two_leaf_tree(&leaves(2, width));
+    }
 }
 
 fn two_leaf_tree(data: &[Vec<Goldilocks>]) {
@@ -90,8 +95,8 @@ fn two_leaf_tree(data: &[Vec<Goldilocks>]) {
 
 #[test]
 fn openings_at_first_and_last_leaf() {
-    for n in [2usize, 4, 32, 128] {
-        let data = leaves(n);
+    for (n, width) in [(2usize, 3), (4, 5), (32, 7), (128, 4)] {
+        let data = leaves(n, width);
         let tree = MerkleTree::new(data.clone());
         for index in [0, n - 1] {
             let proof = tree.prove(index);
@@ -115,8 +120,8 @@ fn hash_leaves_chunking_is_invisible() {
     // item: 128 leaves are one dispatch, 256 one item per worker or fewer,
     // 1024 several items per worker. The leaf level is read back through
     // the openings (leaf `i` is the first sibling of leaf `i ^ 1`).
-    for n in [128usize, 256, 1024] {
-        let data = leaves(n);
+    for (n, width) in [(128usize, 4), (256, 7), (1024, 5)] {
+        let data = leaves(n, width);
         let reference: Vec<_> = data.iter().map(|l| leaf_digest(l)).collect();
         for threads in [1usize, 3, 8] {
             set_parallelism(threads);
@@ -131,7 +136,7 @@ fn hash_leaves_chunking_is_invisible() {
 fn merkle_root_invariant_under_parallelism() {
     let _lock = PARALLELISM_KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    let data = leaves(256);
+    let data = leaves(256, 6);
     set_parallelism(1);
     let serial = MerkleTree::new(data.clone());
     for threads in [2usize, 4, 0] {
@@ -144,6 +149,22 @@ fn merkle_root_invariant_under_parallelism() {
             "proof differs at threads={threads}"
         );
     }
+}
+
+/// A tree binds leaves of one width (`merkle::leaf_digests_with`), so the
+/// `Vec<Vec<F>>` form of a leaf table is refused unless it is a matrix.
+#[test]
+#[should_panic(expected = "width of the first")]
+fn a_tree_over_leaves_of_unequal_width_is_refused() {
+    let mut data = leaves(4, 5);
+    data[2].push(g(1));
+    let _ = MerkleTree::new(data);
+}
+
+#[test]
+#[should_panic(expected = "at least one element")]
+fn a_tree_over_empty_leaves_is_refused() {
+    let _ = MerkleTree::new(vec![Vec::<Goldilocks>::new(); 4]);
 }
 
 #[test]

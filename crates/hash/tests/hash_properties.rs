@@ -10,17 +10,30 @@ fn arb_leaf() -> impl Strategy<Value = Vec<Goldilocks>> {
     prop::collection::vec(any::<u64>().prop_map(Goldilocks::from_u64), 1..20)
 }
 
+/// `n` leaves of `width` elements, consecutive runs of `words`. A tree binds
+/// leaves of one width, so each tree draws one width from the range of
+/// [`arb_leaf`]; 32 × 19 words cover every tree below.
+fn leaf_table(words: &[u64], n: usize, width: usize) -> Vec<Vec<Goldilocks>> {
+    let leaves: Vec<Vec<Goldilocks>> = words
+        .chunks_exact(width)
+        .take(n)
+        .map(|leaf| leaf.iter().map(|&w| Goldilocks::from_u64(w)).collect())
+        .collect();
+    assert_eq!(leaves.len(), n, "too few words for {n} leaves of width {width}");
+    leaves
+}
+
 prop! {
     #![cases(24)]
 
     fn merkle_all_openings_verify(
         log_leaves in 0usize..6,
-        seed_leaves in prop::collection::vec(arb_leaf(), 32),
+        width in 1usize..20,
+        words in prop::collection::vec(any::<u64>(), 32 * 19),
         query in any::<prop::sample::Index>(),
     ) {
         let n = 1 << log_leaves;
-        let leaves: Vec<Vec<Goldilocks>> = seed_leaves.into_iter().take(n).collect();
-        prop_assume!(leaves.len() == n);
+        let leaves = leaf_table(&words, n, width);
         let tree = MerkleTree::new(leaves.clone());
         let idx = query.index(n);
         let proof = tree.prove(idx);
@@ -33,12 +46,12 @@ prop! {
 
     fn merkle_root_changes_with_any_leaf(
         log_leaves in 1usize..5,
-        seed_leaves in prop::collection::vec(arb_leaf(), 16),
+        width in 1usize..20,
+        words in prop::collection::vec(any::<u64>(), 32 * 19),
         victim in any::<prop::sample::Index>(),
     ) {
         let n = 1 << log_leaves;
-        let leaves: Vec<Vec<Goldilocks>> = seed_leaves.into_iter().take(n).collect();
-        prop_assume!(leaves.len() == n);
+        let leaves = leaf_table(&words, n, width);
         let tree = MerkleTree::new(leaves.clone());
         let mut tweaked = leaves;
         let i = victim.index(n);

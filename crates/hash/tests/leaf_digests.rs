@@ -77,7 +77,7 @@ fn a_tree_books_its_interior_nodes_and_its_long_leaves<B: SpongeBackend>() {
             let data: Vec<Vec<B::F>> = (0..n).map(|i| leaf::<B>(i, width)).collect();
             let per_leaf = if width <= 4 { 0 } else { width.div_ceil(8) };
             let want = (n - 1 + n * per_leaf) as u64;
-            assert_eq!(want, GenericMerkleTree::<B>::permutation_cost(&vec![width; n]) as u64);
+            assert_eq!(want, GenericMerkleTree::<B>::permutation_cost(n, width) as u64);
             if width <= 4 {
                 assert_eq!(want, (1 << k) - 1);
             } else if width == 5 {

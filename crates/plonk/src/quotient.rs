@@ -13,6 +13,7 @@ use unizk_field::{
 };
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::PolynomialBatch;
+use unizk_hash::RowMajorMatrix;
 use unizk_ntt::coset_intt_nn;
 use unizk_testkit::trace;
 
@@ -137,9 +138,9 @@ fn quotient_values(
 /// leaves, the leaf index of `ω·x`, and the per-position and per-round
 /// scalars.
 struct PositionTable<'a> {
-    constants: &'a [Vec<Goldilocks>],
-    wires: &'a [Vec<Goldilocks>],
-    perm: &'a [Vec<Goldilocks>],
+    constants: &'a RowMajorMatrix<Goldilocks>,
+    wires: &'a RowMajorMatrix<Goldilocks>,
+    perm: &'a RowMajorMatrix<Goldilocks>,
     next: &'a [usize],
     xs: &'a [Goldilocks],
     l1: &'a [Goldilocks],
@@ -208,11 +209,11 @@ fn quotient_row<L: Lanes<Scalar = Goldilocks>>(
     let i = first + start;
     for (l, lane) in (i..i + w).enumerate() {
         let (Some(consts), Some(wires), Some(perm), Some(&next)) =
-            (t.constants.get(lane), t.wires.get(lane), t.perm.get(lane), t.next.get(lane))
+            (t.constants.get_row(lane), t.wires.get_row(lane), t.perm.get_row(lane), t.next.get(lane))
         else {
             return;
         };
-        let perm_next = t.perm.get(next).map_or(&[][..], Vec::as_slice);
+        let perm_next = t.perm.get_row(next).unwrap_or_default();
         let z_next = perm_next.iter().step_by(t.partials_per_round.max(1));
         let zh_inv = t.zh_inv.get(lane);
         // The source leads each zip, so an exhausted source leaves the
@@ -282,9 +283,9 @@ mod tests {
     /// A table of random leaves and scalars in the shape of a 10-wire,
     /// two-round circuit over 64 LDE positions.
     struct Shape {
-        constants: Vec<Vec<Goldilocks>>,
-        wires: Vec<Vec<Goldilocks>>,
-        perm: Vec<Vec<Goldilocks>>,
+        constants: RowMajorMatrix<Goldilocks>,
+        wires: RowMajorMatrix<Goldilocks>,
+        perm: RowMajorMatrix<Goldilocks>,
         next: Vec<usize>,
         scalars: [Vec<Goldilocks>; 4],
         ks: Vec<Goldilocks>,
@@ -299,7 +300,7 @@ mod tests {
 
     fn shape(rng: &mut TestRng) -> Shape {
         let mut column = |len: usize| (0..len).map(|_| Goldilocks::random(rng)).collect::<Vec<_>>();
-        let leaves = |column: &mut dyn FnMut(usize) -> Vec<Goldilocks>, width| (0..POSITIONS).map(|_| column(width)).collect();
+        let leaves = |column: &mut dyn FnMut(usize) -> Vec<Goldilocks>, width| RowMajorMatrix::new(column(POSITIONS * width), width);
         Shape {
             constants: leaves(&mut column, NUM_SELECTORS + WIRES),
             wires: leaves(&mut column, WIRES),
@@ -333,14 +334,14 @@ mod tests {
 
     /// The combined constraint at one position, straight from the leaves.
     fn reference(t: &PositionTable<'_>, i: usize, s: usize) -> Goldilocks {
-        let (consts, perm) = (&t.constants[i], &t.perm[i]);
+        let (consts, perm) = (t.constants.row(i), t.perm.row(i));
         let base = s * t.partials_per_round;
         let inputs = ConstraintInputs {
             selectors: [consts[0], consts[1], consts[2], consts[3], consts[4]],
-            wires: &t.wires[i],
+            wires: t.wires.row(i),
             sigmas: &consts[NUM_SELECTORS..],
             z: perm[base],
-            z_next: t.perm[t.next[i]][base],
+            z_next: t.perm.row(t.next[i])[base],
             partials: &perm[base + 1..base + t.partials_per_round],
             x: t.xs[i],
             l1: t.l1[i],

@@ -11,7 +11,7 @@ use unizk_field::{
 use unizk_fri::domain::FoldDomain;
 use unizk_fri::{fri_prove, GenericPolynomialBatch};
 use unizk_hash::sponge::HashField;
-use unizk_hash::{GenericChallenger, SpongeBackend};
+use unizk_hash::{GenericChallenger, RowMajorMatrix, SpongeBackend};
 use unizk_testkit::trace;
 
 use crate::air::{Air, Boundary};
@@ -212,7 +212,7 @@ where
 /// (the leaf of `ω·x` is `blowup` further on in natural order), the
 /// per-position and per-round scalars.
 struct QuotientTable<'a, F: ProtocolField> {
-    leaves: &'a [Vec<F>],
+    leaves: &'a RowMajorMatrix<F>,
     xs: &'a [F],
     /// `Z_H(x)⁻¹` per coset of the trace domain: position `i` reads entry
     /// `i >> log_n`.
@@ -280,12 +280,12 @@ fn quotient_row<F: ProtocolField, A: Air<F>, L: Lanes<Scalar = F>>(
     terms: &mut [F],
 ) {
     let (w, width) = (L::WIDTH, air.width());
-    let lde_size = t.leaves.len();
+    let lde_size = 1usize << t.bits;
     for (l, position) in (i..i + w).enumerate() {
         let next = bit_reverse((bit_reverse(position, t.bits) + t.blowup) & (lde_size - 1), t.bits);
         let (Some(local), Some(next), Some(zh_inv)) = (
-            t.leaves.get(position).and_then(|leaf| leaf.get(..width)),
-            t.leaves.get(next).and_then(|leaf| leaf.get(..width)),
+            t.leaves.get_row(position).and_then(|leaf| leaf.get(..width)),
+            t.leaves.get_row(next).and_then(|leaf| leaf.get(..width)),
             t.zh_inv.get(position >> t.log_n),
         ) else {
             return;
@@ -350,7 +350,7 @@ mod tests {
     /// Random leaves and scalars in the shape [`compute_quotients`] builds
     /// for `air`, with its real boundaries.
     struct Shape<F: ProtocolField> {
-        leaves: Vec<Vec<F>>,
+        leaves: RowMajorMatrix<F>,
         xs: Vec<F>,
         zh_inv: Vec<F>,
         row_inv: Vec<F>,
@@ -368,7 +368,7 @@ mod tests {
         rows.dedup();
         let row_of = boundaries.iter().map(|b| rows.partition_point(|&r| r < b.row)).collect();
         Shape {
-            leaves: (0..LDE).map(|_| column(air.width())).collect(),
+            leaves: RowMajorMatrix::new(column(LDE * air.width()), air.width()),
             xs: column(LDE),
             zh_inv: column(LDE / N),
             row_inv: column(rows.len() * LDE),
@@ -399,7 +399,7 @@ mod tests {
     /// at a time over the base field: the loop the kernel replaced.
     fn reference<F: ProtocolField, A: Air<F>>(air: &A, t: &QuotientTable<'_, F>, i: usize, s: usize) -> F {
         let next = bit_reverse((bit_reverse(i, t.bits) + t.blowup) % LDE, t.bits);
-        let (local, next) = (&t.leaves[i], &t.leaves[next]);
+        let (local, next) = (t.leaves.row(i), t.leaves.row(next));
         let mut transitions = vec![F::ZERO; air.num_transition_constraints()];
         air.eval_transition(local, next, &mut transitions);
         let (transition_pows, boundary_pows) = t.alpha_pows[s].split_at(transitions.len());

@@ -370,6 +370,34 @@ fi
 # tree of two-element leaves; the example is not a test, so it is run here.
 cargo run --release --offline -q --example merkle_membership | tail -2
 
+echo "==> one leaf matrix (a Merkle tree's leaves are one RowMajorMatrix; fri_prove holds each fold layer once)"
+# A tree's leaves are the rows of one unizk_hash::RowMajorMatrix, from the
+# batch's gather to the FRI combine and the quotients that read them. A
+# leaf table spelled Vec<Vec<_>> or &[Vec<_>] again is one heap vector per
+# LDE position (196 592 of them per stark_narrow_gl prove before the
+# matrix: EXPERIMENTS.md, "One leaf matrix"), and vec![Vec::new(); n] is how
+# such a table is built. The fold trees hold the only copy of each FRI
+# layer: the queries read their pairs back from the tree's rows
+# (from_base_slice), so a `layers` vector, or a layer swapped or pushed
+# aside, is a second copy.
+leaf_tables="$(for f in crates/{hash,fri,stark,plonk}/src/*.rs crates/{hash,fri,stark,plonk}/src/*/*.rs; do
+    [ -f "$f" ] || continue
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^[[:space:]]*//' \
+        | grep -nE '\b[A-Za-z_]*lea(f|ves)[A-Za-z_]*\b[^=;{]*(Vec<Vec<|\[Vec<)|vec!\[[[:space:]]*Vec::new\(\)[[:space:]]*;' \
+        | sed "s|^|$f:|" || true
+done)"
+fri_prove="$(sed '/^#\[cfg(test)\]/,$d' crates/fri/src/prover.rs | grep -vE '^[[:space:]]*//' \
+    | awk '/^pub fn fri_prove/ { show = 1 } show; show && /^}/ { show = 0 }')"
+if [ -n "$leaf_tables" ] || [ -z "$fri_prove" ] \
+        || grep -nE '\blayers?\b|mem::(replace|take|swap)|\.push\((values|folded)\b|values\.clone\(\)' <<< "$fri_prove" \
+        || ! grep -q 'from_base_slice' <<< "$fri_prove"; then
+    printf '%s\n' "$leaf_tables"
+    echo "FAIL: Merkle leaves are rows of one RowMajorMatrix (no Vec<Vec<_>> or &[Vec<_>] leaf table," \
+         "no vec![Vec::new(); n]) in crates/{hash,fri,stark,plonk}/src, and fri_prove reads fold pairs" \
+         "back from the fold trees instead of keeping its layers"
+    exit 1
+fi
+
 echo "==> one Poseidon schedule (the rounds are walked once, at every width)"
 # packed::walk_rounds is the only shipped walk of the 4 / pre-partial / 22 /
 # 4 sequence (poseidon_permute, permute_batch and the grind kernel are its

@@ -91,7 +91,7 @@ fn simulator_report_consistency_across_stack() {
     let rows = 1 << 10;
     let width = 135usize;
     let lde = rows << 3;
-    let perms_functional = unizk_hash::MerkleTree::permutation_cost(&vec![width; lde]);
+    let perms_functional = unizk_hash::MerkleTree::permutation_cost(lde, width);
     let chip = ChipConfig::default_chip();
     let cost = unizk_core::mapping::map_kernel(
         &unizk_core::kernels::Kernel::MerkleTree { num_leaves: lde, leaf_len: width },
