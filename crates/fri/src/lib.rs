@@ -15,6 +15,9 @@
 //!    the grind, and for each query check every Merkle opening and fold
 //!    step down to the final polynomial.
 //!
+//! Both provers' quotients run on one engine, [`quotient`]: a constraint
+//! evaluated over the LDE positions, then a coset iNTT per round.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +50,7 @@ pub mod config;
 pub mod domain;
 pub mod proof;
 pub mod prover;
+pub mod quotient;
 pub mod serialization;
 pub mod timing;
 pub mod verifier;

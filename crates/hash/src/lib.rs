@@ -75,7 +75,7 @@ pub use poseidon2_kb::{
     poseidon2_kb_permute, Poseidon2KbConstants, Poseidon2KbCost, Poseidon2KbSponge,
 };
 pub use sponge::{
-    compress_level, compress_level_with, hash_many, hash_many_with, hash_no_pad, hash_no_pad_with,
+    compress_level_with, hash_many, hash_many_with, hash_no_pad, hash_no_pad_with,
     two_to_one, two_to_one_with, Challenger, GenericChallenger, GenericSpeculativeChallenger,
-    HashField, PoseidonSponge, SpeculativeChallenger, SpongeBackend,
+    HashField, PoseidonSponge, SpongeBackend,
 };

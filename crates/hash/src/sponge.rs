@@ -306,11 +306,6 @@ pub fn compress_level_with<B: SpongeBackend>(prev: &[Digest<B::F>]) -> Vec<Diges
     out
 }
 
-/// [`compress_level_with`] over the default Poseidon backend.
-pub fn compress_level(prev: &[Digest]) -> Vec<Digest> {
-    compress_level_with::<PoseidonSponge>(prev)
-}
-
 /// A duplex-sponge transcript for the Fiat–Shamir transform, generic over
 /// the sponge backend (and hence the field).
 ///
@@ -464,9 +459,6 @@ impl<B: SpongeBackend> GenericChallenger<B> {
 pub struct GenericSpeculativeChallenger<B: SpongeBackend> {
     spec: B::Speculative,
 }
-
-/// The default (Goldilocks, Poseidon) speculative challenger.
-pub type SpeculativeChallenger = GenericSpeculativeChallenger<PoseidonSponge>;
 
 impl<B: SpongeBackend> GenericSpeculativeChallenger<B> {
     /// The challenges the source transcript would emit after observing

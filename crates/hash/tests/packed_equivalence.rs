@@ -15,7 +15,7 @@ use unizk_testkit::prop::prelude::*;
 
 use unizk_field::{Field, Goldilocks};
 use unizk_hash::packed::permute_batch;
-use unizk_hash::sponge::{compress_level, hash_many, hash_no_pad, two_to_one};
+use unizk_hash::sponge::{compress_level_with, hash_many, hash_no_pad, two_to_one};
 use unizk_hash::{
     poseidon_permute, Challenger, Digest, NoncePermutation, PackedPermutation, PoseidonSponge,
     SpongeBackend, SPONGE_RATE, WIDTH,
@@ -111,7 +111,7 @@ prop! {
             .collect();
         let even = &digests[..digests.len() & !1];
         let want: Vec<Digest> = even.chunks_exact(2).map(|p| two_to_one(p[0], p[1])).collect();
-        assert_eq!(compress_level(even), want);
+        assert_eq!(compress_level_with::<PoseidonSponge>(even), want);
     }
 
     /// The hoisted nonce permutation (grind kernel) matches the full

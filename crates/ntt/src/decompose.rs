@@ -10,7 +10,7 @@
 //! used both to test the mapping logic and to derive the cost model in
 //! `unizk-core`.
 
-use unizk_field::{log2_strict, reverse_index_bits, PrimeField64};
+use unizk_field::{log2_strict, PrimeField64};
 
 use crate::radix2::{count_transform, ntt_nn_uncounted};
 
@@ -39,14 +39,6 @@ pub fn decomposed_ntt_nn<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
     }
     count_transform(n);
     decompose_recursive(values, dims);
-}
-
-/// Like [`decomposed_ntt_nn`] but leaves the output in bit-reversed order,
-/// matching the `NTT^NR` variant FRI needs. The paper notes (§5.1) that the
-/// decomposition makes the bit-reversed writeback naturally contiguous.
-pub fn decomposed_ntt_nr<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
-    decomposed_ntt_nn(values, dims);
-    reverse_index_bits(values);
 }
 
 fn decompose_recursive<F: PrimeField64>(values: &mut [F], dims: &[usize]) {
@@ -207,17 +199,6 @@ mod tests {
             decomposed_ntt_nn(&mut dec, &dims);
             assert_eq!(dec, mono, "dims={dims:?}");
         }
-    }
-
-    #[test]
-    fn nr_variant_matches() {
-        let mut rng = StdRng::seed_from_u64(303);
-        let v = random_vec(&mut rng, 128);
-        let mut mono = v.clone();
-        crate::radix2::ntt_nr(&mut mono);
-        let mut dec = v;
-        decomposed_ntt_nr(&mut dec, &[16, 8]);
-        assert_eq!(dec, mono);
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub mod radix2;
 pub mod transpose;
 pub mod twiddle;
 
-pub use decompose::{decomposed_ntt_nn, decomposed_ntt_nr, NttDecomposition};
+pub use decompose::{decomposed_ntt_nn, NttDecomposition};
 pub use lde::{lde, lde_nr, lde_of_values};
-pub use transpose::{transpose, transpose_tile_count, transpose_tiled};
+pub use transpose::{transpose, transpose_tile_count};
 pub use naive::{naive_coset_dft, naive_dft, naive_idft};
 pub use radix2::{
     coset_intt_nn, coset_intt_rn_uncounted, coset_ntt_nn, coset_ntt_nr, coset_ntt_nr_zero_tail,

@@ -2,9 +2,9 @@
 //! layouts the protocol uses (paper §5.1 "Data layouts").
 //!
 //! In hardware these are handled implicitly by the global transpose buffer
-//! while fetching from memory; in software we provide explicit helpers, plus
-//! a tiled variant that mirrors the `b×b` buffer operation so the simulator
-//! cost model can be validated against a functional implementation.
+//! while fetching from memory; in software [`transpose`] is explicit, and
+//! [`transpose_tile_count`] counts the `b×b` buffer operations the
+//! simulator charges for it.
 
 /// Transposes a row-major `rows × cols` matrix into a row-major
 /// `cols × rows` matrix.
@@ -22,34 +22,6 @@ pub fn transpose<T: Copy>(values: &[T], rows: usize, cols: usize) -> Vec<T> {
     for c in 0..cols {
         for r in 0..rows {
             out.push(values[r * cols + c]);
-        }
-    }
-    out
-}
-
-/// Transposes via `b × b` tiles, the access pattern of the hardware
-/// transpose buffer (the paper uses `b = 16`).
-///
-/// Functionally identical to [`transpose`]; exists so tests can confirm the
-/// tiled schedule is lossless and so the number of tile fills can be
-/// reasoned about (`⌈rows/b⌉·⌈cols/b⌉`).
-///
-/// # Panics
-///
-/// Panics if `values.len() != rows * cols` or `b == 0`.
-pub fn transpose_tiled<T: Copy + Default>(values: &[T], rows: usize, cols: usize, b: usize) -> Vec<T> {
-    assert_eq!(values.len(), rows * cols, "shape mismatch");
-    assert!(b > 0, "tile size must be positive");
-    let mut out = vec![T::default(); values.len()];
-    for tile_r in (0..rows).step_by(b) {
-        for tile_c in (0..cols).step_by(b) {
-            let r_end = (tile_r + b).min(rows);
-            let c_end = (tile_c + b).min(cols);
-            for r in tile_r..r_end {
-                for c in tile_c..c_end {
-                    out[c * rows + r] = values[r * cols + c];
-                }
-            }
         }
     }
     out
@@ -78,15 +50,6 @@ mod tests {
         let t = transpose(&m, 12, 7);
         let back = transpose(&t, 7, 12);
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn tiled_matches_plain() {
-        let m: Vec<u32> = (0..64 * 24).collect();
-        let plain = transpose(&m, 64, 24);
-        for b in [1, 3, 16, 100] {
-            assert_eq!(transpose_tiled(&m, 64, 24, b), plain, "b={b}");
-        }
     }
 
     #[test]

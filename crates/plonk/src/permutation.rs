@@ -191,32 +191,6 @@ fn factor_rows<L: Lanes<Scalar = Goldilocks>>(
     }
 }
 
-impl PermutationColumns {
-    /// The final running product after the last row; `1` iff the copy
-    /// constraints hold (the grand product telescopes).
-    #[allow(clippy::needless_range_loop)]
-    pub fn final_product(
-        &self,
-        data: &CircuitData,
-        wires: &[Vec<Goldilocks>],
-        beta: Goldilocks,
-        gamma: Goldilocks,
-    ) -> Goldilocks {
-        // Recompute the last row's full quotient product on top of Z[n-1].
-        let n = data.rows;
-        let w = data.config.num_wires;
-        let omega = data.omega();
-        let x = omega.exp_u64((n - 1) as u64);
-        let mut acc = self.columns[0][n - 1];
-        for j in 0..w {
-            let num = wires[j][n - 1] + beta * data.ks[j] * x + gamma;
-            let den = wires[j][n - 1] + beta * data.sigmas[j][n - 1] + gamma;
-            acc *= num * den.inverse();
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,8 @@
 //! paper's Fig. 1 and Fig. 7, one trace span per phase (the Stark prover's
 //! tree under `plonk.prove`; `unizk_fri::timing` maps spans to Table 1).
 
-use unizk_field::{Ext2, Field, Goldilocks};
+use unizk_field::{Ext2, Field, Goldilocks, Polynomial};
+use unizk_fri::quotient::{self, QuotientDomain};
 use unizk_fri::{fri_prove, PolynomialBatch};
 use unizk_hash::Challenger;
 use unizk_ntt::lde_nr;
@@ -14,7 +15,7 @@ use crate::circuit::CircuitData;
 use crate::error::PlonkError;
 use crate::permutation::compute_permutation;
 use crate::proof::Proof;
-use crate::quotient::compute_quotients;
+use crate::quotient::CircuitConstraints;
 
 /// Generates the wire matrix from the prover's inputs.
 ///
@@ -184,18 +185,25 @@ pub fn prove(data: &CircuitData, inputs: &[Goldilocks]) -> Result<Proof, PlonkEr
     // Constraint-combination challenges.
     let alphas: Vec<Goldilocks> = challenger.challenges(s_rounds);
 
-    // Quotient polynomials.
+    // Quotient polynomials: the combined constraints over the LDE, then
+    // one coset iNTT per round, split into `blowup` chunks of degree `n`,
+    // round-major.
     let quotient_polys = trace::with_span("plonk.quotient", || {
-        compute_quotients(
-            data,
-            &data.constants,
-            &wires_batch,
-            &perm_batch,
-            &pi_lde,
-            &betas,
-            &gammas,
-            &alphas,
-        )
+        let lde_size = wires_batch.lde_size();
+        let values = trace::with_span("plonk.quotient_eval", || {
+            let domain = QuotientDomain::new(data.rows, lde_size);
+            let constraints =
+                CircuitConstraints::new(data, &domain, [&wires_batch, &perm_batch], &pi_lde, [&betas, &gammas, &alphas]);
+            quotient::evaluate(&domain, &constraints)
+        });
+        trace::with_span("plonk.quotient_intt", || {
+            let mut quotients = Vec::with_capacity(values.len() * lde_size / data.rows);
+            for values in values {
+                let coeffs = quotient::coefficients(values);
+                quotients.extend(coeffs.chunks_exact(data.rows).map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))));
+            }
+            quotients
+        })
     });
     let quotient_batch = trace::with_span("plonk.quotient_commit", || {
         PolynomialBatch::from_coeffs(quotient_polys, &data.config.fri)

@@ -1,224 +1,108 @@
-//! Quotient polynomial computation: evaluate the combined constraint
-//! polynomial over the 8× coset LDE, divide by `Z_H`, and split into
-//! degree-`n` chunks.
+//! The Plonk constraints as the quotient engine (`unizk_fri::quotient`)
+//! evaluates them over the 8× coset LDE: the gate constraint plus the
+//! permutation argument's chunk and `L_1` constraints, combined with the
+//! round's `α` powers and divided by `Z_H`.
 //!
 //! This is the "general polynomial computation" kernel class of the paper:
 //! large element-wise evaluations (mapped to the VSA vector mode) plus a
 //! pair of NTTs per quotient chunk.
 
-use unizk_field::lanes::MAX_LANES;
-use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_columns_mut, powers, reverse_index_bits,
-    Field, Goldilocks, LaneKernel, Lanes, Polynomial, PrimeField64,
-};
-use unizk_fri::domain::FoldDomain;
+use unizk_field::{batch_inverse, powers, Field, Goldilocks, Lanes};
+use unizk_fri::quotient::{Constraint, LaneRow, QuotientDomain};
 use unizk_fri::PolynomialBatch;
 use unizk_hash::RowMajorMatrix;
-use unizk_ntt::coset_intt_nn;
-use unizk_testkit::trace;
 
 use crate::circuit::{eval_constraints, CircuitData, ConstraintInputs, NUM_SELECTORS};
 
-/// Computes the quotient chunk polynomials for every challenge round: the
-/// combined constraints over the LDE (`plonk.quotient_eval`), then one
-/// coset iNTT per round, split into chunks (`plonk.quotient_intt`).
-///
-/// Returns `num_challenges · blowup` polynomials of length `n`, ordered
-/// round-major.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_quotients(
-    data: &CircuitData,
-    constants: &PolynomialBatch,
-    wires: &PolynomialBatch,
-    perm: &PolynomialBatch,
-    pi_lde: &[Goldilocks],
-    betas: &[Goldilocks],
-    gammas: &[Goldilocks],
-    alphas: &[Goldilocks],
-) -> Vec<Polynomial<Goldilocks>> {
-    let values = trace::with_span("plonk.quotient_eval", || {
-        quotient_values(data, constants, wires, perm, pi_lde, betas, gammas, alphas)
-    });
-    let n = data.rows;
-    trace::with_span("plonk.quotient_intt", || {
-        let mut quotients = Vec::with_capacity(values.len() * wires.lde_size() / n);
-        for mut values in values {
-            reverse_index_bits(&mut values);
-            coset_intt_nn(&mut values, unizk_fri::batch::coset_shift());
-            quotients.extend(
-                values
-                    .chunks_exact(n)
-                    .map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))),
-            );
-        }
-        quotients
-    })
-}
-
-/// The combined constraints of every round at every LDE position, in
-/// parallel over position ranges, lane rows of positions at a time, each
-/// round written in place.
-#[allow(clippy::too_many_arguments)]
-fn quotient_values(
-    data: &CircuitData,
-    constants: &PolynomialBatch,
-    wires: &PolynomialBatch,
-    perm: &PolynomialBatch,
-    pi_lde: &[Goldilocks],
-    betas: &[Goldilocks],
-    gammas: &[Goldilocks],
-    alphas: &[Goldilocks],
-) -> Vec<Vec<Goldilocks>> {
-    let n = data.rows;
-    let lde_size = wires.lde_size();
-    let bits = log2_strict(lde_size);
-    let blowup = lde_size / n;
-    let s_rounds = data.config.num_challenges;
-
-    // Per-position domain point and L_1, and Z_H with its inverse (one
-    // entry per coset of the trace domain, see `FoldDomain::vanishing`);
-    // shared by all rounds.
-    let domain = FoldDomain::<Goldilocks>::initial(lde_size);
-    let xs = domain.points();
-    let zh = domain.vanishing(n);
-    let zh_inv = batch_inverse(&zh);
-    let x_minus_one: Vec<Goldilocks> = xs.iter().map(|&x| x - Goldilocks::ONE).collect();
-    let x_minus_one_inv = batch_inverse(&x_minus_one);
-    let n_inv = Goldilocks::from_u64(n as u64).inverse();
-    let l1: Vec<Goldilocks> = (0..lde_size)
-        .map(|i| zh[i / n] * n_inv * x_minus_one_inv[i])
-        .collect();
-    // Z_H⁻¹ and the leaf of Z(ω·x) per position: ω·x is `blowup` further
-    // on in natural order.
-    let zh_inv: Vec<Goldilocks> = (0..lde_size).map(|i| zh_inv[i / n]).collect();
-    let next: Vec<usize> = (0..lde_size)
-        .map(|i| bit_reverse((bit_reverse(i, bits) + blowup) % lde_size, bits))
-        .collect();
-
-    // α_s^k for every round s and constraint k.
-    let num_constraints = data.config.num_constraints();
-    let alpha_pows: Vec<Vec<Goldilocks>> = alphas
-        .iter()
-        .map(|&alpha| powers(alpha, num_constraints))
-        .collect();
-
-    let table = PositionTable {
-        constants: constants.leaves(),
-        wires: wires.leaves(),
-        perm: perm.leaves(),
-        next: &next,
-        xs: &xs,
-        l1: &l1,
-        zh_inv: &zh_inv,
-        pi: pi_lde,
-        ks: &data.ks,
-        betas,
-        gammas,
-        alpha_pows: &alpha_pows,
-        num_wires: data.config.num_wires,
-        partials_per_round: data.config.num_chunks(),
-    };
-
-    let mut values: Vec<Vec<Goldilocks>> = (0..s_rounds).map(|_| vec![Goldilocks::ZERO; lde_size]).collect();
-    parallel_columns_mut(&mut values, 1, |first, out| {
-        let mut gathered = vec![Goldilocks::ZERO; table.columns() * MAX_LANES];
-        let mut constraints = vec![Goldilocks::ZERO; num_constraints * MAX_LANES];
-        Goldilocks::with_lanes(QuotientRows {
-            table: &table,
-            first,
-            out,
-            gathered: &mut gathered,
-            constraints: &mut constraints,
-        });
-    });
-    values
-}
-
-/// What the constraints read at each LDE position `i`: the three batches'
-/// leaves, the leaf index of `ω·x`, and the per-position and per-round
-/// scalars.
-struct PositionTable<'a> {
+/// What the constraints read besides the engine's `x` and `Z_H⁻¹`: the
+/// three batches' leaves (`Z(ω·x)` of every round from the permutation
+/// leaf of `ω·x`), `L_1` and `PI` per position, and the per-round
+/// challenges.
+pub struct CircuitConstraints<'a> {
     constants: &'a RowMajorMatrix<Goldilocks>,
     wires: &'a RowMajorMatrix<Goldilocks>,
     perm: &'a RowMajorMatrix<Goldilocks>,
-    next: &'a [usize],
-    xs: &'a [Goldilocks],
-    l1: &'a [Goldilocks],
-    zh_inv: &'a [Goldilocks],
+    l1: Vec<Goldilocks>,
     /// Empty when the circuit has no public inputs.
     pi: &'a [Goldilocks],
     ks: &'a [Goldilocks],
     betas: &'a [Goldilocks],
     gammas: &'a [Goldilocks],
-    alpha_pows: &'a [Vec<Goldilocks>],
+    /// `α_s^k` for every round `s` and constraint `k`.
+    alpha_pows: Vec<Vec<Goldilocks>>,
     num_wires: usize,
     partials_per_round: usize,
 }
 
-impl PositionTable<'_> {
-    /// Gathered columns per position: the constants and wires leaves, the
-    /// permutation leaf, `Z(ω·x)` of every round, and `Z_H⁻¹`.
+impl<'a> CircuitConstraints<'a> {
+    /// The constraints of `data` over `domain`, given the wires and
+    /// permutation batches, the LDE of the public-input polynomial (empty
+    /// without public inputs) and the challenges `[β, γ, α]` of every
+    /// round.
+    pub fn new(
+        data: &'a CircuitData,
+        domain: &QuotientDomain<Goldilocks>,
+        [wires, perm]: [&'a PolynomialBatch; 2],
+        pi_lde: &'a [Goldilocks],
+        [betas, gammas, alphas]: [&'a [Goldilocks]; 3],
+    ) -> Self {
+        // L_1(x) = Z_H(x) / (n·(x − 1)), Z_H read per coset of the trace
+        // domain.
+        let n = data.rows;
+        let x_minus_one: Vec<Goldilocks> = domain.points().iter().map(|&x| x - Goldilocks::ONE).collect();
+        let n_inv = Goldilocks::from_u64(n as u64).inverse();
+        let zh = domain.vanishing();
+        let l1 = batch_inverse(&x_minus_one)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x_minus_one_inv)| zh[i / n] * n_inv * x_minus_one_inv)
+            .collect();
+        let num_constraints = data.config.num_constraints();
+        Self {
+            constants: data.constants.leaves(),
+            wires: wires.leaves(),
+            perm: perm.leaves(),
+            l1,
+            pi: pi_lde,
+            ks: &data.ks,
+            betas,
+            gammas,
+            alpha_pows: alphas.iter().map(|&alpha| powers(alpha, num_constraints)).collect(),
+            num_wires: data.config.num_wires,
+            partials_per_round: data.config.num_chunks(),
+        }
+    }
+}
+
+impl Constraint<Goldilocks> for CircuitConstraints<'_> {
+    #[inline(always)]
+    fn rounds(&self) -> usize {
+        self.betas.len()
+    }
+
+    /// The constants and wires leaves, the permutation leaf and `Z(ω·x)`
+    /// of every round.
+    #[inline(always)]
     fn columns(&self) -> usize {
         let rounds = self.betas.len();
-        NUM_SELECTORS + 2 * self.num_wires + rounds * self.partials_per_round + rounds + 1
+        NUM_SELECTORS + 2 * self.num_wires + rounds * self.partials_per_round + rounds
     }
-}
-
-/// The kernel of [`compute_quotients`] over the positions
-/// `first..first + out[s].len()`: whole lane rows of positions, then the
-/// rest one lane at a time.
-struct QuotientRows<'a, 'b> {
-    table: &'a PositionTable<'a>,
-    first: usize,
-    out: &'a mut [&'b mut [Goldilocks]],
-    gathered: &'a mut [Goldilocks],
-    constraints: &'a mut [Goldilocks],
-}
-
-impl LaneKernel<Goldilocks> for QuotientRows<'_, '_> {
-    type Output = ();
 
     #[inline(always)]
-    fn run<L: Lanes<Scalar = Goldilocks>>(self) {
-        let len = self.out.first().map_or(0, |out| out.len());
-        let whole = len / L::WIDTH * L::WIDTH;
-        for start in (0..whole).step_by(L::WIDTH) {
-            quotient_row::<L>(self.table, self.first, start, self.out, self.gathered, self.constraints);
-        }
-        for start in whole..len {
-            quotient_row::<Goldilocks>(self.table, self.first, start, self.out, self.gathered, self.constraints);
-        }
+    fn scratch(&self) -> usize {
+        self.alpha_pows.first().map_or(0, Vec::len)
     }
-}
 
-/// The combined constraint `Σ_k α_s^k·C_k / Z_H` of every round at the
-/// positions `first + start + l` for the lanes `l` of one row of `L`, into
-/// `out[s][start + l]`. The positions' leaves are gathered column by column
-/// into `gathered` (lane `l` of column `c` at `c·WIDTH + l`), which is then
-/// read as rows of `L`.
-#[inline(always)]
-fn quotient_row<L: Lanes<Scalar = Goldilocks>>(
-    t: &PositionTable<'_>,
-    first: usize,
-    start: usize,
-    out: &mut [&mut [Goldilocks]],
-    gathered: &mut [Goldilocks],
-    constraints: &mut [Goldilocks],
-) {
-    let w = L::WIDTH;
-    let i = first + start;
-    for (l, lane) in (i..i + w).enumerate() {
-        let (Some(consts), Some(wires), Some(perm), Some(&next)) =
-            (t.constants.get_row(lane), t.wires.get_row(lane), t.perm.get_row(lane), t.next.get(lane))
+    #[inline(always)]
+    fn gather<'s>(&self, position: usize, next: usize, mut slots: impl Iterator<Item = &'s mut Goldilocks>) {
+        let (Some(consts), Some(wires), Some(perm)) =
+            (self.constants.get_row(position), self.wires.get_row(position), self.perm.get_row(position))
         else {
             return;
         };
-        let perm_next = t.perm.get_row(next).unwrap_or_default();
-        let z_next = perm_next.iter().step_by(t.partials_per_round.max(1));
-        let zh_inv = t.zh_inv.get(lane);
-        // The source leads each zip, so an exhausted source leaves the
-        // next slot for the next source.
-        let mut slots = gathered.chunks_exact_mut(w).filter_map(|slot| slot.get_mut(l));
+        let z_next = self.perm.get_row(next).unwrap_or_default().iter().step_by(self.partials_per_round.max(1));
+        // The source leads each zip, so an exhausted source leaves the next
+        // slot for the next source.
         for (&v, slot) in consts.iter().zip(slots.by_ref()) {
             *slot = v;
         }
@@ -228,75 +112,82 @@ fn quotient_row<L: Lanes<Scalar = Goldilocks>>(
         for (&v, slot) in perm.iter().zip(slots.by_ref()) {
             *slot = v;
         }
-        for (&v, slot) in z_next.chain(zh_inv).zip(slots) {
+        for (&v, slot) in z_next.zip(slots) {
             *slot = v;
         }
     }
-    let Some(columns) = gathered.get(..t.columns() * w) else { return };
-    let columns = L::pack(columns);
-    let Some((consts, rest)) = columns.split_at_checked(NUM_SELECTORS + t.num_wires) else { return };
-    let Some((wires, rest)) = rest.split_at_checked(t.num_wires) else { return };
-    let rounds = t.betas.len();
-    let Some((perm, rest)) = rest.split_at_checked(rounds * t.partials_per_round) else { return };
-    let Some((z_next, rest)) = rest.split_at_checked(rounds) else { return };
-    let (Some(&zh_inv), Some(&[ql, qr, qm, qo, qc])) = (rest.first(), consts.first_chunk()) else { return };
-    let (Some(x), Some(l1)) = (t.xs.get(i..i + w), t.l1.get(i..i + w)) else { return };
-    let (x, l1) = (L::load(x), L::load(l1));
-    let pi = t.pi.get(i..i + w).map_or(L::splat(Goldilocks::ZERO), L::load);
-    let sigmas = consts.get(NUM_SELECTORS..).unwrap_or_default();
-    let Some(constraints) = constraints.get_mut(..t.alpha_pows.first().map_or(0, Vec::len) * w) else { return };
-    let constraints = L::pack_mut(constraints);
 
-    let per_round = perm.chunks_exact(t.partials_per_round.max(1)).zip(z_next);
-    let challenges = t.betas.iter().zip(t.gammas).zip(t.alpha_pows);
-    for (((perm, &z_next), ((&beta, &gamma), alpha_pows)), out) in per_round.zip(challenges).zip(out.iter_mut()) {
-        let (Some((&z, partials)), Some(out)) = (perm.split_first(), out.get_mut(start..start + w)) else {
-            continue;
-        };
-        let inputs = ConstraintInputs {
-            selectors: [ql, qr, qm, qo, qc],
-            wires,
-            sigmas,
-            z,
-            z_next,
-            partials,
-            x,
-            l1,
-            pi,
-            beta: L::splat(beta),
-            gamma: L::splat(gamma),
-        };
-        eval_constraints(t.ks, &inputs, constraints);
-        let mut acc = L::splat(Goldilocks::ZERO);
-        for (&a, &c) in alpha_pows.iter().zip(constraints.iter()) {
-            acc = acc + L::splat(a) * c;
+    /// `Σ_k α_s^k·C_k / Z_H` of every round `s`.
+    #[inline(always)]
+    fn combine<'o, L: Lanes<Scalar = Goldilocks>>(
+        &self,
+        row: &LaneRow<'_, L>,
+        constraints: &mut [L],
+        out: impl Iterator<Item = &'o mut [Goldilocks]>,
+    ) {
+        let (w, i) = (L::WIDTH, row.position);
+        let Some((consts, rest)) = row.columns.split_at_checked(NUM_SELECTORS + self.num_wires) else { return };
+        let Some((wires, rest)) = rest.split_at_checked(self.num_wires) else { return };
+        let Some((perm, z_next)) = rest.split_at_checked(self.betas.len() * self.partials_per_round) else { return };
+        let (Some(&[ql, qr, qm, qo, qc]), Some(l1)) = (consts.first_chunk(), self.l1.get(i..i + w)) else { return };
+        let l1 = L::load(l1);
+        let pi = self.pi.get(i..i + w).map_or(L::splat(Goldilocks::ZERO), L::load);
+        let sigmas = consts.get(NUM_SELECTORS..).unwrap_or_default();
+
+        let per_round = perm.chunks_exact(self.partials_per_round.max(1)).zip(z_next);
+        let challenges = self.betas.iter().zip(self.gammas).zip(&self.alpha_pows);
+        for (((perm, &z_next), ((&beta, &gamma), alpha_pows)), out) in per_round.zip(challenges).zip(out) {
+            let Some((&z, partials)) = perm.split_first() else { continue };
+            let inputs = ConstraintInputs {
+                selectors: [ql, qr, qm, qo, qc],
+                wires,
+                sigmas,
+                z,
+                z_next,
+                partials,
+                x: row.x,
+                l1,
+                pi,
+                beta: L::splat(beta),
+                gamma: L::splat(gamma),
+            };
+            eval_constraints(self.ks, &inputs, constraints);
+            let mut acc = L::splat(Goldilocks::ZERO);
+            for (&a, &c) in alpha_pows.iter().zip(constraints.iter()) {
+                acc = acc + L::splat(a) * c;
+            }
+            (acc * row.zh_inv).store(out);
         }
-        (acc * zh_inv).store(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unizk_field::{bit_reverse, log2_strict, PrimeField64};
+    use unizk_fri::quotient;
     use unizk_testkit::rng::TestRng;
-
-    /// A table of random leaves and scalars in the shape of a 10-wire,
-    /// two-round circuit over 64 LDE positions.
-    struct Shape {
-        constants: RowMajorMatrix<Goldilocks>,
-        wires: RowMajorMatrix<Goldilocks>,
-        perm: RowMajorMatrix<Goldilocks>,
-        next: Vec<usize>,
-        scalars: [Vec<Goldilocks>; 4],
-        ks: Vec<Goldilocks>,
-        challenges: [Vec<Goldilocks>; 2],
-        alpha_pows: Vec<Vec<Goldilocks>>,
-    }
 
     const WIRES: usize = 10;
     const CHUNKS: usize = 2;
     const ROUNDS: usize = 2;
     const POSITIONS: usize = 64;
+    /// Trace rows under the 64 positions (blowup 8).
+    const N: usize = 8;
+
+    /// Random leaves, `L_1`, `PI` and challenges in the shape of a 10-wire,
+    /// two-round circuit over 64 LDE positions, storage kept alive for the
+    /// borrowed fields.
+    struct Shape {
+        constants: RowMajorMatrix<Goldilocks>,
+        wires: RowMajorMatrix<Goldilocks>,
+        perm: RowMajorMatrix<Goldilocks>,
+        l1: Vec<Goldilocks>,
+        pi: Vec<Goldilocks>,
+        ks: Vec<Goldilocks>,
+        challenges: [Vec<Goldilocks>; 2],
+        alpha_pows: Vec<Vec<Goldilocks>>,
+    }
 
     fn shape(rng: &mut TestRng) -> Shape {
         let mut column = |len: usize| (0..len).map(|_| Goldilocks::random(rng)).collect::<Vec<_>>();
@@ -305,83 +196,71 @@ mod tests {
             constants: leaves(&mut column, NUM_SELECTORS + WIRES),
             wires: leaves(&mut column, WIRES),
             perm: leaves(&mut column, ROUNDS * CHUNKS),
-            next: (0..POSITIONS).map(|i| (i * 37 + 5) % POSITIONS).collect(),
-            scalars: [column(POSITIONS), column(POSITIONS), column(POSITIONS), column(POSITIONS)],
+            l1: column(POSITIONS),
+            pi: column(POSITIONS),
             ks: column(WIRES),
             challenges: [column(ROUNDS), column(ROUNDS)],
             alpha_pows: (0..ROUNDS).map(|_| column(CHUNKS + 2)).collect(),
         }
     }
 
-    fn table(s: &Shape, with_pi: bool) -> PositionTable<'_> {
-        PositionTable {
+    fn constraints(s: &Shape, with_pi: bool) -> CircuitConstraints<'_> {
+        CircuitConstraints {
             constants: &s.constants,
             wires: &s.wires,
             perm: &s.perm,
-            next: &s.next,
-            xs: &s.scalars[0],
-            l1: &s.scalars[1],
-            zh_inv: &s.scalars[2],
-            pi: if with_pi { &s.scalars[3] } else { &[] },
+            l1: s.l1.clone(),
+            pi: if with_pi { &s.pi } else { &[] },
             ks: &s.ks,
             betas: &s.challenges[0],
             gammas: &s.challenges[1],
-            alpha_pows: &s.alpha_pows,
+            alpha_pows: s.alpha_pows.clone(),
             num_wires: WIRES,
             partials_per_round: CHUNKS,
         }
     }
 
     /// The combined constraint at one position, straight from the leaves.
-    fn reference(t: &PositionTable<'_>, i: usize, s: usize) -> Goldilocks {
-        let (consts, perm) = (t.constants.row(i), t.perm.row(i));
-        let base = s * t.partials_per_round;
+    fn reference(c: &CircuitConstraints<'_>, d: &QuotientDomain<Goldilocks>, i: usize, s: usize) -> Goldilocks {
+        let (consts, perm) = (c.constants.row(i), c.perm.row(i));
+        let bits = log2_strict(POSITIONS);
+        let next = bit_reverse((bit_reverse(i, bits) + POSITIONS / N) % POSITIONS, bits);
+        let base = s * c.partials_per_round;
         let inputs = ConstraintInputs {
             selectors: [consts[0], consts[1], consts[2], consts[3], consts[4]],
-            wires: t.wires.row(i),
+            wires: c.wires.row(i),
             sigmas: &consts[NUM_SELECTORS..],
             z: perm[base],
-            z_next: t.perm.row(t.next[i])[base],
-            partials: &perm[base + 1..base + t.partials_per_round],
-            x: t.xs[i],
-            l1: t.l1[i],
-            pi: t.pi.get(i).copied().unwrap_or(Goldilocks::ZERO),
-            beta: t.betas[s],
-            gamma: t.gammas[s],
+            z_next: c.perm.row(next)[base],
+            partials: &perm[base + 1..base + c.partials_per_round],
+            x: d.points()[i],
+            l1: c.l1[i],
+            pi: c.pi.get(i).copied().unwrap_or(Goldilocks::ZERO),
+            beta: c.betas[s],
+            gamma: c.gammas[s],
         };
-        let mut constraints = vec![Goldilocks::ZERO; t.alpha_pows[s].len()];
-        eval_constraints(t.ks, &inputs, &mut constraints);
-        let acc: Goldilocks = t.alpha_pows[s].iter().zip(&constraints).map(|(&a, &c)| a * c).sum();
-        acc * t.zh_inv[i]
+        let mut constraints = vec![Goldilocks::ZERO; c.alpha_pows[s].len()];
+        eval_constraints(c.ks, &inputs, &mut constraints);
+        let acc: Goldilocks = c.alpha_pows[s].iter().zip(&constraints).map(|(&a, &c)| a * c).sum();
+        acc * d.vanishing()[i / N].inverse()
     }
 
-    fn evaluate(t: &PositionTable<'_>, first: usize, len: usize, one_lane: bool) -> Vec<Vec<Goldilocks>> {
-        let mut out = vec![vec![Goldilocks::ZERO; len]; ROUNDS];
-        let mut rounds: Vec<&mut [Goldilocks]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut gathered = vec![Goldilocks::ZERO; t.columns() * MAX_LANES];
-        let mut constraints = vec![Goldilocks::ZERO; (CHUNKS + 2) * MAX_LANES];
-        let kernel = QuotientRows { table: t, first, out: &mut rounds, gathered: &mut gathered, constraints: &mut constraints };
-        if one_lane {
-            kernel.run::<Goldilocks>();
-        } else {
-            Goldilocks::with_lanes(kernel);
-        }
-        out
-    }
-
-    /// Every range of positions — so every remainder of a lane row — on
-    /// both lane types, against the per-position reference.
+    /// Every range of positions — so every remainder of a lane row —
+    /// through the quotient engine, against the per-position reference.
     #[test]
     fn quotient_rows_match_one_lane_and_the_reference() {
         let mut rng = TestRng::seed_from_u64(0x9007);
         let s = shape(&mut rng);
+        let domain = QuotientDomain::new(N, POSITIONS);
         for with_pi in [false, true] {
-            let t = table(&s, with_pi);
+            let c = constraints(&s, with_pi);
             for (first, len) in [(0, 64), (0, 0), (3, 17), (8, 24), (40, 24), (1, 62)] {
                 let want: Vec<Vec<Goldilocks>> =
-                    (0..ROUNDS).map(|r| (first..first + len).map(|i| reference(&t, i, r)).collect()).collect();
-                assert_eq!(evaluate(&t, first, len, true), want, "one lane {first}+{len} pi={with_pi}");
-                assert_eq!(evaluate(&t, first, len, false), want, "dispatched {first}+{len} pi={with_pi}");
+                    (0..ROUNDS).map(|r| (first..first + len).map(|i| reference(&c, &domain, i, r)).collect()).collect();
+                let mut got = vec![vec![Goldilocks::ZERO; len]; ROUNDS];
+                let mut rounds: Vec<&mut [Goldilocks]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                quotient::evaluate_range(&domain, &c, first, &mut rounds);
+                assert_eq!(got, want, "{first}+{len} pi={with_pi}");
             }
         }
     }

@@ -67,12 +67,13 @@ echo "==> lane-kernel codegen gate (no call inside the Goldilocks and KoalaBear 
 # panic handler). The kernels the contract binary reaches, per field: the
 # NTT's DIF and DIT stage loops and the zero-tail LDE, lanes::mul_assign and
 # lanes::scale (coset and n^-1 scaling), the FRI combine's leaf sums,
-# witness rows and extension products, and the Stark quotient rows, one
-# instantiation per AIR the binary proves (four over Goldilocks, one over
-# KoalaBear); over Goldilocks also the straddling-stage windows of the NTT,
-# the Plonk quotient rows and the permutation's denominators and chunk
-# products. Each instantiation's instruction and stack-operand counts are
-# printed, not gated.
+# witness rows and extension products, and the quotient engine's rows
+# (unizk_fri::quotient), one instantiation per Stark AIR the binary proves
+# (three over Goldilocks, one over KoalaBear); over Goldilocks also the
+# straddling-stage windows of the NTT, the engine's rows of the Plonk
+# constraints and the permutation's denominators and chunk products.
+# Each instantiation's instruction and stack-operand counts are printed,
+# not gated.
 if ! command -v objdump > /dev/null; then
     echo "skipped: objdump not found"
 elif [ "$(uname -m)" != "x86_64" ]; then
@@ -80,7 +81,7 @@ elif [ "$(uname -m)" != "x86_64" ]; then
 else
     disassembly="$(objdump -d -C --no-show-raw-insn target/release/contract)"
     entries=""
-    for expected in 'Goldilocks avx512 16' 'KoalaBear avx512::koalabear 10'; do
+    for expected in 'Goldilocks avx512 15' 'KoalaBear avx512::koalabear 10'; do
         read -r field module count <<< "$expected"
         field_entries="$(awk -v m="$module" '$0 ~ "^[0-9a-f]+ <unizk_field::lanes::" m "::run_on_lanes(::<.*>)?>:$" { show = 1 } /^$/ { show = 0 } show' \
             <<< "$disassembly")"
@@ -99,7 +100,7 @@ else
     awk '/^[0-9a-f]+ </ { name = $2; sub(/^<unizk_field::lanes::/, "", name); sub(/>:$/, "", name); name = name " at " $1 }
          /^ +[0-9a-f]+:/ { n[name]++; if (/\(%r[sb]p/) stack[name]++ }
          END { for (k in n) printf "  %-50s %5d instructions, %4d stack operands\n", k, n[k], stack[k] }' <<< "$entries" | sort
-    echo "ok: 26 lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
+    echo "ok: 25 lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
 fi
 
 echo "==> cargo test -q --offline"
@@ -290,14 +291,31 @@ echo "==> evaluation domains computed once (no per-position point derivation in 
 # per entry). `domain_point` / `.point(` re-derive a root of unity and a
 # log n-bit power per call: fine for the verifiers' handful of query
 # positions and for tests, a several-hundred-multiplication tax per LDE row
-# inside these three files (EXPERIMENTS.md, "Goldilocks prover operation
-# table").
-for f in crates/fri/src/prover.rs crates/stark/src/prover.rs crates/plonk/src/quotient.rs; do
+# inside these files (EXPERIMENTS.md, "Goldilocks prover operation table").
+for f in crates/fri/src/prover.rs crates/fri/src/quotient.rs crates/stark/src/prover.rs crates/plonk/src/quotient.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'domain_point|\.point\('; then
         echo "FAIL: $f derives domain points one index at a time; read FoldDomain::points() instead"
         exit 1
     fi
 done
+
+echo "==> one quotient engine (the Stark and Plonk quotients walk LDE positions in unizk_fri::quotient only)"
+# Both provers' quotients are one element-wise constraint evaluation over
+# the LDE followed by one coset iNTT per round (paper §5.4). The engine,
+# crates/fri/src/quotient.rs, owns the walk over positions: the domain
+# tables, the leaf of omega*x, the split over workers, whole lane rows and
+# the remainder, the way back to coefficients. Each protocol supplies one
+# quotient::Constraint. A LaneKernel impl, a parallel_columns_mut split or
+# a coset_intt_nn in a protocol's quotient code is a second position loop.
+engine_copies="$(for f in crates/stark/src/prover.rs crates/plonk/src/quotient.rs crates/plonk/src/prover.rs; do
+    grep -nE 'impl\b[^{]*\bLaneKernel\b|parallel_columns_mut|coset_intt_nn' "$f" | sed "s|^|$f:|" || true
+done)"
+if [ -n "$engine_copies" ] || ! grep -qE 'impl\b[^{]*\bLaneKernel<F> for Rows\b' crates/fri/src/quotient.rs; then
+    printf '%s\n' "$engine_copies"
+    echo "FAIL: the Stark and Plonk quotients run on unizk_fri::quotient (evaluate, coefficients);" \
+         "a protocol implements quotient::Constraint and walks no LDE position itself"
+    exit 1
+fi
 
 echo "==> each product once in the polynomial layer (one inversion pass in the FRI combine, no per-position copies)"
 # combine_initial evaluates Σ_t β^t·(S − Y_t)/(x − z_t) as one rational
