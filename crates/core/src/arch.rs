@@ -113,11 +113,6 @@ impl ChipConfig {
         self.num_vsas * self.pes_per_vsa()
     }
 
-    /// NTT pipelines per VSA: two per PE row (§5.1).
-    pub fn ntt_pipelines_per_vsa(&self) -> usize {
-        2 * self.vsa_dim
-    }
-
     /// Elements per cycle one pipeline accepts (MDC: 2/cycle).
     pub const NTT_PIPELINE_THROUGHPUT: usize = 2;
 

@@ -74,8 +74,7 @@ pub use koalabear::{KbExt4, KoalaBear};
 pub use lanes::{LaneKernel, Lanes};
 pub use par::{
     current_parallelism, parallel_chunks_mut, parallel_columns_mut, parallel_first_block,
-    parallel_groups, parallel_map, parallel_ranges, parallel_zip_mut, run_indexed,
-    set_parallelism,
+    parallel_groups, parallel_map, parallel_ranges, run_indexed, set_parallelism,
 };
 pub use poly::Polynomial;
 pub use traits::{ExtensionOf, Field, PrimeField64, ProtocolField};

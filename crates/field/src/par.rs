@@ -9,12 +9,11 @@
 //! * **Pieces**, the one static split, for index spaces. A caller names
 //!   its work as a length and a *grain*: the run of positions no piece may
 //!   cut (1 for independent positions, 128 leaves for a Merkle level, one
-//!   segment for an NTT). Of the `ceil(len / grain)` grains, each piece
+//!   row for a leaf matrix). Of the `ceil(len / grain)` grains, each piece
 //!   takes `ceil(grains / threads)` in order, so there are at most
 //!   [`current_parallelism`] pieces, and one when there is one thread or
-//!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`],
-//!   [`parallel_zip_mut`] and [`parallel_columns_mut`] hand their closure
-//!   one piece per call.
+//!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`] and
+//!   [`parallel_columns_mut`] hand their closure one piece per call.
 //! * **Workers**, the one spawn site. A single input runs on the calling
 //!   thread with no dispatch, so `set_parallelism(1)` is a true serial
 //!   mode. Otherwise each input gets a scoped thread: a piece, or for item
@@ -358,28 +357,6 @@ where
     on_workers(cut(values, &pieces), |(offset, piece)| f(offset, piece));
 }
 
-/// [`parallel_chunks_mut`] over two equal-length slices cut at the same
-/// boundaries: `f(offset, a_piece, b_piece)`, both pieces covering
-/// `offset..offset + len` of their slice.
-///
-/// This is the safe decomposition of a butterfly stage whose blocks straddle
-/// worker segments: the caller splits the block into its low and high
-/// halves, and each worker owns one aligned window of both halves.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or `grain` is zero.
-pub fn parallel_zip_mut<T, F>(a: &mut [T], b: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T], &mut [T]) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "parallel_zip_mut slices must match");
-    let pieces = pieces(a.len(), grain, current_parallelism());
-    let pairs: Vec<_> = cut(a, &pieces).into_iter().zip(cut(b, &pieces)).collect();
-    on_workers(pairs, |((offset, a), (_, b))| f(offset, a, b));
-}
-
 /// [`parallel_chunks_mut`] over several equal-length columns cut at the
 /// same boundaries: `f(offset, pieces)`, piece `c` covering
 /// `offset..offset + len` of column `c`. A kernel that writes one output
@@ -585,29 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_mut_windows_stay_aligned() {
-        let mut a: Vec<u64> = (0..500).collect();
-        let mut b: Vec<u64> = (1000..1500).collect();
-        parallel_zip_mut(&mut a, &mut b, 37, |offset, ca, cb| {
-            assert_eq!(ca.len(), cb.len());
-            for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                assert_eq!(*y - *x, 1000, "offset={offset} i={i}");
-                core::mem::swap(x, y);
-            }
-        });
-        assert_eq!(a[0], 1000);
-        assert_eq!(b[499], 499);
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn zip_mut_rejects_length_mismatch() {
-        let mut a = [0u8; 3];
-        let mut b = [0u8; 4];
-        parallel_zip_mut(&mut a, &mut b, 1, |_, _, _| {});
-    }
-
-    #[test]
     fn columns_mut_pieces_stay_aligned() {
         for (n, columns) in [(0usize, 3usize), (1, 1), (64, 4), (1000, 3), (7, 0)] {
             let mut cols: Vec<Vec<u64>> = (0..columns).map(|_| vec![0; n]).collect();
@@ -733,12 +687,11 @@ mod tests {
         let each = |o: usize, p: &mut [u8]| (o..o + p.len()).for_each(boom);
         for threads in [1, 4] {
             set_parallelism(threads);
-            let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+            let mut a = [0u8; 64];
             let payloads = [
                 caught(|| drop(parallel_map((0..64).collect(), boom))),
                 caught(|| drop(parallel_ranges(64, 1, |r| r.for_each(boom)))),
                 caught(|| parallel_chunks_mut(&mut a, 1, each)),
-                caught(|| parallel_zip_mut(&mut a, &mut b, 1, |o, p, _| each(o, p))),
                 caught(|| drop(run_indexed(threads, (0..64).collect(), |_, _, i| boom(i)))),
                 caught(|| {
                     parallel_first_block(|k| {
@@ -767,8 +720,7 @@ mod tests {
         for threads in [1, 2, 3, 4, 5, 6, 8, 16] {
             for len in lens.clone() {
                 let at = format!("len={len} threads={threads}");
-                // Quotients, leaf-table fill, coset powers, butterflies:
-                // `ceil(len / threads)` positions per worker.
+                // Quotients: `ceil(len / threads)` positions per worker.
                 let even = runs(len, len.div_ceil(threads).max(1));
                 assert_eq!(pieces(len, 1, threads), even, "{at}");
                 // Merkle levels: 128-leaf chunks, `ceil(chunks / threads)`
@@ -780,17 +732,6 @@ mod tests {
                     runs(len, chunks.div_ceil(threads.min(chunks)) * 128)
                 };
                 assert_eq!(pieces(len, 128, threads), merkle, "{at}");
-                // NTT segments: `n / segs` elements, `ceil(segs / threads)`
-                // segments per worker.
-                if len >= 2 && len.is_power_of_two() {
-                    let log_segs = threads
-                        .next_power_of_two()
-                        .trailing_zeros()
-                        .min(len.trailing_zeros() - 1);
-                    let (segs, seg) = (1usize << log_segs, len >> log_segs);
-                    let ntt = runs(len, segs.div_ceil(threads) * seg);
-                    assert_eq!(pieces(len, seg, threads), ntt, "{at}");
-                }
             }
         }
     }

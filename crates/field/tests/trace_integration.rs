@@ -5,8 +5,8 @@
 use std::sync::{Mutex, PoisonError};
 
 use unizk_field::{
-    parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges, parallel_zip_mut,
-    run_indexed, set_parallelism,
+    parallel_chunks_mut, parallel_first_block, parallel_map, parallel_ranges, run_indexed,
+    set_parallelism,
 };
 use unizk_testkit::trace;
 
@@ -104,15 +104,12 @@ fn parallel_ranges_inherits_span_context() {
 
 #[test]
 fn every_helpers_workers_report_under_the_caller() {
-    let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+    let mut a = [0u8; 64];
     reports_every_item("field_test.every.map", || {
         parallel_map((0..64).collect(), item);
     });
     reports_every_item("field_test.every.chunks", || {
         parallel_chunks_mut(&mut a, 1, |o, p| items(o, p.len()));
-    });
-    reports_every_item("field_test.every.zip", || {
-        parallel_zip_mut(&mut a, &mut b, 1, |o, p, _| items(o, p.len()));
     });
     reports_every_item("field_test.every.indexed", || {
         run_indexed(4, (0..64).collect(), |_, _, i| item(i));

@@ -14,7 +14,7 @@
 
 use unizk_field::{Field, Polynomial, PrimeField64, ProtocolField};
 use unizk_hash::{Digest, GenericMerkleTree, PoseidonSponge, RowMajorMatrix, SpongeBackend};
-use unizk_ntt::{coset_ntt_nr_zero_tail, intt_nn};
+use unizk_ntt::{intt_nn, lde_nr};
 use unizk_testkit::trace;
 
 use crate::config::FriConfig;
@@ -58,23 +58,15 @@ impl<B: SpongeBackend> GenericPolynomialBatch<B> {
             assert_eq!(p.len(), degree, "all polynomials must have equal length");
         }
 
-        // LDE of every polynomial (NTT kernel), then gather the values at
-        // each domain position into one row of the leaf matrix (a layout
-        // transform — the index-major view of §5.1), then hash the tree.
+        // LDE of every polynomial (one serial NTT per column, the columns
+        // on workers), then gather the values at each domain position into
+        // one row of the leaf matrix (a layout transform — the index-major
+        // view of §5.1), then hash the tree.
         let shift = coset_shift::<B::F>();
         let lde_size = degree << config.rate_bits;
         let ldes: Vec<Vec<B::F>> = trace::with_span("batch.lde", || {
             let coeff_refs: Vec<&[B::F]> = polys.iter().map(|p| p.coeffs()).collect();
-            unizk_field::parallel_map(coeff_refs, |c| {
-                // `lde_nr`: zero-pad, then NTT^NR on the coset, skipping the
-                // work on the zero tail (identical values and transform
-                // counters).
-                let mut padded = Vec::with_capacity(lde_size);
-                padded.extend_from_slice(c);
-                padded.resize(lde_size, B::F::ZERO);
-                coset_ntt_nr_zero_tail(&mut padded, degree, shift);
-                padded
-            })
+            unizk_field::parallel_map(coeff_refs, |c| lde_nr(c, config.rate_bits, shift))
         });
 
         let width = ldes.len();

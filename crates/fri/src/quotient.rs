@@ -9,14 +9,15 @@
 //! `Z_H⁻¹` ([`QuotientDomain`]), the leaf of `ω·x`, the split over workers
 //! with per-worker scratch, the lane-major gather of each position's
 //! columns, whole lane rows then the remainder on one lane ([`evaluate`]),
-//! and the way back to coefficients ([`coefficients`]). A protocol supplies
-//! one [`Constraint`]: which columns a position reads from its leaf
-//! matrices, and how a lane row of them combines into every round's value.
+//! and the way back to coefficients, one serial coset iNTT per round on a
+//! worker of its own ([`coefficients`]). A protocol supplies one
+//! [`Constraint`]: which columns a position reads from its leaf matrices,
+//! and how a lane row of them combines into every round's value.
 
 use unizk_field::lanes::MAX_LANES;
 use unizk_field::{
-    batch_inverse, bit_reverse, log2_strict, parallel_columns_mut, reverse_index_bits, LaneKernel,
-    Lanes, PrimeField64,
+    batch_inverse, bit_reverse, log2_strict, parallel_columns_mut, parallel_map, reverse_index_bits,
+    LaneKernel, Lanes, PrimeField64,
 };
 use unizk_ntt::coset_intt_nn;
 
@@ -152,12 +153,15 @@ pub fn evaluate_range<F: PrimeField64, C: Constraint<F>>(
     });
 }
 
-/// One round's values, in storage order, as the quotient's coefficients:
-/// bit reversal to natural order, then the coset iNTT.
-pub fn coefficients<F: PrimeField64>(mut values: Vec<F>) -> Vec<F> {
-    reverse_index_bits(&mut values);
-    coset_intt_nn(&mut values, coset_shift());
-    values
+/// Every round's values, in storage order, as its quotient's coefficients:
+/// bit reversal to natural order, then the coset iNTT, one round per
+/// worker.
+pub fn coefficients<F: PrimeField64>(rounds: Vec<Vec<F>>) -> Vec<Vec<F>> {
+    parallel_map(rounds, |mut values| {
+        reverse_index_bits(&mut values);
+        coset_intt_nn(&mut values, coset_shift());
+        values
+    })
 }
 
 /// The kernel of [`evaluate_range`]. `gathered` and `scratch` hold

@@ -6,8 +6,8 @@
 //! domain's points and `Z_H(x)⁻¹` computed from `x`. LDE sizes 2^3–2^7 at
 //! blowups 2 and 8, both fields, at one and three threads, and every range
 //! of up to 40 positions — so every remainder of an 8- and a 16-lane row.
-//! The values come back to the polynomial they sample through
-//! `coefficients`.
+//! Three rounds of values come back to the polynomials they sample through
+//! `coefficients`, at one and three threads.
 //!
 //! One test function: the thread count is process-global.
 
@@ -109,11 +109,18 @@ fn engine_matches_one_position<F: PrimeField64>(seed: u64) {
                 }
             }
 
-            // The values of a polynomial of degree < lde at the domain's
-            // points come back as its coefficients.
-            let coeffs: Vec<F> = (0..lde).map(|_| F::random(&mut rng)).collect();
-            let values = domain.points().iter().map(|&x| coeffs.iter().rev().fold(F::ZERO, |acc, &c| acc * x + c)).collect();
-            assert_eq!(quotient::coefficients(values), coeffs, "lde {lde}");
+            // The values of three polynomials of degree < lde at the
+            // domain's points come back as their coefficients, one round
+            // per worker.
+            let coeffs: Vec<Vec<F>> = (0..3).map(|_| (0..lde).map(|_| F::random(&mut rng)).collect()).collect();
+            let eval = |c: &[F], x: F| c.iter().rev().fold(F::ZERO, |acc, &c| acc * x + c);
+            let values: Vec<Vec<F>> =
+                coeffs.iter().map(|c| domain.points().iter().map(|&x| eval(c, x)).collect()).collect();
+            for threads in [1, 3] {
+                set_parallelism(threads);
+                assert_eq!(quotient::coefficients(values.clone()), coeffs, "lde {lde}, {threads} threads");
+            }
+            set_parallelism(0);
         }
     }
 }

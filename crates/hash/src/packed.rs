@@ -49,15 +49,17 @@
 //! # `unsafe`
 //!
 //! The AVX-512 intrinsics need `#[target_feature]` functions, which only
-//! `unsafe` can enter from code compiled without the feature. All of it
-//! lives in `avx512`, the one module of the workspace that allows
-//! `unsafe_code` — these kernels' vector rows in the module itself, the
-//! sixteen-lane rows of [`crate::poseidon2_kb`] in its child
-//! `avx512::koalabear`, behind the same detection; `scripts/ci.sh` holds
-//! that fence, and checks in the release binary that the vector entry
-//! points of both fields are there and contain no `call` — i.e. that every
-//! intrinsic was inlined and no state goes through `memcpy`, which no test
-//! can see.
+//! `unsafe` can enter from code compiled without the feature. In this
+//! crate all of it lives in `avx512`, the one module of the crate that
+//! allows `unsafe_code` — these kernels' vector rows in the module itself,
+//! the sixteen-lane rows of [`crate::poseidon2_kb`] in its child
+//! `avx512::koalabear`, behind the same detection. The workspace has one
+//! other such module, `unizk_field::lanes::avx512` (the lanes of the
+//! polynomial layer and the vector products these rows import);
+//! `scripts/ci.sh` holds that fence of two modules, and checks in the
+//! release binary that the vector entry points of both fields are there
+//! and contain no `call` — i.e. that every intrinsic was inlined and no
+//! state goes through `memcpy`, which no test can see.
 //!
 //! # Lane width
 //!

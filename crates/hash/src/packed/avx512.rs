@@ -1,7 +1,8 @@
 //! Eight lanes per AVX-512 register, one or four registers per row: the
 //! vector [`Row`]s, and — with the sixteen KoalaBear lanes of the child
 //! module [`koalabear`], built to the same rules behind the same
-//! [`Detected`] — the only `unsafe` in the workspace's library code.
+//! [`Detected`] — the only `unsafe` of this crate. The workspace's one
+//! other `unsafe` module is `unizk_field::lanes::avx512`.
 //!
 //! A residue register is a `__m512i` of eight `u64` lanes. AVX-512F has no
 //! 64 × 64-bit multiply, so every product goes through `vpmuludq`

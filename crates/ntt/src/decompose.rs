@@ -132,12 +132,6 @@ impl NttDecomposition {
         self.dims.len()
     }
 
-    /// Total count of small NTT instances across all rounds: each round
-    /// processes all `N` elements in groups of its dimension size.
-    pub fn total_small_ntts(&self) -> usize {
-        self.dims.iter().map(|&d| self.size() / d).sum()
-    }
-
     /// Element-wise inter-dimension twiddle multiplications: `(k-1)·N`
     /// (twiddles are applied between rounds only, paper §5.1).
     pub fn twiddle_muls(&self) -> usize {

@@ -6,40 +6,23 @@
 //! consumes bit-reversed input producing natural output (`NTT^RN`), exactly
 //! the combinations the FRI pipeline needs.
 //!
-//! # Twiddles and parallelism
+//! # Twiddles and threads
 //!
 //! Twiddle tables come from the process-global [`crate::twiddle`] cache, so
 //! repeated transforms of one size pay the table build exactly once.
-//! Transforms of at least `2^STAGE_SPLIT_MIN_LOG2` elements additionally
-//! split their butterfly work across the worker threads configured by
-//! [`unizk_field::set_parallelism`]: the in-place kernels run their
-//! straddling early/late stages as parallel half-block windows and the
-//! remaining stages as independent per-segment serial transforms. Smaller
-//! transforms always run serially — below that size two workers lose to
-//! one whenever the second core was idle just before (EXPERIMENTS.md,
-//! "NTT routing").
 //!
-//! The split is an execution strategy, not a correctness parameter: both
-//! paths perform the identical field operations in the identical order per
-//! element, so results — and the `ntt.*` trace counters, which are bumped
-//! once per logical transform before the path choice — are bit-identical
-//! for every thread count. The determinism suite pins this down.
+//! Every transform here runs serially on the calling thread, its stages on
+//! lane rows ([`unizk_field::lanes`]). The prover's parallelism is across
+//! independent transforms, as in Plonky2: a batch commitment runs one
+//! column per worker and the quotients one challenge round per worker, so
+//! no transform depends on the thread count and neither do its results.
+//! The chip decomposes large transforms only because a pipeline has a
+//! fixed size (§5.1, [`crate::decompose`]).
 
 use unizk_field::lanes::{self, MAX_LANES};
 use unizk_field::{log2_strict, reverse_index_bits, Field, LaneKernel, Lanes, PrimeField64};
 
 use crate::twiddle;
-
-/// log₂ of the smallest transform whose stages are split across workers:
-/// the smallest size at which two threads beat one on both fields on the
-/// 2-core reference host whether or not its second core was busy just
-/// before (EXPERIMENTS.md, "NTT routing").
-const STAGE_SPLIT_MIN_LOG2: usize = 16;
-
-/// True when a size-`n` transform should split work across workers at all.
-fn wants_stage_parallel(n: usize, threads: usize) -> bool {
-    threads > 1 && log2_strict(n) >= STAGE_SPLIT_MIN_LOG2
-}
 
 /// Records one transform in the trace layer: total count, element volume,
 /// and butterfly volume (`n/2·log₂ n`, the unit Fig. 9's NTT speedups are
@@ -58,18 +41,19 @@ pub(crate) fn count_transform(n: usize) {
     trace::counter("ntt.butterflies", (n as u64 / 2) * log2_strict(n) as u64);
 }
 
-/// Serial DIF stage loop over `values`, using `tables[s]` for the stage
+/// DIF stage loop over `values`, using `tables[s]` for the stage
 /// with half-size `values.len() / 2^(s+1)`.
 ///
 /// Because a stage's twiddles depend only on the butterfly index `j` within
 /// a block (never on the block), a length-`L` *segment* of a larger
 /// transform runs its remaining stages with exactly the tail `&tables[s..]`
-/// of the full table set — the property the parallel split relies on.
+/// of the full table set — the property [`ZeroTailDif`] relies on when it
+/// finishes every `degree`-long segment as a transform of its own.
 fn dif_stages<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>]) {
     F::with_lanes(DifStages { values, tables });
 }
 
-/// Serial DIT stage loop over `values` (mirror of [`dif_stages`]).
+/// DIT stage loop over `values` (mirror of [`dif_stages`]).
 fn dit_stages<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>]) {
     F::with_lanes(DitStages { values, tables });
 }
@@ -116,28 +100,6 @@ impl<F: Field> LaneKernel<F> for DitStages<'_, F> {
             }
             dit_stage::<L>(self.values, block, tw);
             block *= 2;
-        }
-    }
-}
-
-/// One half-block window of a straddling stage (the parallel paths), DIF
-/// (`dit = false`) or DIT.
-struct Butterflies<'a, F> {
-    lo: &'a mut [F],
-    hi: &'a mut [F],
-    tw: &'a [F],
-    dit: bool,
-}
-
-impl<F: Field> LaneKernel<F> for Butterflies<'_, F> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run<L: Lanes<Scalar = F>>(self) {
-        if self.dit {
-            dit_butterflies::<L>(self.lo, self.hi, self.tw);
-        } else {
-            dif_butterflies::<L>(self.lo, self.hi, self.tw);
         }
     }
 }
@@ -246,60 +208,6 @@ fn dit_butterflies<L: Lanes>(lo: &mut [L::Scalar], hi: &mut [L::Scalar], tw: &[L
     }
 }
 
-/// Parallel DIF: the first `log₂(segments)` stages have blocks straddling
-/// worker segments, so each block parallelizes over aligned windows of its
-/// low/high halves; every later stage is local to one of the independent
-/// segments, which then run as whole serial sub-transforms in parallel.
-fn dif_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], threads: usize) {
-    let n = values.len();
-    let log_n = log2_strict(n);
-    let log_segs = (threads.next_power_of_two().trailing_zeros() as usize).min(log_n - 1);
-    let seg = n >> log_segs;
-
-    let mut m = n / 2;
-    for tw in &tables[..log_segs] {
-        for block in (0..n).step_by(2 * m) {
-            let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, 1, |off, lo, hi| {
-                F::with_lanes(Butterflies { lo, hi, tw: &tw[off..], dit: false });
-            });
-        }
-        m /= 2;
-    }
-
-    unizk_field::parallel_chunks_mut(values, seg, |_, piece| {
-        for segment in piece.chunks_mut(seg) {
-            dif_stages(segment, &tables[log_segs..]);
-        }
-    });
-}
-
-/// Parallel DIT (mirror of [`dif_stages_parallel`]): independent segments
-/// run first, then the straddling late stages parallelize within blocks.
-fn dit_stages_parallel<F: PrimeField64>(values: &mut [F], tables: &[Vec<F>], threads: usize) {
-    let n = values.len();
-    let log_n = log2_strict(n);
-    let log_segs = (threads.next_power_of_two().trailing_zeros() as usize).min(log_n - 1);
-    let seg = n >> log_segs;
-
-    unizk_field::parallel_chunks_mut(values, seg, |_, piece| {
-        for segment in piece.chunks_mut(seg) {
-            dit_stages(segment, &tables[log_segs..]);
-        }
-    });
-
-    let mut m = n >> log_segs;
-    for tw in tables[..log_segs].iter().rev() {
-        for block in (0..n).step_by(2 * m) {
-            let (lo, hi) = values[block..block + 2 * m].split_at_mut(m);
-            unizk_field::parallel_zip_mut(lo, hi, 1, |off, lo, hi| {
-                F::with_lanes(Butterflies { lo, hi, tw: &tw[off..], dit: true });
-            });
-        }
-        m *= 2;
-    }
-}
-
 /// DIF butterfly network: natural input → bit-reversed output.
 fn dif_in_place<F: PrimeField64>(values: &mut [F], inverse: bool) {
     let n = values.len();
@@ -307,13 +215,7 @@ fn dif_in_place<F: PrimeField64>(values: &mut [F], inverse: bool) {
         return;
     }
     count_transform(n);
-    let tables = twiddle::stage_tables::<F>(n, inverse);
-    let threads = unizk_field::current_parallelism();
-    if wants_stage_parallel(n, threads) {
-        dif_stages_parallel(values, &tables, threads);
-    } else {
-        dif_stages(values, &tables);
-    }
+    dif_stages(values, &twiddle::stage_tables::<F>(n, inverse));
 }
 
 /// DIT butterfly network: bit-reversed input → natural output.
@@ -323,19 +225,12 @@ fn dit_in_place<F: PrimeField64>(values: &mut [F], inverse: bool) {
         return;
     }
     count_transform(n);
-    let tables = twiddle::stage_tables::<F>(n, inverse);
-    let threads = unizk_field::current_parallelism();
-    if wants_stage_parallel(n, threads) {
-        dit_stages_parallel(values, &tables, threads);
-    } else {
-        dit_stages(values, &tables);
-    }
+    dit_stages(values, &twiddle::stage_tables::<F>(n, inverse));
 }
 
-/// Serial `NTT^NN` kernel with no counter bump and no routing — the
-/// primitive the decomposed golden model builds its small row/column
-/// transforms out of (the enclosing decomposition accounts the whole
-/// transform once).
+/// `NTT^NN` kernel with no counter bump — the primitive the decomposed
+/// golden model builds its small row/column transforms out of (the
+/// enclosing decomposition accounts the whole transform once).
 pub(crate) fn ntt_nn_uncounted<F: PrimeField64>(values: &mut [F]) {
     let n = values.len();
     if n <= 1 {
@@ -415,8 +310,7 @@ pub fn coset_ntt_nr<F: PrimeField64>(values: &mut [F], shift: F) {
 /// in the first `log₂(len / degree)` DIF stages, where every block's upper
 /// half is zero, a butterfly is a copy and one product. Values and `ntt.*`
 /// counters are those of [`coset_ntt_nr`] (the counters count the logical
-/// transform, see `count_transform`). A transform the stage-parallel path
-/// takes runs in full there.
+/// transform, see `count_transform`).
 ///
 /// # Panics
 ///
@@ -426,8 +320,7 @@ pub fn coset_ntt_nr_zero_tail<F: PrimeField64>(values: &mut [F], degree: usize, 
     let n = values.len();
     assert!(degree.is_power_of_two() && degree <= n, "degree {degree} must be a power of two <= {n}");
     debug_assert!(values[degree..].iter().all(F::is_zero), "entries from `degree` on must be zero");
-    if n <= 1 || wants_stage_parallel(n, unizk_field::current_parallelism()) {
-        coset_ntt_nr(values, shift);
+    if n <= 1 {
         return;
     }
     count_transform(n);
@@ -512,7 +405,7 @@ pub fn coset_intt_nn<F: PrimeField64>(values: &mut [F], shift: F) {
 /// This is the interpolation of FRI's final layer: a few dozen points, on
 /// no NTT node of the kernel graph, while the `ntt.*` counters are the
 /// prover's NTT work that `CONTRACT.json` pins and the graph's NTT nodes
-/// are held to. Always serial.
+/// are held to.
 pub fn coset_intt_rn_uncounted<F: PrimeField64>(values: &mut [F], shift: F) {
     if values.len() <= 1 {
         return;
@@ -528,13 +421,7 @@ fn apply_coset_powers<F: PrimeField64>(values: &mut [F], shift: F) {
     if n <= 1 {
         return;
     }
-    let powers = twiddle::coset_powers::<F>(n, shift);
-    let scale = |off: usize, piece: &mut [F]| lanes::mul_assign(piece, &powers[off..]);
-    if wants_stage_parallel(n, unizk_field::current_parallelism()) {
-        unizk_field::parallel_chunks_mut(values, 1, scale);
-    } else {
-        scale(0, values);
-    }
+    lanes::mul_assign(values, &twiddle::coset_powers::<F>(n, shift));
 }
 
 #[cfg(test)]
@@ -728,51 +615,11 @@ mod tests {
         }
     }
 
-    // -- Parallel stage kernels, exercised directly with explicit worker
-    // counts so the tests neither depend on nor mutate the process-global
-    // parallelism override.
-
-    #[test]
-    fn dif_stage_split_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(109);
-        for log_n in [2usize, 5, 8, 11] {
-            let n = 1 << log_n;
-            let tables = twiddle::stage_tables::<Goldilocks>(n, false);
-            for threads in [2usize, 3, 4, 7] {
-                let input = random_vec(&mut rng, n);
-                let mut serial = input.clone();
-                dif_stages(&mut serial, &tables);
-                let mut par = input;
-                dif_stages_parallel(&mut par, &tables, threads);
-                assert_eq!(par, serial, "log_n={log_n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn dit_stage_split_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(110);
-        for log_n in [2usize, 5, 8, 11] {
-            let n = 1 << log_n;
-            for inverse in [false, true] {
-                let tables = twiddle::stage_tables::<Goldilocks>(n, inverse);
-                for threads in [2usize, 4, 5] {
-                    let input = random_vec(&mut rng, n);
-                    let mut serial = input.clone();
-                    dit_stages(&mut serial, &tables);
-                    let mut par = input;
-                    dit_stages_parallel(&mut par, &tables, threads);
-                    assert_eq!(par, serial, "log_n={log_n} threads={threads} inv={inverse}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn segment_tail_tables_match_fresh_small_tables() {
-        // The invariant the split rests on: a segment of length L = n/2^s
-        // sees the same twiddles through &tables[s..] as a standalone
-        // size-L transform builds for itself.
+        // The invariant `ZeroTailDif` rests on: a segment of length
+        // L = n/2^s sees the same twiddles through &tables[s..] as a
+        // standalone size-L transform builds for itself.
         let full = twiddle::stage_tables::<Goldilocks>(256, false);
         let small = twiddle::stage_tables::<Goldilocks>(32, false);
         assert_eq!(full[3..], small[..]);
@@ -857,37 +704,6 @@ mod tests {
     fn stage_kernels_match_one_lane_at_every_size() {
         stage_kernels_match::<Goldilocks>(113);
         stage_kernels_match::<KoalaBear>(213);
-    }
-
-    fn butterfly_windows_match<F: Edges>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tw = edge_vec::<F>(&mut rng, 96, 3);
-        for len in 0..=72 {
-            for dit in [false, true] {
-                let lo = edge_vec::<F>(&mut rng, len, len);
-                let hi = edge_vec::<F>(&mut rng, len, len + 1);
-                let offset = len % 16;
-                let (mut lo_a, mut hi_a) = (lo.clone(), hi.clone());
-                F::with_lanes(Butterflies { lo: &mut lo_a, hi: &mut hi_a, tw: &tw[offset..], dit });
-                let (mut lo_b, mut hi_b) = (lo.clone(), hi.clone());
-                Butterflies { lo: &mut lo_b, hi: &mut hi_b, tw: &tw[offset..], dit }.run::<F>();
-                let mut want = (lo, hi);
-                for ((a, b), &t) in want.0.iter_mut().zip(&mut want.1).zip(&tw[offset..]) {
-                    let (x, y) = if dit { (*a, *b * t) } else { (*a, *b) };
-                    (*a, *b) = if dit { (x + y, x - y) } else { (x + y, (x - y) * t) };
-                }
-                assert_eq!((&lo_a, &hi_a), (&want.0, &want.1), "len={len} dit={dit}");
-                assert_eq!((&lo_b, &hi_b), (&want.0, &want.1), "len={len} dit={dit}");
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_windows_match_one_lane_at_every_length() {
-        // The straddling stages of the parallel paths hand out windows of
-        // any length at any twiddle offset.
-        butterfly_windows_match::<Goldilocks>(114);
-        butterfly_windows_match::<KoalaBear>(214);
     }
 
     fn transforms_match_naive<F: Edges>(seed: u64) {

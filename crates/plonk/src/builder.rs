@@ -192,12 +192,6 @@ impl CircuitBuilder {
         self.affine(x, Goldilocks::ONE, c)
     }
 
-    /// `x·y + z` (two gates).
-    pub fn mul_add(&mut self, x: Target, y: Target, z: Target) -> Target {
-        let p = self.mul(x, y);
-        self.add(p, z)
-    }
-
     /// Copy-constrains two targets to carry the same value.
     pub fn connect(&mut self, x: Target, y: Target) {
         let (a, b) = (x, y);

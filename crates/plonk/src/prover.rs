@@ -197,12 +197,11 @@ pub fn prove(data: &CircuitData, inputs: &[Goldilocks]) -> Result<Proof, PlonkEr
             quotient::evaluate(&domain, &constraints)
         });
         trace::with_span("plonk.quotient_intt", || {
-            let mut quotients = Vec::with_capacity(values.len() * lde_size / data.rows);
-            for values in values {
-                let coeffs = quotient::coefficients(values);
-                quotients.extend(coeffs.chunks_exact(data.rows).map(|chunk| Polynomial::from_coeffs(Vec::from(chunk))));
-            }
-            quotients
+            quotient::coefficients(values)
+                .iter()
+                .flat_map(|coeffs| coeffs.chunks_exact(data.rows))
+                .map(|chunk| Polynomial::from_coeffs(Vec::from(chunk)))
+                .collect()
         })
     });
     let quotient_batch = trace::with_span("plonk.quotient_commit", || {

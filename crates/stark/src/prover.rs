@@ -65,10 +65,9 @@ where
             quotient::evaluate(&domain, &AirConstraints::new(air, trace_batch.leaves(), &domain, &alphas))
         });
         trace::with_span("stark.quotient_intt", || {
-            values
+            quotient::coefficients(values)
                 .into_iter()
-                .map(|values| {
-                    let mut coeffs = quotient::coefficients(values);
+                .map(|mut coeffs| {
                     // Degree check: a satisfying trace yields degree < n;
                     // the upper coefficients must vanish.
                     if coeffs[n..].iter().any(|c| !c.is_zero()) {

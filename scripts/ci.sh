@@ -65,34 +65,51 @@ echo "==> lane-kernel codegen gate (no call inside the Goldilocks and KoalaBear 
 # point (a helper left out of line runs its lanes through memory, and a
 # slice index that the compiler cannot prove in range leaves a call to a
 # panic handler). The kernels the contract binary reaches, per field: the
-# NTT's DIF and DIT stage loops and the zero-tail LDE, lanes::mul_assign and
-# lanes::scale (coset and n^-1 scaling), the FRI combine's leaf sums,
-# witness rows and extension products, and the quotient engine's rows
-# (unizk_fri::quotient), one instantiation per Stark AIR the binary proves
-# (three over Goldilocks, one over KoalaBear); over Goldilocks also the
-# straddling-stage windows of the NTT, the engine's rows of the Plonk
-# constraints and the permutation's denominators and chunk products.
-# Each instantiation's instruction and stack-operand counts are printed,
-# not gated.
+# NTT's DIF and DIT stage loops and the zero-tail LDE (ntt/src/radix2.rs),
+# lanes::mul_assign and lanes::scale (coset and n^-1 scaling, in
+# field/src/lanes.rs), the FRI combine's leaf sums, witness rows and
+# extension products (fri/src/prover.rs, over field/src/binomial.rs), and
+# the quotient engine's rows (fri/src/quotient.rs, reading leaf rows of
+# hash/src/matrix.rs) of the Stark constraints (stark/src/prover.rs, one
+# instantiation per AIR of stark/src/airs.rs); over Goldilocks also the
+# engine's rows of the Plonk constraints (plonk/src/quotient.rs,
+# plonk/src/circuit.rs) and the permutation's denominators and chunk
+# products (plonk/src/permutation.rs). The gate reads the source files
+# of the workspace that the line table (objdump -l) attributes the entry
+# points' instructions to, and requires exactly the listed ones: a kernel
+# that is no longer inlined there, or a new one, changes the list, and a
+# linker merge of byte-identical instantiations does not. Each
+# instantiation's instruction and stack-operand counts are printed, not
+# gated.
 if ! command -v objdump > /dev/null; then
     echo "skipped: objdump not found"
 elif [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86-64 build, the vector lane rows are not compiled"
 else
-    disassembly="$(objdump -d -C --no-show-raw-insn target/release/contract)"
+    disassembly="$(objdump -d -C -l --no-show-raw-insn target/release/contract)"
+    kernel_files='field/src/binomial.rs field/src/lanes.rs field/src/util.rs fri/src/prover.rs
+        fri/src/quotient.rs hash/src/matrix.rs ntt/src/radix2.rs stark/src/airs.rs stark/src/prover.rs'
     entries=""
-    for expected in 'Goldilocks avx512 15' 'KoalaBear avx512::koalabear 10'; do
-        read -r field module count <<< "$expected"
+    for expected in \
+            "Goldilocks avx512 $kernel_files field/src/goldilocks.rs field/src/lanes/avx512.rs
+                plonk/src/circuit.rs plonk/src/permutation.rs plonk/src/quotient.rs" \
+            "KoalaBear avx512::koalabear $kernel_files field/src/koalabear.rs field/src/lanes/avx512/koalabear.rs"; do
+        read -r field module files <<< "$(tr -s ' \n' ' ' <<< "$expected")"
         field_entries="$(awk -v m="$module" '$0 ~ "^[0-9a-f]+ <unizk_field::lanes::" m "::run_on_lanes(::<.*>)?>:$" { show = 1 } /^$/ { show = 0 } show' \
             <<< "$disassembly")"
-        found="$(grep -cE '^[0-9a-f]+ <' <<< "$field_entries" || true)"
-        if [ "$found" -ne "$count" ]; then
-            echo "FAIL: expected $count instantiations of unizk_field::lanes::$module::run_on_lanes ($field) in target/release/contract, found $found"
+        found="$(grep -E '^/' <<< "$field_entries" | grep -v '^/rustc/' \
+            | sed -nE 's|^.*/crates/([^:]+):.*$|\1|p' | sort -u)"
+        want="$(tr ' ' '\n' <<< "$files" | sort -u)"
+        if [ "$found" != "$want" ]; then
+            diff <(echo "$want") <(echo "$found") || true
+            echo "FAIL: in target/release/contract, the $field lane entry points (unizk_field::lanes::$module::run_on_lanes)" \
+                 "inline the files marked > above, which are not listed, and not those marked <, which are;" \
+                 "every listed kernel must be inlined there, and a new kernel's file is added to the list"
             exit 1
         fi
         entries="$entries$field_entries"$'\n\n'
     done
-    if grep -E '[[:space:]]call' <<< "$entries" | head -5 | grep .; then
+    if grep -E '^ *[0-9a-f]+:.*[[:space:]]call' <<< "$entries" | head -5 | grep .; then
         echo "FAIL: a call inside a lane kernel (first ones above): a helper of a LaneKernel is not #[inline(always)]," \
              "or a slice index or allocation inside LaneKernel::run left a call behind"
         exit 1
@@ -100,7 +117,7 @@ else
     awk '/^[0-9a-f]+ </ { name = $2; sub(/^<unizk_field::lanes::/, "", name); sub(/>:$/, "", name); name = name " at " $1 }
          /^ +[0-9a-f]+:/ { n[name]++; if (/\(%r[sb]p/) stack[name]++ }
          END { for (k in n) printf "  %-50s %5d instructions, %4d stack operands\n", k, n[k], stack[k] }' <<< "$entries" | sort
-    echo "ok: 25 lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
+    echo "ok: $(grep -c '^[0-9a-f]* <' <<< "$entries") lane kernels, $(grep -c 'zmm' <<< "$entries") zmm instructions, no call"
 fi
 
 echo "==> cargo test -q --offline"
@@ -459,25 +476,41 @@ if grep -rnE 'struct (Ext2|KbExt4)\b|impl\b.*\bfor (Ext2|KbExt4)\b' crates --inc
     exit 1
 fi
 
-echo "==> one worker loop (one spawn site, in field::par; the thread count read in par.rs and the NTT router)"
+echo "==> one worker loop (one spawn site, in field::par; the thread count read in par.rs only)"
 # Every parallel helper runs on par.rs's one split (pieces of whole grains)
 # and one worker loop (on_workers: span hand-off, panic rule). A second
 # spawn outside #[cfg(test)] would copy both, and a current_parallelism()
-# call in a prover module is a caller cutting its own ranges again; radix2.rs
-# reads it to route (EXPERIMENTS.md, "One worker loop").
+# call in a prover module is a caller cutting its own ranges again
+# (EXPERIMENTS.md, "One worker loop").
 spawns="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^[[:space:]]*//' \
         | grep -E 'thread::(scope|spawn|Builder)|\.spawn\(' | sed "s|^|$f: |" || true
 done)"
 reads="$(grep -rn 'current_parallelism()' crates/*/src --include='*.rs' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
-    | grep -vE '^crates/(field/src/par|ntt/src/radix2)\.rs:' || true)"
+    | grep -vE '^crates/field/src/par\.rs:' || true)"
 if [ "$(grep -c '^crates/field/src/par.rs: .*thread::scope(' <<< "$spawns")" -ne 1 ] \
         || [ "$(grep -c '^crates/field/src/par.rs: .*\.spawn(' <<< "$spawns")" -ne 1 ] \
         || [ "$(grep -c . <<< "$spawns")" -ne 2 ] || [ -n "$reads" ]; then
     printf '%s\n' "$spawns" "$reads"
-    echo "FAIL: threads are spawned in crates/field/src/par.rs (on_workers) only, and only par.rs and" \
-         "crates/ntt/src/radix2.rs read current_parallelism(); pass a grain to a par helper instead"
+    echo "FAIL: threads are spawned in crates/field/src/par.rs (on_workers) only, and only par.rs" \
+         "reads current_parallelism(); pass a grain to a par helper instead"
+    exit 1
+fi
+
+echo "==> one NTT route (every transform serial; the parallelism is across transforms, in the callers)"
+# A transform runs its stages on the calling thread; batch commitments run
+# one column per worker and the quotients one round per worker, as
+# Plonky2 does. A stage split inside the transform ran nested in those
+# workers and lost to one serial transform per worker on the 2-core host
+# (EXPERIMENTS.md, "One NTT route"); it was deleted with its window helper,
+# parallel_zip_mut, and its size threshold.
+ntt_par="$(grep -rnE '\b(parallel_[a-z_]+|run_indexed|current_parallelism|set_parallelism)\b|\bpar::' \
+    crates/ntt/src --include='*.rs' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [ -n "$ntt_par" ] || grep -rnE 'parallel_zip_mut|STAGE_SPLIT' crates; then
+    printf '%s\n' "$ntt_par"
+    echo "FAIL: crates/ntt/src calls no parallel helper and reads no thread count, and no stage split" \
+         "(parallel_zip_mut, STAGE_SPLIT_*) comes back under crates/; run transforms on workers in the caller"
     exit 1
 fi
 

@@ -1,15 +1,14 @@
 //! Thread-count invariance for the prover hot paths and the verifier.
 //!
-//! The parallel NTT stage split, the chunked Merkle hashing, the
+//! The per-column and per-round NTTs, the chunked Merkle hashing, the
 //! block-parallel grind and the verifier's one-tree-per-claim Merkle phase
 //! are all *execution strategies*: they must produce bit-identical proofs,
 //! identical verdicts (the same error for a bad proof) and identical
 //! deterministic trace counters under every
 //! [`unizk_field::set_parallelism`] setting. This suite pins the invariant
-//! end-to-end (STARK and Plonk prove → verify) and on a 2^16 coset LDE in
-//! isolation — a size at which multi-threaded transforms take the
-//! stage-split path, so the sweep compares it against the serial kernel
-//! through the public API.
+//! end-to-end (STARK and Plonk prove → verify) and on a batch commitment in
+//! isolation: three columns at a 2^16-point coset LDE, one serial
+//! transform per worker, gathered into one leaf matrix and hashed.
 //!
 //! These tests set the process-global parallelism override and reset the
 //! trace store, so everything that touches them serializes on one lock and
@@ -18,10 +17,9 @@
 
 use std::sync::Mutex;
 
-use unizk_field::{set_parallelism, Field, Goldilocks, KoalaBear, PrimeField64};
-use unizk_fri::FriError;
-use unizk_hash::{HashField, SpongeBackend};
-use unizk_ntt::lde_of_values;
+use unizk_field::{set_parallelism, Field, PrimeField64};
+use unizk_fri::{FriConfig, FriError, GenericPolynomialBatch};
+use unizk_hash::{HashField, Poseidon2KbSponge, PoseidonSponge, SpongeBackend};
 use unizk_stark::{prove, verify, FibonacciAir, KbStarkConfig, StarkConfig, StarkError};
 use unizk_testkit::rng::SplitMix64;
 use unizk_testkit::trace;
@@ -94,21 +92,25 @@ fn plonk_proof_identical_under_every_thread_count() {
     });
 }
 
-/// The coset LDE of 2^14 random values at blowup 4: 2^16 points, where
-/// multi-threaded transforms take the stage-split path.
-fn coset_lde_sweep<F: PrimeField64>() {
+/// Three columns of 2^14 random values committed from values at blowup
+/// 4: three iNTTs and three 2^16-point coset LDEs, one column per worker,
+/// then the leaf matrix and the tree. The root and every leaf repeat.
+fn batch_commit_sweep<H: SpongeBackend>() {
     let mut rng = SplitMix64::seed_from_u64(0x1DE);
-    let values: Vec<F> = (0..1 << 14).map(|_| F::random(&mut rng)).collect();
-    identical_under("LDE values", || {
-        let extended = lde_of_values(&values, 2, F::MULTIPLICATIVE_GENERATOR);
-        assert_eq!(extended.len(), 1 << 16);
-        extended
+    let columns: Vec<Vec<H::F>> =
+        (0..3).map(|_| (0..1 << 14).map(|_| H::F::random(&mut rng)).collect()).collect();
+    let config = FriConfig { rate_bits: 2, ..FriConfig::for_testing() };
+    identical_under("batch root and leaves", || {
+        let batch = GenericPolynomialBatch::<H>::from_values(columns.clone(), &config);
+        assert_eq!(batch.lde_size(), 1 << 16);
+        (batch.root(), batch.leaves().clone())
     });
 }
 
+/// The Goldilocks batch, [`unizk_fri::PolynomialBatch`].
 #[test]
 fn coset_lde_identical_under_every_thread_count() {
-    coset_lde_sweep::<Goldilocks>();
+    batch_commit_sweep::<PoseidonSponge>();
 }
 
 /// The 31-bit stack obeys the same invariant: `(KoalaBear, Poseidon2)`
@@ -131,11 +133,11 @@ fn koalabear_stark_proof_identical_over_whole_lane_groups() {
     stark_proof_sweep(&FibonacciAir::new(1 << 10), &config);
 }
 
-/// KoalaBear coset LDE under the thread sweep — the transform that feeds
-/// every 31-bit commitment must be an execution-strategy-only parallelism.
+/// The KoalaBear batch under the thread sweep: the commitment that every
+/// 31-bit proof is built from does not depend on the thread count.
 #[test]
 fn koalabear_coset_lde_identical_under_every_thread_count() {
-    coset_lde_sweep::<KoalaBear>();
+    batch_commit_sweep::<Poseidon2KbSponge>();
 }
 
 /// The verifier's answer and work do not depend on the thread count: the
