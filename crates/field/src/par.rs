@@ -8,15 +8,17 @@
 //!
 //! * **Pieces**, the one static split, for index spaces. A caller names
 //!   its work as a length and a *grain*: the run of positions no piece may
-//!   cut (1 for independent positions, 128 leaves for a Merkle level, one
-//!   row for a leaf matrix). Of the `ceil(len / grain)` grains, each piece
+//!   cut (1 for independent positions, a few thousand LDE positions for the
+//!   FRI combine and folds, one power-of-two subtree of leaves for a Merkle
+//!   tree). Of the `ceil(len / grain)` grains, each piece
 //!   takes `ceil(grains / threads)` in order, so there are at most
 //!   [`current_parallelism`] pieces, and one when there is one thread or
 //!   one grain. [`parallel_ranges`], [`parallel_chunks_mut`] and
 //!   [`parallel_columns_mut`] hand their closure one piece per call.
 //! * **Workers**, the one spawn site. A single input runs on the calling
 //!   thread with no dispatch, so `set_parallelism(1)` is a true serial
-//!   mode. Otherwise each input gets a scoped thread: a piece, or for item
+//!   mode. Otherwise the first input runs on the calling thread and every
+//!   other one gets a scoped thread. An input is a piece, or for item
 //!   lists a claim loop that takes the next unclaimed item until none is
 //!   left ([`run_indexed`], and [`parallel_map`] on it), so items of
 //!   unequal cost keep every worker busy; or one group of items per worker,
@@ -110,18 +112,21 @@ fn cut<'a, T>(mut values: &'a mut [T], pieces: &[Range<usize>]) -> Vec<(usize, &
         .collect()
 }
 
-/// The one worker loop: `f` over `inputs`, results in input order. One
-/// input runs on the calling thread; more get one scoped thread each, in
-/// the caller's trace-span path. All are joined before the first panic
-/// payload, in input order, is re-raised unchanged.
+/// The one worker loop: `f` over `inputs`, results in input order. The
+/// first input runs on the calling thread; every other one gets a scoped
+/// thread, in the caller's trace-span path. All are joined before the
+/// first panic payload, in input order, is re-raised unchanged.
 fn on_workers<I: Send, R: Send>(inputs: Vec<I>, f: impl Fn(I) -> R + Sync) -> Vec<R> {
-    if inputs.len() <= 1 {
-        return inputs.into_iter().map(f).collect();
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    if inputs.len() == 0 {
+        return vec![f(first)];
     }
     let (f, span) = (&f, &SpanHandle::current());
     let joined: Vec<_> = std::thread::scope(|scope| {
         let workers: Vec<_> = inputs
-            .into_iter()
             .map(|input| {
                 scope.spawn(move || {
                     let _trace_ctx = span.attach();
@@ -129,7 +134,8 @@ fn on_workers<I: Send, R: Send>(inputs: Vec<I>, f: impl Fn(I) -> R + Sync) -> Ve
                 })
             })
             .collect();
-        workers.into_iter().map(|w| w.join()).collect()
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(first)));
+        std::iter::once(own).chain(workers.into_iter().map(|w| w.join())).collect()
     });
     joined
         .into_iter()
@@ -723,15 +729,17 @@ mod tests {
                 // Quotients: `ceil(len / threads)` positions per worker.
                 let even = runs(len, len.div_ceil(threads).max(1));
                 assert_eq!(pieces(len, 1, threads), even, "{at}");
-                // Merkle levels: 128-leaf chunks, `ceil(chunks / threads)`
-                // per worker, serial up to one chunk.
-                let chunks = len.div_ceil(128);
-                let merkle = if threads == 1 || len <= 128 {
+                // Merkle trees: whole 2^10-leaf subtrees,
+                // `ceil(subtrees / threads)` per worker, serial up to one
+                // subtree.
+                let subtree = 1 << 10;
+                let subtrees = len.div_ceil(subtree);
+                let merkle = if threads == 1 || len <= subtree {
                     runs(len, len.max(1))
                 } else {
-                    runs(len, chunks.div_ceil(threads.min(chunks)) * 128)
+                    runs(len, subtrees.div_ceil(threads.min(subtrees)) * subtree)
                 };
-                assert_eq!(pieces(len, 128, threads), merkle, "{at}");
+                assert_eq!(pieces(len, subtree, threads), merkle, "{at}");
             }
         }
     }

@@ -195,6 +195,7 @@ mod tests {
                 unizk_field::set_parallelism(0);
             }
         }
+        let _knob = crate::PARALLELISM_KNOB.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _restore = Restore;
         let mut rng = StdRng::seed_from_u64(seed);
         let config = FriConfig::for_testing();

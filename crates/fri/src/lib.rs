@@ -62,3 +62,8 @@ pub use prover::{fri_prove, grind, pow_ok};
 pub use serialization::{Reader, WireError, Writer};
 pub use timing::{kernel_totals_from, KernelClass};
 pub use verifier::{fri_verify, FriError};
+
+/// The unit tests that set the process-wide thread count hold this lock, so
+/// that each runs at the thread counts it names.
+#[cfg(test)]
+pub(crate) static PARALLELISM_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());

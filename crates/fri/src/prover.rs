@@ -8,8 +8,8 @@
 
 use unizk_field::lanes::{dot_rows, MAX_LANES};
 use unizk_field::{
-    batch_inverse, log2_strict, parallel_first_block, powers, ExtensionOf, Field, LaneKernel, Lanes,
-    Polynomial, PrimeField64, ProtocolField,
+    batch_inverse, log2_strict, parallel_chunks_mut, parallel_first_block, powers, ExtensionOf, Field,
+    LaneKernel, Lanes, Polynomial, PrimeField64, ProtocolField,
 };
 use unizk_hash::{
     GenericChallenger, GenericMerkleTree, GenericSpeculativeChallenger, RowMajorMatrix, SpongeBackend,
@@ -31,6 +31,14 @@ use crate::proof::{FriFoldOpening, FriInitialOpening, FriProof, FriQueryRound};
 /// it lives on the stack (4 KB); on the heap, at either length, it moved the
 /// peak RSS of `stark_narrow_gl` by +1.7 MB through allocation order alone.
 const OPEN_BLOCK: usize = 256;
+
+/// The grain of the combine and of every fold: workers take pieces of
+/// whole runs of this many LDE positions (fold outputs), and a layer of at
+/// most one grain stays on the calling thread, where a dispatch would cost
+/// more than the piece it moves. The combine also walks its piece one grain
+/// at a time (64 KB per buffer on both fields). Any grain yields identical
+/// values.
+const POSITION_GRAIN: usize = 1 << 12;
 
 /// Produces a FRI opening proof for `batches`, all opened at every point in
 /// `points`.
@@ -240,8 +248,10 @@ impl<F: ProtocolField> OpeningQuotient<F> {
 }
 
 /// Evaluates the combined witness over the whole LDE domain: the numerator
-/// and denominator of [`OpeningQuotient`] per position, one batch inversion
-/// of the denominators, one product per position.
+/// and denominator of [`OpeningQuotient`] per position, a batch inversion
+/// of the denominators, one product per position — on pieces of positions,
+/// one per worker, each walked one [`POSITION_GRAIN`] at a time (one
+/// inversion pass per grain).
 fn combine_initial<B: SpongeBackend>(
     batches: &[&GenericPolynomialBatch<B>],
     points: &[<B::F as ProtocolField>::Ext],
@@ -273,30 +283,37 @@ fn combine_initial<B: SpongeBackend>(
         .map(|d| alpha_pows.iter().map(|a| a.as_base_slice()[d]).collect())
         .collect();
     let leaves: Vec<&RowMajorMatrix<B::F>> = batches.iter().map(|b| b.leaves()).collect();
-    let mut values = vec![E::<B>::ZERO; lde_size];
-    B::F::with_lanes(LeafSums {
-        leaves: &leaves,
-        limbs: &limbs,
-        sums: &mut values,
-    });
-
-    // Into the numerator, D(x_i) beside it; then one inversion and one
-    // product per position.
     let xs = FoldDomain::<B::F>::initial(lde_size).points();
     let w = extension_w::<B::F>();
-    let mut denoms = vec![E::<B>::ZERO; lde_size];
-    B::F::with_lanes(WitnessRows {
-        quotient: &quotient,
-        xs: &xs,
-        w,
-        values: &mut values,
-        denoms: &mut denoms,
-    });
-    let inv = batch_inverse(&denoms);
-    B::F::with_lanes(ExtProducts::<B::F> {
-        values: &mut values,
-        factors: &inv,
-        w,
+    let mut values = vec![E::<B>::ZERO; lde_size];
+    // Each piece of positions runs all four steps one grain at a time: the
+    // sums, into the numerator with D(x_i) beside it, one inversion of the
+    // grain's denominators and one product per position. A grain's buffers
+    // stay small enough to be reused from the heap, not fresh pages.
+    parallel_chunks_mut(&mut values, POSITION_GRAIN, |from, piece| {
+        let mut denoms = vec![E::<B>::ZERO; piece.len().min(POSITION_GRAIN)];
+        for (from, values) in (from..).step_by(POSITION_GRAIN).zip(piece.chunks_mut(POSITION_GRAIN)) {
+            B::F::with_lanes(LeafSums {
+                leaves: &leaves,
+                limbs: &limbs,
+                from,
+                sums: values,
+            });
+            let denoms = &mut denoms[..values.len()];
+            B::F::with_lanes(WitnessRows {
+                quotient: &quotient,
+                xs: &xs[from..from + values.len()],
+                w,
+                values,
+                denoms,
+            });
+            let inv = batch_inverse(denoms);
+            B::F::with_lanes(ExtProducts::<B::F> {
+                values,
+                factors: &inv,
+                w,
+            });
+        }
     });
     values
 }
@@ -555,11 +572,13 @@ impl<L: Lanes, const D: usize> core::ops::Sub for ExtRows<L, D> {
 }
 
 /// The kernel of [`combine_initial`]'s sum: `sums[i] = Σ_j α^j p_j(x_i)`
-/// over row `i` of every batch's leaf matrix, in global polynomial order,
-/// each limb a [`dot_rows`] against its table in `limbs`.
+/// over row `from + i` of every batch's leaf matrix, in global polynomial
+/// order, each limb a [`dot_rows`] against its table in `limbs`.
 struct LeafSums<'a, F, E> {
     leaves: &'a [&'a RowMajorMatrix<F>],
     limbs: &'a [Vec<F>],
+    /// The leaf row of `sums[0]`.
+    from: usize,
     sums: &'a mut [E],
 }
 
@@ -568,7 +587,7 @@ impl<F: PrimeField64, E: ExtensionOf<F>> LaneKernel<F> for LeafSums<'_, F, E> {
 
     #[inline(always)]
     fn run<L: Lanes<Scalar = F>>(self) {
-        for (i, sum) in self.sums.iter_mut().enumerate() {
+        for (i, sum) in (self.from..).zip(self.sums.iter_mut()) {
             let mut offset = 0;
             for batch in self.leaves {
                 let Some(leaf) = batch.get_row(i) else { continue };
@@ -608,13 +627,14 @@ fn fold_layer<F: ProtocolField>(
 ) -> Vec<F::Ext> {
     debug_assert_eq!(values.len(), domain.size);
     let two_inv = F::TWO.inverse();
-    let mut out = Vec::with_capacity(domain.size / 2);
-    out.extend(
-        values
-            .chunks_exact(2)
-            .zip(domain.pair_inverses())
-            .map(|(pair, x_inv)| fold_pair::<F>([pair[0], pair[1]], x_inv, two_inv, fold_beta)),
-    );
+    let x_invs = domain.pair_inverses();
+    let mut out = vec![F::Ext::ZERO; domain.size / 2];
+    parallel_chunks_mut(&mut out, POSITION_GRAIN, |from, out| {
+        let pairs = values[2 * from..].chunks_exact(2).zip(&x_invs[from..]);
+        for (folded, (pair, &x_inv)) in out.iter_mut().zip(pairs) {
+            *folded = fold_pair::<F>([pair[0], pair[1]], x_inv, two_inv, fold_beta);
+        }
+    });
     out
 }
 
@@ -904,9 +924,9 @@ mod tests {
             })
             .collect();
         let mut one = vec![F::Ext::ZERO; positions];
-        LeafSums { leaves: &leaves, limbs: &limbs, sums: &mut one }.run::<F>();
+        LeafSums { leaves: &leaves, limbs: &limbs, from: 0, sums: &mut one }.run::<F>();
         let mut dispatched = vec![F::Ext::ZERO; positions];
-        F::with_lanes(LeafSums { leaves: &leaves, limbs: &limbs, sums: &mut dispatched });
+        F::with_lanes(LeafSums { leaves: &leaves, limbs: &limbs, from: 0, sums: &mut dispatched });
         assert_eq!(one, want);
         assert_eq!(dispatched, want);
     }
@@ -1035,6 +1055,63 @@ mod tests {
     #[test]
     fn koalabear_combine_rows_are_the_scalar_path() {
         combine_rows_are_the_scalar_path::<unizk_field::KoalaBear>(509);
+    }
+
+    /// [`combine_initial`] and a [`fold_layer`] of its result at threads 2,
+    /// 3 and 5 against one thread (one piece, on the calling thread), at LDE
+    /// sizes 2^3–2^14: below, at and above one [`POSITION_GRAIN`] of
+    /// positions and of fold outputs.
+    fn pieces_are_the_serial_result<B: SpongeBackend>(seed: u64) {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                unizk_field::set_parallelism(0);
+            }
+        }
+        let _knob = crate::PARALLELISM_KNOB.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _restore = Restore;
+        let mut rng = unizk_testkit::rng::TestRng::seed_from_u64(seed);
+        let config = FriConfig { rate_bits: 1, ..FriConfig::for_testing() };
+        for log_lde in 3..=14 {
+            let (lde_size, degree) = (1usize << log_lde, 1usize << (log_lde - 1));
+            let batches: Vec<GenericPolynomialBatch<B>> = [2usize, 5]
+                .iter()
+                .map(|&width| {
+                    let polys = (0..width)
+                        .map(|_| Polynomial::from_coeffs((0..degree).map(|_| B::F::random(&mut rng)).collect()))
+                        .collect();
+                    GenericPolynomialBatch::from_coeffs(polys, &config)
+                })
+                .collect();
+            let batches: Vec<&GenericPolynomialBatch<B>> = batches.iter().collect();
+            let points: Vec<_> = (0..2).map(|_| random_ext::<B::F>(&mut rng)).collect();
+            let openings: Vec<Vec<Vec<_>>> = points
+                .iter()
+                .map(|_| batches.iter().map(|b| (0..b.num_polys()).map(|_| random_ext::<B::F>(&mut rng)).collect()).collect())
+                .collect();
+            let [alpha, beta, fold_beta] = [(); 3].map(|()| random_ext::<B::F>(&mut rng));
+            let domain = FoldDomain::<B::F>::initial(lde_size);
+            let run = |threads| {
+                unizk_field::set_parallelism(threads);
+                let combined = combine_initial(&batches, &points, &openings, alpha, beta, lde_size);
+                let folded = fold_layer(&combined, domain, fold_beta);
+                (combined, folded)
+            };
+            let serial = run(1);
+            for threads in [2, 3, 5] {
+                assert!(run(threads) == serial, "{} LDE 2^{log_lde}, {threads} threads", B::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn goldilocks_combine_and_fold_pieces_are_the_serial_result() {
+        pieces_are_the_serial_result::<unizk_hash::PoseidonSponge>(510);
+    }
+
+    #[test]
+    fn koalabear_combine_and_fold_pieces_are_the_serial_result() {
+        pieces_are_the_serial_result::<unizk_hash::Poseidon2KbSponge>(511);
     }
 
     /// The final layer's transform against the Lagrange interpolation it

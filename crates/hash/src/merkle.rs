@@ -11,6 +11,13 @@
 //! paper chooses so that tree construction streams sequentially through
 //! memory and subtrees can be processed scratchpad-resident.
 //!
+//! A tree is built in one dispatch: the leaves are cut into pieces of whole
+//! subtrees of `SUBTREE_LEAVES` (2^10) leaves, each worker turns its piece's
+//! leaves into digests and climbs the piece level by level to its subtree
+//! roots, and the caller joins the pieces and climbs the top levels. At one
+//! thread the one piece is the whole tree, so each level is one batched
+//! dispatch over all of its pairs.
+//!
 //! Openings are checked by one walker,
 //! [`GenericMerkleTree::verify_many`]: the openings of many trees climb
 //! them together, aligned at their leaves, so each step hashes the
@@ -25,17 +32,21 @@
 //! [`GenericMerkleTree`], and the KoalaBear proof path instantiates the
 //! same code with [`crate::poseidon2_kb::Poseidon2KbSponge`].
 
+use std::ops::Range;
+
 use unizk_field::{log2_strict, parallel_groups, parallel_ranges, Goldilocks, PrimeField64};
 
 use crate::digest::Digest;
 use crate::matrix::RowMajorMatrix;
 use crate::sponge::{compress_level_with, hash_many_with, PoseidonSponge, SpongeBackend};
 
-/// The grain of a Merkle level: workers take whole runs of this many leaves
-/// (or interior pairs), and a level of at most one grain is hashed on the
+/// The grain of a tree build: a subtree of this many leaves. A tree is cut
+/// into pieces of whole subtrees, one per worker, and each worker builds
+/// its piece from the leaves up to the subtree roots (paper §5.3, Merkle
+/// subtree scheduling); a tree of at most one subtree is built on the
 /// calling thread. A throughput knob, not a correctness parameter (any
-/// grain yields identical digests and counters).
-const HASH_CHUNK: usize = 128;
+/// power of two yields identical digests and counters).
+const SUBTREE_LEAVES: usize = 1 << 10;
 
 /// The one rule by which a leaf becomes a digest, Plonky2's `hash_or_noop`,
 /// decided per leaf: at most [`Digest::LEN`] elements (4 on both fields) are
@@ -63,29 +74,62 @@ pub fn leaf_digests_with<B: SpongeBackend, L: AsRef<[B::F]>>(leaves: &[L]) -> Ve
     digests.collect()
 }
 
-/// [`leaf_digests_with`] over every row of `leaves`, into a caller-supplied
-/// buffer, in pieces of whole [`HASH_CHUNK`]s of rows per worker; piece
-/// size, lane width and thread count are invisible in digests and counters.
-fn hash_leaves_into<B: SpongeBackend>(leaves: &RowMajorMatrix<B::F>, out: &mut Vec<Digest<B::F>>) {
+/// [`leaf_digests_with`] over the rows `rows` of `leaves`, as the first
+/// level of a piece's `levels`.
+fn hash_leaves_into<B: SpongeBackend>(
+    leaves: &RowMajorMatrix<B::F>,
+    rows: Range<usize>,
+    levels: &mut Vec<Vec<Digest<B::F>>>,
+) {
     let width = leaves.width();
-    for piece in parallel_ranges(leaves.height(), HASH_CHUNK, |r| {
-        let rows = &leaves.values()[r.start * width..r.end * width];
-        leaf_digests_with::<B, _>(&rows.chunks_exact(width).collect::<Vec<_>>())
-    }) {
-        out.extend(piece);
+    let values = &leaves.values()[rows.start * width..rows.end * width];
+    levels.push(leaf_digests_with::<B, _>(&values.chunks_exact(width).collect::<Vec<_>>()));
+}
+
+/// Climbs `levels` one level at a time until the top one holds `roots`
+/// digests: each new level is the adjacent pairs of the one below through
+/// the batched dispatcher ([`compress_level_with`]). A worker climbs its
+/// piece to its subtree roots, the caller the rest of the tree.
+fn climb_levels<B: SpongeBackend>(levels: &mut Vec<Vec<Digest<B::F>>>, roots: usize) {
+    while let Some(level) = levels.last().filter(|level| level.len() > roots) {
+        let next = compress_level_with::<B>(level);
+        levels.push(next);
     }
 }
 
-/// One interior Merkle level: compresses adjacent digest pairs of `prev`
-/// into `out` through the batched dispatcher ([`compress_level_with`]),
-/// split across workers exactly like the leaves.
-fn hash_pairs_into<B: SpongeBackend>(prev: &[Digest<B::F>], out: &mut Vec<Digest<B::F>>) {
-    debug_assert!(prev.len().is_multiple_of(2));
-    for piece in parallel_ranges(prev.len() / 2, HASH_CHUNK, |r| {
-        compress_level_with::<B>(&prev[2 * r.start..2 * r.end])
-    }) {
-        out.extend(piece);
+/// One worker's piece of a tree: the leaves `rows`, whole subtrees (or the
+/// whole tree if it is smaller than one), from digests up to the subtree
+/// roots. Returns the piece's levels, leaf digests first.
+fn build_piece<B: SpongeBackend>(
+    leaves: &RowMajorMatrix<B::F>,
+    rows: Range<usize>,
+) -> Vec<Vec<Digest<B::F>>> {
+    let roots = rows.len().div_ceil(SUBTREE_LEAVES);
+    let mut levels = Vec::with_capacity(log2_strict(SUBTREE_LEAVES) + 1);
+    hash_leaves_into::<B>(leaves, rows, &mut levels);
+    climb_levels::<B>(&mut levels, roots);
+    levels
+}
+
+/// The pieces' levels joined in leaf order, level by level, each part
+/// copied once and freed as soon as it is; a lone piece's levels are
+/// moved. Every piece climbed as many levels.
+fn join_pieces<F: PrimeField64>(pieces: Vec<Vec<Vec<Digest<F>>>>) -> Vec<Vec<Digest<F>>> {
+    if pieces.len() == 1 {
+        return pieces.into_iter().flatten().collect();
     }
+    let height = pieces.first().map_or(0, Vec::len);
+    let mut parts: Vec<_> = pieces.into_iter().map(Vec::into_iter).collect();
+    (0..height)
+        .map(|_| {
+            let level: Vec<_> = parts.iter_mut().map(|p| p.next().expect("one part per level")).collect();
+            let mut joined = Vec::with_capacity(level.iter().map(Vec::len).sum());
+            for part in level {
+                joined.extend(part);
+            }
+            joined
+        })
+        .collect()
 }
 
 /// A binary Merkle tree over the rows of a [`RowMajorMatrix`], generic over
@@ -160,19 +204,12 @@ impl<B: SpongeBackend> GenericMerkleTree<B> {
         let _build_span = unizk_testkit::trace::span("merkle.build");
         unizk_testkit::trace::counter("merkle.trees", 1);
         unizk_testkit::trace::counter("merkle.leaves", num_leaves as u64);
-        // Hashes at one level are independent (paper §5.3), so both the leaf
-        // digests and each interior level parallelize trivially, in pieces
-        // of whole HASH_CHUNKs.
-        let mut levels = Vec::with_capacity(log2_strict(num_leaves) + 1);
-        let mut first = Vec::with_capacity(num_leaves);
-        hash_leaves_into::<B>(&leaves, &mut first);
-        levels.push(first);
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len() / 2);
-            hash_pairs_into::<B>(prev, &mut next);
-            levels.push(next);
-        }
+        // Hashes at one level are independent, and so are subtrees (paper
+        // §5.3): one dispatch builds every subtree, one piece of whole
+        // subtrees per worker, and the caller climbs the top levels.
+        let pieces = parallel_ranges(num_leaves, SUBTREE_LEAVES, |rows| build_piece::<B>(&leaves, rows));
+        let mut levels = join_pieces(pieces);
+        climb_levels::<B>(&mut levels, 1);
         Self { leaves, levels }
     }
 

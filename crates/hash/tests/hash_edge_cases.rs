@@ -116,11 +116,12 @@ fn openings_at_first_and_last_leaf() {
 fn hash_leaves_chunking_is_invisible() {
     let _lock = PARALLELISM_KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
-    // Under more than one thread the builder hands out 128 leaves per work
-    // item: 128 leaves are one dispatch, 256 one item per worker or fewer,
-    // 1024 several items per worker. The leaf level is read back through
-    // the openings (leaf `i` is the first sibling of leaf `i ^ 1`).
-    for (n, width) in [(128usize, 4), (256, 7), (1024, 5)] {
+    // Under more than one thread the builder hands each worker a piece of
+    // whole 1024-leaf subtrees: up to 1024 leaves are one piece on the
+    // calling thread, 4096 one or two subtrees per worker. The leaf level is
+    // read back through the openings (leaf `i` is the first sibling of leaf
+    // `i ^ 1`).
+    for (n, width) in [(128usize, 4), (256, 7), (1024, 5), (4096, 5)] {
         let data = leaves(n, width);
         let reference: Vec<_> = data.iter().map(|l| leaf_digest(l)).collect();
         for threads in [1usize, 3, 8] {

@@ -71,7 +71,8 @@ fn a_tree_books_its_interior_nodes_and_its_long_leaves<B: SpongeBackend>() {
     let _serial = TRACE_AND_THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = KnobGuard;
     for width in 1..=9usize {
-        // 2^9 leaves: four of the builder's 128-leaf work items under threads.
+        // Up to 2^9 leaves: within one of the builder's 1024-leaf subtrees,
+        // so one piece at any thread count (`merkle_build.rs` cuts trees).
         for k in [0usize, 1, 4, 9] {
             let n = 1usize << k;
             let data: Vec<Vec<B::F>> = (0..n).map(|i| leaf::<B>(i, width)).collect();

@@ -405,6 +405,25 @@ fi
 # tree of two-element leaves; the example is not a test, so it is run here.
 cargo run --release --offline -q --example merkle_membership | tail -2
 
+echo "==> one dispatch per Merkle tree (workers build whole subtrees; the caller climbs the top levels)"
+# GenericMerkleTree::new cuts the leaves into pieces of whole subtrees and
+# makes one parallel_ranges dispatch: each worker hashes its leaves and
+# climbs its piece to the subtree roots, the caller climbs the rest. A
+# parallel helper per level is the level-synchronous build coming back
+# (54 of a 2-thread stark_narrow_gl prove's 62 dispatches were single
+# levels: EXPERIMENTS.md, "One dispatch per tree"). Outside verify_many
+# and its walk, the shipped file names one parallel helper, and the level
+# loop (the function that compresses a level) names none.
+builder="$(awk '/^fn climb</ { skip = 1 } /^    pub fn verify_many/ { skip = 2 }
+    !skip; skip == 1 && /^}/ { skip = 0 } skip == 2 && /^    }/ { skip = 0 }' <<< "$merkle")"
+level_loop="$(awk '/^fn / { name = $0 } /compress_level_with::</ { print name }' <<< "$builder" | sort -u)"
+if [ "$(grep -cE '\bparallel_[a-z_]+\(' <<< "$builder")" -ne 1 ] || [ "$(grep -c . <<< "$level_loop")" -ne 1 ] \
+        || body "^${level_loop%%(*}" '^}' | grep -nE '\bparallel_[a-z_]+|run_indexed'; then
+    echo "FAIL: crates/hash/src/merkle.rs builds a tree in one parallel dispatch (pieces of whole subtrees)," \
+         "with no parallel helper inside the level loop"
+    exit 1
+fi
+
 echo "==> one leaf matrix (a Merkle tree's leaves are one RowMajorMatrix; fri_prove holds each fold layer once)"
 # A tree's leaves are the rows of one unizk_hash::RowMajorMatrix, from the
 # batch's gather to the FRI combine and the quotients that read them. A

@@ -1,7 +1,7 @@
 //! Thread-count invariance for the prover hot paths and the verifier.
 //!
-//! The per-column and per-round NTTs, the chunked Merkle hashing, the
-//! block-parallel grind and the verifier's one-tree-per-claim Merkle phase
+//! The per-column and per-round NTTs, the subtree-parallel Merkle builds,
+//! the block-parallel grind and the verifier's one Merkle walk per proof
 //! are all *execution strategies*: they must produce bit-identical proofs,
 //! identical verdicts (the same error for a bad proof) and identical
 //! deterministic trace counters under every
